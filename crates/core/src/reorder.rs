@@ -115,17 +115,6 @@ impl CausalBuffer {
     pub fn total_delivered(&self) -> u64 {
         self.delivered.iter().map(|&c| u64::from(c)).sum()
     }
-
-    /// Takes every message still waiting, ordered by `(thread, seq)`. On a
-    /// lossy transport some causal predecessors may never arrive; callers
-    /// that must not silently drop the survivors use this to recover them
-    /// after the stream ends.
-    #[must_use]
-    pub fn force_drain(&mut self) -> Vec<Message> {
-        let mut out = std::mem::take(&mut self.pending);
-        out.sort_by_key(|m| (m.thread(), m.seq()));
-        out
-    }
 }
 
 #[cfg(test)]

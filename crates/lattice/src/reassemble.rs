@@ -20,16 +20,27 @@
 //!   which is reported as a [`Exactness::Degraded`] verdict rather than
 //!   hidden.
 //!
-//! The skip step rewrites clocks with the monotone per-thread map
-//! `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`. Retained messages
-//! count themselves, so every strict inequality of Theorem 3 between two
-//! *surviving* messages is preserved: the causal order among what was
-//! actually received is exact, and only orderings through lost messages are
-//! forgotten.
+//! Messages are released *online*: [`Reassembler::drain_ready`] hands out
+//! every message whose causal predecessors are all committed — delivered
+//! or skipped as a gap — so an observer can analyse while the stream is
+//! still arriving. Only out-of-order messages and messages still waiting
+//! on another thread's predecessor are buffered, never the whole session.
+//!
+//! Each message's clock is rewritten at release with the monotone
+//! per-thread map `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`.
+//! Retained messages count themselves, so every strict inequality of
+//! Theorem 3 between two *surviving* messages is preserved: the causal
+//! order among what was actually received is exact, and only orderings
+//! through lost messages are forgotten. Releasing early is sound because
+//! the map is already final for every component the message references:
+//! a message is released only once every seq `≤ V[j]` of each thread `j`
+//! is released or skipped, and such a seq never changes status again —
+//! late arrivals inside a committed gap are dropped, and every later gap
+//! lies above it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use jmpax_core::{CausalBuffer, Message, ThreadId};
+use jmpax_core::{Message, ThreadId, VectorClock};
 use jmpax_telemetry::Registry;
 use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
@@ -192,16 +203,30 @@ impl ReassemblyReport {
     }
 }
 
+/// One committed gap of a thread, as the clock remap sees it.
+#[derive(Clone, Copy, Debug)]
+struct Skipped {
+    from: u32,
+    to: u32,
+    /// Sequence numbers skipped by this thread's earlier gaps.
+    before: u64,
+}
+
+impl Skipped {
+    fn width(&self) -> u64 {
+        u64::from(self.to - self.from) + 1
+    }
+}
+
 /// Per-thread reassembly state.
 #[derive(Clone, Debug, Default)]
 struct ThreadState {
-    /// Committed messages, tagged with their arrival index, in sequence
-    /// order. Invariant: their (original) seqs are exactly the sorted
-    /// retained subset of `1..=committed`.
-    emitted: Vec<(u64, Message)>,
-    /// Original seqs retained in `emitted` (sorted) — the domain of the
-    /// clock-remapping function.
-    retained: Vec<u32>,
+    /// Committed messages not yet released, tagged with their arrival
+    /// index, in sequence order.
+    ready: VecDeque<(u64, Message)>,
+    /// Committed gaps in sequence order. Every seq `≤ committed` outside
+    /// them was retained, so they alone define the clock remap.
+    gaps: Vec<Skipped>,
     /// Out-of-order arrivals waiting for their predecessors.
     pending: BTreeMap<u32, (u64, Message)>,
     /// Highest sequence number committed (delivered or skipped).
@@ -214,18 +239,19 @@ struct ThreadState {
 }
 
 impl ThreadState {
-    /// Moves every now-contiguous pending message into `emitted`.
+    /// Commits every now-contiguous pending message.
     fn drain_contiguous(&mut self) {
-        while let Some(entry) = self.pending.remove(&(self.committed + 1)) {
+        while let Some(entry) = self
+            .committed
+            .checked_add(1)
+            .and_then(|next| self.pending.remove(&next))
+        {
             self.committed += 1;
-            self.retained.push(self.committed);
-            self.emitted.push(entry);
+            self.ready.push_back(entry);
         }
-        self.gap_age = if self.pending.is_empty() {
-            None
-        } else {
-            self.gap_age
-        };
+        if self.pending.is_empty() {
+            self.gap_age = None;
+        }
     }
 
     /// True when the next expected sequence number is missing while later
@@ -234,16 +260,63 @@ impl ThreadState {
         self.pending
             .keys()
             .next()
-            .is_some_and(|&s| s > self.committed + 1)
+            .is_some_and(|&s| u64::from(s) > u64::from(self.committed) + 1)
+    }
+
+    /// The highest seq `s` such that every seq `≤ s` of this thread has
+    /// been released or skipped.
+    fn released_through(&self) -> u32 {
+        self.ready
+            .front()
+            .map_or(self.committed, |(_, m)| m.seq() - 1)
+    }
+
+    /// True when `seq` lies inside a committed gap.
+    fn is_skipped(&self, seq: u32) -> bool {
+        let i = self.gaps.partition_point(|g| g.from <= seq);
+        i > 0 && self.gaps[i - 1].to >= seq
+    }
+
+    /// `|{retained seq s : s ≤ v}|` — the remapped clock component. Final
+    /// once `v ≤ committed`.
+    fn retained_through(&self, v: u32) -> u32 {
+        let i = self.gaps.partition_point(|g| g.from <= v);
+        let skipped = i.checked_sub(1).map_or(0, |k| {
+            let g = self.gaps[k];
+            g.before + u64::from(v.min(g.to) - g.from) + 1
+        });
+        (u64::from(v) - skipped) as u32
+    }
+
+    /// Adds the gap `from..=to` to the remap, keeping sequence order.
+    fn add_gap(&mut self, from: u32, to: u32) {
+        let at = self.gaps.partition_point(|g| g.from < from);
+        self.gaps.insert(
+            at,
+            Skipped {
+                from,
+                to,
+                before: 0,
+            },
+        );
+        let mut before = at
+            .checked_sub(1)
+            .map_or(0, |k| self.gaps[k].before + self.gaps[k].width());
+        for g in &mut self.gaps[at..] {
+            g.before = before;
+            before += g.width();
+        }
     }
 }
 
 /// Reassembles a faulty message stream into valid lattice input.
 ///
-/// Push every received message (any order, duplicates welcome), then call
-/// [`Reassembler::finish`]; the result is a deduplicated, causally ordered
-/// message sequence with contiguous per-thread sequence numbers — exactly
-/// what [`crate::LatticeInput::from_messages`] requires — plus a
+/// Push every received message (any order, duplicates welcome). Call
+/// [`Reassembler::drain_ready`] whenever convenient to take the messages
+/// that are already causally ready, and [`Reassembler::finish`] at the end
+/// of the stream for the rest. Together they yield a deduplicated, causally
+/// ordered message sequence with contiguous per-thread sequence numbers —
+/// exactly what [`crate::LatticeInput::from_messages`] requires — plus a
 /// [`ReassemblyReport`] accounting for everything the transport did.
 #[derive(Clone, Debug)]
 pub struct Reassembler {
@@ -326,10 +399,10 @@ impl Reassembler {
             if seq <= state.committed {
                 // Either already delivered (duplicate) or inside a gap we
                 // gave up on (late arrival).
-                if state.retained.binary_search(&seq).is_ok() {
-                    self.report.duplicates += 1;
-                } else {
+                if state.is_skipped(seq) {
                     self.report.late_dropped += 1;
+                } else {
+                    self.report.duplicates += 1;
                 }
             } else if let std::collections::btree_map::Entry::Vacant(slot) =
                 state.pending.entry(seq)
@@ -369,12 +442,23 @@ impl Reassembler {
 
     /// Commits thread `t`'s first gap as lost and drains what it unblocks.
     fn skip_gap(&mut self, t: ThreadId) {
-        let state = &mut self.threads[t.index()];
+        let state = &self.threads[t.index()];
         let Some(&next) = state.pending.keys().next() else {
             return;
         };
         debug_assert!(next > state.committed + 1);
-        let (from, to) = (state.committed + 1, next - 1);
+        self.commit_gap(t, state.committed + 1, next - 1);
+        let state = &mut self.threads[t.index()];
+        state.gap_age = None;
+        state.drain_contiguous();
+        if state.blocked() {
+            // Another gap right behind the first: restart its clock now.
+            state.gap_age = Some(self.arrivals);
+        }
+    }
+
+    /// Records thread `t`'s sequence numbers `from..=to` as lost.
+    fn commit_gap(&mut self, t: ThreadId, from: u32, to: u32) {
         self.report.gaps.push(GapRecord {
             thread: t,
             from,
@@ -385,22 +469,77 @@ impl Reassembler {
             from,
             to,
         });
-        state.committed = next - 1;
-        state.gap_age = None;
-        state.drain_contiguous();
-        if state.blocked() {
-            // Another gap right behind the first: restart its clock now.
-            state.gap_age = Some(self.arrivals);
-        }
+        let state = self.thread_mut(t);
+        state.add_gap(from, to);
+        state.committed = state.committed.max(to);
     }
 
-    /// Ends the stream: commits every remaining gap, renumbers survivors if
-    /// anything was lost, and returns the messages in a causally consistent
-    /// delivery order together with the fault accounting.
+    /// Releases every committed message whose causal predecessors are all
+    /// released or skipped, in a causal delivery order, with its clock
+    /// remapped past the gaps committed so far. Messages that are still
+    /// waiting stay buffered for a later call or for
+    /// [`Reassembler::finish`].
     ///
-    /// When nothing was lost the messages come back in their original
-    /// arrival order with clocks untouched — a clean stream passes through
-    /// byte-identical.
+    /// Among ready messages the earliest arrival goes first, so a stream
+    /// that arrives in a causal order is released in arrival order.
+    pub fn drain_ready(&mut self) -> Vec<Message> {
+        let mut out = Vec::new();
+        while let Some(t) = self.next_ready() {
+            out.push(self.release(t));
+        }
+        out
+    }
+
+    /// The thread whose buffered head is causally ready and arrived first.
+    fn next_ready(&self) -> Option<usize> {
+        self.threads
+            .iter()
+            .enumerate()
+            .filter_map(|(t, s)| s.ready.front().map(|(arrival, m)| (*arrival, t, m)))
+            .filter(|&(_, t, m)| {
+                m.clock.iter().all(|(j, v)| {
+                    j.index() == t
+                        || v <= self
+                            .threads
+                            .get(j.index())
+                            .map_or(0, ThreadState::released_through)
+                })
+            })
+            .min_by_key(|&(arrival, _, _)| arrival)
+            .map(|(_, t, _)| t)
+    }
+
+    /// Pops thread `t`'s head and rewrites its clock with
+    /// `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`.
+    fn release(&mut self, t: usize) -> Message {
+        let (_, mut message) = self.threads[t]
+            .ready
+            .pop_front()
+            .expect("next_ready names a thread with a buffered head");
+        if !self.report.gaps.is_empty() {
+            let components: Vec<u32> = message
+                .clock
+                .iter()
+                .map(|(j, v)| {
+                    self.threads
+                        .get(j.index())
+                        .map_or(v, |s| s.retained_through(v))
+                })
+                .collect();
+            message.clock = VectorClock::from_components(components);
+        }
+        self.report.delivered += 1;
+        message
+    }
+
+    /// Ends the stream: commits every remaining gap, then drains. Returns
+    /// the messages no [`Reassembler::drain_ready`] call has taken yet, in
+    /// a causally consistent delivery order, together with the fault
+    /// accounting for the whole stream.
+    ///
+    /// When nothing was lost and the stream arrived in a causal order, the
+    /// messages come back in arrival order with clocks untouched — a clean
+    /// stream passes through byte-identical.
     #[must_use]
     pub fn finish(mut self) -> (Vec<Message>, ReassemblyReport) {
         for t in 0..self.threads.len() {
@@ -408,48 +547,41 @@ impl Reassembler {
                 self.skip_gap(ThreadId(t as u32));
             }
         }
-        let lossless = self.report.gaps.is_empty();
-        if !lossless {
-            self.remap_clocks();
-        }
-        // Interleave per-thread sequences back into one stream by arrival
-        // index, then causally order it so downstream consumers (including
-        // the JPaX observed-run monitor) see a valid linearization.
-        let mut tagged: Vec<(u64, Message)> =
-            self.threads.into_iter().flat_map(|s| s.emitted).collect();
-        tagged.sort_by_key(|&(arrival, _)| arrival);
-        self.report.delivered = tagged.len() as u64;
-        let messages = if lossless && self.report.reordered == 0 {
-            // Fast path: a clean in-order stream must pass through
-            // unchanged, bit for bit.
-            tagged.into_iter().map(|(_, m)| m).collect()
-        } else {
-            let mut buffer = CausalBuffer::new();
-            let mut out = buffer.push_all(tagged.into_iter().map(|(_, m)| m));
-            // The remap guarantees drainability; this is a belt-and-braces
-            // recovery so a latent inconsistency degrades instead of
-            // losing messages.
-            out.extend(buffer.force_drain());
-            out
-        };
-        (messages, self.report)
-    }
-
-    /// Renumbers surviving messages so per-thread sequences are contiguous
-    /// again, rewriting every clock component with the monotone map
-    /// `V'[j] = |{retained seq of thread j ≤ V[j]}|`.
-    fn remap_clocks(&mut self) {
-        let retained: Vec<Vec<u32>> = self.threads.iter().map(|s| s.retained.clone()).collect();
-        let threads = self.threads.len();
-        let map = |j: usize, v: u32| -> u32 { retained[j].partition_point(|&s| s <= v) as u32 };
-        for state in &mut self.threads {
-            for (_, m) in &mut state.emitted {
-                let components: Vec<u32> = (0..threads)
-                    .map(|j| map(j, m.clock.get(ThreadId(j as u32))))
-                    .collect();
-                m.clock = jmpax_core::VectorClock::from_components(components);
+        // A sequence number that a buffered clock references but that never
+        // arrived was lost at the tail of its thread: Algorithm A numbers
+        // only messages it emits.
+        let mut referenced: Vec<u32> = Vec::new();
+        for (_, m) in self.threads.iter().flat_map(|s| &s.ready) {
+            for (j, v) in m.clock.iter() {
+                if referenced.len() <= j.index() {
+                    referenced.resize(j.index() + 1, 0);
+                }
+                referenced[j.index()] = referenced[j.index()].max(v);
             }
         }
+        for (j, v) in referenced.into_iter().enumerate() {
+            let t = ThreadId(j as u32);
+            let committed = self.thread_mut(t).committed;
+            if v > committed {
+                self.commit_gap(t, committed + 1, v);
+            }
+        }
+        let mut out = self.drain_ready();
+        // Whatever is still buffered waits on itself: a causal cycle, which
+        // no Algorithm A clocks contain. Drop its earliest arrival as a
+        // one-message gap until the cycle is broken.
+        while let Some((_, t)) = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter_map(|(t, s)| s.ready.front().map(|(arrival, _)| (*arrival, t)))
+            .min()
+        {
+            let (_, m) = self.threads[t].ready.pop_front().expect("buffered head");
+            self.commit_gap(m.thread(), m.seq(), m.seq());
+            out.extend(self.drain_ready());
+        }
+        (out, self.report)
     }
 }
 
@@ -590,6 +722,81 @@ mod tests {
         assert_eq!(report.late_dropped, 1);
         assert_eq!(report.skipped_gaps(), 1);
         assert_eq!(out.len(), 19);
+    }
+
+    #[test]
+    fn clean_stream_is_released_online_in_arrival_order() {
+        let msgs = chained(12, 3);
+        let mut r = Reassembler::new();
+        for m in &msgs {
+            r.push(m.clone());
+            assert_eq!(r.drain_ready(), vec![m.clone()]);
+        }
+        let (tail, report) = r.finish();
+        assert!(tail.is_empty());
+        assert_eq!(report.delivered, 12);
+        assert_eq!(report.exactness(), Exactness::Exact);
+    }
+
+    #[test]
+    fn release_waits_for_a_cross_thread_cause() {
+        let msgs = chained(2, 2);
+        let mut r = Reassembler::new();
+        r.push(msgs[1].clone());
+        assert!(r.drain_ready().is_empty(), "T1 read T0's write first");
+        r.push(msgs[0].clone());
+        assert_eq!(r.drain_ready(), msgs);
+        let (tail, report) = r.finish();
+        assert!(tail.is_empty());
+        assert_eq!(report.reordered, 0, "per-thread order was never violated");
+    }
+
+    #[test]
+    fn lost_tail_referenced_by_a_survivor_is_a_gap() {
+        let msgs = chained(5, 2);
+        // T1's last message (seq 2) is lost; T0's last one read it.
+        let lossy: Vec<Message> = msgs
+            .iter()
+            .filter(|m| !(m.thread() == ThreadId(1) && m.seq() == 2))
+            .cloned()
+            .collect();
+        let mut r = Reassembler::new();
+        r.push_all(lossy);
+        let online = r.drain_ready();
+        assert_eq!(online.len(), 3, "the survivor waits for the lost message");
+        let (tail, report) = r.finish();
+        assert_eq!(
+            report.gaps,
+            vec![GapRecord {
+                thread: ThreadId(1),
+                from: 2,
+                to: 2
+            }]
+        );
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail[0].clock.as_slice(), &[3, 1], "remapped past the gap");
+    }
+
+    #[test]
+    fn causal_cycles_are_broken_as_gaps() {
+        // Two messages that each claim to follow the other: impossible for
+        // Algorithm A, so only hostile input can send them.
+        let a = Message {
+            event: Event::write(ThreadId(0), X, 1i64),
+            clock: VectorClock::from_components(vec![1, 1]),
+        };
+        let b = Message {
+            event: Event::write(ThreadId(1), X, 2i64),
+            clock: VectorClock::from_components(vec![1, 1]),
+        };
+        let mut r = Reassembler::new();
+        r.push_all([a, b]);
+        assert!(r.drain_ready().is_empty());
+        let (out, report) = r.finish();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].clock.as_slice(), &[0, 1]);
+        assert_eq!(report.skipped_gaps(), 1);
+        assert_eq!(report.delivered, 1);
     }
 
     #[test]

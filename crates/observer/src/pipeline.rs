@@ -23,8 +23,8 @@ use std::sync::{Arc, OnceLock};
 
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisReport, ExpansionPool, StreamReport, StreamingAnalyzer, SuiteBuilder,
-    SuiteReport,
+    AnalysisConfig, AnalysisReport, AnalysisSuite, ExpansionPool, StreamReport, StreamingAnalyzer,
+    SuiteBuilder, SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::Registry;
@@ -414,7 +414,23 @@ impl Pipeline {
         transport: jmpax_lattice::Exactness,
         messages: impl IntoIterator<Item = Message>,
     ) -> SuiteReport {
-        let registry = &self.config.telemetry;
+        let mut suite = self.suite(kinds, ltl, threads);
+        suite.push_all(messages);
+        self.finish_suite(suite, transport)
+    }
+
+    /// Builds the analysis suite [`Pipeline::check_stream_suite`] runs,
+    /// without feeding it: callers that receive a stream incrementally (a
+    /// `jmpax serve` tenant worker) push messages as they arrive and close
+    /// it with [`Pipeline::finish_suite`]. Arguments and panics are those
+    /// of [`Pipeline::check_stream_suite`].
+    #[must_use]
+    pub fn suite(
+        &self,
+        kinds: &[AnalysisKind],
+        ltl: Option<(Monitor, &ProgramState)>,
+        threads: usize,
+    ) -> AnalysisSuite {
         let kinds = if kinds.is_empty() {
             &self.config.analyses
         } else {
@@ -423,15 +439,25 @@ impl Pipeline {
         let mut builder = SuiteBuilder::new(kinds, threads.max(1))
             .sync_vars(self.config.sync_vars.iter().copied())
             .config(&self.config.analysis)
-            .telemetry(registry);
+            .telemetry(&self.config.telemetry);
         if let Some(tracer) = &self.config.tracer {
             builder = builder.tracer(tracer);
         }
         if let Some(pool) = self.shared_pool() {
             builder = builder.pool(pool);
         }
-        let mut suite = builder.build(ltl);
-        suite.push_all(messages);
+        builder.build(ltl)
+    }
+
+    /// Closes a suite built by [`Pipeline::suite`], folding `transport`
+    /// losses into every report, and counts the verdict.
+    #[must_use]
+    pub fn finish_suite(
+        &self,
+        suite: AnalysisSuite,
+        transport: jmpax_lattice::Exactness,
+    ) -> SuiteReport {
+        let registry = &self.config.telemetry;
         let report = suite.finish(transport);
         if report.satisfied() {
             registry.counter("observer.verdict.satisfied").inc();

@@ -8,6 +8,12 @@
 //! panicking analysis is contained by the thread boundary (the reader
 //! reports an `Error` verdict and the daemon keeps serving).
 //!
+//! The worker analyses *online*, as the paper's observer does: it builds
+//! the analysis suite at handshake, and after every chunk it pushes each
+//! message the reassembler has made causally ready. At end of stream only
+//! the tail — messages still waiting on a gap — is left to analyse before
+//! the verdict.
+//!
 //! Every stage is observable per tenant: the pipeline counters carry a
 //! `tenant` label, each transition goes to the ops log and the session's
 //! flight recorder, and a verdict that leaves `Exact` ships the ring as
@@ -21,7 +27,7 @@ use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use jmpax_core::{AnalysisKind, SymbolTable};
+use jmpax_core::{AnalysisKind, Message, SymbolTable};
 use jmpax_instrument::tcp::SessionHello;
 use jmpax_instrument::ResilientFrameDecoder;
 use jmpax_lattice::{Exactness, Reassembler};
@@ -209,6 +215,8 @@ pub(super) fn run_session(
     let frames_labeled = tel.counter_with("serve.frames_decoded", &labels);
     let shed_labeled = tel.counter_with("serve.chunks_shed", &labels);
     let gaps_labeled = tel.counter_with("serve.gaps_skipped", &labels);
+    let analyzed_labeled = tel.counter_with("serve.messages_analyzed", &labels);
+    let eof_to_verdict = tel.histogram_with("serve.eof_to_verdict_ns", &labels);
     let state_gauge = tel.gauge_with("serve.verdict_state", &labels);
     state_gauge.set(STATE_RUNNING);
     tenants.insert_active(&tenant, session);
@@ -238,6 +246,7 @@ pub(super) fn run_session(
         let flight = flight.clone();
         let frames_labeled = frames_labeled.clone();
         let gaps_labeled = gaps_labeled.clone();
+        let analyzed_labeled = analyzed_labeled.clone();
         let kinds = kinds.clone();
         std::thread::spawn(move || {
             run_worker(
@@ -252,6 +261,7 @@ pub(super) fn run_session(
                 &flight,
                 &frames_labeled,
                 &gaps_labeled,
+                &analyzed_labeled,
             )
         })
     };
@@ -364,6 +374,8 @@ pub(super) fn run_session(
             }
         }
     }
+    // Input is over (EOF, eviction or reset): time the tail to the verdict.
+    let tail_span = eof_to_verdict.start_span();
     if !worker_dead {
         // A blocking send here is fine: Eof is always worth waiting for.
         worker_dead = tx.send(WorkItem::Eof).is_err();
@@ -478,11 +490,13 @@ pub(super) fn run_session(
     depth_gauge.set(0);
     let _ = writeln!(stream, "{}", outcome.to_json());
     let _ = stream.flush();
+    tail_span.finish();
     Some(outcome)
 }
 
-/// The analysis half: decode resiliently, reassemble causally, run the
-/// streaming lattice check, and fold every loss into one [`Exactness`].
+/// The analysis half: decode resiliently, reassemble causally, feed every
+/// causally ready message to the analysis suite as it arrives, and fold
+/// every loss into one [`Exactness`] at end of stream.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     config: &ServeConfig,
@@ -496,8 +510,15 @@ fn run_worker(
     flight: &FlightRecorder,
     frames_labeled: &Counter,
     gaps_labeled: &Counter,
+    analyzed_labeled: &Counter,
 ) -> WorkerResult {
     let tel = &config.telemetry;
+    let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
+    let mut suite = pipeline.suite(kinds, monitor.map(|m| (m, initial)), threads);
+    let mut analyze = |messages: Vec<Message>| {
+        analyzed_labeled.add(messages.len() as u64);
+        suite.push_all(messages);
+    };
     let mut decoder = ResilientFrameDecoder::new();
     let mut reassembler = Reassembler::with_stall_budget(config.stall_budget);
     while let Ok(item) = rx.recv() {
@@ -509,6 +530,7 @@ fn run_worker(
                 frames_labeled.add(messages.len() as u64);
                 flight.frames(messages.len() as u64, bytes.len() as u64);
                 reassembler.push_all(messages);
+                analyze(reassembler.drain_ready());
             }
             WorkItem::Eof => break,
         }
@@ -516,15 +538,13 @@ fn run_worker(
     let decoded = decoder.finish();
     tel.counter("serve.frames_corrupt").add(decoded.frames_corrupt);
     tel.counter("serve.frames_resynced").add(decoded.frames_resynced);
-    let (messages, reassembly) = reassembler.finish();
+    let (tail, reassembly) = reassembler.finish();
+    analyze(tail);
     reassembly.record(tel);
     for gap in &reassembly.gaps {
         flight.gap(u64::from(gap.thread.0), gap.from, gap.to);
     }
     gaps_labeled.add(reassembly.skipped_gaps());
-
-    let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
-    let message_count = messages.len() as u64;
 
     // Same accounting as `check_frames_resilient`: transport losses the
     // reassembler could not observe still forbid an Exact verdict. The
@@ -535,19 +555,13 @@ fn run_worker(
     let transport = reassembly
         .exactness()
         .combine(Exactness::degraded(0, unaccounted));
-    let suite = pipeline.check_stream_suite(
-        kinds,
-        monitor.map(|m| (m, initial)),
-        threads,
-        transport,
-        messages,
-    );
+    let report = pipeline.finish_suite(suite, transport);
     // Plain single-LTL sessions keep their historical one-verdict shape;
     // anything else reports per analysis as well.
     let analyses = if kinds == [AnalysisKind::Ltl] {
         Vec::new()
     } else {
-        suite
+        report
             .reports
             .iter()
             .map(|r| AnalysisOutcome {
@@ -559,11 +573,11 @@ fn run_worker(
             .collect()
     };
     WorkerResult {
-        exactness: suite.exactness(),
-        satisfied: suite.satisfied(),
-        violations: suite.findings() as usize,
+        exactness: report.exactness(),
+        satisfied: report.satisfied(),
+        violations: report.findings() as usize,
         frames_ok: decoded.frames_ok,
-        messages: message_count,
+        messages: reassembly.delivered,
         gaps_skipped: reassembly.skipped_gaps(),
         analyses,
     }

@@ -10,13 +10,16 @@
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jmpax_core::{Execution, Relevance, SymbolTable, ThreadId, Value};
 use jmpax_instrument::tcp::{send_raw_session, SessionHello};
-use jmpax_instrument::{ChaosConfig, ChaosSink, EventSink as _};
-use jmpax_observer::serve::{ServeConfig, Server, ShedPolicy, ExactnessVerdict};
-use jmpax_telemetry::Registry;
+use jmpax_instrument::{ChaosConfig, ChaosSink, EventSink as _, ResilientFrameDecoder};
+use jmpax_lattice::{Exactness, Reassembler, DEFAULT_STALL_BUDGET};
+use jmpax_observer::serve::{ExactnessVerdict, ServeConfig, Server, ShedPolicy, TenantOutcome};
+use jmpax_observer::{Pipeline, PipelineConfig};
+use jmpax_spec::{parse, ProgramState};
+use jmpax_telemetry::{MetricValue, Registry};
 
 const SPEC: &str = "(x > 0) -> [y = 0, y > z)";
 const T1: ThreadId = ThreadId(0);
@@ -77,6 +80,71 @@ fn chaotic_session_bytes(session: u64) -> Vec<u8> {
         writer.emit(m);
     }
     sink.take_bytes().to_vec()
+}
+
+/// The verdict fields a batch analysis of `bytes` yields for a session
+/// declared by [`hello_for`]: decode everything, reassemble to the end,
+/// then run the suite over the whole stream — with the daemon's exactness
+/// folding. Returns `(verdict, satisfied, violations, frames_ok, messages,
+/// gaps_skipped)`.
+fn batch_reference(
+    bytes: &[u8],
+    shed_chunks: u64,
+    evicted: bool,
+) -> (ExactnessVerdict, bool, usize, u64, u64, u64) {
+    let mut symbols = SymbolTable::new();
+    let mut initial = ProgramState::new();
+    for (name, value) in &hello_for("reference").vars {
+        let id = symbols.intern(name);
+        initial.set(id, *value);
+    }
+    let monitor = parse(SPEC, &mut symbols).unwrap().monitor().unwrap();
+
+    let mut decoder = ResilientFrameDecoder::new();
+    let mut reassembler = Reassembler::with_stall_budget(DEFAULT_STALL_BUDGET);
+    reassembler.push_all(decoder.push(bytes));
+    let decoded = decoder.finish();
+    let (messages, reassembly) = reassembler.finish();
+    let lost = decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
+    let transport = reassembly.exactness().combine(Exactness::degraded(
+        0,
+        lost.saturating_sub(reassembly.messages_lost()),
+    ));
+    let count = messages.len() as u64;
+    let suite = Pipeline::new(PipelineConfig::new()).check_stream_suite(
+        &[],
+        Some((monitor, &initial)),
+        2,
+        transport,
+        messages,
+    );
+    let mut exactness = suite.exactness();
+    if shed_chunks > 0 {
+        exactness = exactness.combine(Exactness::degraded(0, shed_chunks));
+    }
+    if evicted {
+        exactness = exactness.combine(Exactness::degraded(0, 1));
+    }
+    (
+        ExactnessVerdict::from_exactness(exactness),
+        suite.satisfied(),
+        suite.findings() as usize,
+        decoded.frames_ok,
+        count,
+        reassembly.skipped_gaps(),
+    )
+}
+
+/// The same fields, as the daemon reported them.
+fn served(outcome: &TenantOutcome) -> (ExactnessVerdict, bool, usize, u64, u64, u64) {
+    (
+        outcome.verdict.clone(),
+        outcome.satisfied,
+        outcome.violations,
+        outcome.frames_ok,
+        outcome.messages,
+        outcome.gaps_skipped,
+    )
 }
 
 #[test]
@@ -164,6 +232,21 @@ fn hundred_concurrent_lossy_sessions_one_daemon() {
             ExactnessVerdict::Exact => assert!(!outcome.evicted),
             ExactnessVerdict::Degraded(_) | ExactnessVerdict::Error(_) => {}
         }
+    }
+    // Online analysis changes when messages are analysed, never what the
+    // verdict says: each lossy session matches a batch analysis of the
+    // bytes it sent.
+    for outcome in &summary.outcomes {
+        let Some(i) = outcome.tenant.strip_prefix("tenant-") else {
+            continue;
+        };
+        let bytes = chaotic_session_bytes(i.parse().unwrap());
+        assert_eq!(
+            served(outcome),
+            batch_reference(&bytes, outcome.shed_chunks, outcome.evicted),
+            "tenant {}",
+            outcome.tenant
+        );
     }
 
     // Bounded-queue isolation, asserted via the labeled per-tenant depth
@@ -259,6 +342,69 @@ fn tcp_frame_sink_streams_live_to_the_daemon() {
     let summary = handle.stop();
     assert_eq!(summary.outcomes.len(), 1);
     assert_eq!(summary.exact(), 1);
+}
+
+#[test]
+fn worker_analyses_while_the_tenant_is_still_sending() {
+    let registry = Registry::enabled();
+    let mut config = ServeConfig::new(SPEC);
+    config.telemetry = registry.clone();
+    config.read_timeout = Duration::from_millis(10);
+    let server = Server::bind(0, config).expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn();
+
+    let mut symbols = SymbolTable::new();
+    let ex = workload(&mut symbols);
+    let vars: Vec<_> = ["x", "y", "z"]
+        .iter()
+        .map(|n| symbols.lookup(n).unwrap())
+        .collect();
+    let messages = ex.instrument(Relevance::writes_of(vars));
+    let n = messages.len() as u64;
+    let mut sink =
+        jmpax_instrument::TcpFrameSink::connect(addr, &hello_for("online")).expect("connect");
+    for m in &messages {
+        sink.emit(m);
+    }
+
+    // The socket is still open: every message must reach the analysis
+    // before the daemon sees end of stream.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let analyzed = || {
+        registry
+            .snapshot()
+            .counter_with("serve.messages_analyzed", &[("tenant", "online")])
+            .unwrap_or(0)
+    };
+    while analyzed() < n {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of {n} messages analysed before end of stream",
+            analyzed()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(analyzed(), n);
+
+    let verdict = sink.finish().expect("verdict");
+    assert!(verdict.contains("\"verdict\":\"Exact\""), "{verdict}");
+    assert!(verdict.contains(&format!("\"messages\":{n}")), "{verdict}");
+    let summary = handle.stop();
+    assert_eq!(summary.outcomes.len(), 1);
+    let snapshot = registry.snapshot();
+    assert_eq!(
+        snapshot.counter_with("serve.messages_analyzed", &[("tenant", "online")]),
+        Some(n),
+        "nothing left for end of stream on a clean stream"
+    );
+    let tail = snapshot
+        .get_with("serve.eof_to_verdict_ns", &[("tenant", "online")])
+        .expect("eof_to_verdict series");
+    assert!(
+        matches!(tail, MetricValue::Histogram { count: 1, .. }),
+        "{tail:?}"
+    );
 }
 
 #[test]
