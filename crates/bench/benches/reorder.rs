@@ -57,38 +57,22 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut out = BytesMut::new();
             for m in &msgs {
-                jmpax_instrument::encode_frame(m, &mut out);
+                jmpax_instrument::encode_frame_v2(m, &mut out);
             }
             out.len()
         });
     });
     let mut encoded = BytesMut::new();
     for m in &msgs {
-        jmpax_instrument::encode_frame(m, &mut encoded);
+        jmpax_instrument::encode_frame_v2(m, &mut encoded);
     }
-    let bytes = encoded.freeze();
     group.bench_function("decode", |b| {
-        b.iter(|| jmpax_instrument::decode_frames(&bytes).unwrap().len());
-    });
-    group.bench_function("encode_compact", |b| {
+        // 8 KiB chunks, as the `jmpax serve` daemon reads its sockets.
         b.iter(|| {
-            let mut out = BytesMut::new();
-            for m in &msgs {
-                jmpax_instrument::encode_compact_frame(m, &mut out);
-            }
-            out.len()
-        });
-    });
-    let mut compact = BytesMut::new();
-    for m in &msgs {
-        jmpax_instrument::encode_compact_frame(m, &mut compact);
-    }
-    let compact = compact.freeze();
-    group.bench_function("decode_compact", |b| {
-        b.iter(|| {
-            jmpax_instrument::decode_compact_frames(&compact)
-                .unwrap()
-                .len()
+            let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
+            let decoded: usize = encoded.chunks(8192).map(|c| decoder.push(c).len()).sum();
+            assert_eq!(decoded, msgs.len());
+            decoded
         });
     });
     group.finish();

@@ -77,9 +77,6 @@ fn main() {
     if all || which == "reduction" {
         reduction();
     }
-    if all || which == "codec" {
-        codec();
-    }
 }
 
 /// Emits a [`jmpax_bench::BenchReport`] sweep as JSON on stdout: several
@@ -113,45 +110,6 @@ fn baseline() {
         }
     }
     println!("{}", merged.expect("at least one config").to_json());
-}
-
-/// Wire-format sizes: plain fixed-width frames vs the compact varint
-/// encoding, for the paper's "minimize the number of messages" concern
-/// extended to message *bytes*.
-fn codec() {
-    use bytes::BytesMut;
-    use jmpax_instrument::{encode_compact_frame, encode_frame};
-
-    header("Wire formats — plain frames vs compact (varint) frames");
-    println!(
-        "{:>8} {:>6} {:>12} {:>12} {:>8}",
-        "msgs", "thr", "plain-B", "compact-B", "ratio"
-    );
-    for (threads, events) in [(2usize, 1_000usize), (8, 10_000), (32, 10_000)] {
-        let ex = random_execution(RandomExecutionConfig {
-            threads,
-            vars: 8,
-            events,
-            write_ratio: 0.5,
-            internal_ratio: 0.0,
-            seed: 11,
-        });
-        let msgs = ex.instrument(Relevance::AllWrites);
-        let mut plain = BytesMut::new();
-        let mut compact = BytesMut::new();
-        for m in &msgs {
-            encode_frame(m, &mut plain);
-            encode_compact_frame(m, &mut compact);
-        }
-        println!(
-            "{:>8} {:>6} {:>12} {:>12} {:>7.1}x",
-            msgs.len(),
-            threads,
-            plain.len(),
-            compact.len(),
-            plain.len() as f64 / compact.len().max(1) as f64
-        );
-    }
 }
 
 /// Q9: partial-order reduction vs full enumeration cost.
@@ -409,8 +367,9 @@ fn fig3() {
 
 /// F4: the full architecture over the framed byte stream with shuffling.
 fn fig4() {
-    use jmpax_instrument::{EventSink, FrameSink};
-    use jmpax_observer::check_frames;
+    use jmpax_instrument::{EventSink, FrameSink, ResilientFrameDecoder};
+    use jmpax_lattice::Exactness;
+    use jmpax_observer::{Pipeline, PipelineConfig};
     use jmpax_spec::ProgramState;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -437,12 +396,17 @@ fn fig4() {
         msgs.len(),
         bytes.len()
     );
-    let report = check_frames(
-        &bytes,
-        w.monitor(),
-        ProgramState::from_map(out.execution.initial.clone()),
-    )
-    .unwrap();
+    let mut decoder = ResilientFrameDecoder::new();
+    let received = decoder.push(&bytes);
+    assert!(decoder.finish().is_clean());
+    let report = Pipeline::new(PipelineConfig::new())
+        .check_messages(
+            w.monitor(),
+            &ProgramState::from_map(out.execution.initial.clone()),
+            Exactness::Exact,
+            received,
+        )
+        .unwrap();
     let a = report.verdict.analysis();
     println!(
         "verdict: {} (states {}, runs {}, violating {})",

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use bytes::BytesMut;
-use jmpax_instrument::{decode_frames_resilient, encode_frame_v2};
+use jmpax_instrument::{encode_frame_v2, ResilientFrameDecoder};
 use jmpax_lattice::{Reassembler, StreamingAnalyzer};
 use jmpax_telemetry::json::{self, Value};
 use jmpax_telemetry::{MetricValue, Registry, Snapshot};
@@ -205,13 +205,18 @@ pub fn measure_with_options(
         for _ in 0..repeat {
             let start = Instant::now();
             let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
-            let decoded = decode_frames_resilient(&frames);
+            // The daemon's socket read size: 8 KiB chunks.
+            let mut decoder = ResilientFrameDecoder::new();
+            let mut decoded = Vec::with_capacity(messages.len());
+            for chunk in frames.chunks(8192) {
+                decoded.extend(decoder.push(chunk));
+            }
             decode_span.finish();
             let reassemble_span = registry
                 .histogram("observer.stage.reassemble_ns")
                 .start_span();
             let mut reassembler = Reassembler::new();
-            reassembler.push_all(decoded.messages);
+            reassembler.push_all(decoded);
             let (ordered, _reassembly) = reassembler.finish();
             reassemble_span.finish();
             let mut analyzer =

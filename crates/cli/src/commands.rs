@@ -807,20 +807,39 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     let bytes = sink.take_bytes();
     let stats = sink.stats();
 
+    // The receiving side: decode, reassemble, fold the losses in.
+    let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
+    let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
+    let received = decoder.push(&bytes);
+    let decoded = decoder.finish();
+    decode_span.finish();
+    registry
+        .counter("resilience.frames_corrupt")
+        .add(decoded.frames_corrupt);
+    registry
+        .counter("resilience.frames_resynced")
+        .add(decoded.frames_resynced);
+    let reassemble_span = registry
+        .histogram("observer.stage.reassemble_ns")
+        .start_span();
+    let mut reassembler = jmpax_lattice::Reassembler::with_stall_budget(stall_budget);
+    reassembler.push_all(received);
+    let (messages, reassembly) = reassembler.finish();
+    reassemble_span.finish();
+    reassembly.record(registry);
+
     let initial = ProgramState::from_map(run.execution.initial.clone());
-    let (report, summary) = match jmpax_observer::check_frames_resilient(
-        &bytes,
-        monitor,
-        initial,
-        stall_budget,
-        registry,
-    ) {
+    let transport = jmpax_observer::transport_exactness(&decoded, &reassembly);
+    let report = match Pipeline::new(PipelineConfig::new().telemetry(registry))
+        .check_messages(monitor, &initial, transport, messages)
+    {
         Ok(r) => r,
         Err(e) => return (2, format!("chaos: {e}\n")),
     };
     out.push_str(&crate::report::chaos_summary(
         &stats,
-        &summary,
+        &decoded,
+        &reassembly,
         report.verdict.exactness(),
     ));
     out.push_str(&render_analysis(report.verdict.analysis(), &symbols));

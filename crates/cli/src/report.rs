@@ -10,9 +10,9 @@
 use std::fmt::Write as _;
 
 use jmpax_core::SymbolTable;
-use jmpax_instrument::ChaosStats;
-use jmpax_lattice::{AnalysisReport, Exactness, SuiteReport};
-use jmpax_observer::{ResilienceSummary, ServeSummary};
+use jmpax_instrument::{ChaosStats, ResilientDecode};
+use jmpax_lattice::{AnalysisReport, Exactness, ReassemblyReport, SuiteReport};
+use jmpax_observer::ServeSummary;
 use jmpax_telemetry::json::write_string;
 use jmpax_telemetry::Snapshot;
 use jmpax_trace::profile::LevelProfile;
@@ -38,7 +38,8 @@ pub fn render_telemetry(snapshot: &Snapshot, mode: TelemetryMode) -> String {
 #[must_use]
 pub fn chaos_summary(
     stats: &ChaosStats,
-    summary: &ResilienceSummary,
+    decoded: &ResilientDecode,
+    reassembly: &ReassemblyReport,
     exactness: Exactness,
 ) -> String {
     let mut out = String::new();
@@ -50,18 +51,17 @@ pub fn chaos_summary(
     let _ = writeln!(
         out,
         "transport: {} frames ok, {} corrupt, {} resynced, {} bytes skipped",
-        summary.frames_ok, summary.frames_corrupt, summary.frames_resynced, summary.bytes_skipped
+        decoded.frames_ok, decoded.frames_corrupt, decoded.frames_resynced, decoded.bytes_skipped
     );
-    let r = &summary.reassembly;
     let _ = writeln!(
         out,
         "reassembly: {} received, {} delivered, {} reordered, {} duplicates, {} gaps skipped ({} messages lost)",
-        r.received,
-        r.delivered,
-        r.reordered,
-        r.duplicates,
-        r.skipped_gaps(),
-        r.messages_lost()
+        reassembly.received,
+        reassembly.delivered,
+        reassembly.reordered,
+        reassembly.duplicates,
+        reassembly.skipped_gaps(),
+        reassembly.messages_lost()
     );
     let _ = writeln!(out, "verdict: {exactness}");
     out
@@ -426,15 +426,19 @@ mod tests {
             corrupted: 1,
             reordered: 2,
         };
-        let summary = ResilienceSummary {
+        let decoded = ResilientDecode {
             frames_ok: 4,
             frames_corrupt: 1,
             frames_resynced: 0,
             bytes_skipped: 12,
             truncated: false,
-            reassembly: jmpax_lattice::ReassemblyReport::default(),
         };
-        let out = chaos_summary(&stats, &summary, Exactness::Exact);
+        let out = chaos_summary(
+            &stats,
+            &decoded,
+            &ReassemblyReport::default(),
+            Exactness::Exact,
+        );
         assert!(
             out.contains("injected: 5 frames emitted, 1 dropped"),
             "{out}"

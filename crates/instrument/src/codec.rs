@@ -1,10 +1,10 @@
 //! Wire format for observer messages.
 //!
 //! JMPaX ships messages "via a socket to an external observer" (Section
-//! 4.1). This module defines the equivalent length-prefixed binary frame:
+//! 4.1). This module defines the one frame format used on that socket:
 //!
 //! ```text
-//! frame   := len:u32le payload
+//! frame   := magic:u8 version:u8 len:u32le crc:u32le payload
 //! payload := thread:u32le kind:u8 body clock
 //! body    := ε                         (kind 0, internal)
 //!          | var:u32le                 (kind 1, read)
@@ -13,27 +13,26 @@
 //! clock   := n:u16le c_1:u32le … c_n:u32le
 //! ```
 //!
-//! The format is deliberately hand-rolled (no serde data format crates are
-//! used by this workspace). Two frame layouts coexist:
+//! `magic` is [`MAGIC`], `version` is [`VERSION`], `len` is bounded by
+//! [`MAX_FRAME_LEN`] and `crc` is the CRC-32 (IEEE) of the payload. The
+//! format is deliberately hand-rolled (no serde data format crates are
+//! used by this workspace).
 //!
-//! * **v1** (above): bare length-prefixed frames, assuming a perfect
-//!   transport. One corrupted length prefix desynchronizes the rest of the
-//!   stream.
-//! * **v2**: each frame is `magic:u8 version:u8 len:u32le crc:u32le
-//!   payload`, where `crc` is the CRC-32 (IEEE) of the payload and `len` is
-//!   bounded by [`MAX_FRAME_LEN`]. The magic byte gives
-//!   [`decode_frames_resilient`] a resynchronization point: after garbage or
-//!   a failed CRC it scans forward to the next credible header instead of
-//!   giving up, counting what was lost.
+//! [`ResilientFrameDecoder`] is the one decoder. The magic byte gives it a
+//! resynchronization point: after garbage or a failed CRC it scans forward
+//! to the next credible header instead of giving up, counting what was
+//! lost. A CRC-valid payload is accepted only when it parses to exactly one
+//! message — an unknown tag, a short read or bytes left over after the
+//! clock count the frame as corrupt.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use jmpax_core::{Event, EventKind, Message, ThreadId, Value, VarId, VectorClock};
 
-/// First byte of every v2 frame — the resynchronization point.
+/// First byte of every frame — the resynchronization point.
 pub const MAGIC: u8 = 0xA5;
 
-/// Wire-format version encoded in every v2 frame header.
+/// Wire-format version encoded in every frame header.
 pub const VERSION: u8 = 2;
 
 /// Upper bound on an encoded payload. The largest legitimate payload is a
@@ -42,56 +41,8 @@ pub const VERSION: u8 = 2;
 /// any buffer is reserved.
 pub const MAX_FRAME_LEN: usize = 1 << 19;
 
-/// Bytes in a v2 header: magic + version + len + crc.
+/// Bytes in a frame header: magic + version + len + crc.
 const V2_HEADER_LEN: usize = 10;
-
-/// Decoding errors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CodecError {
-    /// The buffer ended inside a frame.
-    Truncated,
-    /// An unknown kind or value tag was found.
-    BadTag(u8),
-    /// A length prefix exceeded [`MAX_FRAME_LEN`] — a corrupt prefix must
-    /// not be allowed to request an arbitrarily large allocation.
-    Oversized(u32),
-    /// A v2 frame did not start with [`MAGIC`].
-    BadMagic(u8),
-    /// A v2 frame declared an unsupported version.
-    BadVersion(u8),
-    /// A v2 payload failed its CRC-32 check.
-    CrcMismatch {
-        /// The checksum carried in the header.
-        expected: u32,
-        /// The checksum computed over the received payload.
-        found: u32,
-    },
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "truncated frame"),
-            CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
-            CodecError::Oversized(len) => {
-                write!(
-                    f,
-                    "frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"
-                )
-            }
-            CodecError::BadMagic(b) => write!(f, "expected magic {MAGIC:#04x}, found {b:#04x}"),
-            CodecError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
-            CodecError::CrcMismatch { expected, found } => {
-                write!(
-                    f,
-                    "payload CRC mismatch (header {expected:#010x}, computed {found:#010x})"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), hand-rolled — no external dependency.
@@ -117,7 +68,7 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `data` — the checksum protecting every v2 payload.
+/// CRC-32 (IEEE) of `data` — the checksum protecting every payload.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
@@ -127,17 +78,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Appends one encoded frame to `out`.
-pub fn encode_frame(message: &Message, out: &mut BytesMut) {
-    let payload = encode_payload(message);
-    out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(&payload);
-}
-
-/// Appends one **v2** frame (magic + version + length + CRC-32 + payload)
-/// to `out`. The payload bytes are identical to the v1 format; only the
-/// header differs, so a v2 stream costs 6 extra bytes per message and buys
-/// corruption detection plus resynchronization.
+/// Appends one frame (magic + version + length + CRC-32 + payload) to
+/// `out`.
 pub fn encode_frame_v2(message: &Message, out: &mut BytesMut) {
     let payload = encode_payload(message);
     out.put_u8(MAGIC);
@@ -180,60 +122,21 @@ fn encode_payload(message: &Message) -> BytesMut {
     payload
 }
 
-/// Decodes every complete **v2** frame in `bytes`, failing on the first
-/// malformed one. Use [`decode_frames_resilient`] when the transport may
-/// corrupt, truncate, or interleave garbage — this strict variant is for
-/// trusted local buffers.
-pub fn decode_frames_v2(bytes: &Bytes) -> Result<Vec<Message>, CodecError> {
-    let mut buf = bytes.clone();
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        if buf.remaining() < V2_HEADER_LEN {
-            return Err(CodecError::Truncated);
-        }
-        let magic = buf.get_u8();
-        if magic != MAGIC {
-            return Err(CodecError::BadMagic(magic));
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        let len = buf.get_u32_le();
-        if len as usize > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized(len));
-        }
-        let expected = buf.get_u32_le();
-        if buf.remaining() < len as usize {
-            return Err(CodecError::Truncated);
-        }
-        let mut frame = buf.split_to(len as usize);
-        let found = crc32(&frame);
-        if found != expected {
-            return Err(CodecError::CrcMismatch { expected, found });
-        }
-        out.push(decode_payload(&mut frame)?);
-    }
-    Ok(out)
-}
-
-/// Outcome of a [`decode_frames_resilient`] pass: whatever decoded cleanly
-/// plus an accounting of everything that did not.
+/// Fault accounting for one stream, returned by
+/// [`ResilientFrameDecoder::finish`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResilientDecode {
-    /// Messages whose frames passed magic, version, length, CRC and
-    /// payload checks.
-    pub messages: Vec<Message>,
     /// Frames decoded intact.
     pub frames_ok: u64,
     /// Frames whose header was credible but whose payload failed the CRC
-    /// or structural decode — each counts one message lost in place.
+    /// or did not parse to exactly one message — each counts one message
+    /// lost in place.
     pub frames_corrupt: u64,
     /// Garbage runs skipped before locking back onto a credible frame.
     pub frames_resynced: u64,
     /// Total bytes discarded while scanning for the next magic boundary.
     pub bytes_skipped: u64,
-    /// The buffer ended inside a credible frame (a partial tail, e.g. a
+    /// The stream ended inside a credible frame (a partial tail, e.g. a
     /// cut-off stream) — not counted as corruption.
     pub truncated: bool,
 }
@@ -246,108 +149,90 @@ impl ResilientDecode {
     }
 }
 
-/// Is `buf[at..]` a credible v2 header? Magic, version and bounded length
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
+}
+
+/// Is `buf[at..]` a credible header? Magic, version and bounded length
 /// must all hold; truncation mid-header is *not* credible (the caller
 /// decides how to treat the tail).
 fn credible_header(buf: &[u8], at: usize) -> bool {
-    if buf.len() - at < V2_HEADER_LEN {
-        return false;
-    }
-    if buf[at] != MAGIC || buf[at + 1] != VERSION {
-        return false;
-    }
-    let len = u32::from_le_bytes([buf[at + 2], buf[at + 3], buf[at + 4], buf[at + 5]]);
-    len as usize <= MAX_FRAME_LEN
+    buf.len() - at >= V2_HEADER_LEN
+        && buf[at] == MAGIC
+        && buf[at + 1] == VERSION
+        && le_u32(buf, at + 2) as usize <= MAX_FRAME_LEN
 }
 
-/// Decodes a v2 stream that may contain corruption: frames whose CRC or
-/// structure fails are counted and stepped over, and stretches of garbage
-/// are scanned byte-by-byte until the next credible [`MAGIC`] boundary
-/// ("resync"). Never fails — damage is reported in the returned
-/// [`ResilientDecode`] instead.
-#[must_use]
-pub fn decode_frames_resilient(bytes: &Bytes) -> ResilientDecode {
-    let buf: &[u8] = bytes;
-    let mut out = ResilientDecode::default();
-    let mut pos = 0usize;
-    // True while we are inside a garbage run; the first credible frame
-    // after a run closes it and counts one resync.
-    let mut scanning = false;
-    while pos < buf.len() {
-        if credible_header(buf, pos) {
-            let len = u32::from_le_bytes([buf[pos + 2], buf[pos + 3], buf[pos + 4], buf[pos + 5]])
-                as usize;
-            let expected =
-                u32::from_le_bytes([buf[pos + 6], buf[pos + 7], buf[pos + 8], buf[pos + 9]]);
-            let body_at = pos + V2_HEADER_LEN;
-            if buf.len() - body_at < len {
-                // Credible header but the stream ends inside the payload:
-                // a cut-off tail, not corruption.
-                out.truncated = true;
-                out.bytes_skipped += (buf.len() - pos) as u64;
-                break;
-            }
-            if scanning {
-                scanning = false;
-                out.frames_resynced += 1;
-            }
-            let payload = &buf[body_at..body_at + len];
-            let decoded = if crc32(payload) == expected {
-                decode_payload(&mut bytes.slice(body_at..body_at + len)).ok()
-            } else {
-                None
-            };
-            match decoded {
-                Some(m) => {
-                    out.messages.push(m);
-                    out.frames_ok += 1;
-                }
-                // The length field was credible, so step over the whole
-                // claimed frame — under isolated bit flips this keeps the
-                // loss accounting at exactly one frame.
-                None => out.frames_corrupt += 1,
-            }
-            pos = body_at + len;
-        } else if !scanning && buf[pos] == MAGIC && buf.len() - pos < V2_HEADER_LEN {
-            // A partial header right after a good frame: a cut-off tail,
-            // not garbage.
-            out.truncated = true;
-            out.bytes_skipped += (buf.len() - pos) as u64;
-            break;
-        } else {
-            scanning = true;
-            out.bytes_skipped += 1;
-            pos += 1;
-        }
-    }
-    // A garbage run that reaches the end of the buffer never resynced; it
-    // is already accounted in `bytes_skipped`.
-    out
-}
-
-/// Could `buf[at..]` still become a credible v2 header once more bytes
-/// arrive? Checks only the bytes actually present — a strict prefix of a
-/// credible header answers `true`, anything already contradicting the
-/// header layout answers `false`.
+/// Could `buf[at..]` still become a credible header once more bytes
+/// arrive? Short tails are judged on the magic byte alone; anything
+/// already contradicting the header layout answers `false`.
 fn credible_prefix(buf: &[u8], at: usize) -> bool {
     if buf.len() - at >= V2_HEADER_LEN {
         return credible_header(buf, at);
     }
-    // Short tails are judged on the magic byte alone — exactly the rule
-    // `decode_frames_resilient` applies to a cut-off stream, so the
-    // incremental accounting lands on the same counters.
     buf[at] == MAGIC
 }
 
-/// Incremental version of [`decode_frames_resilient`] for live transports:
-/// feed byte chunks as they arrive with [`ResilientFrameDecoder::push`] and
-/// get back every message completed by that chunk; call
+/// Splits the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+/// Parses one payload. `None` unless `buf` is exactly one message: an
+/// unknown tag, a short read or bytes left over after the clock reject it.
+fn decode_payload(mut buf: &[u8]) -> Option<Message> {
+    let thread = ThreadId(u32::from_le_bytes(take(&mut buf)?));
+    let [kind] = take(&mut buf)?;
+    let kind = match kind {
+        0 => EventKind::Internal,
+        1 => EventKind::Read {
+            var: VarId(u32::from_le_bytes(take(&mut buf)?)),
+        },
+        2 => {
+            let var = VarId(u32::from_le_bytes(take(&mut buf)?));
+            let [tag] = take(&mut buf)?;
+            let value = match tag {
+                0 => Value::Int(i64::from_le_bytes(take(&mut buf)?)),
+                1 => {
+                    let [b] = take(&mut buf)?;
+                    Value::Bool(b != 0)
+                }
+                2 => Value::Unit,
+                _ => return None,
+            };
+            EventKind::Write { var, value }
+        }
+        _ => return None,
+    };
+    let n = usize::from(u16::from_le_bytes(take(&mut buf)?));
+    if buf.len() != n * 4 {
+        return None;
+    }
+    let components: Vec<u32> = buf
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect();
+    Some(Message {
+        event: Event { thread, kind },
+        clock: VectorClock::from_components(components),
+    })
+}
+
+/// The frame decoder, for live transports and whole buffers alike: feed
+/// byte chunks as they arrive with [`ResilientFrameDecoder::push`] and get
+/// back every message completed by that chunk; call
 /// [`ResilientFrameDecoder::finish`] at end-of-stream for the fault
-/// accounting. Over any chunking of a byte stream the decoded messages and
-/// counters are identical to one whole-buffer
-/// [`decode_frames_resilient`] pass — the long-running `jmpax serve`
-/// daemon relies on this to analyze tenants online without buffering their
-/// whole session.
+/// accounting. A whole buffer is one `push` followed by `finish`. Over any
+/// chunking of a byte stream the decoded messages and counters are the
+/// same — the long-running `jmpax serve` daemon relies on this to analyze
+/// tenants online without buffering their whole session.
+///
+/// Frames whose CRC or payload fails are counted and stepped over, and
+/// stretches of garbage are scanned byte-by-byte until the next credible
+/// [`MAGIC`] boundary ("resync"). Decoding never fails — damage is
+/// reported in the returned [`ResilientDecode`] instead.
 #[derive(Clone, Debug, Default)]
 pub struct ResilientFrameDecoder {
     /// Unconsumed tail: either empty or a credible prefix of the next
@@ -370,27 +255,16 @@ impl ResilientFrameDecoder {
     }
 
     /// Consumes one received chunk and returns every message whose frame is
-    /// now complete. Corruption and garbage are skipped exactly as
-    /// [`decode_frames_resilient`] does; a partial frame at the end of the
-    /// accumulated input is retained for the next push.
+    /// now complete. Corruption and garbage are skipped and counted; a
+    /// partial frame at the end of the accumulated input is retained for
+    /// the next push.
     pub fn push(&mut self, chunk: &[u8]) -> Vec<Message> {
         self.buf.extend_from_slice(chunk);
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos < self.buf.len() {
             if credible_header(&self.buf, pos) {
-                let len = u32::from_le_bytes([
-                    self.buf[pos + 2],
-                    self.buf[pos + 3],
-                    self.buf[pos + 4],
-                    self.buf[pos + 5],
-                ]) as usize;
-                let expected = u32::from_le_bytes([
-                    self.buf[pos + 6],
-                    self.buf[pos + 7],
-                    self.buf[pos + 8],
-                    self.buf[pos + 9],
-                ]);
+                let len = le_u32(&self.buf, pos + 2) as usize;
                 let body_at = pos + V2_HEADER_LEN;
                 if self.buf.len() - body_at < len {
                     break; // wait for the rest of the payload
@@ -400,10 +274,8 @@ impl ResilientFrameDecoder {
                     self.frames_resynced += 1;
                 }
                 let payload = &self.buf[body_at..body_at + len];
-                let decoded = if crc32(payload) == expected {
-                    let mut owned = BytesMut::with_capacity(len);
-                    owned.extend_from_slice(payload);
-                    decode_payload(&mut owned.freeze()).ok()
+                let decoded = if crc32(payload) == le_u32(&self.buf, pos + 6) {
+                    decode_payload(payload)
                 } else {
                     None
                 };
@@ -412,6 +284,9 @@ impl ResilientFrameDecoder {
                         out.push(m);
                         self.frames_ok += 1;
                     }
+                    // The length field was credible, so step over the whole
+                    // claimed frame — under isolated bit flips this keeps
+                    // the loss accounting at exactly one frame.
                     None => self.frames_corrupt += 1,
                 }
                 pos = body_at + len;
@@ -434,12 +309,11 @@ impl ResilientFrameDecoder {
         self.buf.len()
     }
 
-    /// Ends the stream and returns the fault accounting (the `messages`
-    /// field is empty — messages were already handed out by `push`). Any
-    /// retained partial frame becomes a cut-off tail: `truncated` when it
-    /// was a credible (prefix of a) header outside a garbage run, plain
-    /// skipped bytes otherwise — matching what [`decode_frames_resilient`]
-    /// reports on the concatenated stream.
+    /// Ends the stream and returns the fault accounting. Any retained
+    /// partial frame becomes a cut-off tail: `truncated` when it was a
+    /// credible (prefix of a) header outside a garbage run, plain skipped
+    /// bytes otherwise. A garbage run that reaches the end of the stream
+    /// never resynced; it is accounted in `bytes_skipped` only.
     #[must_use]
     pub fn finish(mut self) -> ResilientDecode {
         let residue = self.buf.len();
@@ -449,7 +323,6 @@ impl ResilientFrameDecoder {
             truncated = credible_header(&self.buf, 0) || !self.scanning;
         }
         ResilientDecode {
-            messages: Vec::new(),
             frames_ok: self.frames_ok,
             frames_corrupt: self.frames_corrupt,
             frames_resynced: self.frames_resynced,
@@ -459,322 +332,11 @@ impl ResilientFrameDecoder {
     }
 }
 
-/// Decodes every complete frame in `bytes`.
-pub fn decode_frames(bytes: &Bytes) -> Result<Vec<Message>, CodecError> {
-    let mut buf = bytes.clone();
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        if buf.remaining() < 4 {
-            return Err(CodecError::Truncated);
-        }
-        let len = buf.get_u32_le() as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized(len as u32));
-        }
-        if buf.remaining() < len {
-            return Err(CodecError::Truncated);
-        }
-        let mut frame = buf.split_to(len);
-        out.push(decode_payload(&mut frame)?);
-    }
-    Ok(out)
-}
-
-fn decode_payload(buf: &mut Bytes) -> Result<Message, CodecError> {
-    if buf.remaining() < 5 {
-        return Err(CodecError::Truncated);
-    }
-    let thread = ThreadId(buf.get_u32_le());
-    let kind = match buf.get_u8() {
-        0 => EventKind::Internal,
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            EventKind::Read {
-                var: VarId(buf.get_u32_le()),
-            }
-        }
-        2 => {
-            if buf.remaining() < 5 {
-                return Err(CodecError::Truncated);
-            }
-            let var = VarId(buf.get_u32_le());
-            let value = match buf.get_u8() {
-                0 => {
-                    if buf.remaining() < 8 {
-                        return Err(CodecError::Truncated);
-                    }
-                    Value::Int(buf.get_i64_le())
-                }
-                1 => {
-                    if buf.remaining() < 1 {
-                        return Err(CodecError::Truncated);
-                    }
-                    Value::Bool(buf.get_u8() != 0)
-                }
-                2 => Value::Unit,
-                t => return Err(CodecError::BadTag(t)),
-            };
-            EventKind::Write { var, value }
-        }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    let n = buf.get_u16_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(CodecError::Truncated);
-    }
-    let mut components = Vec::with_capacity(n);
-    for _ in 0..n {
-        components.push(buf.get_u32_le());
-    }
-    Ok(Message {
-        event: Event { thread, kind },
-        clock: VectorClock::from_components(components),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Compact (varint) encoding
-// ---------------------------------------------------------------------------
-
-/// Appends one message in the *compact* wire format: same structure as
-/// [`encode_frame`] but all integers are LEB128 varints and the clock drops
-/// trailing zeros. Typical messages shrink 2–3× (most clock components and
-/// ids are small); decode with [`decode_compact_frames`].
-pub fn encode_compact_frame(message: &Message, out: &mut BytesMut) {
-    let mut payload = BytesMut::with_capacity(16);
-    put_varint(&mut payload, u64::from(message.event.thread.0));
-    match message.event.kind {
-        EventKind::Internal => payload.put_u8(0),
-        EventKind::Read { var } => {
-            payload.put_u8(1);
-            put_varint(&mut payload, u64::from(var.0));
-        }
-        EventKind::Write { var, value } => {
-            payload.put_u8(2);
-            put_varint(&mut payload, u64::from(var.0));
-            match value {
-                Value::Int(v) => {
-                    payload.put_u8(0);
-                    put_varint(&mut payload, zigzag(v));
-                }
-                Value::Bool(b) => {
-                    payload.put_u8(1);
-                    payload.put_u8(u8::from(b));
-                }
-                Value::Unit => payload.put_u8(2),
-            }
-        }
-    }
-    let clock = message.clock.normalized();
-    let comps = clock.as_slice();
-    put_varint(&mut payload, comps.len() as u64);
-    for &c in comps {
-        put_varint(&mut payload, u64::from(c));
-    }
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-}
-
-/// Decodes every complete compact frame in `bytes`.
-pub fn decode_compact_frames(bytes: &Bytes) -> Result<Vec<Message>, CodecError> {
-    let mut buf = bytes.clone();
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        let len = get_varint(&mut buf)? as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized(len.min(u32::MAX as usize) as u32));
-        }
-        if buf.remaining() < len {
-            return Err(CodecError::Truncated);
-        }
-        let mut frame = buf.split_to(len);
-        out.push(decode_compact_payload(&mut frame)?);
-    }
-    Ok(out)
-}
-
-fn decode_compact_payload(buf: &mut Bytes) -> Result<Message, CodecError> {
-    let thread = ThreadId(get_varint(buf)? as u32);
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let kind = match buf.get_u8() {
-        0 => EventKind::Internal,
-        1 => EventKind::Read {
-            var: VarId(get_varint(buf)? as u32),
-        },
-        2 => {
-            let var = VarId(get_varint(buf)? as u32);
-            if !buf.has_remaining() {
-                return Err(CodecError::Truncated);
-            }
-            let value = match buf.get_u8() {
-                0 => Value::Int(unzigzag(get_varint(buf)?)),
-                1 => {
-                    if !buf.has_remaining() {
-                        return Err(CodecError::Truncated);
-                    }
-                    Value::Bool(buf.get_u8() != 0)
-                }
-                2 => Value::Unit,
-                t => return Err(CodecError::BadTag(t)),
-            };
-            EventKind::Write { var, value }
-        }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    let n = get_varint(buf)? as usize;
-    if n > u16::MAX as usize {
-        return Err(CodecError::Truncated);
-    }
-    let mut components = Vec::with_capacity(n);
-    for _ in 0..n {
-        components.push(get_varint(buf)? as u32);
-    }
-    Ok(Message {
-        event: Event { thread, kind },
-        clock: VectorClock::from_components(components),
-    })
-}
-
-fn put_varint(out: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.put_u8(byte);
-            return;
-        }
-        out.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(CodecError::BadTag(byte));
-        }
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 #[cfg(test)]
-mod compact_tests {
-    use super::*;
-
-    fn roundtrip(msg: Message) {
-        let mut buf = BytesMut::new();
-        encode_compact_frame(&msg, &mut buf);
-        let decoded = decode_compact_frames(&buf.freeze()).unwrap();
-        // Clocks are normalized by the compact encoding; compare modulo
-        // trailing zeros.
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].event, msg.event);
-        assert_eq!(decoded[0].clock, msg.clock.normalized());
-    }
-
-    #[test]
-    fn compact_roundtrips() {
-        roundtrip(Message {
-            event: Event::write(ThreadId(3), VarId(700), -42i64),
-            clock: VectorClock::from_components(vec![1, 0, 5, 0, 0]),
-        });
-        roundtrip(Message {
-            event: Event::read(ThreadId(0), VarId(0)),
-            clock: VectorClock::new(),
-        });
-        roundtrip(Message {
-            event: Event::write(ThreadId(1), VarId(2), Value::Unit),
-            clock: VectorClock::from_components(vec![i64::MAX as u32 >> 16, 2]),
-        });
-        roundtrip(Message {
-            event: Event::write(ThreadId(9), VarId(1), true),
-            clock: VectorClock::from_components(vec![300]),
-        });
-        roundtrip(Message {
-            event: Event::internal(ThreadId(200)),
-            clock: VectorClock::from_components(vec![0, 0, 9]),
-        });
-    }
-
-    #[test]
-    fn compact_is_smaller_on_typical_messages() {
-        use jmpax_core::gen::{random_execution, RandomExecutionConfig};
-        use jmpax_core::Relevance;
-        let ex = random_execution(RandomExecutionConfig {
-            threads: 4,
-            vars: 8,
-            events: 2_000,
-            write_ratio: 0.5,
-            internal_ratio: 0.0,
-            seed: 3,
-        });
-        let msgs = ex.instrument(Relevance::AllWrites);
-        let mut plain = BytesMut::new();
-        let mut compact = BytesMut::new();
-        for m in &msgs {
-            encode_frame(m, &mut plain);
-            encode_compact_frame(m, &mut compact);
-        }
-        assert!(
-            compact.len() * 2 < plain.len(),
-            "compact {} vs plain {}",
-            compact.len(),
-            plain.len()
-        );
-        // And it all decodes back.
-        let decoded = decode_compact_frames(&compact.freeze()).unwrap();
-        assert_eq!(decoded.len(), msgs.len());
-    }
-
-    #[test]
-    fn zigzag_edge_cases() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 1234567, -7654321] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn compact_truncation_detected() {
-        let mut buf = BytesMut::new();
-        encode_compact_frame(
-            &Message {
-                event: Event::write(ThreadId(1), VarId(1), 99i64),
-                clock: VectorClock::from_components(vec![1, 2]),
-            },
-            &mut buf,
-        );
-        let full = buf.freeze();
-        for cut in 1..full.len() {
-            assert!(
-                decode_compact_frames(&full.slice(..cut)).is_err(),
-                "cut {cut} must fail"
-            );
-        }
-    }
+fn decode_all(stream: &[u8]) -> (Vec<Message>, ResilientDecode) {
+    let mut dec = ResilientFrameDecoder::new();
+    let messages = dec.push(stream);
+    (messages, dec.finish())
 }
 
 #[cfg(test)]
@@ -783,9 +345,10 @@ mod tests {
 
     fn roundtrip(msg: Message) {
         let mut buf = BytesMut::new();
-        encode_frame(&msg, &mut buf);
-        let decoded = decode_frames(&buf.freeze()).unwrap();
+        encode_frame_v2(&msg, &mut buf);
+        let (decoded, tally) = decode_all(&buf);
         assert_eq!(decoded, vec![msg]);
+        assert!(tally.is_clean());
     }
 
     #[test]
@@ -830,60 +393,155 @@ mod tests {
             })
             .collect();
         for m in &msgs {
-            encode_frame(m, &mut buf);
+            encode_frame_v2(m, &mut buf);
         }
-        assert_eq!(decode_frames(&buf.freeze()).unwrap(), msgs);
+        let (decoded, tally) = decode_all(&buf);
+        assert_eq!(decoded, msgs);
+        assert_eq!(tally.frames_ok, 10);
     }
 
     #[test]
     fn truncated_frames_rejected() {
         let mut buf = BytesMut::new();
-        encode_frame(
+        encode_frame_v2(
             &Message {
                 event: Event::internal(ThreadId(0)),
                 clock: VectorClock::new(),
             },
             &mut buf,
         );
-        let full = buf.freeze();
-        for cut in 1..full.len() {
-            let partial = full.slice(..cut);
-            assert_eq!(
-                decode_frames(&partial),
-                Err(CodecError::Truncated),
-                "cut at {cut}"
-            );
+        for cut in 1..buf.len() {
+            let (decoded, tally) = decode_all(&buf[..cut]);
+            assert!(decoded.is_empty(), "cut at {cut}");
+            assert!(tally.truncated, "cut at {cut}");
         }
+    }
+
+    /// A CRC-valid frame around `payload`.
+    fn frame_around(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![MAGIC, VERSION];
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
     }
 
     #[test]
     fn bad_tags_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(5);
-        buf.put_u32_le(0); // thread
-        buf.put_u8(9); // bogus kind
-        assert_eq!(decode_frames(&buf.freeze()), Err(CodecError::BadTag(9)));
+        // Bogus kind, then a write with a bogus value tag: both pass the
+        // CRC, neither decodes.
+        let bad_kind = [0, 0, 0, 0, 9, 0, 0];
+        let bad_value = [0, 0, 0, 0, 2, 1, 0, 0, 0, 7, 0, 0];
+        for payload in [&bad_kind[..], &bad_value[..]] {
+            let (decoded, tally) = decode_all(&frame_around(payload));
+            assert!(decoded.is_empty());
+            assert_eq!(tally.frames_corrupt, 1);
+        }
     }
 
     #[test]
     fn empty_buffer_is_ok() {
-        assert_eq!(decode_frames(&Bytes::new()).unwrap(), vec![]);
+        let (decoded, tally) = decode_all(&[]);
+        assert!(decoded.is_empty());
+        assert!(tally.is_clean());
+        assert_eq!(tally, ResilientDecode::default());
     }
 
     #[test]
     fn oversized_prefix_rejected_without_allocation() {
+        let mut buf = vec![MAGIC, VERSION];
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // a 4 GiB "frame"
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        let mut dec = ResilientFrameDecoder::new();
+        assert!(dec.push(&buf).is_empty());
+        assert_eq!(dec.buffered(), 0, "nothing is held for the claimed payload");
+        let tally = dec.finish();
+        assert_eq!(tally.bytes_skipped, V2_HEADER_LEN as u64);
+        assert!(!tally.truncated);
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_clock_are_corrupt() {
+        let mut payload = encode_payload(&Message {
+            event: Event::internal(ThreadId(1)),
+            clock: VectorClock::from_components(vec![1, 2, 3]),
+        })
+        .to_vec();
+        payload.extend_from_slice(&[0xDE, 0xAD, 0xBE]);
+        let frame = frame_around(&payload);
+        assert_eq!(
+            hex(&frame),
+            "a5021600000005b2838c01000000000300010000000200000003000000deadbe"
+        );
+        let (decoded, tally) = decode_all(&frame);
+        assert!(decoded.is_empty());
+        assert_eq!((tally.frames_ok, tally.frames_corrupt), (0, 1));
+        assert!(!tally.is_clean());
+    }
+
+    #[test]
+    fn clock_wider_than_the_count_field_is_corrupt() {
+        // The u16 count wraps to 1; the remaining 65 536 components would
+        // be left over — the frame must not decode to a shorter clock.
         let mut buf = BytesMut::new();
-        buf.put_u32_le(u32::MAX); // would be a 4 GiB "frame"
-        assert_eq!(
-            decode_frames(&buf.freeze()),
-            Err(CodecError::Oversized(u32::MAX))
+        encode_frame_v2(
+            &Message {
+                event: Event::internal(ThreadId(0)),
+                clock: VectorClock::from_components(vec![1; 65_537]),
+            },
+            &mut buf,
         );
-        let mut compact = BytesMut::new();
-        put_varint(&mut compact, (MAX_FRAME_LEN + 1) as u64);
-        assert_eq!(
-            decode_compact_frames(&compact.freeze()),
-            Err(CodecError::Oversized(MAX_FRAME_LEN as u32 + 1))
-        );
+        let (decoded, tally) = decode_all(&buf);
+        assert!(decoded.is_empty());
+        assert_eq!((tally.frames_ok, tally.frames_corrupt), (0, 1));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of every event shape. The frame format is the only
+    /// one on the wire, so any change here breaks deployed observers.
+    #[test]
+    fn golden_bytes() {
+        let clock = |c: [u32; 3]| VectorClock::from_components(c.to_vec());
+        let cases = [
+            (
+                Event::internal(ThreadId(1)),
+                [1, 2, 3],
+                "a502130000001088beba01000000000300010000000200000003000000",
+            ),
+            (
+                Event::read(ThreadId(0), VarId(7)),
+                [4, 0, 1],
+                "a50217000000b9d7b7830000000001070000000300040000000000000001000000",
+            ),
+            (
+                Event::write(ThreadId(2), VarId(3), -42i64),
+                [1, 0, 5],
+                "a5022000000069b8eca802000000020300000000d6ffffffffffffff0300010000000000000005000000",
+            ),
+            (
+                Event::write(ThreadId(1), VarId(1), true),
+                [0, 2, 0],
+                "a5021900000065cc30e401000000020100000001010300000000000200000000000000",
+            ),
+            (
+                Event::write(ThreadId(0), VarId(9), Value::Unit),
+                [7, 7, 7],
+                "a50218000000146d2180000000000209000000020300070000000700000007000000",
+            ),
+        ];
+        for (event, components, golden) in cases {
+            let msg = Message {
+                event,
+                clock: clock(components),
+            };
+            let mut buf = BytesMut::new();
+            encode_frame_v2(&msg, &mut buf);
+            assert_eq!(hex(&buf), golden, "{msg:?}");
+            assert_eq!(decode_all(&buf).0, vec![msg]);
+        }
     }
 }
 
@@ -908,6 +566,11 @@ mod v2_tests {
         buf
     }
 
+    /// Length of the first frame in `buf`.
+    fn first_frame_len(buf: &[u8]) -> usize {
+        V2_HEADER_LEN + le_u32(buf, 2) as usize
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE check values.
@@ -918,35 +581,32 @@ mod v2_tests {
     #[test]
     fn v2_roundtrips() {
         let msgs = sample_messages();
-        let buf = encode_all(&msgs).freeze();
-        assert_eq!(decode_frames_v2(&buf).unwrap(), msgs);
-        let r = decode_frames_resilient(&buf);
+        let (decoded, r) = decode_all(&encode_all(&msgs));
         assert!(r.is_clean());
-        assert_eq!(r.messages, msgs);
+        assert_eq!(decoded, msgs);
         assert_eq!(r.frames_ok, msgs.len() as u64);
     }
 
     #[test]
     fn v2_strict_rejects_damage() {
+        // A flipped payload bit fails the CRC; a bad magic or version byte
+        // makes the header incredible. Either way the damaged frame never
+        // decodes and the rest of the stream does.
         let msgs = sample_messages();
-        let mut buf = encode_all(&msgs);
-        buf[V2_HEADER_LEN + 2] ^= 0x40; // flip a payload bit in frame 0
-        assert!(matches!(
-            decode_frames_v2(&buf.clone().freeze()),
-            Err(CodecError::CrcMismatch { .. })
-        ));
-        let mut bad_magic = encode_all(&msgs);
-        bad_magic[0] = 0x00;
-        assert_eq!(
-            decode_frames_v2(&bad_magic.freeze()),
-            Err(CodecError::BadMagic(0))
-        );
-        let mut bad_version = encode_all(&msgs);
-        bad_version[1] = 9;
-        assert_eq!(
-            decode_frames_v2(&bad_version.freeze()),
-            Err(CodecError::BadVersion(9))
-        );
+        let mut flipped = encode_all(&msgs);
+        flipped[V2_HEADER_LEN + 2] ^= 0x40;
+        let (decoded, r) = decode_all(&flipped);
+        assert_eq!(decoded, msgs[1..].to_vec());
+        assert_eq!((r.frames_corrupt, r.frames_resynced), (1, 0));
+
+        for (at, byte) in [(0, 0x00), (1, 9)] {
+            let mut bad = encode_all(&msgs);
+            bad[at] = byte;
+            let (decoded, r) = decode_all(&bad);
+            assert_eq!(decoded, msgs[1..].to_vec(), "header byte {at}");
+            assert_eq!(r.frames_resynced, 1, "header byte {at}");
+            assert_eq!(r.frames_corrupt, 0, "header byte {at}");
+        }
     }
 
     #[test]
@@ -955,16 +615,13 @@ mod v2_tests {
         let mut buf = encode_all(&msgs);
         // Flip one payload bit in the second frame; its length field stays
         // intact, so exactly one frame is lost and no resync is needed.
-        let frame_len = {
-            let first = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-            V2_HEADER_LEN + first
-        };
+        let frame_len = first_frame_len(&buf);
         buf[frame_len + V2_HEADER_LEN + 1] ^= 0x10;
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_corrupt, 1);
         assert_eq!(r.frames_resynced, 0);
         assert_eq!(r.frames_ok, msgs.len() as u64 - 1);
-        assert_eq!(r.messages.len(), msgs.len() - 1);
+        assert_eq!(decoded.len(), msgs.len() - 1);
         assert!(!r.truncated);
     }
 
@@ -977,36 +634,36 @@ mod v2_tests {
         encode_frame_v2(&msgs[1], &mut buf);
         buf.extend_from_slice(&[0x42; 11]);
         encode_frame_v2(&msgs[2], &mut buf);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 3);
         assert_eq!(r.frames_resynced, 2);
         assert_eq!(r.bytes_skipped, 18);
-        assert_eq!(r.messages, msgs[..3].to_vec());
+        assert_eq!(decoded, msgs[..3].to_vec());
     }
 
     #[test]
     fn resilient_reports_truncated_tail() {
         let msgs = sample_messages();
-        let buf = encode_all(&msgs[..2]).freeze();
+        let buf = encode_all(&msgs[..2]);
+        let first_len = first_frame_len(&buf);
         for cut in 1..V2_HEADER_LEN {
             // Cut inside the second frame's header.
-            let first_len =
-                V2_HEADER_LEN + u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-            let r = decode_frames_resilient(&buf.slice(..first_len + cut));
+            let (_, r) = decode_all(&buf[..first_len + cut]);
             assert!(r.truncated, "cut {cut} must look truncated");
             assert_eq!(r.frames_ok, 1);
             assert_eq!(r.frames_corrupt, 0);
         }
         // Cut inside the second payload.
-        let r = decode_frames_resilient(&buf.slice(..buf.len() - 3));
+        let (_, r) = decode_all(&buf[..buf.len() - 3]);
         assert!(r.truncated);
         assert_eq!(r.frames_ok, 1);
     }
 
     #[test]
     fn resilient_handles_pure_garbage_and_empty() {
-        assert!(decode_frames_resilient(&Bytes::new()).is_clean());
-        let r = decode_frames_resilient(&Bytes::from_static(&[0x13, 0x37, 0xAB]));
+        assert!(decode_all(&[]).1.is_clean());
+        let (decoded, r) = decode_all(&[0x13, 0x37, 0xAB]);
+        assert!(decoded.is_empty());
         assert_eq!(r.frames_ok, 0);
         assert_eq!(r.bytes_skipped, 3);
         assert_eq!(
@@ -1025,7 +682,7 @@ mod v2_tests {
         buf.put_u32_le(u32::MAX);
         buf.put_u32_le(0);
         buf.extend_from_slice(&[0u8; 16]);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (_, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 0);
         assert!(r.bytes_skipped > 0);
     }
@@ -1039,11 +696,11 @@ mod v2_tests {
         encode_frame_v2(&msgs[0], &mut buf);
         buf.extend_from_slice(&[MAGIC, 0x07, MAGIC, 0xFF, 0x00, MAGIC, 0x01, 0x02, 0x03, 0x04]);
         encode_frame_v2(&msgs[1], &mut buf);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 2);
         assert_eq!(r.frames_resynced, 1);
         assert_eq!(r.bytes_skipped, 10);
-        assert_eq!(r.messages, msgs[..2].to_vec());
+        assert_eq!(decoded, msgs[..2].to_vec());
         assert!(!r.truncated);
     }
 
@@ -1055,7 +712,7 @@ mod v2_tests {
         let mut buf = BytesMut::new();
         encode_frame_v2(&msgs[0], &mut buf);
         buf.extend_from_slice(&[0x00, 0x11, 0x22, 0x33]);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (_, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 1);
         assert_eq!(r.bytes_skipped, 4);
         assert!(!r.truncated, "garbage tail is not a cut-off frame");
@@ -1066,7 +723,7 @@ mod v2_tests {
         let mut buf = BytesMut::new();
         encode_frame_v2(&msgs[0], &mut buf);
         buf.extend_from_slice(&[0x99, 0x98, MAGIC, VERSION]);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (_, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 1);
         assert_eq!(r.bytes_skipped, 4);
         assert!(!r.truncated);
@@ -1078,54 +735,37 @@ mod v2_tests {
         let mut buf = BytesMut::new();
         buf.extend_from_slice(&[0xFE, 0xFD, 0xFC]);
         encode_frame_v2(&msgs[0], &mut buf);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 1);
         assert_eq!(r.frames_resynced, 1);
         assert_eq!(r.bytes_skipped, 3);
-        assert_eq!(r.messages, msgs[..1].to_vec());
+        assert_eq!(decoded, msgs[..1].to_vec());
     }
 
-    /// Feeds `stream` through [`ResilientFrameDecoder`] at several chunk
-    /// granularities (including byte-at-a-time) and asserts the decoded
-    /// messages and every counter match a single whole-buffer
-    /// [`decode_frames_resilient`] pass.
-    fn assert_incremental_parity(stream: &[u8]) {
-        let mut whole_buf = BytesMut::with_capacity(stream.len());
-        whole_buf.extend_from_slice(stream);
-        let whole = decode_frames_resilient(&whole_buf.freeze());
-        for chunk in [1usize, 2, 3, 5, 8, 13, stream.len().max(1)] {
+    /// Asserts that feeding `stream` at several granularities (including
+    /// byte-at-a-time) yields the messages and counters of one push, with
+    /// the retained tail bounded throughout.
+    fn assert_chunking_invariant(stream: &[u8]) {
+        let whole = decode_all(stream);
+        for chunk in [1usize, 2, 3, 5, 8, 13] {
             let mut dec = ResilientFrameDecoder::new();
             let mut msgs = Vec::new();
             for part in stream.chunks(chunk) {
                 msgs.extend(dec.push(part));
-                assert!(
-                    dec.buffered() <= V2_HEADER_LEN + MAX_FRAME_LEN,
-                    "retained tail stays bounded"
-                );
+                assert!(dec.buffered() <= V2_HEADER_LEN + MAX_FRAME_LEN);
             }
-            let tally = dec.finish();
-            assert_eq!(msgs, whole.messages, "messages diverge at chunk={chunk}");
-            assert_eq!(tally.frames_ok, whole.frames_ok, "frames_ok, chunk={chunk}");
             assert_eq!(
-                tally.frames_corrupt, whole.frames_corrupt,
-                "frames_corrupt, chunk={chunk}"
+                (msgs, dec.finish()),
+                whole,
+                "chunk={chunk} diverges from one push"
             );
-            assert_eq!(
-                tally.frames_resynced, whole.frames_resynced,
-                "frames_resynced, chunk={chunk}"
-            );
-            assert_eq!(
-                tally.bytes_skipped, whole.bytes_skipped,
-                "bytes_skipped, chunk={chunk}"
-            );
-            assert_eq!(tally.truncated, whole.truncated, "truncated, chunk={chunk}");
         }
     }
 
     #[test]
     fn incremental_matches_whole_buffer_on_clean_stream() {
         let msgs = sample_messages();
-        assert_incremental_parity(&encode_all(&msgs));
+        assert_chunking_invariant(&encode_all(&msgs));
     }
 
     #[test]
@@ -1138,36 +778,31 @@ mod v2_tests {
         encode_frame_v2(&msgs[1], &mut interleaved);
         interleaved.extend_from_slice(&[0x42; 7]);
         encode_frame_v2(&msgs[2], &mut interleaved);
-        assert_incremental_parity(&interleaved);
+        assert_chunking_invariant(&interleaved);
 
         // A frame with a flipped payload bit (corrupt-in-place).
         let mut corrupt = encode_all(&msgs[..4]);
         corrupt[V2_HEADER_LEN + 3] ^= 0x08;
-        assert_incremental_parity(&corrupt);
+        assert_chunking_invariant(&corrupt);
 
         // Truncated mid-payload and mid-header.
         let clean = encode_all(&msgs[..3]);
-        assert_incremental_parity(&clean[..clean.len() - 2]);
-        let first_len =
-            V2_HEADER_LEN + u32::from_le_bytes([clean[2], clean[3], clean[4], clean[5]]) as usize;
+        assert_chunking_invariant(&clean[..clean.len() - 2]);
+        let first_len = first_frame_len(&clean);
         for cut in 1..V2_HEADER_LEN {
-            assert_incremental_parity(&clean[..first_len + cut]);
+            assert_chunking_invariant(&clean[..first_len + cut]);
         }
 
         // Garbage-only, and garbage ending on a decoy MAGIC byte.
-        assert_incremental_parity(&[0x10, 0x20, 0x30, 0x40]);
-        assert_incremental_parity(&[0x10, 0x20, MAGIC]);
-        assert_incremental_parity(&[MAGIC, 0xFF]);
+        assert_chunking_invariant(&[0x10, 0x20, 0x30, 0x40]);
+        assert_chunking_invariant(&[0x10, 0x20, MAGIC]);
+        assert_chunking_invariant(&[MAGIC, 0xFF]);
     }
 
     #[test]
     fn incremental_emits_messages_as_frames_complete() {
         let msgs = sample_messages();
-        let frame = {
-            let mut b = BytesMut::new();
-            encode_frame_v2(&msgs[0], &mut b);
-            b
-        };
+        let frame = encode_all(&msgs[..1]);
         let mut dec = ResilientFrameDecoder::new();
         // Everything but the last byte: nothing decodes, bytes retained.
         assert!(dec.push(&frame[..frame.len() - 1]).is_empty());

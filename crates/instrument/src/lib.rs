@@ -11,7 +11,7 @@
 //! every access atomically couples the real memory operation with the MVC
 //! update and emits `⟨e, i, V_i⟩` messages for relevant events to a
 //! pluggable [`EventSink`] (an in-memory vec, a crossbeam channel, or a
-//! length-prefixed byte stream standing in for JMPaX's socket).
+//! CRC-framed byte stream standing in for JMPaX's socket).
 //!
 //! ## Concurrency model
 //!
@@ -58,10 +58,7 @@ pub mod shared;
 pub mod sink;
 pub mod tcp;
 
-pub use codec::{
-    decode_compact_frames, decode_frames, decode_frames_resilient, decode_frames_v2,
-    encode_compact_frame, encode_frame, encode_frame_v2, ResilientDecode, ResilientFrameDecoder,
-};
+pub use codec::{encode_frame_v2, ResilientDecode, ResilientFrameDecoder};
 pub use lock::{InstrCondvar, InstrMutex, InstrMutexGuard};
 pub use session::{InstrJoinHandle, Session, SessionBuilder, ThreadCtx};
 pub use shared::Shared;

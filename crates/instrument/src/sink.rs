@@ -76,9 +76,9 @@ impl EventSink for ChannelSink {
     }
 }
 
-/// Serializes messages into a shared byte buffer using the length-prefixed
-/// wire format of [`crate::codec`] — standing in for the TCP socket between
-/// the instrumented JVM and the JMPaX observer (Fig. 4).
+/// Serializes messages into a shared byte buffer using the wire format of
+/// [`crate::codec`] — the same frames [`crate::TcpFrameSink`] ships over the
+/// TCP socket between the instrumented program and the observer (Fig. 4).
 #[derive(Clone, Debug, Default)]
 pub struct FrameSink {
     buffer: Arc<Mutex<bytes::BytesMut>>,
@@ -220,7 +220,7 @@ impl EventSink for FrameSink {
         let start = ring.span_start();
         let mut buffer = self.buffer.lock();
         let before = buffer.len();
-        crate::codec::encode_frame(message, &mut buffer);
+        crate::codec::encode_frame_v2(message, &mut buffer);
         let encoded = buffer.len() - before;
         drop(buffer);
         if ring.is_enabled() {
@@ -344,9 +344,9 @@ impl ChaosInner {
 
 /// A [`FrameSink`] with a fault injector in front of the wire: frames are
 /// dropped, duplicated, reordered within a bounded window, and bit-flipped
-/// at configured rates ([`ChaosConfig`]). Encodes the **v2** format of
+/// at configured rates ([`ChaosConfig`]). Encodes the frames of
 /// [`crate::codec::encode_frame_v2`], so the damage it does is exactly what
-/// [`crate::codec::decode_frames_resilient`] and the lattice `Reassembler`
+/// [`crate::codec::ResilientFrameDecoder`] and the lattice `Reassembler`
 /// are specified to survive.
 #[derive(Clone)]
 pub struct ChaosSink {
@@ -468,6 +468,22 @@ mod tests {
         sink.emit(&msg(1)); // must not panic
     }
 
+    /// Decodes a whole buffer: one push, then the fault accounting.
+    fn decode(bytes: &[u8]) -> (Vec<Message>, crate::ResilientDecode) {
+        let mut decoder = crate::ResilientFrameDecoder::new();
+        let messages = decoder.push(bytes);
+        (messages, decoder.finish())
+    }
+
+    /// Wire size of `messages` as [`crate::codec::encode_frame_v2`] frames.
+    fn v2_len(messages: &[Message]) -> u64 {
+        let mut buf = bytes::BytesMut::new();
+        for m in messages {
+            crate::codec::encode_frame_v2(m, &mut buf);
+        }
+        buf.len() as u64
+    }
+
     #[test]
     fn frame_sink_round_trips() {
         let sink = FrameSink::new();
@@ -475,8 +491,10 @@ mod tests {
         writer.emit(&msg(1));
         writer.emit(&msg(2));
         let bytes = sink.take_bytes();
-        let decoded = crate::codec::decode_frames(&bytes).unwrap();
+        assert_eq!(bytes.len() as u64, v2_len(&[msg(1), msg(2)]));
+        let (decoded, tally) = decode(&bytes);
         assert_eq!(decoded, vec![msg(1), msg(2)]);
+        assert!(tally.is_clean());
         assert!(sink.take_bytes().is_empty());
     }
 
@@ -491,6 +509,10 @@ mod tests {
         writer.emit(&msg(1));
         writer.emit(&msg(2));
         let snapshot = registry.snapshot();
+        // Telemetry counts the bytes the wire actually carries.
+        let wire = sink.take_bytes().len() as u64;
+        assert_eq!(wire, v2_len(&[msg(1), msg(2)]));
+        assert_eq!(snapshot.counter("instrument.bytes_encoded"), Some(wire));
         let flat = snapshot.counter("instrument.frames_encoded");
         let labeled =
             snapshot.counter_with("instrument.frames_encoded", &[("tenant", "t42")]);
@@ -599,7 +621,7 @@ mod tests {
             writer.emit(&msg(i));
         }
         let stats = sink.stats();
-        let r = crate::codec::decode_frames_resilient(&sink.take_bytes());
+        let (_, r) = decode(&sink.take_bytes());
         assert!(stats.corrupted > 20, "corrupted = {}", stats.corrupted);
         // Most flips land in the payload (CRC failure, one frame lost in
         // place); flips in a header can swallow a neighbour, so the
@@ -666,7 +688,8 @@ mod tests {
         for i in 1..=50 {
             writer.emit(&msg(i));
         }
-        let decoded = crate::codec::decode_frames_v2(&sink.take_bytes()).unwrap();
+        let (decoded, tally) = decode(&sink.take_bytes());
+        assert!(tally.is_clean());
         assert_eq!(decoded.len(), 50);
         let in_order: Vec<Message> = (1..=50).map(msg).collect();
         assert_ne!(decoded, in_order, "window 8 must actually shuffle");

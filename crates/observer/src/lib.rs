@@ -8,8 +8,9 @@
 //! violations that the observed execution itself did not exhibit.
 //!
 //! * [`observer`] — the message-consuming front end and verdicts.
-//! * [`pipeline`] — one-call end-to-end analyses for recorded executions,
-//!   instrumented sessions and raw frame bytes.
+//! * [`pipeline`] — one-call end-to-end analyses for recorded executions
+//!   and for messages received over a transport, plus the one rule that
+//!   turns transport losses into an exactness verdict.
 //! * [`jpax`] — the single-trace baseline (what JPaX / Java-MaC can see):
 //!   monitors only the observed run.
 //! * [`liveness`] — the Section 4 sketch: detect `u vω` lassos in the
@@ -37,8 +38,7 @@ pub use live::LiveObserver;
 pub use liveness::{check_lasso, find_lassos, Lasso, Ltl};
 pub use observer::{Observer, Verdict};
 pub use pipeline::{
-    check_compact_frames, check_frames, check_frames_resilient, Pipeline, PipelineConfig,
-    PipelineError, PipelineOutcome, PipelineReport, ResilienceSummary,
+    transport_exactness, Pipeline, PipelineConfig, PipelineError, PipelineOutcome, PipelineReport,
 };
 pub use races::{detect_races, Race, RaceDetector};
 pub use serve::{

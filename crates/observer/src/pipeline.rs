@@ -6,7 +6,9 @@
 //! this for a recorded execution: parse the property, derive the relevance
 //! policy from its variables, run Algorithm A, ship the messages to the
 //! observer, and return both the predictive verdict and the JPaX-style
-//! observed-run verdict.
+//! observed-run verdict. [`Pipeline::check_messages`] is the observer half
+//! alone, for messages received over a transport; [`transport_exactness`]
+//! is the one rule turning what the transport lost into an [`Exactness`].
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
 //! config carries the optional telemetry [`Registry`], the optional
@@ -22,9 +24,10 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
+use jmpax_instrument::ResilientDecode;
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisReport, AnalysisSuite, ExpansionPool, StreamReport, StreamingAnalyzer,
-    SuiteBuilder, SuiteReport,
+    AnalysisConfig, AnalysisReport, AnalysisSuite, Exactness, ExpansionPool, ReassemblyReport,
+    StreamReport, StreamingAnalyzer, SuiteBuilder, SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::Registry;
@@ -41,8 +44,6 @@ pub enum PipelineError {
     Monitor(jmpax_spec::monitor::MonitorError),
     /// The message stream was malformed.
     Input(jmpax_lattice::InputError),
-    /// Frame decoding failed.
-    Codec(jmpax_instrument::codec::CodecError),
 }
 
 impl fmt::Display for PipelineError {
@@ -51,7 +52,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Spec(e) => write!(f, "specification error: {e}"),
             PipelineError::Monitor(e) => write!(f, "monitor synthesis error: {e}"),
             PipelineError::Input(e) => write!(f, "message stream error: {e}"),
-            PipelineError::Codec(e) => write!(f, "frame decoding error: {e}"),
         }
     }
 }
@@ -71,11 +71,6 @@ impl From<jmpax_spec::monitor::MonitorError> for PipelineError {
 impl From<jmpax_lattice::InputError> for PipelineError {
     fn from(e: jmpax_lattice::InputError) -> Self {
         PipelineError::Input(e)
-    }
-}
-impl From<jmpax_instrument::codec::CodecError> for PipelineError {
-    fn from(e: jmpax_instrument::codec::CodecError) -> Self {
-        PipelineError::Codec(e)
     }
 }
 
@@ -292,25 +287,7 @@ impl Pipeline {
         ring.record_span(TraceKind::Stage { name: "instrument" }, instrument_start);
 
         let initial = ProgramState::from_map(execution.initial.clone());
-
-        let jpax_start = ring.span_start();
-        let observed_violation = {
-            let _span = registry.histogram("observer.stage.jpax_ns").start_span();
-            crate::jpax::observed_violation(&monitor, &initial, &messages)
-        };
-        ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
-
-        let analysis_start = ring.span_start();
-        let mut observer =
-            Observer::with_options(monitor.clone(), initial.clone(), self.config.analysis);
-        observer.offer_all(messages.iter().cloned());
-        let verdict = {
-            let _span = registry
-                .histogram("observer.stage.analysis_ns")
-                .start_span();
-            observer.conclude()?
-        };
-        ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
+        let report = self.check_messages(monitor.clone(), &initial, Exactness::Exact, messages)?;
 
         let stream = match &self.config.tracer {
             Some(tracer) => {
@@ -326,14 +303,69 @@ impl Pipeline {
                 if let Some(pool) = self.shared_pool() {
                     analyzer = analyzer.with_pool(pool);
                 }
-                analyzer.push_all(messages.iter().cloned());
-                let report = analyzer.finish();
+                analyzer.push_all(report.messages.iter().cloned());
+                let stream = analyzer.finish();
                 ring.record_span(TraceKind::Stage { name: "streaming" }, stream_start);
-                Some(report)
+                Some(stream)
             }
             None => None,
         };
 
+        Ok(PipelineOutcome {
+            report: PipelineReport {
+                relevance,
+                ..report
+            },
+            stream,
+        })
+    }
+
+    /// The observer half of [`Pipeline::check_execution`], for messages
+    /// that already exist — e.g. decoded from a transport: the JPaX-style
+    /// observed-run check, the predictive lattice analysis, and the verdict
+    /// counters. `transport` is what the transport lost (see
+    /// [`transport_exactness`]; [`Exactness::Exact`] when nothing was),
+    /// folded into the verdict's exactness. The report's relevance is
+    /// [`Relevance::AllWrites`]: the observer analyzes whatever arrived.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Input`] for a malformed message stream (impossible
+    /// for streams Algorithm A produces).
+    pub fn check_messages(
+        &self,
+        monitor: Monitor,
+        initial: &ProgramState,
+        transport: Exactness,
+        messages: Vec<Message>,
+    ) -> Result<PipelineReport, PipelineError> {
+        let registry = &self.config.telemetry;
+        let mut ring = self
+            .config
+            .tracer
+            .as_ref()
+            .map_or_else(TraceRing::disabled, |t| t.ring("observer"));
+
+        let jpax_start = ring.span_start();
+        let observed_violation = {
+            let _span = registry.histogram("observer.stage.jpax_ns").start_span();
+            crate::jpax::observed_violation(&monitor, initial, &messages)
+        };
+        ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
+
+        let analysis_start = ring.span_start();
+        let mut observer = Observer::with_options(monitor, initial.clone(), self.config.analysis);
+        observer.offer_all(messages.iter().cloned());
+        let mut verdict = {
+            let _span = registry
+                .histogram("observer.stage.analysis_ns")
+                .start_span();
+            observer.conclude()?
+        };
+        ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
+
+        let analysis = verdict.analysis_mut();
+        analysis.exactness = analysis.exactness.combine(transport);
         verdict.analysis().record(registry);
         if verdict.is_satisfied() {
             registry.counter("observer.verdict.satisfied").inc();
@@ -343,14 +375,11 @@ impl Pipeline {
         if observed_violation.is_some() {
             registry.counter("observer.verdict.observed").inc();
         }
-        Ok(PipelineOutcome {
-            report: PipelineReport {
-                verdict,
-                observed_violation,
-                messages,
-                relevance,
-            },
-            stream,
+        Ok(PipelineReport {
+            verdict,
+            observed_violation,
+            messages,
+            relevance: Relevance::AllWrites,
         })
     }
 
@@ -397,8 +426,8 @@ impl Pipeline {
     /// config's [`PipelineConfig::analyses`] selection (itself defaulting
     /// to `[ltl]`). `ltl` supplies the monitor and initial state, required
     /// iff the selection includes [`AnalysisKind::Ltl`]. `transport`
-    /// carries upstream losses (frame corruption, reassembly gaps) to fold
-    /// into every report's exactness; messages whose causal predecessors
+    /// carries upstream losses ([`transport_exactness`]) to fold into
+    /// every report's exactness; messages whose causal predecessors
     /// never arrive are added on top as skipped gaps.
     ///
     /// # Panics
@@ -468,174 +497,19 @@ impl Pipeline {
     }
 }
 
-/// Runs the observer side only, over an encoded frame stream (the bytes a
-/// [`jmpax_instrument::FrameSink`] produced).
-pub fn check_frames(
-    frames: &bytes::Bytes,
-    monitor: Monitor,
-    initial: ProgramState,
-) -> Result<PipelineReport, PipelineError> {
-    let messages = jmpax_instrument::decode_frames(frames)?;
-    conclude(monitor, initial, messages, Relevance::AllWrites)
-}
-
-/// Transport-fault accounting for one [`check_frames_resilient`] pass:
-/// what the codec layer recovered from and what the reassembler had to
-/// give up on.
-#[derive(Clone, Debug)]
-pub struct ResilienceSummary {
-    /// Frames decoded successfully.
-    pub frames_ok: u64,
-    /// Frames whose CRC failed (payload discarded, stream position kept).
-    pub frames_corrupt: u64,
-    /// Times the scanner had to byte-scan to the next credible header.
-    pub frames_resynced: u64,
-    /// Garbage bytes skipped while resynchronizing.
-    pub bytes_skipped: u64,
-    /// The stream ended inside a frame.
-    pub truncated: bool,
-    /// What the causal reassembler saw: reorders, duplicates, skipped gaps.
-    pub reassembly: jmpax_lattice::ReassemblyReport,
-}
-
-impl ResilienceSummary {
-    /// True when nothing was lost anywhere: the verdict is exact.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.frames_corrupt == 0
-            && self.frames_resynced == 0
-            && !self.truncated
-            && self.reassembly.exactness().is_exact()
-    }
-}
-
-/// Runs the observer side over a possibly *damaged* frame stream: frames
-/// may be reordered, duplicated, bit-flipped or missing. Instead of
-/// failing like [`check_frames`], this decodes what survives (CRC-validated
-/// v2 frames, resynchronizing past garbage), reassembles per-thread
-/// sequences (skipping gaps after `stall_budget` subsequent arrivals), and
-/// returns a verdict whose [`crate::Verdict::exactness`] reflects exactly
-/// how much was lost. With an undamaged stream the verdict is bit-for-bit
-/// the one [`check_frames`] computes, marked [`jmpax_lattice::Exactness::Exact`].
-///
-/// Telemetry (when `registry` is enabled): `resilience.frames_corrupt`,
-/// `resilience.frames_resynced`, `resilience.msgs_reordered`,
-/// `resilience.msgs_duplicate`, `resilience.gaps_skipped`, stage latency
-/// histograms `observer.stage.decode_ns` / `observer.stage.reassemble_ns`,
-/// plus everything the monitor and analysis publish.
-///
-/// # Errors
-///
-/// Only [`PipelineError::Input`] is possible, and only if the reassembled
-/// stream still violates the per-thread sequencing invariant — which the
-/// gap-skipping clock remap rules out for streams produced by Algorithm A.
-pub fn check_frames_resilient(
-    frames: &bytes::Bytes,
-    monitor: Monitor,
-    initial: ProgramState,
-    stall_budget: u64,
-    registry: &Registry,
-) -> Result<(PipelineReport, ResilienceSummary), PipelineError> {
-    let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
-    let decoded = jmpax_instrument::decode_frames_resilient(frames);
-    decode_span.finish();
-    registry
-        .counter("resilience.frames_corrupt")
-        .add(decoded.frames_corrupt);
-    registry
-        .counter("resilience.frames_resynced")
-        .add(decoded.frames_resynced);
-
-    let reassemble_span = registry
-        .histogram("observer.stage.reassemble_ns")
-        .start_span();
-    let mut reassembler = jmpax_lattice::Reassembler::with_stall_budget(stall_budget);
-    reassembler.push_all(decoded.messages);
-    let (messages, reassembly) = reassembler.finish();
-    reassemble_span.finish();
-    reassembly.record(registry);
-
-    // Transport losses the reassembler could not notice (a corrupted frame
-    // at the end of a thread's stream leaves no later message to reveal the
-    // gap) still mean information is missing — count each as one more
-    // skipped gap so a damaged stream can never yield an Exact verdict.
-    let transport_lost =
-        decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
-    let unaccounted = transport_lost.saturating_sub(reassembly.messages_lost());
-    let exactness = reassembly
+/// The one transport-loss rule: what a decoded and reassembled stream
+/// lost, as an [`Exactness`]. The reassembler's own accounting (skipped
+/// gaps) comes first; decoder losses it could not notice — a corrupted
+/// frame at the end of a thread's stream leaves no later message to reveal
+/// the gap — each count as one more skipped gap, so a damaged stream can
+/// never yield an Exact verdict.
+#[must_use]
+pub fn transport_exactness(decoded: &ResilientDecode, reassembly: &ReassemblyReport) -> Exactness {
+    let lost = decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
+    let unaccounted = lost.saturating_sub(reassembly.messages_lost());
+    reassembly
         .exactness()
-        .combine(jmpax_lattice::Exactness::degraded(0, unaccounted));
-    let summary = ResilienceSummary {
-        frames_ok: decoded.frames_ok,
-        frames_corrupt: decoded.frames_corrupt,
-        frames_resynced: decoded.frames_resynced,
-        bytes_skipped: decoded.bytes_skipped,
-        truncated: decoded.truncated,
-        reassembly,
-    };
-
-    let mut report =
-        conclude_with_telemetry(monitor, initial, messages, Relevance::AllWrites, registry)?;
-    let analysis = report.verdict.analysis_mut();
-    analysis.exactness = analysis.exactness.combine(exactness);
-    Ok((report, summary))
-}
-
-/// Like [`check_frames`] but for the compact (varint) wire format of
-/// [`jmpax_instrument::codec::encode_compact_frame`] — 2–3× smaller on the
-/// wire, same analysis.
-pub fn check_compact_frames(
-    frames: &bytes::Bytes,
-    monitor: Monitor,
-    initial: ProgramState,
-) -> Result<PipelineReport, PipelineError> {
-    let messages = jmpax_instrument::decode_compact_frames(frames)?;
-    conclude(monitor, initial, messages, Relevance::AllWrites)
-}
-
-fn conclude(
-    monitor: Monitor,
-    initial: ProgramState,
-    messages: Vec<Message>,
-    relevance: Relevance,
-) -> Result<PipelineReport, PipelineError> {
-    conclude_with_telemetry(monitor, initial, messages, relevance, &Registry::disabled())
-}
-
-fn conclude_with_telemetry(
-    monitor: Monitor,
-    initial: ProgramState,
-    messages: Vec<Message>,
-    relevance: Relevance,
-    registry: &Registry,
-) -> Result<PipelineReport, PipelineError> {
-    let observed_violation = {
-        let _span = registry.histogram("observer.stage.jpax_ns").start_span();
-        crate::jpax::observed_violation(&monitor, &initial, &messages)
-    };
-    let mut observer = Observer::new(monitor, initial);
-    observer.offer_all(messages.clone());
-    let verdict = {
-        let _span = registry
-            .histogram("observer.stage.analysis_ns")
-            .start_span();
-        observer.conclude()?
-    };
-    verdict.analysis().record(registry);
-    if verdict.is_satisfied() {
-        registry.counter("observer.verdict.satisfied").inc();
-    } else {
-        registry.counter("observer.verdict.predicted").inc();
-    }
-    if observed_violation.is_some() {
-        registry.counter("observer.verdict.observed").inc();
-    }
-    Ok(PipelineReport {
-        verdict,
-        observed_violation,
-        messages,
-        relevance,
-    })
+        .combine(Exactness::degraded(0, unaccounted))
 }
 
 #[cfg(test)]
@@ -801,11 +675,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frames_pipeline_round_trip() {
-        use jmpax_core::Relevance;
-        use jmpax_instrument::{EventSink, FrameSink};
-
+    /// Example 2's messages for the spec over x, y, z, with its monitor
+    /// and initial state.
+    fn example2_messages() -> (Vec<Message>, Monitor, ProgramState) {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
         let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
@@ -817,145 +689,146 @@ mod tests {
             .map(|n| syms.lookup(n).unwrap())
             .collect();
         let messages = ex.instrument(Relevance::writes_of(vars));
+        (messages, monitor, ProgramState::from_map(ex.initial))
+    }
+
+    /// Decodes a whole received buffer: one push, then the accounting.
+    fn decode(bytes: &[u8]) -> (Vec<Message>, ResilientDecode) {
+        let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
+        let messages = decoder.push(bytes);
+        (messages, decoder.finish())
+    }
+
+    /// What `jmpax chaos` does with received bytes: decode, reassemble
+    /// with `stall_budget`, fold the transport losses into the verdict.
+    fn check_received(
+        bytes: &[u8],
+        monitor: Monitor,
+        initial: &ProgramState,
+        stall_budget: u64,
+    ) -> (PipelineReport, ResilientDecode, ReassemblyReport) {
+        let (decoded_msgs, decoded) = decode(bytes);
+        let mut reassembler = jmpax_lattice::Reassembler::with_stall_budget(stall_budget);
+        reassembler.push_all(decoded_msgs);
+        let (messages, reassembly) = reassembler.finish();
+        let transport = transport_exactness(&decoded, &reassembly);
+        let report = Pipeline::new(PipelineConfig::new())
+            .check_messages(monitor, initial, transport, messages)
+            .unwrap();
+        (report, decoded, reassembly)
+    }
+
+    fn encode(messages: &[Message]) -> bytes::BytesMut {
+        let mut buf = bytes::BytesMut::new();
+        for m in messages {
+            jmpax_instrument::encode_frame_v2(m, &mut buf);
+        }
+        buf
+    }
+
+    #[test]
+    fn frames_pipeline_round_trip() {
+        use jmpax_instrument::{EventSink, FrameSink};
+
+        let (messages, monitor, initial) = example2_messages();
         let sink = FrameSink::new();
         let mut w = sink.clone();
         for m in &messages {
             w.emit(m);
         }
-        let report = check_frames(
-            &sink.take_bytes(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
-        )
-        .unwrap();
-        assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
-    }
-
-    #[test]
-    fn compact_frames_pipeline_matches_plain() {
-        use jmpax_core::Relevance;
-
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
+        let (decoded_msgs, decoded) = decode(&sink.take_bytes());
+        assert!(decoded.is_clean());
+        let report = Pipeline::new(PipelineConfig::new())
+            .check_messages(monitor, &initial, Exactness::Exact, decoded_msgs)
             .unwrap();
-        let vars: Vec<_> = ["x", "y", "z"]
-            .iter()
-            .map(|n| syms.lookup(n).unwrap())
-            .collect();
-        let messages = ex.instrument(Relevance::writes_of(vars));
-
-        let mut compact = bytes::BytesMut::new();
-        for m in &messages {
-            jmpax_instrument::codec::encode_compact_frame(m, &mut compact);
-        }
-        let report = check_compact_frames(
-            &compact.freeze(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
-        )
-        .unwrap();
         assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
-    }
-
-    #[test]
-    fn resilient_on_clean_v2_stream_is_exact_and_matches_check_frames() {
-        use jmpax_core::Relevance;
-
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
-            .unwrap();
-        let vars: Vec<_> = ["x", "y", "z"]
-            .iter()
-            .map(|n| syms.lookup(n).unwrap())
-            .collect();
-        let messages = ex.instrument(Relevance::writes_of(vars));
-        let mut buf = bytes::BytesMut::new();
-        for m in &messages {
-            jmpax_instrument::codec::encode_frame_v2(m, &mut buf);
-        }
-        let (report, summary) = check_frames_resilient(
-            &buf.freeze(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
-            8,
-            &Registry::disabled(),
-        )
-        .unwrap();
-        assert!(summary.is_clean());
-        assert!(report.verdict.exactness().is_exact());
-        assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
         assert_eq!(report.verdict.analysis().violating_runs, 1);
         assert_eq!(report.messages, messages);
     }
 
     #[test]
-    fn resilient_survives_a_corrupt_frame_and_reports_degraded() {
-        use jmpax_core::Relevance;
-
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
+    fn resilient_on_clean_v2_stream_is_exact_and_matches_check_frames() {
+        // Decode + reassembly + the transport rule over a clean stream give
+        // exactly the verdict of the plain observer over the same messages.
+        let (messages, monitor, initial) = example2_messages();
+        let plain = Pipeline::new(PipelineConfig::new())
+            .check_messages(
+                monitor.clone(),
+                &initial,
+                Exactness::Exact,
+                messages.clone(),
+            )
             .unwrap();
-        let vars: Vec<_> = ["x", "y", "z"]
-            .iter()
-            .map(|n| syms.lookup(n).unwrap())
-            .collect();
-        let messages = ex.instrument(Relevance::writes_of(vars));
+        let (report, decoded, reassembly) =
+            check_received(&encode(&messages), monitor, &initial, 8);
+        assert!(decoded.is_clean());
+        assert!(transport_exactness(&decoded, &reassembly).is_exact());
+        assert!(report.verdict.exactness().is_exact());
+        assert!(report.predicted());
+        assert_eq!(report.verdict.analysis().total_runs, 3);
+        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(
+            report.verdict.analysis().states,
+            plain.verdict.analysis().states
+        );
+        assert_eq!(report.observed_violation, plain.observed_violation);
+        assert_eq!(report.messages, messages);
+    }
+
+    #[test]
+    fn resilient_survives_a_corrupt_frame_and_reports_degraded() {
+        let (messages, monitor, initial) = example2_messages();
         let mut buf = bytes::BytesMut::new();
         let mut offsets = Vec::new();
         for m in &messages {
             offsets.push(buf.len());
-            jmpax_instrument::codec::encode_frame_v2(m, &mut buf);
+            jmpax_instrument::encode_frame_v2(m, &mut buf);
         }
         // Flip a payload bit in the second frame: its CRC fails, the frame
         // is dropped, and the reassembler must skip the resulting gap.
         buf[offsets[1] + 12] ^= 0x01;
-        let registry = Registry::enabled();
-        let (report, summary) = check_frames_resilient(
-            &buf.freeze(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
-            2,
-            &registry,
-        )
-        .unwrap();
-        assert!(!summary.is_clean());
-        assert_eq!(summary.frames_corrupt, 1);
-        assert_eq!(summary.frames_ok as usize, messages.len() - 1);
-        assert_eq!(summary.reassembly.skipped_gaps(), 1);
+        let (report, decoded, reassembly) = check_received(&buf, monitor, &initial, 2);
+        assert_eq!(decoded.frames_corrupt, 1);
+        assert_eq!(decoded.frames_ok as usize, messages.len() - 1);
+        assert_eq!(reassembly.skipped_gaps(), 1);
         assert!(!report.verdict.exactness().is_exact());
         assert_eq!(report.messages.len(), messages.len() - 1);
-        let json = registry.snapshot().to_json();
-        assert!(
-            json.contains("\"resilience.frames_corrupt\":{\"type\":\"counter\",\"value\":1}"),
-            "{json}"
+    }
+
+    #[test]
+    fn transport_losses_the_reassembler_cannot_see_still_degrade() {
+        // Corrupt the *last* frame: no later message reveals the gap to the
+        // reassembler, so only the transport rule keeps the verdict honest.
+        let (messages, monitor, initial) = example2_messages();
+        let mut buf = encode(&messages);
+        let last = buf.len() - 1;
+        buf[last] ^= 0x01;
+        let (report, decoded, reassembly) = check_received(&buf, monitor, &initial, 8);
+        assert_eq!(decoded.frames_corrupt, 1);
+        assert_eq!(reassembly.messages_lost(), 0);
+        assert_eq!(
+            transport_exactness(&decoded, &reassembly),
+            Exactness::degraded(0, 1)
         );
-        assert!(
-            json.contains("\"resilience.gaps_skipped\":{\"type\":\"counter\",\"value\":1}"),
-            "{json}"
-        );
+        assert_eq!(report.verdict.exactness(), Exactness::degraded(0, 1));
     }
 
     #[test]
     fn bad_frames_are_rejected() {
+        // A CRC-valid frame whose payload is not a message is counted
+        // corrupt, never analyzed, and degrades the verdict.
+        use jmpax_instrument::codec::{crc32, MAGIC, VERSION};
+
+        let payload = [0u8, 0, 0, 0, 9, 0, 0];
+        let mut frame = vec![MAGIC, VERSION];
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
         let mut syms = SymbolTable::new();
         let monitor = parse("true", &mut syms).unwrap().monitor().unwrap();
-        let bytes = bytes::Bytes::from_static(&[1, 2, 3]);
-        assert!(matches!(
-            check_frames(&bytes, monitor, ProgramState::new()),
-            Err(PipelineError::Codec(_))
-        ));
+        let (report, decoded, _) = check_received(&frame, monitor, &ProgramState::new(), 8);
+        assert_eq!((decoded.frames_ok, decoded.frames_corrupt), (0, 1));
+        assert!(report.messages.is_empty());
+        assert!(!report.verdict.exactness().is_exact());
     }
 }

@@ -38,7 +38,7 @@ use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
 use super::status::TenantTable;
 use super::{AnalysisOutcome, ServeConfig, ShedPolicy, TenantOutcome, ExactnessVerdict};
-use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::pipeline::{transport_exactness, Pipeline, PipelineConfig};
 
 /// `serve.verdict_state{tenant=…}` gauge values.
 const STATE_RUNNING: u64 = 0;
@@ -546,16 +546,8 @@ fn run_worker(
     }
     gaps_labeled.add(reassembly.skipped_gaps());
 
-    // Same accounting as `check_frames_resilient`: transport losses the
-    // reassembler could not observe still forbid an Exact verdict. The
-    // suite folds this into every analysis's report.
-    let transport_lost =
-        decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
-    let unaccounted = transport_lost.saturating_sub(reassembly.messages_lost());
-    let transport = reassembly
-        .exactness()
-        .combine(Exactness::degraded(0, unaccounted));
-    let report = pipeline.finish_suite(suite, transport);
+    // The suite folds the transport losses into every analysis's report.
+    let report = pipeline.finish_suite(suite, transport_exactness(&decoded, &reassembly));
     // Plain single-LTL sessions keep their historical one-verdict shape;
     // anything else reports per analysis as well.
     let analyses = if kinds == [AnalysisKind::Ltl] {

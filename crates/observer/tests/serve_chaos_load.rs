@@ -17,7 +17,7 @@ use jmpax_instrument::tcp::{send_raw_session, SessionHello};
 use jmpax_instrument::{ChaosConfig, ChaosSink, EventSink as _, ResilientFrameDecoder};
 use jmpax_lattice::{Exactness, Reassembler, DEFAULT_STALL_BUDGET};
 use jmpax_observer::serve::{ExactnessVerdict, ServeConfig, Server, ShedPolicy, TenantOutcome};
-use jmpax_observer::{Pipeline, PipelineConfig};
+use jmpax_observer::{transport_exactness, Pipeline, PipelineConfig};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::{MetricValue, Registry};
 
@@ -105,11 +105,7 @@ fn batch_reference(
     reassembler.push_all(decoder.push(bytes));
     let decoded = decoder.finish();
     let (messages, reassembly) = reassembler.finish();
-    let lost = decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
-    let transport = reassembly.exactness().combine(Exactness::degraded(
-        0,
-        lost.saturating_sub(reassembly.messages_lost()),
-    ));
+    let transport = transport_exactness(&decoded, &reassembly);
     let count = messages.len() as u64;
     let suite = Pipeline::new(PipelineConfig::new()).check_stream_suite(
         &[],

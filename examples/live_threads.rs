@@ -11,8 +11,9 @@
 //! cargo run --example live_threads
 //! ```
 
-use jmpax::instrument::{EventSink, FrameSink, Session};
-use jmpax::observer::check_frames;
+use jmpax::instrument::{EventSink, FrameSink, ResilientFrameDecoder, Session};
+use jmpax::lattice::Exactness;
+use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::spec::ProgramState;
 use jmpax::{parse, Relevance, SymbolTable, VarId};
 use rand::seq::SliceRandom;
@@ -68,8 +69,7 @@ fn main() {
 
     // Simulate multi-channel delivery: shuffle the frames' decode order by
     // re-encoding in shuffled order.
-    let bytes = sink.take_bytes();
-    let mut msgs = jmpax::instrument::decode_frames(&bytes).unwrap();
+    let mut msgs = ResilientFrameDecoder::new().push(&sink.take_bytes());
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     msgs.shuffle(&mut rng);
     let shuffled_sink = FrameSink::new();
@@ -87,7 +87,12 @@ fn main() {
         .unwrap()
         .monitor()
         .unwrap();
-    let report = check_frames(&shuffled_sink.take_bytes(), monitor, ProgramState::new()).unwrap();
+    let mut decoder = ResilientFrameDecoder::new();
+    let received = decoder.push(&shuffled_sink.take_bytes());
+    assert!(decoder.finish().is_clean());
+    let report = Pipeline::new(PipelineConfig::new())
+        .check_messages(monitor, &ProgramState::new(), Exactness::Exact, received)
+        .unwrap();
 
     println!(
         "messages delivered out of order: {} relevant writes",

@@ -2,10 +2,22 @@
 //! program → Algorithm A inside `Shared<T>` accessors → framed byte stream
 //! ("socket") → observer → computation lattice → verdict.
 
-use jmpax::instrument::{FrameSink, Session};
-use jmpax::observer::check_frames;
+use jmpax::instrument::{FrameSink, ResilientFrameDecoder, Session};
+use jmpax::lattice::Exactness;
+use jmpax::observer::{Pipeline, PipelineConfig, PipelineReport};
 use jmpax::spec::ProgramState;
-use jmpax::{parse, Relevance, SymbolTable};
+use jmpax::{parse, Monitor, Relevance, SymbolTable};
+
+/// The observer end of the wire: decode the received bytes, which must
+/// arrive intact, and analyze the messages.
+fn observe_wire(bytes: &[u8], monitor: Monitor, initial: ProgramState) -> PipelineReport {
+    let mut decoder = ResilientFrameDecoder::new();
+    let messages = decoder.push(bytes);
+    assert!(decoder.finish().is_clean());
+    Pipeline::new(PipelineConfig::new())
+        .check_messages(monitor, &initial, Exactness::Exact, messages)
+        .unwrap()
+}
 
 /// Example 2 of the paper run on real `std::thread`s. The paper's observed
 /// interleaving is forced by an *uninstrumented* atomic rendezvous — it
@@ -70,7 +82,7 @@ fn real_threads_example2_predicts_violation_over_the_wire() {
         .unwrap();
     let mut initial = ProgramState::new();
     initial.set(jmpax::VarId(0), -1);
-    let report = check_frames(&sink.take_bytes(), monitor, initial).unwrap();
+    let report = observe_wire(&sink.take_bytes(), monitor, initial);
 
     assert_eq!(report.messages.len(), 4, "x=0, z=1, y=1, x=1");
     assert!(!report.observed(), "the forced interleaving is successful");
@@ -113,7 +125,7 @@ fn real_threads_raced_prediction_dominates_observation() {
             .unwrap()
             .monitor()
             .unwrap();
-        let report = check_frames(&sink.take_bytes(), monitor, ProgramState::new()).unwrap();
+        let report = observe_wire(&sink.take_bytes(), monitor, ProgramState::new());
 
         // The two writes are causally unrelated: the lattice always
         // contains the bad order, so prediction fires on every round,
@@ -164,7 +176,7 @@ fn real_threads_locked_publication_is_clean() {
         .unwrap()
         .monitor()
         .unwrap();
-    let report = check_frames(&sink.take_bytes(), monitor, ProgramState::new()).unwrap();
+    let report = observe_wire(&sink.take_bytes(), monitor, ProgramState::new());
     assert!(
         !report.predicted(),
         "lock events order the critical sections; no violating run remains"
