@@ -14,8 +14,7 @@ fn bench_fig5(c: &mut Criterion) {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
+                .unwrap();
             report.verdict.analysis().violating_runs
         });
     });
@@ -29,8 +28,7 @@ fn bench_fig6(c: &mut Criterion) {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
+                .unwrap();
             report.verdict.analysis().violating_runs
         });
     });
@@ -60,8 +58,7 @@ fn bench_detection_iteration(c: &mut Criterion) {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
+                .unwrap();
             u128::from(report.predicted()) + report.verdict.analysis().violating_runs
         });
     });

@@ -147,9 +147,10 @@ fn reduction() {
 
 /// Q6: predictive data-race detection vs naive trace-overlap detection.
 fn races() {
-    use jmpax_observer::detect_races;
+    use jmpax_core::AnalysisKind;
+    use jmpax_lattice::Exactness;
+    use jmpax_observer::{Pipeline, PipelineConfig};
     use jmpax_sched::run_random;
-    use std::collections::BTreeSet;
 
     header("Q6 — predictive data races (vector clocks) vs trace overlap");
     // A realistic racy pair: each thread does local work (on a private
@@ -182,9 +183,17 @@ fn races() {
     let seeds = 200u64;
     let mut predicted = 0usize;
     let mut adjacent = 0usize;
+    let pipeline = Pipeline::new(PipelineConfig::new());
     for seed in 0..seeds {
         let out = run_random(&program, seed, 100);
-        if !detect_races(&out.execution, &BTreeSet::new()).is_empty() {
+        let suite = pipeline.check_stream_suite(
+            &[AnalysisKind::Race],
+            None,
+            out.execution.thread_count(),
+            Exactness::Exact,
+            out.execution.instrument(Relevance::Everything),
+        );
+        if !suite.satisfied() {
             predicted += 1;
         }
         // Naive detector: conflicting accesses by different threads that
@@ -284,8 +293,7 @@ fn exhaustive() {
         let mut syms = w.symbols.clone();
         let report = Pipeline::new(PipelineConfig::new())
             .check_execution(&out.execution, &w.spec, &mut syms)
-            .unwrap()
-            .report;
+            .unwrap();
         println!(
             "{name:<12} {:>12} {:>14} {:>16} {:>18}",
             truth.total,
@@ -399,14 +407,12 @@ fn fig4() {
     let mut decoder = ResilientFrameDecoder::new();
     let received = decoder.push(&bytes);
     assert!(decoder.finish().is_clean());
-    let report = Pipeline::new(PipelineConfig::new())
-        .check_messages(
-            w.monitor(),
-            &ProgramState::from_map(out.execution.initial.clone()),
-            Exactness::Exact,
-            received,
-        )
-        .unwrap();
+    let report = Pipeline::new(PipelineConfig::new()).check_messages(
+        w.monitor(),
+        &ProgramState::from_map(out.execution.initial.clone()),
+        Exactness::Exact,
+        received,
+    );
     let a = report.verdict.analysis();
     println!(
         "verdict: {} (states {}, runs {}, violating {})",
@@ -415,7 +421,7 @@ fn fig4() {
         } else {
             "satisfied"
         },
-        a.states,
+        a.states_explored,
         a.total_runs,
         a.violating_runs
     );

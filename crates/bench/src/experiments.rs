@@ -32,11 +32,10 @@ pub fn fig5_experiment() -> LatticeExperiment {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     let a = report.verdict.analysis();
     LatticeExperiment {
-        states: a.states,
+        states: a.states_explored as usize,
         total_runs: a.total_runs,
         violating_runs: a.violating_runs,
         observed_successful: !report.observed(),
@@ -52,11 +51,10 @@ pub fn fig6_experiment() -> LatticeExperiment {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     let a = report.verdict.analysis();
     LatticeExperiment {
-        states: a.states,
+        states: a.states_explored as usize,
         total_runs: a.total_runs,
         violating_runs: a.violating_runs,
         observed_successful: !report.observed(),
@@ -121,8 +119,7 @@ pub fn detection_sweep(workload: &Workload, seeds: u64, max_steps: usize) -> Det
         let mut syms = workload.symbols.clone();
         let report = Pipeline::new(PipelineConfig::new())
             .check_execution(&out.execution, &workload.spec, &mut syms)
-            .unwrap()
-            .report;
+            .unwrap();
         rates.observed += usize::from(report.observed());
         rates.predicted += usize::from(report.predicted());
     }

@@ -12,9 +12,9 @@ pub struct Args {
     pub options: BTreeMap<String, String>,
 }
 
-/// Flags that never take a value (so `--streaming file.trace` leaves
+/// Flags that never take a value (so `--json file.trace` leaves
 /// `file.trace` positional).
-pub const BOOL_FLAGS: &[&str] = &["streaming", "help", "json", "once"];
+pub const BOOL_FLAGS: &[&str] = &["help", "json", "once"];
 
 impl Args {
     /// Parses an iterator of raw arguments (without the program name).
@@ -67,11 +67,11 @@ mod tests {
 
     #[test]
     fn positional_and_options() {
-        let a = parse(&["check", "--spec", "x > 0", "--streaming", "file.trace"]);
+        let a = parse(&["check", "--spec", "x > 0", "--json", "file.trace"]);
         assert_eq!(a.command(), Some("check"));
         assert_eq!(a.get("spec"), Some("x > 0"));
-        assert!(a.has("streaming"));
-        assert_eq!(a.get("streaming"), Some(""));
+        assert!(a.has("json"));
+        assert_eq!(a.get("json"), Some(""));
         assert_eq!(a.positional, vec!["check", "file.trace"]);
     }
 

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use jmpax_core::{Relevance, SymbolTable};
 use jmpax_instrument::EventSink as _;
-use jmpax_lattice::{to_dot, DotOptions, Lattice, LatticeInput, StreamingAnalyzer};
+use jmpax_lattice::{to_dot, AnalysisConfig, DotOptions, Lattice, LatticeInput};
 use jmpax_observer::{render_analysis, Pipeline, PipelineConfig};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::Registry;
@@ -23,7 +23,7 @@ Multithreaded Programs', IPDPS/PADTAD 2004)
 USAGE:
     jmpax check --spec <FORMULA> --trace <FILE>
                 [--analysis <ltl,race,atomicity>] [--locks <name,...>]
-                [--dot <OUT>] [--streaming] [--history <N>]
+                [--dot <OUT>] [--history <N>]
                 [--frontier-cap <N>] [--parallel <N>]
                 [--telemetry <text|json>] [--json]
         Check a safety property against EVERY interleaving consistent with
@@ -35,19 +35,20 @@ USAGE:
         --json emits the machine-readable report). race and atomicity
         build their happens-before from program order plus the --locks
         variables only; --spec is needed only when ltl is selected.
-        --streaming uses the constant-memory two-level analyzer;
-        --history N additionally retains N retired lattice levels so
-        violations carry a trail of recent states; --frontier-cap N
-        bounds the streaming frontier to its N smallest cuts (beam
+        The lattice is built level by level; by default every level is
+        kept so counterexamples start at the initial state. --history N
+        keeps only N retired levels (counterexamples become trails of
+        their last steps; 0 is the constant-memory two-level mode);
+        --frontier-cap N bounds the frontier to its N smallest cuts (beam
         search) — pruned cuts are counted and the verdict is reported
         as Degraded instead of exhausting memory; --parallel N shards
         frontier expansion across N workers (bit-identical verdicts;
         wide levels only — narrow levels stay sequential).
 
     jmpax races --trace <FILE> [--locks <name,name,...>]
-        Predictive data-race detection over the trace: accesses are checked
-        against the happens-before built from program order and the given
-        lock variables only.
+        Alias of `jmpax check --analysis race`: predictive data-race
+        detection, checking accesses against the happens-before built from
+        program order and the given lock variables only.
 
     jmpax deadlocks --trace <FILE> --locks <name,name,...>
         Predictive deadlock detection: build the lock-order graph from the
@@ -307,7 +308,12 @@ fn run_inner(
 ) -> (i32, String, Option<ServeMetrics>) {
     let (code, output) = match args.command() {
         Some("check") => check(args, trace_source, registry),
-        Some("races") => races(args, trace_source),
+        Some("races") => check_suite(
+            args,
+            &[jmpax_core::AnalysisKind::Race],
+            trace_source,
+            registry,
+        ),
         Some("deadlocks") => deadlocks(args, trace_source),
         Some("demo") => demo(args, registry),
         Some("chaos") => chaos(args, registry),
@@ -357,43 +363,6 @@ fn lock_vars(
     Ok(out)
 }
 
-fn races(args: &Args, trace_source: Option<&str>) -> (i32, String) {
-    let Some(trace) = trace_source else {
-        return (2, "races: missing --trace <FILE>\n".to_owned());
-    };
-    let mut symbols = SymbolTable::new();
-    let execution = match trace_text::parse_trace(trace, &mut symbols) {
-        Ok(e) => e,
-        Err(e) => return (2, format!("races: {e}\n")),
-    };
-    let sync = match lock_vars(args, &symbols) {
-        Ok(s) => s,
-        Err(e) => return (2, format!("races: {e}\n")),
-    };
-    let found = jmpax_observer::detect_races(&execution, &sync);
-    let mut out = String::new();
-    if found.is_empty() {
-        let _ = writeln!(out, "no data races predicted");
-        return (0, out);
-    }
-    for r in &found {
-        // Thread names match the trace format (T0-based), not the paper's
-        // 1-based display.
-        let _ = writeln!(
-            out,
-            "race on {}: T{} {} vs T{} {} (events #{} / #{})",
-            symbols.name_or_default(r.var),
-            r.first.thread.0,
-            if r.first.is_write { "write" } else { "read" },
-            r.second.thread.0,
-            if r.second.is_write { "write" } else { "read" },
-            r.first.index,
-            r.second.index,
-        );
-    }
-    (1, out)
-}
-
 fn deadlocks(args: &Args, trace_source: Option<&str>) -> (i32, String) {
     let Some(trace) = trace_source else {
         return (2, "deadlocks: missing --trace <FILE>\n".to_owned());
@@ -432,7 +401,9 @@ fn deadlocks(args: &Args, trace_source: Option<&str>) -> (i32, String) {
 
 fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, String) {
     // `--analysis ltl,race,atomicity` selects the suite; a bare `ltl` (or
-    // no flag) keeps the original single-analysis paths byte-identical.
+    // no flag) is the ptLTL report with counterexamples. Plain `check`
+    // stays off the suite path because the suite instruments every access,
+    // which grows the LTL lattice with read stutters.
     let kinds = match args.get("analysis") {
         Some(list) => match jmpax_core::AnalysisKind::parse_list(list) {
             Ok(kinds) => kinds,
@@ -463,76 +434,14 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
         Err(e) => return (2, format!("check: {e}\n")),
     };
 
-    let parallel = args
-        .get("parallel")
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1);
-
-    if args.has("streaming") {
-        // Two-level streaming mode: constant memory, no counterexamples.
-        let formula = match parse(spec, &mut symbols) {
-            Ok(f) => f,
-            Err(e) => return (2, format!("check: {e}\n")),
-        };
-        let monitor = match formula.monitor() {
-            Ok(m) => m.with_telemetry(registry),
-            Err(e) => return (2, format!("check: {e}\n")),
-        };
-        let relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
-        let messages = execution.instrument_with_telemetry(relevance, registry);
-        account_frames(&messages, registry);
-        let initial = ProgramState::from_map(execution.initial.clone());
-        let history = args
-            .get("history")
-            .and_then(|h| h.parse::<usize>().ok())
-            .unwrap_or(0);
-        let frontier_cap = args
-            .get("frontier-cap")
-            .and_then(|h| h.parse::<usize>().ok())
-            .unwrap_or(0);
-        let mut s = StreamingAnalyzer::with_telemetry(
-            monitor,
-            &initial,
-            execution.thread_count(),
-            registry,
-        )
-        .with_history(history)
-        .with_frontier_cap(frontier_cap)
-        .with_parallelism(parallel);
-        s.push_all(messages);
-        let report = s.finish();
-        let _ = writeln!(
-            out,
-            "streaming analysis: {} states in {} levels (peak frontier {})",
-            report.states_explored, report.levels_built, report.peak_frontier
-        );
-        if !report.exactness.is_exact() {
-            let _ = writeln!(out, "confidence: {}", report.exactness);
-        }
-        if report.satisfied() {
-            let _ = writeln!(out, "property satisfied on every run");
-            return (0, out);
-        }
-        for v in &report.violations {
-            let _ = writeln!(out, "violation at cut {} in state {}", v.cut, v.state);
-            if v.trail.len() > 1 {
-                let _ = writeln!(out, "  trail (last {} states):", v.trail.len());
-                for (cut, state) in &v.trail {
-                    let _ = writeln!(out, "    {cut} {state}");
-                }
-            }
-        }
-        return (1, out);
-    }
-
     let report = match Pipeline::new(
         PipelineConfig::new()
             .telemetry(registry)
-            .parallelism(parallel),
+            .analysis(analysis_config(args)),
     )
     .check_execution(&execution, spec, &mut symbols)
     {
-        Ok(outcome) => outcome.report,
+        Ok(report) => report,
         Err(e) => return (2, format!("check: {e}\n")),
     };
     account_frames(&report.messages, registry);
@@ -564,6 +473,19 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
     }
 
     (i32::from(report.predicted()), out)
+}
+
+/// The analysis knobs `check` shares across its paths: `--parallel`,
+/// `--frontier-cap` and `--history`.
+fn analysis_config(args: &Args) -> AnalysisConfig {
+    let number = |key| args.get(key).and_then(|n| n.parse::<usize>().ok());
+    let config = AnalysisConfig::default()
+        .with_parallelism(number("parallel").unwrap_or(1))
+        .with_frontier_cap(number("frontier-cap").unwrap_or(0));
+    match number("history") {
+        Some(levels) => config.with_history(levels),
+        None => config,
+    }
 }
 
 /// The `--analysis` suite path of `jmpax check`: one causal delivery pass
@@ -608,15 +530,6 @@ fn check_suite(
         None
     };
 
-    let parallel = args
-        .get("parallel")
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1);
-    let frontier_cap = args
-        .get("frontier-cap")
-        .and_then(|h| h.parse::<usize>().ok())
-        .unwrap_or(0);
-
     // Race and atomicity need every access, not just property writes.
     let messages = execution.instrument_with_telemetry(Relevance::Everything, registry);
     account_frames(&messages, registry);
@@ -625,8 +538,7 @@ fn check_suite(
     let pipeline = Pipeline::new(
         PipelineConfig::new()
             .telemetry(registry)
-            .parallelism(parallel)
-            .frontier_cap(frontier_cap)
+            .analysis(analysis_config(args))
             .analyses(kinds)
             .sync_vars(sync.iter().copied()),
     );
@@ -700,10 +612,10 @@ fn demo(args: &Args, registry: &Registry) -> (i32, String) {
         &w.spec,
         &mut symbols,
     ) {
-        Ok(outcome) => {
-            account_frames(&outcome.report.messages, registry);
-            out.push_str(&render_analysis(outcome.report.verdict.analysis(), &symbols));
-            (i32::from(outcome.report.predicted()), out)
+        Ok(report) => {
+            account_frames(&report.messages, registry);
+            out.push_str(&render_analysis(report.verdict.analysis(), &symbols));
+            (i32::from(report.predicted()), out)
         }
         Err(e) => (2, format!("demo: {e}\n")),
     }
@@ -830,12 +742,8 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
 
     let initial = ProgramState::from_map(run.execution.initial.clone());
     let transport = jmpax_observer::transport_exactness(&decoded, &reassembly);
-    let report = match Pipeline::new(PipelineConfig::new().telemetry(registry))
-        .check_messages(monitor, &initial, transport, messages)
-    {
-        Ok(r) => r,
-        Err(e) => return (2, format!("chaos: {e}\n")),
-    };
+    let report = Pipeline::new(PipelineConfig::new().telemetry(registry))
+        .check_messages(monitor, &initial, transport, messages);
     out.push_str(&crate::report::chaos_summary(
         &stats,
         &decoded,
@@ -1312,7 +1220,7 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
     let report = match Pipeline::new(PipelineConfig::new().telemetry(registry).tracer(&tracer))
         .check_execution(&run.execution, &w.spec, &mut symbols)
     {
-        Ok(outcome) => outcome.report,
+        Ok(report) => report,
         Err(e) => return (2, format!("trace: {e}\n"), None),
     };
     // Ship the messages through a traced frame sink so the `wire` lane and
@@ -1698,18 +1606,24 @@ T1 write x 1
 
     #[test]
     fn check_streaming_mode() {
+        // `--history 0` is the constant-memory two-level mode: same counts
+        // and verdict, a two-step trail instead of the whole run.
         let (code, out) = run_cli(
             &[
                 "check",
                 "--spec",
                 "(x > 0) -> [y = 0, y > z)",
-                "--streaming",
+                "--history",
+                "0",
             ],
             Some(XYZ_TRACE),
         );
         assert_eq!(code, 1, "{out}");
-        assert!(out.contains("streaming analysis: 7 states"), "{out}");
+        assert!(out.contains("lattice: 7 states, 5 levels"), "{out}");
+        assert!(out.contains("3 total, 1 violating"), "{out}");
         assert!(out.contains("violation at cut S2,2"), "{out}");
+        assert!(out.contains("counterexample trail (last 2 steps)"), "{out}");
+        assert!(!out.contains("(initial)"), "{out}");
     }
 
     #[test]
@@ -1719,15 +1633,47 @@ T1 write x 1
                 "check",
                 "--spec",
                 "(x > 0) -> [y = 0, y > z)",
-                "--streaming",
                 "--history",
-                "8",
+                "1",
             ],
             Some(XYZ_TRACE),
         );
         assert_eq!(code, 1, "{out}");
-        assert!(out.contains("trail (last 5 states)"), "{out}");
-        assert!(out.contains("S0,0"), "{out}");
+        assert!(out.contains("counterexample trail (last 3 steps)"), "{out}");
+
+        // Enough history for the whole run: the full counterexample, as
+        // without the flag.
+        let argv = ["check", "--spec", "(x > 0) -> [y = 0, y > z)"];
+        let (_, full) = run_cli(&argv, Some(XYZ_TRACE));
+        let (code, out) = run_cli(&[&argv[..], &["--history", "8"]].concat(), Some(XYZ_TRACE));
+        assert_eq!(code, 1, "{out}");
+        assert_eq!(out, full);
+        assert!(out.contains("counterexample run (4 events)"), "{out}");
+        assert!(out.contains("(initial)"), "{out}");
+    }
+
+    #[test]
+    fn check_saturated_run_count_renders_as_saturated() {
+        // C(140, 70) ≈ 9.38e40 runs exceed u128: the count saturates and
+        // says so instead of printing C(140, 70) mod 2^128.
+        let mut trace = String::new();
+        for i in 1..=70 {
+            let _ = writeln!(trace, "T0 write a {i}\nT1 write b {i}");
+        }
+        let (code, out) = run_cli(&["check", "--spec", "a >= 0 /\\ b >= 0"], Some(&trace));
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains("lattice: 5041 states, 141 levels (peak width 71)"),
+            "{out}"
+        );
+        assert!(
+            out.contains("runs: at least 2^128-1 (saturated) total, 0 violating"),
+            "{out}"
+        );
+        assert!(
+            !out.contains("243318794581963752357877536770039516200"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1886,12 +1832,29 @@ T1 write m 0
     fn races_detected_and_clean_with_locks() {
         let (code, out) = run_cli(&["races"], Some(RACY_TRACE));
         assert_eq!(code, 1, "{out}");
-        assert!(out.contains("race on x"), "{out}");
-        assert!(out.contains("T1 read"), "{out}");
+        assert!(
+            out.contains("race on x: T0 write #1 vs T1 read #2"),
+            "{out}"
+        );
 
         let (code, out) = run_cli(&["races", "--locks", "m"], Some(LOCKED_TRACE));
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("no data races"), "{out}");
+        assert!(out.contains("race: 0 races found"), "{out}");
+
+        // `races` is exactly `check --analysis race`.
+        for (trace, locks) in [
+            (RACY_TRACE, None),
+            (LOCKED_TRACE, Some("m")),
+            (RACY_TRACE, Some("nosuch")),
+        ] {
+            let lock_args: Vec<&str> = locks.map(|l| vec!["--locks", l]).unwrap_or_default();
+            let alias = run_cli(&[&["races"][..], &lock_args].concat(), Some(trace));
+            let check = run_cli(
+                &[&["check", "--analysis", "race"][..], &lock_args].concat(),
+                Some(trace),
+            );
+            assert_eq!(alias, check, "{locks:?}");
+        }
 
         // Without declaring the lock, the same trace races.
         let (code, _) = run_cli(&["races"], Some(LOCKED_TRACE));
@@ -1934,20 +1897,6 @@ T1 write b 0
             Some(XYZ_TRACE),
         );
         assert_eq!((code_seq, out_seq), (code_par, out_par));
-
-        let (code, out) = run_cli(
-            &[
-                "check",
-                "--spec",
-                "(x > 0) -> [y = 0, y > z)",
-                "--streaming",
-                "--parallel",
-                "4",
-            ],
-            Some(XYZ_TRACE),
-        );
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("streaming analysis: 7 states"), "{out}");
     }
 
     #[test]

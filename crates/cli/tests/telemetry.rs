@@ -171,3 +171,39 @@ fn stream_report_record_matches_live_wiring() {
         b.gauge("lattice.peak_frontier").unwrap().1
     );
 }
+
+/// Each `lattice.*` counter is published once per analysis: with and
+/// without a tracer, the 7-state Fig. 6 lattice reports 7 states under
+/// both the legacy and the per-analysis name.
+#[test]
+fn lattice_counters_are_published_once_per_analysis() {
+    let dir = std::env::temp_dir().join(format!("jmpax-telemetry-once-{}", std::process::id()));
+    let out_dir = dir.to_str().unwrap().to_owned();
+    for argv in [
+        vec![
+            "trace",
+            "xyz",
+            "--out",
+            out_dir.as_str(),
+            "--telemetry",
+            "json",
+        ],
+        vec!["demo", "xyz", "--telemetry", "json"],
+    ] {
+        let out = run_cli(&argv, None);
+        let report = out.telemetry.expect("--telemetry json must yield a report");
+        let value = json::parse(&report).expect("valid JSON");
+        let counter = |name: &str| {
+            value
+                .get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(|m| m.get("value"))
+                .and_then(json::Value::as_u64)
+        };
+        assert_eq!(counter("lattice.states_explored"), Some(7), "{argv:?}");
+        assert_eq!(counter("analysis.ltl.states_explored"), Some(7), "{argv:?}");
+        assert_eq!(counter("lattice.total_runs"), Some(3), "{argv:?}");
+        assert_eq!(counter("lattice.violating_runs"), Some(1), "{argv:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -330,6 +330,106 @@ mod tests {
     }
 
     #[test]
+    fn read_write_and_write_read_race() {
+        let r = run(&[Event::read(T0, X), Event::write(T1, X, 1)], &[]);
+        assert_eq!(r.races_found, 1);
+        assert!(!r.findings[0].first.is_write && r.findings[0].second.is_write);
+        let r = run(&[Event::write(T0, X, 1), Event::read(T1, X)], &[]);
+        assert_eq!(r.races_found, 1);
+        assert!(r.findings[0].first.is_write && !r.findings[0].second.is_write);
+    }
+
+    #[test]
+    fn same_thread_never_races() {
+        let r = run(
+            &[
+                Event::write(T0, X, 1),
+                Event::read(T0, X),
+                Event::write(T0, X, 2),
+            ],
+            &[],
+        );
+        assert!(r.satisfied(), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn partial_locking_still_races() {
+        // T0 holds the lock, T1 does not.
+        let events = [
+            Event::write(T0, M, 1),
+            Event::write(T0, X, 1),
+            Event::write(T0, M, 0),
+            Event::write(T1, X, 2),
+        ];
+        assert_eq!(run(&events, &[M]).races_found, 1);
+    }
+
+    #[test]
+    fn race_is_predicted_even_when_far_apart_in_the_trace() {
+        // The racing accesses are separated by lots of unrelated activity —
+        // a single-trace "overlap" detector would see nothing suspicious.
+        let y = VarId(2);
+        let mut events = vec![Event::write(T0, X, 1)];
+        for i in 0..50 {
+            events.push(Event::write(T0, y, i));
+            events.push(Event::read(T1, y));
+        }
+        events.push(Event::write(T1, X, 2));
+        let r = run(&events, &[]);
+        assert!(r.findings.iter().any(|f| f.var == X), "{:?}", r.findings);
+    }
+
+    /// Runs the detector the way the suite does: over the causal delivery
+    /// of instrumented messages, in whatever order they arrive.
+    fn over_the_wire(
+        events: &[Event],
+        relevance: jmpax_core::Relevance,
+        sync: &[VarId],
+    ) -> RaceReport {
+        use crate::analyses::AnalysisSuite;
+        use jmpax_core::MvcInstrumentor;
+
+        let mut instr = MvcInstrumentor::with_relevance(relevance);
+        let mut msgs: Vec<_> = events.iter().filter_map(|e| instr.process(e)).collect();
+        msgs.reverse();
+        let a = RaceAnalysis::new(2, sync.iter().copied().collect());
+        let mut suite = AnalysisSuite::new(vec![Box::new(a)]);
+        suite.push_all(msgs);
+        match suite.finish(Exactness::Exact).reports.pop() {
+            Some(AnalysisReport::Race(r)) => r,
+            other => panic!("unexpected report {other:?}"),
+        }
+    }
+
+    #[test]
+    fn races_detected_over_the_wire_in_any_delivery_order() {
+        let events = [
+            Event::write(T0, X, 1),
+            Event::read(T0, X),
+            Event::read(T1, X),
+            Event::write(T1, X, 2),
+        ];
+        let r = over_the_wire(&events, jmpax_core::Relevance::accesses_of([X]), &[]);
+        assert!(!r.satisfied());
+        assert!(r.findings.iter().all(|f| f.var == X));
+    }
+
+    #[test]
+    fn locked_accesses_over_the_wire_are_clean() {
+        // acquire/release pseudo-writes interleave with data accesses.
+        let events = [
+            Event::write(T0, M, 1),
+            Event::write(T0, X, 1),
+            Event::write(T0, M, 0),
+            Event::write(T1, M, 1),
+            Event::write(T1, X, 2),
+            Event::write(T1, M, 0),
+        ];
+        let r = over_the_wire(&events, jmpax_core::Relevance::AllWrites, &[M]);
+        assert!(r.satisfied(), "{:?}", r.findings);
+    }
+
+    #[test]
     fn findings_budget_truncates_but_counts() {
         let mut a = Box::new(RaceAnalysis::new(2, BTreeSet::new()).with_max_findings(0));
         let clock = VectorClock::with_threads(2);

@@ -1,77 +1,31 @@
-//! Predictive analysis over the full lattice: check a property against
-//! **every** multithreaded run in parallel.
+//! The test oracle: predictive analysis over the fully materialized
+//! lattice.
 //!
 //! Section 4 of the paper: "the idea is to store the state of the FSM or of
 //! the synthesized monitor together with each global state in the
 //! computation lattice … in any global state, all the information needed
 //! about the past can be stored via a set of states in the FSM". This module
-//! does exactly that: each node carries the set of reachable monitor
-//! memories; an edge steps every memory; a step that outputs *false* is a
-//! predicted violation of the safety property on every run realizing that
-//! path. Satisfying runs are counted exactly by dynamic programming over
-//! `(node, memory)` pairs, so `violating_runs = total_runs − satisfying`.
+//! does exactly that over a retained [`Lattice`]: each node carries the set
+//! of reachable monitor memories; an edge steps every memory; a step that
+//! outputs *false* is a predicted violation of the safety property on every
+//! run realizing that path. Satisfying runs are counted exactly by dynamic
+//! programming over `(node, memory)` pairs, so
+//! `violating_runs = total_runs − satisfying`.
+//!
+//! Production analyses run on [`crate::StreamingAnalyzer`]; this module is
+//! the independent implementation the equivalence tests hold it to.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-use jmpax_core::{Message, ThreadId};
-use jmpax_spec::{Monitor, MonitorState, ProgramState};
+use jmpax_spec::{Monitor, MonitorState};
 
+use crate::builder::{Counterexample, RunStep, Violation};
 use crate::config::AnalysisConfig;
-use crate::cut::Cut;
 use crate::explore::{Lattice, NodeId};
 use crate::input::LatticeInput;
 
-/// One step of a (counter-example) run: the thread that moved, the message
-/// consumed, and the global state reached. The first step of a run has no
-/// thread/message — it is the initial state.
-#[derive(Clone, Debug)]
-pub struct RunStep {
-    /// The advancing thread (`None` for the initial state).
-    pub thread: Option<ThreadId>,
-    /// The relevant message consumed (`None` for the initial state).
-    pub message: Option<Message>,
-    /// The global state after the step.
-    pub state: ProgramState,
-}
-
-/// A complete violating run, from the initial state to the violating state.
-#[derive(Clone, Debug)]
-pub struct Counterexample {
-    /// The steps, starting with the initial state.
-    pub steps: Vec<RunStep>,
-}
-
-impl Counterexample {
-    /// The state sequence of the run.
-    #[must_use]
-    pub fn states(&self) -> Vec<ProgramState> {
-        self.steps.iter().map(|s| s.state.clone()).collect()
-    }
-
-    /// Length in events (steps minus the initial state).
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.steps.len().saturating_sub(1)
-    }
-}
-
-/// A predicted violation: the property evaluated to false at `cut`.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// The cut at which the property failed.
-    pub cut: Cut,
-    /// The global state at that cut.
-    pub state: ProgramState,
-    /// The monitor memory *after* the failing step (identifies the history
-    /// class of the runs that fail here).
-    pub memory: MonitorState,
-    /// A full violating run, when counterexample reconstruction was enabled
-    /// and within budget.
-    pub counterexample: Option<Counterexample>,
-}
-
-/// Result of a full predictive analysis.
+/// Result of the oracle's full-lattice analysis.
 #[derive(Clone, Debug)]
 pub struct LatticeAnalysis {
     /// Number of distinct global states (lattice nodes).
@@ -80,17 +34,13 @@ pub struct LatticeAnalysis {
     pub levels: usize,
     /// Widest level (peak per-level memory).
     pub max_level_width: usize,
-    /// Total multithreaded runs consistent with the computation.
+    /// Total multithreaded runs consistent with the computation
+    /// (saturating at `u128::MAX`).
     pub total_runs: u128,
     /// Runs that violate the property at some state.
     pub violating_runs: u128,
     /// Distinct `(cut, memory)` violation points, with counterexamples.
     pub violations: Vec<Violation>,
-    /// Whether the verdict covers every consistent run exactly, or upstream
-    /// resilience machinery (gap skipping, frontier pruning) lost
-    /// information. Full lattice analysis itself is always exact; degraded
-    /// values are threaded in by the ingestion pipeline.
-    pub exactness: crate::reassemble::Exactness,
 }
 
 impl LatticeAnalysis {
@@ -99,66 +49,13 @@ impl LatticeAnalysis {
     pub fn satisfied(&self) -> bool {
         self.violating_runs == 0 && self.violations.is_empty()
     }
-
-    /// True when the property failure was *predicted* rather than observed:
-    /// some runs violate but not all (in particular the analysis found
-    /// erroneous schedules even though a successful one exists).
-    #[must_use]
-    pub fn prediction_only(&self) -> bool {
-        self.violating_runs > 0 && self.violating_runs < self.total_runs
-    }
-
-    /// Publishes this analysis's statistics into `registry` under the same
-    /// `lattice.*` metric names the streaming analyzer uses, so offline
-    /// (retained-lattice) and online analyses render through one snapshot.
-    /// Run counts saturate at `u64::MAX` — they are combinatorial and can
-    /// exceed the counter width.
-    pub fn record(&self, registry: &jmpax_telemetry::Registry) {
-        registry
-            .counter("lattice.states_explored")
-            .add(self.states as u64);
-        registry
-            .counter("lattice.levels_built")
-            .add(self.levels as u64);
-        registry
-            .gauge("lattice.peak_frontier")
-            .set(self.max_level_width as u64);
-        registry
-            .counter("lattice.total_runs")
-            .add(u64::try_from(self.total_runs).unwrap_or(u64::MAX));
-        registry
-            .counter("lattice.violating_runs")
-            .add(u64::try_from(self.violating_runs).unwrap_or(u64::MAX));
-        registry
-            .counter("lattice.violations")
-            .add(self.violations.len() as u64);
-        // The uniform per-analysis family (`analysis.<kind>.*`), mirroring
-        // `StreamReport::record_analysis`, so full-lattice and streaming
-        // runs of the ptLTL checker are comparable under one metric name.
-        registry
-            .counter("analysis.ltl.violations")
-            .add(self.violations.len() as u64);
-        registry
-            .counter("analysis.ltl.states_explored")
-            .add(self.states as u64);
-        registry
-            .counter("analysis.ltl.levels_built")
-            .add(self.levels as u64);
-    }
 }
 
 /// Convenience: build the lattice from `input` and analyze it with the
-/// default (sequential, exact) configuration.
+/// default configuration.
 #[must_use]
 pub fn analyze(input: LatticeInput, monitor: &Monitor) -> LatticeAnalysis {
-    analyze_with(input, monitor, &AnalysisConfig::default())
-}
-
-/// Builds the lattice from `input` (honoring `config.parallelism` — see
-/// [`Lattice::build_with`]) and checks `monitor` against every run.
-#[must_use]
-pub fn analyze_with(input: LatticeInput, monitor: &Monitor, config: &AnalysisConfig) -> LatticeAnalysis {
-    analyze_lattice(&Lattice::build_with(input, config), monitor, *config)
+    analyze_lattice(&Lattice::build(input), monitor, AnalysisConfig::default())
 }
 
 /// Checks `monitor` against every run of the materialized lattice.
@@ -201,7 +98,10 @@ pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor, options: AnalysisCo
                     };
                     if ok {
                         match alive[succ].entry(next_mem) {
-                            Entry::Occupied(mut e) => *e.get_mut() += count,
+                            Entry::Occupied(mut e) => {
+                                let runs = e.get_mut();
+                                *runs = runs.saturating_add(count);
+                            }
                             Entry::Vacant(e) => {
                                 e.insert(count);
                                 parent[succ].insert(next_mem, (nid, mem));
@@ -218,7 +118,9 @@ pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor, options: AnalysisCo
 
     let total_runs = lattice.count_runs();
     let top = lattice.top();
-    let satisfying: u128 = alive[top].values().sum();
+    let satisfying = alive[top]
+        .values()
+        .fold(0u128, |acc, &c| acc.saturating_add(c));
     let violating_runs = total_runs.saturating_sub(satisfying);
 
     // Reconstruct counterexamples.
@@ -244,7 +146,6 @@ pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor, options: AnalysisCo
         total_runs,
         violating_runs,
         violations: out,
-        exactness: crate::reassemble::Exactness::Exact,
     }
 }
 
@@ -287,44 +188,12 @@ fn reconstruct(
     Counterexample { steps }
 }
 
-/// Checks several properties against the **same** lattice in one pass each
-/// — the lattice construction (usually the dominant cost) is shared. The
-/// relevance used to build the input must cover the union of the formulas'
-/// variables, otherwise properties over unwatched variables see stale
-/// values.
-#[must_use]
-pub fn analyze_multi(
-    lattice: &Lattice,
-    monitors: &[Monitor],
-    options: AnalysisConfig,
-) -> Vec<LatticeAnalysis> {
-    monitors
-        .iter()
-        .map(|m| analyze_lattice(lattice, m, options))
-        .collect()
-}
-
-/// Checks a single linear run (the observed one) — the JPaX-style baseline,
-/// exposed here so callers can compare predictive vs single-trace analysis
-/// without the full lattice.
-#[must_use]
-pub fn check_single_run(states: &[ProgramState], monitor: &Monitor) -> Option<usize> {
-    monitor.first_violation(states)
-}
-
-/// Helper mirroring the paper's experiments: analyze `input` and report the
-/// triple (states, total runs, violating runs).
-#[must_use]
-pub fn summarize(input: LatticeInput, monitor: &Monitor) -> (usize, u128, u128) {
-    let a = analyze(input, monitor);
-    (a.states, a.total_runs, a.violating_runs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cut::Cut;
     use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
-    use jmpax_spec::parse;
+    use jmpax_spec::{parse, ProgramState};
 
     const T1: ThreadId = ThreadId(0);
     const T2: ThreadId = ThreadId(1);
@@ -363,7 +232,10 @@ mod tests {
         assert_eq!(analysis.states, 7);
         assert_eq!(analysis.total_runs, 3);
         assert_eq!(analysis.violating_runs, 1);
-        assert!(analysis.prediction_only());
+        assert!(
+            analysis.violating_runs < analysis.total_runs,
+            "a prediction"
+        );
         assert!(!analysis.satisfied());
         assert!(!analysis.violations.is_empty());
     }
@@ -407,7 +279,7 @@ mod tests {
             .iter()
             .map(|c| lat.nodes()[lat.node_by_cut(c).unwrap()].state.clone())
             .collect();
-        assert_eq!(check_single_run(&states, &monitor), None);
+        assert_eq!(monitor.first_violation(&states), None);
         let analysis = analyze_lattice(&lat, &monitor, AnalysisConfig::default());
         assert_eq!(analysis.violating_runs, 1);
     }
@@ -461,7 +333,7 @@ mod tests {
         let analysis = analyze(input, &monitor);
         assert_eq!(analysis.total_runs, 2);
         assert_eq!(analysis.violating_runs, 2);
-        assert!(!analysis.prediction_only());
+        assert_eq!(analysis.violating_runs, analysis.total_runs);
     }
 
     #[test]
@@ -482,7 +354,8 @@ mod tests {
     #[test]
     fn summarize_returns_triple() {
         let (input, monitor) = fig6();
-        assert_eq!(summarize(input, &monitor), (7, 3, 1));
+        let a = analyze(input, &monitor);
+        assert_eq!((a.states, a.total_runs, a.violating_runs), (7, 3, 1));
     }
 
     #[test]
@@ -495,11 +368,10 @@ mod tests {
         let always_true = parse("x >= -1", &mut syms).unwrap().monitor().unwrap();
         let always_false = parse("x < -1", &mut syms).unwrap().monitor().unwrap();
         let lat = Lattice::build(input);
-        let results = analyze_multi(
-            &lat,
-            &[paper_monitor, always_true, always_false],
-            AnalysisConfig::default(),
-        );
+        let results: Vec<LatticeAnalysis> = [paper_monitor, always_true, always_false]
+            .iter()
+            .map(|m| analyze_lattice(&lat, m, AnalysisConfig::default()))
+            .collect();
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].violating_runs, 1);
         assert_eq!(results[1].violating_runs, 0);

@@ -11,12 +11,15 @@
 //! embeds a [`CausalBuffer`]), advances the lattice frontier one level at a
 //! time whenever every frontier cut has all the messages it needs, and
 //! retains only the current frontier plus per-thread queues of undelivered
-//! messages. Violations are reported with the cut, state and monitor memory
-//! (full counterexample paths require the retained lattice of
-//! [`crate::analysis`]).
+//! messages. Each frontier node carries its alive monitor memories with
+//! run-prefix counts, so the report's total and violating run counts are
+//! exact sums over levels. Violations are reported with the cut, state and
+//! monitor memory, plus a counterexample that reaches the initial state
+//! whenever the retained history ([`StreamingAnalyzer::with_history`])
+//! covers the whole run.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use jmpax_core::{CausalBuffer, Message, ThreadId};
@@ -29,29 +32,68 @@ use crate::cut::Cut;
 use crate::parallel::{self, ExpansionPool, LevelShared};
 use crate::reassemble::Exactness;
 
-/// A violation observed by the streaming analyzer.
+/// One step of a (counter-example) run: the thread that moved, the message
+/// consumed, and the global state reached. The initial state of a complete
+/// run has no thread/message.
 #[derive(Clone, Debug)]
-pub struct StreamViolation {
+pub struct RunStep {
+    /// The advancing thread (`None` for the initial state).
+    pub thread: Option<ThreadId>,
+    /// The relevant message consumed (`None` for the initial state).
+    pub message: Option<Message>,
+    /// The global state after the step.
+    pub state: ProgramState,
+}
+
+/// A violating run, oldest step first, ending at the violating state. It
+/// starts at the initial state when the retained history covers the whole
+/// run; otherwise it holds the run's most recent steps.
+#[derive(Clone, Debug)]
+pub struct Counterexample {
+    /// The steps, oldest first.
+    pub steps: Vec<RunStep>,
+}
+
+impl Counterexample {
+    /// The state sequence of the run.
+    #[must_use]
+    pub fn states(&self) -> Vec<ProgramState> {
+        self.steps.iter().map(|s| s.state.clone()).collect()
+    }
+
+    /// Length in events (steps minus the initial state, when present).
+    #[must_use]
+    pub fn event_count(&self) -> usize {
+        self.steps.iter().filter(|s| s.thread.is_some()).count()
+    }
+
+    /// True when the run starts at the initial state (the bottom cut).
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.steps.first().is_some_and(|s| s.thread.is_none())
+    }
+}
+
+/// A predicted violation: the property evaluated to false at `cut`.
+#[derive(Clone, Debug)]
+pub struct Violation {
     /// The cut at which the property failed.
     pub cut: Cut,
     /// The global state at that cut.
     pub state: ProgramState,
-    /// The monitor memory after the failing step.
+    /// The monitor memory *after* the failing step (identifies the history
+    /// class of the runs that fail here).
     pub memory: MonitorState,
-    /// The last steps of a violating run, oldest first, ending at the
-    /// violating `(cut, state)`. Only as long as the retained history
-    /// ([`StreamingAnalyzer::with_history`]) allows — the paper's
-    /// "garbage-collected" middle ground between two-level streaming and
-    /// full counterexample retention. Always contains at least the
-    /// violating state itself.
-    pub trail: Vec<(Cut, ProgramState)>,
+    /// A violating run ending here, for the first
+    /// [`AnalysisConfig::max_counterexamples`] violations.
+    pub counterexample: Option<Counterexample>,
 }
 
 /// Summary statistics of a completed streaming analysis.
 #[derive(Clone, Debug)]
 pub struct StreamReport {
     /// All violations found, in discovery order.
-    pub violations: Vec<StreamViolation>,
+    pub violations: Vec<Violation>,
     /// Total lattice nodes explored (states analyzed).
     pub states_explored: u64,
     /// Number of frontier advances performed (lattice levels built).
@@ -69,13 +111,30 @@ pub struct StreamReport {
     /// relevance policies); each was treated as a stutter step instead of
     /// aborting the analysis.
     pub non_writes_skipped: u64,
+    /// Multithreaded runs (bottom→top paths) consistent with the
+    /// computation, or with its explored part under a frontier cap.
+    /// Saturates at `u128::MAX` ([`StreamReport::SATURATED`]).
+    pub total_runs: u128,
+    /// Runs that violate the property at some state. Saturating, like
+    /// `total_runs`.
+    pub violating_runs: u128,
 }
 
 impl StreamReport {
+    /// The value a run count saturates at: counts are combinatorial and a
+    /// count that reaches this value means "at least this many".
+    pub const SATURATED: u128 = u128::MAX;
+
     /// No violation was found on any run.
     #[must_use]
     pub fn satisfied(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Lattice levels reached, bottom cut included (`levels_built + 1`).
+    #[must_use]
+    pub fn levels(&self) -> u32 {
+        self.levels_built + 1
     }
 
     /// Publishes this report's statistics into `registry` under the same
@@ -101,6 +160,12 @@ impl StreamReport {
         registry
             .counter("lattice.non_writes_skipped")
             .add(self.non_writes_skipped);
+        registry
+            .counter("lattice.total_runs")
+            .add(saturating_u64(self.total_runs));
+        registry
+            .counter("lattice.violating_runs")
+            .add(saturating_u64(self.violating_runs));
         self.record_analysis(registry);
     }
 
@@ -124,22 +189,97 @@ impl StreamReport {
     }
 }
 
+/// Run counts are `u128`; counters are `u64`. Both saturate.
+fn saturating_u64(n: u128) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+/// One alive monitor memory at a frontier cut.
+#[derive(Clone, Debug)]
+pub(crate) struct Alive {
+    /// Run prefixes (bottom→cut paths) reaching the cut in this memory.
+    pub(crate) runs: u128,
+    /// The predecessor `(cut, memory)` that first produced this memory,
+    /// for counterexample reconstruction through the retained history;
+    /// `None` at the bottom cut.
+    pub(crate) parent: Option<(Cut, MonitorState)>,
+}
+
 #[derive(Clone, Debug)]
 pub(crate) struct FrontierNode {
     pub(crate) state: ProgramState,
     /// Alive monitor memories reaching this cut.
-    pub(crate) mems: HashSet<MonitorState>,
+    pub(crate) mems: HashMap<MonitorState, Alive>,
+    /// Run prefixes reaching this cut that already violated the property.
+    pub(crate) violated: u128,
     /// Dead memories (for violation dedup).
     pub(crate) dead: HashSet<MonitorState>,
-    /// One predecessor `(cut, memory)` per alive memory, for trail
-    /// reconstruction through the retained history.
-    pub(crate) parents: HashMap<MonitorState, (Cut, MonitorState)>,
 }
 
-/// A violation discovered during level expansion, before its trail is
-/// reconstructed. Trails walk the retained history, which only the
-/// analyzer owns, so expansion (sequential or sharded) reports seeds and
-/// the analyzer finishes them on the main thread.
+impl FrontierNode {
+    pub(crate) fn new(state: ProgramState) -> Self {
+        Self {
+            state,
+            mems: HashMap::new(),
+            violated: 0,
+            dead: HashSet::new(),
+        }
+    }
+
+    /// The source's alive memories in ascending order — the order both
+    /// expansion paths step them in.
+    pub(crate) fn sorted_mems(&self, out: &mut Vec<(MonitorState, u128)>) {
+        out.clear();
+        out.extend(self.mems.iter().map(|(&m, a)| (m, a.runs)));
+        out.sort_unstable_by_key(|&(m, _)| m);
+    }
+
+    /// Folds one edge from `src_cut` into this successor: the source's
+    /// violated prefixes stay violated, and every alive memory (pre-sorted
+    /// by [`FrontierNode::sorted_mems`]) is stepped through `step`. Returns
+    /// the memories that died here for the first time, each with the
+    /// source memory whose step failed. Run counts are sums, so the result
+    /// does not depend on the order edges are applied in.
+    pub(crate) fn absorb(
+        &mut self,
+        src_cut: &Cut,
+        src_violated: u128,
+        src_mems: &[(MonitorState, u128)],
+        mut step: impl FnMut(MonitorState, &ProgramState) -> (MonitorState, bool),
+    ) -> Vec<(MonitorState, MonitorState)> {
+        let mut died = Vec::new();
+        self.violated = self.violated.saturating_add(src_violated);
+        for &(mem, runs) in src_mems {
+            let (next, ok) = step(mem, &self.state);
+            if ok {
+                match self.mems.entry(next) {
+                    Entry::Occupied(mut e) => {
+                        let alive = e.get_mut();
+                        alive.runs = alive.runs.saturating_add(runs);
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(Alive {
+                            runs,
+                            parent: Some((src_cut.clone(), mem)),
+                        });
+                    }
+                }
+            } else {
+                self.violated = self.violated.saturating_add(runs);
+                if self.dead.insert(next) {
+                    died.push((next, mem));
+                }
+            }
+        }
+        died
+    }
+}
+
+/// A violation discovered during level expansion, before its
+/// counterexample is reconstructed. Counterexamples walk the retained
+/// history, which only the analyzer owns, so expansion (sequential or
+/// sharded) reports seeds and the analyzer finishes them on the main
+/// thread.
 pub(crate) struct ViolationSeed {
     pub(crate) cut: Cut,
     pub(crate) state: ProgramState,
@@ -193,10 +333,12 @@ pub struct StreamingAnalyzer {
     ended: Vec<bool>,
     frontier: HashMap<Cut, FrontierNode>,
     /// Retired levels, newest last, bounded by `history`.
-    past: std::collections::VecDeque<HashMap<Cut, FrontierNode>>,
-    /// How many retired levels to keep for violation trails.
+    past: VecDeque<HashMap<Cut, FrontierNode>>,
+    /// How many retired levels to keep for counterexamples.
     history: usize,
-    violations: Vec<StreamViolation>,
+    /// Reconstruct counterexamples for at most this many violations.
+    max_counterexamples: usize,
+    violations: Vec<Violation>,
     states_explored: u64,
     levels_built: u32,
     peak_frontier: usize,
@@ -228,9 +370,12 @@ pub struct StreamingAnalyzer {
     tel_peak: Gauge,
     tel_pruned: Counter,
     tel_non_writes: Counter,
+    tel_total_runs: Counter,
+    tel_violating_runs: Counter,
     /// Per-level stage latencies: frontier expansion
-    /// (`lattice.stage.expand_ns`) and the post-expansion seal — violation
-    /// trails, pruning, retiring the level (`lattice.stage.seal_ns`).
+    /// (`lattice.stage.expand_ns`) and the post-expansion seal —
+    /// counterexamples, pruning, retiring the level
+    /// (`lattice.stage.seal_ns`).
     tel_expand: Histogram,
     tel_seal: Histogram,
     /// `lattice.parallel.*` metrics, recorded only on levels the worker
@@ -266,9 +411,10 @@ impl StreamingAnalyzer {
     /// merged into an already-created node of the next level),
     /// `lattice.levels_built`, `lattice.violations`,
     /// `lattice.frontier_width` (histogram, one sample per completed
-    /// level), `lattice.peak_frontier` (gauge), and per-level stage
-    /// latency histograms `lattice.stage.expand_ns` /
-    /// `lattice.stage.seal_ns`.
+    /// level), `lattice.peak_frontier` (gauge), per-level stage latency
+    /// histograms `lattice.stage.expand_ns` / `lattice.stage.seal_ns`, and
+    /// at [`StreamingAnalyzer::finish`] the run counts
+    /// `lattice.total_runs` / `lattice.violating_runs`.
     #[must_use]
     pub fn with_telemetry(
         monitor: Monitor,
@@ -289,21 +435,30 @@ impl StreamingAnalyzer {
         let bottom = Cut::bottom(threads);
         let mut frontier = HashMap::new();
         let mut violations = Vec::new();
-        let mut node = FrontierNode {
-            state: initial.clone(),
-            mems: HashSet::new(),
-            dead: HashSet::new(),
-            parents: HashMap::new(),
-        };
+        let mut node = FrontierNode::new(initial.clone());
         if ok0 {
-            node.mems.insert(mem0);
+            node.mems.insert(
+                mem0,
+                Alive {
+                    runs: 1,
+                    parent: None,
+                },
+            );
         } else {
+            node.violated = 1;
             node.dead.insert(mem0);
-            violations.push(StreamViolation {
+            let initial_step = RunStep {
+                thread: None,
+                message: None,
+                state: initial.clone(),
+            };
+            violations.push(Violation {
                 cut: bottom.clone(),
                 state: initial.clone(),
                 memory: mem0,
-                trail: vec![(bottom.clone(), initial.clone())],
+                counterexample: Some(Counterexample {
+                    steps: vec![initial_step],
+                }),
             });
         }
         frontier.insert(bottom, node);
@@ -321,8 +476,9 @@ impl StreamingAnalyzer {
             delivered: Arc::new(vec![Vec::new(); threads]),
             ended: vec![false; threads],
             frontier,
-            past: std::collections::VecDeque::new(),
+            past: VecDeque::new(),
             history: 0,
+            max_counterexamples: AnalysisConfig::default().max_counterexamples,
             violations,
             states_explored: 1,
             levels_built: 0,
@@ -343,6 +499,8 @@ impl StreamingAnalyzer {
             tel_peak,
             tel_pruned: registry.counter("lattice.frontier_pruned"),
             tel_non_writes: registry.counter("lattice.non_writes_skipped"),
+            tel_total_runs: registry.counter("lattice.total_runs"),
+            tel_violating_runs: registry.counter("lattice.violating_runs"),
             tel_expand: registry.histogram("lattice.stage.expand_ns"),
             tel_seal: registry.histogram("lattice.stage.seal_ns"),
             tel_shard_width: registry.histogram("lattice.parallel.shard_width"),
@@ -373,7 +531,7 @@ impl StreamingAnalyzer {
     /// Expands wide frontier levels across up to `workers` threads
     /// (`0`/`1` = sequential). Sharding is by cut hash with a
     /// deterministic merge, so every observable output — verdicts,
-    /// violation order, trails, telemetry counts, the final
+    /// violation order, counterexamples, telemetry counts, the final
     /// [`StreamReport`] — is bit-identical to the sequential path; the
     /// only evidence the pool ran is the `lattice.parallel.*` metric
     /// family and the `lattice.shard<N>` trace lanes. Levels narrower
@@ -400,8 +558,8 @@ impl StreamingAnalyzer {
     }
 
     /// Enables or disables the per-level monitor step cache (default on).
-    /// Purely physical: verdicts, trails, traces and all logical counters
-    /// are bit-identical either way.
+    /// Purely physical: verdicts, counterexamples, traces and all logical
+    /// counters are bit-identical either way.
     #[must_use]
     pub fn with_eval_cache(mut self, enabled: bool) -> Self {
         self.eval_cache = enabled;
@@ -419,13 +577,13 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Applies every streaming knob of an [`AnalysisConfig`] at once:
-    /// history, frontier cap, parallelism, shard granularity, and the
-    /// step cache (`max_counterexamples` only affects the full-lattice
-    /// analysis).
+    /// Applies every knob of an [`AnalysisConfig`] at once: history
+    /// (unset means two-level), counterexample budget, frontier cap,
+    /// parallelism, shard granularity, and the step cache.
     #[must_use]
     pub fn with_config(mut self, config: &AnalysisConfig) -> Self {
-        self.history = config.history;
+        self.history = config.history.unwrap_or(0);
+        self.max_counterexamples = config.max_counterexamples;
         self.frontier_cap = (config.frontier_cap > 0).then_some(config.frontier_cap);
         self.parallelism = config.workers();
         self.shard_granularity = if config.shard_granularity == 0 {
@@ -437,12 +595,14 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Retains up to `levels` retired lattice levels so that violations
-    /// carry a trail of that length. `0` (the default) is the paper's pure
-    /// two-level mode; larger values trade memory for diagnostics, with the
-    /// older levels garbage-collected exactly as Section 4 suggests
-    /// ("parts of the lattice which become non-relevant … can be
-    /// garbage-collected while the analysis process continues").
+    /// Retains up to `levels` retired lattice levels so that
+    /// counterexamples carry that many more steps. `0` (the default) is the
+    /// paper's pure two-level mode; larger values trade memory for
+    /// diagnostics, with the older levels garbage-collected exactly as
+    /// Section 4 suggests ("parts of the lattice which become non-relevant
+    /// … can be garbage-collected while the analysis process continues").
+    /// `usize::MAX` keeps every level, so counterexamples reach the
+    /// initial state.
     #[must_use]
     pub fn with_history(mut self, levels: usize) -> Self {
         self.history = levels;
@@ -463,29 +623,44 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Reconstructs the trail ending at `(pred_cut, pred_mem) → violation`.
-    fn trail_for(
+    /// Reconstructs the violating run ending at `seed`: parent pointers
+    /// lead back through the sealed level `current` and the retained
+    /// history. Every step names its thread (the cut difference) and
+    /// message; the run starts at the initial state when the history
+    /// reaches the bottom cut.
+    fn counterexample(
         &self,
         current: &HashMap<Cut, FrontierNode>,
-        violating: (Cut, ProgramState),
-        pred: Option<(Cut, MonitorState)>,
-    ) -> Vec<(Cut, ProgramState)> {
-        let mut rev = vec![violating];
-        let mut cursor = pred;
-        // The predecessor lives in `current`; its ancestors in `past`.
-        let mut levels: Vec<&HashMap<Cut, FrontierNode>> = vec![current];
-        levels.extend(self.past.iter().rev());
-        let mut level_idx = 0;
-        while let Some((cut, mem)) = cursor {
-            let Some(node) = levels.get(level_idx).and_then(|l| l.get(&cut)) else {
+        seed: &ViolationSeed,
+    ) -> Counterexample {
+        let mut cuts = vec![(seed.cut.clone(), seed.state.clone())];
+        let mut cursor = Some(seed.pred.clone());
+        for level in std::iter::once(current).chain(self.past.iter().rev()) {
+            let Some((cut, mem)) = cursor.take() else {
                 break;
             };
-            rev.push((cut.clone(), node.state.clone()));
-            cursor = node.parents.get(&mem).map(|(c, m)| (c.clone(), *m));
-            level_idx += 1;
+            let Some(node) = level.get(&cut) else {
+                break;
+            };
+            cursor = node.mems.get(&mem).and_then(|a| a.parent.clone());
+            cuts.push((cut, node.state.clone()));
         }
-        rev.reverse();
-        rev
+        // `cursor` is now the oldest step's predecessor, or `None` when the
+        // walk reached the bottom cut.
+        let mut prev = cursor.map(|(cut, _)| cut);
+        let mut steps = Vec::with_capacity(cuts.len());
+        for (cut, state) in cuts.into_iter().rev() {
+            let thread = prev.as_ref().and_then(|p| p.advancing_thread(&cut));
+            let message =
+                thread.map(|t| self.delivered[t.index()][cut.get(t) as usize - 1].clone());
+            steps.push(RunStep {
+                thread,
+                message,
+                state,
+            });
+            prev = Some(cut);
+        }
+        Counterexample { steps }
     }
 
     /// Offers one message (any delivery order) and advances the frontier as
@@ -534,6 +709,20 @@ impl StreamingAnalyzer {
         let completed = self.buffer.is_drained()
             && self.frontier.len() == 1
             && self.frontier.keys().next().is_some_and(|c| self.is_top(c));
+        // Every run prefix reaching the final frontier either violated on
+        // the way or is alive in some memory.
+        let (mut total_runs, mut violating_runs) = (0u128, 0u128);
+        for node in self.frontier.values() {
+            violating_runs = violating_runs.saturating_add(node.violated);
+            total_runs = node
+                .mems
+                .values()
+                .fold(total_runs.saturating_add(node.violated), |acc, a| {
+                    acc.saturating_add(a.runs)
+                });
+        }
+        self.tel_total_runs.add(saturating_u64(total_runs));
+        self.tel_violating_runs.add(saturating_u64(violating_runs));
         StreamReport {
             violations: self.violations,
             states_explored: self.states_explored,
@@ -542,13 +731,15 @@ impl StreamingAnalyzer {
             completed,
             exactness: Exactness::degraded(self.dropped_cuts, 0),
             non_writes_skipped: self.non_writes_skipped,
+            total_runs,
+            violating_runs,
         }
     }
 
     /// Violations found so far (available mid-stream — the analysis is
     /// online).
     #[must_use]
-    pub fn violations(&self) -> &[StreamViolation] {
+    pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
 
@@ -620,10 +811,10 @@ impl StreamingAnalyzer {
         };
         let mut sources: Vec<&Cut> = current.keys().collect();
         sources.sort();
+        let mut mems = Vec::new();
         for cut in sources {
             let node = &current[cut];
-            let mut mems: Vec<MonitorState> = node.mems.iter().copied().collect();
-            mems.sort_unstable();
+            node.sorted_mems(&mut mems);
             for t in 0..self.threads {
                 let Some(msg) = parallel::enabled(&self.delivered, cut, t) else {
                     continue;
@@ -651,21 +842,10 @@ impl StreamingAnalyzer {
                             Some((var, value)) => node.state.updated(var, value),
                             None => node.state.clone(),
                         };
-                        e.insert(FrontierNode {
-                            state,
-                            mems: HashSet::new(),
-                            dead: HashSet::new(),
-                            parents: HashMap::new(),
-                        })
+                        e.insert(FrontierNode::new(state))
                     }
                 };
-                let FrontierNode {
-                    state,
-                    mems: succ_mems,
-                    dead,
-                    parents,
-                } = entry;
-                for &mem in &mems {
+                let died = entry.absorb(cut, node.violated, &mems, |mem, state| {
                     let (next_mem, ok) = if self.eval_cache {
                         self.monitor.step_cached(mem, state, &mut self.step_cache)
                     } else {
@@ -678,18 +858,15 @@ impl StreamingAnalyzer {
                             violated: !ok,
                         });
                     }
-                    if ok {
-                        if succ_mems.insert(next_mem) {
-                            parents.insert(next_mem, (cut.clone(), mem));
-                        }
-                    } else if dead.insert(next_mem) {
-                        out.seeds.push(ViolationSeed {
-                            cut: succ_cut.clone(),
-                            state: state.clone(),
-                            memory: next_mem,
-                            pred: (cut.clone(), mem),
-                        });
-                    }
+                    (next_mem, ok)
+                });
+                for (memory, mem) in died {
+                    out.seeds.push(ViolationSeed {
+                        cut: succ_cut.clone(),
+                        state: entry.state.clone(),
+                        memory,
+                        pred: (cut.clone(), mem),
+                    });
                 }
             }
         }
@@ -823,16 +1000,13 @@ impl StreamingAnalyzer {
             let level_violations = exp.seeds.len() as u64;
             self.tel_violations.add(level_violations);
             for seed in exp.seeds {
-                let trail = self.trail_for(
-                    &current,
-                    (seed.cut.clone(), seed.state.clone()),
-                    Some(seed.pred),
-                );
-                self.violations.push(StreamViolation {
+                let counterexample = (self.violations.len() < self.max_counterexamples)
+                    .then(|| self.counterexample(&current, &seed));
+                self.violations.push(Violation {
                     cut: seed.cut,
                     state: seed.state,
                     memory: seed.memory,
-                    trail,
+                    counterexample,
                 });
             }
             let mut next = exp.next;
@@ -944,6 +1118,7 @@ mod tests {
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.states_explored, 7);
         assert_eq!(report.levels_built, 4);
+        assert_eq!((report.total_runs, report.violating_runs), (3, 1));
         assert!(report.completed);
         assert!(report.peak_frontier <= 2);
     }
@@ -1005,25 +1180,38 @@ mod tests {
         s.push_all(msgs.clone());
         let report = s.finish();
         assert_eq!(report.violations.len(), 1);
-        let trail = &report.violations[0].trail;
-        // Full trail: S0,0 S1,0 S2,0 S2,1 S2,2 (the violating run).
-        assert_eq!(trail.len(), 5, "{trail:?}");
-        assert_eq!(trail[0].0, Cut::bottom(2));
-        assert_eq!(trail[4].0, Cut::from_counts(vec![2, 2]));
-        // The y=1-while-z=0 state is on the trail.
-        assert!(trail
+        let ce = report.violations[0].counterexample.as_ref().unwrap();
+        // The whole violating run S0,0 S1,0 S2,0 S2,1 S2,2: T1 twice (the
+        // y=1-while-z=0 state S2,0), then T2 twice.
+        assert!(ce.is_complete(), "{ce:?}");
+        let threads: Vec<_> = ce.steps.iter().map(|s| s.thread).collect();
+        assert_eq!(threads, [None, Some(T1), Some(T1), Some(T2), Some(T2)]);
+        // Each step consumes its thread's next delivered message.
+        let consumed: Vec<_> = ce.steps[1..]
             .iter()
-            .any(|(c, _)| *c == Cut::from_counts(vec![2, 0])));
+            .map(|s| s.message.clone().unwrap())
+            .collect();
+        assert_eq!(
+            consumed,
+            [
+                msgs[0].clone(),
+                msgs[2].clone(),
+                msgs[1].clone(),
+                msgs[3].clone()
+            ]
+        );
+        assert_eq!(ce.states().last(), Some(&report.violations[0].state));
 
-        // Without history the trail is just the step into the violation.
+        // Without history the counterexample is the step into the
+        // violation's predecessor plus the violating step.
         let (msgs2, monitor2, init2) = fig6_setup();
         let mut s = StreamingAnalyzer::new(monitor2, &init2, 2);
         s.push_all(msgs2);
-        let _ = msgs;
         let report = s.finish();
-        let trail = &report.violations[0].trail;
-        assert_eq!(trail.len(), 2, "{trail:?}");
-        assert_eq!(trail[1].0, Cut::from_counts(vec![2, 2]));
+        let ce = report.violations[0].counterexample.as_ref().unwrap();
+        assert_eq!(ce.steps.len(), 2, "{ce:?}");
+        assert!(!ce.is_complete());
+        assert_eq!(ce.steps[1].thread, Some(T2));
     }
 
     #[test]
@@ -1032,9 +1220,10 @@ mod tests {
         let mut s = StreamingAnalyzer::new(monitor, &init, 2).with_history(1);
         s.push_all(msgs);
         let report = s.finish();
-        let trail = &report.violations[0].trail;
+        let ce = report.violations[0].counterexample.as_ref().unwrap();
         // violating state + predecessor + one retired level = 3.
-        assert_eq!(trail.len(), 3, "{trail:?}");
+        assert_eq!(ce.steps.len(), 3, "{ce:?}");
+        assert_eq!(ce.event_count(), 3, "every step names its thread");
     }
 
     #[test]
@@ -1045,6 +1234,10 @@ mod tests {
         let report = s.finish();
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].cut, Cut::bottom(1));
+        assert_eq!((report.total_runs, report.violating_runs), (1, 1));
+        let ce = report.violations[0].counterexample.as_ref().unwrap();
+        assert!(ce.is_complete());
+        assert_eq!(ce.event_count(), 0);
     }
 
     #[test]
@@ -1156,6 +1349,11 @@ mod tests {
                 report.satisfied(),
                 full.satisfied(),
                 "seed {seed}: verdict mismatch"
+            );
+            assert_eq!(
+                (report.total_runs, report.violating_runs),
+                (full.total_runs, full.violating_runs),
+                "seed {seed}: run counts"
             );
         }
     }

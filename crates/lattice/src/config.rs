@@ -1,24 +1,19 @@
 //! The one configuration type shared by every analysis entrypoint.
 //!
-//! Three PRs of feature work left each knob on its own constructor:
-//! counterexample budgets on [`crate::analysis::analyze_lattice`],
-//! beam pruning on
-//! [`crate::StreamingAnalyzer::with_frontier_cap`], trail history on
-//! [`crate::StreamingAnalyzer::with_history`]. Adding a parallelism knob
-//! the same way would have made the combinatorial API worse, so all of
-//! them now live here: [`AnalysisConfig`] configures the full-lattice
-//! analysis ([`crate::analysis::analyze_lattice`] /
-//! [`crate::Lattice::build_with`]) and the streaming analyzer
-//! ([`crate::StreamingAnalyzer::with_config`]) alike, and downstream
-//! crates (observer pipeline, CLI) thread it through unchanged.
+//! Counterexample budget, beam pruning, counterexample history,
+//! parallelism and the step cache all live here: [`AnalysisConfig`]
+//! configures the streaming analyzer
+//! ([`crate::StreamingAnalyzer::with_config`]) and the test oracle
+//! ([`crate::analysis::analyze_lattice`], which reads only the
+//! counterexample budget and the step cache), and downstream crates
+//! (observer pipeline, CLI) thread it through unchanged.
 
-/// Knobs for lattice construction and predictive analysis, shared by the
-/// full-lattice and streaming paths. The default is the exact, sequential,
-/// two-level configuration the paper describes.
+/// Knobs for predictive analysis. The default is the exact, sequential
+/// configuration the paper describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnalysisConfig {
-    /// Reconstruct at most this many full counterexample runs (violation
-    /// summaries are always reported). Full-lattice analysis only.
+    /// Reconstruct at most this many counterexample runs (violation
+    /// summaries are always reported).
     pub max_counterexamples: usize,
     /// Worker threads for frontier expansion. `0` and `1` both mean
     /// sequential; `n ≥ 2` shards each level's cuts by hash across at most
@@ -30,17 +25,21 @@ pub struct AnalysisConfig {
     /// cuts in lexicographic order and the verdict degrades to
     /// [`crate::Exactness::Degraded`].
     pub frontier_cap: usize,
-    /// Retired streaming levels kept for violation trails; `0` is the
-    /// paper's pure two-level mode.
-    pub history: usize,
+    /// Retired streaming levels kept for counterexamples. `Some(0)` is the
+    /// paper's pure two-level mode and `Some(usize::MAX)` keeps every
+    /// level, so counterexamples reach the initial state. `None` (the
+    /// default) leaves the choice to the entry point: the analysis suite
+    /// and `jmpax serve` keep two levels, while `Pipeline::check_messages`
+    /// keeps every level.
+    pub history: Option<usize>,
     /// Minimum cuts per worker before a level engages the parallel path
     /// (`0` means the default, [`DEFAULT_SHARD_GRANULARITY`]). Narrower
     /// levels expand sequentially: below this width the channel traffic of
     /// sharding outweighs the win even with a persistent pool.
     pub shard_granularity: usize,
     /// Memoize monitor steps per `(memory, atom valuation)` within a level
-    /// (default `true`). Purely a performance knob: verdicts, trails and
-    /// traces are bit-identical either way — only the `spec.formula_evals`
+    /// (default `true`). Purely a performance knob: verdicts,
+    /// counterexamples and traces are bit-identical either way — only the `spec.formula_evals`
     /// / `spec.eval_cache_hits` split moves.
     pub eval_cache: bool,
 }
@@ -57,7 +56,7 @@ impl Default for AnalysisConfig {
             max_counterexamples: 16,
             parallelism: 1,
             frontier_cap: 0,
-            history: 0,
+            history: None,
             shard_granularity: DEFAULT_SHARD_GRANULARITY,
             eval_cache: true,
         }
@@ -89,7 +88,7 @@ impl AnalysisConfig {
     /// Sets how many retired levels the streaming analyzer retains.
     #[must_use]
     pub fn with_history(mut self, levels: usize) -> Self {
-        self.history = levels;
+        self.history = Some(levels);
         self
     }
 
@@ -139,7 +138,7 @@ mod tests {
         let c = AnalysisConfig::default();
         assert_eq!(c.parallelism, 1);
         assert_eq!(c.frontier_cap, 0);
-        assert_eq!(c.history, 0);
+        assert_eq!(c.history, None);
         assert_eq!(c.max_counterexamples, 16);
         assert_eq!(c.shard_granularity, DEFAULT_SHARD_GRANULARITY);
         assert!(c.eval_cache);
@@ -157,7 +156,7 @@ mod tests {
             .with_max_counterexamples(0);
         assert_eq!(c.parallelism, 8);
         assert_eq!(c.frontier_cap, 64);
-        assert_eq!(c.history, 2);
+        assert_eq!(c.history, Some(2));
         assert_eq!(c.shard_granularity, 16);
         assert!(!c.eval_cache);
         assert_eq!(c.max_counterexamples, 0);

@@ -4,44 +4,20 @@
 //! state; an edge `c → c'` exists when `c'` consumes exactly one more
 //! relevant event than `c` and stays consistent. Paths from the bottom to
 //! the top cut are exactly the *multithreaded runs* of Section 4. The full
-//! lattice is what the paper draws in Figs. 5 and 6; for big computations
-//! use the 2-level [`crate::StreamingAnalyzer`] instead.
+//! lattice is what the paper draws in Figs. 5 and 6. It serves DOT export,
+//! liveness lassos, and the test oracle ([`crate::analysis`]); analyses run
+//! on the level-by-level [`crate::StreamingAnalyzer`].
 
 use std::collections::HashMap;
 
 use jmpax_core::{Message, ThreadId};
 use jmpax_spec::ProgramState;
 
-use crate::config::AnalysisConfig;
 use crate::cut::Cut;
 use crate::input::LatticeInput;
 
 /// Index of a node within a [`Lattice`].
 pub type NodeId = usize;
-
-/// One enabled expansion discovered during a level scan: the source node,
-/// the advancing thread, the successor cut, and the write it applies.
-type Move = (NodeId, ThreadId, Cut, jmpax_core::VarId, jmpax_core::Value);
-
-/// Enabled moves of `slice`'s nodes, in `(slice order, thread)` order —
-/// the sequential visit order, so concatenating chunk results in chunk
-/// order reproduces it exactly.
-fn discover_moves(input: &LatticeInput, nodes: &[Node], slice: &[NodeId], threads: usize) -> Vec<Move> {
-    let mut out = Vec::new();
-    for &nid in slice {
-        for t in 0..threads {
-            let t = ThreadId(t as u32);
-            let cut = &nodes[nid].cut;
-            let Some(msg) = input.enabled(cut, t) else {
-                continue;
-            };
-            let var = msg.var().expect("lattice messages are writes");
-            let value = msg.written_value().expect("lattice messages are writes");
-            out.push((nid, t, cut.advanced(t), var, value));
-        }
-    }
-    out
-}
 
 /// One lattice node: a consistent cut and its global state.
 #[derive(Clone, Debug)]
@@ -86,18 +62,6 @@ impl Lattice {
     /// Builds the lattice breadth-first, level by level.
     #[must_use]
     pub fn build(input: LatticeInput) -> Self {
-        Self::build_with(input, &AnalysisConfig::default())
-    }
-
-    /// Like [`Lattice::build`], but honoring `config.parallelism`: with
-    /// `n ≥ 2` workers, each level's enabled-move discovery (the
-    /// consistency checks) fans out over contiguous chunks of the level on
-    /// scoped threads. Chunk results are concatenated in chunk order,
-    /// which is exactly the sequential visit order, and node creation
-    /// stays serial — so node ids, levels, edge lists, and
-    /// [`Lattice::count_runs`] are bit-identical for every worker count.
-    #[must_use]
-    pub fn build_with(input: LatticeInput, config: &AnalysisConfig) -> Self {
         let threads = input.threads();
         let bottom_cut = Cut::bottom(threads);
         let bottom_state = input.state_at(&bottom_cut);
@@ -114,27 +78,19 @@ impl Lattice {
 
         loop {
             let current = levels.last().unwrap().clone();
-            let workers = config.workers().min(current.len());
-            let moves = if workers > 1 {
-                let chunk = current.len().div_ceil(workers);
-                let per_chunk: Vec<Vec<Move>> = std::thread::scope(|scope| {
-                    let nodes = &nodes;
-                    let input = &input;
-                    let handles: Vec<_> = current
-                        .chunks(chunk)
-                        .map(|slice| {
-                            scope.spawn(move || discover_moves(input, nodes, slice, threads))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("lattice build worker panicked"))
-                        .collect()
-                });
-                per_chunk.into_iter().flatten().collect()
-            } else {
-                discover_moves(&input, &nodes, &current, threads)
-            };
+            let mut moves = Vec::new();
+            for nid in current {
+                for t in 0..threads {
+                    let t = ThreadId(t as u32);
+                    let cut = &nodes[nid].cut;
+                    let Some(msg) = input.enabled(cut, t) else {
+                        continue;
+                    };
+                    let var = msg.var().expect("lattice messages are writes");
+                    let value = msg.written_value().expect("lattice messages are writes");
+                    moves.push((nid, t, cut.advanced(t), var, value));
+                }
+            }
 
             let mut next: Vec<NodeId> = Vec::new();
             for (nid, t, succ_cut, var, value) in moves {
@@ -236,7 +192,7 @@ impl Lattice {
     /// Counts the multithreaded runs (bottom→top paths) by dynamic
     /// programming over levels. This is the "exponential number of
     /// potential runs" the paper mentions — counted here without
-    /// enumeration.
+    /// enumeration, saturating at `u128::MAX`.
     #[must_use]
     pub fn count_runs(&self) -> u128 {
         if self.nodes.is_empty() {
@@ -246,7 +202,10 @@ impl Lattice {
         paths[self.bottom()] = 1;
         for level in &self.levels {
             for &nid in level {
-                let inbound: u128 = self.nodes[nid].preds.iter().map(|&(p, _)| paths[p]).sum();
+                let inbound = self.nodes[nid]
+                    .preds
+                    .iter()
+                    .fold(0u128, |acc, &(p, _)| acc.saturating_add(paths[p]));
                 if nid != self.bottom() {
                     paths[nid] = inbound;
                 }

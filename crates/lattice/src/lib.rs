@@ -13,16 +13,19 @@
 //!
 //! * [`LatticeInput`] — validated per-thread message sequences plus the
 //!   initial global state.
+//! * [`StreamingAnalyzer`] — the one ptLTL engine: property checking over
+//!   **all** runs in parallel, level by level, storing at most two
+//!   consecutive levels (the paper: "at most two consecutive levels in the
+//!   computation lattice need to be stored at any moment") and accepting
+//!   messages in any delivery order. It counts total and violating runs
+//!   exactly and reconstructs counterexamples as far back as its retained
+//!   history reaches — to the initial state when every level is kept.
 //! * [`Cut`] / [`Lattice`] — full materialization of the lattice: nodes are
 //!   consistent cuts, edges advance one thread by one relevant event; run
-//!   counting and (bounded) run enumeration.
-//! * [`analysis`] — property checking over **all** runs in parallel by
-//!   attaching sets of monitor states to lattice nodes, with exact
-//!   violating-run counts and counterexample path reconstruction.
-//! * [`StreamingAnalyzer`] — the online, level-by-level variant that stores
-//!   at most two consecutive levels (the paper: "at most two consecutive
-//!   levels in the computation lattice need to be stored at any moment"),
-//!   accepting messages in any delivery order.
+//!   counting and (bounded) run enumeration. It serves DOT export, liveness
+//!   lassos and the test oracle.
+//! * [`analysis`] — the oracle: the same monitor-set analysis over the
+//!   materialized lattice, which the equivalence tests hold the engine to.
 //! * [`analyses`] — the pluggable [`Analysis`] trait and the
 //!   [`AnalysisSuite`] driver that fans one causal delivery pass out to
 //!   N analyses (ptLTL, race detection, atomicity checking).
@@ -45,10 +48,8 @@ pub use analyses::{
     Analysis, AnalysisReport, AnalysisSuite, AtomicityAnalysis, AtomicityReport,
     LtlLatticeAnalysis, RaceAnalysis, RaceReport, SuiteBuilder, SuiteReport,
 };
-pub use analysis::{
-    analyze, analyze_multi, analyze_with, Counterexample, LatticeAnalysis, RunStep, Violation,
-};
-pub use builder::{StreamReport, StreamingAnalyzer};
+pub use analysis::{analyze, LatticeAnalysis};
+pub use builder::{Counterexample, RunStep, StreamReport, StreamingAnalyzer, Violation};
 pub use config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
 pub use parallel::ExpansionPool;
 pub use cut::Cut;

@@ -35,13 +35,14 @@
 //! output is therefore bit-identical to the sequential path regardless of
 //! worker count or steal schedule: new-node states (first contribution
 //! wins, and "first" is a total order, not hash-map luck), alive/dead
-//! memory sets, trail parents, violation seeds, and all logical counters.
+//! memory sets, counterexample parents, violation seeds, and all logical
+//! counters. Run counts are sums, which no application order can change.
 //! Only the `lattice.parallel.*` metrics (steals, park times, shard
 //! widths) and the physical `spec.formula_evals` / `spec.eval_cache_hits`
 //! split reflect the schedule.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -409,7 +410,7 @@ fn run_shard(task: ShardTask, park_ns: u64) {
     let mut deduped = 0u64;
     let mut evals = 0u64;
     let mut non_writes = 0u64;
-    let mut mems_sorted: Vec<MonitorState> = Vec::new();
+    let mut mems_sorted: Vec<(MonitorState, u128)> = Vec::new();
     let mut cache = shared
         .eval_cache
         .then(|| StepCache::with_counter(shared.cache_hits.clone()));
@@ -434,24 +435,11 @@ fn run_shard(task: ShardTask, park_ns: u64) {
                         Some((var, value)) => src_node.state.updated(var, value),
                         None => src_node.state.clone(),
                     };
-                    e.insert(FrontierNode {
-                        state,
-                        mems: HashSet::new(),
-                        dead: HashSet::new(),
-                        parents: HashMap::new(),
-                    })
+                    e.insert(FrontierNode::new(state))
                 }
             };
-            let FrontierNode {
-                state,
-                mems,
-                dead,
-                parents,
-            } = entry;
-            mems_sorted.clear();
-            mems_sorted.extend(src_node.mems.iter().copied());
-            mems_sorted.sort_unstable();
-            for &mem in &mems_sorted {
+            src_node.sorted_mems(&mut mems_sorted);
+            let died = entry.absorb(src_cut, src_node.violated, &mems_sorted, |mem, state| {
                 let (next_mem, ok) = match cache.as_mut() {
                     Some(cache) => shared.monitor.step_cached(mem, state, cache),
                     None => shared.monitor.step(mem, state),
@@ -463,18 +451,15 @@ fn run_shard(task: ShardTask, park_ns: u64) {
                         violated: !ok,
                     });
                 }
-                if ok {
-                    if mems.insert(next_mem) {
-                        parents.insert(next_mem, (src_cut.clone(), mem));
-                    }
-                } else if dead.insert(next_mem) {
-                    seeds.push(ViolationSeed {
-                        cut: c.succ.clone(),
-                        state: state.clone(),
-                        memory: next_mem,
-                        pred: (src_cut.clone(), mem),
-                    });
-                }
+                (next_mem, ok)
+            });
+            for (memory, mem) in died {
+                seeds.push(ViolationSeed {
+                    cut: c.succ.clone(),
+                    state: entry.state.clone(),
+                    memory,
+                    pred: (src_cut.clone(), mem),
+                });
             }
         }
     }

@@ -2,10 +2,11 @@
 //! number of multithreaded runs equals the number of **linear extensions**
 //! of the relevant causality (counted by brute-force permutation
 //! enumeration), and the set of lattice states equals the set of prefixes
-//! of those linear extensions (as cuts).
+//! of those linear extensions (as cuts). The streaming engine's run counts
+//! are held to the same brute force.
 
 use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, ThreadId, VarId};
-use jmpax_lattice::{Cut, Lattice, LatticeInput};
+use jmpax_lattice::{Cut, Lattice, LatticeInput, StreamReport, StreamingAnalyzer};
 use jmpax_spec::ProgramState;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -132,8 +133,9 @@ fn pad(cut: &Cut, threads: usize) -> Cut {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The analysis' exact violating-run count equals brute force: enumerate
-    /// every run, monitor its state sequence, count the violating ones.
+    /// The oracle's and the engine's exact violating-run counts equal brute
+    /// force: enumerate every run, monitor its state sequence, count the
+    /// violating ones.
     #[test]
     fn violating_run_count_matches_enumeration(events in arb_events()) {
         use jmpax_core::SymbolTable;
@@ -154,7 +156,8 @@ proptest! {
         let formula = parse("v0 <= 4 \\/ [*] v1 <= v2", &mut syms).unwrap();
         let monitor = formula.monitor().unwrap();
 
-        let input = LatticeInput::from_messages(msgs, ProgramState::new()).unwrap();
+        let threads = msgs.iter().map(|m| m.thread().index() + 1).max().unwrap_or(1);
+        let input = LatticeInput::from_messages(msgs.clone(), ProgramState::new()).unwrap();
         let lattice = Lattice::build(input.clone());
         let total = lattice.count_runs();
         prop_assume!(total <= 512);
@@ -174,7 +177,59 @@ proptest! {
             analysis.violating_runs, violating,
             "exact violating-run count diverged from enumeration"
         );
+
+        let mut engine = StreamingAnalyzer::new(monitor, &ProgramState::new(), threads);
+        engine.push_all(msgs);
+        let report = engine.finish();
+        prop_assert_eq!(report.total_runs, total);
+        prop_assert_eq!(
+            report.violating_runs, violating,
+            "the engine's violating-run count diverged from enumeration"
+        );
     }
+}
+
+/// Regression: C(140, 70) ≈ 9.38·10⁴⁰ runs exceed `u128`. Two threads
+/// writing private variables 70 times each span a 71×71 grid of 5 041
+/// states; every count saturates instead of wrapping, and the satisfied
+/// property still has no violating run.
+#[test]
+fn run_counts_saturate_instead_of_wrapping() {
+    use jmpax_core::SymbolTable;
+    use jmpax_lattice::analyze;
+    use jmpax_spec::parse;
+
+    let mut syms = SymbolTable::new();
+    let monitor = parse("a >= 0 /\\ b >= 0", &mut syms)
+        .unwrap()
+        .monitor()
+        .unwrap();
+    let (a, b) = (syms.lookup("a").unwrap(), syms.lookup("b").unwrap());
+    let mut instr = MvcInstrumentor::with_relevance(Relevance::AllWrites);
+    let mut msgs = Vec::new();
+    for i in 1..=70 {
+        msgs.extend(instr.process(&Event::write(ThreadId(0), a, i)));
+        msgs.extend(instr.process(&Event::write(ThreadId(1), b, i)));
+    }
+    let input = LatticeInput::from_messages(msgs.clone(), ProgramState::new()).unwrap();
+    assert_eq!(
+        Lattice::build(input.clone()).count_runs(),
+        StreamReport::SATURATED
+    );
+    let oracle = analyze(input, &monitor);
+    assert_eq!(oracle.states, 5041);
+    assert_eq!(
+        (oracle.total_runs, oracle.violating_runs),
+        (StreamReport::SATURATED, 0)
+    );
+
+    let mut engine = StreamingAnalyzer::new(monitor, &ProgramState::new(), 2);
+    engine.push_all(msgs);
+    let report = engine.finish();
+    assert_eq!(report.states_explored, 5041);
+    assert_eq!(report.total_runs, StreamReport::SATURATED);
+    assert_eq!(report.violating_runs, 0);
+    assert!(report.satisfied());
 }
 
 /// Deterministic spot check: three concurrent writers of private variables

@@ -1,30 +1,42 @@
-//! The message-consuming observer front end.
+//! The observer's conclusion about one multithreaded computation.
 
-use jmpax_core::{CausalBuffer, Message};
-use jmpax_lattice::analysis::{analyze_lattice, LatticeAnalysis};
-use jmpax_lattice::{AnalysisConfig, Exactness, Lattice, LatticeInput, StreamingAnalyzer};
-use jmpax_spec::{Monitor, ProgramState};
+use jmpax_lattice::{Exactness, StreamReport};
 
-/// The observer's conclusion about one multithreaded computation.
+/// The observer's conclusion about one multithreaded computation, as
+/// produced by [`crate::Pipeline::check_messages`].
 #[derive(Clone, Debug)]
 pub enum Verdict {
     /// Every consistent run satisfies the property.
-    Satisfied(LatticeAnalysis),
+    Satisfied(StreamReport),
     /// Some runs violate the property. When `observed_ok` is true the
     /// violation is a *prediction*: the observed run itself was successful
     /// (this is the paper's headline capability).
     Violated {
         /// The full analysis (counts, violations, counterexamples).
-        analysis: LatticeAnalysis,
+        analysis: StreamReport,
         /// Whether the observed run itself satisfied the property.
         observed_ok: bool,
     },
 }
 
 impl Verdict {
+    /// Classifies `analysis`; `observed_ok` says whether the observed run
+    /// satisfied the property.
+    #[must_use]
+    pub fn new(analysis: StreamReport, observed_ok: bool) -> Self {
+        if analysis.satisfied() {
+            Verdict::Satisfied(analysis)
+        } else {
+            Verdict::Violated {
+                analysis,
+                observed_ok,
+            }
+        }
+    }
+
     /// The underlying analysis.
     #[must_use]
-    pub fn analysis(&self) -> &LatticeAnalysis {
+    pub fn analysis(&self) -> &StreamReport {
         match self {
             Verdict::Satisfied(a) | Verdict::Violated { analysis: a, .. } => a,
         }
@@ -48,15 +60,6 @@ impl Verdict {
         )
     }
 
-    /// The underlying analysis, mutably — used by resilient ingestion to
-    /// thread transport-fault degradation into the verdict.
-    #[must_use]
-    pub fn analysis_mut(&mut self) -> &mut LatticeAnalysis {
-        match self {
-            Verdict::Satisfied(a) | Verdict::Violated { analysis: a, .. } => a,
-        }
-    }
-
     /// How much this verdict can be trusted: [`Exactness::Exact`] when every
     /// message arrived and every run was explored, degraded otherwise.
     #[must_use]
@@ -65,117 +68,12 @@ impl Verdict {
     }
 }
 
-/// The observer: buffers out-of-order messages, tracks the observed
-/// delivery order, and produces a [`Verdict`] on demand.
-///
-/// For unbounded streams prefer [`StreamingAnalyzer`] (two-level storage);
-/// this observer materializes the full lattice to reconstruct complete
-/// counterexample runs.
-#[derive(Debug)]
-pub struct Observer {
-    monitor: Monitor,
-    initial: ProgramState,
-    buffer: CausalBuffer,
-    /// Messages in causal delivery order (a valid observed run order).
-    delivered: Vec<Message>,
-    options: AnalysisConfig,
-}
-
-impl Observer {
-    /// Creates an observer for `monitor` starting from `initial`.
-    #[must_use]
-    pub fn new(monitor: Monitor, initial: ProgramState) -> Self {
-        Self::with_options(monitor, initial, AnalysisConfig::default())
-    }
-
-    /// Creates an observer with an explicit [`AnalysisConfig`]
-    /// (counterexample budget, lattice-build parallelism).
-    #[must_use]
-    pub fn with_options(monitor: Monitor, initial: ProgramState, options: AnalysisConfig) -> Self {
-        Self {
-            monitor,
-            initial,
-            buffer: CausalBuffer::new(),
-            delivered: Vec::new(),
-            options,
-        }
-    }
-
-    /// Limits counterexample reconstruction.
-    #[must_use]
-    pub fn with_max_counterexamples(mut self, n: usize) -> Self {
-        self.options.max_counterexamples = n;
-        self
-    }
-
-    /// Offers one message (any delivery order).
-    pub fn offer(&mut self, message: Message) {
-        self.delivered.extend(self.buffer.push(message));
-    }
-
-    /// Offers many messages.
-    pub fn offer_all(&mut self, messages: impl IntoIterator<Item = Message>) {
-        for m in messages {
-            self.offer(m);
-        }
-    }
-
-    /// Messages delivered (causally ordered) so far.
-    #[must_use]
-    pub fn delivered(&self) -> &[Message] {
-        &self.delivered
-    }
-
-    /// True when some received messages still wait for causal predecessors
-    /// (the computation is incomplete).
-    #[must_use]
-    pub fn has_gaps(&self) -> bool {
-        !self.buffer.is_drained()
-    }
-
-    /// Concludes the analysis over everything delivered so far.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`jmpax_lattice::InputError`] (impossible for messages
-    /// produced by Algorithm A with a writes-only relevance policy).
-    pub fn conclude(&self) -> Result<Verdict, jmpax_lattice::InputError> {
-        let input =
-            LatticeInput::from_messages(self.delivered.iter().cloned(), self.initial.clone())?;
-        let lattice = Lattice::build_with(input, &self.options);
-        let analysis = analyze_lattice(&lattice, &self.monitor, self.options);
-
-        // The delivery order is one causally consistent run — check it the
-        // JPaX way to classify the verdict as observed vs predicted.
-        let observed_ok =
-            crate::jpax::observed_violation(&self.monitor, &self.initial, &self.delivered)
-                .is_none();
-
-        if analysis.satisfied() {
-            Ok(Verdict::Satisfied(analysis))
-        } else {
-            Ok(Verdict::Violated {
-                analysis,
-                observed_ok,
-            })
-        }
-    }
-
-    /// Converts this observer into a two-level streaming analyzer seeded
-    /// with the same monitor/initial state, for unbounded computations.
-    #[must_use]
-    pub fn into_streaming(self, threads: usize) -> StreamingAnalyzer {
-        let mut s = StreamingAnalyzer::new(self.monitor, &self.initial, threads);
-        s.push_all(self.delivered);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
-    use jmpax_spec::parse;
+    use crate::pipeline::{Pipeline, PipelineConfig};
+    use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
+    use jmpax_spec::{parse, Monitor, ProgramState};
 
     const T1: ThreadId = ThreadId(0);
     const T2: ThreadId = ThreadId(1);
@@ -206,15 +104,19 @@ mod tests {
         (msgs, monitor, init)
     }
 
+    fn conclude(monitor: Monitor, init: &ProgramState, msgs: Vec<Message>) -> Verdict {
+        Pipeline::new(PipelineConfig::new())
+            .check_messages(monitor, init, Exactness::Exact, msgs)
+            .verdict
+    }
+
     #[test]
     fn predicts_from_successful_observed_run() {
         let (msgs, monitor, init) = fig6();
-        let mut obs = Observer::new(monitor, init);
-        obs.offer_all(msgs);
-        assert!(!obs.has_gaps());
-        let verdict = obs.conclude().unwrap();
+        let verdict = conclude(monitor, &init, msgs);
         assert!(!verdict.is_satisfied());
         assert!(verdict.is_prediction(), "observed run was successful");
+        assert!(verdict.exactness().is_exact());
         assert_eq!(verdict.analysis().violating_runs, 1);
         assert_eq!(verdict.analysis().total_runs, 3);
     }
@@ -223,25 +125,21 @@ mod tests {
     fn out_of_order_delivery_same_verdict() {
         let (mut msgs, monitor, init) = fig6();
         msgs.reverse();
-        let mut obs = Observer::new(monitor, init);
-        for m in msgs {
-            obs.offer(m);
-        }
-        let verdict = obs.conclude().unwrap();
+        let verdict = conclude(monitor, &init, msgs);
         assert_eq!(verdict.analysis().violating_runs, 1);
+        assert!(verdict.exactness().is_exact());
     }
 
     #[test]
     fn gaps_are_visible() {
         let (msgs, monitor, init) = fig6();
-        let mut obs = Observer::new(monitor, init);
-        // Deliver only the causally-last message.
-        obs.offer(msgs[3].clone());
-        assert!(obs.has_gaps());
-        assert!(obs.delivered().is_empty());
-        // Concluding now analyzes the empty computation: one trivial run.
-        let verdict = obs.conclude().unwrap();
+        // Deliver only the causally-last message: it never becomes
+        // deliverable, so the empty computation is analyzed (one trivial,
+        // satisfying run) and the stranded message degrades the verdict.
+        let verdict = conclude(monitor, &init, vec![msgs[3].clone()]);
         assert!(verdict.is_satisfied());
+        assert_eq!(verdict.analysis().total_runs, 1);
+        assert_eq!(verdict.exactness(), Exactness::degraded(0, 1));
     }
 
     #[test]
@@ -251,9 +149,7 @@ mod tests {
         let x = syms.lookup("x").unwrap();
         let mut a = MvcInstrumentor::new(1, Relevance::writes_of([x]));
         let m = a.process(&Event::write(T1, x, 5)).unwrap();
-        let mut obs = Observer::new(monitor, ProgramState::new());
-        obs.offer(m);
-        let verdict = obs.conclude().unwrap();
+        let verdict = conclude(monitor, &ProgramState::new(), vec![m]);
         assert!(verdict.is_satisfied());
         assert!(!verdict.is_prediction());
     }
@@ -266,20 +162,8 @@ mod tests {
         let x = syms.lookup("x").unwrap();
         let mut a = MvcInstrumentor::new(1, Relevance::writes_of([x]));
         let m = a.process(&Event::write(T1, x, 5)).unwrap();
-        let mut obs = Observer::new(monitor, ProgramState::new());
-        obs.offer(m);
-        let verdict = obs.conclude().unwrap();
+        let verdict = conclude(monitor, &ProgramState::new(), vec![m]);
         assert!(!verdict.is_satisfied());
         assert!(!verdict.is_prediction());
-    }
-
-    #[test]
-    fn into_streaming_continues_the_analysis() {
-        let (msgs, monitor, init) = fig6();
-        let mut obs = Observer::new(monitor, init);
-        obs.offer_all(msgs);
-        let streaming = obs.into_streaming(2);
-        let report = streaming.finish();
-        assert_eq!(report.violations.len(), 1);
     }
 }

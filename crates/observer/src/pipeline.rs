@@ -9,6 +9,8 @@
 //! observed-run verdict. [`Pipeline::check_messages`] is the observer half
 //! alone, for messages received over a transport; [`transport_exactness`]
 //! is the one rule turning what the transport lost into an [`Exactness`].
+//! Every ptLTL verdict comes from one engine, the streaming analyzer behind
+//! [`Pipeline::suite`].
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
 //! config carries the optional telemetry [`Registry`], the optional
@@ -27,13 +29,13 @@ use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId
 use jmpax_instrument::ResilientDecode;
 use jmpax_lattice::{
     AnalysisConfig, AnalysisReport, AnalysisSuite, Exactness, ExpansionPool, ReassemblyReport,
-    StreamReport, StreamingAnalyzer, SuiteBuilder, SuiteReport,
+    StreamReport, SuiteBuilder, SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::Registry;
 use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
-use crate::observer::{Observer, Verdict};
+use crate::observer::Verdict;
 
 /// Pipeline failures.
 #[derive(Debug)]
@@ -42,8 +44,6 @@ pub enum PipelineError {
     Spec(ParseError),
     /// The monitor could not be synthesized (too many temporal operators).
     Monitor(jmpax_spec::monitor::MonitorError),
-    /// The message stream was malformed.
-    Input(jmpax_lattice::InputError),
 }
 
 impl fmt::Display for PipelineError {
@@ -51,7 +51,6 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Spec(e) => write!(f, "specification error: {e}"),
             PipelineError::Monitor(e) => write!(f, "monitor synthesis error: {e}"),
-            PipelineError::Input(e) => write!(f, "message stream error: {e}"),
         }
     }
 }
@@ -66,11 +65,6 @@ impl From<ParseError> for PipelineError {
 impl From<jmpax_spec::monitor::MonitorError> for PipelineError {
     fn from(e: jmpax_spec::monitor::MonitorError) -> Self {
         PipelineError::Monitor(e)
-    }
-}
-impl From<jmpax_lattice::InputError> for PipelineError {
-    fn from(e: jmpax_lattice::InputError) -> Self {
-        PipelineError::Input(e)
     }
 }
 
@@ -135,11 +129,9 @@ impl PipelineConfig {
 
     /// Records structured traces into `tracer`: pipeline stages as
     /// [`TraceKind::Stage`] spans on the `observer` lane, Algorithm A on
-    /// the `core` lane, and a level-by-level streaming pass on the
+    /// the `core` lane, and the analysis's level-by-level pass on the
     /// `lattice` lane (plus `lattice.shard<N>` lanes when the parallel
-    /// pool engages). Configuring a tracer — even a disabled one — also
-    /// makes [`Pipeline::check_execution`] run that streaming pass and
-    /// return its [`StreamReport`].
+    /// pool engages).
     #[must_use]
     pub fn tracer(mut self, tracer: &Tracer) -> Self {
         self.tracer = Some(tracer.clone());
@@ -154,17 +146,8 @@ impl PipelineConfig {
         self
     }
 
-    /// Beam cap for the streaming frontier (`0` = unbounded); exceeding it
-    /// degrades [`jmpax_lattice::Exactness`] exactly as
-    /// `StreamingAnalyzer::with_frontier_cap` does.
-    #[must_use]
-    pub fn frontier_cap(mut self, cap: usize) -> Self {
-        self.analysis.frontier_cap = cap;
-        self
-    }
-
     /// Replaces the full [`AnalysisConfig`] (counterexample budget,
-    /// parallelism, frontier cap, trail history) at once.
+    /// parallelism, frontier cap, counterexample history) at once.
     #[must_use]
     pub fn analysis(mut self, config: AnalysisConfig) -> Self {
         self.analysis = config;
@@ -195,17 +178,6 @@ impl PipelineConfig {
     pub fn configured_analyses(&self) -> &[AnalysisKind] {
         &self.analyses
     }
-}
-
-/// What [`Pipeline::check_execution`] produces.
-#[derive(Clone, Debug)]
-pub struct PipelineOutcome {
-    /// The end-to-end verdict.
-    pub report: PipelineReport,
-    /// The streaming analyzer's view of the same computation — `Some`
-    /// exactly when a tracer was configured (the streaming pass is what
-    /// populates the `lattice` trace lanes).
-    pub stream: Option<StreamReport>,
 }
 
 /// The one full-pipeline entrypoint: spec → relevance → Algorithm A →
@@ -251,14 +223,13 @@ impl Pipeline {
     /// # Errors
     ///
     /// [`PipelineError::Spec`] / [`PipelineError::Monitor`] for an invalid
-    /// specification, [`PipelineError::Input`] for a malformed message
-    /// stream (impossible for streams Algorithm A produces).
+    /// specification.
     pub fn check_execution(
         &self,
         execution: &Execution,
         spec_src: &str,
         symbols: &mut SymbolTable,
-    ) -> Result<PipelineOutcome, PipelineError> {
+    ) -> Result<PipelineReport, PipelineError> {
         let registry = &self.config.telemetry;
         let mut ring = self
             .config
@@ -287,58 +258,32 @@ impl Pipeline {
         ring.record_span(TraceKind::Stage { name: "instrument" }, instrument_start);
 
         let initial = ProgramState::from_map(execution.initial.clone());
-        let report = self.check_messages(monitor.clone(), &initial, Exactness::Exact, messages)?;
-
-        let stream = match &self.config.tracer {
-            Some(tracer) => {
-                let stream_start = ring.span_start();
-                let mut analyzer = StreamingAnalyzer::with_telemetry(
-                    monitor,
-                    &initial,
-                    execution.thread_count().max(1),
-                    registry,
-                )
-                .with_config(&self.config.analysis)
-                .with_trace(tracer);
-                if let Some(pool) = self.shared_pool() {
-                    analyzer = analyzer.with_pool(pool);
-                }
-                analyzer.push_all(report.messages.iter().cloned());
-                let stream = analyzer.finish();
-                ring.record_span(TraceKind::Stage { name: "streaming" }, stream_start);
-                Some(stream)
-            }
-            None => None,
-        };
-
-        Ok(PipelineOutcome {
-            report: PipelineReport {
-                relevance,
-                ..report
-            },
-            stream,
+        let report = self.check_messages(monitor, &initial, Exactness::Exact, messages);
+        Ok(PipelineReport {
+            relevance,
+            ..report
         })
     }
 
     /// The observer half of [`Pipeline::check_execution`], for messages
-    /// that already exist — e.g. decoded from a transport: the JPaX-style
-    /// observed-run check, the predictive lattice analysis, and the verdict
-    /// counters. `transport` is what the transport lost (see
-    /// [`transport_exactness`]; [`Exactness::Exact`] when nothing was),
-    /// folded into the verdict's exactness. The report's relevance is
+    /// that already exist — e.g. decoded from a transport, in any order:
+    /// the JPaX-style check of the run in `messages` order, the LTL-only
+    /// [`Pipeline::suite`], and the verdict counters. `transport` is what
+    /// the transport lost (see [`transport_exactness`];
+    /// [`Exactness::Exact`] when nothing was), folded into the verdict's
+    /// exactness together with any message whose causal predecessors never
+    /// arrived. Unless the configured [`AnalysisConfig::history`] says
+    /// otherwise, every lattice level is retained so counterexamples reach
+    /// the initial state. The report's relevance is
     /// [`Relevance::AllWrites`]: the observer analyzes whatever arrived.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Input`] for a malformed message stream (impossible
-    /// for streams Algorithm A produces).
+    #[must_use]
     pub fn check_messages(
         &self,
         monitor: Monitor,
         initial: &ProgramState,
         transport: Exactness,
         messages: Vec<Message>,
-    ) -> Result<PipelineReport, PipelineError> {
+    ) -> PipelineReport {
         let registry = &self.config.telemetry;
         let mut ring = self
             .config
@@ -354,73 +299,47 @@ impl Pipeline {
         ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
 
         let analysis_start = ring.span_start();
-        let mut observer = Observer::with_options(monitor, initial.clone(), self.config.analysis);
-        observer.offer_all(messages.iter().cloned());
-        let mut verdict = {
+        let threads = messages
+            .iter()
+            .map(|m| m.thread().index() + 1)
+            .max()
+            .unwrap_or(1);
+        let config = AnalysisConfig {
+            history: Some(self.config.analysis.history.unwrap_or(usize::MAX)),
+            ..self.config.analysis
+        };
+        let report = {
             let _span = registry
                 .histogram("observer.stage.analysis_ns")
                 .start_span();
-            observer.conclude()?
+            let mut suite = self.build_suite(
+                &[AnalysisKind::Ltl],
+                Some((monitor, initial)),
+                threads,
+                &config,
+            );
+            suite.push_all(messages.iter().cloned());
+            ltl_report(self.finish_suite(suite, transport))
         };
         ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
 
-        let analysis = verdict.analysis_mut();
-        analysis.exactness = analysis.exactness.combine(transport);
-        verdict.analysis().record(registry);
-        if verdict.is_satisfied() {
-            registry.counter("observer.verdict.satisfied").inc();
-        } else {
-            registry.counter("observer.verdict.predicted").inc();
-        }
         if observed_violation.is_some() {
             registry.counter("observer.verdict.observed").inc();
         }
-        Ok(PipelineReport {
-            verdict,
+        PipelineReport {
+            verdict: Verdict::new(report, observed_violation.is_none()),
             observed_violation,
             messages,
             relevance: Relevance::AllWrites,
-        })
-    }
-
-    /// Runs the constant-memory streaming analysis over already-decoded
-    /// messages — the observer half only, for callers that received the
-    /// stream over a transport (e.g. a `jmpax serve` tenant session)
-    /// rather than instrumenting an [`Execution`] themselves.
-    ///
-    /// `threads` is the clock width of the stream (the tenant declares it
-    /// in its handshake); the configured [`AnalysisConfig`] — parallelism,
-    /// frontier cap, history — and telemetry registry apply as in
-    /// [`Pipeline::check_execution`]. The report's
-    /// [`jmpax_lattice::Exactness`] reflects frontier-cap pruning and
-    /// causally undeliverable (stranded) messages; transport-level losses
-    /// are the caller's to [`jmpax_lattice::Exactness::combine`] in — or
-    /// use [`Pipeline::check_stream_suite`], which folds them in.
-    pub fn check_stream(
-        &self,
-        monitor: Monitor,
-        initial: &ProgramState,
-        threads: usize,
-        messages: impl IntoIterator<Item = Message>,
-    ) -> StreamReport {
-        let mut suite = self.check_stream_suite(
-            &[AnalysisKind::Ltl],
-            Some((monitor, initial)),
-            threads,
-            jmpax_lattice::Exactness::Exact,
-            messages,
-        );
-        match suite.reports.pop() {
-            Some(AnalysisReport::Ltl(report)) => report,
-            other => unreachable!("LTL-only suite produced {other:?}"),
         }
     }
 
     /// Runs an ordered *suite* of analyses — ptLTL, race detection,
     /// atomicity checking — over one shared causal delivery pass of an
-    /// already-decoded message stream. This is the multi-analysis
-    /// generalization of [`Pipeline::check_stream`]: N analyses cost one
-    /// decode→reassemble→deliver pass, not N.
+    /// already-decoded message stream, e.g. a `jmpax serve` tenant session:
+    /// N analyses cost one decode→reassemble→deliver pass, not N. The
+    /// configured [`AnalysisConfig`] and telemetry registry apply; an unset
+    /// history keeps the paper's two levels.
     ///
     /// `kinds` selects and orders the analyses; empty falls back to the
     /// config's [`PipelineConfig::analyses`] selection (itself defaulting
@@ -460,6 +379,17 @@ impl Pipeline {
         ltl: Option<(Monitor, &ProgramState)>,
         threads: usize,
     ) -> AnalysisSuite {
+        self.build_suite(kinds, ltl, threads, &self.config.analysis)
+    }
+
+    /// [`Pipeline::suite`] under an explicit analysis configuration.
+    fn build_suite(
+        &self,
+        kinds: &[AnalysisKind],
+        ltl: Option<(Monitor, &ProgramState)>,
+        threads: usize,
+        config: &AnalysisConfig,
+    ) -> AnalysisSuite {
         let kinds = if kinds.is_empty() {
             &self.config.analyses
         } else {
@@ -467,7 +397,7 @@ impl Pipeline {
         };
         let mut builder = SuiteBuilder::new(kinds, threads.max(1))
             .sync_vars(self.config.sync_vars.iter().copied())
-            .config(&self.config.analysis)
+            .config(config)
             .telemetry(&self.config.telemetry);
         if let Some(tracer) = &self.config.tracer {
             builder = builder.tracer(tracer);
@@ -494,6 +424,14 @@ impl Pipeline {
             registry.counter("observer.verdict.predicted").inc();
         }
         report
+    }
+}
+
+/// The ptLTL report of an LTL-only suite run.
+fn ltl_report(mut suite: SuiteReport) -> StreamReport {
+    match suite.reports.pop() {
+        Some(AnalysisReport::Ltl(report)) => report,
+        other => unreachable!("LTL-only suite produced {other:?}"),
     }
 }
 
@@ -545,17 +483,22 @@ mod tests {
     fn full_pipeline_on_example2() {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
-        let outcome = Pipeline::new(PipelineConfig::new())
+        let report = Pipeline::new(PipelineConfig::new())
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
-        assert!(outcome.stream.is_none(), "no tracer, no streaming pass");
-        let report = outcome.report;
         assert!(report.predicted());
         assert!(!report.observed(), "observed run is successful");
         assert!(report.verdict.is_prediction());
         assert_eq!(report.verdict.analysis().total_runs, 3);
         assert_eq!(report.verdict.analysis().violating_runs, 1);
         assert_eq!(report.messages.len(), 4);
+        // The counterexample is the whole violating run.
+        let ce = report.verdict.analysis().violations[0]
+            .counterexample
+            .as_ref()
+            .unwrap();
+        assert!(ce.is_complete());
+        assert_eq!(ce.event_count(), 4);
         // Relevance was derived from the formula: writes of x, y, z.
         assert!(matches!(report.relevance, Relevance::WritesOf(ref s) if s.len() == 3));
     }
@@ -566,13 +509,18 @@ mod tests {
         let ex = example2(&mut syms);
         let tracer = jmpax_trace::Tracer::enabled();
         let registry = Registry::enabled();
-        let outcome = Pipeline::new(PipelineConfig::new().telemetry(&registry).tracer(&tracer))
+        let report = Pipeline::new(PipelineConfig::new().telemetry(&registry).tracer(&tracer))
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
-        let stream = outcome.stream.expect("tracer configured");
-        assert!(outcome.report.predicted());
-        assert!(stream.completed);
-        assert_eq!(stream.violations.len(), 1);
+        assert!(report.predicted());
+        assert!(report.verdict.analysis().completed);
+        assert_eq!(report.verdict.analysis().violations.len(), 1);
+        // The one traced pass publishes each lattice counter once.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("lattice.states_explored"), Some(7));
+        assert_eq!(snap.counter("analysis.ltl.states_explored"), Some(7));
+        assert_eq!(snap.counter("lattice.total_runs"), Some(3));
+        assert_eq!(snap.counter("lattice.violating_runs"), Some(1));
 
         let data = tracer.collect();
         let lanes: Vec<&str> = data.lanes.iter().map(|l| l.lane.as_str()).collect();
@@ -589,7 +537,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        for stage in ["spec", "instrument", "jpax", "analysis", "streaming"] {
+        for stage in ["spec", "instrument", "jpax", "analysis"] {
             assert!(stages.contains(&stage), "missing stage {stage}: {stages:?}");
         }
         // The lattice lane must carry sealed levels: one per write message.
@@ -633,20 +581,25 @@ mod tests {
         let spec = "(x > 0) -> [y = 0, y > z)";
         let seq = Pipeline::new(PipelineConfig::new())
             .check_execution(&ex, spec, &mut syms)
-            .unwrap()
-            .report;
+            .unwrap();
         let mut syms2 = SymbolTable::new();
         let ex2 = example2(&mut syms2);
         let par = Pipeline::new(PipelineConfig::new().parallelism(8))
             .check_execution(&ex2, spec, &mut syms2)
-            .unwrap()
-            .report;
+            .unwrap();
         assert_eq!(seq.verdict.analysis().total_runs, par.verdict.analysis().total_runs);
         assert_eq!(
             seq.verdict.analysis().violating_runs,
             par.verdict.analysis().violating_runs
         );
-        assert_eq!(seq.verdict.analysis().states, par.verdict.analysis().states);
+        assert_eq!(
+            seq.verdict.analysis().states_explored,
+            par.verdict.analysis().states_explored
+        );
+        assert_eq!(
+            format!("{:?}", seq.verdict.analysis().violations),
+            format!("{:?}", par.verdict.analysis().violations)
+        );
         assert_eq!(seq.messages, par.messages);
         assert_eq!(seq.observed_violation, par.observed_violation);
     }
@@ -655,8 +608,7 @@ mod tests {
     fn parallel_pipeline_reuses_one_pool_across_calls() {
         // A parallel pipeline spawns its expansion pool lazily and keeps it
         // across check_execution calls; every call must produce the same
-        // verdict (the tracer forces the streaming pass, which is the path
-        // that dispatches to the pool).
+        // verdict.
         let tracer = jmpax_trace::Tracer::enabled();
         let pipeline = Pipeline::new(
             PipelineConfig::new()
@@ -667,11 +619,10 @@ mod tests {
         for _ in 0..3 {
             let mut syms = SymbolTable::new();
             let ex = example2(&mut syms);
-            let outcome = pipeline.check_execution(&ex, spec, &mut syms).unwrap();
-            assert!(outcome.report.predicted());
-            let stream = outcome.stream.expect("tracer configured");
-            assert!(stream.completed);
-            assert_eq!(stream.violations.len(), 1);
+            let report = pipeline.check_execution(&ex, spec, &mut syms).unwrap();
+            assert!(report.predicted());
+            assert!(report.verdict.analysis().completed);
+            assert_eq!(report.verdict.analysis().violations.len(), 1);
         }
     }
 
@@ -713,8 +664,7 @@ mod tests {
         let (messages, reassembly) = reassembler.finish();
         let transport = transport_exactness(&decoded, &reassembly);
         let report = Pipeline::new(PipelineConfig::new())
-            .check_messages(monitor, initial, transport, messages)
-            .unwrap();
+            .check_messages(monitor, initial, transport, messages);
         (report, decoded, reassembly)
     }
 
@@ -738,9 +688,12 @@ mod tests {
         }
         let (decoded_msgs, decoded) = decode(&sink.take_bytes());
         assert!(decoded.is_clean());
-        let report = Pipeline::new(PipelineConfig::new())
-            .check_messages(monitor, &initial, Exactness::Exact, decoded_msgs)
-            .unwrap();
+        let report = Pipeline::new(PipelineConfig::new()).check_messages(
+            monitor,
+            &initial,
+            Exactness::Exact,
+            decoded_msgs,
+        );
         assert!(report.predicted());
         assert_eq!(report.verdict.analysis().violating_runs, 1);
         assert_eq!(report.messages, messages);
@@ -751,14 +704,12 @@ mod tests {
         // Decode + reassembly + the transport rule over a clean stream give
         // exactly the verdict of the plain observer over the same messages.
         let (messages, monitor, initial) = example2_messages();
-        let plain = Pipeline::new(PipelineConfig::new())
-            .check_messages(
-                monitor.clone(),
-                &initial,
-                Exactness::Exact,
-                messages.clone(),
-            )
-            .unwrap();
+        let plain = Pipeline::new(PipelineConfig::new()).check_messages(
+            monitor.clone(),
+            &initial,
+            Exactness::Exact,
+            messages.clone(),
+        );
         let (report, decoded, reassembly) =
             check_received(&encode(&messages), monitor, &initial, 8);
         assert!(decoded.is_clean());
@@ -768,8 +719,8 @@ mod tests {
         assert_eq!(report.verdict.analysis().total_runs, 3);
         assert_eq!(report.verdict.analysis().violating_runs, 1);
         assert_eq!(
-            report.verdict.analysis().states,
-            plain.verdict.analysis().states
+            report.verdict.analysis().states_explored,
+            plain.verdict.analysis().states_explored
         );
         assert_eq!(report.observed_violation, plain.observed_violation);
         assert_eq!(report.messages, messages);

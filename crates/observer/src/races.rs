@@ -1,368 +1,61 @@
-//! Predictive data-race detection.
-//!
-//! The paper's introduction names data races as the canonical bug class
-//! that single-trace testing misses ("like in the case of data-races, the
-//! chance of detecting this safety violation by monitoring only the actual
-//! run is very low"). This module implements the classic vector-clock race
-//! detector (Djit⁺-style, full vector clocks) on top of the same event
-//! model: the *synchronization-only* happens-before — program order plus
-//! lock transfer edges — is tracked per thread, and a data access races
-//! with an earlier access of the same variable when that access is not
-//! ordered before it.
-//!
-//! Crucially, this is a **predictive** analysis in exactly the paper's
-//! sense: the verdict depends only on the synchronization structure of the
-//! observed execution, so a race is reported even when the actual
-//! interleaving kept the accesses far apart.
-//!
-//! Note the deliberate difference from Algorithm A: Algorithm A *derives*
-//! causality from data accesses (write-read/read-write/write-write edges),
-//! while race detection must *check* data accesses against a causality
-//! built from synchronization alone — using Algorithm A's clocks here would
-//! make every race invisible by construction.
-
-use std::collections::BTreeSet;
-
-use jmpax_core::{Event, EventKind, Execution, ThreadId, VarId, VectorClock};
-
-/// One end of a racing pair.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Access {
-    /// The accessing thread.
-    pub thread: ThreadId,
-    /// Index of the event in the execution.
-    pub index: usize,
-    /// True for writes.
-    pub is_write: bool,
-}
-
-/// A detected data race on `var`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Race {
-    /// The racing variable.
-    pub var: VarId,
-    /// The earlier access (by trace order).
-    pub first: Access,
-    /// The later access; at least one of the two is a write.
-    pub second: Access,
-}
-
-/// Vector-clock race detector state.
-///
-/// ```
-/// use jmpax_core::{Event, ThreadId, VarId};
-/// use jmpax_observer::races::RaceDetector;
-///
-/// let mut det = RaceDetector::new([]);
-/// det.process(&Event::write(ThreadId(0), VarId(0), 1));
-/// let races = det.process(&Event::write(ThreadId(1), VarId(0), 2));
-/// assert_eq!(races.len(), 1, "unsynchronized write-write race");
-/// ```
-#[derive(Clone, Debug)]
-pub struct RaceDetector {
-    sync_vars: BTreeSet<VarId>,
-    /// Per-thread synchronization clock `C_t`.
-    clocks: Vec<VectorClock>,
-    /// Per sync-var: the clock deposited by the last lock event.
-    lock_clocks: Vec<Option<VectorClock>>,
-    /// Per data var: clock of reads (component per thread) + last read
-    /// index per thread.
-    read_clocks: Vec<VectorClock>,
-    read_index: Vec<Vec<Option<usize>>>,
-    /// Per data var: clock of writes + last write index per thread.
-    write_clocks: Vec<VectorClock>,
-    write_index: Vec<Vec<Option<usize>>>,
-    races: Vec<Race>,
-    position: usize,
-}
-
-impl RaceDetector {
-    /// Creates a detector; writes of `sync_vars` are lock-transfer events
-    /// (acquire *and* release both join-and-deposit, which orders any two
-    /// critical sections of the same lock).
-    #[must_use]
-    pub fn new(sync_vars: impl IntoIterator<Item = VarId>) -> Self {
-        Self {
-            sync_vars: sync_vars.into_iter().collect(),
-            clocks: Vec::new(),
-            lock_clocks: Vec::new(),
-            read_clocks: Vec::new(),
-            read_index: Vec::new(),
-            write_clocks: Vec::new(),
-            write_index: Vec::new(),
-            races: Vec::new(),
-            position: 0,
-        }
-    }
-
-    fn thread_clock(&mut self, t: ThreadId) -> &mut VectorClock {
-        if self.clocks.len() <= t.index() {
-            self.clocks.resize_with(t.index() + 1, VectorClock::new);
-        }
-        &mut self.clocks[t.index()]
-    }
-
-    fn grow_var(&mut self, v: VarId) {
-        if self.read_clocks.len() <= v.index() {
-            self.read_clocks
-                .resize_with(v.index() + 1, VectorClock::new);
-            self.write_clocks
-                .resize_with(v.index() + 1, VectorClock::new);
-            self.read_index.resize_with(v.index() + 1, Vec::new);
-            self.write_index.resize_with(v.index() + 1, Vec::new);
-        }
-    }
-
-    fn set_index(table: &mut Vec<Option<usize>>, t: ThreadId, idx: usize) {
-        if table.len() <= t.index() {
-            table.resize(t.index() + 1, None);
-        }
-        table[t.index()] = Some(idx);
-    }
-
-    /// Feeds one event. Returns any race completed by this event.
-    pub fn process(&mut self, event: &Event) -> Vec<Race> {
-        let idx = self.position;
-        self.position += 1;
-        let t = event.thread;
-        // Program order: tick the thread's own component.
-        self.thread_clock(t).tick(t);
-
-        let mut found = Vec::new();
-        match event.kind {
-            EventKind::Internal => {}
-            EventKind::Write { var, .. } if self.sync_vars.contains(&var) => {
-                // Lock transfer: join with the deposited clock, deposit.
-                if self.lock_clocks.len() <= var.index() {
-                    self.lock_clocks.resize_with(var.index() + 1, || None);
-                }
-                let deposited = self.lock_clocks[var.index()].clone();
-                let ct = self.thread_clock(t);
-                if let Some(d) = deposited {
-                    ct.join(&d);
-                }
-                let snapshot = ct.clone();
-                self.lock_clocks[var.index()] = Some(snapshot);
-            }
-            EventKind::Read { var } => {
-                if self.sync_vars.contains(&var) {
-                    // Reads of sync vars happen only in exotic traces;
-                    // treat them as joining (acquire-like) without deposit.
-                    if let Some(Some(d)) = self.lock_clocks.get(var.index()).cloned() {
-                        self.thread_clock(t).join(&d);
-                    }
-                    return found;
-                }
-                self.grow_var(var);
-                let ct = self.clocks[t.index()].clone();
-                // A read races with any write not ordered before it.
-                for (j, wj) in self.write_clocks[var.index()].iter() {
-                    if j != t && wj > 0 && wj > ct.get(j) {
-                        if let Some(widx) = self.write_index[var.index()]
-                            .get(j.index())
-                            .copied()
-                            .flatten()
-                        {
-                            found.push(Race {
-                                var,
-                                first: Access {
-                                    thread: j,
-                                    index: widx,
-                                    is_write: true,
-                                },
-                                second: Access {
-                                    thread: t,
-                                    index: idx,
-                                    is_write: false,
-                                },
-                            });
-                        }
-                    }
-                }
-                let own = ct.get(t);
-                self.read_clocks[var.index()].set(t, own);
-                Self::set_index(&mut self.read_index[var.index()], t, idx);
-            }
-            EventKind::Write { var, .. } => {
-                self.grow_var(var);
-                let ct = self.clocks[t.index()].clone();
-                // A write races with any unordered previous write or read.
-                for (j, wj) in self.write_clocks[var.index()].iter() {
-                    if j != t && wj > 0 && wj > ct.get(j) {
-                        if let Some(widx) = self.write_index[var.index()]
-                            .get(j.index())
-                            .copied()
-                            .flatten()
-                        {
-                            found.push(Race {
-                                var,
-                                first: Access {
-                                    thread: j,
-                                    index: widx,
-                                    is_write: true,
-                                },
-                                second: Access {
-                                    thread: t,
-                                    index: idx,
-                                    is_write: true,
-                                },
-                            });
-                        }
-                    }
-                }
-                for (j, rj) in self.read_clocks[var.index()].iter() {
-                    if j != t && rj > 0 && rj > ct.get(j) {
-                        if let Some(ridx) = self.read_index[var.index()]
-                            .get(j.index())
-                            .copied()
-                            .flatten()
-                        {
-                            found.push(Race {
-                                var,
-                                first: Access {
-                                    thread: j,
-                                    index: ridx,
-                                    is_write: false,
-                                },
-                                second: Access {
-                                    thread: t,
-                                    index: idx,
-                                    is_write: true,
-                                },
-                            });
-                        }
-                    }
-                }
-                let own = ct.get(t);
-                self.write_clocks[var.index()].set(t, own);
-                Self::set_index(&mut self.write_index[var.index()], t, idx);
-            }
-        }
-        self.races.extend(found.iter().copied());
-        found
-    }
-
-    /// All races found so far.
-    #[must_use]
-    pub fn races(&self) -> &[Race] {
-        &self.races
-    }
-}
-
-/// One-shot detection over a recorded execution, deduplicated.
-#[must_use]
-pub fn detect_races(execution: &Execution, sync_vars: &BTreeSet<VarId>) -> Vec<Race> {
-    let mut det = RaceDetector::new(sync_vars.iter().copied());
-    for e in &execution.events {
-        det.process(e);
-    }
-    det.races_deduped()
-}
-
-/// Observer-side race detection **over the message wire**: the instrumented
-/// program runs with relevance covering reads and writes of the data
-/// variables plus the lock pseudo-variables, and ships only messages. The
-/// messages may arrive in any order; a [`jmpax_core::CausalBuffer`] first
-/// restores a causally consistent order, which is all the happens-before
-/// construction needs (any linearization consistent with causality yields
-/// the same race verdicts — per-thread order and per-lock transfer order
-/// are both preserved by causal delivery).
-#[must_use]
-pub fn detect_races_from_messages(
-    messages: impl IntoIterator<Item = jmpax_core::Message>,
-    sync_vars: &BTreeSet<VarId>,
-) -> Vec<Race> {
-    let mut buffer = jmpax_core::CausalBuffer::new();
-    let mut det = RaceDetector::new(sync_vars.iter().copied());
-    for m in messages {
-        for delivered in buffer.push(m) {
-            det.process(&delivered.event);
-        }
-    }
-    det.races_deduped()
-}
-
-impl RaceDetector {
-    /// Accumulated races, deduplicated by variable, thread pair and access
-    /// kinds (keeping the first occurrence of each class).
-    #[must_use]
-    pub fn races_deduped(&self) -> Vec<Race> {
-        let mut seen = std::collections::HashSet::new();
-        self.races
-            .iter()
-            .filter(|r| {
-                seen.insert((
-                    r.var,
-                    r.first.thread,
-                    r.second.thread,
-                    r.first.is_write,
-                    r.second.is_write,
-                ))
-            })
-            .copied()
-            .collect()
-    }
-}
+//! Race detection as the observer runs it: the suite's
+//! [`RaceAnalysis`](jmpax_lattice::RaceAnalysis) over a [`Pipeline`]'s
+//! causal delivery of instrumented messages, with writes of the declared
+//! sync variables as lock transfers.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use jmpax_core::{Event, ThreadId, VarId};
+    use std::collections::BTreeSet;
+
+    use jmpax_core::{AnalysisKind, Event, Execution, Relevance, ThreadId, VarId};
+    use jmpax_lattice::{Exactness, RaceReport};
+
+    use crate::pipeline::{Pipeline, PipelineConfig};
 
     const T1: ThreadId = ThreadId(0);
     const T2: ThreadId = ThreadId(1);
     const X: VarId = VarId(0);
     const L: VarId = VarId(9);
 
-    fn run(events: &[Event], sync: &[VarId]) -> Vec<Race> {
-        let mut det = RaceDetector::new(sync.iter().copied());
-        for e in events {
-            det.process(e);
-        }
-        det.races_deduped()
+    /// The race report for `execution`, every access relevant.
+    fn races(execution: &Execution, sync: &BTreeSet<VarId>) -> RaceReport {
+        let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+            .check_stream_suite(
+                &[AnalysisKind::Race],
+                None,
+                execution.thread_count(),
+                Exactness::Exact,
+                execution.instrument(Relevance::Everything),
+            );
+        suite.reports[0].as_race().expect("a race report").clone()
+    }
+
+    fn run(events: &[Event], sync: &[VarId]) -> RaceReport {
+        let execution = Execution {
+            events: events.to_vec(),
+            ..Execution::new()
+        };
+        races(&execution, &sync.iter().copied().collect())
     }
 
     #[test]
     fn unsynchronized_write_write_races() {
-        let races = run(&[Event::write(T1, X, 1), Event::write(T2, X, 2)], &[]);
-        assert_eq!(races.len(), 1);
-        assert_eq!(races[0].var, X);
-        assert!(races[0].first.is_write && races[0].second.is_write);
-    }
-
-    #[test]
-    fn read_write_and_write_read_race() {
-        let races = run(&[Event::read(T1, X), Event::write(T2, X, 1)], &[]);
-        assert_eq!(races.len(), 1);
-        assert!(!races[0].first.is_write);
-        let races = run(&[Event::write(T1, X, 1), Event::read(T2, X)], &[]);
-        assert_eq!(races.len(), 1);
-        assert!(races[0].first.is_write && !races[0].second.is_write);
+        let r = run(&[Event::write(T1, X, 1), Event::write(T2, X, 2)], &[]);
+        assert_eq!(r.races_found, 1);
+        assert_eq!(r.findings[0].var, X);
+        assert!(r.findings[0].first.is_write && r.findings[0].second.is_write);
     }
 
     #[test]
     fn read_read_never_races() {
-        let races = run(&[Event::read(T1, X), Event::read(T2, X)], &[]);
-        assert!(races.is_empty());
-    }
-
-    #[test]
-    fn same_thread_never_races() {
-        let races = run(
-            &[
-                Event::write(T1, X, 1),
-                Event::read(T1, X),
-                Event::write(T1, X, 2),
-            ],
-            &[],
-        );
-        assert!(races.is_empty());
+        let r = run(&[Event::read(T1, X), Event::read(T2, X)], &[]);
+        assert!(r.satisfied(), "{:?}", r.findings);
     }
 
     #[test]
     fn lock_protected_accesses_do_not_race() {
         // T1: acq L, write x, rel L; T2: acq L, write x, rel L.
-        let races = run(
+        let r = run(
             &[
                 Event::write(T1, L, 1),
                 Event::write(T1, X, 1),
@@ -374,46 +67,15 @@ mod tests {
             &[L],
         );
         assert!(
-            races.is_empty(),
-            "lock transfer orders the accesses: {races:?}"
+            r.satisfied(),
+            "lock transfer orders the accesses: {:?}",
+            r.findings
         );
-    }
-
-    #[test]
-    fn race_is_predicted_even_when_far_apart_in_the_trace() {
-        // The racing accesses are separated by lots of unrelated activity —
-        // a single-trace "overlap" detector would see nothing suspicious.
-        let y = VarId(1);
-        let mut events = vec![Event::write(T1, X, 1)];
-        for i in 0..50 {
-            events.push(Event::write(T1, y, i));
-            events.push(Event::read(T2, y));
-        }
-        events.push(Event::write(T2, X, 2));
-        let races = run(&events, &[]);
-        // x races (y-traffic is unsynchronized and races too, but x's race
-        // must be among them).
-        assert!(races.iter().any(|r| r.var == X));
-    }
-
-    #[test]
-    fn partial_locking_still_races() {
-        // T1 holds the lock, T2 does not.
-        let races = run(
-            &[
-                Event::write(T1, L, 1),
-                Event::write(T1, X, 1),
-                Event::write(T1, L, 0),
-                Event::write(T2, X, 2),
-            ],
-            &[L],
-        );
-        assert_eq!(races.len(), 1);
     }
 
     #[test]
     fn dedup_by_thread_pair_and_kinds() {
-        let races = run(
+        let r = run(
             &[
                 Event::write(T1, X, 1),
                 Event::write(T2, X, 2),
@@ -424,50 +86,13 @@ mod tests {
         );
         // Many racing pairs, one per (var, threads, kinds) after dedup —
         // both directions count separately.
-        assert!(races.len() <= 2, "{races:?}");
-        assert!(!races.is_empty());
-    }
-
-    #[test]
-    fn races_detected_over_the_wire_in_any_delivery_order() {
-        use jmpax_core::{MvcInstrumentor, Relevance};
-        // Instrument the racy pair with reads+writes relevant and ship the
-        // messages shuffled; the observer-side detector must find the race.
-        let events = [
-            Event::write(T1, X, 1),
-            Event::read(T1, X),
-            Event::read(T2, X),
-            Event::write(T2, X, 2),
-        ];
-        let mut instr = MvcInstrumentor::with_relevance(Relevance::accesses_of([X]));
-        let mut msgs: Vec<_> = events.iter().filter_map(|e| instr.process(e)).collect();
-        msgs.reverse();
-        let races = detect_races_from_messages(msgs, &BTreeSet::new());
-        assert!(!races.is_empty());
-        assert!(races.iter().all(|r| r.var == X));
-    }
-
-    #[test]
-    fn locked_accesses_over_the_wire_are_clean() {
-        use jmpax_core::{MvcInstrumentor, Relevance, Value};
-        // acquire/release pseudo-writes interleave with data accesses.
-        let events = [
-            Event::write(T1, L, Value::Int(1)),
-            Event::write(T1, X, 1),
-            Event::write(T1, L, Value::Int(0)),
-            Event::write(T2, L, Value::Int(1)),
-            Event::write(T2, X, 2),
-            Event::write(T2, L, Value::Int(0)),
-        ];
-        let mut instr = MvcInstrumentor::with_relevance(Relevance::AllWrites);
-        let msgs: Vec<_> = events.iter().filter_map(|e| instr.process(e)).collect();
-        let sync: BTreeSet<VarId> = [L].into_iter().collect();
-        assert!(detect_races_from_messages(msgs, &sync).is_empty());
+        assert!(r.races_found <= 2, "{:?}", r.findings);
+        assert!(!r.satisfied());
     }
 
     #[test]
     fn detect_races_on_sched_programs() {
-        use jmpax_sched::{run_round_robin, Expr, Program, Stmt};
+        use jmpax_sched::{run_round_robin, Expr, LockId, Program, Stmt};
         // Unsynchronized increment by two threads.
         let inc = vec![Stmt::assign(X, Expr::var(X).add(Expr::val(1)))];
         let p = Program::new()
@@ -475,11 +100,10 @@ mod tests {
             .with_thread(inc)
             .with_initial(X, 0);
         let out = run_round_robin(&p, 100);
-        let races = detect_races(&out.execution, &BTreeSet::new());
-        assert!(!races.is_empty(), "the classic lost-update race");
+        let r = races(&out.execution, &BTreeSet::new());
+        assert!(!r.satisfied(), "the classic lost-update race");
 
         // The same program with a lock is clean.
-        use jmpax_sched::LockId;
         let l = LockId(0);
         let locked = vec![
             Stmt::Lock(l),
@@ -493,7 +117,7 @@ mod tests {
             .with_locks(1);
         let out = run_round_robin(&p, 100);
         let sync: BTreeSet<VarId> = [p.lock_var(l)].into_iter().collect();
-        let races = detect_races(&out.execution, &sync);
-        assert!(races.is_empty(), "{races:?}");
+        let r = races(&out.execution, &sync);
+        assert!(r.satisfied(), "{:?}", r.findings);
     }
 }

@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use jmpax_core::SymbolTable;
-use jmpax_lattice::{Counterexample, LatticeAnalysis, Violation};
+use jmpax_lattice::{Counterexample, StreamReport, Violation};
 use jmpax_spec::ProgramState;
 
 fn render_state(state: &ProgramState, symbols: &SymbolTable) -> String {
@@ -54,7 +54,9 @@ pub fn render_counterexample(ce: &Counterexample, symbols: &SymbolTable) -> Stri
     out
 }
 
-/// Renders one violation (cut, state, optional counterexample).
+/// Renders one violation (cut, state, optional counterexample). A
+/// counterexample cut short by bounded history renders as a trail of its
+/// last steps.
 #[must_use]
 pub fn render_violation(v: &Violation, symbols: &SymbolTable) -> String {
     let mut out = String::new();
@@ -65,26 +67,43 @@ pub fn render_violation(v: &Violation, symbols: &SymbolTable) -> String {
         render_state(&v.state, symbols)
     );
     if let Some(ce) = &v.counterexample {
-        let _ = writeln!(out, "counterexample run ({} events):", ce.event_count());
+        if ce.is_complete() {
+            let _ = writeln!(out, "counterexample run ({} events):", ce.event_count());
+        } else {
+            let _ = writeln!(out, "counterexample trail (last {} steps):", ce.steps.len());
+        }
         out.push_str(&render_counterexample(ce, symbols));
     }
     out
 }
 
+/// A run count, marked when it saturated instead of printing a number
+/// that is not the count.
+fn render_runs(n: u128) -> String {
+    if n == StreamReport::SATURATED {
+        "at least 2^128-1 (saturated)".to_owned()
+    } else {
+        n.to_string()
+    }
+}
+
 /// Renders a whole analysis summary in the shape the paper reports its
 /// examples ("6 states to analyze and three corresponding runs").
 #[must_use]
-pub fn render_analysis(a: &LatticeAnalysis, symbols: &SymbolTable) -> String {
+pub fn render_analysis(a: &StreamReport, symbols: &SymbolTable) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "lattice: {} states, {} levels (peak width {})",
-        a.states, a.levels, a.max_level_width
+        a.states_explored,
+        a.levels(),
+        a.peak_frontier
     );
     let _ = writeln!(
         out,
         "runs: {} total, {} violating",
-        a.total_runs, a.violating_runs
+        render_runs(a.total_runs),
+        render_runs(a.violating_runs)
     );
     if !a.exactness.is_exact() {
         let _ = writeln!(out, "confidence: {}", a.exactness);
@@ -95,31 +114,6 @@ pub fn render_analysis(a: &LatticeAnalysis, symbols: &SymbolTable) -> String {
         for v in &a.violations {
             out.push_str(&render_violation(v, symbols));
         }
-    }
-    out
-}
-
-/// Renders a race report, one line per race, using trace-style 0-based
-/// thread names.
-#[must_use]
-pub fn render_races(races: &[crate::races::Race], symbols: &SymbolTable) -> String {
-    if races.is_empty() {
-        return "no data races predicted\n".to_owned();
-    }
-    let mut out = String::new();
-    for r in races {
-        let kind = |w: bool| if w { "write" } else { "read" };
-        let _ = writeln!(
-            out,
-            "race on {}: T{} {} (event #{}) vs T{} {} (event #{})",
-            symbols.name_or_default(r.var),
-            r.first.thread.0,
-            kind(r.first.is_write),
-            r.first.index,
-            r.second.thread.0,
-            kind(r.second.is_write),
-            r.second.index,
-        );
     }
     out
 }
@@ -178,32 +172,51 @@ mod tests {
         ex.read(t2, x);
         ex.write(t2, x, 1);
 
-        let outcome = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
+        let report = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
-        let text = render_analysis(outcome.report.verdict.analysis(), &syms);
+        let text = render_analysis(report.verdict.analysis(), &syms);
         assert!(text.contains("7 states"), "{text}");
         assert!(text.contains("3 total, 1 violating"), "{text}");
         assert!(text.contains("violation at cut S2,2"), "{text}");
         assert!(text.contains("x=1"), "{text}");
         assert!(text.contains("T1 writes"), "{text}");
+        assert!(text.contains("counterexample run (4 events)"), "{text}");
     }
 
     #[test]
-    fn renders_races_and_deadlocks() {
+    fn bounded_history_renders_a_trail_and_saturated_counts_say_so() {
+        let mut syms = SymbolTable::new();
+        let x = syms.intern("x");
+        let mut ex = Execution::new().with_initial(x, 0);
+        for v in 1..=3 {
+            ex.write(ThreadId(0), x, v);
+        }
+        let report = crate::pipeline::Pipeline::new(
+            crate::pipeline::PipelineConfig::new()
+                .analysis(jmpax_lattice::AnalysisConfig::default().with_history(0)),
+        )
+        .check_execution(&ex, "x < 3", &mut syms)
+        .unwrap();
+        let text = render_analysis(report.verdict.analysis(), &syms);
+        assert!(
+            text.contains("counterexample trail (last 2 steps)"),
+            "{text}"
+        );
+        assert!(!text.contains("(initial)"), "{text}");
+
+        assert_eq!(
+            render_runs(StreamReport::SATURATED),
+            "at least 2^128-1 (saturated)"
+        );
+        assert_eq!(render_runs(3), "3");
+    }
+
+    #[test]
+    fn renders_deadlocks() {
         use jmpax_core::{Event, Value, VarId};
 
         let mut syms = SymbolTable::new();
-        let x = syms.intern("balance");
-        let mut det = crate::races::RaceDetector::new([]);
-        det.process(&Event::write(ThreadId(0), x, 1));
-        det.process(&Event::write(ThreadId(1), x, 2));
-        let races = det.races_deduped();
-        let text = render_races(&races, &syms);
-        assert!(text.contains("race on balance: T0 write"), "{text}");
-        assert!(text.contains("T1 write"), "{text}");
-        assert_eq!(render_races(&[], &syms), "no data races predicted\n");
-
         let a = syms.intern("fork0");
         let b = syms.intern("fork1");
         let mut det = crate::deadlock::DeadlockDetector::new([a, b]);
@@ -238,10 +251,10 @@ mod tests {
         let x = syms.intern("x");
         let mut ex = Execution::new().with_initial(x, 0);
         ex.write(ThreadId(0), x, 1);
-        let outcome = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
+        let report = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
             .check_execution(&ex, "x >= 0", &mut syms)
             .unwrap();
-        let text = render_analysis(outcome.report.verdict.analysis(), &syms);
+        let text = render_analysis(report.verdict.analysis(), &syms);
         assert!(text.contains("satisfied on every run"), "{text}");
     }
 }

@@ -26,8 +26,7 @@ fn main() {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
+                .unwrap();
             observed += usize::from(report.observed());
             predicted += usize::from(report.predicted());
         }

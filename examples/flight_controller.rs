@@ -31,8 +31,7 @@ fn main() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     println!(
         "single-trace (JPaX-style) verdict: {}",
         if report.observed() {

@@ -25,8 +25,7 @@ fn export(
     let mut syms = workload.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &workload.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     let highlights = report
         .verdict
         .analysis()

@@ -90,9 +90,12 @@ fn main() {
     let mut decoder = ResilientFrameDecoder::new();
     let received = decoder.push(&shuffled_sink.take_bytes());
     assert!(decoder.finish().is_clean());
-    let report = Pipeline::new(PipelineConfig::new())
-        .check_messages(monitor, &ProgramState::new(), Exactness::Exact, received)
-        .unwrap();
+    let report = Pipeline::new(PipelineConfig::new()).check_messages(
+        monitor,
+        &ProgramState::new(),
+        Exactness::Exact,
+        received,
+    );
 
     println!(
         "messages delivered out of order: {} relevant writes",
@@ -101,7 +104,7 @@ fn main() {
     let a = report.verdict.analysis();
     println!(
         "lattice: {} states, {} runs, {} violating",
-        a.states, a.total_runs, a.violating_runs
+        a.states_explored, a.total_runs, a.violating_runs
     );
     println!(
         "verdict: {}",

@@ -7,7 +7,8 @@
 //! ```
 
 use jmpax::instrument::Session;
-use jmpax::observer::{render_analysis, Observer};
+use jmpax::lattice::Exactness;
+use jmpax::observer::{render_analysis, Pipeline, PipelineConfig};
 use jmpax::spec::ProgramState;
 use jmpax::{parse, Relevance, VarId};
 
@@ -39,9 +40,13 @@ fn main() {
         .monitor()
         .unwrap();
 
-    let mut observer = Observer::new(monitor, ProgramState::new());
-    observer.offer_all(session.drain_messages());
-    let verdict = observer.conclude().unwrap();
+    let report = Pipeline::new(PipelineConfig::new()).check_messages(
+        monitor,
+        &ProgramState::new(),
+        Exactness::Exact,
+        session.drain_messages(),
+    );
+    let verdict = report.verdict;
 
     println!("observed execution: deposit first, receipt second — successful");
     println!();

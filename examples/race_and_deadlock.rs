@@ -17,15 +17,31 @@
 
 use std::collections::BTreeSet;
 
-use jmpax::observer::{detect_races, predict_deadlocks};
+use jmpax::core::AnalysisKind;
+use jmpax::lattice::{Exactness, RaceReport};
+use jmpax::observer::{predict_deadlocks, Pipeline, PipelineConfig};
 use jmpax::sched::{run_fixed, run_round_robin, Expr, LockId, Program, Stmt};
 use jmpax::workloads::dining;
-use jmpax::{ThreadId, VarId};
+use jmpax::{Execution, Relevance, ThreadId, VarId};
 
 fn main() {
     race_demo();
     println!();
     deadlock_demo();
+}
+
+/// Runs the race analysis over every access of `execution`, with writes of
+/// `sync` as lock acquire/release.
+fn detect_races(execution: &Execution, sync: &BTreeSet<VarId>) -> RaceReport {
+    let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+        .check_stream_suite(
+            &[AnalysisKind::Race],
+            None,
+            execution.thread_count(),
+            Exactness::Exact,
+            execution.instrument(Relevance::Everything),
+        );
+    suite.reports[0].as_race().expect("a race report").clone()
 }
 
 fn race_demo() {
@@ -45,19 +61,12 @@ fn race_demo() {
     let races = detect_races(&out.execution, &BTreeSet::new());
     println!(
         "unsynchronized counter, serial schedule: {} race(s) predicted",
-        races.len()
+        races.races_found
     );
-    for r in &races {
-        println!(
-            "  race on v{}: {:?} {} vs {:?} {}",
-            r.var.0,
-            r.first.thread,
-            if r.first.is_write { "write" } else { "read" },
-            r.second.thread,
-            if r.second.is_write { "write" } else { "read" },
-        );
+    for r in &races.findings {
+        println!("  race on v{}: {} vs {}", r.var.0, r.first, r.second);
     }
-    assert!(!races.is_empty());
+    assert!(!races.satisfied());
 
     // Fixed: same program under a lock.
     let inc = vec![
@@ -73,8 +82,8 @@ fn race_demo() {
     let out = run_round_robin(&fixed, 100);
     let sync: BTreeSet<VarId> = [fixed.lock_var(l)].into_iter().collect();
     let races = detect_races(&out.execution, &sync);
-    println!("locked counter: {} race(s)", races.len());
-    assert!(races.is_empty());
+    println!("locked counter: {} race(s)", races.races_found);
+    assert!(races.satisfied());
 }
 
 fn deadlock_demo() {

@@ -66,8 +66,7 @@ fn main() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     let analysis = report.verdict.analysis();
     println!(
         "observed run successful: {} — violating runs in the lattice: {}",

@@ -47,7 +47,7 @@ pub use jmpax_core::{
 pub use jmpax_lattice::{
     analyze, to_dot, Analysis, Cut, DotOptions, Lattice, LatticeInput, StreamingAnalyzer,
 };
-pub use jmpax_observer::{detect_races, predict_deadlocks, LiveObserver, Observer, Verdict};
+pub use jmpax_observer::{predict_deadlocks, LiveObserver, Pipeline, PipelineConfig, Verdict};
 pub use jmpax_spec::{parse, Formula, Monitor, MonitorState, ProgramState};
 pub use jmpax_telemetry::{Registry, Snapshot};
 pub use jmpax_trace::{causal_edges, TraceData, TraceKind, TraceRing, Tracer};

@@ -25,14 +25,13 @@ fn example1_fig5_six_states_three_runs_two_violations() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
 
     // The observed execution is successful...
     assert!(!report.observed(), "observed run must satisfy the property");
     // ...but the analysis predicts the two violations of Fig. 5.
     let analysis = report.verdict.analysis();
-    assert_eq!(analysis.states, 6, "Fig. 5 has 6 states");
+    assert_eq!(analysis.states_explored, 6, "Fig. 5 has 6 states");
     assert_eq!(analysis.total_runs, 3, "Fig. 5 has 3 runs");
     assert_eq!(analysis.violating_runs, 2, "2 runs violate (Example 1)");
     assert!(report.verdict.is_prediction());
@@ -48,8 +47,7 @@ fn example1_counterexamples_cover_both_bad_scenarios() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     let analysis = report.verdict.analysis();
 
     // The paper's two bad scenarios ("radio drops before approval" and
@@ -65,6 +63,10 @@ fn example1_counterexamples_cover_both_bad_scenarios() {
     assert_eq!(v.state.get(radio).as_int(), 0, "radio down at violation");
     assert_eq!(v.state.get(landing_var).as_int(), 1, "landing started");
     let ce = v.counterexample.as_ref().expect("counterexample present");
+    assert!(
+        ce.is_complete(),
+        "the counterexample starts at the initial state"
+    );
     assert_eq!(ce.event_count(), 3);
 }
 
@@ -77,12 +79,14 @@ fn example2_fig6_seven_states_three_runs_one_violation() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
 
     assert!(!report.observed(), "the paper's observed run is successful");
     let analysis = report.verdict.analysis();
-    assert_eq!(analysis.states, 7, "Fig. 6 has 7 states S0,0..S2,2");
+    assert_eq!(
+        analysis.states_explored, 7,
+        "Fig. 6 has 7 states S0,0..S2,2"
+    );
     assert_eq!(analysis.total_runs, 3);
     assert_eq!(analysis.violating_runs, 1);
     assert!(report.verdict.is_prediction());

@@ -14,9 +14,12 @@ fn observe_wire(bytes: &[u8], monitor: Monitor, initial: ProgramState) -> Pipeli
     let mut decoder = ResilientFrameDecoder::new();
     let messages = decoder.push(bytes);
     assert!(decoder.finish().is_clean());
-    Pipeline::new(PipelineConfig::new())
-        .check_messages(monitor, &initial, Exactness::Exact, messages)
-        .unwrap()
+    Pipeline::new(PipelineConfig::new()).check_messages(
+        monitor,
+        &initial,
+        Exactness::Exact,
+        messages,
+    )
 }
 
 /// Example 2 of the paper run on real `std::thread`s. The paper's observed
@@ -88,7 +91,10 @@ fn real_threads_example2_predicts_violation_over_the_wire() {
     assert!(!report.observed(), "the forced interleaving is successful");
     assert!(report.predicted(), "the violation must be predicted");
     let a = report.verdict.analysis();
-    assert_eq!(a.states, 7, "real threads reproduce the Fig. 6 lattice");
+    assert_eq!(
+        a.states_explored, 7,
+        "real threads reproduce the Fig. 6 lattice"
+    );
     assert_eq!(a.total_runs, 3);
     assert_eq!(a.violating_runs, 1);
 }

@@ -3,10 +3,26 @@
 
 use std::collections::BTreeSet;
 
-use jmpax::observer::{detect_races, predict_deadlocks, Pipeline, PipelineConfig};
+use jmpax::core::AnalysisKind;
+use jmpax::lattice::{Exactness, RaceReport};
+use jmpax::observer::{predict_deadlocks, Pipeline, PipelineConfig};
 use jmpax::sched::{run_random, verify_exhaustive, ExploreLimits};
 use jmpax::workloads::{bank, dining, xyz};
-use jmpax::VarId;
+use jmpax::{Execution, Relevance, VarId};
+
+/// The race analysis over every access of `execution`, with writes of
+/// `sync` as lock transfers.
+fn races(execution: &Execution, sync: &BTreeSet<VarId>) -> RaceReport {
+    let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+        .check_stream_suite(
+            &[AnalysisKind::Race],
+            None,
+            execution.thread_count(),
+            Exactness::Exact,
+            execution.instrument(Relevance::Everything),
+        );
+    suite.reports[0].as_race().expect("a race report").clone()
+}
 
 /// Prediction from a single run must agree with exhaustive enumeration on
 /// the *existence* of violating schedules for the value-deterministic
@@ -34,8 +50,7 @@ fn bank_prediction_matches_exhaustive_ground_truth() {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
+                .unwrap();
             assert_eq!(
                 report.predicted(),
                 expect_violation,
@@ -73,8 +88,7 @@ fn xyz_exhaustive_has_violations_and_prediction_agrees() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     assert!(report.predicted());
 }
 
@@ -104,14 +118,14 @@ fn race_prediction_is_schedule_independent() {
     for seed in 0..20 {
         let out = run_random(&racy, seed, 100);
         assert!(
-            !detect_races(&out.execution, &BTreeSet::new()).is_empty(),
+            !races(&out.execution, &BTreeSet::new()).satisfied(),
             "seed {seed}: race must be predicted from any schedule"
         );
 
         let out = run_random(&locked, seed, 100);
         let sync: BTreeSet<VarId> = [locked.lock_var(l)].into_iter().collect();
         assert!(
-            detect_races(&out.execution, &sync).is_empty(),
+            races(&out.execution, &sync).satisfied(),
             "seed {seed}: locked program must be race-free"
         );
     }

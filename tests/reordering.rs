@@ -3,13 +3,25 @@
 //! Shuffling the message stream must never change the verdict, the lattice
 //! shape, or the violating-run count.
 
-use jmpax::observer::Observer;
+use jmpax::lattice::{Exactness, StreamReport};
+use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_random;
 use jmpax::spec::ProgramState;
 use jmpax::workloads::{synthetic, xyz};
-use jmpax::Relevance;
+use jmpax::{Message, Monitor, Relevance};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
+
+/// The observer's analysis of `messages`, delivered in the given order.
+fn observe(monitor: &Monitor, initial: &ProgramState, messages: Vec<Message>) -> StreamReport {
+    let report = Pipeline::new(PipelineConfig::new()).check_messages(
+        monitor.clone(),
+        initial,
+        Exactness::Exact,
+        messages,
+    );
+    report.verdict.analysis().clone()
+}
 
 #[test]
 fn every_shuffle_of_example2_gives_the_same_verdict() {
@@ -25,13 +37,13 @@ fn every_shuffle_of_example2_gives_the_same_verdict() {
     for round in 0..50 {
         let mut shuffled = msgs.clone();
         shuffled.shuffle(&mut rng);
-        let mut obs = Observer::new(monitor.clone(), initial.clone());
-        obs.offer_all(shuffled);
-        assert!(!obs.has_gaps(), "round {round}: all messages delivered");
-        let verdict = obs.conclude().unwrap();
-        let a = verdict.analysis();
+        let a = observe(&monitor, &initial, shuffled);
+        assert!(
+            a.exactness.is_exact(),
+            "round {round}: all messages delivered"
+        );
         assert_eq!(
-            (a.states, a.total_runs, a.violating_runs),
+            (a.states_explored, a.total_runs, a.violating_runs),
             (7, 3, 1),
             "round {round}: shuffle changed the analysis"
         );
@@ -57,19 +69,13 @@ fn shuffled_synthetic_workloads_match_in_order_analysis() {
         let initial = ProgramState::from_map(out.execution.initial.clone());
         let monitor = w.monitor();
 
-        let mut reference = Observer::new(monitor.clone(), initial.clone());
-        reference.offer_all(msgs.clone());
-        let ref_analysis = reference.conclude().unwrap();
-        let ref_a = ref_analysis.analysis();
+        let ref_a = observe(&monitor, &initial, msgs.clone());
 
         for _ in 0..5 {
             let mut shuffled = msgs.clone();
             shuffled.shuffle(&mut rng);
-            let mut obs = Observer::new(monitor.clone(), initial.clone());
-            obs.offer_all(shuffled);
-            let verdict = obs.conclude().unwrap();
-            let a = verdict.analysis();
-            assert_eq!(a.states, ref_a.states, "seed {seed}");
+            let a = observe(&monitor, &initial, shuffled);
+            assert_eq!(a.states_explored, ref_a.states_explored, "seed {seed}");
             assert_eq!(a.total_runs, ref_a.total_runs, "seed {seed}");
             assert_eq!(a.violating_runs, ref_a.violating_runs, "seed {seed}");
         }
