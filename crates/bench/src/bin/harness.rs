@@ -4,8 +4,6 @@
 //! ```sh
 //! cargo run -p jmpax-bench --bin harness --release            # everything
 //! cargo run -p jmpax-bench --bin harness --release -- fig5    # one experiment
-//! cargo run -p jmpax-bench --bin harness --release -- baseline \
-//!     > BENCH_baseline.json                                   # perf baseline
 //! ```
 
 use std::time::Instant;
@@ -25,12 +23,6 @@ use jmpax_workloads::{bank, landing, peterson, xyz};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    // `baseline` emits machine-readable JSON on stdout, so it never runs
-    // as part of `all` (whose output is the human-readable figure dump).
-    if which == "baseline" {
-        baseline();
-        return;
-    }
     let all = which == "all";
     if all || which == "fig2" {
         fig2();
@@ -77,39 +69,6 @@ fn main() {
     if all || which == "reduction" {
         reduction();
     }
-}
-
-/// Emits a [`jmpax_bench::BenchReport`] sweep as JSON on stdout: several
-/// banded workloads, each at 1 and 2 frontier workers, minimum wall time
-/// over 3 repeats. `harness baseline > BENCH_baseline.json` regenerates
-/// the committed performance baseline.
-fn baseline() {
-    let configs = [
-        BandedConfig {
-            threads: 8,
-            rounds: 3,
-            period: 0,
-        },
-        BandedConfig {
-            threads: 6,
-            rounds: 4,
-            period: 0,
-        },
-        BandedConfig {
-            threads: 5,
-            rounds: 20,
-            period: 1,
-        },
-    ];
-    let mut merged: Option<jmpax_bench::BenchReport> = None;
-    for config in configs {
-        let report = jmpax_bench::measure(config, &[1, 2], 3);
-        match &mut merged {
-            None => merged = Some(report),
-            Some(m) => m.runs.extend(report.runs),
-        }
-    }
-    println!("{}", merged.expect("at least one config").to_json());
 }
 
 /// Q9: partial-order reduction vs full enumeration cost.
@@ -573,7 +532,10 @@ fn parallel_scaling() {
             );
         }
     }
-    println!("(levels narrower than 64 cuts/worker stay sequential; speedup comes from wide levels)");
+    println!(
+        "(levels narrower than {} cuts/worker stay sequential; speedup comes from wide levels)",
+        jmpax_lattice::DEFAULT_SHARD_GRANULARITY
+    );
 }
 
 /// D1/D2 ablations.

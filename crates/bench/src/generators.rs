@@ -39,20 +39,8 @@ impl Default for BandedConfig {
 /// `VarId(threads)`. All writes are relevant.
 #[must_use]
 pub fn banded_computation(config: BandedConfig) -> (Vec<Message>, ProgramState) {
-    banded_computation_telemetered(config, &jmpax_telemetry::Registry::disabled())
-}
-
-/// Like [`banded_computation`], but instrumenting through
-/// [`MvcInstrumentor::with_telemetry`] so `registry` collects the `core.*`
-/// metrics — in particular the `core.event_update_ns` per-event latency
-/// histogram (the Algorithm A stage of a bench report).
-#[must_use]
-pub fn banded_computation_telemetered(
-    config: BandedConfig,
-    registry: &jmpax_telemetry::Registry,
-) -> (Vec<Message>, ProgramState) {
     let barrier_var = VarId(config.threads as u32);
-    let mut instr = MvcInstrumentor::with_telemetry(config.threads, Relevance::AllWrites, registry);
+    let mut instr = MvcInstrumentor::new(config.threads, Relevance::AllWrites);
     let mut msgs = Vec::new();
     let mut counter = 0i64;
     for round in 0..config.rounds {

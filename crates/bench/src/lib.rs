@@ -11,7 +11,6 @@
 pub mod ablation;
 pub mod experiments;
 pub mod generators;
-pub mod perf;
 
 pub use ablation::{
     compare_symmetric, symmetric_instrument, SymmetricInstrumentor, SymmetricStats,
@@ -20,8 +19,4 @@ pub use experiments::{
     detection_sweep, fig3_equivalence, fig5_experiment, fig6_experiment, parallel_scaling_sweep,
     DetectionRates, LatticeExperiment, ParallelScalingRow,
 };
-pub use generators::{banded_computation, banded_computation_telemetered, BandedConfig};
-pub use perf::{
-    compare, measure, measure_with_options, BenchReport, BenchRun, Comparison, HostInfo, RunDelta,
-    SchemaError, StageStat, Workload,
-};
+pub use generators::{banded_computation, BandedConfig};

@@ -161,33 +161,6 @@ USAGE:
         controls; at seed 0, nonatomic uses the deterministic
         interleaving that exhibits the bug).
 
-    jmpax bench [--threads <N>] [--rounds <N>] [--period <N>]
-                [--workers <N|N,N,...>] [--repeat <N>] [--min-speedup <F>]
-                [--no-eval-cache] [--json] [--baseline <FILE>]
-                [--tolerance <PCT>]
-        Measure the streaming analysis of a wide synthetic lattice (a
-        banded computation: N threads, barrier every <period> rounds;
-        period 0 = pure hypercube) through the full observer path — v2
-        frame decode, causal reassembly, lattice analysis — keeping the
-        minimum wall time over --repeat repeats (default 3). --workers N
-        measures with 1 worker and with N workers (N=1 measures the
-        sequential path alone); a comma list (--workers 1,2,4,8) sweeps
-        exactly the listed counts. Asserts
-        every report is bit-identical to the first and prints per-run
-        wall time, formula_evals / eval_cache_hits / steals counters,
-        the speedup (first vs last run), and per-stage p50/p95/p99
-        latencies in a machine-readable `bench:` format.
-        --no-eval-cache disables the monitor step cache (measures the
-        pre-interning evaluation count). --min-speedup F exits 1 when
-        the measured speedup falls below F (CI smoke: F < 1 tolerates
-        noise while catching real regressions). --json instead emits a
-        schema-stable BenchReport JSON document (commit one as
-        BENCH_baseline.json). --baseline FILE re-measures and compares:
-        exit 1 when a matched run is slower than the baseline by more
-        than --tolerance percent (default 25), exit 2 on a malformed
-        baseline; parallel runs are not gated when the baseline host had
-        a different core count.
-
 SPEC SYNTAX:
     atoms        x > 0, y = 1, balance >= 150, x + 2*y != z
     boolean      !f, f /\\ g, f \\/ g, f -> g, true, false
@@ -322,7 +295,6 @@ fn run_inner(
         Some("top") => top(args),
         Some("trace") => return trace_cmd(args, registry),
         Some("gen") => gen(args),
-        Some("bench") => bench(args),
         Some("help") | None => (0, USAGE.to_owned()),
         Some(other) => (2, format!("unknown command `{other}`\n\n{USAGE}")),
     };
@@ -1295,224 +1267,6 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
     (0, out, serve)
 }
 
-/// `jmpax bench`: measure the streaming analysis of a wide banded lattice
-/// through the full observer path (decode → reassemble → analyze) at every
-/// worker count in the sweep (`--workers N` = `[1, N]`; `--workers a,b,c`
-/// = exactly that list), assert the reports are identical, and print the
-/// speedup machine-readably (`bench: key=value`). `--no-eval-cache` turns
-/// the monitor step cache off (the pre-interning configuration). `--json`
-/// instead emits the [`jmpax_bench::BenchReport`] JSON document (stage
-/// p50/p95/p99 latencies included); `--baseline <file>` compares against a
-/// committed report and exits 1 on regression beyond `--tolerance <pct>`.
-fn bench(args: &Args) -> (i32, String) {
-    use jmpax_bench::generators::BandedConfig;
-
-    let get = |key: &str, default: usize| {
-        args.get(key)
-            .and_then(|n| n.parse::<usize>().ok())
-            .unwrap_or(default)
-    };
-    let threads = get("threads", 8).max(1);
-    let rounds = get("rounds", 3).max(1);
-    let period = get("period", 0);
-    let repeat = get("repeat", 3).max(1);
-    // `--workers` is either a single count N (sweep [1, N]) or a comma list
-    // measured exactly as given.
-    let default_workers =
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let worker_counts: Vec<usize> = match args.get("workers") {
-        None => vec![1, default_workers.max(2)],
-        Some(raw) if raw.contains(',') => {
-            let mut counts = Vec::new();
-            for part in raw.split(',') {
-                match part.trim().parse::<usize>() {
-                    Ok(n) if n >= 1 => counts.push(n),
-                    _ => {
-                        return (
-                            2,
-                            format!("bench: --workers expects positive counts, got `{raw}`\n"),
-                        )
-                    }
-                }
-            }
-            counts
-        }
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(1) => vec![1],
-            Ok(n) if n >= 2 => vec![1, n],
-            _ => {
-                return (
-                    2,
-                    format!(
-                        "bench: --workers expects a positive count or comma list, got `{raw}`\n"
-                    ),
-                )
-            }
-        },
-    };
-    let eval_cache = args.get("no-eval-cache").is_none();
-    let min_speedup = match args.get("min-speedup") {
-        None => None,
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(f) if f > 0.0 => Some(f),
-            _ => {
-                return (
-                    2,
-                    format!("bench: --min-speedup expects a positive number, got `{raw}`\n"),
-                )
-            }
-        },
-    };
-    let tolerance = match args.get("tolerance") {
-        None => 25.0,
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(f) if f >= 0.0 => f,
-            _ => {
-                return (
-                    2,
-                    format!("bench: --tolerance expects a non-negative percentage, got `{raw}`\n"),
-                )
-            }
-        },
-    };
-    // Read the baseline before measuring: a malformed file must fail fast.
-    let baseline = match args.get("baseline") {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path) {
-            Err(e) => return (2, format!("bench: cannot read baseline `{path}`: {e}\n")),
-            Ok(text) => match jmpax_bench::BenchReport::from_json(&text) {
-                Err(e) => return (2, format!("bench: malformed baseline `{path}`: {e}\n")),
-                Ok(report) => Some((path.to_string(), report)),
-            },
-        },
-    };
-
-    let report = jmpax_bench::measure_with_options(
-        BandedConfig {
-            threads,
-            rounds,
-            period,
-        },
-        &worker_counts,
-        repeat,
-        eval_cache,
-    );
-    let identical = report.runs.iter().all(|r| r.identical);
-    let run_1 = &report.runs[0];
-    let run_n = report.runs.last().expect("at least one worker count");
-
-    if args.get("json").is_some() {
-        // Only the JSON document on stdout, so
-        // `jmpax bench --json > BENCH_baseline.json` commits cleanly.
-        let code = if identical { 0 } else { 2 };
-        return (code, format!("{}\n", report.to_json()));
-    }
-
-    let mut out = String::new();
-    let cores = report.host.cores;
-    let _ = writeln!(
-        out,
-        "bench: workload=banded threads={threads} rounds={rounds} period={period} \
-         cores={cores} repeat={repeat}"
-    );
-    let _ = writeln!(
-        out,
-        "bench: states={} levels={} peak_frontier={}",
-        run_1.states, run_1.levels, run_1.peak_frontier
-    );
-    if !eval_cache {
-        let _ = writeln!(out, "bench: eval_cache=off");
-    }
-    for run in &report.runs {
-        let _ = writeln!(
-            out,
-            "bench: workers={} wall_us={} formula_evals={} eval_cache_hits={} steals={}",
-            run.workers,
-            run.wall_ns / 1_000,
-            run.formula_evals,
-            run.eval_cache_hits,
-            run.steals
-        );
-    }
-    for stage in &run_1.stages {
-        let _ = writeln!(
-            out,
-            "bench: stage={} count={} p50_ns={} p95_ns={} p99_ns={}",
-            stage.name, stage.count, stage.p50_ns, stage.p95_ns, stage.p99_ns
-        );
-    }
-    if !identical {
-        let _ = writeln!(
-            out,
-            "bench: ERROR parallel report diverged from sequential \
-             (states {} vs {}, levels {} vs {})",
-            run_1.states, run_n.states, run_1.levels, run_n.levels
-        );
-        return (2, out);
-    }
-    let speedup = run_1.wall_ns as f64 / run_n.wall_ns.max(1) as f64;
-    let _ = writeln!(out, "bench: identical=yes speedup={speedup:.2}");
-    if cores < 2 {
-        let _ = writeln!(
-            out,
-            "bench: note=single-core host; speedup measures coordination overhead only"
-        );
-    }
-    if let Some(min) = min_speedup {
-        if speedup < min {
-            let _ = writeln!(out, "bench: FAIL speedup {speedup:.2} < required {min}");
-            return (1, out);
-        }
-    }
-
-    if let Some((path, base)) = baseline {
-        let cmp = jmpax_bench::compare(&report, &base, tolerance);
-        let _ = writeln!(
-            out,
-            "bench: compare baseline={path} tolerance={tolerance}% \
-             base_cores={} cur_cores={cores}",
-            base.host.cores
-        );
-        for d in &cmp.deltas {
-            let status = if d.regressed {
-                "REGRESSED"
-            } else if d.gated {
-                "ok"
-            } else {
-                "skipped-core-mismatch"
-            };
-            let _ = writeln!(
-                out,
-                "bench: delta threads={} rounds={} period={} workers={} \
-                 base_us={} cur_us={} ratio={:.2} status={status}",
-                d.workload.threads,
-                d.workload.rounds,
-                d.workload.period,
-                d.workers,
-                d.baseline_wall_ns / 1_000,
-                d.current_wall_ns / 1_000,
-                d.ratio
-            );
-        }
-        let _ = writeln!(
-            out,
-            "bench: compare regressions={} skipped={} unmatched={}",
-            cmp.regressions(),
-            cmp.skipped_core_mismatch,
-            cmp.missing_in_baseline
-        );
-        if cmp.regressions() > 0 {
-            let _ = writeln!(
-                out,
-                "bench: FAIL {} run(s) slower than baseline by more than {tolerance}%",
-                cmp.regressions()
-            );
-            return (1, out);
-        }
-    }
-    (0, out)
-}
-
 fn gen(args: &Args) -> (i32, String) {
     let Some(name) = args.positional.get(1) else {
         return (
@@ -1580,9 +1334,11 @@ T1 write x 1
 
     #[test]
     fn unknown_command_fails() {
-        let (code, out) = run_cli(&["frobnicate"], None);
-        assert_eq!(code, 2);
-        assert!(out.contains("unknown command"));
+        for command in ["frobnicate", "bench"] {
+            let (code, out) = run_cli(&[command], None);
+            assert_eq!(code, 2, "{command}");
+            assert!(out.contains("unknown command"), "{command}");
+        }
     }
 
     #[test]
@@ -1897,161 +1653,6 @@ T1 write b 0
             Some(XYZ_TRACE),
         );
         assert_eq!((code_seq, out_seq), (code_par, out_par));
-    }
-
-    #[test]
-    fn bench_reports_identical_and_speedup() {
-        let (code, out) = run_cli(
-            &[
-                "bench", "--threads", "4", "--rounds", "2", "--workers", "2",
-            ],
-            None,
-        );
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("identical=yes"), "{out}");
-        assert!(out.contains("speedup="), "{out}");
-        assert!(out.contains("workers=2"), "{out}");
-    }
-
-    #[test]
-    fn bench_rejects_bad_min_speedup() {
-        let (code, out) = run_cli(&["bench", "--min-speedup", "zero"], None);
-        assert_eq!(code, 2, "{out}");
-    }
-
-    #[test]
-    fn bench_workers_comma_list_sweeps_exactly() {
-        let (code, out) = run_cli(
-            &[
-                "bench", "--threads", "3", "--rounds", "2", "--repeat", "1", "--workers", "1,2,3",
-            ],
-            None,
-        );
-        assert_eq!(code, 0, "{out}");
-        for w in ["workers=1 ", "workers=2 ", "workers=3 "] {
-            assert!(out.contains(w), "missing {w}: {out}");
-        }
-        assert!(out.contains("identical=yes"), "{out}");
-        assert!(out.contains("formula_evals="), "{out}");
-    }
-
-    #[test]
-    fn bench_rejects_bad_workers_list() {
-        let (code, out) = run_cli(&["bench", "--workers", "2,zero"], None);
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("--workers"), "{out}");
-    }
-
-    #[test]
-    fn bench_no_eval_cache_reports_zero_hits() {
-        let (code, out) = run_cli(
-            &[
-                "bench",
-                "--threads",
-                "3",
-                "--rounds",
-                "2",
-                "--repeat",
-                "1",
-                "--workers",
-                "2",
-                "--no-eval-cache",
-            ],
-            None,
-        );
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("eval_cache=off"), "{out}");
-        assert!(out.contains("eval_cache_hits=0"), "{out}");
-    }
-
-    /// Writes `contents` to a unique file under the target temp dir and
-    /// returns its path.
-    fn write_bench_fixture(name: &str, contents: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("jmpax-{}-{name}", std::process::id()));
-        std::fs::write(&path, contents).expect("write fixture");
-        path
-    }
-
-    const SMALL_BENCH: &[&str] = &[
-        "bench", "--threads", "4", "--rounds", "2", "--workers", "2", "--repeat", "1",
-    ];
-
-    #[test]
-    fn bench_json_emits_parseable_report() {
-        let mut argv = SMALL_BENCH.to_vec();
-        argv.push("--json");
-        let (code, out) = run_cli(&argv, None);
-        assert_eq!(code, 0, "{out}");
-        let report = jmpax_bench::BenchReport::from_json(&out).expect("valid report");
-        assert_eq!(report.schema, "jmpax-bench-report/v1");
-        assert_eq!(report.runs.len(), 2, "one serial run, one parallel run");
-        assert!(
-            report.runs.iter().all(|r| !r.stages.is_empty()),
-            "every run carries stage percentiles: {out}"
-        );
-    }
-
-    #[test]
-    fn bench_baseline_within_tolerance_exits_zero() {
-        let mut argv = SMALL_BENCH.to_vec();
-        argv.push("--json");
-        let (code, json) = run_cli(&argv, None);
-        assert_eq!(code, 0, "{json}");
-        let path = write_bench_fixture("baseline-ok.json", &json);
-
-        let mut argv = SMALL_BENCH.to_vec();
-        let p = path.to_string_lossy().into_owned();
-        argv.extend(["--baseline", &p, "--tolerance", "900"]);
-        let (code, out) = run_cli(&argv, None);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("compare regressions=0"), "{out}");
-    }
-
-    #[test]
-    fn bench_baseline_regression_exits_one() {
-        let mut argv = SMALL_BENCH.to_vec();
-        argv.push("--json");
-        let (code, json) = run_cli(&argv, None);
-        assert_eq!(code, 0, "{json}");
-        // Halve every wall time so the fresh run looks >2x slower than the
-        // baseline, which must trip the gate at any reasonable tolerance.
-        let mut report = jmpax_bench::BenchReport::from_json(&json).expect("valid report");
-        for run in &mut report.runs {
-            run.wall_ns = (run.wall_ns / 2).max(1);
-        }
-        let path = write_bench_fixture("baseline-halved.json", &report.to_json());
-
-        let mut argv = SMALL_BENCH.to_vec();
-        let p = path.to_string_lossy().into_owned();
-        argv.extend(["--baseline", &p, "--tolerance", "25"]);
-        let (code, out) = run_cli(&argv, None);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("status=REGRESSED"), "{out}");
-        assert!(out.contains("bench: FAIL"), "{out}");
-    }
-
-    #[test]
-    fn bench_malformed_baseline_exits_two() {
-        let path = write_bench_fixture("baseline-bad.json", "{\"schema\":\"nope\"}");
-        let mut argv = SMALL_BENCH.to_vec();
-        let p = path.to_string_lossy().into_owned();
-        argv.extend(["--baseline", &p]);
-        let (code, out) = run_cli(&argv, None);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("malformed baseline"), "{out}");
-    }
-
-    #[test]
-    fn bench_missing_baseline_exits_two() {
-        let (code, out) = run_cli(
-            &["bench", "--baseline", "/nonexistent/jmpax-baseline.json"],
-            None,
-        );
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("cannot read baseline"), "{out}");
     }
 
     #[test]

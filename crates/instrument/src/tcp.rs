@@ -7,7 +7,7 @@
 //!            nanalyses:u8 analysis* nvars:u16le var*
 //! analysis:= code:u8                               (jmpax_core::AnalysisKind)
 //! var     := name_len:u16le name value
-//! value   := 0:u8 v:i64le | 1:u8 b:u8 | 2:u8      (int / bool / unit)
+//! value   := 0:u8 v:i64le | 1:u8 (0|1):u8 | 2:u8  (int / bool / unit)
 //! stream  := v2 frames (magic + version + len + crc + payload)*
 //! ```
 //!
@@ -153,7 +153,11 @@ impl SessionHello {
                 1 => {
                     let mut b = [0u8; 1];
                     reader.read_exact(&mut b)?;
-                    Value::Bool(b[0] != 0)
+                    match b[0] {
+                        0 => Value::Bool(false),
+                        1 => Value::Bool(true),
+                        b => return Err(bad_hello(&format!("bad bool byte {b}"))),
+                    }
                 }
                 2 => Value::Unit,
                 t => return Err(bad_hello(&format!("unknown value tag {t}"))),
@@ -429,6 +433,16 @@ mod tests {
         let mut encoded = hello.encode();
         let last = encoded.len() - 1;
         encoded[last] = 9; // clobber the Unit tag
+        assert!(SessionHello::decode(&mut &encoded[..]).is_err());
+
+        // A bool byte other than 0 or 1 would not re-encode to itself.
+        let hello = SessionHello {
+            vars: vec![("b".to_string(), Value::Bool(true))],
+            ..sample_hello()
+        };
+        let mut encoded = hello.encode();
+        let last = encoded.len() - 1;
+        encoded[last] = 2;
         assert!(SessionHello::decode(&mut &encoded[..]).is_err());
     }
 }

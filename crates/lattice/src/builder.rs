@@ -557,15 +557,6 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Enables or disables the per-level monitor step cache (default on).
-    /// Purely physical: verdicts, counterexamples, traces and all logical
-    /// counters are bit-identical either way.
-    #[must_use]
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
-        self
-    }
-
     /// Shares a persistent [`ExpansionPool`] with this analyzer instead of
     /// letting it lazily spawn its own at the first parallel level. The
     /// observer pipeline uses this to spawn one pool per `Pipeline` and

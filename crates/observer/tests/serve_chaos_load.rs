@@ -460,6 +460,118 @@ fn hostile_handshakes_are_rejected_not_fatal() {
     assert!(registry.snapshot().counter("serve.handshake_errors").unwrap_or(0) >= 2);
 }
 
+/// SplitMix64: a std-only, seedable generator.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+/// Sends `bytes` as one connection and returns every line the daemon wrote
+/// back. A daemon that rejects a hello early may reset the connection
+/// after its verdict line; that ends the read like end of stream does.
+fn exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => return lines,
+            Ok(_) => lines.push(line),
+        }
+    }
+}
+
+/// The serve half of handshake mangling: damaged hellos, each followed by
+/// a clean frame stream, against one daemon. Every connection gets exactly
+/// one verdict line, nothing panics, every connection is either rejected
+/// or served, and the daemon still serves a clean session Exact.
+#[test]
+fn mangled_handshakes_each_get_exactly_one_verdict() {
+    const SESSIONS: usize = 40;
+
+    let registry = Registry::enabled();
+    let mut config = ServeConfig::new(SPEC);
+    config.telemetry = registry.clone();
+    config.read_timeout = Duration::from_millis(10);
+    config.idle_timeout = Duration::from_secs(5);
+    config.handshake_timeout = Duration::from_secs(5);
+    let server = Server::bind(0, config).expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn();
+
+    let mut symbols = SymbolTable::new();
+    let ex = workload(&mut symbols);
+    let vars: Vec<_> = ["x", "y", "z"]
+        .iter()
+        .map(|n| symbols.lookup(n).unwrap())
+        .collect();
+    let mut body = bytes::BytesMut::new();
+    for m in &ex.instrument(Relevance::writes_of(vars)) {
+        jmpax_instrument::encode_frame_v2(m, &mut body);
+    }
+
+    let mut rng = SplitMix64(0x0BAD_4E11);
+    let mut error_lines = 0;
+    for session in 0..SESSIONS {
+        let mut hello = hello_for(&format!("mangled-{session}")).encode().to_vec();
+        for _ in 0..rng.range(1, 3) {
+            let at = rng.range(0, hello.len() - 1);
+            match rng.range(0, 4) {
+                0 => hello[at] ^= 1 << rng.range(0, 7),
+                1 => hello.truncate(at),
+                2 => hello.insert(at, rng.next() as u8),
+                3 => {
+                    hello.remove(at);
+                }
+                // A length or count field pushed far past its bound.
+                _ => {
+                    let end = (at + 2).min(hello.len());
+                    hello[at..end].fill(0xFF);
+                }
+            }
+        }
+        let lines = exchange(addr, &[hello.as_slice(), &body].concat());
+        assert_eq!(lines.len(), 1, "session {session}: {lines:?}");
+        assert!(lines[0].contains("\"verdict\":"), "session {session}: {lines:?}");
+        if lines[0].contains("\"verdict\":\"Error\"") {
+            error_lines += 1;
+        }
+    }
+
+    let clean = exchange(addr, &[hello_for("clean").encode().as_ref(), &body].concat());
+    assert_eq!(clean.len(), 1, "{clean:?}");
+    assert!(clean[0].contains("\"verdict\":\"Exact\""), "{clean:?}");
+
+    let summary = handle.stop();
+    assert_eq!(
+        summary.rejected as usize + summary.outcomes.len(),
+        SESSIONS + 1,
+        "every connection is rejected or served"
+    );
+    assert_eq!(summary.rejected as usize, error_lines, "only rejections answer Error");
+    assert!(summary.rejected > 0, "the batch exercises rejection");
+    assert!(summary.outcomes.len() > 1, "some damaged hellos are still served");
+    assert_eq!(
+        registry.snapshot().counter("serve.worker_panics").unwrap_or(0),
+        0
+    );
+}
+
 #[test]
 fn drop_newest_sheds_and_degrades_instead_of_blocking() {
     // Queue depth 1 + DropNewest + a worker that cannot keep up with a
