@@ -53,6 +53,7 @@ pub mod analysis;
 pub mod clock;
 pub mod compact;
 pub mod event;
+pub mod fasthash;
 pub mod gen;
 pub mod happens_before;
 pub mod message;

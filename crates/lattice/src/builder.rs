@@ -19,10 +19,11 @@
 //! covers the whole run.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use jmpax_core::{CausalBuffer, Message, ThreadId};
+use jmpax_core::fasthash::FastMap;
+use jmpax_core::{CausalBuffer, Message, ThreadId, Value, VarId};
 use jmpax_spec::{Monitor, MonitorState, ProgramState, StepCache};
 use jmpax_telemetry::{Counter, Gauge, Histogram, Registry};
 use jmpax_trace::{TraceKind, TraceRing, Tracer};
@@ -194,84 +195,139 @@ fn saturating_u64(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-/// One alive monitor memory at a frontier cut.
-#[derive(Clone, Debug)]
-pub(crate) struct Alive {
-    /// Run prefixes (bottom→cut paths) reaching the cut in this memory.
-    pub(crate) runs: u128,
-    /// The predecessor `(cut, memory)` that first produced this memory,
-    /// for counterexample reconstruction through the retained history;
-    /// `None` at the bottom cut.
-    pub(crate) parent: Option<(Cut, MonitorState)>,
+/// A sealed lattice level: its cuts in ascending order, each with its
+/// node. Parent links and shard contributions index into this order.
+pub(crate) type Level = Vec<(Cut, FrontierNode)>;
+
+/// The edge that first produced an alive memory: how a counterexample
+/// walks back through the retained history.
+#[derive(Clone, Copy, Debug)]
+struct Parent {
+    /// The source node's index in its (sorted) level.
+    src: u32,
+    /// The thread whose message the edge consumed.
+    thread: u32,
+    /// The source memory the edge stepped.
+    mem: MonitorState,
 }
 
+/// One alive monitor memory at a frontier cut.
 #[derive(Clone, Debug)]
+struct Alive {
+    /// Run prefixes (bottom→cut paths) reaching the cut in this memory.
+    runs: u128,
+    /// The edge that first produced this memory; `None` at the bottom cut.
+    parent: Option<Parent>,
+}
+
+/// One lattice node: its state, packed once, and the run prefixes that
+/// reach it, grouped by monitor memory.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct FrontierNode {
-    pub(crate) state: ProgramState,
-    /// Alive monitor memories reaching this cut.
-    pub(crate) mems: HashMap<MonitorState, Alive>,
+    state: ProgramState,
+    /// `state`'s atoms packed by [`Monitor::valuation`] when the node is
+    /// created; every in-edge steps with it. `None` past 64 atoms.
+    valuation: Option<u64>,
+    /// Alive memories in ascending order, the order every expansion path
+    /// steps them in. One memory is the common case.
+    mems: Vec<(MonitorState, Alive)>,
     /// Run prefixes reaching this cut that already violated the property.
-    pub(crate) violated: u128,
-    /// Dead memories (for violation dedup).
-    pub(crate) dead: HashSet<MonitorState>,
+    violated: u128,
+    /// Dead memories in ascending order (violation dedup).
+    dead: Vec<MonitorState>,
 }
 
 impl FrontierNode {
-    pub(crate) fn new(state: ProgramState) -> Self {
+    fn new(state: ProgramState, valuation: Option<u64>) -> Self {
         Self {
             state,
-            mems: HashMap::new(),
-            violated: 0,
-            dead: HashSet::new(),
+            valuation,
+            ..Self::default()
         }
     }
 
-    /// The source's alive memories in ascending order — the order both
-    /// expansion paths step them in.
-    pub(crate) fn sorted_mems(&self, out: &mut Vec<(MonitorState, u128)>) {
-        out.clear();
-        out.extend(self.mems.iter().map(|(&m, a)| (m, a.runs)));
-        out.sort_unstable_by_key(|&(m, _)| m);
+    fn alive(&self, mem: MonitorState) -> Option<&Alive> {
+        let i = self.mems.binary_search_by_key(&mem, |&(m, _)| m).ok()?;
+        Some(&self.mems[i].1)
     }
 
-    /// Folds one edge from `src_cut` into this successor: the source's
-    /// violated prefixes stay violated, and every alive memory (pre-sorted
-    /// by [`FrontierNode::sorted_mems`]) is stepped through `step`. Returns
-    /// the memories that died here for the first time, each with the
-    /// source memory whose step failed. Run counts are sums, so the result
-    /// does not depend on the order edges are applied in.
-    pub(crate) fn absorb(
+    /// Folds the edge `src --thread-->` into this successor: the source's
+    /// violated prefixes stay violated, and every alive memory is stepped
+    /// on this node's valuation. Returns the memories that died here for
+    /// the first time, each with the edge whose step failed. Run counts
+    /// are sums, so they do not depend on the order edges are applied in;
+    /// parents and deaths do, which is why both expansion paths apply
+    /// edges in ascending (source cut, thread) order.
+    fn absorb(
         &mut self,
-        src_cut: &Cut,
-        src_violated: u128,
-        src_mems: &[(MonitorState, u128)],
-        mut step: impl FnMut(MonitorState, &ProgramState) -> (MonitorState, bool),
-    ) -> Vec<(MonitorState, MonitorState)> {
+        src: u32,
+        thread: u32,
+        src_node: &FrontierNode,
+        stepper: &mut Stepper<'_>,
+    ) -> Vec<(MonitorState, Parent)> {
         let mut died = Vec::new();
-        self.violated = self.violated.saturating_add(src_violated);
-        for &(mem, runs) in src_mems {
-            let (next, ok) = step(mem, &self.state);
+        self.violated = self.violated.saturating_add(src_node.violated);
+        for &(mem, ref alive) in &src_node.mems {
+            let (next, ok) = stepper.step(mem, self.valuation, &self.state);
+            let parent = Parent { src, thread, mem };
             if ok {
-                match self.mems.entry(next) {
-                    Entry::Occupied(mut e) => {
-                        let alive = e.get_mut();
-                        alive.runs = alive.runs.saturating_add(runs);
+                match self.mems.binary_search_by_key(&next, |&(m, _)| m) {
+                    Ok(i) => {
+                        let runs = &mut self.mems[i].1.runs;
+                        *runs = runs.saturating_add(alive.runs);
                     }
-                    Entry::Vacant(e) => {
-                        e.insert(Alive {
-                            runs,
-                            parent: Some((src_cut.clone(), mem)),
-                        });
-                    }
+                    Err(i) => self.mems.insert(
+                        i,
+                        (
+                            next,
+                            Alive {
+                                runs: alive.runs,
+                                parent: Some(parent),
+                            },
+                        ),
+                    ),
                 }
             } else {
-                self.violated = self.violated.saturating_add(runs);
-                if self.dead.insert(next) {
-                    died.push((next, mem));
+                self.violated = self.violated.saturating_add(alive.runs);
+                if let Err(i) = self.dead.binary_search(&next) {
+                    self.dead.insert(i, next);
+                    died.push((next, parent));
                 }
             }
         }
         died
+    }
+}
+
+/// Steps monitor memories along lattice edges: on the successor's packed
+/// valuation, through the step cache when enabled, with one
+/// [`TraceKind::PropertyEvaluated`] instant per step.
+pub(crate) struct Stepper<'a> {
+    pub(crate) monitor: &'a Monitor,
+    pub(crate) cache: Option<&'a mut StepCache>,
+    pub(crate) ring: &'a mut TraceRing,
+    /// Level index being sealed, for trace records.
+    pub(crate) level: u64,
+}
+
+impl Stepper<'_> {
+    fn step(
+        &mut self,
+        mem: MonitorState,
+        valuation: Option<u64>,
+        state: &ProgramState,
+    ) -> (MonitorState, bool) {
+        let (next, ok) = match valuation {
+            Some(v) => self.monitor.step_valued(mem, v, self.cache.as_deref_mut()),
+            None => self.monitor.step(mem, state),
+        };
+        if self.ring.is_enabled() {
+            self.ring.record(TraceKind::PropertyEvaluated {
+                level: self.level,
+                violated: !ok,
+            });
+        }
+        (next, ok)
     }
 }
 
@@ -280,23 +336,131 @@ impl FrontierNode {
 /// history, which only the analyzer owns, so expansion (sequential or
 /// sharded) reports seeds and the analyzer finishes them on the main
 /// thread.
-pub(crate) struct ViolationSeed {
-    pub(crate) cut: Cut,
-    pub(crate) state: ProgramState,
-    pub(crate) memory: MonitorState,
-    /// The `(cut, memory)` of the predecessor whose step failed.
-    pub(crate) pred: (Cut, MonitorState),
+#[derive(Debug)]
+struct ViolationSeed {
+    cut: Cut,
+    state: ProgramState,
+    memory: MonitorState,
+    /// The edge whose step failed.
+    pred: Parent,
 }
 
-/// The merged outcome of expanding one sealed level, identical in shape
-/// whether the sequential path or the sharded worker pool produced it.
-struct LevelExpansion {
-    next: HashMap<Cut, FrontierNode>,
+/// The next level under construction: the one per-edge path of both the
+/// sequential expansion and every shard's merge. Edges must arrive in
+/// ascending (source cut, thread) order; the first edge into a cut
+/// creates its node, computing its state and valuation once.
+#[derive(Debug, Default)]
+pub(crate) struct Successors {
+    /// Successor cut → index into `nodes`.
+    index: FastMap<Cut, u32>,
+    nodes: Vec<FrontierNode>,
+    out: LevelExpansion,
+}
+
+impl Successors {
+    /// Makes room for `n` successors without growing mid-level.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.index.reserve(n);
+        self.nodes.reserve(n);
+    }
+
+    /// Applies the edge from `src` (the source's index in its level) to
+    /// `succ`, which consumes thread `thread`'s message; `update` is the
+    /// write it applies, `None` for a relevant non-write (exotic relevance
+    /// policies), which steps over as a stutter.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn edge(
+        &mut self,
+        stepper: &mut Stepper<'_>,
+        src: u32,
+        src_cut: &Cut,
+        src_node: &FrontierNode,
+        thread: u32,
+        succ: Cut,
+        update: Option<(VarId, Value)>,
+    ) {
+        let out = &mut self.out;
+        if update.is_none() {
+            out.non_writes += 1;
+        }
+        let i = match self.index.entry(succ) {
+            Entry::Occupied(e) => {
+                out.deduped += 1;
+                *e.get() as usize
+            }
+            Entry::Vacant(e) => {
+                out.new_states += 1;
+                // States are uniquely determined by the cut, so the first
+                // visiting edge computes the node's state and valuation
+                // once and later edges reuse them. A stutter repeats the
+                // source's state, and with it the source's valuation.
+                let node = match update {
+                    Some((var, value)) => {
+                        let state = src_node.state.updated(var, value);
+                        let valuation = stepper.monitor.valuation(&state);
+                        FrontierNode::new(state, valuation)
+                    }
+                    None => FrontierNode::new(src_node.state.clone(), src_node.valuation),
+                };
+                let i = self.nodes.len();
+                self.nodes.push(node);
+                e.insert(i as u32);
+                i
+            }
+        };
+        let node = &mut self.nodes[i];
+        out.evals += src_node.mems.len() as u64;
+        for (memory, pred) in node.absorb(src, thread, src_node, stepper) {
+            out.seeds.push(ViolationSeed {
+                cut: src_cut.advanced(ThreadId(thread)),
+                state: node.state.clone(),
+                memory,
+                pred,
+            });
+        }
+    }
+
+    /// Hands over the level built so far (cuts unsorted) and resets for
+    /// the next one, keeping the index's allocation.
+    pub(crate) fn finish(&mut self) -> LevelExpansion {
+        let nodes = &mut self.nodes;
+        let mut out = std::mem::take(&mut self.out);
+        out.next.extend(
+            self.index
+                .drain()
+                .map(|(cut, i)| (cut, std::mem::take(&mut nodes[i as usize]))),
+        );
+        nodes.clear();
+        out
+    }
+}
+
+/// The outcome of expanding one sealed level, identical in shape whether
+/// the sequential path or the sharded worker pool produced it.
+#[derive(Debug, Default)]
+pub(crate) struct LevelExpansion {
+    /// The next level, in no particular order until the seal sorts it.
+    next: Level,
     seeds: Vec<ViolationSeed>,
     new_states: u64,
     deduped: u64,
+    /// Monitor steps performed (logical count: step-cache hits included,
+    /// so traces and reports stay bit-identical across cache settings).
     evals: u64,
+    /// Relevant non-write messages stepped over as stutters.
     non_writes: u64,
+}
+
+impl LevelExpansion {
+    /// Folds in another shard's disjoint slice of the same level.
+    pub(crate) fn merge(&mut self, other: LevelExpansion) {
+        self.next.extend(other.next);
+        self.seeds.extend(other.seeds);
+        self.new_states += other.new_states;
+        self.deduped += other.deduped;
+        self.evals += other.evals;
+        self.non_writes += other.non_writes;
+    }
 }
 
 /// Online predictive analyzer with two-level storage.
@@ -331,9 +495,14 @@ pub struct StreamingAnalyzer {
     delivered: Arc<Vec<Vec<Message>>>,
     /// Threads whose streams are complete.
     ended: Vec<bool>,
-    frontier: HashMap<Cut, FrontierNode>,
+    /// The sealed level the next expansion starts from.
+    frontier: Level,
+    /// Per-thread maximum of the frontier's counts, computed when a level
+    /// seals: the frontier is expandable exactly when each thread has
+    /// delivered past its maximum or ended, an O(threads) check per push.
+    frontier_max: Vec<u32>,
     /// Retired levels, newest last, bounded by `history`.
-    past: VecDeque<HashMap<Cut, FrontierNode>>,
+    past: VecDeque<Level>,
     /// How many retired levels to keep for counterexamples.
     history: usize,
     /// Reconstruct counterexamples for at most this many violations.
@@ -356,6 +525,9 @@ pub struct StreamingAnalyzer {
     eval_cache: bool,
     /// The sequential path's per-level step memo, cleared at every seal.
     step_cache: StepCache,
+    /// The sequential path's successor index and node buffer, reused
+    /// level after level.
+    successors: Successors,
     /// The persistent worker pool; lazily created at the first parallel
     /// level, or injected ([`StreamingAnalyzer::with_pool`]) to share one
     /// pool across analyzers.
@@ -433,20 +605,19 @@ impl StreamingAnalyzer {
     ) -> Self {
         let (mem0, ok0) = monitor.initial(initial);
         let bottom = Cut::bottom(threads);
-        let mut frontier = HashMap::new();
         let mut violations = Vec::new();
-        let mut node = FrontierNode::new(initial.clone());
+        let mut node = FrontierNode::new(initial.clone(), monitor.valuation(initial));
         if ok0 {
-            node.mems.insert(
+            node.mems.push((
                 mem0,
                 Alive {
                     runs: 1,
                     parent: None,
                 },
-            );
+            ));
         } else {
             node.violated = 1;
-            node.dead.insert(mem0);
+            node.dead.push(mem0);
             let initial_step = RunStep {
                 thread: None,
                 message: None,
@@ -461,7 +632,7 @@ impl StreamingAnalyzer {
                 }),
             });
         }
-        frontier.insert(bottom, node);
+        let frontier = vec![(bottom, node)];
         let tel_states = registry.counter("lattice.states_explored");
         tel_states.inc(); // the initial cut is a lattice node
         let tel_peak = registry.gauge("lattice.peak_frontier");
@@ -476,6 +647,7 @@ impl StreamingAnalyzer {
             delivered: Arc::new(vec![Vec::new(); threads]),
             ended: vec![false; threads],
             frontier,
+            frontier_max: vec![0; threads],
             past: VecDeque::new(),
             history: 0,
             max_counterexamples: AnalysisConfig::default().max_counterexamples,
@@ -490,6 +662,7 @@ impl StreamingAnalyzer {
             shard_granularity: DEFAULT_SHARD_GRANULARITY,
             eval_cache: true,
             step_cache: StepCache::with_counter(tel_cache_hits.clone()),
+            successors: Successors::default(),
             pool: None,
             tel_states,
             tel_deduped: registry.counter("lattice.cuts_deduped"),
@@ -614,43 +787,37 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Reconstructs the violating run ending at `seed`: parent pointers
+    /// Reconstructs the violating run ending at `seed`: parent links
     /// lead back through the sealed level `current` and the retained
-    /// history. Every step names its thread (the cut difference) and
-    /// message; the run starts at the initial state when the history
-    /// reaches the bottom cut.
-    fn counterexample(
-        &self,
-        current: &HashMap<Cut, FrontierNode>,
-        seed: &ViolationSeed,
-    ) -> Counterexample {
-        let mut cuts = vec![(seed.cut.clone(), seed.state.clone())];
-        let mut cursor = Some(seed.pred.clone());
+    /// history. Every step names its thread and message; the run starts
+    /// at the initial state when the history reaches the bottom cut.
+    fn counterexample(&self, current: &Level, seed: &ViolationSeed) -> Counterexample {
+        // Newest step first: a cut, its state, and the thread whose
+        // message reached it (`None` at the bottom cut).
+        let mut rev = vec![(&seed.cut, &seed.state, Some(seed.pred.thread))];
+        let mut link = Some(seed.pred);
         for level in std::iter::once(current).chain(self.past.iter().rev()) {
-            let Some((cut, mem)) = cursor.take() else {
+            let Some(parent) = link else {
                 break;
             };
-            let Some(node) = level.get(&cut) else {
-                break;
-            };
-            cursor = node.mems.get(&mem).and_then(|a| a.parent.clone());
-            cuts.push((cut, node.state.clone()));
+            let (cut, node) = &level[parent.src as usize];
+            link = node.alive(parent.mem).and_then(|a| a.parent);
+            rev.push((cut, &node.state, link.map(|p| p.thread)));
         }
-        // `cursor` is now the oldest step's predecessor, or `None` when the
-        // walk reached the bottom cut.
-        let mut prev = cursor.map(|(cut, _)| cut);
-        let mut steps = Vec::with_capacity(cuts.len());
-        for (cut, state) in cuts.into_iter().rev() {
-            let thread = prev.as_ref().and_then(|p| p.advancing_thread(&cut));
-            let message =
-                thread.map(|t| self.delivered[t.index()][cut.get(t) as usize - 1].clone());
-            steps.push(RunStep {
-                thread,
-                message,
-                state,
-            });
-            prev = Some(cut);
-        }
+        let steps = rev
+            .into_iter()
+            .rev()
+            .map(|(cut, state, thread)| {
+                let thread = thread.map(ThreadId);
+                let message =
+                    thread.map(|t| self.delivered[t.index()][cut.get(t) as usize - 1].clone());
+                RunStep {
+                    thread,
+                    message,
+                    state: state.clone(),
+                }
+            })
+            .collect();
         Counterexample { steps }
     }
 
@@ -698,17 +865,16 @@ impl StreamingAnalyzer {
         }
         self.advance();
         let completed = self.buffer.is_drained()
-            && self.frontier.len() == 1
-            && self.frontier.keys().next().is_some_and(|c| self.is_top(c));
+            && matches!(self.frontier.as_slice(), [(cut, _)] if self.is_top(cut));
         // Every run prefix reaching the final frontier either violated on
         // the way or is alive in some memory.
         let (mut total_runs, mut violating_runs) = (0u128, 0u128);
-        for node in self.frontier.values() {
+        for (_, node) in &self.frontier {
             violating_runs = violating_runs.saturating_add(node.violated);
             total_runs = node
                 .mems
-                .values()
-                .fold(total_runs.saturating_add(node.violated), |acc, a| {
+                .iter()
+                .fold(total_runs.saturating_add(node.violated), |acc, (_, a)| {
                     acc.saturating_add(a.runs)
                 });
         }
@@ -753,14 +919,29 @@ impl StreamingAnalyzer {
             && self.ended.iter().all(|&e| e)
     }
 
-    /// True when `cut` can be fully expanded with the messages currently
-    /// delivered: for each thread either the next message is available or
-    /// the thread has ended at exactly this position.
-    fn expandable(&self, cut: &Cut) -> bool {
+    /// True when every frontier cut can be fully expanded with the
+    /// messages currently delivered: for each cut and thread either the
+    /// next message is available or the thread has ended. The cut with the
+    /// largest count of a thread is the last to get its next message, so
+    /// the check reads only the per-thread maxima.
+    fn frontier_expandable(&self) -> bool {
         (0..self.threads).all(|t| {
-            let consumed = cut.get(ThreadId(t as u32)) as usize;
+            let consumed = self.frontier_max.get(t).copied().unwrap_or(0) as usize;
             consumed < self.delivered[t].len() || self.ended[t]
         })
+    }
+
+    /// Installs `level` as the frontier and records its per-thread count
+    /// maxima for [`StreamingAnalyzer::frontier_expandable`].
+    fn seal_frontier(&mut self, level: Level) {
+        self.frontier_max.clear();
+        self.frontier_max.resize(self.threads, 0);
+        for (cut, _) in &level {
+            for (max, &count) in self.frontier_max.iter_mut().zip(cut.as_slice()) {
+                *max = (*max).max(count);
+            }
+        }
+        self.frontier = level;
     }
 
     /// The message enabled from `cut` on thread `t`, if consistent. Shared
@@ -783,85 +964,49 @@ impl StreamingAnalyzer {
         (width / self.shard_granularity).clamp(1, cap)
     }
 
-    /// Expands one sealed level on the calling thread. Source cuts and
-    /// monitor memories are visited in ascending order — the same total
-    /// order the parallel merge sorts contributions into — so both paths
-    /// build identical frontiers, parent maps, and seed sequences.
-    fn expand_sequential(
-        &mut self,
-        current: &HashMap<Cut, FrontierNode>,
-        level_index: u64,
-    ) -> LevelExpansion {
-        let mut out = LevelExpansion {
-            next: HashMap::new(),
-            seeds: Vec::new(),
-            new_states: 0,
-            deduped: 0,
-            evals: 0,
-            non_writes: 0,
+    /// Expands one sealed level on the calling thread. Source cuts are
+    /// visited in the level's ascending order and threads in ascending
+    /// order — the same total order the parallel merge applies
+    /// contributions in — so both paths build identical frontiers, parent
+    /// links, and seed sequences.
+    fn expand_sequential(&mut self, current: &Level, level_index: u64) -> LevelExpansion {
+        let Self {
+            monitor,
+            threads,
+            delivered,
+            eval_cache,
+            step_cache,
+            successors,
+            trace_ring,
+            ..
+        } = self;
+        let mut stepper = Stepper {
+            monitor,
+            cache: eval_cache.then_some(step_cache),
+            ring: trace_ring,
+            level: level_index,
         };
-        let mut sources: Vec<&Cut> = current.keys().collect();
-        sources.sort();
-        let mut mems = Vec::new();
-        for cut in sources {
-            let node = &current[cut];
-            node.sorted_mems(&mut mems);
-            for t in 0..self.threads {
-                let Some(msg) = parallel::enabled(&self.delivered, cut, t) else {
+        // A level rarely more than doubles; the index keeps its capacity
+        // across levels, so this only grows it ahead of a wider level.
+        successors.reserve(2 * current.len());
+        for (src, (cut, node)) in current.iter().enumerate() {
+            for t in 0..*threads {
+                let Some(msg) = parallel::enabled(delivered, cut, t) else {
                     continue;
                 };
-                let update = msg.var().zip(msg.written_value());
-                if update.is_none() {
-                    // A relevant message that is not a write (exotic
-                    // relevance policy) cannot update the global state;
-                    // step over it as a stutter instead of aborting a
-                    // long-running analysis.
-                    out.non_writes += 1;
-                }
-                let succ_cut = cut.advanced(ThreadId(t as u32));
-                let entry = match out.next.entry(succ_cut.clone()) {
-                    Entry::Occupied(e) => {
-                        out.deduped += 1;
-                        e.into_mut()
-                    }
-                    Entry::Vacant(e) => {
-                        out.new_states += 1;
-                        // States are uniquely determined by the cut, so
-                        // the first visiting edge computes the node's
-                        // state once and later edges reuse it.
-                        let state = match update {
-                            Some((var, value)) => node.state.updated(var, value),
-                            None => node.state.clone(),
-                        };
-                        e.insert(FrontierNode::new(state))
-                    }
-                };
-                let died = entry.absorb(cut, node.violated, &mems, |mem, state| {
-                    let (next_mem, ok) = if self.eval_cache {
-                        self.monitor.step_cached(mem, state, &mut self.step_cache)
-                    } else {
-                        self.monitor.step(mem, state)
-                    };
-                    out.evals += 1;
-                    if self.trace_ring.is_enabled() {
-                        self.trace_ring.record(TraceKind::PropertyEvaluated {
-                            level: level_index,
-                            violated: !ok,
-                        });
-                    }
-                    (next_mem, ok)
-                });
-                for (memory, mem) in died {
-                    out.seeds.push(ViolationSeed {
-                        cut: succ_cut.clone(),
-                        state: entry.state.clone(),
-                        memory,
-                        pred: (cut.clone(), mem),
-                    });
-                }
+                let thread = ThreadId(t as u32);
+                successors.edge(
+                    &mut stepper,
+                    src as u32,
+                    cut,
+                    node,
+                    thread.0,
+                    cut.advanced(thread),
+                    msg.var().zip(msg.written_value()),
+                );
             }
         }
-        out
+        successors.finish()
     }
 
     /// Expands one sealed level on the persistent worker pool (lazily
@@ -872,10 +1017,10 @@ impl StreamingAnalyzer {
     /// is bit-identical to [`StreamingAnalyzer::expand_sequential`].
     fn expand_parallel(
         &mut self,
-        current: HashMap<Cut, FrontierNode>,
+        current: Level,
         level_index: u64,
         workers: usize,
-    ) -> (LevelExpansion, HashMap<Cut, FrontierNode>) {
+    ) -> (LevelExpansion, Level) {
         let rings: Vec<TraceRing> = if self.tracer.is_enabled() {
             (0..workers)
                 .map(|w| self.tracer.ring(&format!("lattice.shard{w}")))
@@ -883,10 +1028,8 @@ impl StreamingAnalyzer {
         } else {
             (0..workers).map(|_| TraceRing::disabled()).collect()
         };
-        let mut sources: Vec<(Cut, FrontierNode)> = current.into_iter().collect();
-        sources.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let shared = Arc::new(LevelShared::new(
-            sources,
+            current,
             Arc::clone(&self.delivered),
             Arc::clone(&self.monitor),
             self.threads,
@@ -911,29 +1054,17 @@ impl StreamingAnalyzer {
         if let Some(spread) = ((max_assigned - min_assigned) * 100).checked_div(max_assigned) {
             self.tel_imbalance.set(spread);
         }
-        let mut out = LevelExpansion {
-            next: HashMap::new(),
-            seeds: Vec::new(),
-            new_states: 0,
-            deduped: 0,
-            evals: 0,
-            non_writes: 0,
-        };
+        let mut out = LevelExpansion::default();
         for r in reports {
             self.tel_shard_width.record(r.assigned);
             self.tel_merge.record(r.merge_ns);
             self.tel_steals.add(r.steals);
             self.tel_park.record(r.park_ns);
-            out.new_states += r.new_states;
-            out.deduped += r.deduped;
-            out.evals += r.evals;
-            out.non_writes += r.non_writes;
             // Shards own disjoint slices of the successor space, so this
             // union never collides.
-            out.next.extend(r.next);
-            out.seeds.extend(r.seeds);
+            out.merge(r.expansion);
         }
-        (out, sources.into_iter().collect())
+        (out, sources)
     }
 
     /// Advances the frontier level by level while every frontier cut is
@@ -949,14 +1080,14 @@ impl StreamingAnalyzer {
             // sequential/parallel dispatch below, so a level is always
             // sealed — every cut expandable — before any worker sees it;
             // sharding never observes a partial level.
-            if !self.frontier.keys().all(|c| self.expandable(c)) {
+            if !self.frontier_expandable() {
                 return;
             }
             // Terminal frontier: single top cut with nothing enabled.
             let any_successor = self
                 .frontier
-                .keys()
-                .any(|cut| (0..self.threads).any(|t| self.enabled(cut, t).is_some()));
+                .iter()
+                .any(|(cut, _)| (0..self.threads).any(|t| self.enabled(cut, t).is_some()));
             if !any_successor {
                 return;
             }
@@ -1001,6 +1132,7 @@ impl StreamingAnalyzer {
                 });
             }
             let mut next = exp.next;
+            next.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let level_evals = exp.evals;
             let level_states = exp.new_states;
             // Cuts that had no successor (only possible mid-stream for the
@@ -1016,12 +1148,8 @@ impl StreamingAnalyzer {
             // account every dropped cut toward the report's exactness.
             if let Some(cap) = self.frontier_cap {
                 if next.len() > cap {
-                    let mut keys: Vec<Cut> = next.keys().cloned().collect();
-                    keys.sort();
                     let excess = (next.len() - cap) as u64;
-                    for k in &keys[cap..] {
-                        next.remove(k);
-                    }
+                    next.truncate(cap);
                     self.dropped_cuts += excess;
                     self.tel_pruned.add(excess);
                     level_pruned = excess;
@@ -1040,7 +1168,7 @@ impl StreamingAnalyzer {
                     self.past.pop_front();
                 }
             }
-            self.frontier = next;
+            self.seal_frontier(next);
             self.levels_built += 1;
             self.peak_frontier = self.peak_frontier.max(self.frontier.len());
             self.tel_levels.inc();
@@ -1215,6 +1343,28 @@ mod tests {
         // violating state + predecessor + one retired level = 3.
         assert_eq!(ce.steps.len(), 3, "{ce:?}");
         assert_eq!(ce.event_count(), 3, "every step names its thread");
+    }
+
+    #[test]
+    fn counterexample_names_a_thread_that_joined_mid_stream() {
+        let mut syms = SymbolTable::new();
+        let monitor = parse("x <= 1", &mut syms).unwrap().monitor().unwrap();
+        let x = syms.lookup("x").unwrap();
+        let mut a = MvcInstrumentor::new(2, Relevance::AllWrites);
+        let mut msgs = Vec::new();
+        msgs.extend(a.process(&Event::write(T1, x, 1)));
+        msgs.extend(a.process(&Event::write(T2, x, 2)));
+        // One declared thread: T2's message grows the analyzer, so the
+        // violating cut has one more count than its predecessor.
+        let mut s =
+            StreamingAnalyzer::new(monitor, &ProgramState::new(), 1).with_history(usize::MAX);
+        s.push_all(msgs.clone());
+        let report = s.finish();
+        assert_eq!(report.violations.len(), 1);
+        let ce = report.violations[0].counterexample.as_ref().unwrap();
+        let threads: Vec<_> = ce.steps.iter().map(|s| s.thread).collect();
+        assert_eq!(threads, [None, Some(T1), Some(T2)]);
+        assert_eq!(ce.steps[2].message.as_ref(), Some(&msgs[1]));
     }
 
     #[test]

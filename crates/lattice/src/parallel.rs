@@ -41,8 +41,6 @@
 //! widths) and the physical `spec.formula_evals` / `spec.eval_cache_hits`
 //! split reflect the schedule.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -50,11 +48,11 @@ use std::thread;
 use std::time::Instant;
 
 use jmpax_core::{Message, ThreadId, Value, VarId};
-use jmpax_spec::{Monitor, MonitorState, StepCache};
+use jmpax_spec::{Monitor, StepCache};
 use jmpax_telemetry::Counter;
 use jmpax_trace::{TraceKind, TraceRing};
 
-use crate::builder::{FrontierNode, ViolationSeed};
+use crate::builder::{Level, LevelExpansion, Stepper, Successors};
 use crate::cut::Cut;
 
 /// Chunks handed out per worker: oversubscription is what makes stealing
@@ -68,7 +66,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 pub(crate) struct LevelShared {
     /// The sealed level in ascending cut order. Indexed by
     /// [`Contribution::src`].
-    pub sources: Vec<(Cut, FrontierNode)>,
+    pub sources: Level,
     /// Causally delivered messages per thread (contiguous prefixes).
     pub delivered: Arc<Vec<Vec<Message>>>,
     /// The property monitor; stepping is `&self`.
@@ -99,7 +97,7 @@ impl LevelShared {
     /// packages one level for the pool.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        sources: Vec<(Cut, FrontierNode)>,
+        sources: Level,
         delivered: Arc<Vec<Vec<Message>>>,
         monitor: Arc<Monitor>,
         threads: usize,
@@ -137,6 +135,7 @@ impl LevelShared {
 /// once per edge.
 struct Contribution {
     src: u32,
+    thread: u32,
     succ: Cut,
     /// The write the consumed message applies; `None` for relevant
     /// non-write messages (exotic relevance policies), which stutter.
@@ -149,20 +148,9 @@ type Bucket = (usize, Vec<Contribution>);
 
 /// What one shard hands back to the analyzer after expand + merge.
 pub(crate) struct ShardReport {
-    /// This shard's slice of the next frontier (disjoint from all others).
-    pub next: HashMap<Cut, FrontierNode>,
-    /// Violations discovered while merging, in `(cut, memory)` application
-    /// order within the shard.
-    pub seeds: Vec<ViolationSeed>,
-    /// Distinct successor cuts created by this shard.
-    pub new_states: u64,
-    /// Contributions that landed on an already-created successor.
-    pub deduped: u64,
-    /// Monitor steps performed (logical count: step-cache hits included,
-    /// so traces and reports stay bit-identical across cache settings).
-    pub evals: u64,
-    /// Relevant non-write messages stepped over as stutters.
-    pub non_writes: u64,
+    /// This shard's slice of the next level (disjoint from all others),
+    /// its violation seeds in application order, and its counts.
+    pub expansion: LevelExpansion,
     /// Source cuts this worker expanded (its chunks' total width).
     pub assigned: u64,
     /// Chunks claimed beyond the fair static share.
@@ -370,6 +358,7 @@ fn run_shard(task: ShardTask, park_ns: u64) {
                 produced += 1;
                 buckets[shard_of(&succ, workers)].push(Contribution {
                     src: (lo + offset) as u32,
+                    thread: t as u32,
                     succ,
                     update: msg.var().zip(msg.written_value()),
                 });
@@ -404,73 +393,36 @@ fn run_shard(task: ShardTask, park_ns: u64) {
     let merge_start = Instant::now();
     let mut incoming: Vec<Bucket> = rx.iter().collect();
     incoming.sort_unstable_by_key(|&(chunk, _)| chunk);
-    let mut next: HashMap<Cut, FrontierNode> = HashMap::new();
-    let mut seeds: Vec<ViolationSeed> = Vec::new();
-    let mut new_states = 0u64;
-    let mut deduped = 0u64;
-    let mut evals = 0u64;
-    let mut non_writes = 0u64;
-    let mut mems_sorted: Vec<(MonitorState, u128)> = Vec::new();
+    let edges: usize = incoming.iter().map(|(_, bucket)| bucket.len()).sum();
+    let mut successors = Successors::default();
+    successors.reserve(edges.min(2 * shared.sources.len() / workers + 1));
     let mut cache = shared
         .eval_cache
         .then(|| StepCache::with_counter(shared.cache_hits.clone()));
+    let mut stepper = Stepper {
+        monitor: &shared.monitor,
+        cache: cache.as_mut(),
+        ring: &mut ring,
+        level: shared.level,
+    };
     for (_, bucket) in incoming {
         for c in bucket {
             let (src_cut, src_node) = &shared.sources[c.src as usize];
-            if c.update.is_none() {
-                non_writes += 1;
-            }
-            let entry = match next.entry(c.succ.clone()) {
-                Entry::Occupied(e) => {
-                    deduped += 1;
-                    e.into_mut()
-                }
-                Entry::Vacant(e) => {
-                    new_states += 1;
-                    // The first (smallest-source) contribution computes
-                    // the node's state; later edges reuse it. States are
-                    // uniquely determined by the cut, so this is the same
-                    // value every other parent would compute.
-                    let state = match c.update {
-                        Some((var, value)) => src_node.state.updated(var, value),
-                        None => src_node.state.clone(),
-                    };
-                    e.insert(FrontierNode::new(state))
-                }
-            };
-            src_node.sorted_mems(&mut mems_sorted);
-            let died = entry.absorb(src_cut, src_node.violated, &mems_sorted, |mem, state| {
-                let (next_mem, ok) = match cache.as_mut() {
-                    Some(cache) => shared.monitor.step_cached(mem, state, cache),
-                    None => shared.monitor.step(mem, state),
-                };
-                evals += 1;
-                if ring.is_enabled() {
-                    ring.record(TraceKind::PropertyEvaluated {
-                        level: shared.level,
-                        violated: !ok,
-                    });
-                }
-                (next_mem, ok)
-            });
-            for (memory, mem) in died {
-                seeds.push(ViolationSeed {
-                    cut: c.succ.clone(),
-                    state: entry.state.clone(),
-                    memory,
-                    pred: (src_cut.clone(), mem),
-                });
-            }
+            successors.edge(
+                &mut stepper,
+                c.src,
+                src_cut,
+                src_node,
+                c.thread,
+                c.succ,
+                c.update,
+            );
         }
     }
+    let expansion = successors.finish();
     let merge_ns = elapsed_ns(merge_start);
     let out = ShardReport {
-        next,
-        seeds,
-        new_states,
-        deduped,
-        evals,
-        non_writes,
+        expansion,
         assigned,
         steals,
         park_ns,

@@ -251,3 +251,170 @@ fn three_concurrent_writers() {
     assert_eq!(lattice.count_runs(), 6);
     assert_eq!(lattice.node_count(), 8);
 }
+
+/// Brute force over runs with stutters: every causally consistent order of
+/// `msgs`, monitored along its state sequence, where a write updates the
+/// state and any other message (a read, an internal event) repeats it.
+/// Returns `(runs, violating runs)`.
+fn monitored_runs(
+    msgs: &[Message],
+    monitor: &jmpax_spec::Monitor,
+    initial: &ProgramState,
+) -> (u128, u128) {
+    struct Walk<'a> {
+        msgs: &'a [Message],
+        monitor: &'a jmpax_spec::Monitor,
+        used: Vec<bool>,
+        runs: u128,
+        violating: u128,
+    }
+    fn rec(
+        w: &mut Walk<'_>,
+        taken: usize,
+        state: &ProgramState,
+        mem: jmpax_spec::MonitorState,
+        bad: bool,
+    ) {
+        if taken == w.msgs.len() {
+            w.runs += 1;
+            w.violating += u128::from(bad);
+            return;
+        }
+        for i in 0..w.msgs.len() {
+            if w.used[i] {
+                continue;
+            }
+            let ready = (0..w.msgs.len())
+                .all(|j| j == i || w.used[j] || !w.msgs[j].causally_precedes(&w.msgs[i]));
+            if !ready {
+                continue;
+            }
+            let m = &w.msgs[i];
+            let next = match m.var().zip(m.written_value()) {
+                Some((var, value)) => state.updated(var, value),
+                None => state.clone(),
+            };
+            let (next_mem, ok) = w.monitor.step(mem, &next);
+            w.used[i] = true;
+            rec(w, taken + 1, &next, next_mem, bad || !ok);
+            w.used[i] = false;
+        }
+    }
+    let (mem, ok) = monitor.initial(initial);
+    let mut walk = Walk {
+        msgs,
+        monitor,
+        used: vec![false; msgs.len()],
+        runs: 0,
+        violating: 0,
+    };
+    rec(&mut walk, 0, initial, mem, !ok);
+    (walk.runs, walk.violating)
+}
+
+/// Lattice edges labelled by a non-write: the cut set's edges whose
+/// consumed message is a read or an internal event.
+fn stutter_edges(msgs: &[Message], cuts: &HashSet<Cut>, threads: usize) -> u64 {
+    let mut per_thread: Vec<Vec<&Message>> = vec![Vec::new(); threads];
+    for m in msgs {
+        per_thread[m.thread().index()].push(m);
+    }
+    let mut edges = 0;
+    for cut in cuts {
+        for (t, queue) in per_thread.iter().enumerate() {
+            let tid = ThreadId(t as u32);
+            let Some(m) = queue.get(cut.get(tid) as usize) else {
+                continue;
+            };
+            if m.written_value().is_none() && cuts.contains(&cut.advanced(tid)) {
+                edges += 1;
+            }
+        }
+    }
+    edges
+}
+
+/// Properties that look back one state (`@`, `start`) or latch (`[*]`,
+/// an interval): a read must repeat its source's state and valuation
+/// exactly, or the look-back and the latches see a state no run has.
+const STUTTER_SPECS: &[&str] = &[
+    "v0 <= 4 \\/ [*] v1 <= v2",
+    "start(v0 > 1) -> @ v1 = 0",
+    "[v1 > 0, v2 > 2)",
+];
+
+fn arb_small_events() -> impl Strategy<Value = Vec<Event>> {
+    prop::collection::vec((0..3u32, 0..3u32, 0..4u8), 0..8).prop_map(|ops| {
+        ops.into_iter()
+            .enumerate()
+            .map(|(i, (t, v, kind))| match kind {
+                0 => Event::write(ThreadId(t), VarId(v), i as i64),
+                1 | 2 => Event::read(ThreadId(t), VarId(v)),
+                _ => Event::internal(ThreadId(t)),
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Streams with reads (every event relevant): the engine's states are
+    /// the distinct cuts, its run count the linear extensions, its
+    /// violating-run count the enumerated runs that violate with reads as
+    /// repeated states, and each stutter edge is counted once — at 1 and 3
+    /// workers, with the step cache on and off, and with identical
+    /// violations in every configuration.
+    #[test]
+    fn engine_matches_enumeration_on_streams_with_reads(
+        events in arb_small_events(),
+        spec in 0..STUTTER_SPECS.len(),
+    ) {
+        use jmpax_core::SymbolTable;
+        use jmpax_lattice::AnalysisConfig;
+        use jmpax_spec::parse;
+
+        let mut instr = MvcInstrumentor::with_relevance(Relevance::Everything);
+        let msgs: Vec<Message> = events.iter().filter_map(|e| instr.process(e)).collect();
+        prop_assert_eq!(msgs.len(), events.len(), "every event is relevant");
+
+        let mut syms = SymbolTable::new();
+        for name in ["v0", "v1", "v2"] {
+            syms.intern(name);
+        }
+        let monitor = parse(STUTTER_SPECS[spec], &mut syms).unwrap().monitor().unwrap();
+        let initial = ProgramState::new();
+        let threads = msgs.iter().map(|m| m.thread().index() + 1).max().unwrap_or(1);
+        let (runs, cuts) = linear_extensions(&msgs);
+        let cuts: HashSet<Cut> = cuts.iter().map(|c| pad(c, threads)).collect();
+        let (total, violating) = monitored_runs(&msgs, &monitor, &initial);
+        prop_assert_eq!(total, runs);
+        let stutters = stutter_edges(&msgs, &cuts, threads);
+
+        let mut first: Option<String> = None;
+        for workers in [1, 3] {
+            for cache in [true, false] {
+                let config = AnalysisConfig::default()
+                    .with_parallelism(workers)
+                    .with_shard_granularity(1)
+                    .with_eval_cache(cache);
+                let mut engine = StreamingAnalyzer::new(monitor.clone(), &initial, threads)
+                    .with_config(&config);
+                engine.push_all(msgs.clone());
+                let report = engine.finish();
+                let at = format!("workers {workers}, cache {cache}");
+                prop_assert!(report.completed, "{}", at);
+                prop_assert_eq!(report.states_explored, cuts.len() as u64, "{}", at);
+                prop_assert_eq!(report.total_runs, total, "{}", at);
+                prop_assert_eq!(report.violating_runs, violating, "{}", at);
+                prop_assert_eq!(report.non_writes_skipped, stutters, "{}", at);
+                prop_assert_eq!(report.satisfied(), violating == 0, "{}", at);
+                let violations = format!("{:?}", report.violations);
+                match &first {
+                    Some(f) => prop_assert_eq!(f, &violations, "{}", at),
+                    None => first = Some(violations),
+                }
+            }
+        }
+    }
+}

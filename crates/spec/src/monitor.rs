@@ -25,8 +25,10 @@
 //! and at the initial state (`n = 0`): `@F = F`, `[*]F = F`, `<*>F = F`,
 //! `F S G = G`, `F Sw G = G ∨ F`, `[P,Q) = P ∧ ¬Q`, `start = end = false`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+
+use jmpax_core::fasthash::FastMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -289,17 +291,35 @@ impl Monitor {
         state: &ProgramState,
         cache: &mut StepCache,
     ) -> (MonitorState, bool) {
-        let Some(valuation) = self.valuation(state) else {
-            return self.step(prev, state);
-        };
-        let key = (prev.0, valuation);
-        if let Some(&result) = cache.map.get(&key) {
-            cache.hits.inc();
-            return result;
+        match self.valuation(state) {
+            Some(valuation) => self.step_valued(prev, valuation, Some(cache)),
+            None => self.step(prev, state),
         }
-        let result = self.run_valued(Some(prev), valuation);
-        cache.map.insert(key, result);
-        result
+    }
+
+    /// [`Monitor::step`] on a state whose atoms [`Monitor::valuation`]
+    /// already packed, through `cache` when one is given. A lattice node
+    /// packs its state once and steps every in-edge with the result, so no
+    /// edge re-evaluates an atom; results and the `spec.formula_evals` /
+    /// `spec.eval_cache_hits` counts equal those of [`Monitor::step`] and
+    /// [`Monitor::step_cached`] on the state itself.
+    #[must_use]
+    pub fn step_valued(
+        &self,
+        prev: MonitorState,
+        valuation: u64,
+        cache: Option<&mut StepCache>,
+    ) -> (MonitorState, bool) {
+        let Some(cache) = cache else {
+            return self.run_valued(Some(prev), valuation);
+        };
+        match cache.map.entry((prev.0, valuation)) {
+            Entry::Occupied(hit) => {
+                cache.hits.inc();
+                *hit.get()
+            }
+            Entry::Vacant(miss) => *miss.insert(self.run_valued(Some(prev), valuation)),
+        }
     }
 
     /// Packs the truth values of every atom in `state` into one `u64`, bit
@@ -484,7 +504,7 @@ enum AtomInput<'a> {
 /// for parallel expansion — and clears or drops it when done.
 #[derive(Debug, Default)]
 pub struct StepCache {
-    map: HashMap<(u64, u64), (MonitorState, bool)>,
+    map: FastMap<(u64, u64), (MonitorState, bool)>,
     hits: jmpax_telemetry::Counter,
 }
 
@@ -500,7 +520,7 @@ impl StepCache {
     #[must_use]
     pub fn with_counter(hits: jmpax_telemetry::Counter) -> Self {
         Self {
-            map: HashMap::new(),
+            map: FastMap::default(),
             hits,
         }
     }

@@ -17,9 +17,14 @@ use crate::ast::{Atom, BinOp, CmpOp, Expr};
 ///
 /// Variables never written (and absent from the initial state) read as
 /// integer `0` — the same default the JVM gives primitive fields.
-#[derive(Clone, Default, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+///
+/// The values are a vector sorted by variable: the observer clones one
+/// state per lattice node and reads a handful of variables from it, which
+/// a flat vector serves with one allocation and a binary search.
+#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProgramState {
-    values: BTreeMap<VarId, Value>,
+    /// Ascending by variable, one entry per variable.
+    values: Vec<(VarId, Value)>,
 }
 
 impl ProgramState {
@@ -32,18 +37,27 @@ impl ProgramState {
     /// Builds a state from any `(VarId, Value)` map.
     #[must_use]
     pub fn from_map(values: BTreeMap<VarId, Value>) -> Self {
-        Self { values }
+        Self {
+            values: values.into_iter().collect(),
+        }
     }
 
     /// The value of `var` (integer 0 when unset).
     #[must_use]
     pub fn get(&self, var: VarId) -> Value {
-        self.values.get(&var).copied().unwrap_or(Value::Int(0))
+        match self.values.binary_search_by_key(&var, |&(v, _)| v) {
+            Ok(i) => self.values[i].1,
+            Err(_) => Value::Int(0),
+        }
     }
 
     /// Sets `var` to `value`.
     pub fn set(&mut self, var: VarId, value: impl Into<Value>) {
-        self.values.insert(var, value.into());
+        let value = value.into();
+        match self.values.binary_search_by_key(&var, |&(v, _)| v) {
+            Ok(i) => self.values[i].1 = value,
+            Err(i) => self.values.insert(i, (var, value)),
+        }
     }
 
     /// Returns a copy with `var` updated — the state-transition taken when
@@ -51,19 +65,13 @@ impl ProgramState {
     #[must_use]
     pub fn updated(&self, var: VarId, value: Value) -> ProgramState {
         let mut next = self.clone();
-        next.values.insert(var, value);
+        next.set(var, value);
         next
     }
 
-    /// Iterates over explicitly set variables.
+    /// Iterates over explicitly set variables in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, Value)> + '_ {
-        self.values.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// The underlying map.
-    #[must_use]
-    pub fn as_map(&self) -> &BTreeMap<VarId, Value> {
-        &self.values
+        self.values.iter().copied()
     }
 
     /// Evaluates an arithmetic expression over this state.
@@ -137,11 +145,19 @@ impl fmt::Display for ProgramState {
     }
 }
 
+/// Renders like the map it models (`ProgramState { values: {v: x, ..} }`).
+impl fmt::Debug for ProgramState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProgramState")
+            .field("values", &self.iter().collect::<BTreeMap<_, _>>())
+            .finish()
+    }
+}
+
+/// Later pairs overwrite earlier ones for the same variable.
 impl FromIterator<(VarId, Value)> for ProgramState {
     fn from_iter<I: IntoIterator<Item = (VarId, Value)>>(iter: I) -> Self {
-        Self {
-            values: iter.into_iter().collect(),
-        }
+        Self::from_map(iter.into_iter().collect())
     }
 }
 
@@ -220,6 +236,36 @@ mod tests {
         assert!(s.eval_atom(&Atom::BoolVar(X)));
         assert!(s.eval_atom(&Atom::BoolVar(Y)));
         assert!(!s.eval_atom(&Atom::BoolVar(VarId(9))));
+    }
+
+    #[test]
+    fn set_keeps_variables_sorted_and_unique() {
+        let mut s = ProgramState::new();
+        s.set(Y, 2);
+        s.set(X, 1);
+        s.set(Y, 3);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [(X, Value::Int(1)), (Y, Value::Int(3))]
+        );
+        let collected: ProgramState = [(Y, Value::Int(1)), (X, Value::Int(5)), (Y, Value::Int(2))]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            collected.iter().collect::<Vec<_>>(),
+            [(X, Value::Int(5)), (Y, Value::Int(2))]
+        );
+    }
+
+    #[test]
+    fn debug_renders_as_a_map() {
+        let mut s = ProgramState::new();
+        s.set(Y, 2);
+        s.set(X, 1);
+        assert_eq!(
+            format!("{s:?}"),
+            "ProgramState { values: {VarId(0): Int(1), VarId(1): Int(2)} }"
+        );
     }
 
     #[test]
