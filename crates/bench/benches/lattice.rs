@@ -4,9 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jmpax_bench::{banded_computation, BandedConfig};
+use jmpax_core::AnalysisKind;
 use jmpax_lattice::analysis::analyze_lattice;
 use jmpax_lattice::AnalysisConfig;
-use jmpax_lattice::{Lattice, LatticeInput, StreamingAnalyzer};
+use jmpax_lattice::{Exactness, Lattice, LatticeInput, SuiteBuilder};
 use jmpax_spec::parse;
 
 fn monitor() -> jmpax_spec::Monitor {
@@ -68,9 +69,10 @@ fn bench_banded_full_vs_streaming(c: &mut Criterion) {
             &(msgs, initial),
             |b, (msgs, initial)| {
                 b.iter(|| {
-                    let mut s = StreamingAnalyzer::new(monitor.clone(), initial, threads);
-                    s.push_all(msgs.iter().cloned());
-                    s.finish().states_explored
+                    let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], threads)
+                        .build(Some((monitor.clone(), initial)));
+                    suite.push_all(msgs.iter().cloned());
+                    suite.finish(Exactness::Exact).into_ltl().states_explored
                 });
             },
         );

@@ -13,9 +13,9 @@ use jmpax_bench::{
     fig6_experiment, BandedConfig,
 };
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
-use jmpax_core::{Relevance, VarId};
+use jmpax_core::{AnalysisKind, Relevance, VarId};
 use jmpax_lattice::{
-    analysis::analyze_lattice, AnalysisConfig, Lattice, LatticeInput, StreamingAnalyzer,
+    analysis::analyze_lattice, AnalysisConfig, Exactness, Lattice, LatticeInput, SuiteBuilder,
 };
 use jmpax_observer::liveness::{find_lassos, predict_liveness_violations, Ltl};
 use jmpax_spec::ast::{Atom, CmpOp, Expr};
@@ -481,9 +481,10 @@ fn lattice_scaling() {
         let full_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
-        let mut s = StreamingAnalyzer::new(monitor.clone(), &initial, threads);
-        s.push_all(msgs);
-        let report = s.finish();
+        let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], threads)
+            .build(Some((monitor.clone(), &initial)));
+        suite.push_all(msgs);
+        let report = suite.finish(Exactness::Exact).into_ltl();
         let stream_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(report.completed);
         assert_eq!(report.states_explored as usize, analysis.states);

@@ -1,8 +1,8 @@
 //! The experiment implementations behind the harness and EXPERIMENTS.md.
 
-use jmpax_core::{Event, Relevance};
+use jmpax_core::{AnalysisKind, Event, Relevance};
 use jmpax_distsim::DistSim;
-use jmpax_lattice::StreamingAnalyzer;
+use jmpax_lattice::{AnalysisConfig, Exactness, SuiteBuilder};
 use jmpax_observer::{Pipeline, PipelineConfig};
 use jmpax_sched::{run_fixed, run_random};
 use jmpax_workloads::{landing, xyz, Workload};
@@ -161,11 +161,12 @@ pub fn parallel_scaling_sweep(config: BandedConfig, worker_counts: &[usize]) -> 
         .expect("static spec monitors");
 
     let run = |workers: usize| {
-        let mut s = StreamingAnalyzer::new(monitor.clone(), &initial, config.threads)
-            .with_parallelism(workers);
+        let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], config.threads)
+            .config(&AnalysisConfig::default().with_parallelism(workers))
+            .build(Some((monitor.clone(), &initial)));
         let start = std::time::Instant::now();
-        s.push_all(messages.clone());
-        let report = s.finish();
+        suite.push_all(messages.clone());
+        let report = suite.finish(Exactness::Exact).into_ltl();
         (start.elapsed(), report)
     };
 

@@ -4,11 +4,26 @@
 
 use jmpax_cli::args::Args;
 use jmpax_cli::commands;
-use jmpax_core::Relevance;
-use jmpax_lattice::StreamingAnalyzer;
-use jmpax_spec::{parse, ProgramState};
+use jmpax_core::{AnalysisKind, Message, Relevance};
+use jmpax_lattice::{Exactness, StreamReport, SuiteBuilder};
+use jmpax_spec::{parse, Monitor, ProgramState};
 use jmpax_telemetry::{json, Registry};
 use jmpax_workloads as workloads;
+
+/// The ptLTL report of an LTL-only suite reporting live into `registry`.
+fn stream(
+    monitor: Monitor,
+    initial: &ProgramState,
+    threads: usize,
+    registry: &Registry,
+    messages: Vec<Message>,
+) -> StreamReport {
+    let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], threads)
+        .telemetry(registry)
+        .build(Some((monitor, initial)));
+    suite.push_all(messages);
+    suite.finish(Exactness::Exact).into_ltl()
+}
 
 fn run_cli(argv: &[&str], trace: Option<&str>) -> commands::RunOutput {
     let args = Args::parse(argv.iter().map(ToString::to_string));
@@ -102,14 +117,8 @@ fn streaming_telemetry_agrees_with_report_on_bank_and_dining() {
         let initial = ProgramState::from_map(run.execution.initial.clone());
 
         let registry = Registry::enabled();
-        let mut s = StreamingAnalyzer::with_telemetry(
-            monitor,
-            &initial,
-            run.execution.thread_count(),
-            &registry,
-        );
-        s.push_all(messages);
-        let report = s.finish();
+        let threads = run.execution.thread_count();
+        let report = stream(monitor, &initial, threads, &registry, messages);
 
         let snap = registry.snapshot();
         let (_, peak) = snap.gauge("lattice.peak_frontier").unwrap();
@@ -141,14 +150,8 @@ fn stream_report_record_matches_live_wiring() {
     let initial = ProgramState::from_map(run.execution.initial.clone());
 
     let live = Registry::enabled();
-    let mut s = StreamingAnalyzer::with_telemetry(
-        monitor.clone(),
-        &initial,
-        run.execution.thread_count(),
-        &live,
-    );
-    s.push_all(messages.clone());
-    let report = s.finish();
+    let threads = run.execution.thread_count();
+    let report = stream(monitor.clone(), &initial, threads, &live, messages.clone());
 
     let offline = Registry::enabled();
     report.record(&offline);

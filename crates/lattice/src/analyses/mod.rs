@@ -10,9 +10,10 @@
 //!   folds in the transport's [`Exactness`].
 //! * [`AnalysisSuite`] — the driver: one [`CausalBuffer`] delivery pass
 //!   fanning every delivered event out to an ordered set of analyses, so
-//!   N analyses cost one decode→reassemble→deliver pass, not N.
-//! * [`LtlLatticeAnalysis`] — the paper's predictive ptLTL lattice checker
-//!   ([`StreamingAnalyzer`]) behind the trait.
+//!   N analyses cost one decode→reassemble→deliver pass, not N. It is the
+//!   only way in: [`SuiteBuilder`] constructs and configures every
+//!   analysis.
+//! * [`StreamingAnalyzer`] — the paper's predictive ptLTL lattice checker.
 //! * [`RaceAnalysis`] — happens-before data-race detection over the
 //!   synchronization-only causal order (see [`race`]).
 //! * [`AtomicityAnalysis`] — conflict-atomicity checking of lock-delimited
@@ -21,11 +22,22 @@
 //! ## Determinism
 //!
 //! Every analysis consumes the *causal delivery order* produced by
-//! [`CausalBuffer`], which depends only on the message set — never on
-//! worker count, eval-cache setting, or arrival jitter that causal
-//! reordering can absorb. Running `[ltl, race, atomicity]` together is
-//! therefore bit-identical, per analysis, to running each alone over the
-//! same stream (property-tested in `tests/multi_analysis_equiv.rs`).
+//! [`CausalBuffer`]. That order never depends on worker count or the
+//! eval-cache setting, but it does depend on arrival order: the buffer
+//! delivers concurrent messages in the order they arrive. What holds:
+//!
+//! * The ptLTL report depends only on the message set. The lattice of a
+//!   computation is the same for every linearization of it, and the
+//!   analyzer orders violations and counterexamples by cut, not by
+//!   delivery.
+//! * Race and atomicity reports depend on the delivered order: which
+//!   access pairs and which delivery positions a finding names can differ
+//!   between two arrival orders of the same messages.
+//! * For a given arrival order, running `[ltl, race, atomicity]` together
+//!   is bit-identical, per analysis, to running each alone.
+//!
+//! Both the first and the last are property-tested in
+//! `tests/multi_analysis_equiv.rs`.
 //!
 //! ## Exactness
 //!
@@ -59,9 +71,9 @@ pub use race::{RaceAccess, RaceAnalysis, RaceFinding, RaceReport};
 ///
 /// Implementations must be deterministic in the delivered event sequence:
 /// two runs over the same sequence must produce identical reports. The
-/// driver guarantees the sequence itself is worker-count independent, so
-/// this contract is what makes suite reports bit-identical at any
-/// parallelism (DESIGN.md §16).
+/// driver's delivery order is worker-count independent, so this contract
+/// is what makes suite reports bit-identical at any parallelism
+/// (DESIGN.md §16).
 pub trait Analysis: Send {
     /// Which analysis this is (names the report section and the
     /// `analysis.<kind>.*` telemetry prefix).
@@ -70,22 +82,6 @@ pub trait Analysis: Send {
     /// Consumes one causally delivered event and the emitting thread's
     /// vector clock after that event (the message's `V_i`).
     fn on_event(&mut self, event: &Event, clock: &VectorClock);
-
-    /// Notification that the lattice-building analysis in the same suite
-    /// sealed level `level`. Only fired when a lattice-building analysis
-    /// (today: ptLTL) runs in the suite; analyses must not let it affect
-    /// their report (trace/telemetry side effects only), or suite
-    /// composition would break per-analysis bit-identity.
-    fn on_level_sealed(&mut self, level: u64) {
-        let _ = level;
-    }
-
-    /// How many lattice levels this analysis has sealed so far. Only a
-    /// lattice-building analysis (ptLTL) reports nonzero; the suite polls
-    /// it to drive [`Analysis::on_level_sealed`] on its peers.
-    fn levels_sealed(&self) -> u64 {
-        0
-    }
 
     /// Publishes the analysis's live counters gathered so far.
     fn record(&self, registry: &Registry);
@@ -233,6 +229,23 @@ impl SuiteReport {
         self.reports.iter().map(AnalysisReport::findings).sum()
     }
 
+    /// The ptLTL report, consuming the suite report: for callers that ran
+    /// an LTL suite and want a bare [`StreamReport`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the suite ran no LTL analysis.
+    #[must_use]
+    pub fn into_ltl(self) -> StreamReport {
+        self.reports
+            .into_iter()
+            .find_map(|r| match r {
+                AnalysisReport::Ltl(report) => Some(report),
+                _ => None,
+            })
+            .expect("the suite ran an LTL analysis")
+    }
+
     /// Publishes every report's statistics.
     pub fn record(&self, registry: &Registry) {
         for r in &self.reports {
@@ -251,10 +264,6 @@ impl SuiteReport {
 pub struct AnalysisSuite {
     analyses: Vec<Box<dyn Analysis>>,
     buffer: CausalBuffer,
-    /// Index of the lattice-building (ptLTL) analysis, for level-seal
-    /// fan-out.
-    ltl: Option<usize>,
-    levels_seen: u64,
     registry: Registry,
 }
 
@@ -271,12 +280,9 @@ impl AnalysisSuite {
     /// Builds a suite over the given analyses, in order.
     #[must_use]
     pub fn new(analyses: Vec<Box<dyn Analysis>>) -> Self {
-        let ltl = analyses.iter().position(|a| a.kind() == AnalysisKind::Ltl);
         Self {
             analyses,
             buffer: CausalBuffer::new(),
-            ltl,
-            levels_seen: 0,
             registry: Registry::disabled(),
         }
     }
@@ -302,7 +308,6 @@ impl AnalysisSuite {
             for a in &mut self.analyses {
                 a.on_event(&delivered.event, &delivered.clock);
             }
-            self.fan_out_seals();
         }
     }
 
@@ -313,29 +318,14 @@ impl AnalysisSuite {
         }
     }
 
-    /// Propagates lattice level seals from the ptLTL analysis to every
-    /// other analysis in the suite.
-    fn fan_out_seals(&mut self) {
-        let Some(ltl) = self.ltl else { return };
-        let sealed = self.analyses[ltl].levels_sealed();
-        while self.levels_seen < sealed {
-            self.levels_seen += 1;
-            let level = self.levels_seen;
-            for a in &mut self.analyses {
-                a.on_level_sealed(level);
-            }
-        }
-    }
-
     /// Closes every analysis. `transport` carries upstream losses (frame
     /// corruption, reassembly gaps); messages still stuck in the causal
     /// buffer — their predecessors never arrived — are added as skipped
     /// gaps. Reports come back in configuration order.
     #[must_use]
-    pub fn finish(mut self, transport: Exactness) -> SuiteReport {
+    pub fn finish(self, transport: Exactness) -> SuiteReport {
         let stranded = self.buffer.pending_len() as u64;
         let exact = transport.combine(Exactness::degraded(0, stranded));
-        self.fan_out_seals();
         let mut reports = Vec::with_capacity(self.analyses.len());
         for a in self.analyses {
             a.record(&self.registry);
@@ -436,20 +426,20 @@ impl SuiteBuilder {
                     let (monitor, initial) = ltl
                         .take()
                         .expect("LTL analysis requested without a monitor");
-                    let mut analyzer = StreamingAnalyzer::with_telemetry(
+                    let mut analyzer = StreamingAnalyzer::new(
                         monitor,
                         initial,
                         self.threads,
+                        &self.config,
                         &self.registry,
-                    )
-                    .with_config(&self.config);
+                    );
                     if let Some(t) = &self.tracer {
                         analyzer = analyzer.with_trace(t);
                     }
                     if let Some(p) = &self.pool {
                         analyzer = analyzer.with_pool(Arc::clone(p));
                     }
-                    analyses.push(Box::new(LtlLatticeAnalysis::from_analyzer(analyzer)));
+                    analyses.push(Box::new(analyzer));
                 }
                 AnalysisKind::Race => {
                     let mut a = RaceAnalysis::new(self.threads, self.sync_vars.clone());
@@ -468,80 +458,6 @@ impl SuiteBuilder {
             }
         }
         AnalysisSuite::new(analyses).with_telemetry(&self.registry)
-    }
-}
-
-/// The paper's predictive ptLTL lattice checker as a pluggable
-/// [`Analysis`]: a thin adapter around [`StreamingAnalyzer`] (the
-/// hardwired `Pipeline`-only consumer this trait replaced).
-#[derive(Debug)]
-pub struct LtlLatticeAnalysis {
-    analyzer: StreamingAnalyzer,
-}
-
-impl LtlLatticeAnalysis {
-    /// Builds the analysis for a `threads`-thread stream.
-    #[must_use]
-    pub fn new(monitor: Monitor, initial: &ProgramState, threads: usize) -> Self {
-        Self::from_analyzer(StreamingAnalyzer::new(monitor, initial, threads))
-    }
-
-    /// Wraps an already-configured [`StreamingAnalyzer`] (telemetry,
-    /// tracing, pool, tuning — everything its builder supports).
-    #[must_use]
-    pub fn from_analyzer(analyzer: StreamingAnalyzer) -> Self {
-        Self { analyzer }
-    }
-
-    /// Applies the shared tuning knobs (parallelism, frontier cap,
-    /// history, eval cache, shard granularity).
-    #[must_use]
-    pub fn with_config(mut self, config: &AnalysisConfig) -> Self {
-        self.analyzer = self.analyzer.with_config(config);
-        self
-    }
-
-    /// Attaches causal tracing (the `lattice` trace lane).
-    #[must_use]
-    pub fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.analyzer = self.analyzer.with_trace(tracer);
-        self
-    }
-
-    /// Shares a persistent expansion pool.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<ExpansionPool>) -> Self {
-        self.analyzer = self.analyzer.with_pool(pool);
-        self
-    }
-}
-
-impl Analysis for LtlLatticeAnalysis {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::Ltl
-    }
-
-    fn on_event(&mut self, event: &Event, clock: &VectorClock) {
-        self.analyzer.push(Message {
-            event: *event,
-            clock: clock.clone(),
-        });
-    }
-
-    fn levels_sealed(&self) -> u64 {
-        u64::from(self.analyzer.levels_built())
-    }
-
-    fn record(&self, _registry: &Registry) {
-        // Live `lattice.*` gauges are wired at construction through
-        // `StreamingAnalyzer::with_telemetry`; the final counters are
-        // published by `AnalysisReport::record` after `finish`.
-    }
-
-    fn finish(self: Box<Self>, transport: Exactness) -> AnalysisReport {
-        let mut report = self.analyzer.finish();
-        report.exactness = report.exactness.combine(transport);
-        AnalysisReport::Ltl(report)
     }
 }
 

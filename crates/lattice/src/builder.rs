@@ -7,27 +7,29 @@
 //! any time, in particular one level, which significantly reduces the space
 //! required by the proposed predictive analysis algorithm."
 //!
-//! [`StreamingAnalyzer`] accepts messages in **any** delivery order (it
-//! embeds a [`CausalBuffer`]), advances the lattice frontier one level at a
-//! time whenever every frontier cut has all the messages it needs, and
-//! retains only the current frontier plus per-thread queues of undelivered
-//! messages. Each frontier node carries its alive monitor memories with
-//! run-prefix counts, so the report's total and violating run counts are
-//! exact sums over levels. Violations are reported with the cut, state and
-//! monitor memory, plus a counterexample that reaches the initial state
-//! whenever the retained history ([`StreamingAnalyzer::with_history`])
-//! covers the whole run.
+//! [`StreamingAnalyzer`] is the ptLTL [`Analysis`] of the suite: the
+//! [`AnalysisSuite`](crate::AnalysisSuite) buffers out-of-order messages
+//! once and hands the analyzer each one in causal order. The analyzer
+//! advances the lattice frontier one level at a time whenever every
+//! frontier cut has all the messages it needs, and retains only the
+//! current frontier plus the delivered per-thread prefixes. Each frontier
+//! node carries its alive monitor memories with run-prefix counts, so the
+//! report's total and violating run counts are exact sums over levels.
+//! Violations are reported with the cut, state and monitor memory, plus a
+//! counterexample that reaches the initial state whenever the retained
+//! history ([`AnalysisConfig::history`]) covers the whole run.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use jmpax_core::fasthash::FastMap;
-use jmpax_core::{CausalBuffer, Message, ThreadId, Value, VarId};
+use jmpax_core::{AnalysisKind, Event, Message, ThreadId, Value, VarId, VectorClock};
 use jmpax_spec::{Monitor, MonitorState, ProgramState, StepCache};
 use jmpax_telemetry::{Counter, Gauge, Histogram, Registry};
 use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
+use crate::analyses::{Analysis, AnalysisReport};
 use crate::config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
 use crate::cut::Cut;
 use crate::parallel::{self, ExpansionPool, LevelShared};
@@ -106,7 +108,7 @@ pub struct StreamReport {
     /// the top cut).
     pub completed: bool,
     /// Whether the verdict covers every consistent run, or a frontier cap
-    /// pruned some cuts ([`StreamingAnalyzer::with_frontier_cap`]).
+    /// pruned some cuts ([`AnalysisConfig::frontier_cap`]).
     pub exactness: Exactness,
     /// Relevant non-write messages encountered during expansion (exotic
     /// relevance policies); each was treated as a stutter step instead of
@@ -139,7 +141,8 @@ impl StreamReport {
     }
 
     /// Publishes this report's statistics into `registry` under the same
-    /// metric names a live [`StreamingAnalyzer::with_telemetry`] run uses.
+    /// metric names a suite built with
+    /// [`SuiteBuilder::telemetry`](crate::SuiteBuilder::telemetry) uses.
     /// Use this when the analysis ran *without* an attached registry; a
     /// telemetered analyzer has already reported these incrementally.
     pub fn record(&self, registry: &Registry) {
@@ -463,11 +466,13 @@ impl LevelExpansion {
     }
 }
 
-/// Online predictive analyzer with two-level storage.
+/// Online predictive analyzer with two-level storage: the suite's ptLTL
+/// [`Analysis`]. [`SuiteBuilder::build`](crate::SuiteBuilder::build)
+/// constructs it from an [`AnalysisConfig`]; the suite feeds it.
 ///
 /// ```
-/// use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId};
-/// use jmpax_lattice::StreamingAnalyzer;
+/// use jmpax_core::{AnalysisKind, Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId};
+/// use jmpax_lattice::{Exactness, SuiteBuilder};
 /// use jmpax_spec::{parse, ProgramState};
 ///
 /// // Property: x never decreases below zero.
@@ -475,26 +480,26 @@ impl LevelExpansion {
 /// let monitor = parse("x >= 0", &mut syms).unwrap().monitor().unwrap();
 ///
 /// let mut instr = MvcInstrumentor::new(1, Relevance::AllWrites);
-/// let mut analyzer = StreamingAnalyzer::new(monitor, &ProgramState::new(), 1);
+/// let initial = ProgramState::new();
+/// let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], 1).build(Some((monitor, &initial)));
 /// for value in [1i64, 2, -1] {
 ///     let msg = instr.process(&Event::write(ThreadId(0), VarId(0), value)).unwrap();
-///     analyzer.push(msg);
+///     suite.push(msg);
 /// }
-/// let report = analyzer.finish();
+/// let report = suite.finish(Exactness::Exact).into_ltl();
 /// assert_eq!(report.violations.len(), 1); // the write of -1
 /// ```
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
     monitor: Arc<Monitor>,
     threads: usize,
-    buffer: CausalBuffer,
     /// Causally delivered messages per thread (contiguous prefixes).
     /// Behind an `Arc` so parallel levels share it with the pool without
     /// copying; between levels the analyzer is the only holder, so
     /// `Arc::make_mut` appends in place.
     delivered: Arc<Vec<Vec<Message>>>,
-    /// Threads whose streams are complete.
-    ended: Vec<bool>,
+    /// Every thread's stream is complete (set by the suite's finish).
+    ended: bool,
     /// The sealed level the next expansion starts from.
     frontier: Level,
     /// Per-thread maximum of the frontier's counts, computed when a level
@@ -532,8 +537,7 @@ pub struct StreamingAnalyzer {
     /// level, or injected ([`StreamingAnalyzer::with_pool`]) to share one
     /// pool across analyzers.
     pool: Option<Arc<ExpansionPool>>,
-    /// `lattice.*` metrics; no-ops unless built via
-    /// [`StreamingAnalyzer::with_telemetry`].
+    /// `lattice.*` metrics; no-ops under a disabled registry.
     tel_states: Counter,
     tel_deduped: Counter,
     tel_levels: Counter,
@@ -571,36 +575,25 @@ pub struct StreamingAnalyzer {
 }
 
 impl StreamingAnalyzer {
-    /// Creates an analyzer for `threads` threads starting from `initial`.
-    #[must_use]
-    pub fn new(monitor: Monitor, initial: &ProgramState, threads: usize) -> Self {
-        Self::build(monitor, initial, threads, &Registry::disabled())
-    }
-
-    /// Like [`StreamingAnalyzer::new`], but reporting live metrics into
-    /// `registry`: `lattice.states_explored` (lattice nodes created,
-    /// including the initial cut), `lattice.cuts_deduped` (successor cuts
-    /// merged into an already-created node of the next level),
-    /// `lattice.levels_built`, `lattice.violations`,
-    /// `lattice.frontier_width` (histogram, one sample per completed
-    /// level), `lattice.peak_frontier` (gauge), per-level stage latency
-    /// histograms `lattice.stage.expand_ns` / `lattice.stage.seal_ns`, and
-    /// at [`StreamingAnalyzer::finish`] the run counts
+    /// Creates an analyzer for `threads` threads starting from `initial`,
+    /// tuned by `config` and reporting live metrics into `registry`:
+    /// `lattice.states_explored` (lattice nodes created, including the
+    /// initial cut), `lattice.cuts_deduped` (successor cuts merged into an
+    /// already-created node of the next level), `lattice.levels_built`,
+    /// `lattice.violations`, `lattice.frontier_width` (histogram, one
+    /// sample per completed level), `lattice.peak_frontier` (gauge),
+    /// per-level stage latency histograms `lattice.stage.expand_ns` /
+    /// `lattice.stage.seal_ns`, and at finish the run counts
     /// `lattice.total_runs` / `lattice.violating_runs`.
-    #[must_use]
-    pub fn with_telemetry(
+    ///
+    /// From `config`: history (unset means two-level), counterexample
+    /// budget, frontier cap, parallelism, shard granularity, and the step
+    /// cache.
+    pub(crate) fn new(
         monitor: Monitor,
         initial: &ProgramState,
         threads: usize,
-        registry: &Registry,
-    ) -> Self {
-        Self::build(monitor, initial, threads, registry)
-    }
-
-    fn build(
-        monitor: Monitor,
-        initial: &ProgramState,
-        threads: usize,
+        config: &AnalysisConfig,
         registry: &Registry,
     ) -> Self {
         let (mem0, ok0) = monitor.initial(initial);
@@ -643,24 +636,27 @@ impl StreamingAnalyzer {
         Self {
             monitor: Arc::new(monitor),
             threads,
-            buffer: CausalBuffer::new(),
             delivered: Arc::new(vec![Vec::new(); threads]),
-            ended: vec![false; threads],
+            ended: false,
             frontier,
             frontier_max: vec![0; threads],
             past: VecDeque::new(),
-            history: 0,
-            max_counterexamples: AnalysisConfig::default().max_counterexamples,
+            history: config.history.unwrap_or(0),
+            max_counterexamples: config.max_counterexamples,
             violations,
             states_explored: 1,
             levels_built: 0,
             peak_frontier: 1,
-            frontier_cap: None,
+            frontier_cap: (config.frontier_cap > 0).then_some(config.frontier_cap),
             dropped_cuts: 0,
             non_writes_skipped: 0,
-            parallelism: 1,
-            shard_granularity: DEFAULT_SHARD_GRANULARITY,
-            eval_cache: true,
+            parallelism: config.workers(),
+            shard_granularity: if config.shard_granularity == 0 {
+                DEFAULT_SHARD_GRANULARITY
+            } else {
+                config.shard_granularity
+            },
+            eval_cache: config.eval_cache,
             step_cache: StepCache::with_counter(tel_cache_hits.clone()),
             successors: Successors::default(),
             pool: None,
@@ -695,38 +691,9 @@ impl StreamingAnalyzer {
     /// [`TraceKind::CutPruned`] / [`TraceKind::PropertyEvaluated`]
     /// instants. With a disabled tracer this is free.
     #[must_use]
-    pub fn with_trace(mut self, tracer: &Tracer) -> Self {
+    pub(crate) fn with_trace(mut self, tracer: &Tracer) -> Self {
         self.trace_ring = tracer.ring("lattice");
         self.tracer = tracer.clone();
-        self
-    }
-
-    /// Expands wide frontier levels across up to `workers` threads
-    /// (`0`/`1` = sequential). Sharding is by cut hash with a
-    /// deterministic merge, so every observable output — verdicts,
-    /// violation order, counterexamples, telemetry counts, the final
-    /// [`StreamReport`] — is bit-identical to the sequential path; the
-    /// only evidence the pool ran is the `lattice.parallel.*` metric
-    /// family and the `lattice.shard<N>` trace lanes. Levels narrower
-    /// than the shard granularity (default
-    /// [`crate::config::DEFAULT_SHARD_GRANULARITY`] cuts per worker)
-    /// expand inline.
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Lowers (or raises) the engagement threshold: a level engages the
-    /// worker pool only when it holds at least `cuts_per_shard` cuts per
-    /// worker. Equivalence tests use it to force narrow levels through
-    /// the sharded path; the default
-    /// ([`crate::config::DEFAULT_SHARD_GRANULARITY`]) keeps coordination
-    /// overhead away from levels too narrow to profit. Also settable via
-    /// [`AnalysisConfig::with_shard_granularity`].
-    #[must_use]
-    pub fn with_shard_granularity(mut self, cuts_per_shard: usize) -> Self {
-        self.shard_granularity = cuts_per_shard.max(1);
         self
     }
 
@@ -736,54 +703,8 @@ impl StreamingAnalyzer {
     /// reuse it across every analysis it runs. The effective worker count
     /// is capped by the pool's size.
     #[must_use]
-    pub fn with_pool(mut self, pool: Arc<ExpansionPool>) -> Self {
+    pub(crate) fn with_pool(mut self, pool: Arc<ExpansionPool>) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Applies every knob of an [`AnalysisConfig`] at once: history
-    /// (unset means two-level), counterexample budget, frontier cap,
-    /// parallelism, shard granularity, and the step cache.
-    #[must_use]
-    pub fn with_config(mut self, config: &AnalysisConfig) -> Self {
-        self.history = config.history.unwrap_or(0);
-        self.max_counterexamples = config.max_counterexamples;
-        self.frontier_cap = (config.frontier_cap > 0).then_some(config.frontier_cap);
-        self.parallelism = config.workers();
-        self.shard_granularity = if config.shard_granularity == 0 {
-            DEFAULT_SHARD_GRANULARITY
-        } else {
-            config.shard_granularity
-        };
-        self.eval_cache = config.eval_cache;
-        self
-    }
-
-    /// Retains up to `levels` retired lattice levels so that
-    /// counterexamples carry that many more steps. `0` (the default) is the
-    /// paper's pure two-level mode; larger values trade memory for
-    /// diagnostics, with the older levels garbage-collected exactly as
-    /// Section 4 suggests ("parts of the lattice which become non-relevant
-    /// … can be garbage-collected while the analysis process continues").
-    /// `usize::MAX` keeps every level, so counterexamples reach the
-    /// initial state.
-    #[must_use]
-    pub fn with_history(mut self, levels: usize) -> Self {
-        self.history = levels;
-        self
-    }
-
-    /// Bounds the frontier to at most `cap` cuts per level. When a level
-    /// exceeds the cap it is pruned to a *deterministic beam* — the `cap`
-    /// smallest cuts in [`Cut`]'s lexicographic order — instead of
-    /// exhausting memory on pathological computations (the width of a level
-    /// is exponential in the thread count in the worst case). Every pruned
-    /// cut is counted and surfaces as [`Exactness::Degraded`] in the final
-    /// report: the verdict then covers *some*, not all, consistent runs.
-    /// A cap of `0` is treated as unbounded.
-    #[must_use]
-    pub fn with_frontier_cap(mut self, cap: usize) -> Self {
-        self.frontier_cap = (cap > 0).then_some(cap);
         self
     }
 
@@ -821,51 +742,11 @@ impl StreamingAnalyzer {
         Counterexample { steps }
     }
 
-    /// Offers one message (any delivery order) and advances the frontier as
-    /// far as currently possible.
-    pub fn push(&mut self, message: Message) {
-        for m in self.buffer.push(message) {
-            let t = m.thread().index();
-            if self.delivered.len() <= t {
-                // A thread beyond the declared count: grow conservatively.
-                Arc::make_mut(&mut self.delivered).resize_with(t + 1, Vec::new);
-                self.ended.resize(t + 1, false);
-                self.threads = t + 1;
-            }
-            if self.trace_ring.is_enabled() {
-                self.trace_ring.record(TraceKind::Ingested(m.trace_ref()));
-            }
-            // Between levels no worker holds the Arc, so this appends in
-            // place without cloning the delivered prefixes.
-            Arc::make_mut(&mut self.delivered)[t].push(m);
-        }
-        self.advance();
-    }
-
-    /// Offers many messages.
-    pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) {
-        for m in messages {
-            self.push(m);
-        }
-    }
-
-    /// Marks thread `t`'s stream as complete (no further messages).
-    pub fn end_thread(&mut self, t: ThreadId) {
-        if t.index() < self.ended.len() {
-            self.ended[t.index()] = true;
-        }
-        self.advance();
-    }
-
     /// Marks every stream complete, drains the analysis, and reports.
-    #[must_use]
-    pub fn finish(mut self) -> StreamReport {
-        for e in &mut self.ended {
-            *e = true;
-        }
+    fn into_report(mut self) -> StreamReport {
+        self.ended = true;
         self.advance();
-        let completed = self.buffer.is_drained()
-            && matches!(self.frontier.as_slice(), [(cut, _)] if self.is_top(cut));
+        let completed = matches!(self.frontier.as_slice(), [(cut, _)] if self.is_top(cut));
         // Every run prefix reaching the final frontier either violated on
         // the way or is alive in some memory.
         let (mut total_runs, mut violating_runs) = (0u128, 0u128);
@@ -893,30 +774,10 @@ impl StreamingAnalyzer {
         }
     }
 
-    /// Violations found so far (available mid-stream — the analysis is
-    /// online).
-    #[must_use]
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// The current frontier width.
-    #[must_use]
-    pub fn frontier_width(&self) -> usize {
-        self.frontier.len()
-    }
-
-    /// Lattice levels sealed (frontier advances performed) so far. The
-    /// analysis-suite driver polls this to fan `on_level_sealed`
-    /// notifications out to co-running analyses.
-    #[must_use]
-    pub fn levels_built(&self) -> u32 {
-        self.levels_built
-    }
-
     fn is_top(&self, cut: &Cut) -> bool {
-        (0..self.threads).all(|t| cut.get(ThreadId(t as u32)) as usize == self.delivered[t].len())
-            && self.ended.iter().all(|&e| e)
+        self.ended
+            && (0..self.threads)
+                .all(|t| cut.get(ThreadId(t as u32)) as usize == self.delivered[t].len())
     }
 
     /// True when every frontier cut can be fully expanded with the
@@ -927,7 +788,7 @@ impl StreamingAnalyzer {
     fn frontier_expandable(&self) -> bool {
         (0..self.threads).all(|t| {
             let consumed = self.frontier_max.get(t).copied().unwrap_or(0) as usize;
-            consumed < self.delivered[t].len() || self.ended[t]
+            consumed < self.delivered[t].len() || self.ended
         })
     }
 
@@ -1192,10 +1053,51 @@ impl StreamingAnalyzer {
     }
 }
 
+impl Analysis for StreamingAnalyzer {
+    fn kind(&self) -> AnalysisKind {
+        AnalysisKind::Ltl
+    }
+
+    /// Appends the delivered message to its thread's prefix and advances
+    /// the frontier as far as the delivered prefixes allow.
+    fn on_event(&mut self, event: &Event, clock: &VectorClock) {
+        let message = Message {
+            event: *event,
+            clock: clock.clone(),
+        };
+        let t = event.thread.index();
+        if self.delivered.len() <= t {
+            // A thread beyond the declared count: grow conservatively.
+            Arc::make_mut(&mut self.delivered).resize_with(t + 1, Vec::new);
+            self.threads = t + 1;
+        }
+        if self.trace_ring.is_enabled() {
+            self.trace_ring
+                .record(TraceKind::Ingested(message.trace_ref()));
+        }
+        // Between levels no worker holds the Arc, so this appends in place
+        // without cloning the delivered prefixes.
+        Arc::make_mut(&mut self.delivered)[t].push(message);
+        self.advance();
+    }
+
+    fn record(&self, _registry: &Registry) {
+        // Live `lattice.*` metrics are wired at construction; the final
+        // counters are published by `AnalysisReport::record` after finish.
+    }
+
+    fn finish(self: Box<Self>, transport: Exactness) -> AnalysisReport {
+        let mut report = (*self).into_report();
+        report.exactness = report.exactness.combine(transport);
+        AnalysisReport::Ltl(report)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, VarId};
+    use crate::analyses::SuiteBuilder;
+    use jmpax_core::{MvcInstrumentor, Relevance, SymbolTable};
     use jmpax_spec::parse;
 
     const T1: ThreadId = ThreadId(0);
@@ -1227,12 +1129,37 @@ mod tests {
         (msgs, monitor, init)
     }
 
+    /// A default-configured analyzer without telemetry.
+    fn analyzer(monitor: Monitor, init: &ProgramState, threads: usize) -> StreamingAnalyzer {
+        analyzer_with(monitor, init, threads, &AnalysisConfig::default())
+    }
+
+    fn analyzer_with(
+        monitor: Monitor,
+        init: &ProgramState,
+        threads: usize,
+        config: &AnalysisConfig,
+    ) -> StreamingAnalyzer {
+        StreamingAnalyzer::new(monitor, init, threads, config, &Registry::disabled())
+    }
+
+    /// Feeds messages that are already in causal order, as the suite does.
+    fn feed(s: &mut StreamingAnalyzer, msgs: impl IntoIterator<Item = Message>) {
+        for m in msgs {
+            s.on_event(&m.event, &m.clock);
+        }
+    }
+
+    /// Feeds causally ordered messages and finishes.
+    fn run(mut s: StreamingAnalyzer, msgs: impl IntoIterator<Item = Message>) -> StreamReport {
+        feed(&mut s, msgs);
+        s.into_report()
+    }
+
     #[test]
     fn streaming_fig6_finds_the_violation() {
         let (msgs, monitor, init) = fig6_setup();
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2);
-        s.push_all(msgs);
-        let report = s.finish();
+        let report = run(analyzer(monitor, &init, 2), msgs);
         assert!(!report.satisfied());
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.states_explored, 7);
@@ -1246,9 +1173,9 @@ mod tests {
     fn streaming_handles_reversed_delivery() {
         let (mut msgs, monitor, init) = fig6_setup();
         msgs.reverse();
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2);
-        s.push_all(msgs);
-        let report = s.finish();
+        let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], 2).build(Some((monitor, &init)));
+        suite.push_all(msgs);
+        let report = suite.finish(Exactness::Exact).into_ltl();
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.states_explored, 7);
         assert!(report.completed);
@@ -1257,34 +1184,31 @@ mod tests {
     #[test]
     fn violations_surface_once_streams_end() {
         let (msgs, monitor, init) = fig6_setup();
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2);
-        s.push_all(msgs);
+        let mut s = analyzer(monitor, &init, 2);
+        feed(&mut s, msgs);
         // With all messages delivered but streams still open, the frontier
         // must stall *before* the top: a future message could still create
         // successors, so expanding early would be unsound.
-        assert!(s.violations().is_empty());
-        s.end_thread(T1);
-        s.end_thread(T2);
-        // Now the violation at the top is visible without finish().
-        assert_eq!(s.violations().len(), 1);
+        assert!(s.violations.is_empty());
+        s.ended = true;
+        s.advance();
+        // Now the violation at the top is visible without finishing.
+        assert_eq!(s.violations.len(), 1);
     }
 
     #[test]
     fn frontier_waits_for_missing_messages() {
         let (msgs, monitor, init) = fig6_setup();
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2);
+        let mut s = analyzer(monitor, &init, 2);
         // Deliver only T1's first message. Expanding S0,0 would need to
         // know whether T2 contributes a successor, but T2 has delivered
         // nothing and has not ended — the cut is not expandable, so the
         // frontier must hold at S0,0 instead of sealing level 1 early.
-        let e1 = msgs[0].clone();
-        s.push(e1);
-        assert_eq!(s.frontier_width(), 1);
-        // After ending T2's stream prematurely the frontier can advance
-        // using only T1's messages.
-        s.push(msgs[2].clone()); // e3 (T1's second message)
-        s.end_thread(T2);
-        let report = s.finish();
+        feed(&mut s, [msgs[0].clone()]);
+        assert_eq!(s.frontier.len(), 1);
+        // After ending the streams with T2's still empty, the frontier can
+        // advance using only T1's messages: e3 is T1's second message.
+        let report = run(s, [msgs[2].clone()]);
         // Only the single run S00 → S10 → S20 exists; y=1,z=0 never sees
         // x>0 so the property holds on that prefix.
         assert!(report.satisfied());
@@ -1295,9 +1219,8 @@ mod tests {
     fn history_trails_reconstruct_violating_suffix() {
         let (msgs, monitor, init) = fig6_setup();
         // Retain enough history for the whole run.
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2).with_history(8);
-        s.push_all(msgs.clone());
-        let report = s.finish();
+        let config = AnalysisConfig::default().with_history(8);
+        let report = run(analyzer_with(monitor, &init, 2, &config), msgs.clone());
         assert_eq!(report.violations.len(), 1);
         let ce = report.violations[0].counterexample.as_ref().unwrap();
         // The whole violating run S0,0 S1,0 S2,0 S2,1 S2,2: T1 twice (the
@@ -1324,9 +1247,7 @@ mod tests {
         // Without history the counterexample is the step into the
         // violation's predecessor plus the violating step.
         let (msgs2, monitor2, init2) = fig6_setup();
-        let mut s = StreamingAnalyzer::new(monitor2, &init2, 2);
-        s.push_all(msgs2);
-        let report = s.finish();
+        let report = run(analyzer(monitor2, &init2, 2), msgs2);
         let ce = report.violations[0].counterexample.as_ref().unwrap();
         assert_eq!(ce.steps.len(), 2, "{ce:?}");
         assert!(!ce.is_complete());
@@ -1336,9 +1257,8 @@ mod tests {
     #[test]
     fn bounded_history_truncates_trails() {
         let (msgs, monitor, init) = fig6_setup();
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2).with_history(1);
-        s.push_all(msgs);
-        let report = s.finish();
+        let config = AnalysisConfig::default().with_history(1);
+        let report = run(analyzer_with(monitor, &init, 2, &config), msgs);
         let ce = report.violations[0].counterexample.as_ref().unwrap();
         // violating state + predecessor + one retired level = 3.
         assert_eq!(ce.steps.len(), 3, "{ce:?}");
@@ -1356,10 +1276,9 @@ mod tests {
         msgs.extend(a.process(&Event::write(T2, x, 2)));
         // One declared thread: T2's message grows the analyzer, so the
         // violating cut has one more count than its predecessor.
-        let mut s =
-            StreamingAnalyzer::new(monitor, &ProgramState::new(), 1).with_history(usize::MAX);
-        s.push_all(msgs.clone());
-        let report = s.finish();
+        let config = AnalysisConfig::default().with_history(usize::MAX);
+        let s = analyzer_with(monitor, &ProgramState::new(), 1, &config);
+        let report = run(s, msgs.clone());
         assert_eq!(report.violations.len(), 1);
         let ce = report.violations[0].counterexample.as_ref().unwrap();
         let threads: Vec<_> = ce.steps.iter().map(|s| s.thread).collect();
@@ -1371,8 +1290,7 @@ mod tests {
     fn initial_state_violation_detected() {
         let mut syms = SymbolTable::new();
         let monitor = parse("x > 0", &mut syms).unwrap().monitor().unwrap();
-        let s = StreamingAnalyzer::new(monitor, &ProgramState::new(), 1);
-        let report = s.finish();
+        let report = run(analyzer(monitor, &ProgramState::new(), 1), []);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].cut, Cut::bottom(1));
         assert_eq!((report.total_runs, report.violating_runs), (1, 1));
@@ -1384,9 +1302,7 @@ mod tests {
     #[test]
     fn uncapped_report_is_exact() {
         let (msgs, monitor, init) = fig6_setup();
-        let mut s = StreamingAnalyzer::new(monitor, &init, 2);
-        s.push_all(msgs);
-        let report = s.finish();
+        let report = run(analyzer(monitor, &init, 2), msgs);
         assert!(report.exactness.is_exact());
         assert_eq!(report.non_writes_skipped, 0);
     }
@@ -1411,14 +1327,11 @@ mod tests {
         let msgs = ex.instrument(Relevance::writes_of([VarId(0), VarId(1), VarId(2)]));
         let init = ProgramState::new();
 
-        let mut exhaustive = StreamingAnalyzer::new(monitor.clone(), &init, 4);
-        exhaustive.push_all(msgs.clone());
-        let full = exhaustive.finish();
+        let full = run(analyzer(monitor.clone(), &init, 4), msgs.clone());
         assert!(full.peak_frontier > 2, "need a wide lattice for this test");
 
-        let mut capped = StreamingAnalyzer::new(monitor, &init, 4).with_frontier_cap(2);
-        capped.push_all(msgs);
-        let beam = capped.finish();
+        let config = AnalysisConfig::default().with_frontier_cap(2);
+        let beam = run(analyzer_with(monitor, &init, 4, &config), msgs);
         assert!(beam.completed, "the beam still reaches the top cut");
         assert!(beam.peak_frontier <= 2);
         assert!(beam.states_explored < full.states_explored);
@@ -1441,9 +1354,7 @@ mod tests {
         msgs.extend(a.process(&Event::read(T1, x)));
         msgs.extend(a.process(&Event::write(T1, x, 2)));
         assert_eq!(msgs.len(), 3);
-        let mut s = StreamingAnalyzer::new(monitor, &ProgramState::new(), 1);
-        s.push_all(msgs);
-        let report = s.finish();
+        let report = run(analyzer(monitor, &ProgramState::new(), 1), msgs);
         assert!(report.completed);
         assert!(report.satisfied());
         assert_eq!(report.non_writes_skipped, 1);
@@ -1478,9 +1389,7 @@ mod tests {
             let input = LatticeInput::from_messages(msgs.clone(), init.clone()).unwrap();
             let full = analyze(input, &monitor);
 
-            let mut s = StreamingAnalyzer::new(monitor.clone(), &init, 3);
-            s.push_all(msgs);
-            let report = s.finish();
+            let report = run(analyzer(monitor.clone(), &init, 3), msgs);
             assert!(report.completed, "seed {seed}: streaming did not finish");
             assert_eq!(
                 report.states_explored as usize, full.states,

@@ -2,8 +2,8 @@
 //!
 //! Counterexample budget, beam pruning, counterexample history,
 //! parallelism and the step cache all live here: [`AnalysisConfig`]
-//! configures the streaming analyzer
-//! ([`crate::StreamingAnalyzer::with_config`]) and the test oracle
+//! configures the streaming analyzer (through
+//! [`crate::SuiteBuilder::config`]) and the test oracle
 //! ([`crate::analysis::analyze_lattice`], which reads only the
 //! counterexample budget and the step cache), and downstream crates
 //! (observer pipeline, CLI) thread it through unchanged.

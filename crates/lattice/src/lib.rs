@@ -16,10 +16,11 @@
 //! * [`StreamingAnalyzer`] — the one ptLTL engine: property checking over
 //!   **all** runs in parallel, level by level, storing at most two
 //!   consecutive levels (the paper: "at most two consecutive levels in the
-//!   computation lattice need to be stored at any moment") and accepting
-//!   messages in any delivery order. It counts total and violating runs
-//!   exactly and reconstructs counterexamples as far back as its retained
-//!   history reaches — to the initial state when every level is kept.
+//!   computation lattice need to be stored at any moment"). It is the
+//!   suite's LTL [`Analysis`], fed in causal order by [`AnalysisSuite`].
+//!   It counts total and violating runs exactly and reconstructs
+//!   counterexamples as far back as its retained history reaches — to the
+//!   initial state when every level is kept.
 //! * [`Cut`] / [`Lattice`] — full materialization of the lattice: nodes are
 //!   consistent cuts, edges advance one thread by one relevant event; run
 //!   counting and (bounded) run enumeration. It serves DOT export, liveness
@@ -45,8 +46,8 @@ mod parallel;
 pub mod reassemble;
 
 pub use analyses::{
-    Analysis, AnalysisReport, AnalysisSuite, AtomicityAnalysis, AtomicityReport,
-    LtlLatticeAnalysis, RaceAnalysis, RaceReport, SuiteBuilder, SuiteReport,
+    Analysis, AnalysisReport, AnalysisSuite, AtomicityAnalysis, AtomicityReport, RaceAnalysis,
+    RaceReport, SuiteBuilder, SuiteReport,
 };
 pub use analysis::{analyze, LatticeAnalysis};
 pub use builder::{Counterexample, RunStep, StreamReport, StreamingAnalyzer, Violation};

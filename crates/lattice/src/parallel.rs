@@ -176,7 +176,7 @@ struct ShardTask {
 /// Workers are spawned once and parked on their task channels between
 /// levels (a blocking `recv`, measured as `lattice.parallel.park_ns`), so
 /// per-level cost is a channel send instead of a thread spawn. One pool
-/// can serve many analyzers: [`crate::StreamingAnalyzer::with_pool`]
+/// can serve many analyzers: [`crate::SuiteBuilder::pool`]
 /// shares it, and an internal lease serializes levels so shards of
 /// different levels never interleave on the same workers (a level's merge
 /// phase must be co-scheduled with its own expansion phase). Dropping the
@@ -289,11 +289,19 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// to results either way — the merge order is what determinism rests on).
 /// This runs once per produced successor, so it avoids the much heavier
 /// `DefaultHasher` (SipHash) deliberately.
+///
+/// The fold's low bit is the parity of the count sum, which every cut of
+/// a level shares, so the SplitMix64 finalizer mixes the high bits down
+/// before the modulo; without it an even worker count sends a whole level
+/// to one shard (two of four at 4 workers).
 fn shard_of(cut: &Cut, workers: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &c in cut.as_slice() {
         h = (h ^ u64::from(c)).wrapping_mul(0x0100_0000_01b3);
     }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^= h >> 31;
     (h % workers as u64) as usize
 }
 
@@ -432,4 +440,35 @@ fn run_shard(task: ShardTask, park_ns: u64) {
     // `Arc<LevelShared>` (and its sources) the moment all reports are in.
     drop(shared);
     let _ = report.send((shard, out));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cuts of the hypercube `{0..=3}^8` whose counts sum to `level`:
+    /// one level of eight threads writing three times each.
+    fn hypercube_level(level: u32) -> Vec<Cut> {
+        (0u32..4u32.pow(8))
+            .map(|n| (0..8).map(|t| (n >> (2 * t)) & 3).collect::<Vec<u32>>())
+            .filter(|counts| counts.iter().sum::<u32>() == level)
+            .map(Cut::from_counts)
+            .collect()
+    }
+
+    #[test]
+    fn every_shard_receives_cuts_of_a_level() {
+        let peak = hypercube_level(12);
+        assert_eq!(peak.len(), 8_092, "the widest level of 4^8 cuts");
+        for workers in [2usize, 4] {
+            let mut per_shard = vec![0usize; workers];
+            for cut in &peak {
+                per_shard[shard_of(cut, workers)] += 1;
+            }
+            assert!(
+                per_shard.iter().all(|&n| n > 0),
+                "{workers} workers: {per_shard:?}"
+            );
+        }
+    }
 }

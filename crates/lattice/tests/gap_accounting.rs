@@ -4,8 +4,8 @@
 //! must all agree — losing messages silently is the one failure mode the
 //! resilience layer promises never to have.
 
-use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, ThreadId, VarId};
-use jmpax_lattice::{Exactness, Reassembler, StreamingAnalyzer};
+use jmpax_core::{AnalysisKind, Event, Message, MvcInstrumentor, Relevance, ThreadId, VarId};
+use jmpax_lattice::{Exactness, Reassembler, SuiteBuilder};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::Registry;
 use rand::rngs::StdRng;
@@ -70,9 +70,12 @@ fn gaps_skipped_telemetry_agrees_with_reports() {
         //    exact same gap count.
         let mut syms = jmpax_core::SymbolTable::new();
         let monitor = parse("v0 >= -1", &mut syms).unwrap().monitor().unwrap();
-        let mut s = StreamingAnalyzer::with_telemetry(monitor, &ProgramState::new(), 2, &registry);
-        s.push_all(out);
-        let stream_report = s.finish();
+        let initial = ProgramState::new();
+        let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], 2)
+            .telemetry(&registry)
+            .build(Some((monitor, &initial)));
+        suite.push_all(out);
+        let stream_report = suite.finish(Exactness::Exact).into_ltl();
         assert!(stream_report.completed, "round {round}");
         let combined = stream_report.exactness.combine(reassembly.exactness());
         let (_, gaps) = combined.losses();

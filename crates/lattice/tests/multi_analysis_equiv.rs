@@ -2,9 +2,10 @@
 //! running `[ltl, race, atomicity]` together over one causal delivery
 //! pass must produce, for every analysis, a report bit-identical to the
 //! one a dedicated single-analysis pass produces over the same messages
-//! — at any worker count and whether the stream arrives clean or mangled
-//! (reordered and lossy). Sharing the pass is an implementation detail,
-//! never an observable one.
+//! in the same arrival order — at any worker count and whether the stream
+//! arrives clean or mangled (reordered and lossy). Sharing the pass is an
+//! implementation detail, never an observable one. The ptLTL report,
+//! counterexamples included, does not depend on arrival order at all.
 
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
 use jmpax_core::{AnalysisKind, Message, Relevance, SymbolTable, VarId};
@@ -136,6 +137,47 @@ proptest! {
                             seed, spec, label, workers, kind.name()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The ptLTL report depends only on the message set: every arrival
+    /// order of the same messages yields a Debug-identical report,
+    /// counterexamples included, sequentially and on the worker pool.
+    /// (Race and atomicity reports name accesses in delivery order, so
+    /// they carry no such guarantee.)
+    #[test]
+    fn ltl_report_is_independent_of_arrival_order(seed in 0u64..500) {
+        let ex = random_execution(RandomExecutionConfig {
+            threads: THREADS,
+            vars: 4,
+            events: 21,
+            write_ratio: 0.7,
+            internal_ratio: 0.0,
+            seed,
+        });
+        let msgs = ex.instrument(Relevance::Everything);
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        for spec in SPECS {
+            let monitor = monitor_for(spec);
+            for workers in [1usize, 3] {
+                let config = AnalysisConfig::default()
+                    .with_parallelism(workers)
+                    .with_shard_granularity(1)
+                    .with_history(usize::MAX);
+                let in_order = pass_with(&[AnalysisKind::Ltl], &monitor, &msgs, &config);
+                for round in 0..3 {
+                    let mut shuffled = msgs.clone();
+                    shuffled.shuffle(&mut rng);
+                    let got = pass_with(&[AnalysisKind::Ltl], &monitor, &shuffled, &config);
+                    prop_assert_eq!(
+                        fingerprint(&in_order, AnalysisKind::Ltl),
+                        fingerprint(&got, AnalysisKind::Ltl),
+                        "seed {} spec `{}` workers {} shuffle {}",
+                        seed, spec, workers, round
+                    );
                 }
             }
         }

@@ -5,9 +5,11 @@
 //! of those linear extensions (as cuts). The streaming engine's run counts
 //! are held to the same brute force.
 
-use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, ThreadId, VarId};
-use jmpax_lattice::{Cut, Lattice, LatticeInput, StreamReport, StreamingAnalyzer};
-use jmpax_spec::ProgramState;
+use jmpax_core::{AnalysisKind, Event, Message, MvcInstrumentor, Relevance, ThreadId, VarId};
+use jmpax_lattice::{
+    AnalysisConfig, Cut, Exactness, Lattice, LatticeInput, StreamReport, SuiteBuilder,
+};
+use jmpax_spec::{Monitor, ProgramState};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -124,6 +126,22 @@ proptest! {
     }
 }
 
+/// The engine's report on `msgs`: an LTL-only suite over `threads`
+/// threads starting from `initial`.
+fn engine(
+    monitor: Monitor,
+    initial: &ProgramState,
+    threads: usize,
+    config: &AnalysisConfig,
+    msgs: Vec<Message>,
+) -> StreamReport {
+    let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], threads)
+        .config(config)
+        .build(Some((monitor, initial)));
+    suite.push_all(msgs);
+    suite.finish(Exactness::Exact).into_ltl()
+}
+
 fn pad(cut: &Cut, threads: usize) -> Cut {
     let mut counts: Vec<u32> = cut.as_slice().to_vec();
     counts.resize(threads.max(counts.len()), 0);
@@ -178,9 +196,13 @@ proptest! {
             "exact violating-run count diverged from enumeration"
         );
 
-        let mut engine = StreamingAnalyzer::new(monitor, &ProgramState::new(), threads);
-        engine.push_all(msgs);
-        let report = engine.finish();
+        let report = engine(
+            monitor,
+            &ProgramState::new(),
+            threads,
+            &AnalysisConfig::default(),
+            msgs,
+        );
         prop_assert_eq!(report.total_runs, total);
         prop_assert_eq!(
             report.violating_runs, violating,
@@ -223,9 +245,13 @@ fn run_counts_saturate_instead_of_wrapping() {
         (StreamReport::SATURATED, 0)
     );
 
-    let mut engine = StreamingAnalyzer::new(monitor, &ProgramState::new(), 2);
-    engine.push_all(msgs);
-    let report = engine.finish();
+    let report = engine(
+        monitor,
+        &ProgramState::new(),
+        2,
+        &AnalysisConfig::default(),
+        msgs,
+    );
     assert_eq!(report.states_explored, 5041);
     assert_eq!(report.total_runs, StreamReport::SATURATED);
     assert_eq!(report.violating_runs, 0);
@@ -371,7 +397,6 @@ proptest! {
         spec in 0..STUTTER_SPECS.len(),
     ) {
         use jmpax_core::SymbolTable;
-        use jmpax_lattice::AnalysisConfig;
         use jmpax_spec::parse;
 
         let mut instr = MvcInstrumentor::with_relevance(Relevance::Everything);
@@ -398,10 +423,7 @@ proptest! {
                     .with_parallelism(workers)
                     .with_shard_granularity(1)
                     .with_eval_cache(cache);
-                let mut engine = StreamingAnalyzer::new(monitor.clone(), &initial, threads)
-                    .with_config(&config);
-                engine.push_all(msgs.clone());
-                let report = engine.finish();
+                let report = engine(monitor.clone(), &initial, threads, &config, msgs.clone());
                 let at = format!("workers {workers}, cache {cache}");
                 prop_assert!(report.completed, "{}", at);
                 prop_assert_eq!(report.states_explored, cuts.len() as u64, "{}", at);

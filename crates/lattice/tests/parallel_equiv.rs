@@ -5,9 +5,14 @@
 //! is an implementation detail, never an observable one.
 
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
-use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId};
-use jmpax_lattice::{analyze, AnalysisConfig, LatticeInput, StreamingAnalyzer};
+use jmpax_core::{
+    AnalysisKind, Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId,
+};
+use jmpax_lattice::{
+    analyze, AnalysisConfig, AnalysisSuite, Exactness, LatticeInput, StreamReport, SuiteBuilder,
+};
 use jmpax_spec::{parse, Monitor, ProgramState};
+use jmpax_telemetry::Registry;
 use proptest::prelude::*;
 
 const SPECS: &[&str] = &[
@@ -26,26 +31,59 @@ fn monitor_for(spec: &str) -> Monitor {
     parse(spec, &mut syms).unwrap().monitor().unwrap()
 }
 
+/// An LTL-only suite over `monitor`, tuned by `config`, reporting into
+/// `registry`.
+fn ltl_suite(
+    monitor: &Monitor,
+    initial: &ProgramState,
+    threads: usize,
+    config: &AnalysisConfig,
+    registry: &Registry,
+) -> AnalysisSuite {
+    SuiteBuilder::new(&[AnalysisKind::Ltl], threads)
+        .config(config)
+        .telemetry(registry)
+        .build(Some((monitor.clone(), initial)))
+}
+
+/// Runs `msgs` through an LTL-only suite and returns the ptLTL report.
+fn run(
+    monitor: &Monitor,
+    initial: &ProgramState,
+    threads: usize,
+    msgs: &[Message],
+    config: &AnalysisConfig,
+    registry: &Registry,
+) -> StreamReport {
+    let mut suite = ltl_suite(monitor, initial, threads, config, registry);
+    suite.push_all(msgs.iter().cloned());
+    suite.finish(Exactness::Exact).into_ltl()
+}
+
 fn stream(
     monitor: &Monitor,
     initial: &ProgramState,
     threads: usize,
     msgs: &[Message],
     config: &AnalysisConfig,
-) -> jmpax_lattice::StreamReport {
+) -> StreamReport {
     // Granularity 2 forces even the narrow levels of these small test
     // workloads through the sharded path (the default of 64 would keep
     // them inline and make the comparison vacuous).
-    let mut s = StreamingAnalyzer::new(monitor.clone(), initial, threads)
-        .with_config(config)
-        .with_shard_granularity(2);
-    s.push_all(msgs.iter().cloned());
-    s.finish()
+    let config = config.with_shard_granularity(2);
+    run(
+        monitor,
+        initial,
+        threads,
+        msgs,
+        &config,
+        &Registry::disabled(),
+    )
 }
 
 /// Every observable field of the report, flattened to one comparable
 /// string — two reports render identically iff they are bit-identical.
-fn fingerprint(r: &jmpax_lattice::StreamReport) -> String {
+fn fingerprint(r: &StreamReport) -> String {
     format!(
         "states={} levels={} peak={} completed={} exactness={:?} non_writes={} runs={}/{} \
          violations={:?}",
@@ -319,22 +357,26 @@ fn parallel_path_never_expands_an_unsealed_level() {
     ];
     let mut full_prints = Vec::new();
     for config in &configs {
-        let mut s = StreamingAnalyzer::new(monitor.clone(), &initial, 3)
-            .with_config(config)
-            .with_shard_granularity(1);
+        let registry = Registry::enabled();
+        let config = config.with_shard_granularity(1);
+        let mut s = ltl_suite(&monitor, &initial, 3, &config, &registry);
         s.push_all(t0_msgs.iter().cloned());
         // T1/T2 have delivered nothing and have not ended: no cut beyond
         // S0,0,0 is expandable yet, so the frontier must still hold the
         // single initial cut — an unsealed level was never handed to the
         // workers.
+        let snap = registry.snapshot();
         assert_eq!(
-            s.frontier_width(),
-            1,
+            (
+                snap.counter("lattice.levels_built").unwrap_or(0),
+                snap.gauge("lattice.peak_frontier").map(|(_, peak)| peak)
+            ),
+            (0, Some(1)),
             "frontier advanced past an unsealed level"
         );
-        assert!(s.violations().is_empty());
+        assert_eq!(snap.counter("lattice.violations").unwrap_or(0), 0);
         s.push_all(rest.iter().cloned());
-        full_prints.push(fingerprint(&s.finish()));
+        full_prints.push(fingerprint(&s.finish(Exactness::Exact).into_ltl()));
     }
     assert_eq!(full_prints[0], full_prints[1]);
 }
@@ -347,12 +389,11 @@ fn parallel_telemetry_reports_engagement() {
     let (msgs, initial) = hypercube(4, 3);
     let monitor = monitor_for("[*] v0 >= 0");
 
-    let registry = jmpax_telemetry::Registry::enabled();
-    let mut s = StreamingAnalyzer::with_telemetry(monitor.clone(), &initial, 4, &registry)
+    let registry = Registry::enabled();
+    let config = AnalysisConfig::default()
         .with_parallelism(8)
         .with_shard_granularity(2);
-    s.push_all(msgs.clone());
-    let parallel_report = s.finish();
+    let parallel_report = run(&monitor, &initial, 4, &msgs, &config, &registry);
     let snap = registry.snapshot();
     assert!(
         snap.counter("lattice.parallel.levels").unwrap_or(0) > 0,
@@ -360,10 +401,9 @@ fn parallel_telemetry_reports_engagement() {
     );
 
     // A sequential run must not touch the parallel family at all.
-    let registry = jmpax_telemetry::Registry::enabled();
-    let mut s = StreamingAnalyzer::with_telemetry(monitor, &initial, 4, &registry);
-    s.push_all(msgs);
-    let sequential_report = s.finish();
+    let registry = Registry::enabled();
+    let config = AnalysisConfig::default();
+    let sequential_report = run(&monitor, &initial, 4, &msgs, &config, &registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("lattice.parallel.levels").unwrap_or(0), 0);
 
@@ -379,12 +419,10 @@ fn parallel_telemetry_reports_engagement() {
 fn eval_cache_moves_physical_evals_into_hits() {
     let (msgs, initial) = hypercube(4, 3);
     let run = |eval_cache: bool| {
-        let registry = jmpax_telemetry::Registry::enabled();
+        let registry = Registry::enabled();
         let monitor = monitor_for("[*] v0 >= 0").with_telemetry(&registry);
-        let mut s = StreamingAnalyzer::with_telemetry(monitor, &initial, 4, &registry)
-            .with_config(&AnalysisConfig::default().with_eval_cache(eval_cache));
-        s.push_all(msgs.clone());
-        let report = s.finish();
+        let config = AnalysisConfig::default().with_eval_cache(eval_cache);
+        let report = run(&monitor, &initial, 4, &msgs, &config, &registry);
         let snap = registry.snapshot();
         (
             fingerprint(&report),

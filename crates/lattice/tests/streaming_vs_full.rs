@@ -8,10 +8,10 @@
 use std::collections::HashSet;
 
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
-use jmpax_core::{Message, Relevance, SymbolTable, VarId};
+use jmpax_core::{AnalysisKind, Message, Relevance, SymbolTable, VarId};
 use jmpax_lattice::analysis::analyze_lattice;
 use jmpax_lattice::{AnalysisConfig, Counterexample, StreamReport, Violation};
-use jmpax_lattice::{Cut, Lattice, LatticeInput, StreamingAnalyzer};
+use jmpax_lattice::{Cut, Exactness, Lattice, LatticeInput, SuiteBuilder};
 use jmpax_spec::{parse, Monitor, MonitorState, ProgramState};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
@@ -74,6 +74,20 @@ fn assert_is_run(
     );
 }
 
+/// The ptLTL report of an LTL-only suite fed `msgs` in the given order.
+fn stream(
+    monitor: &Monitor,
+    initial: &ProgramState,
+    msgs: impl IntoIterator<Item = Message>,
+    config: &AnalysisConfig,
+) -> StreamReport {
+    let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], 3)
+        .config(config)
+        .build(Some((monitor.clone(), initial)));
+    suite.push_all(msgs);
+    suite.finish(Exactness::Exact).into_ltl()
+}
+
 #[test]
 fn streaming_matches_full_on_random_computations_and_specs() {
     let mut shuffler = StdRng::seed_from_u64(0xFEED);
@@ -104,9 +118,7 @@ fn streaming_matches_full_on_random_computations_and_specs() {
             // Streaming, with a shuffled delivery order.
             let mut shuffled = msgs.clone();
             shuffled.shuffle(&mut shuffler);
-            let mut s = StreamingAnalyzer::new(monitor.clone(), &initial, 3);
-            s.push_all(shuffled);
-            let report = s.finish();
+            let report = stream(&monitor, &initial, shuffled, &AnalysisConfig::default());
             assert!(report.completed, "{ctx}");
             assert_eq!(
                 report.states_explored as usize, full.states,
@@ -130,10 +142,7 @@ fn streaming_matches_full_on_random_computations_and_specs() {
                         .with_eval_cache(eval_cache)
                         .with_history(usize::MAX)
                         .with_max_counterexamples(usize::MAX);
-                    let mut s =
-                        StreamingAnalyzer::new(monitor.clone(), &initial, 3).with_config(&config);
-                    s.push_all(msgs.iter().cloned());
-                    reports.push(s.finish());
+                    reports.push(stream(&monitor, &initial, msgs.iter().cloned(), &config));
                 }
             }
             for r in &reports {

@@ -5,8 +5,8 @@
 
 use crossbeam::channel::Receiver;
 
-use jmpax_core::Message;
-use jmpax_lattice::builder::{StreamReport, StreamingAnalyzer};
+use jmpax_core::{AnalysisKind, Message};
+use jmpax_lattice::{Exactness, StreamReport, SuiteBuilder};
 use jmpax_spec::{Monitor, ProgramState};
 
 /// Handle to a running observer thread.
@@ -32,13 +32,14 @@ impl LiveObserver {
         receiver: Receiver<Message>,
     ) -> Self {
         let handle = std::thread::spawn(move || {
-            let mut analyzer = StreamingAnalyzer::new(monitor, &initial, threads);
+            let mut suite =
+                SuiteBuilder::new(&[AnalysisKind::Ltl], threads).build(Some((monitor, &initial)));
             // Blocks until the senders disconnect; messages may arrive in
-            // any order — the analyzer's causal buffer repairs it.
+            // any order — the suite's causal buffer repairs it.
             for message in receiver {
-                analyzer.push(message);
+                suite.push(message);
             }
-            analyzer.finish()
+            suite.finish(Exactness::Exact).into_ltl()
         });
         Self { handle }
     }

@@ -28,8 +28,8 @@ use std::sync::{Arc, OnceLock};
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
 use jmpax_instrument::ResilientDecode;
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisReport, AnalysisSuite, Exactness, ExpansionPool, ReassemblyReport,
-    StreamReport, SuiteBuilder, SuiteReport,
+    AnalysisConfig, AnalysisSuite, Exactness, ExpansionPool, ReassemblyReport, SuiteBuilder,
+    SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::Registry;
@@ -319,7 +319,7 @@ impl Pipeline {
                 &config,
             );
             suite.push_all(messages.iter().cloned());
-            ltl_report(self.finish_suite(suite, transport))
+            self.finish_suite(suite, transport).into_ltl()
         };
         ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
 
@@ -424,14 +424,6 @@ impl Pipeline {
             registry.counter("observer.verdict.predicted").inc();
         }
         report
-    }
-}
-
-/// The ptLTL report of an LTL-only suite run.
-fn ltl_report(mut suite: SuiteReport) -> StreamReport {
-    match suite.reports.pop() {
-        Some(AnalysisReport::Ltl(report)) => report,
-        other => unreachable!("LTL-only suite produced {other:?}"),
     }
 }
 

@@ -84,7 +84,8 @@ fn shuffled_synthetic_workloads_match_in_order_analysis() {
 
 #[test]
 fn streaming_analyzer_is_order_insensitive_too() {
-    use jmpax::StreamingAnalyzer;
+    use jmpax::core::AnalysisKind;
+    use jmpax::lattice::SuiteBuilder;
 
     let w = xyz::workload();
     let out = jmpax::sched::run_fixed(&w.program, xyz::observed_success_schedule(), 100);
@@ -98,9 +99,10 @@ fn streaming_analyzer_is_order_insensitive_too() {
     for _ in 0..20 {
         let mut shuffled = msgs.clone();
         shuffled.shuffle(&mut rng);
-        let mut s = StreamingAnalyzer::new(monitor.clone(), &initial, 2);
-        s.push_all(shuffled);
-        let report = s.finish();
+        let mut suite =
+            SuiteBuilder::new(&[AnalysisKind::Ltl], 2).build(Some((monitor.clone(), &initial)));
+        suite.push_all(shuffled);
+        let report = suite.finish(Exactness::Exact).into_ltl();
         assert!(report.completed);
         assert_eq!(report.states_explored, 7);
         assert_eq!(report.violations.len(), 1);
