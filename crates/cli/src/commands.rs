@@ -691,7 +691,8 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     let bytes = sink.take_bytes();
     let stats = sink.stats();
 
-    // The receiving side: decode, reassemble, fold the losses in.
+    // The receiving side: decode, then let the observer's reassembler
+    // deliver causally and fold the decoder's losses in.
     let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
     let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
     let received = decoder.push(&bytes);
@@ -703,23 +704,20 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     registry
         .counter("resilience.frames_resynced")
         .add(decoded.frames_resynced);
-    let reassemble_span = registry
-        .histogram("observer.stage.reassemble_ns")
-        .start_span();
-    let mut reassembler = jmpax_lattice::Reassembler::with_stall_budget(stall_budget);
-    reassembler.push_all(received);
-    let (messages, reassembly) = reassembler.finish();
-    reassemble_span.finish();
-    reassembly.record(registry);
 
     let initial = ProgramState::from_map(run.execution.initial.clone());
-    let transport = jmpax_observer::transport_exactness(&decoded, &reassembly);
-    let report = Pipeline::new(PipelineConfig::new().telemetry(registry))
-        .check_messages(monitor, &initial, transport, messages);
+    let report = Pipeline::new(PipelineConfig::new().telemetry(registry)).check_received(
+        monitor,
+        &initial,
+        jmpax_lattice::Exactness::degraded(0, decoded.frames_lost()),
+        stall_budget,
+        received,
+    );
+    report.reassembly.record(registry);
     out.push_str(&crate::report::chaos_summary(
         &stats,
         &decoded,
-        &reassembly,
+        &report.reassembly,
         report.verdict.exactness(),
     ));
     out.push_str(&render_analysis(report.verdict.analysis(), &symbols));

@@ -20,10 +20,11 @@
 //! * [`HappensBefore`] — a brute-force ground-truth computation of the causal
 //!   partial order `≺` of Section 2.2, used by tests and benchmarks to verify
 //!   the instrumentor.
-//! * [`CausalBuffer`] — a reordering buffer that accepts messages in *any*
-//!   delivery order and releases them in a causally consistent order, which
-//!   is what permits the observer to run over unreliable/buffered transports
-//!   (Section 4: "the observer therefore receives messages … in any order").
+//!
+//! Theorem 3 is what lets the observer accept messages in *any* delivery
+//! order (Section 4: "the observer therefore receives messages … in any
+//! order"): `jmpax-lattice`'s `Reassembler` rebuilds the causal order from
+//! the clocks alone.
 //!
 //! ## Quick start
 //!
@@ -58,7 +59,6 @@ pub mod gen;
 pub mod happens_before;
 pub mod message;
 pub mod relevance;
-pub mod reorder;
 pub mod symbols;
 pub mod trace;
 
@@ -71,6 +71,5 @@ pub use gen::{RandomExecution, RandomExecutionConfig};
 pub use happens_before::HappensBefore;
 pub use message::Message;
 pub use relevance::Relevance;
-pub use reorder::CausalBuffer;
 pub use symbols::SymbolTable;
 pub use trace::Execution;

@@ -145,7 +145,14 @@ impl ResilientDecode {
     /// True when every byte decoded cleanly.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.frames_corrupt == 0 && self.frames_resynced == 0 && !self.truncated
+        self.frames_lost() == 0
+    }
+
+    /// Frames lost in transit — corrupt, resynced over, or cut off at the
+    /// tail — each counted as one lost message.
+    #[must_use]
+    pub fn frames_lost(&self) -> u64 {
+        self.frames_corrupt + self.frames_resynced + u64::from(self.truncated)
     }
 }
 

@@ -8,7 +8,7 @@
 //!   feeds each causally delivered event exactly once via
 //!   [`Analysis::on_event`]; [`Analysis::finish`] closes the analysis and
 //!   folds in the transport's [`Exactness`].
-//! * [`AnalysisSuite`] — the driver: one [`CausalBuffer`] delivery pass
+//! * [`AnalysisSuite`] — the driver: one [`Reassembler`] delivery pass
 //!   fanning every delivered event out to an ordered set of analyses, so
 //!   N analyses cost one decode→reassemble→deliver pass, not N. It is the
 //!   only way in: [`SuiteBuilder`] constructs and configures every
@@ -21,10 +21,11 @@
 //!
 //! ## Determinism
 //!
-//! Every analysis consumes the *causal delivery order* produced by
-//! [`CausalBuffer`]. That order never depends on worker count or the
-//! eval-cache setting, but it does depend on arrival order: the buffer
-//! delivers concurrent messages in the order they arrive. What holds:
+//! Every analysis consumes the *causal delivery order* produced by the
+//! suite's [`Reassembler`]: among causally ready messages, the earliest
+//! arrival goes first. That order never depends on worker count or the
+//! eval-cache setting, but it does depend on arrival order: concurrent
+//! messages are delivered in the order they arrive. What holds:
 //!
 //! * The ptLTL report depends only on the message set. The lattice of a
 //!   computation is the same for every linearization of it, and the
@@ -41,10 +42,11 @@
 //!
 //! ## Exactness
 //!
-//! [`Analysis::finish`] receives the transport/delivery losses (skipped
-//! gaps, undeliverable messages); each analysis combines them with its own
-//! internal losses (e.g. frontier-cap pruning) so every report carries one
-//! uniform [`Exactness`] verdict.
+//! [`Analysis::finish`] receives the transport/delivery losses: the gaps
+//! the reassembler committed plus upstream losses it never saw (see
+//! [`ReassemblyReport::exactness_after`]). Each analysis combines them
+//! with its own internal losses (e.g. frontier-cap pruning) so every
+//! report carries one uniform [`Exactness`] verdict.
 
 pub mod atomicity;
 pub mod race;
@@ -53,7 +55,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use jmpax_core::{AnalysisKind, CausalBuffer, Event, EventKind, Message, VarId, VectorClock};
+use jmpax_core::{AnalysisKind, Event, EventKind, Message, VarId, VectorClock};
 use jmpax_spec::{Monitor, ProgramState};
 use jmpax_telemetry::Registry;
 use jmpax_trace::Tracer;
@@ -61,7 +63,7 @@ use jmpax_trace::Tracer;
 use crate::builder::{StreamReport, StreamingAnalyzer};
 use crate::config::AnalysisConfig;
 use crate::parallel::ExpansionPool;
-use crate::reassemble::Exactness;
+use crate::reassemble::{Exactness, Reassembler, ReassemblyReport};
 
 pub use atomicity::{AtomicityAnalysis, AtomicityFinding, AtomicityReport};
 pub use race::{RaceAccess, RaceAnalysis, RaceFinding, RaceReport};
@@ -87,8 +89,8 @@ pub trait Analysis: Send {
     fn record(&self, registry: &Registry);
 
     /// Closes the analysis. `transport` carries the delivery losses the
-    /// driver observed (reassembly gaps, undeliverable messages); the
-    /// report's exactness combines it with the analysis's own losses.
+    /// driver observed (reassembly gaps, upstream losses); the report's
+    /// exactness combines it with the analysis's own losses.
     fn finish(self: Box<Self>, transport: Exactness) -> AnalysisReport;
 }
 
@@ -200,6 +202,10 @@ impl AnalysisReport {
 pub struct SuiteReport {
     /// One report per analysis, in configuration order.
     pub reports: Vec<AnalysisReport>,
+    /// What the suite's reassembler did to the stream: reordering,
+    /// duplicates, committed gaps. Its losses are already folded into
+    /// every report's exactness.
+    pub reassembly: ReassemblyReport,
 }
 
 impl SuiteReport {
@@ -257,13 +263,20 @@ impl SuiteReport {
 /// Drives an ordered set of [`Analysis`] implementations over one causal
 /// delivery pass.
 ///
-/// Messages may arrive in any order; a [`CausalBuffer`] restores a causal
-/// delivery order and every delivered event is fanned out to every
-/// analysis, in configuration order. Messages whose causal predecessors
-/// never arrive are counted as skipped gaps and degrade every report.
+/// Messages may arrive in any order, duplicated or with holes. The suite's
+/// [`Reassembler`] is the one causal-delivery stage: it releases each
+/// message once its causal predecessors are released or committed as lost,
+/// earliest ready arrival first, and every released event is fanned out to
+/// every analysis, in configuration order. Its stall budget is off unless
+/// set ([`AnalysisSuite::with_stall_budget`]), so a lossless stream loses
+/// nothing however it is ordered; at [`AnalysisSuite::finish`] the
+/// reassembler commits every hole still open as a gap and releases the
+/// survivors with remapped clocks (see [`Reassembler::finish`]).
 pub struct AnalysisSuite {
     analyses: Vec<Box<dyn Analysis>>,
-    buffer: CausalBuffer,
+    reassembler: Reassembler,
+    /// The reassembler's accounting, once the stream has ended.
+    reassembly: Option<ReassemblyReport>,
     registry: Registry,
 }
 
@@ -271,7 +284,7 @@ impl std::fmt::Debug for AnalysisSuite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalysisSuite")
             .field("analyses", &self.analyses.iter().map(|a| a.kind()).collect::<Vec<_>>())
-            .field("pending", &self.buffer.pending_len())
+            .field("ended", &self.reassembly.is_some())
             .finish()
     }
 }
@@ -282,9 +295,20 @@ impl AnalysisSuite {
     pub fn new(analyses: Vec<Box<dyn Analysis>>) -> Self {
         Self {
             analyses,
-            buffer: CausalBuffer::new(),
+            reassembler: Reassembler::with_stall_budget(u64::MAX),
+            reassembly: None,
             registry: Registry::disabled(),
         }
+    }
+
+    /// Commits a sequence gap as lost once `stall_budget` arrivals fail to
+    /// fill it (see [`Reassembler::with_stall_budget`]), for streams from a
+    /// lossy transport. Without it, gaps wait for the end of the stream.
+    /// Set it before the first push.
+    #[must_use]
+    pub fn with_stall_budget(mut self, stall_budget: u64) -> Self {
+        self.reassembler = Reassembler::with_stall_budget(stall_budget);
+        self
     }
 
     /// Attaches a telemetry registry: per-analysis counters are published
@@ -301,31 +325,68 @@ impl AnalysisSuite {
         self.analyses.iter().map(|a| a.kind()).collect()
     }
 
-    /// Offers one message (any arrival order); every event that becomes
-    /// causally deliverable is dispatched to every analysis.
-    pub fn push(&mut self, message: Message) {
-        for delivered in self.buffer.push(message) {
-            for a in &mut self.analyses {
-                a.on_event(&delivered.event, &delivered.clock);
+    /// Offers one message (any arrival order); every message that becomes
+    /// causally ready is dispatched to every analysis and returned, in
+    /// delivery order.
+    pub fn push(&mut self, message: Message) -> Vec<Message> {
+        // Released on arrival means nothing else was held: no drain.
+        if let Some(m) = self.reassembler.offer(message) {
+            self.dispatch(&m);
+            return vec![m];
+        }
+        let released = self.reassembler.drain_ready();
+        released.iter().for_each(|m| self.dispatch(m));
+        released
+    }
+
+    /// Offers many messages in arrival order, dispatching every message
+    /// that becomes causally ready; returns how many were released.
+    pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) -> usize {
+        let mut released = 0;
+        for m in messages {
+            // An in-order message is dispatched as it arrives.
+            if let Some(m) = self.reassembler.offer(m) {
+                self.dispatch(&m);
+                released += 1;
             }
         }
+        let rest = self.reassembler.drain_ready();
+        rest.iter().for_each(|m| self.dispatch(m));
+        released + rest.len()
     }
 
-    /// Offers many messages.
-    pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) {
-        for m in messages {
-            self.push(m);
+    fn dispatch(&mut self, message: &Message) {
+        for a in &mut self.analyses {
+            a.on_event(&message.event, &message.clock);
         }
     }
 
-    /// Closes every analysis. `transport` carries upstream losses (frame
-    /// corruption, reassembly gaps); messages still stuck in the causal
-    /// buffer — their predecessors never arrived — are added as skipped
-    /// gaps. Reports come back in configuration order.
+    /// Ends the stream: the reassembler commits every gap still open and
+    /// releases what it held (see [`Reassembler::finish`]); those messages
+    /// are dispatched and returned. Later calls return nothing;
+    /// [`AnalysisSuite::finish`] ends the stream itself when the caller
+    /// has not.
+    pub fn end_stream(&mut self) -> Vec<Message> {
+        if self.reassembly.is_some() {
+            return Vec::new();
+        }
+        let (tail, report) = std::mem::take(&mut self.reassembler).finish();
+        tail.iter().for_each(|m| self.dispatch(m));
+        self.reassembly = Some(report);
+        tail
+    }
+
+    /// Ends the stream and closes every analysis. `transport` carries
+    /// upstream losses (decoder losses, one skipped gap per lost frame;
+    /// frontier cuts); [`ReassemblyReport::exactness_after`] folds them
+    /// with the reassembler's gaps, counting each loss once, into every
+    /// report. Reports come back in configuration order, with the
+    /// reassembler's accounting.
     #[must_use]
-    pub fn finish(self, transport: Exactness) -> SuiteReport {
-        let stranded = self.buffer.pending_len() as u64;
-        let exact = transport.combine(Exactness::degraded(0, stranded));
+    pub fn finish(mut self, transport: Exactness) -> SuiteReport {
+        self.end_stream();
+        let reassembly = self.reassembly.take().unwrap_or_default();
+        let exact = reassembly.exactness_after(transport);
         let mut reports = Vec::with_capacity(self.analyses.len());
         for a in self.analyses {
             a.record(&self.registry);
@@ -333,7 +394,10 @@ impl AnalysisSuite {
             report.record_analysis(&self.registry);
             reports.push(report);
         }
-        SuiteReport { reports }
+        SuiteReport {
+            reports,
+            reassembly,
+        }
     }
 }
 
@@ -563,15 +627,43 @@ mod tests {
     fn stranded_messages_degrade_every_report() {
         let kinds = [AnalysisKind::Race];
         let mut suite = SuiteBuilder::new(&kinds, 2).build(None);
-        // Seq 2 from T0 without seq 1: never deliverable.
-        suite.push(Message {
+        // Seq 2 from T0 without seq 1: held until the stream ends.
+        let held = suite.push(Message {
             event: Event::write(T0, X, 1),
             clock: VectorClock::from_components(vec![2, 0]),
         });
+        assert!(held.is_empty());
         let report = suite.finish(Exactness::Exact);
+        // The missing seq 1 is committed as a gap, and the survivor is
+        // released, renumbered past it, and analysed.
+        assert_eq!(
+            report.reassembly.gaps,
+            vec![crate::GapRecord {
+                thread: T0,
+                from: 1,
+                to: 1
+            }]
+        );
+        let race = report.reports[0].as_race().expect("race report");
+        assert_eq!(race.accesses_checked, 1);
         let (_, gaps) = report.reports[0].exactness().losses();
         assert_eq!(gaps, 1);
         assert!(!report.exactness().is_exact());
+    }
+
+    #[test]
+    fn duplicates_are_dropped_not_counted_as_gaps() {
+        let mut instr = jmpax_core::MvcInstrumentor::new(2, jmpax_core::Relevance::AllWrites);
+        let msgs: Vec<Message> = (0..6)
+            .filter_map(|i| instr.process(&Event::write(ThreadId(i % 2), X, i64::from(i))))
+            .collect();
+        let mut suite = SuiteBuilder::new(&[AnalysisKind::Race], 2).build(None);
+        suite.push_all(msgs.iter().cloned());
+        suite.push(msgs[2].clone());
+        let report = suite.finish(Exactness::Exact);
+        assert_eq!(report.reassembly.duplicates, 1);
+        assert_eq!(report.reassembly.delivered, 6);
+        assert_eq!(report.exactness(), Exactness::Exact);
     }
 
     #[test]

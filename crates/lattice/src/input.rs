@@ -59,7 +59,7 @@ impl std::error::Error for InputError {}
 ///
 /// Construction sorts the messages by `(thread, V[i])` and validates that
 /// each thread's sequence numbers form the contiguous range `1..=len` —
-/// which they do by construction of Algorithm A once the causal buffer has
+/// which they do by construction of Algorithm A once the reassembler has
 /// delivered everything.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LatticeInput {

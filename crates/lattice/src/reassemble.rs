@@ -188,6 +188,18 @@ impl ReassemblyReport {
         Exactness::degraded(0, self.skipped_gaps())
     }
 
+    /// The one loss rule: this pass's committed gaps, plus every message
+    /// `upstream` lost (one skipped gap per lost frame) that no committed
+    /// gap accounts for — a corrupted frame at the end of a thread's stream
+    /// leaves no later message to reveal the hole. A loss is counted once;
+    /// `upstream`'s dropped cuts pass through.
+    #[must_use]
+    pub fn exactness_after(&self, upstream: Exactness) -> Exactness {
+        let (cuts, lost) = upstream.losses();
+        let unaccounted = lost.saturating_sub(self.messages_lost());
+        Exactness::degraded(cuts, self.skipped_gaps() + unaccounted)
+    }
+
     /// Publishes `resilience.msgs_reordered`, `resilience.msgs_duplicate`
     /// and `resilience.gaps_skipped` into `registry`.
     pub fn record(&self, registry: &Registry) {
@@ -321,6 +333,8 @@ impl ThreadState {
 #[derive(Clone, Debug)]
 pub struct Reassembler {
     threads: Vec<ThreadState>,
+    /// Messages released as they arrived, not yet handed out.
+    released: Vec<Message>,
     stall_budget: u64,
     arrivals: u64,
     report: ReassemblyReport,
@@ -354,6 +368,7 @@ impl Reassembler {
     pub fn with_stall_budget(stall_budget: u64) -> Self {
         Self {
             threads: Vec::new(),
+            released: Vec::new(),
             stall_budget,
             arrivals: 0,
             report: ReassemblyReport::default(),
@@ -378,8 +393,21 @@ impl Reassembler {
         &mut self.threads[t.index()]
     }
 
-    /// Offers one received message.
+    /// Offers one received message. A message that arrives in order while
+    /// nothing is buffered is released at once; the next
+    /// [`Reassembler::drain_ready`] hands it out.
     pub fn push(&mut self, message: Message) {
+        if let Some(m) = self.offer(message) {
+            self.released.push(m);
+        }
+    }
+
+    /// [`Reassembler::push`], handing the message straight back when it
+    /// is released on arrival instead of holding it for
+    /// [`Reassembler::drain_ready`]. Such a message precedes everything a
+    /// later drain releases.
+    pub(crate) fn offer(&mut self, message: Message) -> Option<Message> {
+        let mut released = None;
         self.report.received += 1;
         self.arrivals += 1;
         let arrival = self.arrivals;
@@ -404,6 +432,16 @@ impl Reassembler {
                 } else {
                     self.report.duplicates += 1;
                 }
+            } else if seq == state.committed + 1 && state.pending.is_empty() {
+                // In order: commit directly. When nothing else is held and
+                // every cause is released, it is the earliest ready
+                // arrival: release it at once.
+                state.committed = seq;
+                if self.releasable_on_arrival(t, &message) {
+                    released = Some(self.remap(message));
+                } else {
+                    self.threads[t.index()].ready.push_back((arrival, message));
+                }
             } else if let std::collections::btree_map::Entry::Vacant(slot) =
                 state.pending.entry(seq)
             {
@@ -417,6 +455,7 @@ impl Reassembler {
             }
         }
         self.age_gaps();
+        released
     }
 
     /// Offers many messages in arrival order.
@@ -483,11 +522,22 @@ impl Reassembler {
     /// Among ready messages the earliest arrival goes first, so a stream
     /// that arrives in a causal order is released in arrival order.
     pub fn drain_ready(&mut self) -> Vec<Message> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.released);
         while let Some(t) = self.next_ready() {
             out.push(self.release(t));
         }
         out
+    }
+
+    /// True when nothing is buffered and every causal predecessor of
+    /// thread `t`'s just-committed `message` is released.
+    fn releasable_on_arrival(&self, t: ThreadId, message: &Message) -> bool {
+        self.threads
+            .iter()
+            .all(|s| s.ready.is_empty() && s.pending.is_empty())
+            && message.clock.iter().all(|(j, v)| {
+                j == t || v <= self.threads.get(j.index()).map_or(0, |s| s.committed)
+            })
     }
 
     /// The thread whose buffered head is causally ready and arrived first.
@@ -509,13 +559,18 @@ impl Reassembler {
             .map(|(_, t, _)| t)
     }
 
-    /// Pops thread `t`'s head and rewrites its clock with
-    /// `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`.
+    /// Pops thread `t`'s head and releases it.
     fn release(&mut self, t: usize) -> Message {
-        let (_, mut message) = self.threads[t]
+        let (_, message) = self.threads[t]
             .ready
             .pop_front()
             .expect("next_ready names a thread with a buffered head");
+        self.remap(message)
+    }
+
+    /// Counts `message` delivered and rewrites its clock with
+    /// `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`.
+    fn remap(&mut self, mut message: Message) -> Message {
         if !self.report.gaps.is_empty() {
             let components: Vec<u32> = message
                 .clock
@@ -736,6 +791,109 @@ mod tests {
         assert!(tail.is_empty());
         assert_eq!(report.delivered, 12);
         assert_eq!(report.exactness(), Exactness::Exact);
+    }
+
+    #[test]
+    fn delivery_respects_causality_for_every_permutation() {
+        // 4 messages with a diamond causal structure (paper Fig. 6).
+        let mut a = MvcInstrumentor::new(2, Relevance::AllWrites);
+        let (t1, t2) = (ThreadId(0), ThreadId(1));
+        let (y, z) = (VarId(1), VarId(2));
+        let mut msgs = Vec::new();
+        a.process(&Event::read(t1, X));
+        msgs.push(a.process(&Event::write(t1, X, 0)).unwrap());
+        a.process(&Event::read(t2, X));
+        msgs.push(a.process(&Event::write(t2, z, 1)).unwrap());
+        a.process(&Event::read(t1, X));
+        msgs.push(a.process(&Event::write(t1, y, 1)).unwrap());
+        a.process(&Event::read(t2, X));
+        msgs.push(a.process(&Event::write(t2, X, 1)).unwrap());
+
+        // All 24 arrival orders release all 4 messages online, causally.
+        let perms = permutations(4);
+        assert_eq!(perms.len(), 24);
+        for perm in perms {
+            let mut r = Reassembler::with_stall_budget(u64::MAX);
+            let mut out = Vec::new();
+            for &i in &perm {
+                r.push(msgs[i].clone());
+                out.extend(r.drain_ready());
+            }
+            let (tail, report) = r.finish();
+            assert!(tail.is_empty(), "perm {perm:?} left {tail:?}");
+            assert_eq!(out.len(), 4, "perm {perm:?} lost messages");
+            assert_eq!(report.exactness(), Exactness::Exact);
+            for i in 0..4 {
+                for j in (i + 1)..4 {
+                    assert!(
+                        !out[j].causally_precedes(&out[i]),
+                        "perm {perm:?}: released {} before its cause {}",
+                        out[i],
+                        out[j],
+                    );
+                }
+            }
+        }
+    }
+
+    /// Heap's algorithm: every permutation of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn heap(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                out.push(items.clone());
+                return;
+            }
+            for i in 0..k {
+                heap(items, k - 1, out);
+                if k.is_multiple_of(2) {
+                    items.swap(i, k - 1);
+                } else {
+                    items.swap(0, k - 1);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        heap(&mut (0..n).collect(), n, &mut out);
+        out
+    }
+
+    #[test]
+    fn concurrent_messages_are_released_on_arrival() {
+        let mut a = MvcInstrumentor::new(2, Relevance::AllWrites);
+        let m1 = a.process(&Event::write(ThreadId(0), X, 1)).unwrap();
+        let m2 = a.process(&Event::write(ThreadId(1), VarId(1), 2)).unwrap();
+        assert!(m1.concurrent_with(&m2));
+        let mut r = Reassembler::new();
+        r.push(m2.clone());
+        assert_eq!(r.drain_ready(), vec![m2]);
+        r.push(m1.clone());
+        assert_eq!(r.drain_ready(), vec![m1]);
+    }
+
+    #[test]
+    fn upstream_losses_count_once() {
+        let report = ReassemblyReport {
+            gaps: vec![GapRecord {
+                thread: ThreadId(0),
+                from: 2,
+                to: 3,
+            }],
+            ..ReassemblyReport::default()
+        };
+        // Both lost frames sit inside the committed gap: counted by it.
+        assert_eq!(
+            report.exactness_after(Exactness::degraded(0, 2)),
+            Exactness::degraded(0, 1)
+        );
+        // A third, unseen loss adds one gap; dropped cuts pass through.
+        assert_eq!(
+            report.exactness_after(Exactness::degraded(5, 3)),
+            Exactness::degraded(5, 2)
+        );
+        assert_eq!(
+            ReassemblyReport::default().exactness_after(Exactness::Exact),
+            Exactness::Exact
+        );
     }
 
     #[test]

@@ -63,9 +63,10 @@ fn pass(
 }
 
 /// Deterministically mangle the stream: shuffle within a bounded window
-/// and drop a few messages. The causal buffer reorders what it can and
-/// strands the dependents of what it can't — the degraded path every
-/// analysis must account for identically.
+/// and drop a few messages. The suite's reassembler reorders what it can
+/// and, at the end of the stream, commits the holes as gaps and releases
+/// the survivors — the degraded path every analysis must account for
+/// identically.
 fn mangle(msgs: &[Message], seed: u64) -> Vec<Message> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out: Vec<Message> = msgs
@@ -143,10 +144,11 @@ proptest! {
     }
 
     /// The ptLTL report depends only on the message set: every arrival
-    /// order of the same messages yields a Debug-identical report,
-    /// counterexamples included, sequentially and on the worker pool.
-    /// (Race and atomicity reports name accesses in delivery order, so
-    /// they carry no such guarantee.)
+    /// order of the same messages, with a seeded subset duplicated on the
+    /// wire, yields an Exact, Debug-identical report, counterexamples
+    /// included, sequentially and on the worker pool. (Race and atomicity
+    /// reports name accesses in delivery order, so they carry no such
+    /// guarantee.)
     #[test]
     fn ltl_report_is_independent_of_arrival_order(seed in 0u64..500) {
         let ex = random_execution(RandomExecutionConfig {
@@ -170,8 +172,17 @@ proptest! {
                 let in_order = pass_with(&[AnalysisKind::Ltl], &monitor, &msgs, &config);
                 for round in 0..3 {
                     let mut shuffled = msgs.clone();
+                    let dups: Vec<Message> =
+                        msgs.iter().filter(|_| rng.gen_bool(0.2)).cloned().collect();
+                    shuffled.extend(dups.iter().cloned());
                     shuffled.shuffle(&mut rng);
                     let got = pass_with(&[AnalysisKind::Ltl], &monitor, &shuffled, &config);
+                    prop_assert_eq!(got.reassembly.duplicates, dups.len() as u64);
+                    prop_assert!(
+                        got.exactness().is_exact(),
+                        "seed {} spec `{}` workers {} shuffle {}: {}",
+                        seed, spec, workers, round, got.exactness()
+                    );
                     prop_assert_eq!(
                         fingerprint(&in_order, AnalysisKind::Ltl),
                         fingerprint(&got, AnalysisKind::Ltl),

@@ -35,7 +35,7 @@ impl LiveObserver {
             let mut suite =
                 SuiteBuilder::new(&[AnalysisKind::Ltl], threads).build(Some((monitor, &initial)));
             // Blocks until the senders disconnect; messages may arrive in
-            // any order — the suite's causal buffer repairs it.
+            // any order — the suite's reassembler delivers them causally.
             for message in receiver {
                 suite.push(message);
             }

@@ -133,13 +133,25 @@ mod tests {
     #[test]
     fn gaps_are_visible() {
         let (msgs, monitor, init) = fig6();
-        // Deliver only the causally-last message: it never becomes
-        // deliverable, so the empty computation is analyzed (one trivial,
-        // satisfying run) and the stranded message degrades the verdict.
-        let verdict = conclude(monitor, &init, vec![msgs[3].clone()]);
+        // Deliver only the causally-last message (T2's second, which read
+        // T1's first). At the end of the stream the reassembler commits
+        // both missing predecessors as gaps and releases the survivor with
+        // its clock remapped past them: a one-message computation (one
+        // satisfying run over two states), degraded by the two gaps.
+        let report = Pipeline::new(PipelineConfig::new()).check_messages(
+            monitor,
+            &init,
+            Exactness::Exact,
+            vec![msgs[3].clone()],
+        );
+        assert_eq!(report.reassembly.skipped_gaps(), 2);
+        assert_eq!(report.messages.len(), 1);
+        assert_eq!(report.messages[0].clock.as_slice(), &[0, 1]);
+        let verdict = report.verdict;
         assert!(verdict.is_satisfied());
         assert_eq!(verdict.analysis().total_runs, 1);
-        assert_eq!(verdict.exactness(), Exactness::degraded(0, 1));
+        assert_eq!(verdict.analysis().states_explored, 2);
+        assert_eq!(verdict.exactness(), Exactness::degraded(0, 2));
     }
 
     #[test]

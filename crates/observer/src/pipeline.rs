@@ -7,10 +7,12 @@
 //! policy from its variables, run Algorithm A, ship the messages to the
 //! observer, and return both the predictive verdict and the JPaX-style
 //! observed-run verdict. [`Pipeline::check_messages`] is the observer half
-//! alone, for messages received over a transport; [`transport_exactness`]
-//! is the one rule turning what the transport lost into an [`Exactness`].
-//! Every ptLTL verdict comes from one engine, the streaming analyzer behind
-//! [`Pipeline::suite`].
+//! alone, for messages received over a transport, in any order. Every
+//! analysis runs in one [`AnalysisSuite`], whose reassembler is the one
+//! causal-delivery stage and whose [`ReassemblyReport::exactness_after`]
+//! is the one loss rule; [`transport_exactness`] applies that rule to a
+//! decoder's and a reassembler's accounting. Every ptLTL verdict comes from
+//! one engine, the streaming analyzer behind [`Pipeline::suite`].
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
 //! config carries the optional telemetry [`Registry`], the optional
@@ -76,8 +78,11 @@ pub struct PipelineReport {
     /// Index of the first violating state on the *observed* run (what a
     /// JPaX-style single-trace monitor reports), if any.
     pub observed_violation: Option<usize>,
-    /// Messages emitted by the instrumentation (for further analysis).
+    /// The analysed messages, in the order the observer delivered them.
     pub messages: Vec<Message>,
+    /// What the observer's reassembler did to the stream (reordering,
+    /// duplicates, committed gaps).
+    pub reassembly: ReassemblyReport,
     /// The relevance policy derived from the specification.
     pub relevance: Relevance,
 }
@@ -266,16 +271,18 @@ impl Pipeline {
     }
 
     /// The observer half of [`Pipeline::check_execution`], for messages
-    /// that already exist — e.g. decoded from a transport, in any order:
-    /// the JPaX-style check of the run in `messages` order, the LTL-only
-    /// [`Pipeline::suite`], and the verdict counters. `transport` is what
-    /// the transport lost (see [`transport_exactness`];
-    /// [`Exactness::Exact`] when nothing was), folded into the verdict's
-    /// exactness together with any message whose causal predecessors never
-    /// arrived. Unless the configured [`AnalysisConfig::history`] says
-    /// otherwise, every lattice level is retained so counterexamples reach
-    /// the initial state. The report's relevance is
-    /// [`Relevance::AllWrites`]: the observer analyzes whatever arrived.
+    /// that already exist — e.g. decoded from a transport, in any order,
+    /// duplicates included: the LTL-only [`Pipeline::suite`], the
+    /// JPaX-style check of the run in the suite's delivery order, and the
+    /// verdict counters. The suite's reassembler waits for the end of the
+    /// stream before committing a gap, so nothing that arrived is lost.
+    /// `transport` is what the transport lost ([`Exactness::Exact`] when
+    /// nothing was), folded into the verdict's exactness by the one loss
+    /// rule together with every gap the reassembler commits. Unless the
+    /// configured [`AnalysisConfig::history`] says otherwise, every lattice
+    /// level is retained so counterexamples reach the initial state. The
+    /// report's relevance is [`Relevance::AllWrites`]: the observer
+    /// analyzes whatever arrived.
     #[must_use]
     pub fn check_messages(
         &self,
@@ -284,19 +291,28 @@ impl Pipeline {
         transport: Exactness,
         messages: Vec<Message>,
     ) -> PipelineReport {
+        self.check_received(monitor, initial, transport, u64::MAX, messages)
+    }
+
+    /// [`Pipeline::check_messages`] over a lossy transport (`jmpax
+    /// chaos`): the suite's reassembler commits a gap as lost once
+    /// `stall_budget` arrivals fail to fill it, and `transport` counts the
+    /// decoder's lost frames ([`jmpax_instrument::ResilientDecode::frames_lost`]).
+    #[must_use]
+    pub fn check_received(
+        &self,
+        monitor: Monitor,
+        initial: &ProgramState,
+        transport: Exactness,
+        stall_budget: u64,
+        messages: Vec<Message>,
+    ) -> PipelineReport {
         let registry = &self.config.telemetry;
         let mut ring = self
             .config
             .tracer
             .as_ref()
             .map_or_else(TraceRing::disabled, |t| t.ring("observer"));
-
-        let jpax_start = ring.span_start();
-        let observed_violation = {
-            let _span = registry.histogram("observer.stage.jpax_ns").start_span();
-            crate::jpax::observed_violation(&monitor, initial, &messages)
-        };
-        ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
 
         let analysis_start = ring.span_start();
         let threads = messages
@@ -308,28 +324,43 @@ impl Pipeline {
             history: Some(self.config.analysis.history.unwrap_or(usize::MAX)),
             ..self.config.analysis
         };
-        let report = {
+        let (messages, mut report) = {
             let _span = registry
                 .histogram("observer.stage.analysis_ns")
                 .start_span();
-            let mut suite = self.build_suite(
-                &[AnalysisKind::Ltl],
-                Some((monitor, initial)),
-                threads,
-                &config,
-            );
-            suite.push_all(messages.iter().cloned());
-            self.finish_suite(suite, transport).into_ltl()
+            let mut suite = self
+                .build_suite(
+                    &[AnalysisKind::Ltl],
+                    Some((monitor.clone(), initial)),
+                    threads,
+                    &config,
+                )
+                .with_stall_budget(stall_budget);
+            let mut delivered = Vec::with_capacity(messages.len());
+            for m in messages {
+                delivered.extend(suite.push(m));
+            }
+            delivered.extend(suite.end_stream());
+            (delivered, self.finish_suite(suite, transport))
         };
         ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
+
+        let jpax_start = ring.span_start();
+        let observed_violation = {
+            let _span = registry.histogram("observer.stage.jpax_ns").start_span();
+            crate::jpax::observed_violation(&monitor, initial, &messages)
+        };
+        ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
 
         if observed_violation.is_some() {
             registry.counter("observer.verdict.observed").inc();
         }
+        let reassembly = std::mem::take(&mut report.reassembly);
         PipelineReport {
-            verdict: Verdict::new(report, observed_violation.is_none()),
+            verdict: Verdict::new(report.into_ltl(), observed_violation.is_none()),
             observed_violation,
             messages,
+            reassembly,
             relevance: Relevance::AllWrites,
         }
     }
@@ -344,10 +375,11 @@ impl Pipeline {
     /// `kinds` selects and orders the analyses; empty falls back to the
     /// config's [`PipelineConfig::analyses`] selection (itself defaulting
     /// to `[ltl]`). `ltl` supplies the monitor and initial state, required
-    /// iff the selection includes [`AnalysisKind::Ltl`]. `transport`
-    /// carries upstream losses ([`transport_exactness`]) to fold into
-    /// every report's exactness; messages whose causal predecessors
-    /// never arrive are added on top as skipped gaps.
+    /// iff the selection includes [`AnalysisKind::Ltl`]. Messages may
+    /// arrive in any order; the suite's reassembler delivers them causally
+    /// and commits what never arrived as gaps at the end of the stream.
+    /// `transport` carries upstream losses to fold into every report's
+    /// exactness ([`AnalysisSuite::finish`]).
     ///
     /// # Panics
     ///
@@ -369,9 +401,10 @@ impl Pipeline {
 
     /// Builds the analysis suite [`Pipeline::check_stream_suite`] runs,
     /// without feeding it: callers that receive a stream incrementally (a
-    /// `jmpax serve` tenant worker) push messages as they arrive and close
-    /// it with [`Pipeline::finish_suite`]. Arguments and panics are those
-    /// of [`Pipeline::check_stream_suite`].
+    /// `jmpax serve` tenant worker) set the reassembler's stall budget
+    /// ([`AnalysisSuite::with_stall_budget`]), push messages as they
+    /// arrive and close it with [`Pipeline::finish_suite`]. Arguments and
+    /// panics are those of [`Pipeline::check_stream_suite`].
     #[must_use]
     pub fn suite(
         &self,
@@ -427,19 +460,15 @@ impl Pipeline {
     }
 }
 
-/// The one transport-loss rule: what a decoded and reassembled stream
-/// lost, as an [`Exactness`]. The reassembler's own accounting (skipped
-/// gaps) comes first; decoder losses it could not notice — a corrupted
-/// frame at the end of a thread's stream leaves no later message to reveal
-/// the gap — each count as one more skipped gap, so a damaged stream can
-/// never yield an Exact verdict.
+/// The one transport-loss rule applied to a decoded and reassembled
+/// stream: the reassembler's skipped gaps, plus each lost frame it could
+/// not notice — a corrupted frame at the end of a thread's stream leaves no
+/// later message to reveal the gap — so a damaged stream can never yield
+/// an Exact verdict. [`AnalysisSuite::finish`] applies the same rule
+/// ([`ReassemblyReport::exactness_after`]).
 #[must_use]
 pub fn transport_exactness(decoded: &ResilientDecode, reassembly: &ReassemblyReport) -> Exactness {
-    let lost = decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
-    let unaccounted = lost.saturating_sub(reassembly.messages_lost());
-    reassembly
-        .exactness()
-        .combine(Exactness::degraded(0, unaccounted))
+    reassembly.exactness_after(Exactness::degraded(0, decoded.frames_lost()))
 }
 
 #[cfg(test)]
@@ -642,22 +671,23 @@ mod tests {
         (messages, decoder.finish())
     }
 
-    /// What `jmpax chaos` does with received bytes: decode, reassemble
-    /// with `stall_budget`, fold the transport losses into the verdict.
+    /// What `jmpax chaos` does with received bytes: decode, then check
+    /// the decoded messages with `stall_budget` and the decoder's losses.
     fn check_received(
         bytes: &[u8],
         monitor: Monitor,
         initial: &ProgramState,
         stall_budget: u64,
-    ) -> (PipelineReport, ResilientDecode, ReassemblyReport) {
-        let (decoded_msgs, decoded) = decode(bytes);
-        let mut reassembler = jmpax_lattice::Reassembler::with_stall_budget(stall_budget);
-        reassembler.push_all(decoded_msgs);
-        let (messages, reassembly) = reassembler.finish();
-        let transport = transport_exactness(&decoded, &reassembly);
-        let report = Pipeline::new(PipelineConfig::new())
-            .check_messages(monitor, initial, transport, messages);
-        (report, decoded, reassembly)
+    ) -> (PipelineReport, ResilientDecode) {
+        let (messages, decoded) = decode(bytes);
+        let report = Pipeline::new(PipelineConfig::new()).check_received(
+            monitor,
+            initial,
+            Exactness::degraded(0, decoded.frames_lost()),
+            stall_budget,
+            messages,
+        );
+        (report, decoded)
     }
 
     fn encode(messages: &[Message]) -> bytes::BytesMut {
@@ -702,10 +732,9 @@ mod tests {
             Exactness::Exact,
             messages.clone(),
         );
-        let (report, decoded, reassembly) =
-            check_received(&encode(&messages), monitor, &initial, 8);
+        let (report, decoded) = check_received(&encode(&messages), monitor, &initial, 8);
         assert!(decoded.is_clean());
-        assert!(transport_exactness(&decoded, &reassembly).is_exact());
+        assert!(transport_exactness(&decoded, &report.reassembly).is_exact());
         assert!(report.verdict.exactness().is_exact());
         assert!(report.predicted());
         assert_eq!(report.verdict.analysis().total_runs, 3);
@@ -730,10 +759,10 @@ mod tests {
         // Flip a payload bit in the second frame: its CRC fails, the frame
         // is dropped, and the reassembler must skip the resulting gap.
         buf[offsets[1] + 12] ^= 0x01;
-        let (report, decoded, reassembly) = check_received(&buf, monitor, &initial, 2);
+        let (report, decoded) = check_received(&buf, monitor, &initial, 2);
         assert_eq!(decoded.frames_corrupt, 1);
         assert_eq!(decoded.frames_ok as usize, messages.len() - 1);
-        assert_eq!(reassembly.skipped_gaps(), 1);
+        assert_eq!(report.reassembly.skipped_gaps(), 1);
         assert!(!report.verdict.exactness().is_exact());
         assert_eq!(report.messages.len(), messages.len() - 1);
     }
@@ -746,11 +775,11 @@ mod tests {
         let mut buf = encode(&messages);
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
-        let (report, decoded, reassembly) = check_received(&buf, monitor, &initial, 8);
+        let (report, decoded) = check_received(&buf, monitor, &initial, 8);
         assert_eq!(decoded.frames_corrupt, 1);
-        assert_eq!(reassembly.messages_lost(), 0);
+        assert_eq!(report.reassembly.messages_lost(), 0);
         assert_eq!(
-            transport_exactness(&decoded, &reassembly),
+            transport_exactness(&decoded, &report.reassembly),
             Exactness::degraded(0, 1)
         );
         assert_eq!(report.verdict.exactness(), Exactness::degraded(0, 1));
@@ -769,7 +798,7 @@ mod tests {
         frame.extend_from_slice(&payload);
         let mut syms = SymbolTable::new();
         let monitor = parse("true", &mut syms).unwrap().monitor().unwrap();
-        let (report, decoded, _) = check_received(&frame, monitor, &ProgramState::new(), 8);
+        let (report, decoded) = check_received(&frame, monitor, &ProgramState::new(), 8);
         assert_eq!((decoded.frames_ok, decoded.frames_corrupt), (0, 1));
         assert!(report.messages.is_empty());
         assert!(!report.verdict.exactness().is_exact());

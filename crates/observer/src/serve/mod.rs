@@ -13,9 +13,10 @@
 //!
 //! * **Corrupt bytes** — the incremental resync scanner
 //!   ([`jmpax_instrument::ResilientFrameDecoder`]) steps over garbage and
-//!   the Theorem-3 [`jmpax_lattice::Reassembler`] skips unfillable gaps;
-//!   the tenant's verdict degrades to
-//!   [`jmpax_lattice::Exactness::Degraded`].
+//!   the analysis suite's Theorem-3 [`jmpax_lattice::Reassembler`] — the
+//!   session's one causal-delivery stage, with
+//!   [`ServeConfig::stall_budget`] — skips unfillable gaps; the tenant's
+//!   verdict degrades to [`jmpax_lattice::Exactness::Degraded`].
 //! * **Slow tenants** — every session's chunks go through a bounded
 //!   queue. Under [`ShedPolicy::Block`] a full queue exerts real TCP
 //!   backpressure (the reader stops reading); under

@@ -27,10 +27,10 @@ use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use jmpax_core::{AnalysisKind, Message, SymbolTable};
+use jmpax_core::{AnalysisKind, SymbolTable};
 use jmpax_instrument::tcp::SessionHello;
 use jmpax_instrument::ResilientFrameDecoder;
-use jmpax_lattice::{Exactness, Reassembler};
+use jmpax_lattice::Exactness;
 use jmpax_spec::{parse, Monitor, ProgramState};
 use jmpax_telemetry::Counter;
 
@@ -38,7 +38,7 @@ use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
 use super::status::TenantTable;
 use super::{AnalysisOutcome, ServeConfig, ShedPolicy, TenantOutcome, ExactnessVerdict};
-use crate::pipeline::{transport_exactness, Pipeline, PipelineConfig};
+use crate::pipeline::{Pipeline, PipelineConfig};
 
 /// `serve.verdict_state{tenant=…}` gauge values.
 const STATE_RUNNING: u64 = 0;
@@ -494,9 +494,10 @@ pub(super) fn run_session(
     Some(outcome)
 }
 
-/// The analysis half: decode resiliently, reassemble causally, feed every
-/// causally ready message to the analysis suite as it arrives, and fold
-/// every loss into one [`Exactness`] at end of stream.
+/// The analysis half: decode resiliently, push every decoded chunk into the
+/// analysis suite — whose reassembler delivers each message once it is
+/// causally ready — and fold every loss into one [`Exactness`] at end of
+/// stream.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     config: &ServeConfig,
@@ -514,13 +515,10 @@ fn run_worker(
 ) -> WorkerResult {
     let tel = &config.telemetry;
     let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
-    let mut suite = pipeline.suite(kinds, monitor.map(|m| (m, initial)), threads);
-    let mut analyze = |messages: Vec<Message>| {
-        analyzed_labeled.add(messages.len() as u64);
-        suite.push_all(messages);
-    };
+    let mut suite = pipeline
+        .suite(kinds, monitor.map(|m| (m, initial)), threads)
+        .with_stall_budget(config.stall_budget);
     let mut decoder = ResilientFrameDecoder::new();
-    let mut reassembler = Reassembler::with_stall_budget(config.stall_budget);
     while let Ok(item) = rx.recv() {
         match item {
             WorkItem::Chunk(bytes) => {
@@ -529,8 +527,7 @@ fn run_worker(
                 tel.counter("serve.frames_ingested").add(messages.len() as u64);
                 frames_labeled.add(messages.len() as u64);
                 flight.frames(messages.len() as u64, bytes.len() as u64);
-                reassembler.push_all(messages);
-                analyze(reassembler.drain_ready());
+                analyzed_labeled.add(suite.push_all(messages) as u64);
             }
             WorkItem::Eof => break,
         }
@@ -538,16 +535,15 @@ fn run_worker(
     let decoded = decoder.finish();
     tel.counter("serve.frames_corrupt").add(decoded.frames_corrupt);
     tel.counter("serve.frames_resynced").add(decoded.frames_resynced);
-    let (tail, reassembly) = reassembler.finish();
-    analyze(tail);
+    analyzed_labeled.add(suite.end_stream().len() as u64);
+    // The suite folds the decoder's losses into every analysis's report.
+    let report = pipeline.finish_suite(suite, Exactness::degraded(0, decoded.frames_lost()));
+    let reassembly = &report.reassembly;
     reassembly.record(tel);
     for gap in &reassembly.gaps {
         flight.gap(u64::from(gap.thread.0), gap.from, gap.to);
     }
     gaps_labeled.add(reassembly.skipped_gaps());
-
-    // The suite folds the transport losses into every analysis's report.
-    let report = pipeline.finish_suite(suite, transport_exactness(&decoded, &reassembly));
     // Plain single-LTL sessions keep their historical one-verdict shape;
     // anything else reports per analysis as well.
     let analyses = if kinds == [AnalysisKind::Ltl] {

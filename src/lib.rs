@@ -41,8 +41,8 @@ pub use jmpax_trace as trace;
 pub use jmpax_workloads as workloads;
 
 pub use jmpax_core::{
-    CausalBuffer, Event, EventKind, Execution, HappensBefore, Message, MvcInstrumentor, Relevance,
-    SymbolTable, ThreadId, Value, VarId, VectorClock,
+    Event, EventKind, Execution, HappensBefore, Message, MvcInstrumentor, Relevance, SymbolTable,
+    ThreadId, Value, VarId, VectorClock,
 };
 pub use jmpax_lattice::{
     analyze, to_dot, Analysis, Cut, DotOptions, Lattice, LatticeInput, StreamingAnalyzer,

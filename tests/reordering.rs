@@ -8,7 +8,7 @@ use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_random;
 use jmpax::spec::ProgramState;
 use jmpax::workloads::{synthetic, xyz};
-use jmpax::{Message, Monitor, Relevance};
+use jmpax::{parse, Event, Message, Monitor, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -80,6 +80,65 @@ fn shuffled_synthetic_workloads_match_in_order_analysis() {
             assert_eq!(a.violating_runs, ref_a.violating_runs, "seed {seed}");
         }
     }
+}
+
+/// The lossless default: an in-memory caller sets no stall budget, so a
+/// fully reversed 400-message stream — every message arriving before its
+/// causes — loses nothing and analyses exactly as in-order delivery.
+#[test]
+fn reversed_long_stream_is_exact() {
+    let mut syms = SymbolTable::new();
+    let (x, y) = (syms.intern("x"), syms.intern("y"));
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    let mut a = MvcInstrumentor::new(2, Relevance::writes_of([x, y]));
+    let mut msgs = Vec::new();
+    for round in 0..200 {
+        // Even rounds leave the two writes concurrent; odd rounds chain
+        // them. The closing reads order each round before the next.
+        msgs.extend(a.process(&Event::write(t0, x, round)));
+        if round % 2 == 1 {
+            a.process(&Event::read(t1, x));
+        }
+        msgs.extend(a.process(&Event::write(t1, y, round)));
+        a.process(&Event::read(t0, y));
+        a.process(&Event::read(t1, x));
+    }
+    assert_eq!(msgs.len(), 400);
+    let monitor = parse("x >= y", &mut syms).unwrap().monitor().unwrap();
+    let mut initial = ProgramState::new();
+    initial.set(x, 0);
+    initial.set(y, 0);
+
+    let in_order = observe(&monitor, &initial, msgs.clone());
+    let mut reversed = msgs;
+    reversed.reverse();
+
+    // A bare suite has the same lossless default.
+    let mut suite = jmpax::lattice::SuiteBuilder::new(&[jmpax::core::AnalysisKind::Ltl], 2)
+        .build(Some((monitor.clone(), &initial)));
+    suite.push_all(reversed.iter().cloned());
+    let bare = suite.finish(Exactness::Exact).into_ltl();
+    assert!(bare.exactness.is_exact(), "{}", bare.exactness);
+    assert_eq!(bare.states_explored, in_order.states_explored);
+
+    let report = Pipeline::new(PipelineConfig::new()).check_messages(
+        monitor,
+        &initial,
+        Exactness::Exact,
+        reversed,
+    );
+    assert_eq!(report.reassembly.delivered, 400);
+    let a = report.verdict.analysis();
+    assert!(a.exactness.is_exact(), "{}", a.exactness);
+    assert!(a.violating_runs > 0, "concurrent rounds predict x < y");
+    assert_eq!(
+        (a.states_explored, a.total_runs, a.violating_runs),
+        (
+            in_order.states_explored,
+            in_order.total_runs,
+            in_order.violating_runs
+        )
+    );
 }
 
 #[test]
