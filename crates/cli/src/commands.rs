@@ -213,14 +213,14 @@ pub struct ServeMetrics {
 /// The routes a [`ServeMetrics`] serves — shared by `main` and the
 /// integration tests so a scrape test exercises exactly what ships.
 #[must_use]
-pub fn metrics_routes(serve: &ServeMetrics) -> Vec<jmpax_trace::serve::Route> {
+pub fn metrics_routes(serve: &ServeMetrics) -> Vec<jmpax_telemetry::serve::Route> {
     vec![
-        jmpax_trace::serve::Route::new(
+        jmpax_telemetry::serve::Route::new(
             "/metrics",
             "text/plain; version=0.0.4",
             serve.metrics.clone(),
         ),
-        jmpax_trace::serve::Route::new("/trace", "application/json", serve.status.clone()),
+        jmpax_telemetry::serve::Route::new("/trace", "application/json", serve.status.clone()),
     ]
 }
 
@@ -693,11 +693,12 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
 
     // The receiving side: decode, then let the observer's reassembler
     // deliver causally and fold the decoder's losses in.
-    let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
+    let decode_ns = registry.histogram("observer.stage.decode_ns");
+    let decode = jmpax_telemetry::Stage::timed(&decode_ns);
     let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
     let received = decoder.push(&bytes);
     let decoded = decoder.finish();
-    decode_span.finish();
+    drop(decode);
     registry
         .counter("resilience.frames_corrupt")
         .add(decoded.frames_corrupt);
@@ -830,7 +831,7 @@ fn serve(args: &Args, registry: &Registry) -> (i32, String) {
     eprintln!("jmpax serve: listening on {addr}");
 
     if let Some(mport) = metrics_port {
-        let metrics = match jmpax_trace::serve::MetricsServer::bind(mport) {
+        let metrics = match jmpax_telemetry::serve::MetricsServer::bind(mport) {
             Ok(m) => m,
             Err(e) => return (2, format!("serve: cannot bind metrics port {mport}: {e}\n")),
         };
@@ -849,17 +850,17 @@ fn serve(args: &Args, registry: &Registry) -> (i32, String) {
                 || {
                     let (health_status, health_body) = obs.healthz();
                     vec![
-                        jmpax_trace::serve::Route::new(
+                        jmpax_telemetry::serve::Route::new(
                             "/metrics",
                             "text/plain; version=0.0.4",
                             live.snapshot().to_prometheus(),
                         ),
-                        jmpax_trace::serve::Route::new(
+                        jmpax_telemetry::serve::Route::new(
                             "/tenants",
                             "application/json",
                             obs.tenants_json(),
                         ),
-                        jmpax_trace::serve::Route::with_status(
+                        jmpax_telemetry::serve::Route::with_status(
                             "/healthz",
                             "application/json",
                             health_body,
@@ -1185,11 +1186,13 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
         ),
         _ => jmpax_sched::run_random(&w.program, seed, 1000),
     };
-    let tracer = jmpax_trace::Tracer::enabled();
+    let traced = registry.clone().traced();
     let mut symbols = w.symbols.clone();
-    let report = match Pipeline::new(PipelineConfig::new().telemetry(registry).tracer(&tracer))
-        .check_execution(&run.execution, &w.spec, &mut symbols)
-    {
+    let report = match Pipeline::new(PipelineConfig::new().telemetry(&traced)).check_execution(
+        &run.execution,
+        &w.spec,
+        &mut symbols,
+    ) {
         Ok(report) => report,
         Err(e) => return (2, format!("trace: {e}\n"), None),
     };
@@ -1197,20 +1200,20 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
     // the frame counters reflect what a live deployment would transmit.
     {
         let mut sink = jmpax_instrument::FrameSink::builder()
-            .telemetry(registry)
-            .tracer(&tracer)
+            .telemetry(&traced)
             .build();
         for m in &report.messages {
             sink.emit(m);
         }
     }
 
-    let data = tracer.collect();
-    let chrome = jmpax_trace::chrome::to_chrome_json(&data);
-    let dot =
-        jmpax_trace::dot::to_causal_dot(&data, |v| symbols.name_or_default(jmpax_core::VarId(v)));
-    let profile = jmpax_trace::profile::lattice_profile(&data);
-    let profile_json = jmpax_trace::profile::profile_to_json(&profile);
+    let data = traced.tracer().collect();
+    let chrome = jmpax_telemetry::chrome::to_chrome_json(&data);
+    let dot = jmpax_telemetry::dot::to_causal_dot(&data, |v| {
+        symbols.name_or_default(jmpax_core::VarId(v))
+    });
+    let profile = jmpax_telemetry::profile::lattice_profile(&data);
+    let profile_json = jmpax_telemetry::profile::profile_to_json(&profile);
 
     let dir = std::path::Path::new(out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -1239,8 +1242,8 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
             "satisfied on every run"
         }
     );
-    let hb_edges = jmpax_trace::causal_edges(&data.causal_messages()).len();
-    let transport = jmpax_trace::chrome::transport_flow_count(&data);
+    let hb_edges = jmpax_telemetry::trace::causal_edges(&data.causal_messages()).len();
+    let transport = jmpax_telemetry::chrome::transport_flow_count(&data);
     let _ = writeln!(
         out,
         "traced {} events across {} lanes ({} happens-before edges, {} transport flows)",
@@ -1249,7 +1252,7 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
         hb_edges,
         transport
     );
-    out.push_str(&jmpax_trace::profile::profile_to_text(&profile));
+    out.push_str(&jmpax_telemetry::profile::profile_to_text(&profile));
     let _ = writeln!(
         out,
         "trace written to {out_dir}/trace.json (open in Perfetto or chrome://tracing)"

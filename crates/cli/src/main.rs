@@ -19,7 +19,7 @@ fn main() {
         eprint!("{report}");
     }
     if let Some(serve) = result.serve {
-        let server = jmpax_trace::serve::MetricsServer::bind(serve.port).unwrap_or_else(|e| {
+        let server = jmpax_telemetry::serve::MetricsServer::bind(serve.port).unwrap_or_else(|e| {
             eprintln!("jmpax: cannot bind 127.0.0.1:{}: {e}", serve.port);
             std::process::exit(2);
         });

@@ -14,9 +14,9 @@ use jmpax_instrument::{ChaosStats, ResilientDecode};
 use jmpax_lattice::{AnalysisReport, Exactness, ReassemblyReport, SuiteReport};
 use jmpax_observer::ServeSummary;
 use jmpax_telemetry::json::write_string;
+use jmpax_telemetry::profile::LevelProfile;
+use jmpax_telemetry::trace::TraceData;
 use jmpax_telemetry::Snapshot;
-use jmpax_trace::profile::LevelProfile;
-use jmpax_trace::TraceData;
 
 use crate::commands::TelemetryMode;
 
@@ -298,8 +298,8 @@ pub fn trace_status_json(workload: &str, data: &TraceData, profile: &[LevelProfi
     out.push_str("{\"workload\":");
     write_string(&mut out, workload);
     let _ = write!(out, ",\"events\":{}", data.len());
-    let hb = jmpax_trace::causal_edges(&data.causal_messages()).len();
-    let transport = jmpax_trace::chrome::transport_flow_count(data);
+    let hb = jmpax_telemetry::trace::causal_edges(&data.causal_messages()).len();
+    let transport = jmpax_telemetry::chrome::transport_flow_count(data);
     let _ = write!(out, ",\"hb_edges\":{hb}");
     let _ = write!(out, ",\"flow_edges\":{}", hb + transport);
     out.push_str(",\"lanes\":[");
@@ -337,9 +337,9 @@ mod tests {
 
     #[test]
     fn trace_status_is_valid_json_and_escapes_names() {
-        let t = jmpax_trace::Tracer::enabled();
+        let t = jmpax_telemetry::trace::Tracer::enabled();
         let mut ring = t.ring("lane \"odd\"");
-        ring.record(jmpax_trace::TraceKind::Stage { name: "x" });
+        ring.record(jmpax_telemetry::trace::TraceKind::Stage { name: "x" });
         ring.seal();
         let data = t.collect();
         let json = trace_status_json("bank\n", &data, &[]);

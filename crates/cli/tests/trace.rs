@@ -3,6 +3,7 @@
 //! are well-formed), and `--serve-metrics` answers a real Prometheus
 //! scrape over TCP with the documented metric families.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead as _, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -139,6 +140,122 @@ fn trace_xyz_seeded_run_has_happens_before_flows() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Per lane of `trace.json`, how many records of each kind it holds. A
+/// record's kind is its category plus the first word of its name
+/// (`core:process`, `lattice:level`, `observer:<stage>`, `wire:emit`, …);
+/// metadata and flow events are not records.
+fn lane_shape(trace: &json::Value) -> BTreeMap<String, BTreeMap<String, usize>> {
+    let events = trace
+        .get("traceEvents")
+        .and_then(json::Value::as_array)
+        .expect("traceEvents array");
+    let str_of =
+        |e: &json::Value, key: &str| e.get(key).and_then(json::Value::as_str).map(str::to_owned);
+    let lanes: BTreeMap<u64, String> = events
+        .iter()
+        .filter(|e| str_of(e, "name").as_deref() == Some("thread_name"))
+        .map(|e| {
+            let tid = e.get("tid").and_then(json::Value::as_u64).expect("tid");
+            let name = e
+                .get("args")
+                .and_then(|a| str_of(a, "name"))
+                .expect("lane name");
+            (tid, name)
+        })
+        .collect();
+    let mut shape: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
+    for e in events {
+        if !matches!(str_of(e, "ph").as_deref(), Some("X" | "i")) {
+            continue;
+        }
+        let tid = e.get("tid").and_then(json::Value::as_u64).expect("tid");
+        let name = str_of(e, "name").expect("name");
+        let kind = format!(
+            "{}:{}",
+            str_of(e, "cat").expect("cat"),
+            name.split_whitespace().next().unwrap_or("")
+        );
+        *shape
+            .entry(lanes[&tid].clone())
+            .or_default()
+            .entry(kind)
+            .or_default() += 1;
+    }
+    shape
+}
+
+/// Pins what `jmpax trace` records at seed 0: the summary line, the lane
+/// set and the per-lane count of each record kind.
+#[test]
+fn trace_shape_is_pinned() {
+    let observer = [
+        ("observer:analysis", 1),
+        ("observer:instrument", 1),
+        ("observer:jpax", 1),
+        ("observer:spec", 1),
+    ];
+    // (workload, summary, [(lane, [(kind, count)])]); `n` is the number
+    // of relevant events (messages), `p` processed events, `l` levels
+    // and `e` property evaluations.
+    let pipeline = |p: usize, n: usize, l: usize, e: usize| {
+        vec![
+            ("core", vec![("core:process", p), ("wire:emit", n)]),
+            (
+                "lattice",
+                vec![("lattice:level", l), ("spec:eval", e), ("wire:ingest", n)],
+            ),
+            ("observer", observer.to_vec()),
+            ("wire", vec![("observer:encode", n), ("wire:emit", n)]),
+        ]
+    };
+    let cases = [
+        (
+            "xyz",
+            "traced 43 events across 4 lanes (4 happens-before edges, 4 transport flows)",
+            pipeline(10, 4, 4, 9),
+        ),
+        (
+            "landing",
+            "traced 36 events across 4 lanes (1 happens-before edges, 3 transport flows)",
+            pipeline(10, 3, 3, 7),
+        ),
+        (
+            "bank",
+            "traced 19 events across 4 lanes (0 happens-before edges, 2 transport flows)",
+            pipeline(2, 2, 2, 3),
+        ),
+        (
+            "dining",
+            "traced 7 events across 2 lanes (0 happens-before edges, 0 transport flows)",
+            vec![
+                ("core", vec![("core:process", 3)]),
+                ("observer", observer.to_vec()),
+            ],
+        ),
+    ];
+    for (workload, summary, lanes) in cases {
+        let dir = temp_dir(&format!("shape-{workload}"));
+        let out = run_cli(&["trace", workload, "--out", dir.to_str().unwrap()]);
+        assert_eq!(out.code, 0, "{}", out.output);
+        assert!(
+            out.output.lines().any(|l| l == summary),
+            "{workload}: expected `{summary}` in\n{}",
+            out.output
+        );
+        let chrome = std::fs::read_to_string(dir.join("trace.json")).expect("trace.json");
+        let trace = json::parse(&chrome).expect("valid JSON");
+        let expected: BTreeMap<String, BTreeMap<String, usize>> = lanes
+            .into_iter()
+            .map(|(lane, kinds)| {
+                let kinds = kinds.into_iter().map(|(k, n)| (k.to_owned(), n)).collect();
+                (lane.to_owned(), kinds)
+            })
+            .collect();
+        assert_eq!(lane_shape(&trace), expected, "{workload}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn trace_requires_out_dir_and_known_workload() {
     let out = run_cli(&["trace", "bank"]);
@@ -199,7 +316,7 @@ fn serve_metrics_answers_a_prometheus_scrape() {
     let serve = out.serve.expect("--serve-metrics must set up an endpoint");
 
     // Exactly what `main` does: bind the requested port, serve the routes.
-    let server = jmpax_trace::serve::MetricsServer::bind(serve.port).expect("bind");
+    let server = jmpax_telemetry::serve::MetricsServer::bind(serve.port).expect("bind");
     let addr = server.local_addr().unwrap();
     let routes = commands::metrics_routes(&serve);
     let handle = std::thread::spawn(move || server.serve(&routes, Some(2)));

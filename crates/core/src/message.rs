@@ -81,11 +81,11 @@ impl Message {
     }
 
     /// Flattens this message into the trace layer's crate-agnostic
-    /// [`jmpax_trace::MsgRef`]: thread index, sequence number, full clock,
-    /// and the write payload when present.
+    /// [`jmpax_telemetry::trace::MsgRef`]: thread index, sequence number,
+    /// full clock, and the write payload when present.
     #[must_use]
-    pub fn trace_ref(&self) -> jmpax_trace::MsgRef {
-        jmpax_trace::MsgRef {
+    pub fn trace_ref(&self) -> jmpax_telemetry::trace::MsgRef {
+        jmpax_telemetry::trace::MsgRef {
             thread: self.thread().0,
             seq: self.seq(),
             clock: self.clock.as_slice().to_vec(),

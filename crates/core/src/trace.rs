@@ -97,7 +97,8 @@ impl Execution {
 
     /// Like [`Execution::instrument`], but with Algorithm A reporting into
     /// `registry` (see [`MvcInstrumentor::with_telemetry`] for the metric
-    /// names).
+    /// names and the `core` trace lane). The instrumentor's ring seals
+    /// when this returns.
     #[must_use]
     pub fn instrument_with_telemetry(
         &self,
@@ -105,22 +106,6 @@ impl Execution {
         registry: &jmpax_telemetry::Registry,
     ) -> Vec<Message> {
         let mut instr = MvcInstrumentor::with_telemetry(self.thread_count(), relevance, registry);
-        instr.process_all(&self.events)
-    }
-
-    /// Like [`Execution::instrument_with_telemetry`], but additionally
-    /// recording per-event trace spans and emitted messages into `tracer`
-    /// (lane `"core"`; see [`MvcInstrumentor::with_trace`]). The
-    /// instrumentor's ring seals when this returns.
-    #[must_use]
-    pub fn instrument_with_observability(
-        &self,
-        relevance: Relevance,
-        registry: &jmpax_telemetry::Registry,
-        tracer: &jmpax_trace::Tracer,
-    ) -> Vec<Message> {
-        let mut instr = MvcInstrumentor::with_telemetry(self.thread_count(), relevance, registry)
-            .with_trace(tracer);
         instr.process_all(&self.events)
     }
 

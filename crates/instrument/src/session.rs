@@ -3,8 +3,8 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use jmpax_telemetry::trace::{TraceKind, TraceRing, Tracer};
 use jmpax_telemetry::{Counter, Registry};
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
 use parking_lot::Mutex;
 
 use jmpax_core::{AnalysisKind, Event, Message, Relevance, SymbolTable, ThreadId, VarId, VectorClock};
@@ -29,8 +29,9 @@ pub(crate) struct SessionInner {
     tel_relevant: Counter,
     /// `instrument.messages_emitted` — messages handed to the sink.
     tel_emitted: Counter,
-    /// Hands out one per-thread trace lane (`T1`, `T2`, …) at registration;
-    /// disabled by default, so untraced sessions never touch a clock.
+    /// The registry's tracer: hands out one per-thread trace lane (`T1`,
+    /// `T2`, …) at registration; disabled unless the registry is traced,
+    /// so untraced sessions never touch a clock.
     tracer: Tracer,
     /// Analyses this session's observer is asked to run, in run order.
     /// Empty requests the observer's default selection.
@@ -86,7 +87,6 @@ impl Session {
         vec_sink: Option<VecSink>,
         logging: bool,
         registry: &Registry,
-        tracer: &Tracer,
         analyses: Vec<AnalysisKind>,
     ) -> Self {
         Self {
@@ -101,7 +101,7 @@ impl Session {
                 tel_seen: registry.counter("instrument.events_seen"),
                 tel_relevant: registry.counter("instrument.events_relevant"),
                 tel_emitted: registry.counter("instrument.messages_emitted"),
-                tracer: tracer.clone(),
+                tracer: registry.tracer().clone(),
                 analyses,
             }),
             vec_sink,
@@ -115,15 +115,14 @@ impl Session {
         Self::builder(relevance).build()
     }
 
-    /// Starts configuring a session: sink, telemetry registry and tracer
-    /// all plug in through the returned [`SessionBuilder`].
+    /// Starts configuring a session: sink and telemetry registry plug in
+    /// through the returned [`SessionBuilder`].
     #[must_use]
     pub fn builder(relevance: Relevance) -> SessionBuilder {
         SessionBuilder {
             relevance,
             sink: None,
             telemetry: Registry::disabled(),
-            tracer: Tracer::disabled(),
             logging: false,
             analyses: Vec::new(),
         }
@@ -293,26 +292,19 @@ pub struct SessionBuilder {
     relevance: Relevance,
     sink: Option<Box<dyn EventSink>>,
     telemetry: Registry,
-    tracer: Tracer,
     logging: bool,
     analyses: Vec<AnalysisKind>,
 }
 
 impl SessionBuilder {
     /// Counts `instrument.events_seen`, `instrument.events_relevant` and
-    /// `instrument.messages_emitted` into `registry`.
+    /// `instrument.messages_emitted` into `registry`. A traced registry
+    /// also records every registered thread's processed events and
+    /// emitted messages into a per-thread trace lane (`T1`, `T2`, … —
+    /// sealed into the registry's tracer when the thread's context drops).
     #[must_use]
     pub fn telemetry(mut self, registry: &Registry) -> Self {
         self.telemetry = registry.clone();
-        self
-    }
-
-    /// Records every registered thread's processed events and emitted
-    /// messages into a per-thread trace lane (`T1`, `T2`, … — sealed into
-    /// `tracer` when the thread's context drops).
-    #[must_use]
-    pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = tracer.clone();
         self
     }
 
@@ -354,7 +346,6 @@ impl SessionBuilder {
                 None,
                 self.logging,
                 &self.telemetry,
-                &self.tracer,
                 self.analyses,
             ),
             None => {
@@ -365,7 +356,6 @@ impl SessionBuilder {
                     Some(vec_sink),
                     self.logging,
                     &self.telemetry,
-                    &self.tracer,
                     self.analyses,
                 )
             }
@@ -412,7 +402,7 @@ pub struct ThreadCtx {
     pub(crate) clock: VectorClock,
     pub(crate) inner: Arc<SessionInner>,
     /// This thread's trace lane; a disabled no-op unless the session was
-    /// built with a [`SessionBuilder::tracer`].
+    /// built with a traced registry ([`SessionBuilder::telemetry`]).
     pub(crate) ring: TraceRing,
 }
 
@@ -514,11 +504,9 @@ mod tests {
 
     #[test]
     fn observability_session_traces_per_thread_lanes() {
-        let tracer = jmpax_trace::Tracer::enabled();
-        let registry = jmpax_telemetry::Registry::enabled();
+        let registry = jmpax_telemetry::Registry::enabled().traced();
         let s = Session::builder(Relevance::AllWrites)
             .telemetry(&registry)
-            .tracer(&tracer)
             .build();
         let x = s.shared("x", 0i64);
         let mut t1 = s.register_thread();
@@ -528,7 +516,7 @@ mod tests {
         x.write(&mut t2, 2);
         drop((t1, t2)); // seal the per-thread rings
 
-        let data = tracer.collect();
+        let data = registry.tracer().collect();
         let lanes: Vec<&str> = data.lanes.iter().map(|l| l.lane.as_str()).collect();
         assert!(
             lanes.contains(&"T1") && lanes.contains(&"T2"),
@@ -539,7 +527,7 @@ mod tests {
         assert_eq!(data.len(), 5);
         let msgs = data.causal_messages();
         assert_eq!(msgs.len(), 2);
-        let edges = jmpax_trace::causal_edges(&msgs);
+        let edges = jmpax_telemetry::trace::causal_edges(&msgs);
         assert!(
             edges.iter().any(|e| e.from.0 != e.to.0),
             "expected a cross-thread happens-before edge: {edges:?}"
@@ -632,7 +620,6 @@ mod tests {
     #[test]
     fn builder_composes_telemetry_tracing_and_sinks() {
         let registry = jmpax_telemetry::Registry::enabled();
-        let tracer = jmpax_trace::Tracer::enabled();
 
         let s = Session::builder(Relevance::AllWrites)
             .telemetry(&registry)
@@ -644,15 +631,16 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("instrument.messages_emitted"), Some(1));
 
+        let traced = registry.clone().traced();
         let s = Session::builder(Relevance::AllWrites)
-            .telemetry(&registry)
-            .tracer(&tracer)
+            .telemetry(&traced)
             .build();
         let y = s.shared("y", 0i64);
         let mut ctx = s.register_thread();
         y.write(&mut ctx, 2);
         drop(ctx); // seal the lane
-        assert!(tracer
+        assert!(traced
+            .tracer()
             .collect()
             .lanes
             .iter()
@@ -662,7 +650,6 @@ mod tests {
         let s = Session::builder(Relevance::Everything)
             .sink(Box::new(sink.clone()))
             .telemetry(&Registry::disabled())
-            .tracer(&Tracer::disabled())
             .build();
         s.register_thread().internal_event();
         assert_eq!(sink.len(), 1);

@@ -8,6 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use jmpax_core::{AnalysisKind, Message};
+use jmpax_telemetry::trace::{TraceKind, TraceRing};
+use jmpax_telemetry::Stage;
 
 /// Consumes the messages Algorithm A emits (step 4 of Fig. 2).
 pub trait EventSink: Send {
@@ -92,8 +94,8 @@ pub struct FrameSink {
     tel_bytes_tenant: jmpax_telemetry::Counter,
     /// Trace lane `wire`: one span per encoded frame plus the message it
     /// carried. Shared across clones (the sink itself is shared), so the
-    /// ring sits behind a lock — a disabled ring skips it entirely.
-    ring: Arc<Mutex<jmpax_trace::TraceRing>>,
+    /// ring sits behind a lock; an untraced sink has no ring and no lock.
+    ring: Option<Arc<Mutex<TraceRing>>>,
     /// Analyses the observer consuming these frames is asked to run
     /// ([`FrameSinkBuilder::analyses`]); empty requests its default.
     analyses: Vec<AnalysisKind>,
@@ -106,8 +108,9 @@ impl FrameSink {
         Self::default()
     }
 
-    /// Starts configuring a sink: telemetry and tracing plug in through
-    /// the returned [`FrameSinkBuilder`].
+    /// Starts configuring a sink: telemetry (and, through a traced
+    /// registry, tracing) plugs in through the returned
+    /// [`FrameSinkBuilder`].
     #[must_use]
     pub fn builder() -> FrameSinkBuilder {
         FrameSinkBuilder::default()
@@ -138,7 +141,6 @@ impl FrameSink {
 #[derive(Debug, Default)]
 pub struct FrameSinkBuilder {
     telemetry: jmpax_telemetry::Registry,
-    tracer: Option<jmpax_trace::Tracer>,
     tenant: Option<String>,
     analyses: Vec<AnalysisKind>,
 }
@@ -146,6 +148,8 @@ pub struct FrameSinkBuilder {
 impl FrameSinkBuilder {
     /// Counts `instrument.frames_encoded` (messages serialized) and
     /// `instrument.bytes_encoded` (wire bytes produced) into `registry`.
+    /// A traced registry also gets per-frame encode spans on the `wire`
+    /// lane (sealed when the sink's last clone drops).
     #[must_use]
     pub fn telemetry(mut self, registry: &jmpax_telemetry::Registry) -> Self {
         self.telemetry = registry.clone();
@@ -159,14 +163,6 @@ impl FrameSinkBuilder {
     #[must_use]
     pub fn tenant(mut self, tenant: &str) -> Self {
         self.tenant = Some(tenant.to_string());
-        self
-    }
-
-    /// Records per-frame encode spans on the `wire` trace lane (sealed
-    /// into `tracer` when the sink's last clone drops).
-    #[must_use]
-    pub fn tracer(mut self, tracer: &jmpax_trace::Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
         self
     }
 
@@ -205,10 +201,11 @@ impl FrameSinkBuilder {
             tel_bytes: self.telemetry.counter("instrument.bytes_encoded"),
             tel_frames_tenant,
             tel_bytes_tenant,
-            ring: match self.tracer {
-                Some(tracer) => Arc::new(Mutex::new(tracer.ring("wire"))),
-                None => Arc::default(),
-            },
+            ring: self
+                .telemetry
+                .tracer()
+                .is_enabled()
+                .then(|| Arc::new(Mutex::new(self.telemetry.tracer().ring("wire")))),
             analyses: self.analyses,
         }
     }
@@ -216,18 +213,25 @@ impl FrameSinkBuilder {
 
 impl EventSink for FrameSink {
     fn emit(&mut self, message: &Message) {
-        let mut ring = self.ring.lock();
-        let start = ring.span_start();
-        let mut buffer = self.buffer.lock();
-        let before = buffer.len();
-        crate::codec::encode_frame_v2(message, &mut buffer);
-        let encoded = buffer.len() - before;
-        drop(buffer);
-        if ring.is_enabled() {
-            ring.record_span(jmpax_trace::TraceKind::Stage { name: "encode" }, start);
-            ring.record(jmpax_trace::TraceKind::Emitted(message.trace_ref()));
-        }
-        drop(ring);
+        let encode = || {
+            let mut buffer = self.buffer.lock();
+            let before = buffer.len();
+            crate::codec::encode_frame_v2(message, &mut buffer);
+            buffer.len() - before
+        };
+        let encoded = match &self.ring {
+            None => encode(),
+            Some(ring) => {
+                // The lane lock spans the encode so the lane records frames
+                // in wire order.
+                let mut ring = ring.lock();
+                let stage = Stage::lane(&ring);
+                let encoded = encode();
+                stage.end(&mut ring, TraceKind::Stage { name: "encode" });
+                ring.record(TraceKind::Emitted(message.trace_ref()));
+                encoded
+            }
+        };
         self.tel_frames.inc();
         self.tel_bytes.add(encoded as u64);
         self.tel_frames_tenant.inc();
@@ -538,26 +542,45 @@ mod tests {
 
     #[test]
     fn frame_sink_observability_traces_encode_spans() {
-        let tracer = jmpax_trace::Tracer::enabled();
-        let sink = FrameSink::builder().tracer(&tracer).build();
+        let registry = jmpax_telemetry::Registry::disabled().traced();
+        let sink = FrameSink::builder().telemetry(&registry).build();
         let mut writer = sink.clone();
         writer.emit(&msg(1));
         writer.emit(&msg(2));
         drop(writer);
         drop(sink); // last clone seals the wire lane
-        let data = tracer.collect();
+        let data = registry.tracer().collect();
         let wire = data.lanes.iter().find(|l| l.lane == "wire").unwrap();
         let spans = wire
             .events
             .iter()
-            .filter(|r| matches!(r.kind, jmpax_trace::TraceKind::Stage { name: "encode" }))
+            .filter(|r| matches!(r.kind, TraceKind::Stage { name: "encode" }))
             .count();
         let emitted = wire
             .events
             .iter()
-            .filter(|r| matches!(r.kind, jmpax_trace::TraceKind::Emitted(_)))
+            .filter(|r| matches!(r.kind, TraceKind::Emitted(_)))
             .count();
         assert_eq!((spans, emitted), (2, 2));
+    }
+
+    /// An untraced sink, even one counting frames, holds no lane: `emit`
+    /// takes the buffer lock and nothing else.
+    #[test]
+    fn untraced_frame_sink_has_no_lane_lock() {
+        let registry = jmpax_telemetry::Registry::enabled();
+        for sink in [
+            FrameSink::new(),
+            FrameSink::builder().telemetry(&registry).build(),
+        ] {
+            assert!(sink.ring.is_none());
+            sink.clone().emit(&msg(1));
+            assert!(!sink.take_bytes().is_empty());
+        }
+        assert_eq!(
+            registry.snapshot().counter("instrument.frames_encoded"),
+            Some(1)
+        );
     }
 
     #[test]

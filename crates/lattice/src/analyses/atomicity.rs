@@ -21,8 +21,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use jmpax_core::{AnalysisKind, Event, EventKind, ThreadId, VarId, VectorClock};
+use jmpax_telemetry::trace::{TraceKind, TraceRing};
 use jmpax_telemetry::Registry;
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
 use super::{Analysis, AnalysisReport, SyncClocks};
 use crate::reassemble::Exactness;
@@ -129,7 +129,10 @@ pub struct AtomicityAnalysis {
     transactions: u64,
     accesses_checked: u64,
     max_findings: usize,
-    ring: TraceRing,
+    /// Trace lane `analysis.atomicity`: one [`TraceKind::Finding`] instant
+    /// per finding. [`crate::SuiteBuilder::build`] opens it from the
+    /// suite's registry; disabled otherwise.
+    pub(crate) ring: TraceRing,
 }
 
 impl AtomicityAnalysis {
@@ -157,14 +160,6 @@ impl AtomicityAnalysis {
     #[must_use]
     pub fn with_max_findings(mut self, max: usize) -> Self {
         self.max_findings = max;
-        self
-    }
-
-    /// Attaches causal tracing: findings land on the `analysis.atomicity`
-    /// lane.
-    #[must_use]
-    pub fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.ring = tracer.ring("analysis.atomicity");
         self
     }
 

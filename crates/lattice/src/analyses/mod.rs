@@ -58,7 +58,6 @@ use std::sync::Arc;
 use jmpax_core::{AnalysisKind, Event, EventKind, Message, VarId, VectorClock};
 use jmpax_spec::{Monitor, ProgramState};
 use jmpax_telemetry::Registry;
-use jmpax_trace::Tracer;
 
 use crate::builder::{StreamReport, StreamingAnalyzer};
 use crate::config::AnalysisConfig;
@@ -307,14 +306,16 @@ impl AnalysisSuite {
     /// Set it before the first push.
     #[must_use]
     pub fn with_stall_budget(mut self, stall_budget: u64) -> Self {
-        self.reassembler = Reassembler::with_stall_budget(stall_budget);
+        self.reassembler.stall_budget = stall_budget;
         self
     }
 
     /// Attaches a telemetry registry: per-analysis counters are published
-    /// when the suite finishes.
+    /// when the suite finishes, and a traced registry gets the
+    /// reassembler's `resilience` lane.
     #[must_use]
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
+        self.reassembler.trace_ring = registry.tracer().ring("resilience");
         self.registry = registry.clone();
         self
     }
@@ -412,7 +413,6 @@ pub struct SuiteBuilder {
     sync_vars: BTreeSet<VarId>,
     config: AnalysisConfig,
     registry: Registry,
-    tracer: Option<Tracer>,
     pool: Option<Arc<ExpansionPool>>,
 }
 
@@ -432,7 +432,6 @@ impl SuiteBuilder {
             sync_vars: BTreeSet::new(),
             config: AnalysisConfig::default(),
             registry: Registry::disabled(),
-            tracer: None,
             pool: None,
         }
     }
@@ -452,17 +451,12 @@ impl SuiteBuilder {
         self
     }
 
-    /// Attaches telemetry.
+    /// Attaches telemetry. A traced registry also gets each analysis's
+    /// trace lane (`lattice`, `lattice.shard<N>`, `analysis.race`,
+    /// `analysis.atomicity`, and `resilience` for committed gaps).
     #[must_use]
     pub fn telemetry(mut self, registry: &Registry) -> Self {
         self.registry = registry.clone();
-        self
-    }
-
-    /// Attaches causal tracing.
-    #[must_use]
-    pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
         self
     }
 
@@ -497,9 +491,6 @@ impl SuiteBuilder {
                         &self.config,
                         &self.registry,
                     );
-                    if let Some(t) = &self.tracer {
-                        analyzer = analyzer.with_trace(t);
-                    }
                     if let Some(p) = &self.pool {
                         analyzer = analyzer.with_pool(Arc::clone(p));
                     }
@@ -507,16 +498,12 @@ impl SuiteBuilder {
                 }
                 AnalysisKind::Race => {
                     let mut a = RaceAnalysis::new(self.threads, self.sync_vars.clone());
-                    if let Some(t) = &self.tracer {
-                        a = a.with_trace(t);
-                    }
+                    a.ring = self.registry.tracer().ring("analysis.race");
                     analyses.push(Box::new(a));
                 }
                 AnalysisKind::Atomicity => {
                     let mut a = AtomicityAnalysis::new(self.threads, self.sync_vars.clone());
-                    if let Some(t) = &self.tracer {
-                        a = a.with_trace(t);
-                    }
+                    a.ring = self.registry.tracer().ring("analysis.atomicity");
                     analyses.push(Box::new(a));
                 }
             }

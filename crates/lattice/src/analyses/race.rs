@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use jmpax_core::{AnalysisKind, Event, EventKind, ThreadId, VarId, VectorClock};
+use jmpax_telemetry::trace::{TraceKind, TraceRing};
 use jmpax_telemetry::Registry;
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
 use super::{Analysis, AnalysisReport, SyncClocks};
 use crate::reassemble::Exactness;
@@ -122,7 +122,10 @@ pub struct RaceAnalysis {
     races_found: u64,
     accesses_checked: u64,
     max_findings: usize,
-    ring: TraceRing,
+    /// Trace lane `analysis.race`: one [`TraceKind::Finding`] instant
+    /// per finding. [`crate::SuiteBuilder::build`] opens it from the
+    /// suite's registry; disabled otherwise.
+    pub(crate) ring: TraceRing,
 }
 
 impl RaceAnalysis {
@@ -148,14 +151,6 @@ impl RaceAnalysis {
     #[must_use]
     pub fn with_max_findings(mut self, max: usize) -> Self {
         self.max_findings = max;
-        self
-    }
-
-    /// Attaches causal tracing: findings land on the `analysis.race`
-    /// lane.
-    #[must_use]
-    pub fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.ring = tracer.ring("analysis.race");
         self
     }
 

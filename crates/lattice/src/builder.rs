@@ -26,8 +26,8 @@ use std::sync::Arc;
 use jmpax_core::fasthash::FastMap;
 use jmpax_core::{AnalysisKind, Event, Message, ThreadId, Value, VarId, VectorClock};
 use jmpax_spec::{Monitor, MonitorState, ProgramState, StepCache};
-use jmpax_telemetry::{Counter, Gauge, Histogram, Registry};
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
+use jmpax_telemetry::trace::{TraceKind, TraceRing};
+use jmpax_telemetry::{Counter, Gauge, Histogram, Registry, Stage};
 
 use crate::analyses::{Analysis, AnalysisReport};
 use crate::config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
@@ -566,12 +566,11 @@ pub struct StreamingAnalyzer {
     /// `spec.eval_cache_hits`, cloned into every step cache this analyzer
     /// creates (sequential and per-shard alike).
     tel_cache_hits: Counter,
-    /// Trace ring (lane `"lattice"`) for ingested messages, level seals,
-    /// prunes and property evaluations; disabled (free) by default.
+    /// Trace lane `lattice` for ingested messages, level seals, prunes
+    /// and property evaluations, and the tracer per-shard lanes
+    /// (`lattice.shard<N>`) open from; disabled (free) unless the registry
+    /// is traced.
     trace_ring: TraceRing,
-    /// The tracer behind `trace_ring`, kept to open per-shard lanes
-    /// (`lattice.shard<N>`) when the pool engages; disabled by default.
-    tracer: Tracer,
 }
 
 impl StreamingAnalyzer {
@@ -584,7 +583,11 @@ impl StreamingAnalyzer {
     /// sample per completed level), `lattice.peak_frontier` (gauge),
     /// per-level stage latency histograms `lattice.stage.expand_ns` /
     /// `lattice.stage.seal_ns`, and at finish the run counts
-    /// `lattice.total_runs` / `lattice.violating_runs`.
+    /// `lattice.total_runs` / `lattice.violating_runs`. A traced registry
+    /// also gets lane `lattice`: one [`TraceKind::Ingested`] instant per
+    /// causally delivered message, one [`TraceKind::LevelSealed`] span per
+    /// frontier advance, plus [`TraceKind::CutPruned`] /
+    /// [`TraceKind::PropertyEvaluated`] instants.
     ///
     /// From `config`: history (unset means two-level), counterexample
     /// budget, frontier cap, parallelism, shard granularity, and the step
@@ -680,21 +683,8 @@ impl StreamingAnalyzer {
             tel_steals: registry.counter("lattice.parallel.steals"),
             tel_park: registry.histogram("lattice.parallel.park_ns"),
             tel_cache_hits,
-            trace_ring: TraceRing::disabled(),
-            tracer: Tracer::default(),
+            trace_ring: registry.tracer().ring("lattice"),
         }
-    }
-
-    /// Attaches a trace ring (lane `"lattice"`) recording one
-    /// [`TraceKind::Ingested`] instant per causally delivered message, one
-    /// [`TraceKind::LevelSealed`] span per frontier advance, plus
-    /// [`TraceKind::CutPruned`] / [`TraceKind::PropertyEvaluated`]
-    /// instants. With a disabled tracer this is free.
-    #[must_use]
-    pub(crate) fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.trace_ring = tracer.ring("lattice");
-        self.tracer = tracer.clone();
-        self
     }
 
     /// Shares a persistent [`ExpansionPool`] with this analyzer instead of
@@ -882,9 +872,9 @@ impl StreamingAnalyzer {
         level_index: u64,
         workers: usize,
     ) -> (LevelExpansion, Level) {
-        let rings: Vec<TraceRing> = if self.tracer.is_enabled() {
+        let rings: Vec<TraceRing> = if self.trace_ring.is_enabled() {
             (0..workers)
-                .map(|w| self.tracer.ring(&format!("lattice.shard{w}")))
+                .map(|w| self.trace_ring.lane(&format!("lattice.shard{w}")))
                 .collect()
         } else {
             (0..workers).map(|_| TraceRing::disabled()).collect()
@@ -931,9 +921,13 @@ impl StreamingAnalyzer {
     /// Advances the frontier level by level while every frontier cut is
     /// expandable.
     fn advance(&mut self) {
+        // Each level's stages borrow these histograms across `&mut self`
+        // calls, so they leave `self` while the frontier advances.
+        let expand_ns = std::mem::take(&mut self.tel_expand);
+        let seal_ns = std::mem::take(&mut self.tel_seal);
         loop {
             if self.frontier.is_empty() {
-                return;
+                break;
             }
             // The frontier only advances when it can advance *completely*:
             // expanding a partial level would lose cuts whose successors
@@ -942,7 +936,7 @@ impl StreamingAnalyzer {
             // sealed — every cut expandable — before any worker sees it;
             // sharding never observes a partial level.
             if !self.frontier_expandable() {
-                return;
+                break;
             }
             // Terminal frontier: single top cut with nothing enabled.
             let any_successor = self
@@ -950,26 +944,26 @@ impl StreamingAnalyzer {
                 .iter()
                 .any(|(cut, _)| (0..self.threads).any(|t| self.enabled(cut, t).is_some()));
             if !any_successor {
-                return;
+                break;
             }
 
-            let level_start = self.trace_ring.span_start();
+            let level = Stage::lane(&self.trace_ring);
             let level_index = u64::from(self.levels_built) + 1;
             let mut level_pruned = 0u64;
             let current = std::mem::take(&mut self.frontier);
             let workers = self.level_workers(current.len());
-            let expand_span = self.tel_expand.start_span();
+            let expand = Stage::timed(&expand_ns);
             let (mut exp, current) = if workers > 1 {
                 self.expand_parallel(current, level_index, workers)
             } else {
                 let exp = self.expand_sequential(&current, level_index);
                 (exp, current)
             };
-            expand_span.finish();
+            drop(expand);
             // The memo is level-scoped: transitions rarely recur across
             // seals, so clearing keeps the table at working-set size.
             self.step_cache.clear();
-            let seal_span = self.tel_seal.start_span();
+            let seal = Stage::timed(&seal_ns);
             self.states_explored += exp.new_states;
             self.tel_states.add(exp.new_states);
             self.tel_deduped.add(exp.deduped);
@@ -1002,7 +996,7 @@ impl StreamingAnalyzer {
             // occur for validated complete inputs.
             if next.is_empty() {
                 self.frontier = current;
-                return;
+                break;
             }
             // Degrade instead of OOM: prune the level to a deterministic
             // beam (the cap smallest cuts in lexicographic order) and
@@ -1035,21 +1029,21 @@ impl StreamingAnalyzer {
             self.tel_levels.inc();
             self.tel_width.record(self.frontier.len() as u64);
             self.tel_peak.set(self.frontier.len() as u64);
-            if self.trace_ring.is_enabled() {
-                self.trace_ring.record_span(
-                    TraceKind::LevelSealed {
-                        level: level_index,
-                        width: self.frontier.len() as u64,
-                        states: level_states,
-                        pruned: level_pruned,
-                        evals: level_evals,
-                        violations: level_violations,
-                    },
-                    level_start,
-                );
-            }
-            seal_span.finish();
+            level.end(
+                &mut self.trace_ring,
+                TraceKind::LevelSealed {
+                    level: level_index,
+                    width: self.frontier.len() as u64,
+                    states: level_states,
+                    pruned: level_pruned,
+                    evals: level_evals,
+                    violations: level_violations,
+                },
+            );
+            drop(seal);
         }
+        self.tel_expand = expand_ns;
+        self.tel_seal = seal_ns;
     }
 }
 

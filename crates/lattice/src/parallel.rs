@@ -49,8 +49,8 @@ use std::time::Instant;
 
 use jmpax_core::{Message, ThreadId, Value, VarId};
 use jmpax_spec::{Monitor, StepCache};
-use jmpax_telemetry::Counter;
-use jmpax_trace::{TraceKind, TraceRing};
+use jmpax_telemetry::trace::{TraceKind, TraceRing};
+use jmpax_telemetry::{Counter, Stage};
 
 use crate::builder::{Level, LevelExpansion, Stepper, Successors};
 use crate::cut::Cut;
@@ -338,7 +338,7 @@ fn run_shard(task: ShardTask, park_ns: u64) {
         report,
     } = task;
     let workers = shared.workers;
-    let expand_start = ring.span_start();
+    let expand = Stage::lane(&ring);
     let mut assigned = 0u64;
     let mut taken = 0u64;
     let mut produced = 0u64;
@@ -380,17 +380,15 @@ fn run_shard(task: ShardTask, park_ns: u64) {
         }
     }
     let steals = taken.saturating_sub(shared.fair_share as u64);
-    if ring.is_enabled() {
-        ring.record_span(
-            TraceKind::ShardExpanded {
-                level: shared.level,
-                shard: shard as u32,
-                cuts: assigned,
-                contributions: produced,
-            },
-            expand_start,
-        );
-    }
+    expand.end(
+        &mut ring,
+        TraceKind::ShardExpanded {
+            level: shared.level,
+            shard: shard as u32,
+            cuts: assigned,
+            contributions: produced,
+        },
+    );
     drop(txs);
 
     // Merge: this shard owns every successor hashing to it, so the

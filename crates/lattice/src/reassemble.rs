@@ -41,8 +41,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use jmpax_core::{Message, ThreadId, VectorClock};
+use jmpax_telemetry::trace::{TraceKind, TraceRing};
 use jmpax_telemetry::Registry;
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
 /// How much an analysis result can be trusted after transport faults and
 /// resource caps have taken their toll.
@@ -335,12 +335,13 @@ pub struct Reassembler {
     threads: Vec<ThreadState>,
     /// Messages released as they arrived, not yet handed out.
     released: Vec<Message>,
-    stall_budget: u64,
+    pub(crate) stall_budget: u64,
     arrivals: u64,
     report: ReassemblyReport,
-    /// Trace ring (lane `"resilience"`) for committed gaps; disabled
-    /// (free) by default.
-    trace_ring: TraceRing,
+    /// Trace lane `resilience`: one [`TraceKind::GapSkipped`] instant per
+    /// committed gap. Disabled (free) unless the owning
+    /// [`crate::AnalysisSuite`] reports into a traced registry.
+    pub(crate) trace_ring: TraceRing,
 }
 
 /// Default stall budget: a gap survives this many subsequent arrivals
@@ -374,15 +375,6 @@ impl Reassembler {
             report: ReassemblyReport::default(),
             trace_ring: TraceRing::disabled(),
         }
-    }
-
-    /// Attaches a trace ring (lane `"resilience"`) recording one
-    /// [`TraceKind::GapSkipped`] instant per committed gap. With a
-    /// disabled tracer this is free.
-    #[must_use]
-    pub fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.trace_ring = tracer.ring("resilience");
-        self
     }
 
     fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
@@ -535,9 +527,10 @@ impl Reassembler {
         self.threads
             .iter()
             .all(|s| s.ready.is_empty() && s.pending.is_empty())
-            && message.clock.iter().all(|(j, v)| {
-                j == t || v <= self.threads.get(j.index()).map_or(0, |s| s.committed)
-            })
+            && message
+                .clock
+                .iter()
+                .all(|(j, v)| j == t || v <= self.threads.get(j.index()).map_or(0, |s| s.committed))
     }
 
     /// The thread whose buffered head is causally ready and arrived first.

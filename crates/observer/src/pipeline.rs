@@ -15,9 +15,9 @@
 //! one engine, the streaming analyzer behind [`Pipeline::suite`].
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
-//! config carries the optional telemetry [`Registry`], the optional
-//! [`Tracer`], and the [`AnalysisConfig`] knobs (parallelism, frontier
-//! cap, counterexample budget). When parallelism is enabled, the pipeline
+//! config carries the optional telemetry [`Registry`] (traced or not) and
+//! the [`AnalysisConfig`] knobs (parallelism, frontier cap,
+//! counterexample budget). When parallelism is enabled, the pipeline
 //! owns one persistent [`ExpansionPool`] shared by every analysis it runs —
 //! workers are spawned on first use and parked between levels and between
 //! calls, so repeated checks (e.g. `jmpax serve` tenant sessions) never pay
@@ -34,8 +34,8 @@ use jmpax_lattice::{
     SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
-use jmpax_telemetry::Registry;
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
+use jmpax_telemetry::trace::TraceKind;
+use jmpax_telemetry::{Registry, Stage};
 
 use crate::observer::Verdict;
 
@@ -107,15 +107,14 @@ impl PipelineReport {
 #[derive(Clone, Debug, Default)]
 pub struct PipelineConfig {
     telemetry: Registry,
-    tracer: Option<Tracer>,
     analysis: AnalysisConfig,
     analyses: Vec<AnalysisKind>,
     sync_vars: BTreeSet<VarId>,
 }
 
 impl PipelineConfig {
-    /// Starts from the defaults (disabled telemetry, no tracer, sequential
-    /// exact analysis).
+    /// Starts from the defaults (disabled telemetry, sequential exact
+    /// analysis).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -126,20 +125,17 @@ impl PipelineConfig {
     /// (`observer.verdict.*`), and every metric the instrumentor, monitor
     /// and lattice analysis publish — including `lattice.parallel.*` when
     /// parallelism is enabled. A disabled registry is free.
+    ///
+    /// A traced registry ([`Registry::traced`]) also records structured
+    /// traces: pipeline stages as [`TraceKind::Stage`] spans on the
+    /// `observer` lane, Algorithm A on the `core` lane, the analysis's
+    /// level-by-level pass on the `lattice` lane (plus `lattice.shard<N>`
+    /// lanes when the parallel pool engages), race and atomicity findings
+    /// on `analysis.race` / `analysis.atomicity`, and committed gaps on
+    /// `resilience`.
     #[must_use]
     pub fn telemetry(mut self, registry: &Registry) -> Self {
         self.telemetry = registry.clone();
-        self
-    }
-
-    /// Records structured traces into `tracer`: pipeline stages as
-    /// [`TraceKind::Stage`] spans on the `observer` lane, Algorithm A on
-    /// the `core` lane, and the analysis's level-by-level pass on the
-    /// `lattice` lane (plus `lattice.shard<N>` lanes when the parallel
-    /// pool engages).
-    #[must_use]
-    pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
         self
     }
 
@@ -236,31 +232,18 @@ impl Pipeline {
         symbols: &mut SymbolTable,
     ) -> Result<PipelineReport, PipelineError> {
         let registry = &self.config.telemetry;
-        let mut ring = self
-            .config
-            .tracer
-            .as_ref()
-            .map_or_else(TraceRing::disabled, |t| t.ring("observer"));
+        let mut ring = registry.tracer().ring("observer");
 
-        let spec_start = ring.span_start();
+        let spec = Stage::lane(&ring);
         let formula = parse(spec_src, symbols)?;
         let monitor = formula.monitor()?.with_telemetry(registry);
-        ring.record_span(TraceKind::Stage { name: "spec" }, spec_start);
+        spec.end(&mut ring, TraceKind::Stage { name: "spec" });
 
         let relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
-        let instrument_start = ring.span_start();
-        let messages = {
-            let _span = registry
-                .histogram("observer.stage.instrument_ns")
-                .start_span();
-            match &self.config.tracer {
-                Some(tracer) => {
-                    execution.instrument_with_observability(relevance.clone(), registry, tracer)
-                }
-                None => execution.instrument_with_telemetry(relevance.clone(), registry),
-            }
-        };
-        ring.record_span(TraceKind::Stage { name: "instrument" }, instrument_start);
+        let instrument_ns = registry.histogram("observer.stage.instrument_ns");
+        let instrument = Stage::start(&instrument_ns, &ring);
+        let messages = execution.instrument_with_telemetry(relevance.clone(), registry);
+        instrument.end(&mut ring, TraceKind::Stage { name: "instrument" });
 
         let initial = ProgramState::from_map(execution.initial.clone());
         let report = self.check_messages(monitor, &initial, Exactness::Exact, messages);
@@ -308,13 +291,10 @@ impl Pipeline {
         messages: Vec<Message>,
     ) -> PipelineReport {
         let registry = &self.config.telemetry;
-        let mut ring = self
-            .config
-            .tracer
-            .as_ref()
-            .map_or_else(TraceRing::disabled, |t| t.ring("observer"));
+        let mut ring = registry.tracer().ring("observer");
 
-        let analysis_start = ring.span_start();
+        let analysis_ns = registry.histogram("observer.stage.analysis_ns");
+        let analysis = Stage::start(&analysis_ns, &ring);
         let threads = messages
             .iter()
             .map(|m| m.thread().index() + 1)
@@ -324,33 +304,26 @@ impl Pipeline {
             history: Some(self.config.analysis.history.unwrap_or(usize::MAX)),
             ..self.config.analysis
         };
-        let (messages, mut report) = {
-            let _span = registry
-                .histogram("observer.stage.analysis_ns")
-                .start_span();
-            let mut suite = self
-                .build_suite(
-                    &[AnalysisKind::Ltl],
-                    Some((monitor.clone(), initial)),
-                    threads,
-                    &config,
-                )
-                .with_stall_budget(stall_budget);
-            let mut delivered = Vec::with_capacity(messages.len());
-            for m in messages {
-                delivered.extend(suite.push(m));
-            }
-            delivered.extend(suite.end_stream());
-            (delivered, self.finish_suite(suite, transport))
-        };
-        ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
+        let mut suite = self
+            .build_suite(
+                &[AnalysisKind::Ltl],
+                Some((monitor.clone(), initial)),
+                threads,
+                &config,
+            )
+            .with_stall_budget(stall_budget);
+        let mut delivered = Vec::with_capacity(messages.len());
+        for m in messages {
+            delivered.extend(suite.push(m));
+        }
+        delivered.extend(suite.end_stream());
+        let mut report = self.finish_suite(suite, transport);
+        analysis.end(&mut ring, TraceKind::Stage { name: "analysis" });
 
-        let jpax_start = ring.span_start();
-        let observed_violation = {
-            let _span = registry.histogram("observer.stage.jpax_ns").start_span();
-            crate::jpax::observed_violation(&monitor, initial, &messages)
-        };
-        ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
+        let jpax_ns = registry.histogram("observer.stage.jpax_ns");
+        let jpax = Stage::start(&jpax_ns, &ring);
+        let observed_violation = crate::jpax::observed_violation(&monitor, initial, &delivered);
+        jpax.end(&mut ring, TraceKind::Stage { name: "jpax" });
 
         if observed_violation.is_some() {
             registry.counter("observer.verdict.observed").inc();
@@ -359,7 +332,7 @@ impl Pipeline {
         PipelineReport {
             verdict: Verdict::new(report.into_ltl(), observed_violation.is_none()),
             observed_violation,
-            messages,
+            messages: delivered,
             reassembly,
             relevance: Relevance::AllWrites,
         }
@@ -432,9 +405,6 @@ impl Pipeline {
             .sync_vars(self.config.sync_vars.iter().copied())
             .config(config)
             .telemetry(&self.config.telemetry);
-        if let Some(tracer) = &self.config.tracer {
-            builder = builder.tracer(tracer);
-        }
         if let Some(pool) = self.shared_pool() {
             builder = builder.pool(pool);
         }
@@ -528,9 +498,8 @@ mod tests {
     fn observability_pipeline_records_all_lanes() {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
-        let tracer = jmpax_trace::Tracer::enabled();
-        let registry = Registry::enabled();
-        let report = Pipeline::new(PipelineConfig::new().telemetry(&registry).tracer(&tracer))
+        let registry = Registry::enabled().traced();
+        let report = Pipeline::new(PipelineConfig::new().telemetry(&registry))
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
         assert!(report.predicted());
@@ -543,7 +512,7 @@ mod tests {
         assert_eq!(snap.counter("lattice.total_runs"), Some(3));
         assert_eq!(snap.counter("lattice.violating_runs"), Some(1));
 
-        let data = tracer.collect();
+        let data = registry.tracer().collect();
         let lanes: Vec<&str> = data.lanes.iter().map(|l| l.lane.as_str()).collect();
         for lane in ["observer", "core", "lattice"] {
             assert!(lanes.contains(&lane), "missing lane {lane}: {lanes:?}");
@@ -554,7 +523,7 @@ mod tests {
             .filter(|l| l.lane == "observer")
             .flat_map(|l| &l.events)
             .filter_map(|r| match r.kind {
-                jmpax_trace::TraceKind::Stage { name } => Some(name),
+                TraceKind::Stage { name } => Some(name),
                 _ => None,
             })
             .collect();
@@ -567,12 +536,12 @@ mod tests {
             .iter()
             .filter(|l| l.lane == "lattice")
             .flat_map(|l| &l.events)
-            .filter(|r| matches!(r.kind, jmpax_trace::TraceKind::LevelSealed { .. }))
+            .filter(|r| matches!(r.kind, TraceKind::LevelSealed { .. }))
             .count();
         assert_eq!(sealed, 4);
         // And the causal DAG over traced messages obeys Theorem 3.
         let msgs = data.causal_messages();
-        for e in jmpax_trace::causal_edges(&msgs) {
+        for e in jmpax_telemetry::trace::causal_edges(&msgs) {
             let from = msgs
                 .iter()
                 .find(|m| (m.thread, m.seq) == (e.from.0, e.from.1))
@@ -630,11 +599,14 @@ mod tests {
         // A parallel pipeline spawns its expansion pool lazily and keeps it
         // across check_execution calls; every call must produce the same
         // verdict.
-        let tracer = jmpax_trace::Tracer::enabled();
         let pipeline = Pipeline::new(
             PipelineConfig::new()
-                .tracer(&tracer)
-                .analysis(AnalysisConfig::default().with_parallelism(4).with_shard_granularity(1)),
+                .telemetry(&Registry::disabled().traced())
+                .analysis(
+                    AnalysisConfig::default()
+                        .with_parallelism(4)
+                        .with_shard_granularity(1),
+                ),
         );
         let spec = "(x > 0) -> [y = 0, y > z)";
         for _ in 0..3 {

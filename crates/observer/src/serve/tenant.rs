@@ -32,7 +32,7 @@ use jmpax_instrument::tcp::SessionHello;
 use jmpax_instrument::ResilientFrameDecoder;
 use jmpax_lattice::Exactness;
 use jmpax_spec::{parse, Monitor, ProgramState};
-use jmpax_telemetry::Counter;
+use jmpax_telemetry::{Counter, Stage};
 
 use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
@@ -375,7 +375,7 @@ pub(super) fn run_session(
         }
     }
     // Input is over (EOF, eviction or reset): time the tail to the verdict.
-    let tail_span = eof_to_verdict.start_span();
+    let tail = Stage::timed(&eof_to_verdict);
     if !worker_dead {
         // A blocking send here is fine: Eof is always worth waiting for.
         worker_dead = tx.send(WorkItem::Eof).is_err();
@@ -490,7 +490,7 @@ pub(super) fn run_session(
     depth_gauge.set(0);
     let _ = writeln!(stream, "{}", outcome.to_json());
     let _ = stream.flush();
-    tail_span.finish();
+    drop(tail);
     Some(outcome)
 }
 

@@ -352,7 +352,7 @@ impl Monitor {
 
     fn run_impl(&self, prev: Option<MonitorState>, atoms: AtomInput<'_>) -> (MonitorState, bool) {
         self.evals.inc();
-        let _span = self.eval_ns.start_span();
+        let _eval = jmpax_telemetry::Stage::timed(&self.eval_ns);
         // Node values live on the stack for every realistic formula; the
         // heap path only triggers past STACK_NODES arena nodes.
         let mut stack_buf = [false; STACK_NODES];

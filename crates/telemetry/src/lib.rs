@@ -1,29 +1,45 @@
-//! std-only metrics and span timing for the jmpax pipeline.
+//! std-only metrics, span timing and causal tracing for the jmpax
+//! pipeline.
 //!
 //! A [`Registry`] owns a set of named metrics — [`Counter`]s, [`Gauge`]s,
 //! and log2-bucketed [`Histogram`]s — and hands out cheap cloneable handles
 //! that instrumented code hot paths update with single atomic operations.
-//! A [`SpanTimer`] drop-guard (or the [`span!`] macro) times a scope into a
-//! histogram. [`Registry::snapshot`] freezes everything into a [`Snapshot`]
-//! renderable as aligned text or JSON (both hand-rolled; no serde).
+//! The same registry carries the [`trace::Tracer`] that components open
+//! their trace lanes from: disabled unless the registry was built with
+//! [`Registry::traced`]. A [`Stage`] guard times one pipeline stage into a
+//! histogram and, as a span, into a lane from the same two clock readings.
+//! [`Registry::snapshot`] freezes every metric into a [`Snapshot`]
+//! renderable as aligned text, JSON or Prometheus text (all hand-rolled;
+//! no serde); [`trace::Tracer::collect`] freezes the lanes for the
+//! [`chrome`], [`dot`] and [`profile`] exporters. [`serve`] is the
+//! minimal HTTP endpoint that exposes either.
 //!
 //! # Disabled-path cost model
 //!
 //! `Registry::disabled()` (also `Default`) allocates nothing and hands out
 //! handles whose inner `Option` is `None`. Every update on a disabled
 //! handle is one branch on an immediate — no atomic traffic, no `Instant`
-//! reads (a disabled [`SpanTimer`] never calls `Instant::now`), no
-//! allocation. Instrumented code therefore threads handles through
-//! unconditionally and stays within noise of un-instrumented builds when
-//! telemetry is off.
+//! reads (a [`Stage`] whose histogram and lane are both disabled never
+//! calls `Instant::now`), no lock, no allocation. Instrumented code
+//! therefore threads handles through unconditionally and stays within
+//! noise of un-instrumented builds when telemetry is off.
 
+#![forbid(unsafe_code)]
+
+pub mod chrome;
+pub mod dot;
 pub mod json;
+pub mod profile;
+pub mod serve;
+pub mod trace;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use trace::{TraceKind, TraceRing, Tracer};
 
 /// Number of histogram buckets: one for zero plus one per power of two of
 /// the `u64` domain.
@@ -238,17 +254,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.sum.load(Ordering::Relaxed))
     }
-
-    /// Starts a scope timer that records elapsed nanoseconds into this
-    /// histogram when dropped. A disabled histogram yields an inert timer
-    /// that never reads the clock.
-    #[must_use]
-    pub fn start_span(&self) -> SpanTimer {
-        SpanTimer {
-            start: self.0.is_some().then(Instant::now),
-            hist: self.clone(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -260,54 +265,78 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// Drop-guard recording elapsed nanoseconds into a [`Histogram`].
-pub struct SpanTimer {
-    start: Option<Instant>,
-    hist: Histogram,
+/// Whole nanoseconds in `d`, saturating at `u64::MAX`.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-impl SpanTimer {
-    /// Stops the timer early and records, consuming the guard.
-    ///
-    /// Recording happens exactly once: `finish` takes the start instant out
-    /// of the guard, so the `Drop` that runs when `self` goes out of scope
-    /// here finds it already consumed and records nothing.
-    pub fn finish(mut self) {
-        self.record_once();
+/// Times one pipeline stage into a [`Histogram`] and a trace lane.
+///
+/// The clock is read once when the stage starts and once when it ends;
+/// both readings feed the histogram sample and the lane's span. With the
+/// histogram and the lane both disabled the guard never reads the clock.
+/// [`Stage::end`] records into both; dropping the guard records the
+/// histogram sample alone.
+#[must_use = "a stage is timed until it is ended or dropped"]
+pub struct Stage<'h> {
+    hist: Option<&'h Histogram>,
+    start: Option<Instant>,
+}
+
+impl<'h> Stage<'h> {
+    /// Starts a stage timed into `hist` and into `ring`'s lane.
+    #[inline]
+    pub fn start(hist: &'h Histogram, ring: &TraceRing) -> Self {
+        Self::begin(Some(hist), ring.is_enabled())
     }
 
-    /// Elapsed nanoseconds so far, without stopping the timer. `None` for a
-    /// disabled (or already finished) timer.
-    #[must_use]
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.start
-            .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    /// Starts a stage timed into `hist` alone.
+    #[inline]
+    pub fn timed(hist: &'h Histogram) -> Self {
+        Self::begin(Some(hist), false)
     }
 
-    /// Records the elapsed time if the start instant is still present.
-    /// `Option::take` makes this idempotent, which is what guarantees a
-    /// `finish` followed by the guard's own drop records a single sample.
-    fn record_once(&mut self) {
-        if let Some(start) = self.start.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.hist.record(ns);
+    /// Starts a stage timed into `ring`'s lane alone.
+    #[inline]
+    pub fn lane(ring: &TraceRing) -> Stage<'static> {
+        Stage::begin(None, ring.is_enabled())
+    }
+
+    #[inline]
+    fn begin(hist: Option<&'h Histogram>, traced: bool) -> Self {
+        let timed = traced || hist.is_some_and(|h| h.0.is_some());
+        Self {
+            hist,
+            start: timed.then(Instant::now),
         }
     }
-}
 
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        self.record_once();
+    /// Ends the stage: one histogram sample and one `kind` span on
+    /// `ring`'s lane, from the same two clock readings.
+    #[inline]
+    pub fn end(mut self, ring: &mut TraceRing, kind: TraceKind) {
+        if let Some(start) = self.start.take() {
+            let ns = self.record(start);
+            ring.record_stage(kind, start, ns);
+        }
+    }
+
+    /// Records the histogram sample and returns the elapsed nanoseconds.
+    fn record(&self, start: Instant) -> u64 {
+        let ns = nanos(start.elapsed());
+        if let Some(hist) = self.hist {
+            hist.record(ns);
+        }
+        ns
     }
 }
 
-/// Times the rest of the enclosing scope into a histogram handle:
-/// `let _guard = span!(hist);`.
-#[macro_export]
-macro_rules! span {
-    ($hist:expr) => {
-        $crate::Histogram::start_span(&$hist)
-    };
+impl Drop for Stage<'_> {
+    fn drop(&mut self) {
+        if let Some(start) = self.start.take() {
+            self.record(start);
+        }
+    }
 }
 
 enum Metric {
@@ -561,25 +590,32 @@ struct RegistryInner {
     store: Mutex<MetricStore>,
 }
 
-/// A named collection of metrics.
+/// A named collection of metrics, and the tracer its components open
+/// their trace lanes from.
 ///
-/// Cloning shares the underlying store, so one registry can be threaded
-/// through every pipeline stage. Registration takes a lock; the handles it
-/// returns do not.
+/// Cloning shares the underlying store and tracer, so one registry can be
+/// threaded through every pipeline stage. Registration takes a lock; the
+/// handles it returns do not.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Option<Arc<RegistryInner>>,
+    tracer: Tracer,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Registry({})",
+            "Registry({}{})",
             if self.is_enabled() {
                 "enabled"
             } else {
                 "disabled"
+            },
+            if self.tracer.is_enabled() {
+                ", traced"
+            } else {
+                ""
             }
         )
     }
@@ -603,13 +639,30 @@ impl Registry {
             inner: Some(Arc::new(RegistryInner {
                 store: Mutex::new(MetricStore::new(label_capacity)),
             })),
+            tracer: Tracer::disabled(),
         }
     }
 
     /// A registry whose handles are all no-ops; allocates nothing.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self::default()
+    }
+
+    /// This registry, with metrics as they are, plus a live tracer: every
+    /// component handed the result records its trace lanes into
+    /// [`Registry::tracer`]. Every other constructor is untraced.
+    #[must_use]
+    pub fn traced(mut self) -> Self {
+        self.tracer = Tracer::enabled();
+        self
+    }
+
+    /// The tracer components open their lanes from; disabled unless the
+    /// registry was built with [`Registry::traced`].
+    #[must_use]
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// True when metrics are being collected.
@@ -1320,6 +1373,7 @@ fn resolve_family(name: &str, types: &BTreeMap<String, String>) -> Option<String
 mod tests {
     use super::*;
     use std::thread;
+    use trace::{causal_edges, CausalEdge, MsgRef};
 
     #[test]
     fn bucket_boundaries_are_exact_powers_of_two() {
@@ -1419,8 +1473,12 @@ mod tests {
         c.add(10);
         g.set(5);
         h.record(7);
-        let timer = h.start_span();
-        drop(timer);
+        let stage = Stage::timed(&h);
+        assert!(
+            stage.start.is_none(),
+            "a disabled stage must not read the clock"
+        );
+        drop(stage);
         assert_eq!(c.get(), 0);
         assert_eq!(g.peak(), 0);
         assert_eq!(h.count(), 0);
@@ -1429,36 +1487,42 @@ mod tests {
     }
 
     #[test]
-    fn span_timer_records_into_histogram() {
-        let reg = Registry::enabled();
-        let h = reg.histogram("ns");
-        {
-            let _guard = span!(h);
-            std::hint::black_box(1 + 1);
-        }
-        h.start_span().finish();
-        assert_eq!(h.count(), 2);
+    fn stage_records_into_histogram_and_lane() {
+        let reg = Registry::enabled().traced();
+        let both = reg.histogram("both_ns");
+        let timed = reg.histogram("timed_ns");
+        let mut ring = reg.tracer().ring("observer");
+        Stage::start(&both, &ring).end(&mut ring, TraceKind::Stage { name: "one" });
+        drop(Stage::timed(&timed));
+        Stage::lane(&ring).end(&mut ring, TraceKind::Stage { name: "two" });
+        assert_eq!((both.count(), timed.count()), (1, 1));
+        ring.seal();
+        let data = reg.tracer().collect();
+        let spans = &data.lanes[0].events;
+        assert_eq!(spans.len(), 2, "a timed-only stage records no span");
+        assert_eq!(
+            spans[0].dur_ns,
+            both.sum(),
+            "the span and the sample come from the same readings"
+        );
     }
 
-    /// Regression: an explicit `finish` must not be followed by a second
-    /// sample from the guard's own `Drop` — one span, one sample.
+    /// One stage, one sample: `end` consumes the guard, so its `Drop`
+    /// records nothing more.
     #[test]
-    fn span_timer_finish_records_exactly_once() {
+    fn stage_end_records_exactly_once() {
         let reg = Registry::enabled();
         let h = reg.histogram("ns");
-        let timer = h.start_span();
-        timer.finish();
-        assert_eq!(h.count(), 1, "finish must record exactly one sample");
-
-        // And a plain drop still records exactly once.
-        drop(h.start_span());
+        Stage::timed(&h).end(&mut TraceRing::disabled(), TraceKind::Stage { name: "x" });
+        assert_eq!(h.count(), 1, "end must record exactly one sample");
+        drop(Stage::timed(&h));
         assert_eq!(h.count(), 2);
 
-        // A disabled histogram's timer records nothing either way.
-        let off = Histogram::disabled();
-        off.start_span().finish();
-        drop(off.start_span());
-        assert_eq!(off.count(), 0);
+        // Untraced registries open disabled lanes.
+        let ring = reg.tracer().ring("observer");
+        assert!(!ring.is_enabled());
+        assert!(Stage::lane(&ring).start.is_none());
+        assert!(!Registry::disabled().tracer().is_enabled());
     }
 
     #[test]
@@ -1891,5 +1955,147 @@ mod tests {
         reg.counter_with("c", &[("tenant", "b")]).inc();
         assert_eq!(dropped.get(), 1);
         assert_eq!(reg.labels_dropped(), 1);
+    }
+
+    // The tracer behind `Registry::tracer`.
+
+    fn msg(thread: u32, seq: u32, clock: &[u32]) -> MsgRef {
+        MsgRef {
+            thread,
+            seq,
+            clock: clock.to_vec(),
+            var: None,
+            value: None,
+        }
+    }
+
+    #[test]
+    fn disabled_tracer_is_inert() {
+        let t = Tracer::disabled();
+        assert!(!t.is_enabled());
+        let mut ring = t.ring("T1");
+        assert!(!ring.is_enabled());
+        ring.record(TraceKind::Stage { name: "x" });
+        assert_eq!(ring.buffered(), 0);
+        drop(ring);
+        assert!(t.collect().is_empty());
+    }
+
+    #[test]
+    fn records_flow_from_rings_to_collector() {
+        let t = Tracer::enabled();
+        let mut a = t.ring("T1");
+        let mut b = t.ring("T2");
+        a.record(TraceKind::Processed {
+            thread: 0,
+            relevant: true,
+        });
+        b.record(TraceKind::Processed {
+            thread: 1,
+            relevant: false,
+        });
+        a.record(TraceKind::Emitted(msg(0, 1, &[1, 0])));
+        assert!(t.collect().is_empty(), "unsealed rings are not collected");
+        drop(a);
+        b.seal();
+        let data = t.collect();
+        assert_eq!(data.lanes.len(), 2);
+        assert_eq!(data.lanes[0].lane, "T1");
+        assert_eq!(data.lanes[0].events.len(), 2);
+        assert_eq!(data.lanes[1].events.len(), 1);
+        assert_eq!(data.len(), 3);
+    }
+
+    #[test]
+    fn ring_bounds_and_drops_oldest() {
+        let t = Tracer::with_capacity(4);
+        let mut ring = t.ring("T1");
+        for i in 0..10u64 {
+            ring.record(TraceKind::CutPruned { level: i, count: 1 });
+        }
+        assert_eq!(ring.buffered(), 4);
+        assert_eq!(ring.dropped(), 6);
+        ring.seal();
+        let data = t.collect();
+        assert_eq!(data.lanes[0].dropped, 6);
+        // The survivors are the newest four, in order.
+        let levels: Vec<u64> = data.lanes[0]
+            .events
+            .iter()
+            .map(|r| match r.kind {
+                TraceKind::CutPruned { level, .. } => level,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(levels, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn clone_gives_fresh_ring_same_lane() {
+        let t = Tracer::enabled();
+        let mut a = t.ring("T1");
+        a.record(TraceKind::Stage { name: "one" });
+        let mut b = a.clone();
+        assert_eq!(b.buffered(), 0, "clone must not alias the buffer");
+        b.record(TraceKind::Stage { name: "two" });
+        drop(a);
+        drop(b);
+        let data = t.collect();
+        assert_eq!(data.lanes.len(), 1, "same lane merges");
+        assert_eq!(data.lanes[0].events.len(), 2);
+    }
+
+    #[test]
+    fn causal_edges_match_theorem3() {
+        // Two threads: T1 writes twice, T2's second message has seen T1's
+        // first (clock [1, 2]).
+        let msgs = [
+            msg(0, 1, &[1, 0]),
+            msg(0, 2, &[2, 0]),
+            msg(1, 1, &[0, 1]),
+            msg(1, 2, &[1, 2]),
+        ];
+        let refs: Vec<&MsgRef> = msgs.iter().collect();
+        let edges = causal_edges(&refs);
+        assert_eq!(
+            edges,
+            vec![
+                CausalEdge {
+                    from: (0, 1),
+                    to: (0, 2)
+                },
+                CausalEdge {
+                    from: (0, 1),
+                    to: (1, 2)
+                },
+                CausalEdge {
+                    from: (1, 1),
+                    to: (1, 2)
+                },
+            ]
+        );
+        // Every derived edge satisfies Theorem 3.
+        let by_key = |k: (u32, u32)| msgs.iter().find(|m| (m.thread, m.seq) == k).unwrap();
+        for e in &edges {
+            assert!(
+                by_key(e.from).causally_precedes(by_key(e.to)),
+                "edge {e:?} violates Theorem 3"
+            );
+        }
+        // And the reverse direction does not hold for cross-thread edges.
+        assert!(!msg(1, 2, &[1, 2]).causally_precedes(&msg(0, 1, &[1, 0])));
+    }
+
+    #[test]
+    fn causal_messages_prefers_ingested_view() {
+        let t = Tracer::enabled();
+        let mut ring = t.ring("wire");
+        ring.record(TraceKind::Emitted(msg(0, 1, &[1, 0])));
+        ring.record(TraceKind::Emitted(msg(0, 2, &[2, 0])));
+        ring.record(TraceKind::Ingested(msg(0, 1, &[1, 0])));
+        ring.seal();
+        let data = t.collect();
+        assert_eq!(data.messages(false).len(), 2);
+        assert_eq!(data.causal_messages().len(), 1, "ingested view wins");
     }
 }

@@ -37,7 +37,7 @@ pub use jmpax_observer as observer;
 pub use jmpax_sched as sched;
 pub use jmpax_spec as spec;
 pub use jmpax_telemetry as telemetry;
-pub use jmpax_trace as trace;
+pub use jmpax_telemetry::trace;
 pub use jmpax_workloads as workloads;
 
 pub use jmpax_core::{
@@ -49,5 +49,5 @@ pub use jmpax_lattice::{
 };
 pub use jmpax_observer::{predict_deadlocks, LiveObserver, Pipeline, PipelineConfig, Verdict};
 pub use jmpax_spec::{parse, Formula, Monitor, MonitorState, ProgramState};
+pub use jmpax_telemetry::trace::{causal_edges, TraceData, TraceKind, TraceRing, Tracer};
 pub use jmpax_telemetry::{Registry, Snapshot};
-pub use jmpax_trace::{causal_edges, TraceData, TraceKind, TraceRing, Tracer};

@@ -188,3 +188,100 @@ fn real_threads_locked_publication_is_clean() {
         "lock events order the critical sections; no violating run remains"
     );
 }
+
+/// One traced registry reaches every lane of a full suite: the
+/// `ltl,race,atomicity` suite over the `nonatomic` workload at
+/// parallelism 2, with one message withheld, records one `GapSkipped` per
+/// committed gap on `resilience`, one `Finding` per finding on
+/// `analysis.race` / `analysis.atomicity`, and one `ShardExpanded` per
+/// engaged shard and parallel level on `lattice.shard<N>`.
+#[test]
+fn traced_suite_fills_every_analysis_lane() {
+    use jmpax::core::AnalysisKind;
+    use jmpax::lattice::AnalysisConfig;
+    use jmpax::workloads::nonatomic;
+    use jmpax::{Registry, TraceKind};
+
+    let w = nonatomic::workload(false);
+    let run = jmpax::sched::run_fixed(&w.program, nonatomic::interleaved_schedule(), 100);
+    let mut messages = run.execution.instrument(Relevance::Everything);
+    // Withhold T1's write of `tmp`: its later messages arrive, so the
+    // reassembler commits the hole as a gap at the end of the stream.
+    let withheld = messages
+        .iter()
+        .position(|m| m.thread().0 == 0 && m.seq() == 3)
+        .expect("T1 sends lock, read, write tmp, write balance, unlock");
+    messages.remove(withheld);
+
+    let workers = 2;
+    let registry = Registry::enabled().traced();
+    let pipeline = Pipeline::new(
+        PipelineConfig::new()
+            .telemetry(&registry)
+            .sync_vars([w.symbols.lookup(nonatomic::LOCK_NAME).unwrap()])
+            .analysis(
+                AnalysisConfig::default()
+                    .with_parallelism(workers)
+                    .with_shard_granularity(1),
+            ),
+    );
+    let initial = ProgramState::from_map(run.execution.initial.clone());
+    let report = pipeline.check_stream_suite(
+        &[AnalysisKind::Ltl, AnalysisKind::Race, AnalysisKind::Atomicity],
+        Some((w.monitor(), &initial)),
+        run.execution.thread_count(),
+        Exactness::Exact,
+        messages,
+    );
+    drop(pipeline); // joins the pool, sealing the shard lanes
+
+    let data = registry.tracer().collect();
+    let lane = |name: &str| -> Vec<&TraceKind> {
+        data.lanes
+            .iter()
+            .filter(|l| l.lane == name)
+            .flat_map(|l| l.events.iter().map(|r| &r.kind))
+            .collect()
+    };
+
+    let gaps: Vec<(u32, u32, u32)> = lane("resilience")
+        .into_iter()
+        .map(|k| match k {
+            TraceKind::GapSkipped { thread, from, to } => (*thread, *from, *to),
+            other => panic!("unexpected resilience record {other:?}"),
+        })
+        .collect();
+    let committed: Vec<(u32, u32, u32)> = report
+        .reassembly
+        .gaps
+        .iter()
+        .map(|g| (g.thread.0, g.from, g.to))
+        .collect();
+    assert!(!committed.is_empty(), "the withheld message must leave a gap");
+    assert_eq!(gaps, committed);
+
+    let findings = |name: &str, analysis: &str| {
+        lane(name)
+            .into_iter()
+            .filter(|k| matches!(k, TraceKind::Finding { analysis: a, .. } if *a == analysis))
+            .count()
+    };
+    let races = report.reports[1].as_race().unwrap().findings.len();
+    let violations = report.reports[2].as_atomicity().unwrap().findings.len();
+    assert!(races > 0 && violations > 0, "{races} races, {violations} violations");
+    assert_eq!(findings("analysis.race", "race"), races);
+    assert_eq!(findings("analysis.atomicity", "atomicity"), violations);
+
+    let parallel_levels = registry
+        .snapshot()
+        .counter("lattice.parallel.levels")
+        .unwrap();
+    assert!(parallel_levels > 0, "the pool must engage");
+    for shard in 0..workers {
+        let expanded = lane(&format!("lattice.shard{shard}"))
+            .into_iter()
+            .filter(|k| matches!(k, TraceKind::ShardExpanded { .. }))
+            .count();
+        assert_eq!(expanded as u64, parallel_levels, "shard {shard}");
+    }
+}
