@@ -79,18 +79,20 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Appends one frame (magic + version + length + CRC-32 + payload) to
-/// `out`.
+/// `out`. The payload is encoded in place behind a reserved header, whose
+/// length and CRC are patched in afterwards: no scratch buffer, no copy.
 pub fn encode_frame_v2(message: &Message, out: &mut BytesMut) {
-    let payload = encode_payload(message);
-    out.put_u8(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(crc32(&payload));
-    out.extend_from_slice(&payload);
+    let start = out.len();
+    out.extend_from_slice(&[MAGIC, VERSION, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let payload = start + V2_HEADER_LEN;
+    encode_payload(message, out);
+    let len = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[start + 2..start + 6].copy_from_slice(&len.to_le_bytes());
+    out[start + 6..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
-fn encode_payload(message: &Message) -> BytesMut {
-    let mut payload = BytesMut::with_capacity(32);
+fn encode_payload(message: &Message, payload: &mut BytesMut) {
     payload.put_u32_le(message.event.thread.0);
     match message.event.kind {
         EventKind::Internal => payload.put_u8(0),
@@ -119,7 +121,6 @@ fn encode_payload(message: &Message) -> BytesMut {
     for &c in clock {
         payload.put_u32_le(c);
     }
-    payload
 }
 
 /// Fault accounting for one stream, returned by
@@ -469,11 +470,15 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_the_clock_are_corrupt() {
-        let mut payload = encode_payload(&Message {
-            event: Event::internal(ThreadId(1)),
-            clock: VectorClock::from_components(vec![1, 2, 3]),
-        })
-        .to_vec();
+        let mut payload = BytesMut::new();
+        encode_payload(
+            &Message {
+                event: Event::internal(ThreadId(1)),
+                clock: VectorClock::from_components(vec![1, 2, 3]),
+            },
+            &mut payload,
+        );
+        let mut payload = payload.to_vec();
         payload.extend_from_slice(&[0xDE, 0xAD, 0xBE]);
         let frame = frame_around(&payload);
         assert_eq!(

@@ -23,8 +23,12 @@
 
 use std::io::{self, BufRead as _, BufReader, Read, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 use bytes::{BufMut as _, BytesMut};
+use parking_lot::{Condvar, Mutex};
 
 use jmpax_core::{Message, Value};
 
@@ -196,16 +200,46 @@ fn read_string(reader: &mut impl Read, len: usize) -> io::Result<String> {
     String::from_utf8(b).map_err(|_| bad_hello("name is not UTF-8"))
 }
 
-/// An [`EventSink`] that streams v2 frames straight to a `jmpax serve`
-/// daemon — the live equivalent of [`crate::FrameSink`]'s in-memory
-/// buffer. Transport errors are latched instead of panicking (the program
-/// under test must never die because its observer did); [`TcpFrameSink::finish`]
-/// surfaces the first one.
-#[derive(Debug)]
+/// Pending bytes at which an emitter stops handing frames to the flusher
+/// and writes the batch itself — the outbox's backpressure.
+const OUTBOX_CAP: usize = 16 * 1024;
+
+/// An [`EventSink`] that streams v2 frames to a `jmpax serve` daemon —
+/// the live equivalent of [`crate::FrameSink`]'s in-memory buffer.
+///
+/// The sink is an outbox. [`EventSink::emit`] encodes the frame into a
+/// pending buffer behind a short mutex and makes no syscall; a flusher
+/// thread owned by the sink swaps the buffer out and sends it with one
+/// `write_all`. Frames emitted during that write go out with the next
+/// one, so a frame waits at most one wake-up plus one write. An emitter
+/// writes inline only when the pending buffer reaches a fixed 16 KiB cap.
+/// Frames enter the buffer in emission order and batches reach the socket
+/// in the order they were swapped out, so the wire order is the emission
+/// order.
+///
+/// Transport errors are latched instead of panicking (the program under
+/// test must never die because its observer did): after the first one
+/// `emit` drops frames, and [`TcpFrameSink::finish`] surfaces the error.
+/// Dropping the sink without `finish` flushes what is pending and stops
+/// the flusher.
 pub struct TcpFrameSink {
-    stream: Option<TcpStream>,
-    error: Option<io::Error>,
-    frames_sent: u64,
+    outbox: Arc<Outbox>,
+    /// The flusher; `None` once [`TcpFrameSink::finish`] has let it go.
+    flusher: Option<JoinHandle<()>>,
+}
+
+/// What a [`TcpFrameSink`] shares with its flusher thread.
+struct Outbox {
+    stream: TcpStream,
+    pending: Mutex<Pending>,
+    /// Wakes the flusher parked on an empty outbox.
+    wake: Condvar,
+    /// The batch on the wire. Its lock is held across one `write_all`,
+    /// and a batch is swapped out of `pending` only under it, so batches
+    /// reach the socket in swap order.
+    batch: Mutex<BytesMut>,
+    error: OnceLock<io::Error>,
+    frames_sent: AtomicU64,
     /// `instrument.frames_sent` / `instrument.bytes_sent` (flat plus the
     /// `{tenant="..."}` labeled series); no-ops unless built via
     /// [`TcpFrameSink::connect_with_telemetry`].
@@ -215,23 +249,89 @@ pub struct TcpFrameSink {
     tel_bytes_tenant: jmpax_telemetry::Counter,
 }
 
+/// Frames encoded but not yet written, and the flusher's state.
+#[derive(Default)]
+struct Pending {
+    bytes: BytesMut,
+    frames: u64,
+    /// The flusher is parked on [`Outbox::wake`].
+    idle: bool,
+    /// The flusher should exit once the outbox is empty.
+    closed: bool,
+    /// A write failed: frames are dropped from now on.
+    failed: bool,
+}
+
+impl Outbox {
+    /// Writes everything pending when the call starts. Returns once those
+    /// frames are on the socket (or the transport has failed), including
+    /// any the flusher was writing at the time.
+    fn flush(&self) {
+        let mut batch = self.batch.lock();
+        let frames = {
+            let mut pending = self.pending.lock();
+            if pending.bytes.is_empty() {
+                return;
+            }
+            std::mem::swap(&mut pending.bytes, &mut *batch);
+            std::mem::take(&mut pending.frames)
+        };
+        match (&self.stream).write_all(&batch) {
+            Ok(()) => {
+                let bytes = batch.len() as u64;
+                self.frames_sent.fetch_add(frames, Ordering::Relaxed);
+                self.tel_frames.add(frames);
+                self.tel_frames_tenant.add(frames);
+                self.tel_bytes.add(bytes);
+                self.tel_bytes_tenant.add(bytes);
+            }
+            Err(err) => {
+                // Latch the first error and stop writing; the observer is
+                // expendable, the instrumented program is not.
+                let _ = self.error.set(err);
+                let mut pending = self.pending.lock();
+                pending.failed = true;
+                pending.bytes.clear();
+                pending.frames = 0;
+            }
+        }
+        batch.clear();
+    }
+
+    /// Asks the flusher to send what is pending and exit.
+    fn close(&self) {
+        self.pending.lock().closed = true;
+        self.wake.notify_one();
+    }
+
+    /// The flusher thread: parks while the outbox is empty, otherwise
+    /// writes one batch at a time.
+    fn run_flusher(&self) {
+        loop {
+            {
+                let mut pending = self.pending.lock();
+                while pending.bytes.is_empty() && !pending.closed && !pending.failed {
+                    pending.idle = true;
+                    self.wake.wait(&mut pending);
+                }
+                pending.idle = false;
+                if pending.bytes.is_empty() {
+                    return;
+                }
+            }
+            self.flush();
+        }
+    }
+}
+
 impl TcpFrameSink {
     /// Connects to a daemon and performs the client half of the handshake.
     ///
     /// # Errors
     /// Connection or handshake-write failures.
     pub fn connect(addr: impl ToSocketAddrs, hello: &SessionHello) -> io::Result<Self> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.write_all(&hello.encode())?;
-        Ok(Self {
-            stream: Some(stream),
-            error: None,
-            frames_sent: 0,
-            tel_frames: jmpax_telemetry::Counter::disabled(),
-            tel_bytes: jmpax_telemetry::Counter::disabled(),
-            tel_frames_tenant: jmpax_telemetry::Counter::disabled(),
-            tel_bytes_tenant: jmpax_telemetry::Counter::disabled(),
-        })
+        let off = jmpax_telemetry::Counter::disabled;
+        Self::open(addr, hello, [off(), off(), off(), off()])
     }
 
     /// Like [`TcpFrameSink::connect`], additionally counting
@@ -248,67 +348,129 @@ impl TcpFrameSink {
         hello: &SessionHello,
         registry: &jmpax_telemetry::Registry,
     ) -> io::Result<Self> {
-        let mut sink = Self::connect(addr, hello)?;
         let labels = [("tenant", hello.tenant.as_str())];
         // Flat aggregate + labeled per-tenant handles; bumping both keeps
         // the flat series meaningful when many programs share a registry.
-        sink.tel_frames = registry.counter("instrument.frames_sent");
-        sink.tel_bytes = registry.counter("instrument.bytes_sent");
-        sink.tel_frames_tenant = registry.counter_with("instrument.frames_sent", &labels);
-        sink.tel_bytes_tenant = registry.counter_with("instrument.bytes_sent", &labels);
-        Ok(sink)
+        Self::open(
+            addr,
+            hello,
+            [
+                registry.counter("instrument.frames_sent"),
+                registry.counter("instrument.bytes_sent"),
+                registry.counter_with("instrument.frames_sent", &labels),
+                registry.counter_with("instrument.bytes_sent", &labels),
+            ],
+        )
     }
 
-    /// Frames successfully written so far.
+    fn open(
+        addr: impl ToSocketAddrs,
+        hello: &SessionHello,
+        [tel_frames, tel_bytes, tel_frames_tenant, tel_bytes_tenant]: [jmpax_telemetry::Counter; 4],
+    ) -> io::Result<Self> {
+        let mut stream = TcpStream::connect(addr)?;
+        // The outbox does the batching; Nagle would only delay each batch.
+        stream.set_nodelay(true)?;
+        stream.write_all(&hello.encode())?;
+        let outbox = Arc::new(Outbox {
+            stream,
+            pending: Mutex::default(),
+            wake: Condvar::new(),
+            batch: Mutex::new(BytesMut::with_capacity(OUTBOX_CAP)),
+            error: OnceLock::new(),
+            frames_sent: AtomicU64::new(0),
+            tel_frames,
+            tel_bytes,
+            tel_frames_tenant,
+            tel_bytes_tenant,
+        });
+        let flusher = std::thread::Builder::new()
+            .name("jmpax-flusher".to_string())
+            .spawn({
+                let outbox = Arc::clone(&outbox);
+                move || outbox.run_flusher()
+            })?;
+        Ok(Self {
+            outbox,
+            flusher: Some(flusher),
+        })
+    }
+
+    /// Frames written to the socket so far. Flushes the outbox first, so
+    /// every frame emitted before the call is counted once it is sent.
     #[must_use]
     pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
+        self.outbox.flush();
+        self.outbox.frames_sent.load(Ordering::Relaxed)
     }
 
     /// The latched transport error, if any.
     #[must_use]
     pub fn io_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
+        self.outbox.error.get()
     }
 
     /// Ends the session: flushes, half-closes the write side, and reads
-    /// the daemon's one-line JSON verdict.
+    /// the daemon's one-line JSON verdict. The flusher is told to exit
+    /// only after the verdict is in, and is not waited for.
     ///
     /// # Errors
     /// The first latched transport error, or a failure while reading the
     /// verdict.
     pub fn finish(mut self) -> io::Result<String> {
-        if let Some(err) = self.error.take() {
-            return Err(err);
-        }
-        let Some(stream) = self.stream.take() else {
-            return Err(io::Error::new(io::ErrorKind::NotConnected, "no stream"));
+        self.outbox.flush();
+        let verdict = match self.outbox.error.get() {
+            Some(err) => Err(io::Error::new(err.kind(), err.to_string())),
+            None => finish_session(&self.outbox.stream),
         };
-        finish_session(stream)
+        // Detached, not joined: waiting for the flusher to wake and exit
+        // would only delay the caller, and it holds nothing to return.
+        self.outbox.close();
+        self.flusher = None;
+        verdict
+    }
+}
+
+impl Drop for TcpFrameSink {
+    fn drop(&mut self) {
+        if let Some(flusher) = self.flusher.take() {
+            self.outbox.close();
+            let _ = flusher.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for TcpFrameSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TcpFrameSink")
+            .field(
+                "frames_sent",
+                &self.outbox.frames_sent.load(Ordering::Relaxed),
+            )
+            .field("error", &self.io_error())
+            .finish_non_exhaustive()
     }
 }
 
 impl EventSink for TcpFrameSink {
     fn emit(&mut self, message: &Message) {
-        let Some(stream) = self.stream.as_mut() else {
+        let outbox = &*self.outbox;
+        let mut pending = outbox.pending.lock();
+        if pending.failed {
             return;
-        };
-        let mut scratch = BytesMut::with_capacity(64);
-        encode_frame_v2(message, &mut scratch);
-        match stream.write_all(&scratch) {
-            Ok(()) => {
-                self.frames_sent += 1;
-                self.tel_frames.inc();
-                self.tel_frames_tenant.inc();
-                self.tel_bytes.add(scratch.len() as u64);
-                self.tel_bytes_tenant.add(scratch.len() as u64);
-            }
-            Err(err) => {
-                // Latch the first error and stop writing; the observer is
-                // expendable, the instrumented program is not.
-                self.error = Some(err);
-                self.stream = None;
-            }
+        }
+        encode_frame_v2(message, &mut pending.bytes);
+        pending.frames += 1;
+        let full = pending.bytes.len() >= OUTBOX_CAP;
+        // The flusher parks only on an empty outbox, so a parked flusher
+        // means this frame made it non-empty. Only then is it woken (a
+        // wake-up is a syscall), and only once.
+        let wake = std::mem::take(&mut pending.idle);
+        drop(pending);
+        if full {
+            outbox.flush();
+        } else if wake {
+            outbox.wake.notify_one();
         }
     }
 }
@@ -328,12 +490,11 @@ pub fn send_raw_session(
     let mut stream = TcpStream::connect(addr)?;
     stream.write_all(&hello.encode())?;
     stream.write_all(body)?;
-    finish_session(stream)
+    finish_session(&stream)
 }
 
 /// Half-closes the write side and reads the one-line verdict.
-fn finish_session(mut stream: TcpStream) -> io::Result<String> {
-    stream.flush()?;
+fn finish_session(stream: &TcpStream) -> io::Result<String> {
     stream.shutdown(std::net::Shutdown::Write)?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -349,7 +510,160 @@ fn finish_session(mut stream: TcpStream) -> io::Result<String> {
 
 #[cfg(test)]
 mod tests {
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    use jmpax_core::{Event, Relevance, ThreadId, VarId, VectorClock};
+
     use super::*;
+    use crate::codec::ResilientFrameDecoder;
+    use crate::Session;
+
+    /// A listener standing in for the daemon, and the hello a sink sends it.
+    fn listener() -> (TcpListener, SessionHello) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        (listener, sample_hello())
+    }
+
+    /// Accepts one connection and consumes its hello.
+    fn accept(listener: &TcpListener) -> TcpStream {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(SessionHello::decode(&mut stream).unwrap(), sample_hello());
+        stream
+    }
+
+    fn message(i: u32) -> Message {
+        Message {
+            event: Event::write(ThreadId(0), VarId(0), i64::from(i)),
+            clock: VectorClock::from_components(vec![i + 1, 0, 0]),
+        }
+    }
+
+    fn encoded(n: u32) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        for i in 0..n {
+            encode_frame_v2(&message(i), &mut out);
+        }
+        out.to_vec()
+    }
+
+    #[test]
+    fn emitted_frames_reach_the_wire_without_another_call() {
+        let (listener, hello) = listener();
+        let addr = listener.local_addr().unwrap();
+        let mut sink = TcpFrameSink::connect(addr, &hello).unwrap();
+        let mut peer = accept(&listener);
+        const N: u32 = 100;
+        for i in 0..N {
+            sink.emit(&message(i));
+        }
+        // No flush, finish or drop: the flusher alone must deliver them,
+        // within the peer's read timeout.
+        let want = encoded(N);
+        let mut got = vec![0u8; want.len()];
+        peer.read_exact(&mut got)
+            .expect("every frame within the deadline");
+        assert_eq!(got, want);
+        assert_eq!(sink.frames_sent(), u64::from(N));
+    }
+
+    #[test]
+    fn concurrent_writers_keep_each_thread_in_order_on_the_wire() {
+        const THREADS: usize = 4;
+        const WRITES: usize = 2_000;
+        let (listener, hello) = listener();
+        let addr = listener.local_addr().unwrap();
+        let registry = jmpax_telemetry::Registry::enabled();
+        let sink = TcpFrameSink::connect(addr, &hello).unwrap();
+        let mut peer = accept(&listener);
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            peer.read_to_end(&mut bytes).expect("read to EOF");
+            bytes
+        });
+        {
+            let session = Session::builder(Relevance::AllWrites)
+                .sink(Box::new(sink))
+                .telemetry(&registry)
+                .build();
+            let x = session.shared("x", 0i64);
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let x = x.clone();
+                    session.spawn(move |ctx| {
+                        for k in 0..WRITES {
+                            x.write(ctx, k as i64);
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        } // the last session handle drops the sink: flush, then EOF
+        let bytes = reader.join().unwrap();
+        let mut decoder = ResilientFrameDecoder::new();
+        let messages = decoder.push(&bytes);
+        assert!(decoder.finish().is_clean());
+        let emitted = registry
+            .snapshot()
+            .counter("instrument.messages_emitted")
+            .unwrap();
+        assert_eq!(messages.len() as u64, emitted);
+        assert_eq!(messages.len(), THREADS * WRITES);
+        let mut last = [0u32; THREADS];
+        for m in &messages {
+            let t = m.event.thread.index();
+            let own = m.clock.get(m.event.thread);
+            assert!(own > last[t], "thread {t}: {own} after {}", last[t]);
+            last[t] = own;
+        }
+    }
+
+    #[test]
+    fn a_closed_peer_latches_an_error_without_blocking_emit() {
+        let (listener, hello) = listener();
+        let addr = listener.local_addr().unwrap();
+        let mut sink = TcpFrameSink::connect(addr, &hello).unwrap();
+        // Closing with the hello unread resets the connection.
+        drop(listener.accept().unwrap());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut i = 0;
+        while sink.io_error().is_none() {
+            assert!(Instant::now() < deadline, "no error after {i} emits");
+            sink.emit(&message(i));
+            i = i.wrapping_add(1);
+        }
+        let kind = sink.io_error().unwrap().kind();
+        // Once latched, emits drop their frames and return at once.
+        let start = Instant::now();
+        for j in 0..10_000 {
+            sink.emit(&message(j));
+        }
+        assert!(start.elapsed() < Duration::from_secs(5));
+        let err = sink.finish().unwrap_err();
+        assert_eq!(err.kind(), kind);
+    }
+
+    #[test]
+    fn dropping_without_finish_flushes_then_closes() {
+        let (listener, hello) = listener();
+        let addr = listener.local_addr().unwrap();
+        let mut sink = TcpFrameSink::connect(addr, &hello).unwrap();
+        let mut peer = accept(&listener);
+        // Enough frames to cross the inline-write cap at least once.
+        let n = (2 * OUTBOX_CAP / encoded(1).len()) as u32 + 7;
+        for i in 0..n {
+            sink.emit(&message(i));
+        }
+        drop(sink);
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).expect("every frame, then EOF");
+        assert_eq!(got, encoded(n));
+    }
 
     fn sample_hello() -> SessionHello {
         SessionHello {

@@ -1,18 +1,23 @@
-//! One tenant session: a reader thread that owns the socket and a worker
-//! thread that owns the analysis, joined by a bounded queue.
+//! One tenant session: a reader thread that owns the socket's read side
+//! and a worker thread that owns the analysis, joined by a bounded queue.
 //!
 //! The split is the isolation boundary. The reader only does I/O — it can
 //! always notice timeouts, shutdown, and eviction no matter how expensive
-//! this tenant's lattice turns out to be. The worker only does analysis —
-//! it never touches the socket, so a wedged client cannot stall it, and a
-//! panicking analysis is contained by the thread boundary (the reader
-//! reports an `Error` verdict and the daemon keeps serving).
+//! this tenant's lattice turns out to be. The worker does the analysis
+//! and, once it is complete, writes the verdict line: it touches the
+//! socket only after end of stream, when the reader has stopped reading,
+//! and only for that one best-effort write — the same exposure the reader
+//! had when it wrote the verdict. A wedged client therefore cannot stall
+//! the analysis, and a panicking analysis is still contained by the
+//! thread boundary: the reader joins the worker and, when it died, writes
+//! an `Error` verdict itself and the daemon keeps serving.
 //!
 //! The worker analyses *online*, as the paper's observer does: it builds
 //! the analysis suite at handshake, and after every chunk it pushes each
 //! message the reassembler has made causally ready. At end of stream only
 //! the tail — messages still waiting on a gap — is left to analyse before
-//! the verdict.
+//! the verdict. Writing the verdict from the worker takes one thread
+//! hand-off (the reader waking on the worker's exit) off that tail.
 //!
 //! Every stage is observable per tenant: the pipeline counters carry a
 //! `tenant` label, each transition goes to the ops log and the session's
@@ -32,7 +37,7 @@ use jmpax_instrument::tcp::SessionHello;
 use jmpax_instrument::ResilientFrameDecoder;
 use jmpax_lattice::Exactness;
 use jmpax_spec::{parse, Monitor, ProgramState};
-use jmpax_telemetry::{Counter, Stage};
+use jmpax_telemetry::{Counter, Gauge, Stage};
 
 use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
@@ -46,17 +51,22 @@ const STATE_EXACT: u64 = 1;
 const STATE_DEGRADED: u64 = 2;
 const STATE_ERROR: u64 = 3;
 
-/// What flows through a session's bounded queue. Eviction is the
-/// reader's knowledge — it folds the flag into the verdict itself, so the
-/// end-of-stream marker carries nothing.
-enum WorkItem {
+/// What flows through a session's bounded queue.
+enum WorkItem<'t> {
     /// Raw bytes read from the socket.
     Chunk(Vec<u8>),
-    /// End of stream.
-    Eof,
+    /// End of input. Eviction and shed chunks are the reader's knowledge;
+    /// they ride along so the worker can fold them into the verdict, with
+    /// the running `serve.eof_to_verdict_ns` stage, which ends when the
+    /// verdict line is written.
+    Eof {
+        evicted: bool,
+        shed_chunks: u64,
+        tail: Stage<'t>,
+    },
 }
 
-/// What the worker hands back to the reader.
+/// What the analysis hands to the verdict.
 struct WorkerResult {
     exactness: Exactness,
     satisfied: bool,
@@ -65,6 +75,142 @@ struct WorkerResult {
     messages: u64,
     gaps_skipped: u64,
     analyses: Vec<AnalysisOutcome>,
+}
+
+/// Everything publishing a session's verdict touches. The worker
+/// publishes; the reader does only when the worker died.
+struct Verdicts<'a> {
+    config: &'a ServeConfig,
+    tenants: &'a TenantTable,
+    flight: &'a FlightRecorder,
+    stream: &'a TcpStream,
+    tenant: &'a str,
+    session: u64,
+    state_gauge: &'a Gauge,
+    depth_gauge: &'a Gauge,
+}
+
+impl Verdicts<'_> {
+    /// The outcome of a completed analysis, degraded by what the reader
+    /// shed or cut short.
+    fn analysed(&self, result: WorkerResult, evicted: bool, shed_chunks: u64) -> TenantOutcome {
+        let tel = &self.config.telemetry;
+        let mut exactness = result.exactness;
+        if shed_chunks > 0 {
+            exactness = exactness.combine(Exactness::degraded(0, shed_chunks));
+        }
+        if evicted {
+            exactness = exactness.combine(Exactness::degraded(0, 1));
+        }
+        let verdict = if exactness.is_exact() {
+            tel.counter("serve.verdicts_exact").inc();
+            self.state_gauge.set(STATE_EXACT);
+            ExactnessVerdict::Exact
+        } else {
+            tel.counter("serve.verdicts_degraded").inc();
+            self.state_gauge.set(STATE_DEGRADED);
+            self.config.ops_log.event(
+                LogLevel::Warn,
+                "degrade",
+                Some(self.tenant),
+                Some(self.session),
+                &[("exactness", LogValue::Str(exactness.to_string()))],
+            );
+            ExactnessVerdict::Degraded(exactness)
+        };
+        TenantOutcome {
+            tenant: self.tenant.to_string(),
+            session: self.session,
+            verdict,
+            satisfied: result.satisfied,
+            violations: result.violations,
+            frames_ok: result.frames_ok,
+            messages: result.messages,
+            evicted,
+            shed_chunks,
+            gaps_skipped: result.gaps_skipped,
+            analyses: result.analyses,
+            flight: Vec::new(),
+            flight_dropped: 0,
+        }
+    }
+
+    /// The outcome of a session whose worker died.
+    fn died(&self, evicted: bool, shed_chunks: u64) -> TenantOutcome {
+        let tel = &self.config.telemetry;
+        tel.counter("serve.worker_panics").inc();
+        tel.counter("serve.verdicts_error").inc();
+        self.state_gauge.set(STATE_ERROR);
+        self.config.ops_log.event(
+            LogLevel::Error,
+            "panic",
+            Some(self.tenant),
+            Some(self.session),
+            &[],
+        );
+        TenantOutcome {
+            tenant: self.tenant.to_string(),
+            session: self.session,
+            verdict: ExactnessVerdict::Error("analysis worker died".to_string()),
+            satisfied: false,
+            violations: 0,
+            frames_ok: 0,
+            messages: 0,
+            evicted,
+            shed_chunks,
+            gaps_skipped: 0,
+            analyses: Vec::new(),
+            flight: Vec::new(),
+            flight_dropped: 0,
+        }
+    }
+
+    /// Records `outcome` everywhere it is observed and writes it back to
+    /// the client as one best-effort JSON line.
+    fn publish(&self, outcome: TenantOutcome) -> TenantOutcome {
+        let ops = &self.config.ops_log;
+        // The moment a session leaves Exact, the flight recorder becomes
+        // the evidence: dump it into the ops log and attach it to the
+        // outcome.
+        let outcome = if matches!(outcome.verdict, ExactnessVerdict::Exact) {
+            outcome
+        } else {
+            let dump = self.flight.dump();
+            ops.event(
+                LogLevel::Warn,
+                "flight",
+                Some(self.tenant),
+                Some(self.session),
+                &[
+                    ("verdict", LogValue::from(outcome.verdict.label())),
+                    ("dump", LogValue::Raw(dump.to_json())),
+                ],
+            );
+            TenantOutcome {
+                flight: dump.entries,
+                flight_dropped: dump.dropped,
+                ..outcome
+            }
+        };
+        ops.event(
+            LogLevel::Info,
+            "verdict",
+            Some(self.tenant),
+            Some(self.session),
+            &[
+                ("verdict", LogValue::from(outcome.verdict.label())),
+                ("satisfied", LogValue::Bool(outcome.satisfied)),
+                ("violations", LogValue::from(outcome.violations)),
+                ("messages", LogValue::U64(outcome.messages)),
+            ],
+        );
+        self.tenants.complete(&outcome);
+        self.depth_gauge.set(0);
+        let mut stream = self.stream;
+        let _ = writeln!(stream, "{}", outcome.to_json());
+        let _ = stream.flush();
+        outcome
+    }
 }
 
 /// Serves one accepted connection end-to-end and returns the outcome that
@@ -234,270 +380,175 @@ pub(super) fn run_session(
         ],
     );
 
-    let depth = Arc::new(AtomicU64::new(0));
+    let depth = AtomicU64::new(0);
+    let verdicts = Verdicts {
+        config,
+        tenants,
+        flight: &flight,
+        stream: &stream,
+        tenant: &tenant,
+        session,
+        state_gauge: &state_gauge,
+        depth_gauge: &depth_gauge,
+    };
+    let (tx, rx) = std::sync::mpsc::sync_channel::<WorkItem<'_>>(config.queue_depth.max(1));
+    let threads = hello.threads as usize;
 
-    // --- Worker thread: owns the whole analysis. ------------------------
-    let (tx, rx) = std::sync::mpsc::sync_channel::<WorkItem>(config.queue_depth.max(1));
-    let worker = {
-        let config = Arc::clone(config);
-        let initial = initial.clone();
-        let depth = Arc::clone(&depth);
-        let threads = hello.threads as usize;
-        let flight = flight.clone();
-        let frames_labeled = frames_labeled.clone();
-        let gaps_labeled = gaps_labeled.clone();
-        let analyzed_labeled = analyzed_labeled.clone();
-        let kinds = kinds.clone();
-        std::thread::spawn(move || {
+    std::thread::scope(|s| {
+        // --- Worker thread: owns the analysis and writes the verdict. ---
+        // The receiver moves in, so a dying worker disconnects the queue
+        // and the reader's next send fails instead of blocking.
+        let worker = s.spawn(|| {
             run_worker(
-                &config,
+                config,
                 analysis,
                 &kinds,
                 monitor,
                 &initial,
                 threads,
-                &rx,
+                rx,
                 &depth,
-                &flight,
                 &frames_labeled,
                 &gaps_labeled,
                 &analyzed_labeled,
+                &verdicts,
             )
-        })
-    };
+        });
 
-    // --- Reader loop: socket → bounded queue. ---------------------------
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let mut evicted = false;
-    let mut shed_chunks = 0u64;
-    let mut bytes_ingested = 0u64;
-    let mut idle = Duration::ZERO;
-    let mut worker_dead = false;
-    let mut chunk = [0u8; 8192];
-    loop {
-        use std::io::Read as _;
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                flight.transition("eof");
-                break; // clean end of stream
-            }
-            Ok(n) => {
-                idle = Duration::ZERO;
-                tel.counter("serve.bytes_ingested").add(n as u64);
-                bytes_ingested += n as u64;
-                let item = WorkItem::Chunk(chunk[..n].to_vec());
-                // The counter is raised *before* the send: the worker
-                // decrements after `recv`, and crediting afterwards would
-                // race it below zero. Paths where the item never enters
-                // the queue take the credit back.
-                let claimed = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                match config.shed {
-                    ShedPolicy::Block => {
-                        if tx.send(item).is_err() {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            worker_dead = true;
-                            break;
-                        }
-                        depth_gauge.set(claimed);
-                    }
-                    ShedPolicy::DropNewest => match tx.try_send(item) {
-                        Ok(()) => {
+        // --- Reader loop: socket → bounded queue. -----------------------
+        let mut reader = &stream;
+        let _ = reader.set_read_timeout(Some(config.read_timeout));
+        let mut evicted = false;
+        let mut shed_chunks = 0u64;
+        let mut bytes_ingested = 0u64;
+        let mut idle = Duration::ZERO;
+        let mut chunk = [0u8; 8192];
+        loop {
+            use std::io::Read as _;
+            match reader.read(&mut chunk) {
+                Ok(0) => {
+                    flight.transition("eof");
+                    break; // clean end of stream
+                }
+                Ok(n) => {
+                    idle = Duration::ZERO;
+                    tel.counter("serve.bytes_ingested").add(n as u64);
+                    bytes_ingested += n as u64;
+                    let item = WorkItem::Chunk(chunk[..n].to_vec());
+                    // The counter is raised *before* the send: the worker
+                    // decrements after `recv`, and crediting afterwards
+                    // would race it below zero. Paths where the item never
+                    // enters the queue take the credit back.
+                    let claimed = depth.fetch_add(1, Ordering::Relaxed) + 1;
+                    match config.shed {
+                        ShedPolicy::Block => {
+                            if tx.send(item).is_err() {
+                                depth.fetch_sub(1, Ordering::Relaxed);
+                                break; // the worker died
+                            }
                             depth_gauge.set(claimed);
                         }
-                        Err(TrySendError::Full(_)) => {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            shed_chunks += 1;
-                            tel.counter("serve.chunks_shed").inc();
-                            shed_labeled.inc();
-                            tel.counter("serve.bytes_shed").add(n as u64);
-                            flight.shed(n as u64);
-                            ops.event(
-                                LogLevel::Debug,
-                                "shed",
-                                Some(&tenant),
-                                Some(session),
-                                &[("bytes", LogValue::U64(n as u64))],
-                            );
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            worker_dead = true;
-                            break;
-                        }
-                    },
+                        ShedPolicy::DropNewest => match tx.try_send(item) {
+                            Ok(()) => {
+                                depth_gauge.set(claimed);
+                            }
+                            Err(TrySendError::Full(_)) => {
+                                depth.fetch_sub(1, Ordering::Relaxed);
+                                shed_chunks += 1;
+                                tel.counter("serve.chunks_shed").inc();
+                                shed_labeled.inc();
+                                tel.counter("serve.bytes_shed").add(n as u64);
+                                flight.shed(n as u64);
+                                ops.event(
+                                    LogLevel::Debug,
+                                    "shed",
+                                    Some(&tenant),
+                                    Some(session),
+                                    &[("bytes", LogValue::U64(n as u64))],
+                                );
+                            }
+                            Err(TrySendError::Disconnected(_)) => {
+                                depth.fetch_sub(1, Ordering::Relaxed);
+                                break; // the worker died
+                            }
+                        },
+                    }
+                    tenants.update(session, |s| {
+                        s.bytes = bytes_ingested;
+                        s.shed_chunks = shed_chunks;
+                    });
                 }
-                tenants.update(session, |s| {
-                    s.bytes = bytes_ingested;
-                    s.shed_chunks = shed_chunks;
-                });
-            }
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                tel.counter("serve.read_timeouts").inc();
-                idle += config.read_timeout;
-                if idle >= config.idle_timeout {
-                    tel.counter("serve.tenants_evicted").inc();
-                    evicted = true;
-                    flight.transition("evicted_idle");
-                    tenants.transition(session, "evicted_idle");
-                    ops.event(
-                        LogLevel::Warn,
-                        "evict",
-                        Some(&tenant),
-                        Some(session),
-                        &[("reason", LogValue::from("idle"))],
-                    );
-                    break;
+                Err(err)
+                    if err.kind() == std::io::ErrorKind::WouldBlock
+                        || err.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    tel.counter("serve.read_timeouts").inc();
+                    idle += config.read_timeout;
+                    if idle >= config.idle_timeout {
+                        tel.counter("serve.tenants_evicted").inc();
+                        evicted = true;
+                        flight.transition("evicted_idle");
+                        tenants.transition(session, "evicted_idle");
+                        ops.event(
+                            LogLevel::Warn,
+                            "evict",
+                            Some(&tenant),
+                            Some(session),
+                            &[("reason", LogValue::from("idle"))],
+                        );
+                        break;
+                    }
+                    if stopping.load(Ordering::Relaxed) {
+                        // Daemon shutdown: analyze what arrived, marked as
+                        // an eviction so the verdict cannot claim
+                        // exactness.
+                        tel.counter("serve.tenants_evicted").inc();
+                        evicted = true;
+                        flight.transition("evicted_shutdown");
+                        tenants.transition(session, "evicted_shutdown");
+                        ops.event(
+                            LogLevel::Warn,
+                            "evict",
+                            Some(&tenant),
+                            Some(session),
+                            &[("reason", LogValue::from("shutdown"))],
+                        );
+                        break;
+                    }
                 }
-                if stopping.load(Ordering::Relaxed) {
-                    // Daemon shutdown: analyze what arrived, marked as an
-                    // eviction so the verdict cannot claim exactness.
-                    tel.counter("serve.tenants_evicted").inc();
-                    evicted = true;
-                    flight.transition("evicted_shutdown");
-                    tenants.transition(session, "evicted_shutdown");
-                    ops.event(
-                        LogLevel::Warn,
-                        "evict",
-                        Some(&tenant),
-                        Some(session),
-                        &[("reason", LogValue::from("shutdown"))],
-                    );
-                    break;
+                Err(_) => {
+                    flight.transition("connection_reset");
+                    break; // connection reset etc.: analyze what arrived
                 }
             }
-            Err(_) => {
-                flight.transition("connection_reset");
-                break; // connection reset etc.: analyze what arrived
+        }
+        // Input is over (EOF, eviction or reset): time the tail to the
+        // verdict. The stage travels with `Eof`; the worker ends it once
+        // the verdict line is written. A blocking send is fine: Eof is
+        // always worth waiting for, and a dead worker fails it at once.
+        let eof = WorkItem::Eof {
+            evicted,
+            shed_chunks,
+            tail: Stage::timed(&eof_to_verdict),
+        };
+        let unsent = tx.send(eof).err();
+        drop(tx);
+        match worker.join() {
+            Ok(Some(outcome)) => Some(outcome),
+            _ => {
+                let outcome = verdicts.publish(verdicts.died(evicted, shed_chunks));
+                drop(unsent); // ends the tail stage if the worker never took it
+                Some(outcome)
             }
         }
-    }
-    // Input is over (EOF, eviction or reset): time the tail to the verdict.
-    let tail = Stage::timed(&eof_to_verdict);
-    if !worker_dead {
-        // A blocking send here is fine: Eof is always worth waiting for.
-        worker_dead = tx.send(WorkItem::Eof).is_err();
-    }
-    drop(tx);
-
-    // --- Verdict assembly. ----------------------------------------------
-    let outcome = match worker.join() {
-        Ok(result) if !worker_dead => {
-            let mut exactness = result.exactness;
-            if shed_chunks > 0 {
-                exactness = exactness.combine(Exactness::degraded(0, shed_chunks));
-            }
-            if evicted {
-                exactness = exactness.combine(Exactness::degraded(0, 1));
-            }
-            let verdict = if exactness.is_exact() {
-                tel.counter("serve.verdicts_exact").inc();
-                state_gauge.set(STATE_EXACT);
-                ExactnessVerdict::Exact
-            } else {
-                tel.counter("serve.verdicts_degraded").inc();
-                state_gauge.set(STATE_DEGRADED);
-                ops.event(
-                    LogLevel::Warn,
-                    "degrade",
-                    Some(&tenant),
-                    Some(session),
-                    &[("exactness", LogValue::Str(exactness.to_string()))],
-                );
-                ExactnessVerdict::Degraded(exactness)
-            };
-            TenantOutcome {
-                tenant: hello.tenant,
-                session,
-                verdict,
-                satisfied: result.satisfied,
-                violations: result.violations,
-                frames_ok: result.frames_ok,
-                messages: result.messages,
-                evicted,
-                shed_chunks,
-                gaps_skipped: result.gaps_skipped,
-                analyses: result.analyses,
-                flight: Vec::new(),
-                flight_dropped: 0,
-            }
-        }
-        _ => {
-            tel.counter("serve.worker_panics").inc();
-            tel.counter("serve.verdicts_error").inc();
-            state_gauge.set(STATE_ERROR);
-            ops.event(
-                LogLevel::Error,
-                "panic",
-                Some(&tenant),
-                Some(session),
-                &[],
-            );
-            TenantOutcome {
-                tenant: hello.tenant,
-                session,
-                verdict: ExactnessVerdict::Error("analysis worker died".to_string()),
-                satisfied: false,
-                violations: 0,
-                frames_ok: 0,
-                messages: 0,
-                evicted,
-                shed_chunks,
-                gaps_skipped: 0,
-                analyses: Vec::new(),
-                flight: Vec::new(),
-                flight_dropped: 0,
-            }
-        }
-    };
-    // The moment a session leaves Exact, the flight recorder becomes the
-    // evidence: dump it into the ops log and attach it to the outcome.
-    let outcome = if matches!(outcome.verdict, ExactnessVerdict::Exact) {
-        outcome
-    } else {
-        let dump = flight.dump();
-        ops.event(
-            LogLevel::Warn,
-            "flight",
-            Some(&tenant),
-            Some(session),
-            &[
-                ("verdict", LogValue::from(outcome.verdict.label())),
-                ("dump", LogValue::Raw(dump.to_json())),
-            ],
-        );
-        TenantOutcome {
-            flight: dump.entries,
-            flight_dropped: dump.dropped,
-            ..outcome
-        }
-    };
-    ops.event(
-        LogLevel::Info,
-        "verdict",
-        Some(&tenant),
-        Some(session),
-        &[
-            ("verdict", LogValue::from(outcome.verdict.label())),
-            ("satisfied", LogValue::Bool(outcome.satisfied)),
-            ("violations", LogValue::from(outcome.violations)),
-            ("messages", LogValue::U64(outcome.messages)),
-        ],
-    );
-    tenants.complete(&outcome);
-    depth_gauge.set(0);
-    let _ = writeln!(stream, "{}", outcome.to_json());
-    let _ = stream.flush();
-    drop(tail);
-    Some(outcome)
+    })
 }
 
 /// The analysis half: decode resiliently, push every decoded chunk into the
 /// analysis suite — whose reassembler delivers each message once it is
-/// causally ready — and fold every loss into one [`Exactness`] at end of
-/// stream.
+/// causally ready — fold every loss into one [`Exactness`] at end of
+/// stream, and publish the verdict. Returns `None` only when the queue
+/// closed without an end-of-stream marker.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     config: &ServeConfig,
@@ -506,21 +557,22 @@ fn run_worker(
     monitor: Option<Monitor>,
     initial: &ProgramState,
     threads: usize,
-    rx: &Receiver<WorkItem>,
+    rx: Receiver<WorkItem<'_>>,
     depth: &AtomicU64,
-    flight: &FlightRecorder,
     frames_labeled: &Counter,
     gaps_labeled: &Counter,
     analyzed_labeled: &Counter,
-) -> WorkerResult {
+    verdicts: &Verdicts<'_>,
+) -> Option<TenantOutcome> {
     let tel = &config.telemetry;
+    let flight = verdicts.flight;
     let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
     let mut suite = pipeline
         .suite(kinds, monitor.map(|m| (m, initial)), threads)
         .with_stall_budget(config.stall_budget);
     let mut decoder = ResilientFrameDecoder::new();
-    while let Ok(item) = rx.recv() {
-        match item {
+    let (evicted, shed_chunks, tail) = loop {
+        match rx.recv().ok()? {
             WorkItem::Chunk(bytes) => {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 let messages = decoder.push(&bytes);
@@ -529,9 +581,13 @@ fn run_worker(
                 flight.frames(messages.len() as u64, bytes.len() as u64);
                 analyzed_labeled.add(suite.push_all(messages) as u64);
             }
-            WorkItem::Eof => break,
+            WorkItem::Eof {
+                evicted,
+                shed_chunks,
+                tail,
+            } => break (evicted, shed_chunks, tail),
         }
-    }
+    };
     let decoded = decoder.finish();
     tel.counter("serve.frames_corrupt").add(decoded.frames_corrupt);
     tel.counter("serve.frames_resynced").add(decoded.frames_resynced);
@@ -560,7 +616,7 @@ fn run_worker(
             })
             .collect()
     };
-    WorkerResult {
+    let result = WorkerResult {
         exactness: report.exactness(),
         satisfied: report.satisfied(),
         violations: report.findings() as usize,
@@ -568,7 +624,10 @@ fn run_worker(
         messages: reassembly.delivered,
         gaps_skipped: reassembly.skipped_gaps(),
         analyses,
-    }
+    };
+    let outcome = verdicts.publish(verdicts.analysed(result, evicted, shed_chunks));
+    drop(tail);
+    Some(outcome)
 }
 
 /// Writes an error verdict line for a connection that never became a

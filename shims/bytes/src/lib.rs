@@ -159,6 +159,11 @@ impl BytesMut {
         self.vec.extend_from_slice(bytes);
     }
 
+    /// Empties the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.vec.clear();
+    }
+
     /// Converts into an immutable [`Bytes`].
     #[must_use]
     pub fn freeze(self) -> Bytes {
