@@ -11,7 +11,8 @@
 //! [`jmpax_core::MvcInstrumentor::messages_emitted`] under different
 //! [`Relevance`] policies; see the harness.
 
-use jmpax_core::{Event, EventKind, Message, Relevance, ThreadId, VarId, VectorClock};
+use jmpax_core::algorithm::step;
+use jmpax_core::{Event, Message, Relevance, VarClocks, VectorClock};
 
 /// Statistics comparing the asymmetric (paper) and symmetric (ablated)
 /// algorithms on one execution.
@@ -28,14 +29,14 @@ pub struct SymmetricStats {
 }
 
 /// The ablated Algorithm A: reads update the clocks exactly like writes
-/// (`V^w_x ← V^a_x ← V_i ← max{V^a_x, V_i}`), so read-read pairs become
-/// causally ordered. Message emission (relevance) is unchanged.
+/// (step 3, `V^w_x ← V^a_x ← V_i ← max{V^a_x, V_i}`), so read-read pairs
+/// become causally ordered. Step 1 and message emission (relevance) are
+/// Algorithm A's own.
 #[derive(Clone, Debug, Default)]
 pub struct SymmetricInstrumentor {
     relevance: Relevance,
     threads: Vec<VectorClock>,
-    access: Vec<VectorClock>,
-    write: Vec<VectorClock>,
+    vars: Vec<VarClocks>,
 }
 
 impl SymmetricInstrumentor {
@@ -48,38 +49,24 @@ impl SymmetricInstrumentor {
         }
     }
 
-    fn thread_mut(&mut self, t: ThreadId) -> &mut VectorClock {
-        if self.threads.len() <= t.index() {
-            self.threads.resize_with(t.index() + 1, VectorClock::new);
-        }
-        &mut self.threads[t.index()]
-    }
-
-    fn slot(table: &mut Vec<VectorClock>, v: VarId) -> &mut VectorClock {
-        if table.len() <= v.index() {
-            table.resize_with(v.index() + 1, VectorClock::new);
-        }
-        &mut table[v.index()]
-    }
-
     /// Processes one event, treating reads as writes for clock purposes.
     pub fn process(&mut self, event: &Event) -> Option<Message> {
-        let i = event.thread;
-        let relevant = self.relevance.is_relevant(event);
-        if relevant {
-            self.thread_mut(i).tick(i);
+        let i = event.thread.index();
+        if self.threads.len() <= i {
+            self.threads.resize_with(i + 1, VectorClock::new);
         }
-        if let EventKind::Read { var } | EventKind::Write { var, .. } = event.kind {
-            let ax = Self::slot(&mut self.access, var).clone();
-            let vi = self.thread_mut(i);
-            vi.join(&ax);
-            let vi = vi.clone();
-            *Self::slot(&mut self.access, var) = vi.clone();
-            *Self::slot(&mut self.write, var) = vi;
+        let vi = &mut self.threads[i];
+        // Step 1 alone; the variable step is the ablated one.
+        let relevant = step(&self.relevance, event, vi, None);
+        if let Some(var) = event.var() {
+            if self.vars.len() <= var.index() {
+                self.vars.resize_with(var.index() + 1, VarClocks::default);
+            }
+            self.vars[var.index()].write(vi);
         }
         relevant.then(|| Message {
             event: *event,
-            clock: self.threads[i.index()].clone(),
+            clock: vi.clone(),
         })
     }
 }
@@ -117,6 +104,7 @@ pub fn compare_symmetric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jmpax_core::{ThreadId, VarId};
     use jmpax_spec::ProgramState;
 
     const T1: ThreadId = ThreadId(0);

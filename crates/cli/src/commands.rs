@@ -32,7 +32,8 @@ USAGE:
         --analysis selects the checkers (default ltl): any comma list of
         ltl, race, atomicity runs in ONE causal pass over the stream with
         a per-analysis verdict section (exit 1 if any analysis fails;
-        --json emits the machine-readable report). race and atomicity
+        --json emits the machine-readable report, for the default ltl
+        selection too). race and atomicity
         build their happens-before from program order plus the --locks
         variables only; --spec is needed only when ltl is selected.
         The lattice is built level by level; by default every level is
@@ -373,9 +374,8 @@ fn deadlocks(args: &Args, trace_source: Option<&str>) -> (i32, String) {
 
 fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, String) {
     // `--analysis ltl,race,atomicity` selects the suite; a bare `ltl` (or
-    // no flag) is the ptLTL report with counterexamples. Plain `check`
-    // stays off the suite path because the suite instruments every access,
-    // which grows the LTL lattice with read stutters.
+    // no flag) is the ptLTL report with counterexamples, unless `--json`
+    // asks for the suite's machine-readable report.
     let kinds = match args.get("analysis") {
         Some(list) => match jmpax_core::AnalysisKind::parse_list(list) {
             Ok(kinds) => kinds,
@@ -388,7 +388,12 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
         },
         None => Vec::new(),
     };
-    if !(kinds.is_empty() || kinds == [jmpax_core::AnalysisKind::Ltl]) {
+    if args.has("json") || !(kinds.is_empty() || kinds == [jmpax_core::AnalysisKind::Ltl]) {
+        let kinds = if kinds.is_empty() {
+            vec![jmpax_core::AnalysisKind::Ltl]
+        } else {
+            kinds
+        };
         return check_suite(args, &kinds, trace_source, registry);
     }
 
@@ -483,6 +488,9 @@ fn check_suite(
         Ok(s) => s,
         Err(e) => return (2, format!("check: {e}\n")),
     };
+    // Race and atomicity need every access; LTL alone needs only the writes
+    // of the formula's variables, as on the plain `check` path.
+    let mut relevance = Relevance::Everything;
     let ltl = if kinds.contains(&AnalysisKind::Ltl) {
         let Some(spec) = args.get("spec") else {
             return (
@@ -494,6 +502,9 @@ fn check_suite(
             Ok(f) => f,
             Err(e) => return (2, format!("check: {e}\n")),
         };
+        if kinds == [AnalysisKind::Ltl] {
+            relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
+        }
         match formula.monitor() {
             Ok(m) => Some(m.with_telemetry(registry)),
             Err(e) => return (2, format!("check: {e}\n")),
@@ -502,8 +513,7 @@ fn check_suite(
         None
     };
 
-    // Race and atomicity need every access, not just property writes.
-    let messages = execution.instrument_with_telemetry(Relevance::Everything, registry);
+    let messages = execution.instrument_with_telemetry(relevance, registry);
     account_frames(&messages, registry);
     let initial = ProgramState::from_map(execution.initial.clone());
 
@@ -522,7 +532,7 @@ fn check_suite(
         messages,
     );
 
-    if args.get("json").is_some() {
+    if args.has("json") {
         let json = report::check_report_json(&suite, &symbols);
         return (i32::from(!suite.satisfied()), format!("{json}\n"));
     }
@@ -1545,6 +1555,64 @@ T1 write x 1
         // atomicity checker is what fails the suite.
         assert_eq!(analyses[0].get("satisfied").and_then(|s| s.as_bool()), Some(true));
         assert_eq!(analyses[2].get("satisfied").and_then(|s| s.as_bool()), Some(false));
+    }
+
+    const BANK_SPEC: &str = "start(notified = 1) -> balance >= 150";
+
+    #[test]
+    fn check_suite_ltl_section_names_variables_and_counts_levels() {
+        let (_, trace) = run_cli(&["gen", "bank"], None);
+        let (code, plain) = run_cli(&["check", "--spec", BANK_SPEC], Some(&trace));
+        assert_eq!(code, 1, "{plain}");
+        assert!(plain.starts_with("lattice: 4 states, 3 levels"), "{plain}");
+        let (code, out) = run_cli(
+            &["check", "--analysis", "ltl,race", "--spec", BANK_SPEC],
+            Some(&trace),
+        );
+        assert_eq!(code, 1, "{out}");
+        assert!(out.starts_with("ltl: 4 states in 3 levels\n"), "{out}");
+        assert!(
+            out.contains("  violation at cut S0,1 in state <balance=0,notified=1>\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn check_json_reports_the_ltl_lattice_of_the_text_report() {
+        // The xyz trace has reads: instrumenting every access would give
+        // 24 states instead of the text report's 7.
+        let (_, bank) = run_cli(&["gen", "bank"], None);
+        let xyz_spec = "(x > 0) -> [y = 0, y > z)";
+        for (trace, spec, states) in [(&bank[..], BANK_SPEC, 4), (XYZ_TRACE, xyz_spec, 7)] {
+            let (_, text) = run_cli(&["check", "--spec", spec], Some(trace));
+            assert!(
+                text.starts_with(&format!("lattice: {states} states,")),
+                "{text}"
+            );
+            for argv in [
+                &["check", "--spec", spec, "--json"][..],
+                &["check", "--analysis", "ltl", "--spec", spec, "--json"],
+            ] {
+                let (code, out) = run_cli(argv, Some(trace));
+                assert_eq!(code, 1, "{out}");
+                let v = jmpax_telemetry::json::parse(out.trim()).expect("valid JSON");
+                let analyses = v
+                    .get("check")
+                    .and_then(|c| c.get("analyses"))
+                    .and_then(|a| a.as_array())
+                    .expect("check.analyses");
+                assert_eq!(analyses.len(), 1, "{out}");
+                assert_eq!(
+                    analyses[0].get("name").and_then(|n| n.as_str()),
+                    Some("ltl")
+                );
+                assert_eq!(
+                    analyses[0].get("states_explored").and_then(|n| n.as_u64()),
+                    Some(states),
+                    "{out}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use jmpax_core::SymbolTable;
 use jmpax_instrument::{ChaosStats, ResilientDecode};
 use jmpax_lattice::{AnalysisReport, Exactness, ReassemblyReport, SuiteReport};
-use jmpax_observer::ServeSummary;
+use jmpax_observer::{render_state, ServeSummary};
 use jmpax_telemetry::json::write_string;
 use jmpax_telemetry::profile::LevelProfile;
 use jmpax_telemetry::trace::TraceData;
@@ -133,13 +133,19 @@ pub fn check_suite_text(suite: &SuiteReport, symbols: &SymbolTable) -> String {
                 let _ = writeln!(
                     out,
                     "ltl: {} states in {} levels",
-                    ltl.states_explored, ltl.levels_built
+                    ltl.states_explored,
+                    ltl.levels()
                 );
                 if ltl.satisfied() {
                     let _ = writeln!(out, "  property satisfied on every run");
                 }
                 for v in &ltl.violations {
-                    let _ = writeln!(out, "  violation at cut {} in state {}", v.cut, v.state);
+                    let _ = writeln!(
+                        out,
+                        "  violation at cut {} in state {}",
+                        v.cut,
+                        render_state(&v.state, symbols)
+                    );
                 }
             }
             AnalysisReport::Race(race) => {

@@ -113,6 +113,12 @@ impl From<bool> for Value {
     }
 }
 
+impl From<()> for Value {
+    fn from((): ()) -> Self {
+        Value::Unit
+    }
+}
+
 /// The type of an event (Section 2.1): internal, read, or write.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum EventKind {

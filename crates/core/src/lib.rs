@@ -62,7 +62,7 @@ pub mod relevance;
 pub mod symbols;
 pub mod trace;
 
-pub use algorithm::MvcInstrumentor;
+pub use algorithm::{MvcInstrumentor, VarClocks};
 pub use analysis::AnalysisKind;
 pub use clock::VectorClock;
 pub use compact::CountVec;

@@ -13,46 +13,15 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use jmpax_core::{Event, Value, VarId, VectorClock};
+use jmpax_core::VarId;
 
 use crate::session::{SessionInner, ThreadCtx};
-
-/// Clock state of a pseudo shared variable (a lock or a condvar dummy).
-struct PseudoVar {
-    var: VarId,
-    clocks: Mutex<(VectorClock, VectorClock)>, // (V^a, V^w)
-}
-
-impl PseudoVar {
-    fn new(var: VarId) -> Self {
-        Self {
-            var,
-            clocks: Mutex::new((VectorClock::new(), VectorClock::new())),
-        }
-    }
-
-    /// Performs a write event of the pseudo variable (Algorithm A step 3).
-    /// The value distinguishes acquire (1) from release (0) — condvar
-    /// notification dummies use `Unit`.
-    fn write_event(&self, session: &SessionInner, ctx: &mut ThreadCtx, value: Value) {
-        let mut clocks = self.clocks.lock();
-        let event = Event::write(ctx.id, self.var, value);
-        let relevant = session.relevance.is_relevant(&event);
-        if relevant {
-            ctx.clock.tick(ctx.id);
-        }
-        let (access, write) = &mut *clocks;
-        ctx.clock.join(access);
-        *access = ctx.clock.clone();
-        *write = ctx.clock.clone();
-        session.record(ctx, event, relevant);
-    }
-}
+use crate::shared::Shared;
 
 struct MutexInner<T> {
     data: Mutex<T>,
-    pseudo: PseudoVar,
-    session: Arc<SessionInner>,
+    /// The lock as a shared variable: written 1 on acquire, 0 on release.
+    pseudo: Shared<i64>,
 }
 
 /// An instrumented mutex protecting a `T`.
@@ -77,8 +46,7 @@ impl<T: Send> InstrMutex<T> {
         Self {
             inner: Arc::new(MutexInner {
                 data: Mutex::new(value),
-                pseudo: PseudoVar::new(var),
-                session,
+                pseudo: Shared::new(var, 0, session),
             }),
         }
     }
@@ -86,7 +54,7 @@ impl<T: Send> InstrMutex<T> {
     /// The pseudo variable's id.
     #[must_use]
     pub fn var(&self) -> VarId {
-        self.inner.pseudo.var
+        self.inner.pseudo.var()
     }
 
     /// Acquires the mutex. The guard keeps the thread context — use
@@ -94,9 +62,7 @@ impl<T: Send> InstrMutex<T> {
     /// section; the release event fires when the guard drops.
     pub fn lock<'a>(&'a self, ctx: &'a mut ThreadCtx) -> InstrMutexGuard<'a, T> {
         let data = self.inner.data.lock();
-        self.inner
-            .pseudo
-            .write_event(&self.inner.session, ctx, Value::Int(1));
+        self.inner.pseudo.write(ctx, 1);
         InstrMutexGuard {
             mutex: self,
             data: Some(data),
@@ -108,7 +74,7 @@ impl<T: Send> InstrMutex<T> {
 impl<T> std::fmt::Debug for InstrMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstrMutex")
-            .field("var", &self.inner.pseudo.var)
+            .field("var", &self.inner.pseudo.var())
             .finish()
     }
 }
@@ -145,10 +111,7 @@ impl<T: Send> Drop for InstrMutexGuard<'_, T> {
     fn drop(&mut self) {
         // Release event *before* unlocking, so the next acquirer's join
         // observes this thread's full clock.
-        self.mutex
-            .inner
-            .pseudo
-            .write_event(&self.mutex.inner.session, self.ctx, Value::Int(0));
+        self.mutex.inner.pseudo.write(self.ctx, 0);
         self.data = None; // unlock
     }
 }
@@ -160,58 +123,48 @@ impl<T: Send> Drop for InstrMutexGuard<'_, T> {
 /// edge of Section 3.1.
 pub struct InstrCondvar {
     cv: Condvar,
-    dummy: PseudoVar,
-    session: Arc<SessionInner>,
+    dummy: Shared<()>,
 }
 
 impl InstrCondvar {
     pub(crate) fn new(var: VarId, session: Arc<SessionInner>) -> Self {
         Self {
             cv: Condvar::new(),
-            dummy: PseudoVar::new(var),
-            session,
+            dummy: Shared::new(var, (), session),
         }
     }
 
     /// The dummy variable's id.
     #[must_use]
     pub fn var(&self) -> VarId {
-        self.dummy.var
+        self.dummy.var()
     }
 
     /// Waits on the condition variable, atomically releasing the guarded
-    /// mutex. Emits: lock release event, (blocking wait), dummy-variable
-    /// write, lock acquire event.
+    /// mutex. Emits: lock release event, (blocking wait), lock acquire
+    /// event, dummy-variable write.
     pub fn wait<T: Send>(&self, guard: &mut InstrMutexGuard<'_, T>) {
         // Release event: other threads may now causally follow us.
-        guard
-            .mutex
-            .inner
-            .pseudo
-            .write_event(&guard.mutex.inner.session, guard.ctx, Value::Int(0));
+        let pseudo = &guard.mutex.inner.pseudo;
+        pseudo.write(guard.ctx, 0);
         {
             let data = guard.data.as_mut().expect("guard data present");
             self.cv.wait(data);
         }
         // We hold the mutex again: acquire edge + notification edge.
-        guard
-            .mutex
-            .inner
-            .pseudo
-            .write_event(&guard.mutex.inner.session, guard.ctx, Value::Int(1));
-        self.dummy
-            .write_event(&self.session, guard.ctx, Value::Unit);
+        pseudo.write(guard.ctx, 1);
+        self.dummy.write(guard.ctx, ());
     }
 
     /// Wakes one waiter, recording the notification edge first.
     pub fn notify_one(&self, ctx: &mut ThreadCtx) {
-        self.dummy.write_event(&self.session, ctx, Value::Unit);
+        self.dummy.write(ctx, ());
         self.cv.notify_one();
     }
 
     /// Wakes all waiters, recording the notification edge first.
     pub fn notify_all(&self, ctx: &mut ThreadCtx) {
-        self.dummy.write_event(&self.session, ctx, Value::Unit);
+        self.dummy.write(ctx, ());
         self.cv.notify_all();
     }
 }
@@ -219,7 +172,7 @@ impl InstrCondvar {
 impl std::fmt::Debug for InstrCondvar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstrCondvar")
-            .field("var", &self.dummy.var)
+            .field("var", &self.dummy.var())
             .finish()
     }
 }

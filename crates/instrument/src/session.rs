@@ -7,7 +7,8 @@ use jmpax_telemetry::trace::{TraceKind, TraceRing, Tracer};
 use jmpax_telemetry::{Counter, Registry};
 use parking_lot::Mutex;
 
-use jmpax_core::{AnalysisKind, Event, Message, Relevance, SymbolTable, ThreadId, VarId, VectorClock};
+use jmpax_core::algorithm::step;
+use jmpax_core::{Event, Message, Relevance, SymbolTable, ThreadId, VarId, VectorClock};
 
 use crate::shared::Shared;
 use crate::sink::{EventSink, VecSink};
@@ -33,9 +34,6 @@ pub(crate) struct SessionInner {
     /// `T2`, …) at registration; disabled unless the registry is traced,
     /// so untraced sessions never touch a clock.
     tracer: Tracer,
-    /// Analyses this session's observer is asked to run, in run order.
-    /// Empty requests the observer's default selection.
-    analyses: Vec<AnalysisKind>,
 }
 
 impl SessionInner {
@@ -87,7 +85,6 @@ impl Session {
         vec_sink: Option<VecSink>,
         logging: bool,
         registry: &Registry,
-        analyses: Vec<AnalysisKind>,
     ) -> Self {
         Self {
             inner: Arc::new(SessionInner {
@@ -102,7 +99,6 @@ impl Session {
                 tel_relevant: registry.counter("instrument.events_relevant"),
                 tel_emitted: registry.counter("instrument.messages_emitted"),
                 tracer: registry.tracer().clone(),
-                analyses,
             }),
             vec_sink,
         }
@@ -124,7 +120,6 @@ impl Session {
             sink: None,
             telemetry: Registry::disabled(),
             logging: false,
-            analyses: Vec::new(),
         }
     }
 
@@ -164,20 +159,6 @@ impl Session {
     #[must_use]
     pub fn symbols(&self) -> SymbolTable {
         self.inner.symbols.lock().clone()
-    }
-
-    /// The analyses this session asks its observer to run, in run order
-    /// ([`SessionBuilder::analyses`]). Empty means the observer's default.
-    #[must_use]
-    pub fn analyses(&self) -> &[AnalysisKind] {
-        &self.inner.analyses
-    }
-
-    /// The requested analyses as handshake wire codes — the value a
-    /// [`crate::tcp::SessionHello`] advertises in its `analyses` field.
-    #[must_use]
-    pub fn analysis_codes(&self) -> Vec<u8> {
-        self.inner.analyses.iter().map(|k| k.code()).collect()
     }
 
     /// Creates an instrumented shared variable.
@@ -293,7 +274,6 @@ pub struct SessionBuilder {
     sink: Option<Box<dyn EventSink>>,
     telemetry: Registry,
     logging: bool,
-    analyses: Vec<AnalysisKind>,
 }
 
 impl SessionBuilder {
@@ -325,29 +305,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Asks the observer to run these analyses, in this order, over the
-    /// session's stream. The request rides in the handshake
-    /// ([`crate::tcp::SessionHello::analyses`] via
-    /// [`Session::analysis_codes`]); an empty list — the default — lets
-    /// the observer pick its own selection.
-    #[must_use]
-    pub fn analyses(mut self, kinds: &[AnalysisKind]) -> Self {
-        self.analyses = kinds.to_vec();
-        self
-    }
-
     /// Builds the session.
     #[must_use]
     pub fn build(self) -> Session {
         match self.sink {
-            Some(sink) => Session::build(
-                self.relevance,
-                sink,
-                None,
-                self.logging,
-                &self.telemetry,
-                self.analyses,
-            ),
+            Some(sink) => Session::build(self.relevance, sink, None, self.logging, &self.telemetry),
             None => {
                 let vec_sink = VecSink::new();
                 Session::build(
@@ -356,7 +318,6 @@ impl SessionBuilder {
                     Some(vec_sink),
                     self.logging,
                     &self.telemetry,
-                    self.analyses,
                 )
             }
         }
@@ -423,10 +384,7 @@ impl ThreadCtx {
     /// message under [`Relevance::Everything`].
     pub fn internal_event(&mut self) {
         let event = Event::internal(self.id);
-        let relevant = self.inner.relevance.is_relevant(&event);
-        if relevant {
-            self.clock.tick(self.id);
-        }
+        let relevant = step(&self.inner.relevance, &event, &mut self.clock, None);
         let inner = Arc::clone(&self.inner);
         inner.record(self, event, relevant);
     }
@@ -653,19 +611,6 @@ mod tests {
             .build();
         s.register_thread().internal_event();
         assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn builder_advertises_requested_analyses() {
-        let s = Session::new(Relevance::AllWrites);
-        assert!(s.analyses().is_empty(), "default requests nothing");
-        assert!(s.analysis_codes().is_empty());
-
-        let s = Session::builder(Relevance::AllWrites)
-            .analyses(&[AnalysisKind::Race, AnalysisKind::Ltl])
-            .build();
-        assert_eq!(s.analyses(), &[AnalysisKind::Race, AnalysisKind::Ltl]);
-        assert_eq!(s.analysis_codes(), vec![1, 0], "wire codes in run order");
     }
 
     #[test]

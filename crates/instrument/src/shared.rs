@@ -1,25 +1,26 @@
 //! Instrumented shared variables.
 //!
 //! A [`Shared<T>`] couples the variable's value with its access and write
-//! MVCs (`V^a_x`, `V^w_x`) under one mutex, so that each read/write together
-//! with its Algorithm A clock update is a single atomic step — the paper's
+//! MVCs (`V^a_x`, `V^w_x`, a [`VarClocks`]) under one mutex, so that each
+//! read/write together with its Algorithm A clock update
+//! ([`jmpax_core::algorithm::step`]) is a single atomic step — the paper's
 //! "all shared memory accesses are atomic and instantaneous" assumption,
-//! realized with a lock instead of a JVM bytecode rewrite.
+//! realized with a lock instead of a JVM bytecode rewrite. Locks and
+//! condition variables are `Shared` variables too (Section 3.1; see
+//! [`crate::lock`]).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use jmpax_core::{Event, Value, VarId, VectorClock};
+use jmpax_core::algorithm::step;
+use jmpax_core::{Event, Value, VarClocks, VarId};
 
 use crate::session::{SessionInner, ThreadCtx};
 
-pub(crate) struct VarState<T> {
+struct VarState<T> {
     value: T,
-    /// `V^a_x`.
-    access: VectorClock,
-    /// `V^w_x`.
-    write: VectorClock,
+    clocks: VarClocks,
 }
 
 struct SharedInner<T> {
@@ -51,8 +52,7 @@ impl<T: Copy + Into<Value> + Send> Shared<T> {
                 var,
                 state: Mutex::new(VarState {
                     value: initial,
-                    access: VectorClock::new(),
-                    write: VectorClock::new(),
+                    clocks: VarClocks::default(),
                 }),
                 session,
             }),
@@ -69,14 +69,7 @@ impl<T: Copy + Into<Value> + Send> Shared<T> {
     /// `V_i ← max{V_i, V^w_x}; V^a_x ← max{V^a_x, V_i}`.
     pub fn read(&self, ctx: &mut ThreadCtx) -> T {
         let mut st = self.inner.state.lock();
-        let event = Event::read(ctx.id, self.inner.var);
-        let relevant = self.inner.session.relevance.is_relevant(&event);
-        if relevant {
-            ctx.clock.tick(ctx.id);
-        }
-        ctx.clock.join(&st.write);
-        st.access.join(&ctx.clock);
-        self.inner.session.record(ctx, event, relevant);
+        self.access(ctx, &mut st.clocks, Event::read(ctx.id, self.inner.var));
         st.value
     }
 
@@ -84,16 +77,9 @@ impl<T: Copy + Into<Value> + Send> Shared<T> {
     /// `V^w_x ← V^a_x ← V_i ← max{V^a_x, V_i}`.
     pub fn write(&self, ctx: &mut ThreadCtx, value: T) {
         let mut st = self.inner.state.lock();
-        let event = Event::write(ctx.id, self.inner.var, value.into());
-        let relevant = self.inner.session.relevance.is_relevant(&event);
-        if relevant {
-            ctx.clock.tick(ctx.id);
-        }
-        ctx.clock.join(&st.access);
-        st.access = ctx.clock.clone();
-        st.write = ctx.clock.clone();
         st.value = value;
-        self.inner.session.record(ctx, event, relevant);
+        let event = Event::write(ctx.id, self.inner.var, value.into());
+        self.access(ctx, &mut st.clocks, event);
     }
 
     /// Read-modify-write as a single atomic step (one read + one write
@@ -102,28 +88,21 @@ impl<T: Copy + Into<Value> + Send> Shared<T> {
     /// events individually, which this preserves.
     pub fn update(&self, ctx: &mut ThreadCtx, f: impl FnOnce(T) -> T) -> T {
         let mut st = self.inner.state.lock();
-        // Read half.
-        let read_event = Event::read(ctx.id, self.inner.var);
-        let read_rel = self.inner.session.relevance.is_relevant(&read_event);
-        if read_rel {
-            ctx.clock.tick(ctx.id);
-        }
-        ctx.clock.join(&st.write);
-        st.access.join(&ctx.clock);
-        self.inner.session.record(ctx, read_event, read_rel);
-        // Write half.
+        self.access(ctx, &mut st.clocks, Event::read(ctx.id, self.inner.var));
         let new = f(st.value);
-        let write_event = Event::write(ctx.id, self.inner.var, new.into());
-        let write_rel = self.inner.session.relevance.is_relevant(&write_event);
-        if write_rel {
-            ctx.clock.tick(ctx.id);
-        }
-        ctx.clock.join(&st.access);
-        st.access = ctx.clock.clone();
-        st.write = ctx.clock.clone();
         st.value = new;
-        self.inner.session.record(ctx, write_event, write_rel);
+        let event = Event::write(ctx.id, self.inner.var, new.into());
+        self.access(ctx, &mut st.clocks, event);
         new
+    }
+
+    /// One access `event` of this variable by `ctx`: Algorithm A's steps
+    /// 1–3, then recording and step 4. The caller holds the variable's
+    /// lock, so the access and its clock update are one atomic step.
+    fn access(&self, ctx: &mut ThreadCtx, clocks: &mut VarClocks, event: Event) {
+        let session = &self.inner.session;
+        let relevant = step(&session.relevance, &event, &mut ctx.clock, Some(clocks));
+        session.record(ctx, event, relevant);
     }
 
     /// Peeks at the raw value without instrumentation. For assertions in

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use jmpax_core::{AnalysisKind, Message};
+use jmpax_core::Message;
 use jmpax_telemetry::trace::{TraceKind, TraceRing};
 use jmpax_telemetry::Stage;
 
@@ -85,20 +85,13 @@ impl EventSink for ChannelSink {
 pub struct FrameSink {
     buffer: Arc<Mutex<bytes::BytesMut>>,
     /// `instrument.frames_encoded` / `instrument.bytes_encoded`; no-ops
-    /// unless built via [`FrameSinkBuilder::telemetry`]. When the builder
-    /// also names a tenant, the labeled `{tenant="..."}` series of the
-    /// same families are bumped alongside the flat ones.
+    /// unless built via [`FrameSinkBuilder::telemetry`].
     tel_frames: jmpax_telemetry::Counter,
     tel_bytes: jmpax_telemetry::Counter,
-    tel_frames_tenant: jmpax_telemetry::Counter,
-    tel_bytes_tenant: jmpax_telemetry::Counter,
     /// Trace lane `wire`: one span per encoded frame plus the message it
     /// carried. Shared across clones (the sink itself is shared), so the
     /// ring sits behind a lock; an untraced sink has no ring and no lock.
     ring: Option<Arc<Mutex<TraceRing>>>,
-    /// Analyses the observer consuming these frames is asked to run
-    /// ([`FrameSinkBuilder::analyses`]); empty requests its default.
-    analyses: Vec<AnalysisKind>,
 }
 
 impl FrameSink {
@@ -121,28 +114,12 @@ impl FrameSink {
     pub fn take_bytes(&self) -> bytes::Bytes {
         std::mem::take(&mut *self.buffer.lock()).freeze()
     }
-
-    /// The analyses requested for the observer consuming these frames, in
-    /// run order ([`FrameSinkBuilder::analyses`]).
-    #[must_use]
-    pub fn analyses(&self) -> &[AnalysisKind] {
-        &self.analyses
-    }
-
-    /// The requested analyses as handshake wire codes — the value a
-    /// [`crate::tcp::SessionHello`] advertises in its `analyses` field.
-    #[must_use]
-    pub fn analysis_codes(&self) -> Vec<u8> {
-        self.analyses.iter().map(|k| k.code()).collect()
-    }
 }
 
 /// Configures a [`FrameSink`] — obtained from [`FrameSink::builder`].
 #[derive(Debug, Default)]
 pub struct FrameSinkBuilder {
     telemetry: jmpax_telemetry::Registry,
-    tenant: Option<String>,
-    analyses: Vec<AnalysisKind>,
 }
 
 impl FrameSinkBuilder {
@@ -156,57 +133,18 @@ impl FrameSinkBuilder {
         self
     }
 
-    /// Additionally bumps the `{tenant="..."}` labeled series of the same
-    /// counter families, so one registry shared by several instrumented
-    /// programs stays attributable per program. The flat series keep
-    /// counting the aggregate.
-    #[must_use]
-    pub fn tenant(mut self, tenant: &str) -> Self {
-        self.tenant = Some(tenant.to_string());
-        self
-    }
-
-    /// Asks the observer consuming these frames to run these analyses, in
-    /// this order. The request rides in the handshake
-    /// ([`crate::tcp::SessionHello::analyses`] via
-    /// [`FrameSink::analysis_codes`]); an empty list — the default — lets
-    /// the observer pick its own selection.
-    #[must_use]
-    pub fn analyses(mut self, kinds: &[AnalysisKind]) -> Self {
-        self.analyses = kinds.to_vec();
-        self
-    }
-
     /// Builds the sink.
     #[must_use]
     pub fn build(self) -> FrameSink {
-        let (tel_frames_tenant, tel_bytes_tenant) = match &self.tenant {
-            Some(tenant) => {
-                let labels = [("tenant", tenant.as_str())];
-                (
-                    self.telemetry
-                        .counter_with("instrument.frames_encoded", &labels),
-                    self.telemetry
-                        .counter_with("instrument.bytes_encoded", &labels),
-                )
-            }
-            None => (
-                jmpax_telemetry::Counter::disabled(),
-                jmpax_telemetry::Counter::disabled(),
-            ),
-        };
         FrameSink {
             buffer: Arc::default(),
             tel_frames: self.telemetry.counter("instrument.frames_encoded"),
             tel_bytes: self.telemetry.counter("instrument.bytes_encoded"),
-            tel_frames_tenant,
-            tel_bytes_tenant,
             ring: self
                 .telemetry
                 .tracer()
                 .is_enabled()
                 .then(|| Arc::new(Mutex::new(self.telemetry.tracer().ring("wire")))),
-            analyses: self.analyses,
         }
     }
 }
@@ -234,8 +172,6 @@ impl EventSink for FrameSink {
         };
         self.tel_frames.inc();
         self.tel_bytes.add(encoded as u64);
-        self.tel_frames_tenant.inc();
-        self.tel_bytes_tenant.add(encoded as u64);
     }
 }
 
@@ -503,12 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn frame_sink_tenant_label_counts_alongside_flat_series() {
+    fn frame_sink_counts_frames_and_bytes_encoded() {
         let registry = jmpax_telemetry::Registry::enabled();
-        let sink = FrameSink::builder()
-            .telemetry(&registry)
-            .tenant("t42")
-            .build();
+        let sink = FrameSink::builder().telemetry(&registry).build();
         let mut writer = sink.clone();
         writer.emit(&msg(1));
         writer.emit(&msg(2));
@@ -517,27 +450,7 @@ mod tests {
         let wire = sink.take_bytes().len() as u64;
         assert_eq!(wire, v2_len(&[msg(1), msg(2)]));
         assert_eq!(snapshot.counter("instrument.bytes_encoded"), Some(wire));
-        let flat = snapshot.counter("instrument.frames_encoded");
-        let labeled =
-            snapshot.counter_with("instrument.frames_encoded", &[("tenant", "t42")]);
-        assert_eq!(flat, Some(2), "flat aggregate still counts");
-        assert_eq!(labeled, Some(2), "labeled series mirrors this sink");
-        assert_eq!(
-            snapshot.counter_with("instrument.bytes_encoded", &[("tenant", "t42")]),
-            snapshot.counter("instrument.bytes_encoded"),
-        );
-    }
-
-    #[test]
-    fn frame_sink_builder_advertises_requested_analyses() {
-        let sink = FrameSink::new();
-        assert!(sink.analyses().is_empty(), "default requests nothing");
-
-        let sink = FrameSink::builder()
-            .analyses(&[AnalysisKind::Ltl, AnalysisKind::Atomicity])
-            .build();
-        assert_eq!(sink.analyses(), &[AnalysisKind::Ltl, AnalysisKind::Atomicity]);
-        assert_eq!(sink.analysis_codes(), vec![0, 2], "wire codes in run order");
+        assert_eq!(snapshot.counter("instrument.frames_encoded"), Some(2));
     }
 
     #[test]

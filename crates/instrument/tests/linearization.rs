@@ -176,3 +176,51 @@ fn relevance_filtering_matches_sequential_algorithm() {
     assert_eq!(emitted.len(), 30, "3 threads × 10 relevant writes");
     replay_and_compare(&session, emitted, relevance);
 }
+
+#[test]
+fn condvar_handoff_matches_sequential_algorithm() {
+    // A one-slot producer/consumer: the slot's mutex and the condvar's
+    // dummy variable carry the handoff edges, so their pseudo writes
+    // (relevant under `AllWrites`) are replayed along with the data.
+    const ITEMS: i64 = 40;
+    let relevance = Relevance::AllWrites;
+    let session = Session::new_logged(relevance.clone());
+    let slot = session.mutex("slot", None::<i64>);
+    let ready = std::sync::Arc::new(session.condvar("ready"));
+    let item = session.shared("item", 0i64);
+
+    let (m, cv, x) = (slot.clone(), std::sync::Arc::clone(&ready), item.clone());
+    let producer = session.spawn(move |ctx| {
+        for k in 1..=ITEMS {
+            let mut g = m.lock(ctx);
+            while g.is_some() {
+                cv.wait(&mut g);
+            }
+            x.write(g.ctx(), k);
+            *g = Some(k);
+            cv.notify_all(g.ctx());
+        }
+    });
+    let (m, cv, x) = (slot, ready, item);
+    let consumer = session.spawn(move |ctx| {
+        for k in 1..=ITEMS {
+            let mut g = m.lock(ctx);
+            while g.is_none() {
+                cv.wait(&mut g);
+            }
+            assert_eq!(x.read(g.ctx()), k);
+            *g = None;
+            cv.notify_all(g.ctx());
+        }
+    });
+    producer.join().unwrap();
+    consumer.join().unwrap();
+    let emitted = session.drain_messages();
+    assert!(
+        emitted
+            .iter()
+            .any(|m| m.written_value() == Some(jmpax_core::Value::Unit)),
+        "condvar dummy writes must be among the messages"
+    );
+    replay_and_compare(&session, emitted, relevance);
+}

@@ -47,4 +47,6 @@ pub use serve::{
     Server, ServerHandle, ShedPolicy, StderrLogSink, TenantOutcome, TenantStatus, TenantTable,
 };
 pub use verdict::ExactnessVerdict;
-pub use report::{render_analysis, render_counterexample, render_deadlocks, render_violation};
+pub use report::{
+    render_analysis, render_counterexample, render_deadlocks, render_state, render_violation,
+};

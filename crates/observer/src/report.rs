@@ -11,7 +11,10 @@ use jmpax_core::SymbolTable;
 use jmpax_lattice::{Counterexample, StreamReport, Violation};
 use jmpax_spec::ProgramState;
 
-fn render_state(state: &ProgramState, symbols: &SymbolTable) -> String {
+/// Renders one program state as `<name=value,...>`, variables named
+/// through `symbols`.
+#[must_use]
+pub fn render_state(state: &ProgramState, symbols: &SymbolTable) -> String {
     let mut out = String::from("<");
     for (i, (var, value)) in state.iter().enumerate() {
         if i > 0 {
