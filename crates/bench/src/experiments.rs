@@ -149,7 +149,10 @@ pub struct ParallelScalingRow {
 /// the first private variable, so the measurement isolates frontier
 /// expansion and monitor stepping, not property complexity.
 #[must_use]
-pub fn parallel_scaling_sweep(config: BandedConfig, worker_counts: &[usize]) -> Vec<ParallelScalingRow> {
+pub fn parallel_scaling_sweep(
+    config: BandedConfig,
+    worker_counts: &[usize],
+) -> Vec<ParallelScalingRow> {
     let (messages, initial) = banded_computation(config);
     let mut syms = jmpax_core::SymbolTable::new();
     for v in 0..=config.threads {

@@ -2,9 +2,11 @@
 
 use std::fmt::Write as _;
 
-use jmpax_core::{Relevance, SymbolTable};
+use jmpax_core::{Message, Relevance, SymbolTable};
 use jmpax_instrument::EventSink as _;
-use jmpax_lattice::{to_dot, AnalysisConfig, DotOptions, Lattice, LatticeInput};
+use jmpax_lattice::{
+    to_dot, AnalysisConfig, AnalysisReport, DotOptions, Lattice, LatticeInput, Violation,
+};
 use jmpax_observer::{render_analysis, Pipeline, PipelineConfig};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::Registry;
@@ -310,7 +312,9 @@ fn account_frames(messages: &[jmpax_core::Message], registry: &Registry) {
     if !registry.is_enabled() {
         return;
     }
-    let mut sink = jmpax_instrument::FrameSink::builder().telemetry(registry).build();
+    let mut sink = jmpax_instrument::FrameSink::builder()
+        .telemetry(registry)
+        .build();
     for m in messages {
         sink.emit(m);
     }
@@ -434,22 +438,36 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
     }
 
     if let Some(path) = args.get("dot") {
-        let relevance = report.relevance.clone();
-        let messages = execution.instrument(relevance);
+        let messages = execution.instrument(report.relevance.clone());
         let initial = ProgramState::from_map(execution.initial.clone());
-        if let Ok(input) = LatticeInput::from_messages(messages, initial) {
-            let lattice = Lattice::build(input);
-            let highlights = analysis.violations.iter().map(|v| v.cut.clone()).collect();
-            let dot = to_dot(&lattice, &symbols, &DotOptions::with_highlights(highlights));
-            if let Err(e) = std::fs::write(path, dot) {
-                let _ = writeln!(out, "warning: could not write {path}: {e}");
-            } else {
-                let _ = writeln!(out, "lattice written to {path}");
-            }
-        }
+        let note = write_lattice_dot(path, messages, initial, &analysis.violations, &symbols);
+        out.push_str(&note);
     }
 
     (i32::from(report.predicted()), out)
+}
+
+/// Writes the computation lattice of `messages` from `initial` to `path`
+/// as Graphviz DOT, highlighting the cuts of `violations`, and returns the
+/// line that says so (or why it could not). Nothing is written when the
+/// messages do not form a valid lattice input.
+fn write_lattice_dot(
+    path: &str,
+    messages: Vec<Message>,
+    initial: ProgramState,
+    violations: &[Violation],
+    symbols: &SymbolTable,
+) -> String {
+    let Ok(input) = LatticeInput::from_messages(messages, initial) else {
+        return String::new();
+    };
+    let lattice = Lattice::build(input);
+    let highlights = violations.iter().map(|v| v.cut.clone()).collect();
+    let dot = to_dot(&lattice, symbols, &DotOptions::with_highlights(highlights));
+    match std::fs::write(path, dot) {
+        Ok(()) => format!("lattice written to {path}\n"),
+        Err(e) => format!("warning: could not write {path}: {e}\n"),
+    }
 }
 
 /// The analysis knobs `check` shares across its paths: `--parallel`,
@@ -516,6 +534,8 @@ fn check_suite(
     let messages = execution.instrument_with_telemetry(relevance, registry);
     account_frames(&messages, registry);
     let initial = ProgramState::from_map(execution.initial.clone());
+    // `--dot` draws the lattice of the very stream the suite analyses.
+    let dot = args.get("dot").map(|path| (path, messages.clone()));
 
     let pipeline = Pipeline::new(
         PipelineConfig::new()
@@ -532,12 +552,30 @@ fn check_suite(
         messages,
     );
 
+    // The LTL violations, when LTL ran, are the lattice's highlights.
+    let dot_note = dot.map(|(path, messages)| {
+        let violations = suite
+            .reports
+            .iter()
+            .find_map(|r| match r {
+                AnalysisReport::Ltl(ltl) => Some(ltl.violations.as_slice()),
+                _ => None,
+            })
+            .unwrap_or_default();
+        write_lattice_dot(path, messages, initial, violations, &symbols)
+    });
+    let code = i32::from(!suite.satisfied());
     if args.has("json") {
+        // Stdout stays one JSON object; the DOT note goes to stderr.
+        if let Some(note) = dot_note {
+            eprint!("{note}");
+        }
         let json = report::check_report_json(&suite, &symbols);
-        return (i32::from(!suite.satisfied()), format!("{json}\n"));
+        return (code, format!("{json}\n"));
     }
-    let out = report::check_suite_text(&suite, &symbols);
-    (i32::from(!suite.satisfied()), out)
+    let mut out = report::check_suite_text(&suite, &symbols);
+    out.push_str(&dot_note.unwrap_or_default());
+    (code, out)
 }
 
 fn workload_by_name(name: &str) -> Option<workloads::Workload> {
@@ -1074,8 +1112,8 @@ fn top_snapshot(addr: &str, json_mode: bool) -> Result<String, String> {
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     use std::io::{Read as _, Write as _};
     use std::time::Duration;
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut stream =
+        std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     write!(
@@ -1117,7 +1155,10 @@ fn render_tenants_table(addr: &str, body: &str) -> Result<String, String> {
         "TENANT", "SESS", "STATE", "VERDICT", "AGE", "BYTES/S", "SHED", "GAPS", "VIOL"
     );
     let empty = Vec::new();
-    let tenants = doc.get("tenants").and_then(Value::as_array).unwrap_or(&empty);
+    let tenants = doc
+        .get("tenants")
+        .and_then(Value::as_array)
+        .unwrap_or(&empty);
     for t in tenants {
         let s = |key: &str| t.get(key).and_then(Value::as_str).unwrap_or("-");
         let n = |key: &str| t.get(key).and_then(Value::as_u64).unwrap_or(0);
@@ -1553,8 +1594,14 @@ T1 write x 1
         assert_eq!(names, ["ltl", "race", "atomicity"], "{out}");
         // The ltl analysis passes (balance never goes negative); the
         // atomicity checker is what fails the suite.
-        assert_eq!(analyses[0].get("satisfied").and_then(|s| s.as_bool()), Some(true));
-        assert_eq!(analyses[2].get("satisfied").and_then(|s| s.as_bool()), Some(false));
+        assert_eq!(
+            analyses[0].get("satisfied").and_then(|s| s.as_bool()),
+            Some(true)
+        );
+        assert_eq!(
+            analyses[2].get("satisfied").and_then(|s| s.as_bool()),
+            Some(false)
+        );
     }
 
     const BANK_SPEC: &str = "start(notified = 1) -> balance >= 150";
@@ -1585,10 +1632,13 @@ T1 write x 1
         let xyz_spec = "(x > 0) -> [y = 0, y > z)";
         for (trace, spec, states) in [(&bank[..], BANK_SPEC, 4), (XYZ_TRACE, xyz_spec, 7)] {
             let (_, text) = run_cli(&["check", "--spec", spec], Some(trace));
-            assert!(
-                text.starts_with(&format!("lattice: {states} states,")),
-                "{text}"
-            );
+            let prefix = format!("lattice: {states} states, ");
+            assert!(text.starts_with(&prefix), "{text}");
+            let levels: u64 = text[prefix.len()..]
+                .split(' ')
+                .next()
+                .and_then(|n| n.parse().ok())
+                .expect("the text report counts levels");
             for argv in [
                 &["check", "--spec", spec, "--json"][..],
                 &["check", "--analysis", "ltl", "--spec", spec, "--json"],
@@ -1611,7 +1661,64 @@ T1 write x 1
                     Some(states),
                     "{out}"
                 );
+                assert_eq!(
+                    analyses[0].get("levels").and_then(|n| n.as_u64()),
+                    Some(levels),
+                    "{out}"
+                );
             }
+        }
+    }
+
+    /// A fresh path under the system temp directory for one test's output.
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("jmpax-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn check_dot_writes_the_lattice_on_every_path() {
+        let (_, bank) = run_cli(&["gen", "bank"], None);
+        let (_, racy) = run_cli(&["gen", "racy"], None);
+        let cases: [(&str, &[&str], &str); 4] = [
+            ("plain.dot", &["check", "--spec", BANK_SPEC], &bank),
+            (
+                "ltl-json.dot",
+                &["check", "--spec", BANK_SPEC, "--json"],
+                &bank,
+            ),
+            ("race.dot", &["check", "--analysis", "race"], &racy),
+            (
+                "suite.dot",
+                &["check", "--analysis", "ltl,race", "--spec", BANK_SPEC],
+                &bank,
+            ),
+        ];
+        for (name, argv, trace) in cases {
+            let path = temp_path(name);
+            let path_arg = path.to_str().expect("utf-8 temp path");
+            let mut argv = argv.to_vec();
+            argv.extend(["--dot", path_arg]);
+            let (code, out) = run_cli(&argv, Some(trace));
+            assert_eq!(code, 1, "{argv:?}: {out}");
+            let dot = std::fs::read_to_string(&path).unwrap_or_default();
+            let _ = std::fs::remove_file(&path);
+            assert!(dot.starts_with("digraph"), "{argv:?} wrote no lattice");
+            if argv.contains(&"--json") {
+                assert!(jmpax_telemetry::json::parse(out.trim()).is_ok(), "{out}");
+            } else {
+                assert!(
+                    out.ends_with(&format!("lattice written to {path_arg}\n")),
+                    "{argv:?}: {out}"
+                );
+            }
+            // An LTL violation is highlighted; a race-only run has none.
+            assert_eq!(
+                dot.contains("fillcolor"),
+                argv.contains(&"--spec"),
+                "{argv:?}: {dot}"
+            );
         }
     }
 
@@ -1718,7 +1825,13 @@ T1 write b 0
         let argv = ["check", "--spec", "(x > 0) -> [y = 0, y > z)"];
         let (code_seq, out_seq) = run_cli(&argv, Some(XYZ_TRACE));
         let (code_par, out_par) = run_cli(
-            &["check", "--spec", "(x > 0) -> [y = 0, y > z)", "--parallel", "4"],
+            &[
+                "check",
+                "--spec",
+                "(x > 0) -> [y = 0, y > z)",
+                "--parallel",
+                "4",
+            ],
             Some(XYZ_TRACE),
         );
         assert_eq!((code_seq, out_seq), (code_par, out_par));
@@ -1796,7 +1909,10 @@ T1 write b 0
             None,
         );
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("load: 3/3 verdicts received, 0 failed"), "{out}");
+        assert!(
+            out.contains("load: 3/3 verdicts received, 0 failed"),
+            "{out}"
+        );
         assert!(out.contains("\"verdict\":"), "{out}");
 
         let summary = handle.stop();

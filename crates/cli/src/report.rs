@@ -236,9 +236,9 @@ pub fn check_report_json(suite: &SuiteReport, symbols: &SymbolTable) -> String {
             AnalysisReport::Ltl(ltl) => {
                 let _ = write!(
                     out,
-                    ",\"states_explored\":{},\"levels_built\":{},\"violations\":{}",
+                    ",\"states_explored\":{},\"levels\":{},\"violations\":{}",
                     ltl.states_explored,
-                    ltl.levels_built,
+                    ltl.levels(),
                     ltl.violations.len()
                 );
             }
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn serve_report_json_shape_and_escaping() {
-        use jmpax_observer::{TenantOutcome, ExactnessVerdict};
+        use jmpax_observer::{ExactnessVerdict, TenantOutcome};
         let summary = ServeSummary {
             outcomes: vec![
                 TenantOutcome {

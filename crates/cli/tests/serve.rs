@@ -99,7 +99,10 @@ fn serve_and_load_end_to_end_through_the_binary() {
     let health_body = health.split("\r\n\r\n").nth(1).unwrap_or("");
     let health_json = match jmpax_telemetry::json::parse(health_body) {
         Ok(v) => v,
-        Err(e) => guard_fail(&mut daemon, &format!("healthz body not JSON ({e}): {health}")),
+        Err(e) => guard_fail(
+            &mut daemon,
+            &format!("healthz body not JSON ({e}): {health}"),
+        ),
     };
     if health_json.get("ready").and_then(|v| v.as_bool()) != Some(true)
         || health_json.get("accepting").and_then(|v| v.as_bool()) != Some(true)
@@ -198,8 +201,18 @@ fn tenants_route_top_and_ops_log_reflect_sessions() {
     // Three seeded lossy sessions complete first.
     let loader = bin()
         .args([
-            "load", "xyz", "--connect", &addr, "--sessions", "3", "--seed", "42", "--drop",
-            "0.1", "--tenant", "probe",
+            "load",
+            "xyz",
+            "--connect",
+            &addr,
+            "--sessions",
+            "3",
+            "--seed",
+            "42",
+            "--drop",
+            "0.1",
+            "--tenant",
+            "probe",
         ])
         .output()
         .expect("run loader");
@@ -218,12 +231,18 @@ fn tenants_route_top_and_ops_log_reflect_sessions() {
         Ok(v) => v,
         Err(e) => {
             let _ = std::fs::remove_file(&ops_path);
-            guard_fail(&mut daemon, &format!("/tenants not JSON ({e}): {tenants_response}"))
+            guard_fail(
+                &mut daemon,
+                &format!("/tenants not JSON ({e}): {tenants_response}"),
+            )
         }
     };
     if tenants.get("completed").and_then(|v| v.as_u64()) != Some(3) {
         let _ = std::fs::remove_file(&ops_path);
-        guard_fail(&mut daemon, &format!("expected 3 completed: {tenants_body}"));
+        guard_fail(
+            &mut daemon,
+            &format!("expected 3 completed: {tenants_body}"),
+        );
     }
     let rows = tenants
         .get("tenants")
@@ -233,7 +252,10 @@ fn tenants_route_top_and_ops_log_reflect_sessions() {
         let verdict = row.get("verdict").and_then(|v| v.as_str()).unwrap_or("");
         if verdict != "Exact" && verdict != "Degraded" {
             let _ = std::fs::remove_file(&ops_path);
-            guard_fail(&mut daemon, &format!("bad verdict in /tenants: {tenants_body}"));
+            guard_fail(
+                &mut daemon,
+                &format!("bad verdict in /tenants: {tenants_body}"),
+            );
         }
     }
 
@@ -241,7 +263,10 @@ fn tenants_route_top_and_ops_log_reflect_sessions() {
     // /metrics (registration happens before the table insert).
     let metrics = http_get(&maddr, "/metrics");
     for row in rows {
-        let tenant = row.get("tenant").and_then(|v| v.as_str()).expect("tenant name");
+        let tenant = row
+            .get("tenant")
+            .and_then(|v| v.as_str())
+            .expect("tenant name");
         let needle = format!("jmpax_serve_verdict_state{{tenant=\"{tenant}\"}}");
         if !metrics.contains(&needle) {
             let _ = std::fs::remove_file(&ops_path);
@@ -306,7 +331,10 @@ fn tenants_route_top_and_ops_log_reflect_sessions() {
         }
     }
     for required in ["accept", "handshake", "verdict", "shutdown"] {
-        assert!(events.contains(required), "no `{required}` event in ops log:\n{ops}");
+        assert!(
+            events.contains(required),
+            "no `{required}` event in ops log:\n{ops}"
+        );
     }
 }
 

@@ -144,6 +144,9 @@ mod tests {
             ]
         );
         assert_eq!(AnalysisKind::parse_list("").unwrap(), vec![]);
-        assert_eq!(AnalysisKind::parse_list("ltl,bogus"), Err("bogus".to_owned()));
+        assert_eq!(
+            AnalysisKind::parse_list("ltl,bogus"),
+            Err("bogus".to_owned())
+        );
     }
 }

@@ -184,6 +184,7 @@ impl VectorClock {
 
     /// Exposes the raw components slice (trailing zeros may be omitted).
     #[must_use]
+    #[inline]
     pub fn as_slice(&self) -> &[u32] {
         &self.components
     }

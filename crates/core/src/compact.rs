@@ -102,6 +102,7 @@ impl CountVec {
 
     /// The logical contents.
     #[must_use]
+    #[inline]
     pub fn as_slice(&self) -> &[u32] {
         match &self.0 {
             Repr::Inline { len, buf } => &buf[..*len as usize],
@@ -201,6 +202,7 @@ impl Default for CountVec {
 
 impl Deref for CountVec {
     type Target = [u32];
+    #[inline]
     fn deref(&self) -> &[u32] {
         self.as_slice()
     }

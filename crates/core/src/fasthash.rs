@@ -1,16 +1,15 @@
 //! A std-only multiplicative hasher for the observer's hot tables.
 //!
-//! Frontier expansion probes two hash tables per lattice edge: the next
-//! level's successor index (keyed by a cut's per-thread counts) and
-//! the monitor step cache (keyed by a memory word and a packed atom
-//! valuation). Both keys are a few machine words, where std's SipHash
+//! Frontier expansion probes the monitor step cache once per alive
+//! memory on every lattice edge, keyed by a memory word and a packed
+//! atom valuation. Such keys are a few machine words, where std's SipHash
 //! costs more than the probe itself. This hasher folds each word with one
 //! add and one multiply (the rustc-hash scheme) and rotates the result so
 //! the well-mixed high bits pick the bucket.
 //!
 //! It offers no protection against chosen-key collisions. The tables it
-//! keys hold cuts and valuations that the observer derives, one level or
-//! one level's transitions at a time, so a hostile stream can at worst
+//! keys hold memories and valuations that the observer derives, one
+//! level's transitions at a time, so a hostile stream can at worst
 //! make one level slower — it can already make a level exponentially
 //! wide, which the frontier cap bounds either way.
 

@@ -706,7 +706,9 @@ mod v2_tests {
         let msgs = sample_messages();
         let mut buf = BytesMut::new();
         encode_frame_v2(&msgs[0], &mut buf);
-        buf.extend_from_slice(&[MAGIC, 0x07, MAGIC, 0xFF, 0x00, MAGIC, 0x01, 0x02, 0x03, 0x04]);
+        buf.extend_from_slice(&[
+            MAGIC, 0x07, MAGIC, 0xFF, 0x00, MAGIC, 0x01, 0x02, 0x03, 0x04,
+        ]);
         encode_frame_v2(&msgs[1], &mut buf);
         let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 2);

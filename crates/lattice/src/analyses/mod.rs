@@ -282,7 +282,10 @@ pub struct AnalysisSuite {
 impl std::fmt::Debug for AnalysisSuite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalysisSuite")
-            .field("analyses", &self.analyses.iter().map(|a| a.kind()).collect::<Vec<_>>())
+            .field(
+                "analyses",
+                &self.analyses.iter().map(|a| a.kind()).collect::<Vec<_>>(),
+            )
             .field("ended", &self.reassembly.is_some())
             .finish()
     }

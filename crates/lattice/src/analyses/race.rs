@@ -90,7 +90,9 @@ impl RaceReport {
 
     /// Publishes the `analysis.race.*` metric family.
     pub fn record(&self, registry: &Registry) {
-        registry.counter("analysis.race.races").add(self.races_found);
+        registry
+            .counter("analysis.race.races")
+            .add(self.races_found);
         registry
             .counter("analysis.race.accesses_checked")
             .add(self.accesses_checked);

@@ -60,7 +60,11 @@ pub fn analyze(input: LatticeInput, monitor: &Monitor) -> LatticeAnalysis {
 
 /// Checks `monitor` against every run of the materialized lattice.
 #[must_use]
-pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor, options: AnalysisConfig) -> LatticeAnalysis {
+pub fn analyze_lattice(
+    lattice: &Lattice,
+    monitor: &Monitor,
+    options: AnalysisConfig,
+) -> LatticeAnalysis {
     let n = lattice.node_count();
     // Alive memories per node, with run-prefix counts (for exact violating
     // run counting) and one predecessor `(node, memory)` for reconstruction.

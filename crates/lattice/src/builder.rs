@@ -19,11 +19,9 @@
 //! counterexample that reaches the initial state whenever the retained
 //! history ([`AnalysisConfig::history`]) covers the whole run.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use jmpax_core::fasthash::FastMap;
 use jmpax_core::{AnalysisKind, Event, Message, ThreadId, Value, VarId, VectorClock};
 use jmpax_spec::{Monitor, MonitorState, ProgramState, StepCache};
 use jmpax_telemetry::trace::{TraceKind, TraceRing};
@@ -32,7 +30,8 @@ use jmpax_telemetry::{Counter, Gauge, Histogram, Registry, Stage};
 use crate::analyses::{Analysis, AnalysisReport};
 use crate::config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
 use crate::cut::Cut;
-use crate::parallel::{self, ExpansionPool, LevelShared};
+use crate::merge::{self, Heads, LevelKeys, MergeInput};
+use crate::parallel::{ExpansionPool, LevelShared};
 use crate::reassemble::Exactness;
 
 /// One step of a (counter-example) run: the thread that moved, the message
@@ -199,7 +198,7 @@ fn saturating_u64(n: u128) -> u64 {
 }
 
 /// A sealed lattice level: its cuts in ascending order, each with its
-/// node. Parent links and shard contributions index into this order.
+/// node. Parent links and the merge's runs index into this order.
 pub(crate) type Level = Vec<(Cut, FrontierNode)>;
 
 /// The edge that first produced an alive memory: how a counterexample
@@ -223,6 +222,50 @@ struct Alive {
     parent: Option<Parent>,
 }
 
+/// A node's alive memories in ascending order. Most nodes hold one, which
+/// lives inline; only a second memory allocates.
+#[derive(Clone, Debug, Default)]
+enum Mems {
+    #[default]
+    Empty,
+    One((MonitorState, Alive)),
+    Many(Vec<(MonitorState, Alive)>),
+}
+
+impl Mems {
+    fn as_slice(&self) -> &[(MonitorState, Alive)] {
+        match self {
+            Mems::Empty => &[],
+            Mems::One(mem) => std::slice::from_ref(mem),
+            Mems::Many(mems) => mems,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(MonitorState, Alive)] {
+        match self {
+            Mems::Empty => &mut [],
+            Mems::One(mem) => std::slice::from_mut(mem),
+            Mems::Many(mems) => mems,
+        }
+    }
+
+    /// Inserts `mem` at `i`, keeping the order.
+    fn insert(&mut self, i: usize, mem: (MonitorState, Alive)) {
+        *self = match std::mem::take(self) {
+            Mems::Empty => Mems::One(mem),
+            Mems::One(first) => {
+                let mut mems = vec![first];
+                mems.insert(i, mem);
+                Mems::Many(mems)
+            }
+            Mems::Many(mut mems) => {
+                mems.insert(i, mem);
+                Mems::Many(mems)
+            }
+        };
+    }
+}
+
 /// One lattice node: its state, packed once, and the run prefixes that
 /// reach it, grouped by monitor memory.
 #[derive(Clone, Debug, Default)]
@@ -232,8 +275,8 @@ pub(crate) struct FrontierNode {
     /// created; every in-edge steps with it. `None` past 64 atoms.
     valuation: Option<u64>,
     /// Alive memories in ascending order, the order every expansion path
-    /// steps them in. One memory is the common case.
-    mems: Vec<(MonitorState, Alive)>,
+    /// steps them in.
+    mems: Mems,
     /// Run prefixes reaching this cut that already violated the property.
     violated: u128,
     /// Dead memories in ascending order (violation dedup).
@@ -250,8 +293,9 @@ impl FrontierNode {
     }
 
     fn alive(&self, mem: MonitorState) -> Option<&Alive> {
-        let i = self.mems.binary_search_by_key(&mem, |&(m, _)| m).ok()?;
-        Some(&self.mems[i].1)
+        let mems = self.mems.as_slice();
+        let i = mems.binary_search_by_key(&mem, |&(m, _)| m).ok()?;
+        Some(&mems[i].1)
     }
 
     /// Folds the edge `src --thread-->` into this successor: the source's
@@ -270,13 +314,17 @@ impl FrontierNode {
     ) -> Vec<(MonitorState, Parent)> {
         let mut died = Vec::new();
         self.violated = self.violated.saturating_add(src_node.violated);
-        for &(mem, ref alive) in &src_node.mems {
+        for &(mem, ref alive) in src_node.mems.as_slice() {
             let (next, ok) = stepper.step(mem, self.valuation, &self.state);
             let parent = Parent { src, thread, mem };
             if ok {
-                match self.mems.binary_search_by_key(&next, |&(m, _)| m) {
+                match self
+                    .mems
+                    .as_slice()
+                    .binary_search_by_key(&next, |&(m, _)| m)
+                {
                     Ok(i) => {
-                        let runs = &mut self.mems[i].1.runs;
+                        let runs = &mut self.mems.as_mut_slice()[i].1.runs;
                         *runs = runs.saturating_add(alive.runs);
                     }
                     Err(i) => self.mems.insert(
@@ -348,101 +396,11 @@ struct ViolationSeed {
     pred: Parent,
 }
 
-/// The next level under construction: the one per-edge path of both the
-/// sequential expansion and every shard's merge. Edges must arrive in
-/// ascending (source cut, thread) order; the first edge into a cut
-/// creates its node, computing its state and valuation once.
-#[derive(Debug, Default)]
-pub(crate) struct Successors {
-    /// Successor cut → index into `nodes`.
-    index: FastMap<Cut, u32>,
-    nodes: Vec<FrontierNode>,
-    out: LevelExpansion,
-}
-
-impl Successors {
-    /// Makes room for `n` successors without growing mid-level.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.index.reserve(n);
-        self.nodes.reserve(n);
-    }
-
-    /// Applies the edge from `src` (the source's index in its level) to
-    /// `succ`, which consumes thread `thread`'s message; `update` is the
-    /// write it applies, `None` for a relevant non-write (exotic relevance
-    /// policies), which steps over as a stutter.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn edge(
-        &mut self,
-        stepper: &mut Stepper<'_>,
-        src: u32,
-        src_cut: &Cut,
-        src_node: &FrontierNode,
-        thread: u32,
-        succ: Cut,
-        update: Option<(VarId, Value)>,
-    ) {
-        let out = &mut self.out;
-        if update.is_none() {
-            out.non_writes += 1;
-        }
-        let i = match self.index.entry(succ) {
-            Entry::Occupied(e) => {
-                out.deduped += 1;
-                *e.get() as usize
-            }
-            Entry::Vacant(e) => {
-                out.new_states += 1;
-                // States are uniquely determined by the cut, so the first
-                // visiting edge computes the node's state and valuation
-                // once and later edges reuse them. A stutter repeats the
-                // source's state, and with it the source's valuation.
-                let node = match update {
-                    Some((var, value)) => {
-                        let state = src_node.state.updated(var, value);
-                        let valuation = stepper.monitor.valuation(&state);
-                        FrontierNode::new(state, valuation)
-                    }
-                    None => FrontierNode::new(src_node.state.clone(), src_node.valuation),
-                };
-                let i = self.nodes.len();
-                self.nodes.push(node);
-                e.insert(i as u32);
-                i
-            }
-        };
-        let node = &mut self.nodes[i];
-        out.evals += src_node.mems.len() as u64;
-        for (memory, pred) in node.absorb(src, thread, src_node, stepper) {
-            out.seeds.push(ViolationSeed {
-                cut: src_cut.advanced(ThreadId(thread)),
-                state: node.state.clone(),
-                memory,
-                pred,
-            });
-        }
-    }
-
-    /// Hands over the level built so far (cuts unsorted) and resets for
-    /// the next one, keeping the index's allocation.
-    pub(crate) fn finish(&mut self) -> LevelExpansion {
-        let nodes = &mut self.nodes;
-        let mut out = std::mem::take(&mut self.out);
-        out.next.extend(
-            self.index
-                .drain()
-                .map(|(cut, i)| (cut, std::mem::take(&mut nodes[i as usize]))),
-        );
-        nodes.clear();
-        out
-    }
-}
-
-/// The outcome of expanding one sealed level, identical in shape whether
-/// the sequential path or the sharded worker pool produced it.
+/// The outcome of expanding one sealed level (or, on the pool, one shard's
+/// key range of it), identical in shape on both expansion paths.
 #[derive(Debug, Default)]
 pub(crate) struct LevelExpansion {
-    /// The next level, in no particular order until the seal sorts it.
+    /// The next level in ascending cut order, as the merge creates it.
     next: Level,
     seeds: Vec<ViolationSeed>,
     new_states: u64,
@@ -455,8 +413,81 @@ pub(crate) struct LevelExpansion {
 }
 
 impl LevelExpansion {
-    /// Folds in another shard's disjoint slice of the same level.
-    pub(crate) fn merge(&mut self, other: LevelExpansion) {
+    /// An empty expansion that builds its level into `buffer`'s allocation.
+    pub(crate) fn into_buffer(mut buffer: Level) -> Self {
+        buffer.clear();
+        Self {
+            next: buffer,
+            ..Self::default()
+        }
+    }
+
+    /// Successor nodes created so far.
+    pub(crate) fn new_states(&self) -> u64 {
+        self.new_states
+    }
+
+    /// Edges applied so far.
+    pub(crate) fn edges(&self) -> u64 {
+        self.new_states + self.deduped
+    }
+
+    /// The one per-edge path of both expansion paths: applies the edge
+    /// from `src` (the source's index in its level) on thread `thread`.
+    /// `new` says the merge reached a successor no earlier edge produced,
+    /// which creates its node, computing its state and valuation once;
+    /// otherwise the edge folds into the node created last. `update` is the
+    /// write the edge applies, `None` for a relevant non-write (exotic
+    /// relevance policies), which steps over as a stutter.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn edge(
+        &mut self,
+        stepper: &mut Stepper<'_>,
+        new: bool,
+        src: u32,
+        src_cut: &Cut,
+        src_node: &FrontierNode,
+        thread: u32,
+        update: Option<(VarId, Value)>,
+    ) {
+        if update.is_none() {
+            self.non_writes += 1;
+        }
+        if new {
+            self.new_states += 1;
+            // States are uniquely determined by the cut, so the first
+            // visiting edge computes the node's state and valuation once
+            // and later edges reuse them. A stutter repeats the source's
+            // state, and with it the source's valuation.
+            let node = match update {
+                Some((var, value)) => {
+                    let state = src_node.state.updated(var, value);
+                    let valuation = stepper.monitor.revalued(src_node.valuation, &state, var);
+                    FrontierNode::new(state, valuation)
+                }
+                None => FrontierNode::new(src_node.state.clone(), src_node.valuation),
+            };
+            self.next.push((src_cut.advanced(ThreadId(thread)), node));
+        } else {
+            self.deduped += 1;
+        }
+        let (cut, node) = self
+            .next
+            .last_mut()
+            .expect("the merge creates a successor before folding into it");
+        self.evals += src_node.mems.as_slice().len() as u64;
+        for (memory, pred) in node.absorb(src, thread, src_node, stepper) {
+            self.seeds.push(ViolationSeed {
+                cut: cut.clone(),
+                state: node.state.clone(),
+                memory,
+                pred,
+            });
+        }
+    }
+
+    /// Appends the next shard's key range of the same level.
+    pub(crate) fn append(&mut self, other: LevelExpansion) {
         self.next.extend(other.next);
         self.seeds.extend(other.seeds);
         self.new_states += other.new_states;
@@ -530,9 +561,12 @@ pub struct StreamingAnalyzer {
     eval_cache: bool,
     /// The sequential path's per-level step memo, cleared at every seal.
     step_cache: StepCache,
-    /// The sequential path's successor index and node buffer, reused
-    /// level after level.
-    successors: Successors,
+    /// The sequential path's packed frontier keys and merge heads, and a
+    /// retired level's allocation for the next one, reused level after
+    /// level.
+    keys: LevelKeys,
+    heads: Heads,
+    spare: Level,
     /// The persistent worker pool; lazily created at the first parallel
     /// level, or injected ([`StreamingAnalyzer::with_pool`]) to share one
     /// pool across analyzers.
@@ -561,7 +595,6 @@ pub struct StreamingAnalyzer {
     tel_imbalance: Gauge,
     tel_parallel_levels: Counter,
     tel_workers: Gauge,
-    tel_steals: Counter,
     tel_park: Histogram,
     /// `spec.eval_cache_hits`, cloned into every step cache this analyzer
     /// creates (sequential and per-shard alike).
@@ -604,7 +637,7 @@ impl StreamingAnalyzer {
         let mut violations = Vec::new();
         let mut node = FrontierNode::new(initial.clone(), monitor.valuation(initial));
         if ok0 {
-            node.mems.push((
+            node.mems = Mems::One((
                 mem0,
                 Alive {
                     runs: 1,
@@ -661,7 +694,9 @@ impl StreamingAnalyzer {
             },
             eval_cache: config.eval_cache,
             step_cache: StepCache::with_counter(tel_cache_hits.clone()),
-            successors: Successors::default(),
+            keys: LevelKeys::default(),
+            heads: Heads::default(),
+            spare: Level::new(),
             pool: None,
             tel_states,
             tel_deduped: registry.counter("lattice.cuts_deduped"),
@@ -680,7 +715,6 @@ impl StreamingAnalyzer {
             tel_imbalance: registry.gauge("lattice.parallel.imbalance_pct"),
             tel_parallel_levels: registry.counter("lattice.parallel.levels"),
             tel_workers: registry.gauge("lattice.parallel.workers"),
-            tel_steals: registry.counter("lattice.parallel.steals"),
             tel_park: registry.histogram("lattice.parallel.park_ns"),
             tel_cache_hits,
             trace_ring: registry.tracer().ring("lattice"),
@@ -744,6 +778,7 @@ impl StreamingAnalyzer {
             violating_runs = violating_runs.saturating_add(node.violated);
             total_runs = node
                 .mems
+                .as_slice()
                 .iter()
                 .fold(total_runs.saturating_add(node.violated), |acc, (_, a)| {
                     acc.saturating_add(a.runs)
@@ -798,7 +833,7 @@ impl StreamingAnalyzer {
     /// The message enabled from `cut` on thread `t`, if consistent. Shared
     /// with the sharded expansion workers, which run the same check.
     fn enabled(&self, cut: &Cut, t: usize) -> Option<&Message> {
-        parallel::enabled(&self.delivered, cut, t)
+        merge::enabled(&self.delivered, cut, t)
     }
 
     /// The worker count for a level of `width` cuts: sequential below the
@@ -815,19 +850,22 @@ impl StreamingAnalyzer {
         (width / self.shard_granularity).clamp(1, cap)
     }
 
-    /// Expands one sealed level on the calling thread. Source cuts are
-    /// visited in the level's ascending order and threads in ascending
-    /// order — the same total order the parallel merge applies
-    /// contributions in — so both paths build identical frontiers, parent
-    /// links, and seed sequences.
+    /// Expands one sealed level on the calling thread: one merge of the
+    /// per-thread successor runs over the whole key space, the same
+    /// per-edge routine and edge order every pool shard applies to its
+    /// range, so both paths build identical frontiers, parent links, and
+    /// seed sequences.
     fn expand_sequential(&mut self, current: &Level, level_index: u64) -> LevelExpansion {
         let Self {
             monitor,
             threads,
             delivered,
+            frontier_max,
             eval_cache,
             step_cache,
-            successors,
+            keys,
+            heads,
+            spare,
             trace_ring,
             ..
         } = self;
@@ -837,35 +875,25 @@ impl StreamingAnalyzer {
             ring: trace_ring,
             level: level_index,
         };
-        // A level rarely more than doubles; the index keeps its capacity
-        // across levels, so this only grows it ahead of a wider level.
-        successors.reserve(2 * current.len());
-        for (src, (cut, node)) in current.iter().enumerate() {
-            for t in 0..*threads {
-                let Some(msg) = parallel::enabled(delivered, cut, t) else {
-                    continue;
-                };
-                let thread = ThreadId(t as u32);
-                successors.edge(
-                    &mut stepper,
-                    src as u32,
-                    cut,
-                    node,
-                    thread.0,
-                    cut.advanced(thread),
-                    msg.var().zip(msg.written_value()),
-                );
-            }
-        }
-        successors.finish()
+        keys.index(current, frontier_max, *threads);
+        let mut out = LevelExpansion::into_buffer(std::mem::take(spare));
+        let input = MergeInput {
+            level: current,
+            keys,
+            delivered,
+        };
+        merge::merge(input, (None, None), heads, &mut stepper, &mut out);
+        out
     }
 
     /// Expands one sealed level on the persistent worker pool (lazily
-    /// spawning it on first use) and merges the disjoint shard results.
-    /// Consumes and returns the sealed level — the pool borrows it via an
-    /// `Arc` that is reclaimed once every shard reports — and records the
-    /// `lattice.parallel.*` metric family. Every analysis-visible output
-    /// is bit-identical to [`StreamingAnalyzer::expand_sequential`].
+    /// spawning it on first use): the successor key space is split into
+    /// one contiguous range per shard, each shard merges its range, and
+    /// the shards concatenate in range order. Consumes and returns the
+    /// sealed level — the pool borrows it via an `Arc` that is reclaimed
+    /// once every shard reports — and records the `lattice.parallel.*`
+    /// metric family. Every analysis-visible output is bit-identical to
+    /// [`StreamingAnalyzer::expand_sequential`].
     fn expand_parallel(
         &mut self,
         current: Level,
@@ -879,16 +907,20 @@ impl StreamingAnalyzer {
         } else {
             (0..workers).map(|_| TraceRing::disabled()).collect()
         };
-        let shared = Arc::new(LevelShared::new(
-            current,
-            Arc::clone(&self.delivered),
-            Arc::clone(&self.monitor),
-            self.threads,
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.index(&current, &self.frontier_max, self.threads);
+        let bounds = merge::split(&keys, workers);
+        let shared = Arc::new(LevelShared {
+            sources: current,
+            keys,
+            bounds,
+            delivered: Arc::clone(&self.delivered),
+            monitor: Arc::clone(&self.monitor),
             workers,
-            level_index,
-            self.eval_cache,
-            self.tel_cache_hits.clone(),
-        ));
+            level: level_index,
+            eval_cache: self.eval_cache,
+            cache_hits: self.tel_cache_hits.clone(),
+        });
         let pool = Arc::clone(
             self.pool
                 .get_or_insert_with(|| Arc::new(ExpansionPool::new(self.parallelism))),
@@ -897,25 +929,41 @@ impl StreamingAnalyzer {
         // Every worker dropped its clone before reporting, so the level
         // (sources included) comes back without copying. The fallback
         // clone is unreachable in practice.
-        let sources = Arc::try_unwrap(shared).map_or_else(|arc| arc.sources.clone(), |s| s.sources);
+        let sources = match Arc::try_unwrap(shared) {
+            Ok(shared) => {
+                self.keys = shared.keys;
+                shared.sources
+            }
+            Err(shared) => shared.sources.clone(),
+        };
         self.tel_parallel_levels.inc();
         self.tel_workers.set(workers as u64);
-        let max_assigned = reports.iter().map(|r| r.assigned).max().unwrap_or(0);
-        let min_assigned = reports.iter().map(|r| r.assigned).min().unwrap_or(0);
-        if let Some(spread) = ((max_assigned - min_assigned) * 100).checked_div(max_assigned) {
+        let widest = reports
+            .iter()
+            .map(|r| r.expansion.edges())
+            .max()
+            .unwrap_or(0);
+        let narrowest = reports
+            .iter()
+            .map(|r| r.expansion.edges())
+            .min()
+            .unwrap_or(0);
+        if let Some(spread) = ((widest - narrowest) * 100).checked_div(widest) {
             self.tel_imbalance.set(spread);
         }
-        let mut out = LevelExpansion::default();
+        // The first shard's slice starts the level; the others append in
+        // range order.
+        let mut out: Option<LevelExpansion> = None;
         for r in reports {
-            self.tel_shard_width.record(r.assigned);
+            self.tel_shard_width.record(r.expansion.edges());
             self.tel_merge.record(r.merge_ns);
-            self.tel_steals.add(r.steals);
             self.tel_park.record(r.park_ns);
-            // Shards own disjoint slices of the successor space, so this
-            // union never collides.
-            out.merge(r.expansion);
+            match &mut out {
+                Some(out) => out.append(r.expansion),
+                None => out = Some(r.expansion),
+            }
         }
-        (out, sources)
+        (out.unwrap_or_default(), sources)
     }
 
     /// Advances the frontier level by level while every frontier cut is
@@ -969,9 +1017,9 @@ impl StreamingAnalyzer {
             self.tel_deduped.add(exp.deduped);
             self.non_writes_skipped += exp.non_writes;
             self.tel_non_writes.add(exp.non_writes);
-            // Violations surface in (cut, memory) order — the per-successor
-            // application order on both paths — so reports are identical
-            // for every worker count.
+            // Violations surface in (cut, memory) order. The merge already
+            // yields them by cut on both paths; within a cut they follow
+            // the edge order, so the memory order is imposed here.
             exp.seeds
                 .sort_by(|a, b| a.cut.cmp(&b.cut).then_with(|| a.memory.cmp(&b.memory)));
             let level_violations = exp.seeds.len() as u64;
@@ -987,7 +1035,10 @@ impl StreamingAnalyzer {
                 });
             }
             let mut next = exp.next;
-            next.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            debug_assert!(
+                next.windows(2).all(|w| w[0].0 < w[1].0),
+                "the merge yields the level sorted and deduplicated"
+            );
             let level_evals = exp.evals;
             let level_states = exp.new_states;
             // Cuts that had no successor (only possible mid-stream for the
@@ -996,6 +1047,7 @@ impl StreamingAnalyzer {
             // occur for validated complete inputs.
             if next.is_empty() {
                 self.frontier = current;
+                self.spare = next;
                 break;
             }
             // Degrade instead of OOM: prune the level to a deterministic
@@ -1016,12 +1068,11 @@ impl StreamingAnalyzer {
                     }
                 }
             }
-            // Retire the expanded level into the bounded history.
-            if self.history > 0 {
-                self.past.push_back(current);
-                while self.past.len() > self.history {
-                    self.past.pop_front();
-                }
+            // Retire the expanded level into the bounded history; the level
+            // that leaves it lends its allocation to the next expansion.
+            self.past.push_back(current);
+            if self.past.len() > self.history {
+                self.spare = self.past.pop_front().unwrap_or_default();
             }
             self.seal_frontier(next);
             self.levels_built += 1;

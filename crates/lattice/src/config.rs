@@ -16,8 +16,8 @@ pub struct AnalysisConfig {
     /// summaries are always reported).
     pub max_counterexamples: usize,
     /// Worker threads for frontier expansion. `0` and `1` both mean
-    /// sequential; `n ≥ 2` shards each level's cuts by hash across at most
-    /// `n` workers. Results are bit-identical to the sequential path for
+    /// sequential; `n ≥ 2` splits each level's successor keys into at
+    /// most `n` contiguous ranges, one per worker. Results are bit-identical to the sequential path for
     /// every value — see the determinism argument in DESIGN.md §12.
     pub parallelism: usize,
     /// Beam width limit for the streaming frontier; `0` is unbounded.

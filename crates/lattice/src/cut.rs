@@ -95,12 +95,7 @@ impl Cut {
             return None;
         }
         let mut advanced = None;
-        for (i, (a, b)) in self
-            .counts
-            .iter()
-            .zip(other.counts.as_slice())
-            .enumerate()
-        {
+        for (i, (a, b)) in self.counts.iter().zip(other.counts.as_slice()).enumerate() {
             match b.checked_sub(*a) {
                 Some(0) => {}
                 Some(1) if advanced.is_none() => advanced = Some(ThreadId(i as u32)),

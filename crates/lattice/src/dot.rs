@@ -76,14 +76,11 @@ pub fn to_dot(lattice: &Lattice, symbols: &SymbolTable, options: &DotOptions) ->
             let label = lattice
                 .edge_message(id, thread)
                 .and_then(|m| {
-                    let var = m.var()?;
-                    let value = m.written_value()?;
-                    Some(format!(
-                        "{}: {}={}",
-                        m.thread(),
-                        symbols.name_or_default(var),
-                        value
-                    ))
+                    let name = symbols.name_or_default(m.var()?);
+                    Some(match m.written_value() {
+                        Some(value) => format!("{}: {name}={value}", m.thread()),
+                        None => format!("{}: read {name}", m.thread()),
+                    })
                 })
                 .unwrap_or_default();
             let _ = writeln!(out, "  n{id} -> n{succ} [label=\"{label}\"];");

@@ -86,19 +86,22 @@ impl Lattice {
                     let Some(msg) = input.enabled(cut, t) else {
                         continue;
                     };
-                    let var = msg.var().expect("lattice messages are writes");
-                    let value = msg.written_value().expect("lattice messages are writes");
-                    moves.push((nid, t, cut.advanced(t), var, value));
+                    let update = msg.var().zip(msg.written_value());
+                    moves.push((nid, t, cut.advanced(t), update));
                 }
             }
 
             let mut next: Vec<NodeId> = Vec::new();
-            for (nid, t, succ_cut, var, value) in moves {
+            for (nid, t, succ_cut, update) in moves {
                 let succ_id = match index.get(&succ_cut) {
                     Some(&id) => id,
                     None => {
                         let id = nodes.len();
-                        let state = nodes[nid].state.updated(var, value);
+                        // A relevant non-write is a stutter step.
+                        let state = match update {
+                            Some((var, value)) => nodes[nid].state.updated(var, value),
+                            None => nodes[nid].state.clone(),
+                        };
                         nodes.push(Node {
                             cut: succ_cut.clone(),
                             state,

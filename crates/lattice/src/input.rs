@@ -23,15 +23,6 @@ pub enum InputError {
         /// The sequence number actually found at that position.
         found: u32,
     },
-    /// A relevant message that is not a write cannot update the global
-    /// state. (JMPaX relevance policies only mark writes relevant; inputs
-    /// from exotic policies must be filtered first.)
-    NonWriteMessage {
-        /// The offending message's thread.
-        thread: ThreadId,
-        /// The offending message's sequence number.
-        seq: u32,
-    },
 }
 
 impl fmt::Display for InputError {
@@ -45,10 +36,6 @@ impl fmt::Display for InputError {
                 f,
                 "{thread}: expected message seq {expected}, found {found} (gap in stream?)"
             ),
-            InputError::NonWriteMessage { thread, seq } => write!(
-                f,
-                "{thread}: message seq {seq} is not a write; lattice states need state updates"
-            ),
         }
     }
 }
@@ -56,6 +43,8 @@ impl fmt::Display for InputError {
 impl std::error::Error for InputError {}
 
 /// Per-thread relevant-message sequences plus the initial global state.
+/// A relevant message that is not a write (exotic relevance policies)
+/// leaves the state as it is: its lattice edge is a stutter step.
 ///
 /// Construction sorts the messages by `(thread, V[i])` and validates that
 /// each thread's sequence numbers form the contiguous range `1..=len` —
@@ -89,12 +78,6 @@ impl LatticeInput {
                         thread: ThreadId(t as u32),
                         expected: i as u32 + 1,
                         found: m.seq(),
-                    });
-                }
-                if m.written_value().is_none() {
-                    return Err(InputError::NonWriteMessage {
-                        thread: ThreadId(t as u32),
-                        seq: m.seq(),
                     });
                 }
             }
@@ -179,7 +162,10 @@ impl LatticeInput {
         for (t, msgs) in self.per_thread.iter().enumerate() {
             let take = cut.get(ThreadId(t as u32)) as usize;
             for m in &msgs[..take.min(msgs.len())] {
-                let Some(var) = m.var() else { continue };
+                // Only writes set values; a relevant read changes nothing.
+                let (Some(var), Some(_)) = (m.var(), m.written_value()) else {
+                    continue;
+                };
                 match latest.entry(var) {
                     std::collections::btree_map::Entry::Vacant(e) => {
                         e.insert(m);
@@ -275,11 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn non_write_rejected() {
+    fn non_writes_are_stutter_steps() {
+        // An exotic relevance policy: reads are relevant too. A read cannot
+        // update the state, so the lattice steps over it, as the streaming
+        // analyzer does.
         let mut a = MvcInstrumentor::new(1, Relevance::accesses_of([X]));
-        let m = a.process(&Event::read(T1, X)).unwrap();
-        let err = LatticeInput::from_messages([m], ProgramState::new()).unwrap_err();
-        assert!(matches!(err, InputError::NonWriteMessage { .. }));
+        let mut msgs = Vec::new();
+        msgs.extend(a.process(&Event::write(T1, X, 1)));
+        msgs.extend(a.process(&Event::read(T1, X)));
+        let input = LatticeInput::from_messages(msgs, ProgramState::new()).unwrap();
+        assert_eq!(input.total_events(), 2);
+        let lattice = crate::Lattice::build(input.clone());
+        assert_eq!(lattice.node_count(), 3);
+        let top = input.top();
+        assert_eq!(
+            input.state_at(&top),
+            input.state_at(&Cut::from_counts(vec![1]))
+        );
+        assert_eq!(input.state_at(&top).get(X), Value::Int(1));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod cut;
 pub mod dot;
 pub mod explore;
 pub mod input;
+mod merge;
 mod parallel;
 pub mod reassemble;
 
@@ -52,9 +53,9 @@ pub use analyses::{
 pub use analysis::{analyze, LatticeAnalysis};
 pub use builder::{Counterexample, RunStep, StreamReport, StreamingAnalyzer, Violation};
 pub use config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
-pub use parallel::ExpansionPool;
 pub use cut::Cut;
 pub use dot::{to_dot, DotOptions};
 pub use explore::Lattice;
 pub use input::{InputError, LatticeInput};
+pub use parallel::ExpansionPool;
 pub use reassemble::{Exactness, GapRecord, Reassembler, ReassemblyReport, DEFAULT_STALL_BUDGET};

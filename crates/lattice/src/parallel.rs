@@ -1,78 +1,62 @@
-//! Persistent work-stealing pool for sharded parallel expansion of one
+//! Persistent worker pool for sharded parallel expansion of one
 //! streaming-frontier level.
 //!
 //! The level-by-level loop of [`crate::StreamingAnalyzer`] is the hottest
 //! code in the pipeline: every cut of the sealed level expands into up to
 //! `threads` successors, and every successor steps every alive monitor
 //! memory. An [`ExpansionPool`] owns a set of long-lived worker threads —
-//! spawned once, parked on their task channels between levels — and runs
-//! each level in two phases connected by channels:
-//!
-//! 1. **Expand** — the sorted source cuts are split into many contiguous
-//!    chunks (several per worker); workers *steal* chunks from a shared
-//!    atomic cursor, so a worker slowed by a skewed chunk sheds the rest
-//!    of the level to its siblings. Each enabled successor (an owned
-//!    [`Contribution`] carrying its source's index) is routed to the
-//!    worker owning `hash(successor) % workers`, batched per chunk and
-//!    target and tagged with the chunk index.
-//! 2. **Merge** — each worker owns a disjoint slice of the successor cut
-//!    space (a sharded seen-set, so deduplication needs no locks). It
-//!    orders the incoming buckets by chunk index and applies them; the
-//!    successor's state (computed once per node — states are uniquely
-//!    determined by the cut) and all monitor stepping happen here,
-//!    through a per-shard [`StepCache`] when the analyzer enables it.
+//! spawned once, parked on their task channels between levels. The
+//! analyzer packs the sealed level's keys once and splits the successor
+//! key space into one contiguous range per shard, about equal in edges
+//! ([`merge::split`]). Each shard runs the same merge the sequential path
+//! runs ([`merge::merge`]), restricted to its range: it finds each
+//! thread's run start with a partition point on the sorted source keys,
+//! creates its successors' nodes, and steps their memories through a
+//! per-shard [`StepCache`] when the analyzer enables it. Shards share
+//! nothing mutable and exchange nothing.
 //!
 //! # Determinism
 //!
-//! The merge order is the linchpin: the sequential path applies
-//! contributions in ascending `(source cut, thread)` order. Chunks are
-//! contiguous slices of the *sorted* source list, every bucket preserves
-//! its chunk's walk order, and each shard concatenates its buckets in
-//! ascending chunk index — reproducing exactly that global order no
-//! matter which worker stole which chunk. Monitor memories are stepped in
-//! sorted order on both paths, and the step cache memoizes a pure
-//! function, so it can only collapse work, never change a result. Every
-//! output is therefore bit-identical to the sequential path regardless of
-//! worker count or steal schedule: new-node states (first contribution
-//! wins, and "first" is a total order, not hash-map luck), alive/dead
-//! memory sets, counterexample parents, violation seeds, and all logical
-//! counters. Run counts are sums, which no application order can change.
-//! Only the `lattice.parallel.*` metrics (steals, park times, shard
-//! widths) and the physical `spec.formula_evals` / `spec.eval_cache_hits`
-//! split reflect the schedule.
+//! The ranges are disjoint and ordered, so concatenating the shards in
+//! range order gives the next level in ascending cut order — the order the
+//! sequential merge produces. Every successor lies in exactly one range,
+//! and its shard applies its in-edges in ascending thread order, the same
+//! per-successor order as the sequential path. Node states, alive and dead
+//! memory sets, counterexample parents, violation seeds and all logical
+//! counters depend only on that per-successor order, so every output is
+//! bit-identical to the sequential path at every worker count. Run counts
+//! are sums, which no order can change. Only the `lattice.parallel.*`
+//! metrics (park times, shard widths) and the physical
+//! `spec.formula_evals` / `spec.eval_cache_hits` split reflect the
+//! sharding.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
-use jmpax_core::{Message, ThreadId, Value, VarId};
+use jmpax_core::Message;
 use jmpax_spec::{Monitor, StepCache};
 use jmpax_telemetry::trace::{TraceKind, TraceRing};
 use jmpax_telemetry::{Counter, Stage};
 
-use crate::builder::{Level, LevelExpansion, Stepper, Successors};
-use crate::cut::Cut;
-
-/// Chunks handed out per worker: oversubscription is what makes stealing
-/// possible. More chunks mean finer-grained balancing but more bucket
-/// traffic; 4 recovers most of the skew at negligible overhead.
-const CHUNKS_PER_WORKER: usize = 4;
+use crate::builder::{Level, LevelExpansion, Stepper};
+use crate::merge::{self, Heads, LevelKeys, MergeInput, Word};
 
 /// Everything the pool's workers need for one level, shared behind one
-/// `Arc`. Built by the analyzer, reclaimed (sources included) after every
-/// worker has reported.
+/// `Arc`. Built by the analyzer, reclaimed (sources and keys included)
+/// after every worker has reported.
 pub(crate) struct LevelShared {
-    /// The sealed level in ascending cut order. Indexed by
-    /// [`Contribution::src`].
+    /// The sealed level in ascending cut order.
     pub sources: Level,
+    /// The sources' packed keys.
+    pub keys: LevelKeys,
+    /// The inner boundaries of the shards' key ranges ([`merge::split`]).
+    pub bounds: Vec<Word>,
     /// Causally delivered messages per thread (contiguous prefixes).
     pub delivered: Arc<Vec<Vec<Message>>>,
     /// The property monitor; stepping is `&self`.
     pub monitor: Arc<Monitor>,
-    /// Declared thread count of the computation.
-    pub threads: usize,
     /// Engaged worker count for this level (also the shard count).
     pub workers: usize,
     /// Level index being sealed, for trace records.
@@ -81,92 +65,23 @@ pub(crate) struct LevelShared {
     pub eval_cache: bool,
     /// `spec.eval_cache_hits`, cloned into each shard's cache.
     pub cache_hits: Counter,
-    /// Source cuts per steal chunk.
-    pub chunk: usize,
-    /// Total steal chunks (`ceil(sources / chunk)`).
-    pub chunks: usize,
-    /// Chunks per worker under a fair static split; anything a worker
-    /// takes beyond this counts as a steal.
-    pub fair_share: usize,
-    /// The steal cursor: next chunk index to claim.
-    pub cursor: AtomicUsize,
 }
 
-impl LevelShared {
-    /// Splits `sources` (already sorted ascending) into steal chunks and
-    /// packages one level for the pool.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        sources: Level,
-        delivered: Arc<Vec<Vec<Message>>>,
-        monitor: Arc<Monitor>,
-        threads: usize,
-        workers: usize,
-        level: u64,
-        eval_cache: bool,
-        cache_hits: Counter,
-    ) -> Self {
-        let chunk = sources
-            .len()
-            .div_ceil(workers * CHUNKS_PER_WORKER)
-            .max(1);
-        let chunks = sources.len().div_ceil(chunk);
-        Self {
-            sources,
-            delivered,
-            monitor,
-            threads,
-            workers,
-            level,
-            eval_cache,
-            cache_hits,
-            chunk,
-            chunks,
-            fair_share: chunks.div_ceil(workers),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// One `(source, thread)` expansion: the source is an index into
-/// [`LevelShared::sources`], so only the successor cut is owned. The
-/// successor's state and the monitor steps are deferred to the merge
-/// phase, which performs state computation once per *node* rather than
-/// once per edge.
-struct Contribution {
-    src: u32,
-    thread: u32,
-    succ: Cut,
-    /// The write the consumed message applies; `None` for relevant
-    /// non-write messages (exotic relevance policies), which stutter.
-    update: Option<(VarId, Value)>,
-}
-
-/// A batch of contributions for one target shard, tagged with the steal
-/// chunk that produced it (the merge sort key).
-type Bucket = (usize, Vec<Contribution>);
-
-/// What one shard hands back to the analyzer after expand + merge.
+/// What one shard hands back to the analyzer.
 pub(crate) struct ShardReport {
-    /// This shard's slice of the next level (disjoint from all others),
-    /// its violation seeds in application order, and its counts.
+    /// This shard's key range of the next level, its violation seeds in
+    /// application order, and its counts.
     pub expansion: LevelExpansion,
-    /// Source cuts this worker expanded (its chunks' total width).
-    pub assigned: u64,
-    /// Chunks claimed beyond the fair static share.
-    pub steals: u64,
     /// Nanoseconds this worker sat parked before picking up the level.
     pub park_ns: u64,
-    /// Wall time of the merge phase, nanoseconds.
+    /// Wall time of the shard's merge, nanoseconds.
     pub merge_ns: u64,
 }
 
-/// One unit of pool work: expand-and-merge one shard of one level.
+/// One unit of pool work: merge one shard's key range of one level.
 struct ShardTask {
     shared: Arc<LevelShared>,
     shard: usize,
-    txs: Vec<mpsc::Sender<Bucket>>,
-    rx: mpsc::Receiver<Bucket>,
     ring: TraceRing,
     report: mpsc::Sender<(usize, ShardReport)>,
 }
@@ -176,16 +91,13 @@ struct ShardTask {
 /// Workers are spawned once and parked on their task channels between
 /// levels (a blocking `recv`, measured as `lattice.parallel.park_ns`), so
 /// per-level cost is a channel send instead of a thread spawn. One pool
-/// can serve many analyzers: [`crate::SuiteBuilder::pool`]
-/// shares it, and an internal lease serializes levels so shards of
-/// different levels never interleave on the same workers (a level's merge
-/// phase must be co-scheduled with its own expansion phase). Dropping the
-/// pool closes the task channels and joins every worker.
+/// can serve many analyzers: [`crate::SuiteBuilder::pool`] shares it.
+/// Shards never wait on each other, so tasks of different levels may
+/// queue on the same workers in any order. Dropping the pool closes the
+/// task channels and joins every worker.
 pub struct ExpansionPool {
     txs: Vec<mpsc::Sender<ShardTask>>,
     handles: Vec<thread::JoinHandle<()>>,
-    /// Held for the duration of one level; see the type docs.
-    lease: Mutex<()>,
 }
 
 impl ExpansionPool {
@@ -205,11 +117,7 @@ impl ExpansionPool {
                     .expect("spawn expansion worker"),
             );
         }
-        Self {
-            txs,
-            handles,
-            lease: Mutex::new(()),
-        }
+        Self { txs, handles }
     }
 
     /// Number of worker threads.
@@ -221,27 +129,25 @@ impl ExpansionPool {
     /// Runs one level on workers `0..shared.workers` and returns their
     /// reports in shard order. `rings` carries one trace ring per engaged
     /// shard (disabled rings are free).
-    pub(crate) fn expand(&self, shared: &Arc<LevelShared>, rings: Vec<TraceRing>) -> Vec<ShardReport> {
+    pub(crate) fn expand(
+        &self,
+        shared: &Arc<LevelShared>,
+        rings: Vec<TraceRing>,
+    ) -> Vec<ShardReport> {
         let workers = shared.workers;
         debug_assert!(workers >= 1 && workers <= self.size() && rings.len() == workers);
-        let _lease = self.lease.lock().expect("expansion pool lease");
-        let (bucket_txs, bucket_rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<Bucket>()).unzip();
         let (report_tx, report_rx) = mpsc::channel();
-        for (shard, (rx, ring)) in bucket_rxs.into_iter().zip(rings).enumerate() {
+        for (shard, ring) in rings.into_iter().enumerate() {
             let task = ShardTask {
                 shared: Arc::clone(shared),
                 shard,
-                txs: bucket_txs.clone(),
-                rx,
                 ring,
                 report: report_tx.clone(),
             };
             self.txs[shard].send(task).expect("pool worker alive");
         }
-        // Workers hold clones; dropping the originals lets every merge
-        // phase's receive loop (and the report collection below) finish.
-        drop(bucket_txs);
+        // Workers hold clones; dropping the original lets the report
+        // collection below finish.
         drop(report_tx);
         let mut reports: Vec<(usize, ShardReport)> = report_rx.iter().collect();
         debug_assert_eq!(reports.len(), workers, "a pool worker died mid-level");
@@ -272,10 +178,12 @@ impl fmt::Debug for ExpansionPool {
 /// (that's the park — its duration is reported with the next task), run,
 /// repeat until the pool drops the channel.
 fn worker_main(rx: &mpsc::Receiver<ShardTask>) {
+    // The merge heads keep their buffers from level to level.
+    let mut heads = Heads::default();
     let mut parked_at = Instant::now();
     while let Ok(task) = rx.recv() {
         let park_ns = elapsed_ns(parked_at);
-        run_shard(task, park_ns);
+        run_shard(task, &mut heads, park_ns);
         parked_at = Instant::now();
     }
 }
@@ -284,124 +192,17 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The shard owning `cut`: a stable FNV-1a fold over the counts, so
-/// assignment is deterministic for a given worker count (and irrelevant
-/// to results either way — the merge order is what determinism rests on).
-/// This runs once per produced successor, so it avoids the much heavier
-/// `DefaultHasher` (SipHash) deliberately.
-///
-/// The fold's low bit is the parity of the count sum, which every cut of
-/// a level shares, so the SplitMix64 finalizer mixes the high bits down
-/// before the modulo; without it an even worker count sends a whole level
-/// to one shard (two of four at 4 workers).
-fn shard_of(cut: &Cut, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in cut.as_slice() {
-        h = (h ^ u64::from(c)).wrapping_mul(0x0100_0000_01b3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h % workers as u64) as usize
-}
-
-/// The message enabled from `cut` on thread `t`, if causally consistent —
-/// the same Theorem-3 check the sequential path performs.
-pub(crate) fn enabled<'a>(
-    delivered: &'a [Vec<Message>],
-    cut: &Cut,
-    t: usize,
-) -> Option<&'a Message> {
-    let tid = ThreadId(t as u32);
-    let consumed = cut.get(tid) as usize;
-    let m = delivered.get(t)?.get(consumed)?;
-    let consistent = m.clock.iter().all(|(j, v)| {
-        if j == tid {
-            v == cut.get(tid) + 1
-        } else {
-            v <= cut.get(j)
-        }
-    });
-    consistent.then_some(m)
-}
-
-/// One pool task: steal and expand chunks of source cuts, exchange
-/// contribution buckets, then merge the slice of the successor space this
-/// shard owns, and report back to the analyzer.
-fn run_shard(task: ShardTask, park_ns: u64) {
+/// One pool task: merge the shard's key range of the level and report
+/// back to the analyzer.
+fn run_shard(task: ShardTask, heads: &mut Heads, park_ns: u64) {
     let ShardTask {
         shared,
         shard,
-        txs,
-        rx,
         mut ring,
         report,
     } = task;
-    let workers = shared.workers;
-    let expand = Stage::lane(&ring);
-    let mut assigned = 0u64;
-    let mut taken = 0u64;
-    let mut produced = 0u64;
-    loop {
-        let c = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= shared.chunks {
-            break;
-        }
-        taken += 1;
-        let lo = c * shared.chunk;
-        let hi = (lo + shared.chunk).min(shared.sources.len());
-        assigned += (hi - lo) as u64;
-        // Pre-size for the expected fan-out (≤ threads successors per cut,
-        // spread evenly over the shards) to avoid growth reallocations.
-        let per_bucket = (hi - lo) * shared.threads / workers + 4;
-        let mut buckets: Vec<Vec<Contribution>> = (0..workers)
-            .map(|_| Vec::with_capacity(per_bucket))
-            .collect();
-        for (offset, (cut, _node)) in shared.sources[lo..hi].iter().enumerate() {
-            for t in 0..shared.threads {
-                let Some(msg) = enabled(&shared.delivered, cut, t) else {
-                    continue;
-                };
-                let succ = cut.advanced(ThreadId(t as u32));
-                produced += 1;
-                buckets[shard_of(&succ, workers)].push(Contribution {
-                    src: (lo + offset) as u32,
-                    thread: t as u32,
-                    succ,
-                    update: msg.var().zip(msg.written_value()),
-                });
-            }
-        }
-        for (tx, bucket) in txs.iter().zip(buckets) {
-            if !bucket.is_empty() {
-                // A shard with no receiver left has already merged.
-                let _ = tx.send((c, bucket));
-            }
-        }
-    }
-    let steals = taken.saturating_sub(shared.fair_share as u64);
-    expand.end(
-        &mut ring,
-        TraceKind::ShardExpanded {
-            level: shared.level,
-            shard: shard as u32,
-            cuts: assigned,
-            contributions: produced,
-        },
-    );
-    drop(txs);
-
-    // Merge: this shard owns every successor hashing to it, so the
-    // seen-set below is shard-local and lock-free. Buckets ordered by
-    // chunk index concatenate into the sequential application order —
-    // ascending (source cut, thread) — because chunks are contiguous
-    // slices of the sorted source list.
+    let span = Stage::lane(&ring);
     let merge_start = Instant::now();
-    let mut incoming: Vec<Bucket> = rx.iter().collect();
-    incoming.sort_unstable_by_key(|&(chunk, _)| chunk);
-    let edges: usize = incoming.iter().map(|(_, bucket)| bucket.len()).sum();
-    let mut successors = Successors::default();
-    successors.reserve(edges.min(2 * shared.sources.len() / workers + 1));
     let mut cache = shared
         .eval_cache
         .then(|| StepCache::with_counter(shared.cache_hits.clone()));
@@ -411,26 +212,28 @@ fn run_shard(task: ShardTask, park_ns: u64) {
         ring: &mut ring,
         level: shared.level,
     };
-    for (_, bucket) in incoming {
-        for c in bucket {
-            let (src_cut, src_node) = &shared.sources[c.src as usize];
-            successors.edge(
-                &mut stepper,
-                c.src,
-                src_cut,
-                src_node,
-                c.thread,
-                c.succ,
-                c.update,
-            );
-        }
-    }
-    let expansion = successors.finish();
+    let input = MergeInput {
+        level: &shared.sources,
+        keys: &shared.keys,
+        delivered: &shared.delivered,
+    };
+    let range = merge::shard_range(&shared.bounds, shared.keys.words(), shard);
+    // About one successor per source, as in the sequential level.
+    let width = shared.sources.len() / shared.workers + 1;
+    let mut expansion = LevelExpansion::into_buffer(Level::with_capacity(width));
+    merge::merge(input, range, heads, &mut stepper, &mut expansion);
     let merge_ns = elapsed_ns(merge_start);
+    span.end(
+        &mut ring,
+        TraceKind::ShardExpanded {
+            level: shared.level,
+            shard: shard as u32,
+            cuts: expansion.new_states(),
+            contributions: expansion.edges(),
+        },
+    );
     let out = ShardReport {
         expansion,
-        assigned,
-        steals,
         park_ns,
         merge_ns,
     };
@@ -443,29 +246,79 @@ fn run_shard(task: ShardTask, park_ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::FrontierNode;
+    use crate::cut::Cut;
+    use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId};
 
-    /// The cuts of the hypercube `{0..=3}^8` whose counts sum to `level`:
-    /// one level of eight threads writing three times each.
-    fn hypercube_level(level: u32) -> Vec<Cut> {
+    /// The cuts of the hypercube `{0..=3}^8` whose counts sum to `level`,
+    /// in ascending order: one level of eight threads writing three times
+    /// each.
+    fn hypercube_level(level: u32) -> Level {
         (0u32..4u32.pow(8))
-            .map(|n| (0..8).map(|t| (n >> (2 * t)) & 3).collect::<Vec<u32>>())
+            .map(|n| {
+                (0..8)
+                    .map(|t| (n >> (2 * (7 - t))) & 3)
+                    .collect::<Vec<u32>>()
+            })
             .filter(|counts| counts.iter().sum::<u32>() == level)
-            .map(Cut::from_counts)
+            .map(|counts| (Cut::from_counts(counts), FrontierNode::default()))
             .collect()
     }
 
     #[test]
-    fn every_shard_receives_cuts_of_a_level() {
+    fn every_shard_key_range_is_non_empty_on_the_widest_level() {
         let peak = hypercube_level(12);
         assert_eq!(peak.len(), 8_092, "the widest level of 4^8 cuts");
-        for workers in [2usize, 4] {
-            let mut per_shard = vec![0usize; workers];
-            for cut in &peak {
-                per_shard[shard_of(cut, workers)] += 1;
-            }
+        assert!(peak.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut instr = MvcInstrumentor::new(8, Relevance::AllWrites);
+        let delivered: Vec<Vec<Message>> = (0..8u32)
+            .map(|t| {
+                (0..3)
+                    .filter_map(|v| instr.process(&Event::write(ThreadId(t), VarId(t), v)))
+                    .collect()
+            })
+            .collect();
+        let mut symbols = SymbolTable::new();
+        let monitor = jmpax_spec::parse("[*] v0 >= 0", &mut symbols)
+            .unwrap()
+            .monitor()
+            .unwrap();
+        let mut keys = LevelKeys::default();
+        keys.index(&peak, &[3; 8], 8);
+        let input = MergeInput {
+            level: &peak,
+            keys: &keys,
+            delivered: &delivered,
+        };
+        let mut ring = TraceRing::disabled();
+        let mut expand = |range: (Option<&[Word]>, Option<&[Word]>)| {
+            let mut stepper = Stepper {
+                monitor: &monitor,
+                cache: None,
+                ring: &mut ring,
+                level: 13,
+            };
+            let mut out = LevelExpansion::default();
+            merge::merge(input, range, &mut Heads::default(), &mut stepper, &mut out);
+            (out.new_states(), out.edges())
+        };
+        let whole = expand((None, None));
+        assert_eq!(whole.0, 7_728, "the next level of 4^8 cuts");
+        for workers in [2usize, 8] {
+            let bounds = merge::split(&keys, workers);
+            let shards: Vec<(u64, u64)> = (0..workers)
+                .map(|shard| expand(merge::shard_range(&bounds, keys.words(), shard)))
+                .collect();
             assert!(
-                per_shard.iter().all(|&n| n > 0),
-                "{workers} workers: {per_shard:?}"
+                shards.iter().all(|&(states, _)| states > 0),
+                "{workers} workers: {shards:?}"
+            );
+            let states = shards.iter().map(|s| s.0).sum::<u64>();
+            let edges = shards.iter().map(|s| s.1).sum::<u64>();
+            assert_eq!(
+                (states, edges),
+                whole,
+                "{workers} workers: the ranges partition"
             );
         }
     }

@@ -408,7 +408,10 @@ fn parallel_telemetry_reports_engagement() {
     assert_eq!(snap.counter("lattice.parallel.levels").unwrap_or(0), 0);
 
     // And engagement is unobservable in the report itself.
-    assert_eq!(fingerprint(&sequential_report), fingerprint(&parallel_report));
+    assert_eq!(
+        fingerprint(&sequential_report),
+        fingerprint(&parallel_report)
+    );
 }
 
 /// Step-cache accounting: physical evaluations plus cache hits must equal
@@ -472,5 +475,72 @@ fn frontier_cap_composes_with_parallelism() {
             fingerprint(&parallel),
             "workers {workers}"
         );
+    }
+}
+
+/// A computation whose lattice keys need more than 128 bits while its
+/// levels stay a few cuts wide: `threads` threads pass a token
+/// round-robin (a write-write chain on `tok`), and each writes its private
+/// variable right after its token write. Thread `t + 2` reads that
+/// variable before its own turn, so each private write floats past at most
+/// one foreign token write. With 20 threads and 130 rounds every thread
+/// emits 260 messages, so each thread's key field takes 9 bits: 180 bits
+/// in all.
+fn token_ring(threads: usize, rounds: usize) -> (Vec<Message>, ProgramState) {
+    let tok = VarId(threads as u32);
+    let mut instr = MvcInstrumentor::new(threads, Relevance::AllWrites);
+    let mut msgs = Vec::new();
+    let mut counter = 0i64;
+    for _ in 0..rounds {
+        for t in 0..threads {
+            let thread = ThreadId(t as u32);
+            let behind = (t + threads - 2) % threads;
+            instr.process(&Event::read(thread, VarId(behind as u32)));
+            counter += 1;
+            msgs.extend(instr.process(&Event::write(thread, tok, counter)));
+            msgs.extend(instr.process(&Event::write(thread, VarId(t as u32), counter)));
+        }
+    }
+    let mut initial = ProgramState::new();
+    for v in 0..=threads {
+        initial.set(VarId(v as u32), 0i64);
+    }
+    (msgs, initial)
+}
+
+/// Keys wider than two machine words merge exactly like one-word keys:
+/// the sharded reports match the sequential one at 1, 2 and 8 workers for
+/// every spec, the parallel path really engages, and the sequential report
+/// matches the materialized oracle.
+#[test]
+fn keys_wider_than_128_bits_are_bit_identical_across_worker_counts() {
+    const THREADS: usize = 20;
+    let (msgs, initial) = token_ring(THREADS, 130);
+    assert_eq!(msgs.len(), THREADS * 260, "260 messages per thread");
+    for spec in SPECS {
+        let monitor = monitor_for(spec);
+        let config = AnalysisConfig::default()
+            .with_history(usize::MAX)
+            .with_shard_granularity(1);
+        let sequential = stream(&monitor, &initial, THREADS, &msgs, &config);
+        for workers in [2usize, 8] {
+            let registry = Registry::enabled();
+            let config = config.with_parallelism(workers);
+            let parallel = run(&monitor, &initial, THREADS, &msgs, &config, &registry);
+            assert_eq!(
+                fingerprint(&sequential),
+                fingerprint(&parallel),
+                "spec `{spec}` workers {workers}"
+            );
+            let snap = registry.snapshot();
+            assert!(snap.counter("lattice.parallel.levels").unwrap_or(0) > 0);
+        }
+        let input = LatticeInput::from_messages(msgs.clone(), initial.clone()).unwrap();
+        let oracle = analyze(input, &monitor);
+        assert_eq!(sequential.states_explored as usize, oracle.states);
+        assert_eq!(sequential.satisfied(), oracle.violations.is_empty());
+        // 20 interleaved threads saturate the run counts.
+        assert_eq!(sequential.total_runs, StreamReport::SATURATED);
+        assert_eq!(oracle.total_runs, StreamReport::SATURATED);
     }
 }

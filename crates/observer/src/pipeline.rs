@@ -35,7 +35,7 @@ use jmpax_lattice::{
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::trace::TraceKind;
-use jmpax_telemetry::{Registry, Stage};
+use jmpax_telemetry::{Histogram, Registry, Stage};
 
 use crate::observer::Verdict;
 
@@ -183,20 +183,35 @@ impl PipelineConfig {
 
 /// The one full-pipeline entrypoint: spec → relevance → Algorithm A →
 /// observer → verdict, configured once via [`PipelineConfig`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
     /// The persistent expansion pool, created lazily on the first parallel
     /// analysis and shared (via `Arc`) by every subsequent one — including
     /// clones of this pipeline, which reuse the same workers.
     pool: OnceLock<Arc<ExpansionPool>>,
+    /// The `observer.stage.{instrument,analysis,jpax}_ns` histograms,
+    /// resolved once from the configured registry.
+    instrument_ns: Histogram,
+    analysis_ns: Histogram,
+    jpax_ns: Histogram,
+}
+
+impl Default for Pipeline {
+    fn default() -> Self {
+        Self::new(PipelineConfig::default())
+    }
 }
 
 impl Pipeline {
     /// Creates a pipeline with `config`.
     #[must_use]
     pub fn new(config: PipelineConfig) -> Self {
+        let registry = &config.telemetry;
         Self {
+            instrument_ns: registry.histogram("observer.stage.instrument_ns"),
+            analysis_ns: registry.histogram("observer.stage.analysis_ns"),
+            jpax_ns: registry.histogram("observer.stage.jpax_ns"),
             config,
             pool: OnceLock::new(),
         }
@@ -240,8 +255,7 @@ impl Pipeline {
         spec.end(&mut ring, TraceKind::Stage { name: "spec" });
 
         let relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
-        let instrument_ns = registry.histogram("observer.stage.instrument_ns");
-        let instrument = Stage::start(&instrument_ns, &ring);
+        let instrument = Stage::start(&self.instrument_ns, &ring);
         let messages = execution.instrument_with_telemetry(relevance.clone(), registry);
         instrument.end(&mut ring, TraceKind::Stage { name: "instrument" });
 
@@ -293,8 +307,7 @@ impl Pipeline {
         let registry = &self.config.telemetry;
         let mut ring = registry.tracer().ring("observer");
 
-        let analysis_ns = registry.histogram("observer.stage.analysis_ns");
-        let analysis = Stage::start(&analysis_ns, &ring);
+        let analysis = Stage::start(&self.analysis_ns, &ring);
         let threads = messages
             .iter()
             .map(|m| m.thread().index() + 1)
@@ -320,8 +333,7 @@ impl Pipeline {
         let mut report = self.finish_suite(suite, transport);
         analysis.end(&mut ring, TraceKind::Stage { name: "analysis" });
 
-        let jpax_ns = registry.histogram("observer.stage.jpax_ns");
-        let jpax = Stage::start(&jpax_ns, &ring);
+        let jpax = Stage::start(&self.jpax_ns, &ring);
         let observed_violation = crate::jpax::observed_violation(&monitor, initial, &delivered);
         jpax.end(&mut ring, TraceKind::Stage { name: "jpax" });
 
@@ -577,7 +589,10 @@ mod tests {
         let par = Pipeline::new(PipelineConfig::new().parallelism(8))
             .check_execution(&ex2, spec, &mut syms2)
             .unwrap();
-        assert_eq!(seq.verdict.analysis().total_runs, par.verdict.analysis().total_runs);
+        assert_eq!(
+            seq.verdict.analysis().total_runs,
+            par.verdict.analysis().total_runs
+        );
         assert_eq!(
             seq.verdict.analysis().violating_runs,
             par.verdict.analysis().violating_runs

@@ -75,7 +75,10 @@ impl FlightEntry {
                 jmpax_telemetry::json::write_string(&mut out, state);
             }
             FlightKind::Frames { frames, bytes } => {
-                let _ = write!(out, ",\"kind\":\"frames\",\"frames\":{frames},\"bytes\":{bytes}");
+                let _ = write!(
+                    out,
+                    ",\"kind\":\"frames\",\"frames\":{frames},\"bytes\":{bytes}"
+                );
             }
             FlightKind::Shed { bytes } => {
                 let _ = write!(out, ",\"kind\":\"shed\",\"bytes\":{bytes}");

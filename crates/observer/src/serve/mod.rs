@@ -246,7 +246,10 @@ impl TenantOutcome {
             out.push(']');
         }
         if !self.flight.is_empty() || self.flight_dropped > 0 {
-            out.push_str(&format!(",\"flight_dropped\":{},\"flight\":[", self.flight_dropped));
+            out.push_str(&format!(
+                ",\"flight_dropped\":{},\"flight\":[",
+                self.flight_dropped
+            ));
             for (i, entry) in self.flight.iter().enumerate() {
                 if i > 0 {
                     out.push(',');

@@ -377,7 +377,10 @@ mod tests {
         assert_eq!(parsed.get("ok").and_then(json::Value::as_bool), Some(true));
         assert!(parsed.get("ts_ms").and_then(json::Value::as_u64).is_some());
         assert_eq!(
-            parsed.get("dump").and_then(|d| d.index(1)).and_then(json::Value::as_u64),
+            parsed
+                .get("dump")
+                .and_then(|d| d.index(1))
+                .and_then(json::Value::as_u64),
             Some(2)
         );
     }

@@ -204,7 +204,8 @@ impl Server {
         }
         summary.rejected = rejected.load(Ordering::Relaxed);
         if ops.suppressed() > 0 {
-            tel.counter("serve.ops_log_suppressed").add(ops.suppressed());
+            tel.counter("serve.ops_log_suppressed")
+                .add(ops.suppressed());
         }
         ops.event(
             LogLevel::Info,
@@ -225,9 +226,7 @@ impl Server {
     /// [`Server::run`] directly.
     #[must_use]
     pub fn spawn(self) -> ServerHandle {
-        let addr = self
-            .local_addr()
-            .expect("a bound listener has an address");
+        let addr = self.local_addr().expect("a bound listener has an address");
         let stopping = Arc::clone(&self.stopping);
         let observability = self.observability();
         let thread = std::thread::spawn(move || self.run(None));

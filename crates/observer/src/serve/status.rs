@@ -82,7 +82,11 @@ impl TenantStatus {
         let bytes_per_sec = (self.bytes as f64 / secs) as u64;
         out.push_str("{\"tenant\":");
         json::write_string(out, &self.tenant);
-        let _ = write!(out, ",\"session\":{},\"state\":\"{}\"", self.session, self.state);
+        let _ = write!(
+            out,
+            ",\"session\":{},\"state\":\"{}\"",
+            self.session, self.state
+        );
         if let Some(verdict) = &self.verdict {
             out.push_str(",\"verdict\":");
             json::write_string(out, verdict);

@@ -42,7 +42,7 @@ use jmpax_telemetry::{Counter, Gauge, Stage};
 use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
 use super::status::TenantTable;
-use super::{AnalysisOutcome, ServeConfig, ShedPolicy, TenantOutcome, ExactnessVerdict};
+use super::{AnalysisOutcome, ExactnessVerdict, ServeConfig, ShedPolicy, TenantOutcome};
 use crate::pipeline::{Pipeline, PipelineConfig};
 
 /// `serve.verdict_state{tenant=…}` gauge values.
@@ -576,7 +576,8 @@ fn run_worker(
             WorkItem::Chunk(bytes) => {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 let messages = decoder.push(&bytes);
-                tel.counter("serve.frames_ingested").add(messages.len() as u64);
+                tel.counter("serve.frames_ingested")
+                    .add(messages.len() as u64);
                 frames_labeled.add(messages.len() as u64);
                 flight.frames(messages.len() as u64, bytes.len() as u64);
                 analyzed_labeled.add(suite.push_all(messages) as u64);
@@ -589,8 +590,10 @@ fn run_worker(
         }
     };
     let decoded = decoder.finish();
-    tel.counter("serve.frames_corrupt").add(decoded.frames_corrupt);
-    tel.counter("serve.frames_resynced").add(decoded.frames_resynced);
+    tel.counter("serve.frames_corrupt")
+        .add(decoded.frames_corrupt);
+    tel.counter("serve.frames_resynced")
+        .add(decoded.frames_resynced);
     analyzed_labeled.add(suite.end_stream().len() as u64);
     // The suite folds the decoder's losses into every analysis's report.
     let report = pipeline.finish_suite(suite, Exactness::degraded(0, decoded.frames_lost()));

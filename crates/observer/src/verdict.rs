@@ -69,7 +69,10 @@ mod tests {
 
     #[test]
     fn classification_and_labels() {
-        assert_eq!(ExactnessVerdict::from_exactness(Exactness::Exact), ExactnessVerdict::Exact);
+        assert_eq!(
+            ExactnessVerdict::from_exactness(Exactness::Exact),
+            ExactnessVerdict::Exact
+        );
         let degraded = ExactnessVerdict::from(Exactness::degraded(1, 2));
         assert_eq!(degraded.label(), "Degraded");
         assert!(!degraded.is_exact());

@@ -264,7 +264,11 @@ fn hundred_concurrent_lossy_sessions_one_daemon() {
         .family("serve.queue_depth")
         .filter(|e| !e.labels.is_empty())
         .count();
-    assert_eq!(depth_series as u64, SESSIONS + 1, "one labeled gauge per tenant");
+    assert_eq!(
+        depth_series as u64,
+        SESSIONS + 1,
+        "one labeled gauge per tenant"
+    );
     // Per-tenant verdict state matches the outcome (1 = Exact, 2 = Degraded).
     for outcome in &summary.outcomes {
         let (state, _) = snapshot
@@ -457,7 +461,13 @@ fn hostile_handshakes_are_rejected_not_fatal() {
     let summary = handle.stop();
     assert_eq!(summary.outcomes.len(), 1, "only the clean tenant analyzed");
     assert_eq!(summary.rejected, 2);
-    assert!(registry.snapshot().counter("serve.handshake_errors").unwrap_or(0) >= 2);
+    assert!(
+        registry
+            .snapshot()
+            .counter("serve.handshake_errors")
+            .unwrap_or(0)
+            >= 2
+    );
 }
 
 /// SplitMix64: a std-only, seedable generator.
@@ -547,13 +557,19 @@ fn mangled_handshakes_each_get_exactly_one_verdict() {
         }
         let lines = exchange(addr, &[hello.as_slice(), &body].concat());
         assert_eq!(lines.len(), 1, "session {session}: {lines:?}");
-        assert!(lines[0].contains("\"verdict\":"), "session {session}: {lines:?}");
+        assert!(
+            lines[0].contains("\"verdict\":"),
+            "session {session}: {lines:?}"
+        );
         if lines[0].contains("\"verdict\":\"Error\"") {
             error_lines += 1;
         }
     }
 
-    let clean = exchange(addr, &[hello_for("clean").encode().as_ref(), &body].concat());
+    let clean = exchange(
+        addr,
+        &[hello_for("clean").encode().as_ref(), &body].concat(),
+    );
     assert_eq!(clean.len(), 1, "{clean:?}");
     assert!(clean[0].contains("\"verdict\":\"Exact\""), "{clean:?}");
 
@@ -563,11 +579,20 @@ fn mangled_handshakes_each_get_exactly_one_verdict() {
         SESSIONS + 1,
         "every connection is rejected or served"
     );
-    assert_eq!(summary.rejected as usize, error_lines, "only rejections answer Error");
-    assert!(summary.rejected > 0, "the batch exercises rejection");
-    assert!(summary.outcomes.len() > 1, "some damaged hellos are still served");
     assert_eq!(
-        registry.snapshot().counter("serve.worker_panics").unwrap_or(0),
+        summary.rejected as usize, error_lines,
+        "only rejections answer Error"
+    );
+    assert!(summary.rejected > 0, "the batch exercises rejection");
+    assert!(
+        summary.outcomes.len() > 1,
+        "some damaged hellos are still served"
+    );
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter("serve.worker_panics")
+            .unwrap_or(0),
         0
     );
 }
@@ -608,7 +633,10 @@ fn drop_newest_sheds_and_degrades_instead_of_blocking() {
     // Under load the verdict may or may not shed on a fast machine; the
     // invariant is that the session *completes* and, if anything was
     // shed, the verdict says Degraded.
-    let shed = registry.snapshot().counter("serve.chunks_shed").unwrap_or(0);
+    let shed = registry
+        .snapshot()
+        .counter("serve.chunks_shed")
+        .unwrap_or(0);
     if shed > 0 {
         assert!(verdict.contains("\"verdict\":\"Degraded\""), "{verdict}");
         assert!(verdict.contains("\"shed_chunks\""), "{verdict}");
@@ -730,7 +758,10 @@ fn flight_recorder_dump_matches_gaps_skipped() {
         gap_entries as u64, outcome.gaps_skipped,
         "flight gap events must match the report's gaps_skipped"
     );
-    assert_eq!(outcome.flight_dropped, 0, "short session must not wrap the ring");
+    assert_eq!(
+        outcome.flight_dropped, 0,
+        "short session must not wrap the ring"
+    );
 
     // The identical dump went to the ops log the moment the session left
     // Exact.
@@ -747,9 +778,7 @@ fn flight_recorder_dump_matches_gaps_skipped() {
         .expect("dump entries");
     let logged_gaps = entries
         .iter()
-        .filter(|e| {
-            e.get("kind").and_then(jmpax_telemetry::json::Value::as_str) == Some("gap")
-        })
+        .filter(|e| e.get("kind").and_then(jmpax_telemetry::json::Value::as_str) == Some("gap"))
         .count();
     assert_eq!(logged_gaps as u64, outcome.gaps_skipped);
 
@@ -809,12 +838,17 @@ fn handshake_selects_analyses_and_rejects_unknown_codes() {
         .expect("analyses array");
     let names: Vec<_> = analyses
         .iter()
-        .map(|a| a.get("name").and_then(jmpax_telemetry::json::Value::as_str).unwrap())
+        .map(|a| {
+            a.get("name")
+                .and_then(jmpax_telemetry::json::Value::as_str)
+                .unwrap()
+        })
         .collect();
     assert_eq!(names, ["ltl", "race", "atomicity"], "{verdict}");
     for a in analyses {
         assert_eq!(
-            a.get("exactness").and_then(jmpax_telemetry::json::Value::as_str),
+            a.get("exactness")
+                .and_then(jmpax_telemetry::json::Value::as_str),
             Some("Exact"),
             "{verdict}"
         );
@@ -835,6 +869,10 @@ fn handshake_selects_analyses_and_rejects_unknown_codes() {
     assert!(!verdict.contains("\"name\":\"ltl\""), "{verdict}");
 
     let summary = handle.stop();
-    assert_eq!(summary.outcomes.len(), 2, "rejected hello never became a session");
+    assert_eq!(
+        summary.outcomes.len(),
+        2,
+        "rejected hello never became a session"
+    );
     assert_eq!(summary.rejected, 1);
 }

@@ -29,6 +29,7 @@ use std::collections::hash_map::Entry;
 use std::fmt;
 
 use jmpax_core::fasthash::FastMap;
+use jmpax_core::VarId;
 
 use serde::{Deserialize, Serialize};
 
@@ -131,6 +132,10 @@ pub struct Monitor {
     /// cache keys on the packed truth values of these atoms, so it is only
     /// usable when they fit a `u64` (see [`Monitor::valuation`]).
     atoms: Vec<NodeId>,
+    /// Per variable, ascending, the valuation slots of the atoms that read
+    /// it (bit `i` for slot `i`; slots past 64 are not tracked, as such
+    /// monitors have no valuation). See [`Monitor::revalued`].
+    reads: Vec<(VarId, u64)>,
     /// Counts full formula evaluations (`spec.formula_evals`); disabled
     /// unless attached via [`Monitor::with_telemetry`]. Clones share the
     /// counter, so every cut evaluated across the lattice is counted.
@@ -155,9 +160,15 @@ impl Monitor {
             return Err(MonitorError::TooManyTemporalOperators { needed: bits });
         }
         let mut atoms = Vec::new();
+        let mut reads = std::collections::BTreeMap::<VarId, u64>::new();
         for (id, n) in nodes.iter_mut().enumerate() {
-            if let Node::Atom(_, slot) = n {
+            if let Node::Atom(atom, slot) = n {
                 *slot = atoms.len() as u16;
+                if let Some(bit) = 1u64.checked_shl(u32::from(*slot)) {
+                    for var in Formula::Atom(atom.clone()).variables() {
+                        *reads.entry(var).or_default() |= bit;
+                    }
+                }
                 atoms.push(id as NodeId);
             }
         }
@@ -166,6 +177,7 @@ impl Monitor {
             root,
             bits,
             atoms,
+            reads: reads.into_iter().collect(),
             evals: jmpax_telemetry::Counter::disabled(),
             eval_ns: jmpax_telemetry::Histogram::disabled(),
             cache_hits: jmpax_telemetry::Counter::disabled(),
@@ -337,6 +349,31 @@ impl Monitor {
             };
             if state.eval_atom(a) {
                 packed |= 1 << slot;
+            }
+        }
+        Some(packed)
+    }
+
+    /// [`Monitor::valuation`] of `state`, reached by one write of `var`
+    /// from a state whose valuation was `prev`: only the atoms that read
+    /// `var` are evaluated again, the other bits carry over.
+    #[must_use]
+    pub fn revalued(&self, prev: Option<u64>, state: &ProgramState, var: VarId) -> Option<u64> {
+        let mut packed = prev?;
+        let Ok(i) = self.reads.binary_search_by_key(&var, |&(v, _)| v) else {
+            return Some(packed);
+        };
+        let mut slots = self.reads[i].1;
+        while slots != 0 {
+            let slot = slots.trailing_zeros();
+            slots &= slots - 1;
+            let Node::Atom(a, _) = &self.nodes[self.atoms[slot as usize] as usize] else {
+                unreachable!("atoms indexes only Node::Atom entries");
+            };
+            if state.eval_atom(a) {
+                packed |= 1 << slot;
+            } else {
+                packed &= !(1 << slot);
             }
         }
         Some(packed)
@@ -552,6 +589,27 @@ mod tests {
 
     fn monitor_of(src: &str, syms: &mut SymbolTable) -> Monitor {
         crate::parser::parse(src, syms).unwrap().monitor().unwrap()
+    }
+
+    #[test]
+    fn revalued_matches_a_full_valuation_after_each_write() {
+        let mut syms = SymbolTable::new();
+        let m = monitor_of(
+            "[*] (x > 0 /\\ y < x) \\/ z = 2 \\/ @ (y + z >= 3)",
+            &mut syms,
+        );
+        let vars: Vec<VarId> = ["x", "y", "z", "w"]
+            .iter()
+            .map(|n| syms.intern(n))
+            .collect();
+        let mut state = ProgramState::new();
+        let mut valuation = m.valuation(&state);
+        for (i, step) in (0..40i64).enumerate() {
+            let var = vars[i % vars.len()];
+            state.set(var, (step * 7) % 5 - 1);
+            valuation = m.revalued(valuation, &state, var);
+            assert_eq!(valuation, m.valuation(&state), "after step {step}");
+        }
     }
 
     fn states(syms: &SymbolTable, rows: &[&[(&str, i64)]]) -> Vec<ProgramState> {

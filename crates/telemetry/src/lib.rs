@@ -954,7 +954,11 @@ impl Snapshot {
     /// as `name{k="v"}`).
     #[must_use]
     pub fn to_text(&self) -> String {
-        let keys: Vec<String> = self.entries.iter().map(MetricSnapshot::series_key).collect();
+        let keys: Vec<String> = self
+            .entries
+            .iter()
+            .map(MetricSnapshot::series_key)
+            .collect();
         let name_width = keys.iter().map(String::len).max().unwrap_or(0).max(6);
         let mut out = String::new();
         for (entry, key) in self.entries.iter().zip(&keys) {
@@ -1677,7 +1681,10 @@ mod tests {
         assert!(text.contains("p50=512 p95=512 p99=512"), "text: {text}");
         let json = reg.snapshot().to_json();
         let parsed = json::parse(&json).unwrap();
-        let m = parsed.get("metrics").and_then(|m| m.get("stage.ns")).unwrap();
+        let m = parsed
+            .get("metrics")
+            .and_then(|m| m.get("stage.ns"))
+            .unwrap();
         assert_eq!(m.get("p50").and_then(json::Value::as_u64), Some(512));
         assert_eq!(m.get("p99").and_then(json::Value::as_u64), Some(512));
         let prom = reg.snapshot().to_prometheus();
@@ -1753,8 +1760,10 @@ mod tests {
     fn labeled_counters_render_in_all_formats() {
         let reg = Registry::enabled();
         reg.counter("serve.chunks_shed").add(7); // flat aggregate
-        reg.counter_with("serve.chunks_shed", &[("tenant", "t1")]).add(3);
-        reg.counter_with("serve.chunks_shed", &[("tenant", "t2")]).add(4);
+        reg.counter_with("serve.chunks_shed", &[("tenant", "t1")])
+            .add(3);
+        reg.counter_with("serve.chunks_shed", &[("tenant", "t2")])
+            .add(4);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.chunks_shed"), Some(7));
         assert_eq!(
@@ -1800,12 +1809,13 @@ mod tests {
             Some(2),
             "one cell regardless of label order"
         );
-        assert_eq!(series_key("m", &[("b", "2"), ("a", "1")]), "m{a=\"1\",b=\"2\"}");
+        assert_eq!(
+            series_key("m", &[("b", "2"), ("a", "1")]),
+            "m{a=\"1\",b=\"2\"}"
+        );
 
         let hostile = Registry::enabled();
-        hostile
-            .gauge_with("g", &[("tenant", "q\"u\\o\nte")])
-            .set(1);
+        hostile.gauge_with("g", &[("tenant", "q\"u\\o\nte")]).set(1);
         let prom = hostile.snapshot().to_prometheus();
         assert!(
             prom.contains("jmpax_g{tenant=\"q\\\"u\\\\o\\nte\"} 1\n"),
@@ -1848,7 +1858,8 @@ mod tests {
         assert!(resident <= CAP, "resident {resident} > cap {CAP}");
         // Re-registering an evicted tenant starts a fresh cell.
         assert_eq!(
-            reg.counter_with("serve.chunks_shed", &[("tenant", "t0")]).get(),
+            reg.counter_with("serve.chunks_shed", &[("tenant", "t0")])
+                .get(),
             0
         );
     }
@@ -1911,15 +1922,21 @@ mod tests {
     fn rich_registry_exposition_is_lint_clean() {
         let reg = Registry::enabled();
         for t in ["t1", "t2", "t3"] {
-            reg.counter_with("serve.frames_decoded", &[("tenant", t)]).add(5);
+            reg.counter_with("serve.frames_decoded", &[("tenant", t)])
+                .add(5);
             reg.gauge_with("serve.queue_depth", &[("tenant", t)]).set(2);
-            reg.histogram_with("serve.chunk_ns", &[("tenant", t)]).record(900);
+            reg.histogram_with("serve.chunk_ns", &[("tenant", t)])
+                .record(900);
         }
         reg.counter("serve.sessions_accepted").add(3);
         reg.gauge("lattice.frontier_width").set(7);
         reg.histogram("observer.stage.decode_ns").record(123);
         let prom = reg.snapshot().to_prometheus();
-        assert_eq!(lint_prometheus(&prom), Vec::<String>::new(), "text:\n{prom}");
+        assert_eq!(
+            lint_prometheus(&prom),
+            Vec::<String>::new(),
+            "text:\n{prom}"
+        );
     }
 
     #[test]

@@ -124,7 +124,11 @@ impl MetricsServer {
     /// `routes_fn` for every request — the shape a live daemon needs,
     /// where `/metrics` must reflect the registry *now*, not at bind
     /// time.
-    pub fn serve_with(&self, mut routes_fn: impl FnMut() -> Vec<Route>, max_requests: Option<usize>) {
+    pub fn serve_with(
+        &self,
+        mut routes_fn: impl FnMut() -> Vec<Route>,
+        max_requests: Option<usize>,
+    ) {
         let mut answered = 0usize;
         for stream in self.listener.incoming() {
             let Ok(stream) = stream else { continue };
@@ -330,7 +334,10 @@ mod tests {
         let mut reader = BufReader::new(slow);
         let mut status = String::new();
         reader.read_line(&mut status).unwrap();
-        assert!(status.contains("408"), "stalled head must get 408: {status}");
+        assert!(
+            status.contains("408"),
+            "stalled head must get 408: {status}"
+        );
 
         // The endpoint must still answer the next, honest client.
         let (code, body) = get(addr, "/metrics");
@@ -364,7 +371,11 @@ mod tests {
             server.serve_with(
                 move || {
                     hits += 1;
-                    vec![Route::new("/metrics", "text/plain", format!("hits {hits}\n"))]
+                    vec![Route::new(
+                        "/metrics",
+                        "text/plain",
+                        format!("hits {hits}\n"),
+                    )]
                 },
                 Some(2),
             );

@@ -124,8 +124,8 @@ pub enum TraceKind {
         /// Stage name, e.g. `"instrument"`, `"jpax"`, `"analysis"`.
         name: &'static str,
     },
-    /// One shard of a parallel frontier expansion finished its slice of a
-    /// level (span). Recorded on the shard's own lane
+    /// One shard of a parallel frontier expansion finished its key range
+    /// of a level (span). Recorded on the shard's own lane
     /// (`lattice.shard<N>`), so Perfetto renders the worker pool's
     /// concurrency and imbalance directly.
     ShardExpanded {
@@ -133,9 +133,9 @@ pub enum TraceKind {
         level: u64,
         /// Zero-based shard index within the worker pool.
         shard: u32,
-        /// Frontier cuts assigned to this shard.
+        /// Successor cuts the shard created.
         cuts: u64,
-        /// Successor contributions the shard produced before the exchange.
+        /// Lattice edges (in-edges of those cuts) the shard merged.
         contributions: u64,
     },
     /// A pluggable analysis reported a finding — a data race, an

@@ -62,7 +62,11 @@ pub fn workload(guarded: bool) -> Workload {
     debug_assert_eq!(named, lock_var, "lock name must land on the lock var");
 
     Workload {
-        name: if guarded { "nonatomic-locked" } else { "nonatomic" },
+        name: if guarded {
+            "nonatomic-locked"
+        } else {
+            "nonatomic"
+        },
         program,
         spec: SPEC.to_owned(),
         symbols,
@@ -103,7 +107,10 @@ mod tests {
 
     #[test]
     fn unguarded_writer_breaks_the_transaction() {
-        assert!(violations_found(false) >= 1, "the interleaved write must be flagged");
+        assert!(
+            violations_found(false) >= 1,
+            "the interleaved write must be flagged"
+        );
     }
 
     #[test]

@@ -103,7 +103,10 @@ mod tests {
 
     #[test]
     fn racy_variant_races_on_the_counter() {
-        assert!(races_found(false) >= 1, "the unsynchronized update must race");
+        assert!(
+            races_found(false) >= 1,
+            "the unsynchronized update must race"
+        );
     }
 
     #[test]

@@ -227,7 +227,11 @@ fn traced_suite_fills_every_analysis_lane() {
     );
     let initial = ProgramState::from_map(run.execution.initial.clone());
     let report = pipeline.check_stream_suite(
-        &[AnalysisKind::Ltl, AnalysisKind::Race, AnalysisKind::Atomicity],
+        &[
+            AnalysisKind::Ltl,
+            AnalysisKind::Race,
+            AnalysisKind::Atomicity,
+        ],
         Some((w.monitor(), &initial)),
         run.execution.thread_count(),
         Exactness::Exact,
@@ -257,7 +261,10 @@ fn traced_suite_fills_every_analysis_lane() {
         .iter()
         .map(|g| (g.thread.0, g.from, g.to))
         .collect();
-    assert!(!committed.is_empty(), "the withheld message must leave a gap");
+    assert!(
+        !committed.is_empty(),
+        "the withheld message must leave a gap"
+    );
     assert_eq!(gaps, committed);
 
     let findings = |name: &str, analysis: &str| {
@@ -268,7 +275,10 @@ fn traced_suite_fills_every_analysis_lane() {
     };
     let races = report.reports[1].as_race().unwrap().findings.len();
     let violations = report.reports[2].as_atomicity().unwrap().findings.len();
-    assert!(races > 0 && violations > 0, "{races} races, {violations} violations");
+    assert!(
+        races > 0 && violations > 0,
+        "{races} races, {violations} violations"
+    );
     assert_eq!(findings("analysis.race", "race"), races);
     assert_eq!(findings("analysis.atomicity", "atomicity"), violations);
 
