@@ -45,9 +45,6 @@ fn main() {
     if all || which == "lattice-scaling" {
         lattice_scaling();
     }
-    if all || which == "parallel-scaling" {
-        parallel_scaling();
-    }
     if all || which == "ablation" {
         ablation();
     }
@@ -495,48 +492,6 @@ fn lattice_scaling() {
         );
     }
     println!("(period 0 = no barrier: hypercube growth; barriers bound the frontier)");
-}
-
-/// Q10: sharded frontier expansion — wall time and speedup per worker
-/// count, with the bit-identity check against the sequential report.
-fn parallel_scaling() {
-    use jmpax_bench::parallel_scaling_sweep;
-
-    header("Q10 — parallel sharded frontier expansion (wide banded lattices)");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("host cores: {cores}");
-    if cores < 2 {
-        println!("(single-core host: the table measures coordination overhead, not speedup)");
-    }
-    println!(
-        "{:>4} {:>6} {:>7} {:>10} {:>8} {:>11} {:>8} {:>10}",
-        "thr", "rounds", "period", "states", "workers", "wall-ms", "speedup", "identical"
-    );
-    for (threads, rounds, period) in [(8, 3, 0), (6, 4, 0), (5, 20, 1)] {
-        let rows = parallel_scaling_sweep(
-            BandedConfig {
-                threads,
-                rounds,
-                period,
-            },
-            &[1, 2, 4, 8],
-        );
-        for r in &rows {
-            assert!(r.identical, "parallel report diverged: {r:?}");
-            println!(
-                "{threads:>4} {rounds:>6} {period:>7} {:>10} {:>8} {:>11.2} {:>8.2} {:>10}",
-                r.states,
-                r.workers,
-                r.wall.as_secs_f64() * 1e3,
-                r.speedup,
-                "yes"
-            );
-        }
-    }
-    println!(
-        "(levels narrower than {} cuts/worker stay sequential; speedup comes from wide levels)",
-        jmpax_lattice::DEFAULT_SHARD_GRANULARITY
-    );
 }
 
 /// D1/D2 ablations.

@@ -1,13 +1,10 @@
 //! The experiment implementations behind the harness and EXPERIMENTS.md.
 
-use jmpax_core::{AnalysisKind, Event, Relevance};
+use jmpax_core::{Event, Relevance};
 use jmpax_distsim::DistSim;
-use jmpax_lattice::{AnalysisConfig, Exactness, SuiteBuilder};
 use jmpax_observer::{Pipeline, PipelineConfig};
 use jmpax_sched::{run_fixed, run_random};
 use jmpax_workloads::{landing, xyz, Workload};
-
-use crate::generators::{banded_computation, BandedConfig};
 
 /// Shape of a lattice experiment: paper-expected vs measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,78 +123,6 @@ pub fn detection_sweep(workload: &Workload, seeds: u64, max_steps: usize) -> Det
     rates
 }
 
-/// One row of the parallel frontier-expansion scaling experiment
-/// (Q10): a banded workload analyzed with `workers` shard workers.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelScalingRow {
-    /// Shard workers the streaming analyzer was configured with.
-    pub workers: usize,
-    /// Wall time of `push_all` + `finish`.
-    pub wall: std::time::Duration,
-    /// States explored — must match the 1-worker baseline exactly.
-    pub states: u64,
-    /// Wall-time speedup over the 1-worker baseline.
-    pub speedup: f64,
-    /// True when the report is bit-identical to the baseline (states,
-    /// levels, peak frontier, violations, exactness).
-    pub identical: bool,
-}
-
-/// Runs the streaming analysis of one banded computation once per entry
-/// of `worker_counts` and compares every report against the first
-/// (sequential) run. The monitor is a cheap always-true invariant over
-/// the first private variable, so the measurement isolates frontier
-/// expansion and monitor stepping, not property complexity.
-#[must_use]
-pub fn parallel_scaling_sweep(
-    config: BandedConfig,
-    worker_counts: &[usize],
-) -> Vec<ParallelScalingRow> {
-    let (messages, initial) = banded_computation(config);
-    let mut syms = jmpax_core::SymbolTable::new();
-    for v in 0..=config.threads {
-        syms.intern(&format!("v{v}"));
-    }
-    let monitor = jmpax_spec::parse("[*] v0 >= 0", &mut syms)
-        .expect("static spec parses")
-        .monitor()
-        .expect("static spec monitors");
-
-    let run = |workers: usize| {
-        let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], config.threads)
-            .config(&AnalysisConfig::default().with_parallelism(workers))
-            .build(Some((monitor.clone(), &initial)));
-        let start = std::time::Instant::now();
-        suite.push_all(messages.clone());
-        let report = suite.finish(Exactness::Exact).into_ltl();
-        (start.elapsed(), report)
-    };
-
-    let (base_wall, base) = run(1);
-    let mut rows = vec![ParallelScalingRow {
-        workers: 1,
-        wall: base_wall,
-        states: base.states_explored,
-        speedup: 1.0,
-        identical: true,
-    }];
-    for &workers in worker_counts.iter().filter(|&&w| w > 1) {
-        let (wall, report) = run(workers);
-        rows.push(ParallelScalingRow {
-            workers,
-            wall,
-            states: report.states_explored,
-            speedup: base_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-            identical: report.states_explored == base.states_explored
-                && report.levels_built == base.levels_built
-                && report.peak_frontier == base.peak_frontier
-                && report.violations.len() == base.violations.len()
-                && report.exactness == base.exactness,
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,21 +170,6 @@ mod tests {
             // 3 messages per variable access, hidden = one per read.
             assert!(messages >= hidden * 3);
         }
-    }
-
-    #[test]
-    fn parallel_scaling_reports_stay_identical() {
-        let rows = parallel_scaling_sweep(
-            BandedConfig {
-                threads: 4,
-                rounds: 3,
-                period: 0,
-            },
-            &[1, 2, 4],
-        );
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.identical), "{rows:?}");
-        assert!(rows.iter().all(|r| r.states == rows[0].states));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub use ablation::{
     compare_symmetric, symmetric_instrument, SymmetricInstrumentor, SymmetricStats,
 };
 pub use experiments::{
-    detection_sweep, fig3_equivalence, fig5_experiment, fig6_experiment, parallel_scaling_sweep,
-    DetectionRates, LatticeExperiment, ParallelScalingRow,
+    detection_sweep, fig3_equivalence, fig5_experiment, fig6_experiment, DetectionRates,
+    LatticeExperiment,
 };
 pub use generators::{banded_computation, BandedConfig};

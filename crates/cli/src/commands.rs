@@ -26,7 +26,7 @@ USAGE:
     jmpax check --spec <FORMULA> --trace <FILE>
                 [--analysis <ltl,race,atomicity>] [--locks <name,...>]
                 [--dot <OUT>] [--history <N>]
-                [--frontier-cap <N>] [--parallel <N>]
+                [--frontier-cap <N>]
                 [--telemetry <text|json>] [--json]
         Check a safety property against EVERY interleaving consistent with
         the recorded trace. The trace is the text format of
@@ -44,9 +44,7 @@ USAGE:
         their last steps; 0 is the constant-memory two-level mode);
         --frontier-cap N bounds the frontier to its N smallest cuts (beam
         search) — pruned cuts are counted and the verdict is reported
-        as Degraded instead of exhausting memory; --parallel N shards
-        frontier expansion across N workers (bit-identical verdicts;
-        wide levels only — narrow levels stay sequential).
+        as Degraded instead of exhausting memory.
 
     jmpax races --trace <FILE> [--locks <name,name,...>]
         Alias of `jmpax check --analysis race`: predictive data-race
@@ -415,12 +413,12 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
         Err(e) => return (2, format!("check: {e}\n")),
     };
 
-    let report = match Pipeline::new(
-        PipelineConfig::new()
-            .telemetry(registry)
-            .analysis(analysis_config(args)),
-    )
-    .check_execution(&execution, spec, &mut symbols)
+    let config = match analysis_config(args) {
+        Ok(config) => config,
+        Err(e) => return (2, e),
+    };
+    let report = match Pipeline::new(PipelineConfig::new().telemetry(registry).analysis(config))
+        .check_execution(&execution, spec, &mut symbols)
     {
         Ok(report) => report,
         Err(e) => return (2, format!("check: {e}\n")),
@@ -470,17 +468,14 @@ fn write_lattice_dot(
     }
 }
 
-/// The analysis knobs `check` shares across its paths: `--parallel`,
-/// `--frontier-cap` and `--history`.
-fn analysis_config(args: &Args) -> AnalysisConfig {
-    let number = |key| args.get(key).and_then(|n| n.parse::<usize>().ok());
-    let config = AnalysisConfig::default()
-        .with_parallelism(number("parallel").unwrap_or(1))
-        .with_frontier_cap(number("frontier-cap").unwrap_or(0));
-    match number("history") {
-        Some(levels) => config.with_history(levels),
-        None => config,
-    }
+/// The analysis knobs `check` shares across its paths: `--frontier-cap`
+/// and `--history`. A malformed number is a usage error.
+fn analysis_config(args: &Args) -> Result<AnalysisConfig, String> {
+    Ok(AnalysisConfig {
+        frontier_cap: parsed(args, "check", "frontier-cap", "a state count")?.unwrap_or(0),
+        history: parsed(args, "check", "history", "a level count")?,
+        ..AnalysisConfig::default()
+    })
 }
 
 /// The `--analysis` suite path of `jmpax check`: one causal delivery pass
@@ -537,10 +532,14 @@ fn check_suite(
     // `--dot` draws the lattice of the very stream the suite analyses.
     let dot = args.get("dot").map(|path| (path, messages.clone()));
 
+    let config = match analysis_config(args) {
+        Ok(config) => config,
+        Err(e) => return (2, e),
+    };
     let pipeline = Pipeline::new(
         PipelineConfig::new()
             .telemetry(registry)
-            .analysis(analysis_config(args))
+            .analysis(config)
             .analyses(kinds)
             .sync_vars(sync.iter().copied()),
     );
@@ -641,33 +640,29 @@ fn demo(args: &Args, registry: &Registry) -> (i32, String) {
     }
 }
 
-/// Parses a `--<key> <rate>` option as a probability in `[0, 1]`.
-fn fault_rate(args: &Args, key: &str) -> Result<f64, String> {
+/// Parses a `--<key> <rate>` option of `cmd` as a probability in `[0, 1]`.
+fn fault_rate(args: &Args, cmd: &str, key: &str) -> Result<f64, String> {
     let Some(raw) = args.get(key) else {
         return Ok(0.0);
     };
     match raw.parse::<f64>() {
         Ok(r) if (0.0..=1.0).contains(&r) => Ok(r),
-        _ => Err(format!("--{key} expects a rate in [0, 1], got `{raw}`")),
+        _ => Err(format!(
+            "{cmd}: --{key} expects a rate in [0, 1], got `{raw}`\n"
+        )),
     }
 }
 
 /// Builds a [`jmpax_instrument::ChaosConfig`] from the shared
-/// `--seed/--drop/--dup/--corrupt/--reorder-window` options (used by both
-/// `chaos` and `load`).
-fn chaos_config(args: &Args) -> Result<jmpax_instrument::ChaosConfig, String> {
+/// `--seed/--drop/--dup/--corrupt/--reorder-window` options of `cmd`
+/// (`chaos` or `load`).
+fn chaos_config(args: &Args, cmd: &str) -> Result<jmpax_instrument::ChaosConfig, String> {
     Ok(jmpax_instrument::ChaosConfig {
-        seed: args
-            .get("seed")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(0),
-        drop_rate: fault_rate(args, "drop")?,
-        dup_rate: fault_rate(args, "dup")?,
-        corrupt_rate: fault_rate(args, "corrupt")?,
-        reorder_window: args
-            .get("reorder-window")
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(0),
+        seed: parsed(args, cmd, "seed", "an unsigned integer")?.unwrap_or(0),
+        drop_rate: fault_rate(args, cmd, "drop")?,
+        dup_rate: fault_rate(args, cmd, "dup")?,
+        corrupt_rate: fault_rate(args, cmd, "corrupt")?,
+        reorder_window: parsed(args, cmd, "reorder-window", "a message count")?.unwrap_or(0),
     })
 }
 
@@ -700,15 +695,15 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     let Some(w) = workload_by_name(name) else {
         return (2, format!("chaos: unknown workload `{name}`\n"));
     };
-    let config = match chaos_config(args) {
+    let config = match chaos_config(args, "chaos") {
         Ok(c) => c,
-        Err(e) => return (2, format!("chaos: {e}\n")),
+        Err(e) => return (2, e),
     };
     let seed = config.seed;
-    let stall_budget = args
-        .get("stall-budget")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(jmpax_lattice::reassemble::DEFAULT_STALL_BUDGET);
+    let stall_budget = match parsed(args, "chaos", "stall-budget", "a message count") {
+        Ok(n) => n.unwrap_or(jmpax_lattice::reassemble::DEFAULT_STALL_BUDGET),
+        Err(e) => return (2, e),
+    };
 
     let mut out = String::new();
     let _ = writeln!(out, "workload: {}", w.name);
@@ -957,9 +952,9 @@ fn load(args: &Args) -> (i32, String) {
         Ok(n) => n.unwrap_or(0),
         Err(e) => return (2, e),
     };
-    let root = match chaos_config(args) {
+    let root = match chaos_config(args, "load") {
         Ok(c) => c,
-        Err(e) => return (2, format!("load: {e}\n")),
+        Err(e) => return (2, e),
     };
     let prefix = args.get("tenant").filter(|s| !s.is_empty()).unwrap_or(name);
     // `--analysis` rides in the handshake; empty means the daemon default.
@@ -1217,10 +1212,10 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
             }
         },
     };
-    let seed = args
-        .get("seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
+    let seed = match parsed(args, "trace", "seed", "an unsigned integer") {
+        Ok(seed) => seed.unwrap_or(0),
+        Err(e) => return (2, e, None),
+    };
 
     let mut out = String::new();
     let _ = writeln!(out, "workload: {}", w.name);
@@ -1329,10 +1324,10 @@ fn gen(args: &Args) -> (i32, String) {
     let Some(w) = workload_by_name(name) else {
         return (2, format!("gen: unknown workload `{name}`\n"));
     };
-    let seed = args
-        .get("seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
+    let seed = match parsed(args, "gen", "seed", "an unsigned integer") {
+        Ok(seed) => seed.unwrap_or(0),
+        Err(e) => return (2, e),
+    };
     let run = match name.as_str() {
         "xyz" if seed == 0 => {
             jmpax_sched::run_fixed(&w.program, workloads::xyz::observed_success_schedule(), 100)
@@ -1821,20 +1816,41 @@ T1 write b 0
     }
 
     #[test]
-    fn check_parallel_matches_sequential_output() {
-        let argv = ["check", "--spec", "(x > 0) -> [y = 0, y > z)"];
-        let (code_seq, out_seq) = run_cli(&argv, Some(XYZ_TRACE));
-        let (code_par, out_par) = run_cli(
-            &[
-                "check",
-                "--spec",
-                "(x > 0) -> [y = 0, y > z)",
-                "--parallel",
-                "4",
-            ],
+    fn check_rejects_a_malformed_frontier_cap() {
+        // `1k` is not a number: running unbounded and reporting Exact
+        // would claim a bound that was never applied.
+        let spec = "(x > 0) -> [y = 0, y > z)";
+        for extra in [&[][..], &["--analysis", "ltl,race"]] {
+            let mut argv = vec!["check", "--spec", spec, "--frontier-cap", "1k"];
+            argv.extend_from_slice(extra);
+            let (code, out) = run_cli(&argv, Some(XYZ_TRACE));
+            assert_eq!(code, 2, "{out}");
+            assert_eq!(
+                out, "check: --frontier-cap expects a state count, got `1k`\n",
+                "{argv:?}"
+            );
+        }
+        let (code, out) = run_cli(
+            &["check", "--spec", spec, "--history", "all"],
             Some(XYZ_TRACE),
         );
-        assert_eq!((code_seq, out_seq), (code_par, out_par));
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--history expects"), "{out}");
+    }
+
+    #[test]
+    fn chaos_rejects_a_malformed_seed() {
+        let (code, out) = run_cli(&["chaos", "bank", "--seed", "x"], None);
+        assert_eq!(code, 2, "{out}");
+        assert_eq!(out, "chaos: --seed expects an unsigned integer, got `x`\n");
+        for key in ["--reorder-window", "--stall-budget"] {
+            let (code, out) = run_cli(&["chaos", "bank", key, "-1"], None);
+            assert_eq!(code, 2, "{out}");
+            assert!(out.contains(&format!("{key} expects")), "{out}");
+        }
+        let (code, out) = run_cli(&["chaos", "bank", "--drop", "2.0"], None);
+        assert_eq!(code, 2, "{out}");
+        assert_eq!(out, "chaos: --drop expects a rate in [0, 1], got `2.0`\n");
     }
 
     #[test]

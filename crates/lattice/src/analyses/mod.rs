@@ -23,8 +23,8 @@
 //!
 //! Every analysis consumes the *causal delivery order* produced by the
 //! suite's [`Reassembler`]: among causally ready messages, the earliest
-//! arrival goes first. That order never depends on worker count or the
-//! eval-cache setting, but it does depend on arrival order: concurrent
+//! arrival goes first. That order never depends on the eval-cache
+//! setting, but it does depend on arrival order: concurrent
 //! messages are delivered in the order they arrive. What holds:
 //!
 //! * The ptLTL report depends only on the message set. The lattice of a
@@ -53,7 +53,6 @@ pub mod race;
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use jmpax_core::{AnalysisKind, Event, EventKind, Message, VarId, VectorClock};
 use jmpax_spec::{Monitor, ProgramState};
@@ -61,7 +60,6 @@ use jmpax_telemetry::Registry;
 
 use crate::builder::{StreamReport, StreamingAnalyzer};
 use crate::config::AnalysisConfig;
-use crate::parallel::ExpansionPool;
 use crate::reassemble::{Exactness, Reassembler, ReassemblyReport};
 
 pub use atomicity::{AtomicityAnalysis, AtomicityFinding, AtomicityReport};
@@ -72,9 +70,8 @@ pub use race::{RaceAccess, RaceAnalysis, RaceFinding, RaceReport};
 ///
 /// Implementations must be deterministic in the delivered event sequence:
 /// two runs over the same sequence must produce identical reports. The
-/// driver's delivery order is worker-count independent, so this contract
-/// is what makes suite reports bit-identical at any parallelism
-/// (DESIGN.md §16).
+/// driver delivers one causal order, so this contract is what makes
+/// suite reports reproducible (DESIGN.md §16).
 pub trait Analysis: Send {
     /// Which analysis this is (names the report section and the
     /// `analysis.<kind>.*` telemetry prefix).
@@ -416,7 +413,6 @@ pub struct SuiteBuilder {
     sync_vars: BTreeSet<VarId>,
     config: AnalysisConfig,
     registry: Registry,
-    pool: Option<Arc<ExpansionPool>>,
 }
 
 impl SuiteBuilder {
@@ -435,7 +431,6 @@ impl SuiteBuilder {
             sync_vars: BTreeSet::new(),
             config: AnalysisConfig::default(),
             registry: Registry::disabled(),
-            pool: None,
         }
     }
 
@@ -455,18 +450,11 @@ impl SuiteBuilder {
     }
 
     /// Attaches telemetry. A traced registry also gets each analysis's
-    /// trace lane (`lattice`, `lattice.shard<N>`, `analysis.race`,
+    /// trace lane (`lattice`, `analysis.race`,
     /// `analysis.atomicity`, and `resilience` for committed gaps).
     #[must_use]
     pub fn telemetry(mut self, registry: &Registry) -> Self {
         self.registry = registry.clone();
-        self
-    }
-
-    /// Shares a persistent expansion pool with the ptLTL analysis.
-    #[must_use]
-    pub fn pool(mut self, pool: Arc<ExpansionPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -487,17 +475,13 @@ impl SuiteBuilder {
                     let (monitor, initial) = ltl
                         .take()
                         .expect("LTL analysis requested without a monitor");
-                    let mut analyzer = StreamingAnalyzer::new(
+                    analyses.push(Box::new(StreamingAnalyzer::new(
                         monitor,
                         initial,
                         self.threads,
                         &self.config,
                         &self.registry,
-                    );
-                    if let Some(p) = &self.pool {
-                        analyzer = analyzer.with_pool(Arc::clone(p));
-                    }
-                    analyses.push(Box::new(analyzer));
+                    )));
                 }
                 AnalysisKind::Race => {
                     let mut a = RaceAnalysis::new(self.threads, self.sync_vars.clone());

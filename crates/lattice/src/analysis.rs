@@ -8,9 +8,11 @@
 //! does exactly that over a retained [`Lattice`]: each node carries the set
 //! of reachable monitor memories; an edge steps every memory; a step that
 //! outputs *false* is a predicted violation of the safety property on every
-//! run realizing that path. Satisfying runs are counted exactly by dynamic
-//! programming over `(node, memory)` pairs, so
-//! `violating_runs = total_runs − satisfying`.
+//! run realizing that path. Violating runs are counted by dynamic
+//! programming over the nodes: each node counts the run prefixes reaching
+//! it that already violated, fed by its predecessors' counts and by every
+//! alive memory whose step fails on the edge, all with saturating adds —
+//! the rule the streaming analyzer follows, so both saturate alike.
 //!
 //! Production analyses run on [`crate::StreamingAnalyzer`]; this module is
 //! the independent implementation the equivalence tests hold it to.
@@ -72,6 +74,8 @@ pub fn analyze_lattice(
     let mut parent: Vec<HashMap<MonitorState, (NodeId, MonitorState)>> = vec![HashMap::new(); n];
     // Dead (violating) memories per node — for deduplication.
     let mut dead: Vec<HashSet<MonitorState>> = vec![HashSet::new(); n];
+    // Run prefixes per node that already violated.
+    let mut violated: Vec<u128> = vec![0; n];
     let mut violations = Vec::new();
 
     let bottom = lattice.bottom();
@@ -79,6 +83,7 @@ pub fn analyze_lattice(
     if ok0 {
         alive[bottom].insert(mem0, 1);
     } else {
+        violated[bottom] = 1;
         dead[bottom].insert(mem0);
         violations.push((bottom, mem0, None::<(NodeId, MonitorState)>));
     }
@@ -93,8 +98,10 @@ pub fn analyze_lattice(
             // Iterate a snapshot: successor updates never touch this level.
             let mems: Vec<(MonitorState, u128)> =
                 alive[nid].iter().map(|(&m, &c)| (m, c)).collect();
+            let prefix_violated = violated[nid];
             for &(succ, thread) in &lattice.nodes()[nid].succs {
                 let succ_state = &lattice.nodes()[succ].state;
+                violated[succ] = violated[succ].saturating_add(prefix_violated);
                 for &(mem, count) in &mems {
                     let (next_mem, ok) = match cache.as_mut() {
                         Some(cache) => monitor.step_cached(mem, succ_state, cache),
@@ -111,8 +118,11 @@ pub fn analyze_lattice(
                                 parent[succ].insert(next_mem, (nid, mem));
                             }
                         }
-                    } else if dead[succ].insert(next_mem) {
-                        violations.push((succ, next_mem, Some((nid, mem))));
+                    } else {
+                        violated[succ] = violated[succ].saturating_add(count);
+                        if dead[succ].insert(next_mem) {
+                            violations.push((succ, next_mem, Some((nid, mem))));
+                        }
                     }
                 }
                 let _ = thread;
@@ -121,11 +131,7 @@ pub fn analyze_lattice(
     }
 
     let total_runs = lattice.count_runs();
-    let top = lattice.top();
-    let satisfying = alive[top]
-        .values()
-        .fold(0u128, |acc, &c| acc.saturating_add(c));
-    let violating_runs = total_runs.saturating_sub(satisfying);
+    let violating_runs = violated[lattice.top()];
 
     // Reconstruct counterexamples.
     let mut out = Vec::new();

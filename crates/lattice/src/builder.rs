@@ -20,7 +20,6 @@
 //! history ([`AnalysisConfig::history`]) covers the whole run.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use jmpax_core::{AnalysisKind, Event, Message, ThreadId, Value, VarId, VectorClock};
 use jmpax_spec::{Monitor, MonitorState, ProgramState, StepCache};
@@ -28,10 +27,9 @@ use jmpax_telemetry::trace::{TraceKind, TraceRing};
 use jmpax_telemetry::{Counter, Gauge, Histogram, Registry, Stage};
 
 use crate::analyses::{Analysis, AnalysisReport};
-use crate::config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
+use crate::config::AnalysisConfig;
 use crate::cut::Cut;
 use crate::merge::{self, Heads, LevelKeys, MergeInput};
-use crate::parallel::{ExpansionPool, LevelShared};
 use crate::reassemble::Exactness;
 
 /// One step of a (counter-example) run: the thread that moved, the message
@@ -274,8 +272,8 @@ pub(crate) struct FrontierNode {
     /// `state`'s atoms packed by [`Monitor::valuation`] when the node is
     /// created; every in-edge steps with it. `None` past 64 atoms.
     valuation: Option<u64>,
-    /// Alive memories in ascending order, the order every expansion path
-    /// steps them in.
+    /// Alive memories in ascending order, the order expansion steps them
+    /// in.
     mems: Mems,
     /// Run prefixes reaching this cut that already violated the property.
     violated: u128,
@@ -303,8 +301,8 @@ impl FrontierNode {
     /// on this node's valuation. Returns the memories that died here for
     /// the first time, each with the edge whose step failed. Run counts
     /// are sums, so they do not depend on the order edges are applied in;
-    /// parents and deaths do, which is why both expansion paths apply
-    /// edges in ascending (source cut, thread) order.
+    /// parents and deaths do, which is why the merge applies edges in
+    /// ascending (source cut, thread) order.
     fn absorb(
         &mut self,
         src: u32,
@@ -354,11 +352,11 @@ impl FrontierNode {
 /// valuation, through the step cache when enabled, with one
 /// [`TraceKind::PropertyEvaluated`] instant per step.
 pub(crate) struct Stepper<'a> {
-    pub(crate) monitor: &'a Monitor,
-    pub(crate) cache: Option<&'a mut StepCache>,
-    pub(crate) ring: &'a mut TraceRing,
+    monitor: &'a Monitor,
+    cache: Option<&'a mut StepCache>,
+    ring: &'a mut TraceRing,
     /// Level index being sealed, for trace records.
-    pub(crate) level: u64,
+    level: u64,
 }
 
 impl Stepper<'_> {
@@ -383,10 +381,8 @@ impl Stepper<'_> {
 }
 
 /// A violation discovered during level expansion, before its
-/// counterexample is reconstructed. Counterexamples walk the retained
-/// history, which only the analyzer owns, so expansion (sequential or
-/// sharded) reports seeds and the analyzer finishes them on the main
-/// thread.
+/// counterexample is reconstructed. Expansion reports seeds; the analyzer
+/// sorts them and walks the retained history once the level is built.
 #[derive(Debug)]
 struct ViolationSeed {
     cut: Cut,
@@ -396,8 +392,7 @@ struct ViolationSeed {
     pred: Parent,
 }
 
-/// The outcome of expanding one sealed level (or, on the pool, one shard's
-/// key range of it), identical in shape on both expansion paths.
+/// The outcome of expanding one sealed level.
 #[derive(Debug, Default)]
 pub(crate) struct LevelExpansion {
     /// The next level in ascending cut order, as the merge creates it.
@@ -414,7 +409,7 @@ pub(crate) struct LevelExpansion {
 
 impl LevelExpansion {
     /// An empty expansion that builds its level into `buffer`'s allocation.
-    pub(crate) fn into_buffer(mut buffer: Level) -> Self {
+    fn into_buffer(mut buffer: Level) -> Self {
         buffer.clear();
         Self {
             next: buffer,
@@ -422,23 +417,13 @@ impl LevelExpansion {
         }
     }
 
-    /// Successor nodes created so far.
-    pub(crate) fn new_states(&self) -> u64 {
-        self.new_states
-    }
-
-    /// Edges applied so far.
-    pub(crate) fn edges(&self) -> u64 {
-        self.new_states + self.deduped
-    }
-
-    /// The one per-edge path of both expansion paths: applies the edge
-    /// from `src` (the source's index in its level) on thread `thread`.
-    /// `new` says the merge reached a successor no earlier edge produced,
-    /// which creates its node, computing its state and valuation once;
-    /// otherwise the edge folds into the node created last. `update` is the
-    /// write the edge applies, `None` for a relevant non-write (exotic
-    /// relevance policies), which steps over as a stutter.
+    /// Applies the edge from `src` (the source's index in its level) on
+    /// thread `thread`. `new` says the merge reached a successor no
+    /// earlier edge produced, which creates its node, computing its state
+    /// and valuation once; otherwise the edge folds into the node created
+    /// last. `update` is the write the edge applies, `None` for a relevant
+    /// non-write (exotic relevance policies), which steps over as a
+    /// stutter.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn edge(
         &mut self,
@@ -485,16 +470,6 @@ impl LevelExpansion {
             });
         }
     }
-
-    /// Appends the next shard's key range of the same level.
-    pub(crate) fn append(&mut self, other: LevelExpansion) {
-        self.next.extend(other.next);
-        self.seeds.extend(other.seeds);
-        self.new_states += other.new_states;
-        self.deduped += other.deduped;
-        self.evals += other.evals;
-        self.non_writes += other.non_writes;
-    }
 }
 
 /// Online predictive analyzer with two-level storage: the suite's ptLTL
@@ -522,13 +497,10 @@ impl LevelExpansion {
 /// ```
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
-    monitor: Arc<Monitor>,
+    monitor: Monitor,
     threads: usize,
     /// Causally delivered messages per thread (contiguous prefixes).
-    /// Behind an `Arc` so parallel levels share it with the pool without
-    /// copying; between levels the analyzer is the only holder, so
-    /// `Arc::make_mut` appends in place.
-    delivered: Arc<Vec<Vec<Message>>>,
+    delivered: Vec<Vec<Message>>,
     /// Every thread's stream is complete (set by the suite's finish).
     ended: bool,
     /// The sealed level the next expansion starts from.
@@ -553,24 +525,16 @@ pub struct StreamingAnalyzer {
     dropped_cuts: u64,
     /// Relevant non-writes stepped over instead of panicking.
     non_writes_skipped: u64,
-    /// Upper bound on frontier-expansion workers; `1` is sequential.
-    parallelism: usize,
-    /// Minimum cuts per worker before a level engages the pool.
-    shard_granularity: usize,
-    /// Memoize monitor steps within each level (both expansion paths).
+    /// Memoize monitor steps within each level.
     eval_cache: bool,
-    /// The sequential path's per-level step memo, cleared at every seal.
+    /// The per-level step memo, cleared at every seal; its hits count
+    /// into `spec.eval_cache_hits`.
     step_cache: StepCache,
-    /// The sequential path's packed frontier keys and merge heads, and a
-    /// retired level's allocation for the next one, reused level after
-    /// level.
+    /// The packed frontier keys and merge heads, and a retired level's
+    /// allocation for the next one, reused level after level.
     keys: LevelKeys,
     heads: Heads,
     spare: Level,
-    /// The persistent worker pool; lazily created at the first parallel
-    /// level, or injected ([`StreamingAnalyzer::with_pool`]) to share one
-    /// pool across analyzers.
-    pool: Option<Arc<ExpansionPool>>,
     /// `lattice.*` metrics; no-ops under a disabled registry.
     tel_states: Counter,
     tel_deduped: Counter,
@@ -588,21 +552,9 @@ pub struct StreamingAnalyzer {
     /// (`lattice.stage.seal_ns`).
     tel_expand: Histogram,
     tel_seal: Histogram,
-    /// `lattice.parallel.*` metrics, recorded only on levels the worker
-    /// pool actually expanded.
-    tel_shard_width: Histogram,
-    tel_merge: Histogram,
-    tel_imbalance: Gauge,
-    tel_parallel_levels: Counter,
-    tel_workers: Gauge,
-    tel_park: Histogram,
-    /// `spec.eval_cache_hits`, cloned into every step cache this analyzer
-    /// creates (sequential and per-shard alike).
-    tel_cache_hits: Counter,
     /// Trace lane `lattice` for ingested messages, level seals, prunes
-    /// and property evaluations, and the tracer per-shard lanes
-    /// (`lattice.shard<N>`) open from; disabled (free) unless the registry
-    /// is traced.
+    /// and property evaluations; disabled (free) unless the registry is
+    /// traced.
     trace_ring: TraceRing,
 }
 
@@ -623,8 +575,7 @@ impl StreamingAnalyzer {
     /// [`TraceKind::PropertyEvaluated`] instants.
     ///
     /// From `config`: history (unset means two-level), counterexample
-    /// budget, frontier cap, parallelism, shard granularity, and the step
-    /// cache.
+    /// budget, frontier cap, and the step cache.
     pub(crate) fn new(
         monitor: Monitor,
         initial: &ProgramState,
@@ -668,11 +619,10 @@ impl StreamingAnalyzer {
         tel_peak.set(1);
         let tel_violations = registry.counter("lattice.violations");
         tel_violations.add(violations.len() as u64);
-        let tel_cache_hits = registry.counter("spec.eval_cache_hits");
         Self {
-            monitor: Arc::new(monitor),
+            monitor,
             threads,
-            delivered: Arc::new(vec![Vec::new(); threads]),
+            delivered: vec![Vec::new(); threads],
             ended: false,
             frontier,
             frontier_max: vec![0; threads],
@@ -686,18 +636,11 @@ impl StreamingAnalyzer {
             frontier_cap: (config.frontier_cap > 0).then_some(config.frontier_cap),
             dropped_cuts: 0,
             non_writes_skipped: 0,
-            parallelism: config.workers(),
-            shard_granularity: if config.shard_granularity == 0 {
-                DEFAULT_SHARD_GRANULARITY
-            } else {
-                config.shard_granularity
-            },
             eval_cache: config.eval_cache,
-            step_cache: StepCache::with_counter(tel_cache_hits.clone()),
+            step_cache: StepCache::with_counter(registry.counter("spec.eval_cache_hits")),
             keys: LevelKeys::default(),
             heads: Heads::default(),
             spare: Level::new(),
-            pool: None,
             tel_states,
             tel_deduped: registry.counter("lattice.cuts_deduped"),
             tel_levels: registry.counter("lattice.levels_built"),
@@ -710,26 +653,8 @@ impl StreamingAnalyzer {
             tel_violating_runs: registry.counter("lattice.violating_runs"),
             tel_expand: registry.histogram("lattice.stage.expand_ns"),
             tel_seal: registry.histogram("lattice.stage.seal_ns"),
-            tel_shard_width: registry.histogram("lattice.parallel.shard_width"),
-            tel_merge: registry.histogram("lattice.parallel.merge_ns"),
-            tel_imbalance: registry.gauge("lattice.parallel.imbalance_pct"),
-            tel_parallel_levels: registry.counter("lattice.parallel.levels"),
-            tel_workers: registry.gauge("lattice.parallel.workers"),
-            tel_park: registry.histogram("lattice.parallel.park_ns"),
-            tel_cache_hits,
             trace_ring: registry.tracer().ring("lattice"),
         }
-    }
-
-    /// Shares a persistent [`ExpansionPool`] with this analyzer instead of
-    /// letting it lazily spawn its own at the first parallel level. The
-    /// observer pipeline uses this to spawn one pool per `Pipeline` and
-    /// reuse it across every analysis it runs. The effective worker count
-    /// is capped by the pool's size.
-    #[must_use]
-    pub(crate) fn with_pool(mut self, pool: Arc<ExpansionPool>) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Reconstructs the violating run ending at `seed`: parent links
@@ -830,31 +755,15 @@ impl StreamingAnalyzer {
         self.frontier = level;
     }
 
-    /// The message enabled from `cut` on thread `t`, if consistent. Shared
-    /// with the sharded expansion workers, which run the same check.
+    /// The message enabled from `cut` on thread `t`, if consistent: the
+    /// same check the merge runs when it collects its runs.
     fn enabled(&self, cut: &Cut, t: usize) -> Option<&Message> {
         merge::enabled(&self.delivered, cut, t)
     }
 
-    /// The worker count for a level of `width` cuts: sequential below the
-    /// engagement threshold, at most `parallelism` (and the injected
-    /// pool's size, when one was provided) above it.
-    fn level_workers(&self, width: usize) -> usize {
-        if self.parallelism <= 1 {
-            return 1;
-        }
-        let cap = self
-            .pool
-            .as_ref()
-            .map_or(self.parallelism, |p| p.size().min(self.parallelism));
-        (width / self.shard_granularity).clamp(1, cap)
-    }
-
     /// Expands one sealed level on the calling thread: one merge of the
-    /// per-thread successor runs over the whole key space, the same
-    /// per-edge routine and edge order every pool shard applies to its
-    /// range, so both paths build identical frontiers, parent links, and
-    /// seed sequences.
+    /// per-thread successor runs builds the next level in ascending cut
+    /// order, with its parent links and violation seeds.
     fn expand_sequential(&mut self, current: &Level, level_index: u64) -> LevelExpansion {
         let Self {
             monitor,
@@ -882,88 +791,8 @@ impl StreamingAnalyzer {
             keys,
             delivered,
         };
-        merge::merge(input, (None, None), heads, &mut stepper, &mut out);
+        merge::merge(input, heads, &mut stepper, &mut out);
         out
-    }
-
-    /// Expands one sealed level on the persistent worker pool (lazily
-    /// spawning it on first use): the successor key space is split into
-    /// one contiguous range per shard, each shard merges its range, and
-    /// the shards concatenate in range order. Consumes and returns the
-    /// sealed level — the pool borrows it via an `Arc` that is reclaimed
-    /// once every shard reports — and records the `lattice.parallel.*`
-    /// metric family. Every analysis-visible output is bit-identical to
-    /// [`StreamingAnalyzer::expand_sequential`].
-    fn expand_parallel(
-        &mut self,
-        current: Level,
-        level_index: u64,
-        workers: usize,
-    ) -> (LevelExpansion, Level) {
-        let rings: Vec<TraceRing> = if self.trace_ring.is_enabled() {
-            (0..workers)
-                .map(|w| self.trace_ring.lane(&format!("lattice.shard{w}")))
-                .collect()
-        } else {
-            (0..workers).map(|_| TraceRing::disabled()).collect()
-        };
-        let mut keys = std::mem::take(&mut self.keys);
-        keys.index(&current, &self.frontier_max, self.threads);
-        let bounds = merge::split(&keys, workers);
-        let shared = Arc::new(LevelShared {
-            sources: current,
-            keys,
-            bounds,
-            delivered: Arc::clone(&self.delivered),
-            monitor: Arc::clone(&self.monitor),
-            workers,
-            level: level_index,
-            eval_cache: self.eval_cache,
-            cache_hits: self.tel_cache_hits.clone(),
-        });
-        let pool = Arc::clone(
-            self.pool
-                .get_or_insert_with(|| Arc::new(ExpansionPool::new(self.parallelism))),
-        );
-        let reports = pool.expand(&shared, rings);
-        // Every worker dropped its clone before reporting, so the level
-        // (sources included) comes back without copying. The fallback
-        // clone is unreachable in practice.
-        let sources = match Arc::try_unwrap(shared) {
-            Ok(shared) => {
-                self.keys = shared.keys;
-                shared.sources
-            }
-            Err(shared) => shared.sources.clone(),
-        };
-        self.tel_parallel_levels.inc();
-        self.tel_workers.set(workers as u64);
-        let widest = reports
-            .iter()
-            .map(|r| r.expansion.edges())
-            .max()
-            .unwrap_or(0);
-        let narrowest = reports
-            .iter()
-            .map(|r| r.expansion.edges())
-            .min()
-            .unwrap_or(0);
-        if let Some(spread) = ((widest - narrowest) * 100).checked_div(widest) {
-            self.tel_imbalance.set(spread);
-        }
-        // The first shard's slice starts the level; the others append in
-        // range order.
-        let mut out: Option<LevelExpansion> = None;
-        for r in reports {
-            self.tel_shard_width.record(r.expansion.edges());
-            self.tel_merge.record(r.merge_ns);
-            self.tel_park.record(r.park_ns);
-            match &mut out {
-                Some(out) => out.append(r.expansion),
-                None => out = Some(r.expansion),
-            }
-        }
-        (out.unwrap_or_default(), sources)
     }
 
     /// Advances the frontier level by level while every frontier cut is
@@ -979,10 +808,8 @@ impl StreamingAnalyzer {
             }
             // The frontier only advances when it can advance *completely*:
             // expanding a partial level would lose cuts whose successors
-            // depend on undelivered messages. This guard runs before the
-            // sequential/parallel dispatch below, so a level is always
-            // sealed — every cut expandable — before any worker sees it;
-            // sharding never observes a partial level.
+            // depend on undelivered messages, so a level is always sealed —
+            // every cut expandable — before the merge reads it.
             if !self.frontier_expandable() {
                 break;
             }
@@ -999,14 +826,8 @@ impl StreamingAnalyzer {
             let level_index = u64::from(self.levels_built) + 1;
             let mut level_pruned = 0u64;
             let current = std::mem::take(&mut self.frontier);
-            let workers = self.level_workers(current.len());
             let expand = Stage::timed(&expand_ns);
-            let (mut exp, current) = if workers > 1 {
-                self.expand_parallel(current, level_index, workers)
-            } else {
-                let exp = self.expand_sequential(&current, level_index);
-                (exp, current)
-            };
+            let mut exp = self.expand_sequential(&current, level_index);
             drop(expand);
             // The memo is level-scoped: transitions rarely recur across
             // seals, so clearing keeps the table at working-set size.
@@ -1018,8 +839,8 @@ impl StreamingAnalyzer {
             self.non_writes_skipped += exp.non_writes;
             self.tel_non_writes.add(exp.non_writes);
             // Violations surface in (cut, memory) order. The merge already
-            // yields them by cut on both paths; within a cut they follow
-            // the edge order, so the memory order is imposed here.
+            // yields them by cut; within a cut they follow the edge order,
+            // so the memory order is imposed here.
             exp.seeds
                 .sort_by(|a, b| a.cut.cmp(&b.cut).then_with(|| a.memory.cmp(&b.memory)));
             let level_violations = exp.seeds.len() as u64;
@@ -1113,16 +934,14 @@ impl Analysis for StreamingAnalyzer {
         let t = event.thread.index();
         if self.delivered.len() <= t {
             // A thread beyond the declared count: grow conservatively.
-            Arc::make_mut(&mut self.delivered).resize_with(t + 1, Vec::new);
+            self.delivered.resize_with(t + 1, Vec::new);
             self.threads = t + 1;
         }
         if self.trace_ring.is_enabled() {
             self.trace_ring
                 .record(TraceKind::Ingested(message.trace_ref()));
         }
-        // Between levels no worker holds the Arc, so this appends in place
-        // without cloning the delivered prefixes.
-        Arc::make_mut(&mut self.delivered)[t].push(message);
+        self.delivered[t].push(message);
         self.advance();
     }
 

@@ -1,25 +1,19 @@
 //! The one configuration type shared by every analysis entrypoint.
 //!
-//! Counterexample budget, beam pruning, counterexample history,
-//! parallelism and the step cache all live here: [`AnalysisConfig`]
-//! configures the streaming analyzer (through
-//! [`crate::SuiteBuilder::config`]) and the test oracle
+//! Counterexample budget, beam pruning, counterexample history and the
+//! step cache all live here: [`AnalysisConfig`] configures the streaming
+//! analyzer (through [`crate::SuiteBuilder::config`]) and the test oracle
 //! ([`crate::analysis::analyze_lattice`], which reads only the
 //! counterexample budget and the step cache), and downstream crates
 //! (observer pipeline, CLI) thread it through unchanged.
 
-/// Knobs for predictive analysis. The default is the exact, sequential
-/// configuration the paper describes.
+/// Knobs for predictive analysis. The default is the exact configuration
+/// the paper describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnalysisConfig {
     /// Reconstruct at most this many counterexample runs (violation
     /// summaries are always reported).
     pub max_counterexamples: usize,
-    /// Worker threads for frontier expansion. `0` and `1` both mean
-    /// sequential; `n ≥ 2` splits each level's successor keys into at
-    /// most `n` contiguous ranges, one per worker. Results are bit-identical to the sequential path for
-    /// every value — see the determinism argument in DESIGN.md §12.
-    pub parallelism: usize,
     /// Beam width limit for the streaming frontier; `0` is unbounded.
     /// When a level exceeds the cap it is pruned to the `cap` smallest
     /// cuts in lexicographic order and the verdict degrades to
@@ -32,11 +26,6 @@ pub struct AnalysisConfig {
     /// and `jmpax serve` keep two levels, while `Pipeline::check_messages`
     /// keeps every level.
     pub history: Option<usize>,
-    /// Minimum cuts per worker before a level engages the parallel path
-    /// (`0` means the default, [`DEFAULT_SHARD_GRANULARITY`]). Narrower
-    /// levels expand sequentially: below this width the channel traffic of
-    /// sharding outweighs the win even with a persistent pool.
-    pub shard_granularity: usize,
     /// Memoize monitor steps per `(memory, atom valuation)` within a level
     /// (default `true`). Purely a performance knob: verdicts,
     /// counterexamples and traces are bit-identical either way — only the `spec.formula_evals`
@@ -44,20 +33,12 @@ pub struct AnalysisConfig {
     pub eval_cache: bool,
 }
 
-/// Default minimum cuts-per-worker before a level's expansion goes
-/// parallel. Re-tuned from 64 when the per-level `thread::scope` spawn was
-/// replaced by the persistent pool: dispatching to a parked worker is much
-/// cheaper than spawning one, so narrower levels now profit.
-pub const DEFAULT_SHARD_GRANULARITY: usize = 32;
-
 impl Default for AnalysisConfig {
     fn default() -> Self {
         Self {
             max_counterexamples: 16,
-            parallelism: 1,
             frontier_cap: 0,
             history: None,
-            shard_granularity: DEFAULT_SHARD_GRANULARITY,
             eval_cache: true,
         }
     }
@@ -68,13 +49,6 @@ impl AnalysisConfig {
     #[must_use]
     pub fn with_max_counterexamples(mut self, n: usize) -> Self {
         self.max_counterexamples = n;
-        self
-    }
-
-    /// Sets the frontier-expansion worker count (`0`/`1` = sequential).
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
         self
     }
 
@@ -89,14 +63,6 @@ impl AnalysisConfig {
     #[must_use]
     pub fn with_history(mut self, levels: usize) -> Self {
         self.history = Some(levels);
-        self
-    }
-
-    /// Sets the minimum cuts per worker for parallel expansion
-    /// (`0` restores [`DEFAULT_SHARD_GRANULARITY`]).
-    #[must_use]
-    pub fn with_shard_granularity(mut self, cuts: usize) -> Self {
-        self.shard_granularity = cuts;
         self
     }
 
@@ -121,12 +87,6 @@ impl AnalysisConfig {
         };
         self.with_frontier_cap(cap)
     }
-
-    /// The effective worker count: at least one.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.parallelism.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -136,35 +96,23 @@ mod tests {
     #[test]
     fn default_is_sequential_exact_two_level() {
         let c = AnalysisConfig::default();
-        assert_eq!(c.parallelism, 1);
         assert_eq!(c.frontier_cap, 0);
         assert_eq!(c.history, None);
         assert_eq!(c.max_counterexamples, 16);
-        assert_eq!(c.shard_granularity, DEFAULT_SHARD_GRANULARITY);
         assert!(c.eval_cache);
-        assert_eq!(c.workers(), 1);
     }
 
     #[test]
     fn builder_methods_compose() {
         let c = AnalysisConfig::default()
-            .with_parallelism(8)
             .with_frontier_cap(64)
             .with_history(2)
-            .with_shard_granularity(16)
             .with_eval_cache(false)
             .with_max_counterexamples(0);
-        assert_eq!(c.parallelism, 8);
         assert_eq!(c.frontier_cap, 64);
         assert_eq!(c.history, Some(2));
-        assert_eq!(c.shard_granularity, 16);
         assert!(!c.eval_cache);
         assert_eq!(c.max_counterexamples, 0);
-    }
-
-    #[test]
-    fn zero_parallelism_still_means_one_worker() {
-        assert_eq!(AnalysisConfig::default().with_parallelism(0).workers(), 1);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod dot;
 pub mod explore;
 pub mod input;
 mod merge;
-mod parallel;
 pub mod reassemble;
 
 pub use analyses::{
@@ -52,10 +51,9 @@ pub use analyses::{
 };
 pub use analysis::{analyze, LatticeAnalysis};
 pub use builder::{Counterexample, RunStep, StreamReport, StreamingAnalyzer, Violation};
-pub use config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
+pub use config::AnalysisConfig;
 pub use cut::Cut;
 pub use dot::{to_dot, DotOptions};
 pub use explore::Lattice;
 pub use input::{InputError, LatticeInput};
-pub use parallel::ExpansionPool;
 pub use reassemble::{Exactness, GapRecord, Reassembler, ReassemblyReport, DEFAULT_STALL_BUDGET};

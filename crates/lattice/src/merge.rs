@@ -17,13 +17,6 @@
 //! cuts lexicographically, and a successor's key is its source's key plus
 //! `1 << shift_t`. Fields never straddle a word; keys wider than one word
 //! take several, compared most significant word first.
-//!
-//! [`merge`] builds the successors whose keys fall in one range: the whole
-//! key space on the sequential path, one contiguous range per pool shard on
-//! the parallel path ([`split`]). Concatenating the shards in range order
-//! therefore gives exactly the sequential level.
-
-use std::cmp::Ordering;
 
 use jmpax_core::{Message, ThreadId};
 
@@ -31,11 +24,11 @@ use crate::builder::{Level, LevelExpansion, Stepper};
 use crate::cut::Cut;
 
 /// One word of a packed cut key.
-pub(crate) type Word = u128;
+type Word = u128;
 
 /// Where each thread's count lives in a packed key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct KeyLayout {
+struct KeyLayout {
     /// Words per key (at least one).
     words: usize,
     /// Per thread: the word holding its field (0 is most significant) and
@@ -48,7 +41,7 @@ impl KeyLayout {
     /// (a missing entry counts as 0), thread 0 in the most significant bits
     /// of word 0. A field that does not fit the rest of a word starts the
     /// next one.
-    pub(crate) fn fit(&mut self, max: &[u32], threads: usize) {
+    fn fit(&mut self, max: &[u32], threads: usize) {
         self.fields.clear();
         let (mut word, mut used) = (0usize, 0u32);
         for t in 0..threads {
@@ -65,12 +58,12 @@ impl KeyLayout {
     }
 
     /// Words per key.
-    pub(crate) fn words(&self) -> usize {
+    fn words(&self) -> usize {
         self.words
     }
 
     /// Packs `cut` into `out` (`words()` long).
-    pub(crate) fn pack(&self, cut: &Cut, out: &mut [Word]) {
+    fn pack(&self, cut: &Cut, out: &mut [Word]) {
         out.fill(0);
         for (t, &(word, shift)) in self.fields.iter().enumerate() {
             out[word] |= Word::from(cut.get(ThreadId(t as u32))) << shift;
@@ -82,20 +75,6 @@ impl KeyLayout {
         out.copy_from_slice(key);
         let (word, shift) = self.fields[t];
         out[word] += 1 << shift;
-    }
-
-    /// Compares `key` advanced by one event of thread `t` with `other`,
-    /// without materializing the advanced key.
-    fn cmp_advanced(&self, key: &[Word], t: usize, other: &[Word]) -> Ordering {
-        let (word, shift) = self.fields[t];
-        for (i, (&a, b)) in key.iter().zip(other).enumerate() {
-            let a = if i == word { a + (1 << shift) } else { a };
-            match a.cmp(b) {
-                Ordering::Equal => {}
-                unequal => return unequal,
-            }
-        }
-        Ordering::Equal
     }
 }
 
@@ -121,13 +100,8 @@ impl LevelKeys {
     }
 
     /// Words per key of the indexed level.
-    pub(crate) fn words(&self) -> usize {
+    fn words(&self) -> usize {
         self.layout.words()
-    }
-
-    /// Source cuts indexed.
-    fn len(&self) -> usize {
-        self.keys.len() / self.layout.words()
     }
 
     fn threads(&self) -> usize {
@@ -138,67 +112,6 @@ impl LevelKeys {
         let words = self.layout.words();
         &self.keys[src * words..(src + 1) * words]
     }
-
-    /// The first source whose successor on thread `t` is not below
-    /// `bound`: the start of run `t` within a range beginning at `bound`.
-    /// A partition point, since the advanced keys ascend with the sources.
-    fn run_start(&self, t: usize, bound: &[Word]) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.layout.cmp_advanced(self.key(mid), t, bound) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Candidate edges (source, thread) whose successor key is below
-    /// `bound`, enabled or not.
-    fn edges_below(&self, bound: &[Word]) -> usize {
-        (0..self.threads()).map(|t| self.run_start(t, bound)).sum()
-    }
-}
-
-/// Splits the successor key space of `keys`' level into `shards`
-/// contiguous ranges holding about equally many candidate edges, and
-/// returns the `shards − 1` inner boundaries (each `words()` words, flat).
-/// Shard `i` owns the keys in `[bound_{i−1}, bound_i)`, the first and last
-/// ranges open-ended. Boundaries are source keys: no successor equals one,
-/// and the edge count below a source key grows with the source.
-pub(crate) fn split(keys: &LevelKeys, shards: usize) -> Vec<Word> {
-    let total = keys.len() * keys.threads();
-    let mut bounds = Vec::with_capacity(shards.saturating_sub(1) * keys.layout.words());
-    for i in 1..shards {
-        let target = total * i / shards;
-        let (mut lo, mut hi) = (0, keys.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if keys.edges_below(keys.key(mid)) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        match keys.len().checked_sub(1) {
-            Some(last) => bounds.extend_from_slice(keys.key(lo.min(last))),
-            None => bounds.resize(bounds.len() + keys.layout.words(), 0),
-        }
-    }
-    bounds
-}
-
-/// The range bounds of shard `shard` among `bounds` (from [`split`]):
-/// inclusive start and exclusive end, `None` where the range is open.
-pub(crate) fn shard_range(
-    bounds: &[Word],
-    words: usize,
-    shard: usize,
-) -> (Option<&[Word]>, Option<&[Word]>) {
-    let bound = |i: usize| bounds.get(i * words..(i + 1) * words);
-    (shard.checked_sub(1).and_then(bound), bound(shard))
 }
 
 /// The message enabled from `cut` on thread `t`, if causally consistent
@@ -224,8 +137,6 @@ pub(crate) fn enabled<'a>(
 /// Reusable merge state: one run and one head per thread.
 #[derive(Debug, Default)]
 pub(crate) struct Heads {
-    /// Per thread: the sources whose successor on it falls in the range.
-    bounds: Vec<(usize, usize)>,
     /// Per thread: those of its sources enabled on it, ascending, each
     /// with the index of the message the edge consumes.
     runs: Vec<Vec<(u32, u32)>>,
@@ -240,27 +151,17 @@ pub(crate) struct Heads {
 }
 
 impl Heads {
-    /// Collects each thread's run within `range` and loads every head.
-    /// The enabled checks take one pass over the level, so each cut is
-    /// read once.
-    fn start(&mut self, input: &MergeInput<'_>, range: (Option<&[Word]>, Option<&[Word]>)) {
+    /// Collects each thread's run and loads every head. The enabled
+    /// checks take one pass over the level, so each cut is read once.
+    fn start(&mut self, input: &MergeInput<'_>) {
         let keys = input.keys;
         let (threads, words) = (keys.threads(), keys.words());
-        self.bounds.clear();
-        self.bounds.extend((0..threads).map(|t| {
-            let start = range.0.map_or(0, |lo| keys.run_start(t, lo));
-            let end = range.1.map_or(keys.len(), |hi| keys.run_start(t, hi));
-            (start, end)
-        }));
         self.runs.resize_with(threads, Vec::new);
         self.runs.iter_mut().for_each(Vec::clear);
-        let start = self.bounds.iter().map(|b| b.0).min().unwrap_or(0);
-        let end = self.bounds.iter().map(|b| b.1).max().unwrap_or(0);
-        for src in start..end {
-            let cut = &input.level[src].0;
-            for (t, &(lo, hi)) in self.bounds.iter().enumerate() {
-                if (lo..hi).contains(&src) && enabled(input.delivered, cut, t).is_some() {
-                    self.runs[t].push((src as u32, cut.get(ThreadId(t as u32))));
+        for (src, (cut, _)) in input.level.iter().enumerate() {
+            for (t, run) in self.runs.iter_mut().enumerate() {
+                if enabled(input.delivered, cut, t).is_some() {
+                    run.push((src as u32, cut.get(ThreadId(t as u32))));
                 }
             }
         }
@@ -314,20 +215,19 @@ pub(crate) struct MergeInput<'a> {
     pub(crate) delivered: &'a [Vec<Message>],
 }
 
-/// Builds the successors whose keys fall in `[lo, hi)` (`None` = open) by
-/// merging the per-thread runs, feeding every edge to `out` in ascending
-/// successor order and, per successor, ascending thread order. Appends the
-/// new nodes to `out`'s level in ascending cut order.
+/// Builds the next level by merging the per-thread runs, feeding every
+/// edge to `out` in ascending successor order and, per successor,
+/// ascending thread order. Appends the new nodes to `out`'s level in
+/// ascending cut order.
 pub(crate) fn merge(
     input: MergeInput<'_>,
-    range: (Option<&[Word]>, Option<&[Word]>),
     heads: &mut Heads,
     stepper: &mut Stepper<'_>,
     out: &mut LevelExpansion,
 ) {
     let keys = input.keys;
     let words = keys.words();
-    heads.start(&input, range);
+    heads.start(&input);
     while !heads.live.is_empty() {
         let live = &heads.live;
         // The smallest head, the lowest thread among equal keys. The
@@ -430,7 +330,6 @@ mod tests {
             let mut out = vec![0; 2];
             l.advance(&src, t, &mut out);
             assert_eq!(out, key(&l, &next), "thread {t}");
-            assert_eq!(l.cmp_advanced(&src, t, &out), Ordering::Equal);
         }
     }
 

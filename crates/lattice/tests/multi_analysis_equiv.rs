@@ -2,8 +2,8 @@
 //! running `[ltl, race, atomicity]` together over one causal delivery
 //! pass must produce, for every analysis, a report bit-identical to the
 //! one a dedicated single-analysis pass produces over the same messages
-//! in the same arrival order — at any worker count and whether the stream
-//! arrives clean or mangled (reordered and lossy). Sharing the pass is an
+//! in the same arrival order — whether the stream arrives clean or
+//! mangled (reordered and lossy). Sharing the pass is an
 //! implementation detail, never an observable one. The ptLTL report,
 //! counterexamples included, does not depend on arrival order at all.
 
@@ -48,18 +48,8 @@ fn pass_with(
     suite.finish(Exactness::Exact)
 }
 
-fn pass(
-    kinds: &[AnalysisKind],
-    monitor: &Monitor,
-    msgs: &[Message],
-    workers: usize,
-) -> SuiteReport {
-    pass_with(
-        kinds,
-        monitor,
-        msgs,
-        &AnalysisConfig::default().with_parallelism(workers),
-    )
+fn pass(kinds: &[AnalysisKind], monitor: &Monitor, msgs: &[Message]) -> SuiteReport {
+    pass_with(kinds, monitor, msgs, &AnalysisConfig::default())
 }
 
 /// Deterministically mangle the stream: shuffle within a bounded window
@@ -88,7 +78,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole determinism contract: for random workloads, every
-    /// spec, workers {1, 3, 7}, clean and mangled streams, the combined
+    /// spec, clean and mangled streams, the combined
     /// `[ltl, race, atomicity]` pass matches three dedicated passes
     /// analysis-for-analysis, bit for bit.
     #[test]
@@ -108,36 +98,32 @@ proptest! {
         for spec in SPECS {
             let monitor = monitor_for(spec);
             for (label, msgs) in [("clean", &clean), ("mangled", &mangled)] {
-                for workers in [1usize, 3, 7] {
-                    let combined = pass(&all, &monitor, msgs, workers);
-                    prop_assert_eq!(combined.reports.len(), all.len());
-                    for kind in all {
-                        let single = pass(&[kind], &monitor, msgs, workers);
-                        prop_assert_eq!(
-                            fingerprint(&combined, kind),
-                            fingerprint(&single, kind),
-                            "seed {} spec `{}` {} workers {} kind {}",
-                            seed, spec, label, workers, kind.name()
-                        );
-                    }
-                    // The eval cache is an LTL-lattice throughput knob;
-                    // no report may change when it is switched off.
-                    let uncached = pass_with(
-                        &all,
-                        &monitor,
-                        msgs,
-                        &AnalysisConfig::default()
-                            .with_parallelism(workers)
-                            .with_eval_cache(false),
+                let combined = pass(&all, &monitor, msgs);
+                prop_assert_eq!(combined.reports.len(), all.len());
+                for kind in all {
+                    let single = pass(&[kind], &monitor, msgs);
+                    prop_assert_eq!(
+                        fingerprint(&combined, kind),
+                        fingerprint(&single, kind),
+                        "seed {} spec `{}` {} kind {}",
+                        seed, spec, label, kind.name()
                     );
-                    for kind in all {
-                        prop_assert_eq!(
-                            fingerprint(&combined, kind),
-                            fingerprint(&uncached, kind),
-                            "eval cache changed seed {} spec `{}` {} workers {} kind {}",
-                            seed, spec, label, workers, kind.name()
-                        );
-                    }
+                }
+                // The eval cache is an LTL-lattice throughput knob; no
+                // report may change when it is switched off.
+                let uncached = pass_with(
+                    &all,
+                    &monitor,
+                    msgs,
+                    &AnalysisConfig::default().with_eval_cache(false),
+                );
+                for kind in all {
+                    prop_assert_eq!(
+                        fingerprint(&combined, kind),
+                        fingerprint(&uncached, kind),
+                        "eval cache changed seed {} spec `{}` {} kind {}",
+                        seed, spec, label, kind.name()
+                    );
                 }
             }
         }
@@ -146,7 +132,7 @@ proptest! {
     /// The ptLTL report depends only on the message set: every arrival
     /// order of the same messages, with a seeded subset duplicated on the
     /// wire, yields an Exact, Debug-identical report, counterexamples
-    /// included, sequentially and on the worker pool. (Race and atomicity
+    /// included. (Race and atomicity
     /// reports name accesses in delivery order, so they carry no such
     /// guarantee.)
     #[test]
@@ -164,32 +150,27 @@ proptest! {
 
         for spec in SPECS {
             let monitor = monitor_for(spec);
-            for workers in [1usize, 3] {
-                let config = AnalysisConfig::default()
-                    .with_parallelism(workers)
-                    .with_shard_granularity(1)
-                    .with_history(usize::MAX);
-                let in_order = pass_with(&[AnalysisKind::Ltl], &monitor, &msgs, &config);
-                for round in 0..3 {
-                    let mut shuffled = msgs.clone();
-                    let dups: Vec<Message> =
-                        msgs.iter().filter(|_| rng.gen_bool(0.2)).cloned().collect();
-                    shuffled.extend(dups.iter().cloned());
-                    shuffled.shuffle(&mut rng);
-                    let got = pass_with(&[AnalysisKind::Ltl], &monitor, &shuffled, &config);
-                    prop_assert_eq!(got.reassembly.duplicates, dups.len() as u64);
-                    prop_assert!(
-                        got.exactness().is_exact(),
-                        "seed {} spec `{}` workers {} shuffle {}: {}",
-                        seed, spec, workers, round, got.exactness()
-                    );
-                    prop_assert_eq!(
-                        fingerprint(&in_order, AnalysisKind::Ltl),
-                        fingerprint(&got, AnalysisKind::Ltl),
-                        "seed {} spec `{}` workers {} shuffle {}",
-                        seed, spec, workers, round
-                    );
-                }
+            let config = AnalysisConfig::default().with_history(usize::MAX);
+            let in_order = pass_with(&[AnalysisKind::Ltl], &monitor, &msgs, &config);
+            for round in 0..3 {
+                let mut shuffled = msgs.clone();
+                let dups: Vec<Message> =
+                    msgs.iter().filter(|_| rng.gen_bool(0.2)).cloned().collect();
+                shuffled.extend(dups.iter().cloned());
+                shuffled.shuffle(&mut rng);
+                let got = pass_with(&[AnalysisKind::Ltl], &monitor, &shuffled, &config);
+                prop_assert_eq!(got.reassembly.duplicates, dups.len() as u64);
+                prop_assert!(
+                    got.exactness().is_exact(),
+                    "seed {} spec `{}` shuffle {}: {}",
+                    seed, spec, round, got.exactness()
+                );
+                prop_assert_eq!(
+                    fingerprint(&in_order, AnalysisKind::Ltl),
+                    fingerprint(&got, AnalysisKind::Ltl),
+                    "seed {} spec `{}` shuffle {}",
+                    seed, spec, round
+                );
             }
         }
     }
@@ -210,8 +191,8 @@ proptest! {
         let monitor = monitor_for(SPECS[0]);
 
         use AnalysisKind::{Atomicity, Ltl, Race};
-        let forward = pass(&[Ltl, Race, Atomicity], &monitor, &msgs, 1);
-        let reversed = pass(&[Atomicity, Race, Ltl], &monitor, &msgs, 1);
+        let forward = pass(&[Ltl, Race, Atomicity], &monitor, &msgs);
+        let reversed = pass(&[Atomicity, Race, Ltl], &monitor, &msgs);
         for kind in AnalysisKind::ALL {
             prop_assert_eq!(
                 fingerprint(&forward, kind),

@@ -388,9 +388,8 @@ proptest! {
     /// Streams with reads (every event relevant): the engine's states are
     /// the distinct cuts, its run count the linear extensions, its
     /// violating-run count the enumerated runs that violate with reads as
-    /// repeated states, and each stutter edge is counted once — at 1 and 3
-    /// workers, with the step cache on and off, and with identical
-    /// violations in every configuration.
+    /// repeated states, and each stutter edge is counted once — with the
+    /// step cache on and off, and with identical violations either way.
     #[test]
     fn engine_matches_enumeration_on_streams_with_reads(
         events in arb_small_events(),
@@ -417,25 +416,20 @@ proptest! {
         let stutters = stutter_edges(&msgs, &cuts, threads);
 
         let mut first: Option<String> = None;
-        for workers in [1, 3] {
-            for cache in [true, false] {
-                let config = AnalysisConfig::default()
-                    .with_parallelism(workers)
-                    .with_shard_granularity(1)
-                    .with_eval_cache(cache);
-                let report = engine(monitor.clone(), &initial, threads, &config, msgs.clone());
-                let at = format!("workers {workers}, cache {cache}");
-                prop_assert!(report.completed, "{}", at);
-                prop_assert_eq!(report.states_explored, cuts.len() as u64, "{}", at);
-                prop_assert_eq!(report.total_runs, total, "{}", at);
-                prop_assert_eq!(report.violating_runs, violating, "{}", at);
-                prop_assert_eq!(report.non_writes_skipped, stutters, "{}", at);
-                prop_assert_eq!(report.satisfied(), violating == 0, "{}", at);
-                let violations = format!("{:?}", report.violations);
-                match &first {
-                    Some(f) => prop_assert_eq!(f, &violations, "{}", at),
-                    None => first = Some(violations),
-                }
+        for cache in [true, false] {
+            let config = AnalysisConfig::default().with_eval_cache(cache);
+            let report = engine(monitor.clone(), &initial, threads, &config, msgs.clone());
+            let at = format!("cache {cache}");
+            prop_assert!(report.completed, "{}", at);
+            prop_assert_eq!(report.states_explored, cuts.len() as u64, "{}", at);
+            prop_assert_eq!(report.total_runs, total, "{}", at);
+            prop_assert_eq!(report.violating_runs, violating, "{}", at);
+            prop_assert_eq!(report.non_writes_skipped, stutters, "{}", at);
+            prop_assert_eq!(report.satisfied(), violating == 0, "{}", at);
+            let violations = format!("{:?}", report.violations);
+            match &first {
+                Some(f) => prop_assert_eq!(f, &violations, "{}", at),
+                None => first = Some(violations),
             }
         }
     }

@@ -16,22 +16,16 @@
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
 //! config carries the optional telemetry [`Registry`] (traced or not) and
-//! the [`AnalysisConfig`] knobs (parallelism, frontier cap,
-//! counterexample budget). When parallelism is enabled, the pipeline
-//! owns one persistent [`ExpansionPool`] shared by every analysis it runs —
-//! workers are spawned on first use and parked between levels and between
-//! calls, so repeated checks (e.g. `jmpax serve` tenant sessions) never pay
-//! thread-spawn cost again.
+//! the [`AnalysisConfig`] knobs (frontier cap, counterexample budget and
+//! history, step cache).
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
 use jmpax_instrument::ResilientDecode;
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisSuite, Exactness, ExpansionPool, ReassemblyReport, SuiteBuilder,
-    SuiteReport,
+    AnalysisConfig, AnalysisSuite, Exactness, ReassemblyReport, SuiteBuilder, SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::trace::TraceKind;
@@ -102,8 +96,8 @@ impl PipelineReport {
 }
 
 /// Configuration for [`Pipeline`]: observability sinks plus every analysis
-/// knob, in one place. The default is the plain, sequential, untelemetered
-/// pipeline the original `check_execution` ran.
+/// knob, in one place. The default is the plain, untelemetered pipeline
+/// the original `check_execution` ran.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineConfig {
     telemetry: Registry,
@@ -113,8 +107,7 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Starts from the defaults (disabled telemetry, sequential exact
-    /// analysis).
+    /// Starts from the defaults (disabled telemetry, exact analysis).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -123,32 +116,22 @@ impl PipelineConfig {
     /// Reports pipeline telemetry into `registry`: per-stage wall-clock
     /// histograms (`observer.stage.*_ns`), verdict counters
     /// (`observer.verdict.*`), and every metric the instrumentor, monitor
-    /// and lattice analysis publish — including `lattice.parallel.*` when
-    /// parallelism is enabled. A disabled registry is free.
+    /// and lattice analysis publish. A disabled registry is free.
     ///
     /// A traced registry ([`Registry::traced`]) also records structured
     /// traces: pipeline stages as [`TraceKind::Stage`] spans on the
     /// `observer` lane, Algorithm A on the `core` lane, the analysis's
-    /// level-by-level pass on the `lattice` lane (plus `lattice.shard<N>`
-    /// lanes when the parallel pool engages), race and atomicity findings
-    /// on `analysis.race` / `analysis.atomicity`, and committed gaps on
-    /// `resilience`.
+    /// level-by-level pass on the `lattice` lane, race and atomicity
+    /// findings on `analysis.race` / `analysis.atomicity`, and committed
+    /// gaps on `resilience`.
     #[must_use]
     pub fn telemetry(mut self, registry: &Registry) -> Self {
         self.telemetry = registry.clone();
         self
     }
 
-    /// Worker threads for lattice frontier expansion (`0`/`1` =
-    /// sequential). Verdicts are bit-identical for every value.
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.analysis.parallelism = workers;
-        self
-    }
-
     /// Replaces the full [`AnalysisConfig`] (counterexample budget,
-    /// parallelism, frontier cap, counterexample history) at once.
+    /// frontier cap, counterexample history, step cache) at once.
     #[must_use]
     pub fn analysis(mut self, config: AnalysisConfig) -> Self {
         self.analysis = config;
@@ -186,10 +169,6 @@ impl PipelineConfig {
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
-    /// The persistent expansion pool, created lazily on the first parallel
-    /// analysis and shared (via `Arc`) by every subsequent one — including
-    /// clones of this pipeline, which reuse the same workers.
-    pool: OnceLock<Arc<ExpansionPool>>,
     /// The `observer.stage.{instrument,analysis,jpax}_ns` histograms,
     /// resolved once from the configured registry.
     instrument_ns: Histogram,
@@ -213,21 +192,7 @@ impl Pipeline {
             analysis_ns: registry.histogram("observer.stage.analysis_ns"),
             jpax_ns: registry.histogram("observer.stage.jpax_ns"),
             config,
-            pool: OnceLock::new(),
         }
-    }
-
-    /// The shared worker pool when parallelism is configured (`None` for
-    /// sequential configs). First call spawns the workers; they park on an
-    /// empty channel until a level is dispatched.
-    fn shared_pool(&self) -> Option<Arc<ExpansionPool>> {
-        let workers = self.config.analysis.workers();
-        (workers > 1).then(|| {
-            Arc::clone(
-                self.pool
-                    .get_or_init(|| Arc::new(ExpansionPool::new(workers))),
-            )
-        })
     }
 
     /// Runs the full pipeline over a recorded multithreaded execution.
@@ -413,14 +378,11 @@ impl Pipeline {
         } else {
             kinds
         };
-        let mut builder = SuiteBuilder::new(kinds, threads.max(1))
+        SuiteBuilder::new(kinds, threads.max(1))
             .sync_vars(self.config.sync_vars.iter().copied())
             .config(config)
-            .telemetry(&self.config.telemetry);
-        if let Some(pool) = self.shared_pool() {
-            builder = builder.pool(pool);
-        }
-        builder.build(ltl)
+            .telemetry(&self.config.telemetry)
+            .build(ltl)
     }
 
     /// Closes a suite built by [`Pipeline::suite`], folding `transport`
@@ -574,64 +536,6 @@ mod tests {
             Pipeline::new(PipelineConfig::new()).check_execution(&ex, "x >", &mut syms),
             Err(PipelineError::Spec(_))
         ));
-    }
-
-    #[test]
-    fn parallel_pipeline_matches_sequential_bit_for_bit() {
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let spec = "(x > 0) -> [y = 0, y > z)";
-        let seq = Pipeline::new(PipelineConfig::new())
-            .check_execution(&ex, spec, &mut syms)
-            .unwrap();
-        let mut syms2 = SymbolTable::new();
-        let ex2 = example2(&mut syms2);
-        let par = Pipeline::new(PipelineConfig::new().parallelism(8))
-            .check_execution(&ex2, spec, &mut syms2)
-            .unwrap();
-        assert_eq!(
-            seq.verdict.analysis().total_runs,
-            par.verdict.analysis().total_runs
-        );
-        assert_eq!(
-            seq.verdict.analysis().violating_runs,
-            par.verdict.analysis().violating_runs
-        );
-        assert_eq!(
-            seq.verdict.analysis().states_explored,
-            par.verdict.analysis().states_explored
-        );
-        assert_eq!(
-            format!("{:?}", seq.verdict.analysis().violations),
-            format!("{:?}", par.verdict.analysis().violations)
-        );
-        assert_eq!(seq.messages, par.messages);
-        assert_eq!(seq.observed_violation, par.observed_violation);
-    }
-
-    #[test]
-    fn parallel_pipeline_reuses_one_pool_across_calls() {
-        // A parallel pipeline spawns its expansion pool lazily and keeps it
-        // across check_execution calls; every call must produce the same
-        // verdict.
-        let pipeline = Pipeline::new(
-            PipelineConfig::new()
-                .telemetry(&Registry::disabled().traced())
-                .analysis(
-                    AnalysisConfig::default()
-                        .with_parallelism(4)
-                        .with_shard_granularity(1),
-                ),
-        );
-        let spec = "(x > 0) -> [y = 0, y > z)";
-        for _ in 0..3 {
-            let mut syms = SymbolTable::new();
-            let ex = example2(&mut syms);
-            let report = pipeline.check_execution(&ex, spec, &mut syms).unwrap();
-            assert!(report.predicted());
-            assert!(report.verdict.analysis().completed);
-            assert_eq!(report.verdict.analysis().violations.len(), 1);
-        }
     }
 
     /// Example 2's messages for the spec over x, y, z, with its monitor

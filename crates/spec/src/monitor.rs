@@ -142,7 +142,7 @@ pub struct Monitor {
     evals: jmpax_telemetry::Counter,
     /// Per-evaluation latency histogram (`spec.stage.eval_ns`); disabled
     /// unless attached via [`Monitor::with_telemetry`]. Shared across
-    /// clones like `evals`, so parallel lattice workers pool samples.
+    /// clones like `evals`, so every clone's samples pool.
     eval_ns: jmpax_telemetry::Histogram,
     /// Counts step-cache hits (`spec.eval_cache_hits`); disabled unless
     /// attached via [`Monitor::with_telemetry`]. Caches created by
@@ -537,8 +537,8 @@ enum AtomInput<'a> {
 /// `k` steps the same memories over the same state `k` times, and sibling
 /// nodes frequently share valuations. The cache is deliberately *external*
 /// to the monitor (no interior mutability, no locks): each analysis path
-/// owns one, scopes it — per level for the streaming analyzer, per shard
-/// for parallel expansion — and clears or drops it when done.
+/// owns one, scopes it — per level for the streaming analyzer, per pass
+/// for the oracle — and clears or drops it when done.
 #[derive(Debug, Default)]
 pub struct StepCache {
     map: FastMap<(u64, u64), (MonitorState, bool)>,

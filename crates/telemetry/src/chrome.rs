@@ -113,23 +113,6 @@ pub fn to_chrome_json(data: &TraceData) -> String {
                         out.push('}');
                     });
                 }
-                TraceKind::ShardExpanded {
-                    level,
-                    shard,
-                    cuts,
-                    contributions,
-                } => {
-                    let dur = micros(record.dur_ns);
-                    push_event(&mut out, &mut first, |out| {
-                        let _ = write!(
-                            out,
-                            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
-                             \"name\":\"shard {shard} level {level}\",\"cat\":\"lattice\",\
-                             \"args\":{{\"level\":{level},\"shard\":{shard},\"cuts\":{cuts},\
-                             \"contributions\":{contributions}}}}}"
-                        );
-                    });
-                }
                 TraceKind::CutPruned { level, count } => {
                     push_event(&mut out, &mut first, |out| {
                         let _ = write!(

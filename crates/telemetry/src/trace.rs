@@ -124,20 +124,6 @@ pub enum TraceKind {
         /// Stage name, e.g. `"instrument"`, `"jpax"`, `"analysis"`.
         name: &'static str,
     },
-    /// One shard of a parallel frontier expansion finished its key range
-    /// of a level (span). Recorded on the shard's own lane
-    /// (`lattice.shard<N>`), so Perfetto renders the worker pool's
-    /// concurrency and imbalance directly.
-    ShardExpanded {
-        /// Level index `r` being sealed.
-        level: u64,
-        /// Zero-based shard index within the worker pool.
-        shard: u32,
-        /// Successor cuts the shard created.
-        cuts: u64,
-        /// Lattice edges (in-edges of those cuts) the shard merged.
-        contributions: u64,
-    },
     /// A pluggable analysis reported a finding — a data race, an
     /// atomicity violation (instant). Recorded on the analysis's own lane
     /// (`analysis.<name>`).

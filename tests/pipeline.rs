@@ -190,15 +190,14 @@ fn real_threads_locked_publication_is_clean() {
 }
 
 /// One traced registry reaches every lane of a full suite: the
-/// `ltl,race,atomicity` suite over the `nonatomic` workload at
-/// parallelism 2, with one message withheld, records one `GapSkipped` per
-/// committed gap on `resilience`, one `Finding` per finding on
-/// `analysis.race` / `analysis.atomicity`, and one `ShardExpanded` per
-/// engaged shard and parallel level on `lattice.shard<N>`.
+/// `ltl,race,atomicity` suite over the `nonatomic` workload, with one
+/// message withheld, records one `GapSkipped` per committed gap on
+/// `resilience`, one `Finding` per finding on `analysis.race` /
+/// `analysis.atomicity`, and one `LevelSealed` per built level on
+/// `lattice`.
 #[test]
 fn traced_suite_fills_every_analysis_lane() {
     use jmpax::core::AnalysisKind;
-    use jmpax::lattice::AnalysisConfig;
     use jmpax::workloads::nonatomic;
     use jmpax::{Registry, TraceKind};
 
@@ -213,17 +212,11 @@ fn traced_suite_fills_every_analysis_lane() {
         .expect("T1 sends lock, read, write tmp, write balance, unlock");
     messages.remove(withheld);
 
-    let workers = 2;
     let registry = Registry::enabled().traced();
     let pipeline = Pipeline::new(
         PipelineConfig::new()
             .telemetry(&registry)
-            .sync_vars([w.symbols.lookup(nonatomic::LOCK_NAME).unwrap()])
-            .analysis(
-                AnalysisConfig::default()
-                    .with_parallelism(workers)
-                    .with_shard_granularity(1),
-            ),
+            .sync_vars([w.symbols.lookup(nonatomic::LOCK_NAME).unwrap()]),
     );
     let initial = ProgramState::from_map(run.execution.initial.clone());
     let report = pipeline.check_stream_suite(
@@ -237,7 +230,6 @@ fn traced_suite_fills_every_analysis_lane() {
         Exactness::Exact,
         messages,
     );
-    drop(pipeline); // joins the pool, sealing the shard lanes
 
     let data = registry.tracer().collect();
     let lane = |name: &str| -> Vec<&TraceKind> {
@@ -282,16 +274,11 @@ fn traced_suite_fills_every_analysis_lane() {
     assert_eq!(findings("analysis.race", "race"), races);
     assert_eq!(findings("analysis.atomicity", "atomicity"), violations);
 
-    let parallel_levels = registry
-        .snapshot()
-        .counter("lattice.parallel.levels")
-        .unwrap();
-    assert!(parallel_levels > 0, "the pool must engage");
-    for shard in 0..workers {
-        let expanded = lane(&format!("lattice.shard{shard}"))
-            .into_iter()
-            .filter(|k| matches!(k, TraceKind::ShardExpanded { .. }))
-            .count();
-        assert_eq!(expanded as u64, parallel_levels, "shard {shard}");
-    }
+    let levels = report.reports[0].as_ltl().unwrap().levels_built;
+    assert!(levels > 0, "the lattice must advance");
+    let sealed = lane("lattice")
+        .into_iter()
+        .filter(|k| matches!(k, TraceKind::LevelSealed { .. }))
+        .count();
+    assert_eq!(sealed, levels as usize);
 }
