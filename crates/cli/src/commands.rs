@@ -75,34 +75,34 @@ USAGE:
 
     jmpax serve --spec <FORMULA> [--port <N>] [--metrics-port <N>]
                 [--analysis <ltl,race,atomicity>]
-                [--sessions <N>] [--max-concurrent <N>] [--queue <N>]
+                [--sessions <N>] [--max-concurrent <N>]
                 [--frontier-cap <N>] [--stall-budget <N>]
                 [--read-timeout-ms <N>] [--idle-timeout-ms <N>]
-                [--handshake-timeout-ms <N>] [--shed <drop|block>] [--json]
+                [--handshake-timeout-ms <N>] [--json]
                 [--ops-log <FILE|->] [--flight-capacity <N>]
         Run the multi-tenant observer daemon: accept concurrent framed
         event streams over TCP on 127.0.0.1 (--port 0 picks an ephemeral
         port, announced on stderr before serving) and analyze each
-        session in its own pipeline behind a bounded queue of --queue
-        chunks (--shed block = real TCP backpressure; drop = shed the
-        chunk, count it, degrade the verdict). Each tenant gets a
-        one-line JSON verdict on its own socket — Exact, Degraded or
-        Error; a lossy, slow, idle or hostile tenant degrades only
-        itself, never the process. Idle tenants are evicted after
-        --idle-timeout-ms; tenant-requested frontier caps are clamped to
-        --frontier-cap. --metrics-port serves the daemon's live state
-        over HTTP while it runs: /metrics (Prometheus text with one
-        {tenant=\"...\"} labeled series per live session), /tenants
-        (per-tenant status JSON for `jmpax top`) and /healthz (readiness
-        JSON; 503 once shutdown begins). --ops-log writes a structured
-        JSON-lines operations log — one rate-limited event per session
-        state transition (accept/handshake/shed/evict/degrade/panic/
-        verdict) — to FILE, or to stderr with `-`; any session leaving
-        Exact dumps its flight-recorder ring (recent frames, sheds,
-        gaps, transitions; ring size --flight-capacity, default 64) into
-        the log and its final report. --sessions N shuts down after N
-        session verdicts (default: serve until killed) and prints a
-        shutdown report; --json makes it machine-readable. --analysis
+        session online on its own thread, chunk by chunk as it arrives
+        (a tenant that outpaces its analysis gets TCP backpressure).
+        Each tenant gets a one-line JSON verdict on its own socket —
+        Exact, Degraded or Error; a lossy, slow, idle or hostile tenant
+        degrades only itself, never the process. Idle tenants are
+        evicted after --idle-timeout-ms; tenant-requested frontier caps
+        are clamped to --frontier-cap. --metrics-port serves the
+        daemon's live state over HTTP while it runs: /metrics
+        (Prometheus text with one {tenant=\"...\"} labeled series per
+        live session), /tenants (per-tenant status JSON for `jmpax
+        top`) and /healthz (readiness JSON; 503 once shutdown begins).
+        --ops-log writes a structured JSON-lines operations log — one
+        rate-limited event per session state transition
+        (accept/handshake/evict/degrade/panic/verdict) — to FILE, or to
+        stderr with `-`; any session leaving Exact dumps its
+        flight-recorder ring (recent frames, gaps, transitions; ring
+        size --flight-capacity, default 64) into the log and its final
+        report. --sessions N shuts down after N session verdicts
+        (default: serve until killed) and prints a shutdown report;
+        --json makes it machine-readable. --analysis
         sets the checker suite for tenants that request none in their
         handshake (default ltl); a handshake naming an unknown analysis
         is rejected with a clean Error verdict.
@@ -110,8 +110,8 @@ USAGE:
     jmpax top --connect <HOST:PORT> [--interval-ms <N>] [--once] [--json]
         Watch a serve daemon's tenants live: poll /tenants on the
         daemon's metrics endpoint (--metrics-port) and render a
-        refreshing per-tenant table — state, verdict, throughput, shed
-        chunks, gaps, violations, last transition — every --interval-ms
+        refreshing per-tenant table — state, verdict, throughput, gaps,
+        violations, last transition — every --interval-ms
         (default 1000). --once prints a single snapshot and exits;
         --once --json prints the raw /tenants document for scripting.
 
@@ -784,7 +784,7 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
 /// is the contract scripts (and the CI chaos-load job) rely on to discover
 /// ephemeral ports, and the only reason this function is not pure.
 fn serve(args: &Args, registry: &Registry) -> (i32, String) {
-    use jmpax_observer::{ServeConfig, Server, ShedPolicy};
+    use jmpax_observer::{ServeConfig, Server};
     use std::time::Duration;
 
     let Some(spec) = args.get("spec").filter(|s| !s.is_empty()) else {
@@ -801,20 +801,9 @@ fn serve(args: &Args, registry: &Registry) -> (i32, String) {
     let port = opt!(u16, "port", "a port").unwrap_or(0);
     let metrics_port = opt!(u16, "metrics-port", "a port");
     let target = opt!(usize, "sessions", "a session count");
-    let shed = match args.get("shed") {
-        None | Some("block") => ShedPolicy::Block,
-        Some("drop") => ShedPolicy::DropNewest,
-        Some(other) => {
-            return (
-                2,
-                format!("serve: --shed expects `drop` or `block`, got `{other}`\n"),
-            )
-        }
-    };
 
     let mut config = ServeConfig::new(spec);
     config.telemetry = registry.clone();
-    config.shed = shed;
     if let Some(list) = args.get("analysis") {
         match jmpax_core::AnalysisKind::parse_list(list) {
             Ok(kinds) => config.analyses = kinds,
@@ -828,9 +817,6 @@ fn serve(args: &Args, registry: &Registry) -> (i32, String) {
     }
     if let Some(n) = opt!(usize, "max-concurrent", "a session count") {
         config.max_sessions = n.max(1);
-    }
-    if let Some(n) = opt!(usize, "queue", "a chunk count") {
-        config.queue_depth = n.max(1);
     }
     if let Some(n) = opt!(u64, "stall-budget", "a message count") {
         config.stall_budget = n;
@@ -1146,8 +1132,8 @@ fn render_tenants_table(addr: &str, body: &str) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "{:<20} {:>4} {:<7} {:<8} {:>8} {:>10} {:>5} {:>5} {:>5}  LAST TRANSITION",
-        "TENANT", "SESS", "STATE", "VERDICT", "AGE", "BYTES/S", "SHED", "GAPS", "VIOL"
+        "{:<20} {:>4} {:<7} {:<8} {:>8} {:>10} {:>5} {:>5}  LAST TRANSITION",
+        "TENANT", "SESS", "STATE", "VERDICT", "AGE", "BYTES/S", "GAPS", "VIOL"
     );
     let empty = Vec::new();
     let tenants = doc
@@ -1159,14 +1145,13 @@ fn render_tenants_table(addr: &str, body: &str) -> Result<String, String> {
         let n = |key: &str| t.get(key).and_then(Value::as_u64).unwrap_or(0);
         let _ = writeln!(
             out,
-            "{:<20} {:>4} {:<7} {:<8} {:>8} {:>10} {:>5} {:>5} {:>5}  {} ({} ago)",
+            "{:<20} {:>4} {:<7} {:<8} {:>8} {:>10} {:>5} {:>5}  {} ({} ago)",
             s("tenant"),
             n("session"),
             s("state"),
             s("verdict"),
             format_ms(n("age_ms")),
             n("bytes_per_sec"),
-            n("shed_chunks"),
             n("gaps_skipped"),
             n("violations"),
             s("last_transition"),
@@ -1859,10 +1844,6 @@ T1 write b 0
         assert_eq!(code, 2, "{out}");
         assert!(out.contains("missing --spec"), "{out}");
 
-        let (code, out) = run_cli(&["serve", "--spec", "x > 0", "--shed", "nope"], None);
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("--shed expects"), "{out}");
-
         let (code, out) = run_cli(&["serve", "--spec", "x > 0", "--port", "ninety"], None);
         assert_eq!(code, 2, "{out}");
         assert!(out.contains("--port expects"), "{out}");
@@ -1969,11 +1950,11 @@ T1 write b 0
         let body = "{\"active\":1,\"completed\":1,\"tenants\":[\
             {\"tenant\":\"t-live\",\"session\":0,\"state\":\"running\",\
              \"frames_ok\":0,\"messages\":0,\"bytes\":2048,\"bytes_per_sec\":512,\
-             \"shed_chunks\":0,\"gaps_skipped\":0,\"violations\":0,\"evicted\":false,\
+             \"gaps_skipped\":0,\"violations\":0,\"evicted\":false,\
              \"age_ms\":4200,\"last_transition\":\"handshake_ok\",\"since_transition_ms\":350},\
             {\"tenant\":\"t-done\",\"session\":1,\"state\":\"done\",\"verdict\":\"Degraded\",\
              \"frames_ok\":9,\"messages\":8,\"bytes\":4096,\"bytes_per_sec\":1024,\
-             \"shed_chunks\":2,\"gaps_skipped\":3,\"violations\":1,\"evicted\":false,\
+             \"gaps_skipped\":3,\"violations\":1,\"evicted\":false,\
              \"age_ms\":9000,\"last_transition\":\"verdict_degraded\",\"since_transition_ms\":1500}\
         ]}";
         let table = render_tenants_table("127.0.0.1:9", body).expect("renders");

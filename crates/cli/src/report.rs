@@ -373,7 +373,6 @@ mod tests {
                     frames_ok: 12,
                     messages: 12,
                     evicted: false,
-                    shed_chunks: 0,
                     gaps_skipped: 0,
                     analyses: Vec::new(),
                     flight: Vec::new(),
@@ -388,7 +387,6 @@ mod tests {
                     frames_ok: 3,
                     messages: 0,
                     evicted: true,
-                    shed_chunks: 2,
                     gaps_skipped: 0,
                     analyses: Vec::new(),
                     flight: Vec::new(),

@@ -4,7 +4,7 @@
 //! sessions, and the machine-readable shutdown report.
 //!
 //! The heavyweight chaos-load scenario (100 concurrent sessions, a
-//! stalled tenant, shed policies) lives in
+//! stalled tenant, shutdown mid-stream) lives in
 //! `crates/observer/tests/serve_chaos_load.rs` and in the CI
 //! `serve-chaos-load` job; this test pins the process-level contract.
 

@@ -41,12 +41,10 @@ pub use live::LiveObserver;
 pub use liveness::{check_lasso, find_lassos, Lasso, Ltl};
 pub use observer::Verdict;
 pub use pipeline::{transport_exactness, Pipeline, PipelineConfig, PipelineError, PipelineReport};
-pub use report::{
-    render_analysis, render_counterexample, render_deadlocks, render_state, render_violation,
-};
+pub use report::{render_analysis, render_counterexample, render_state, render_violation};
 pub use serve::{
     AnalysisOutcome, FileLogSink, FlightDump, FlightEntry, FlightKind, FlightRecorder, LogLevel,
     LogSink, LogValue, MemoryLogSink, OpsLog, ServeConfig, ServeObservability, ServeSummary,
-    Server, ServerHandle, ShedPolicy, StderrLogSink, TenantOutcome, TenantStatus, TenantTable,
+    Server, ServerHandle, StderrLogSink, TenantOutcome, TenantStatus, TenantTable,
 };
 pub use verdict::ExactnessVerdict;

@@ -13,7 +13,7 @@ use jmpax_spec::{Monitor, ProgramState};
 ///
 /// Create with [`LiveObserver::spawn`], then let the instrumented program
 /// run; when its side of the channel closes (all
-/// [`ChannelSink`](crate::pipeline) senders dropped), [`LiveObserver::join`]
+/// [`ChannelSink`](jmpax_instrument::ChannelSink) senders dropped), [`LiveObserver::join`]
 /// returns the final [`StreamReport`].
 #[derive(Debug)]
 pub struct LiveObserver {

@@ -351,7 +351,7 @@ impl Pipeline {
 
     /// Builds the analysis suite [`Pipeline::check_stream_suite`] runs,
     /// without feeding it: callers that receive a stream incrementally (a
-    /// `jmpax serve` tenant worker) set the reassembler's stall budget
+    /// `jmpax serve` session) set the reassembler's stall budget
     /// ([`AnalysisSuite::with_stall_budget`]), push messages as they
     /// arrive and close it with [`Pipeline::finish_suite`]. Arguments and
     /// panics are those of [`Pipeline::check_stream_suite`].

@@ -121,34 +121,6 @@ pub fn render_analysis(a: &StreamReport, symbols: &SymbolTable) -> String {
     out
 }
 
-/// Renders predicted deadlock cycles.
-#[must_use]
-pub fn render_deadlocks(
-    cycles: &[crate::deadlock::DeadlockCycle],
-    symbols: &SymbolTable,
-) -> String {
-    if cycles.is_empty() {
-        return "no deadlock cycles predicted\n".to_owned();
-    }
-    let mut out = String::new();
-    for c in cycles {
-        let locks: Vec<String> = c
-            .locks
-            .iter()
-            .map(|&l| symbols.name_or_default(l))
-            .collect();
-        let threads: Vec<String> = c.threads.iter().map(|t| format!("T{}", t.0)).collect();
-        let _ = writeln!(
-            out,
-            "potential deadlock: {} -> (back to {}) held across threads {}",
-            locks.join(" -> "),
-            locks[0],
-            threads.join(", "),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,39 +185,6 @@ mod tests {
             "at least 2^128-1 (saturated)"
         );
         assert_eq!(render_runs(3), "3");
-    }
-
-    #[test]
-    fn renders_deadlocks() {
-        use jmpax_core::{Event, Value, VarId};
-
-        let mut syms = SymbolTable::new();
-        let a = syms.intern("fork0");
-        let b = syms.intern("fork1");
-        let mut det = crate::deadlock::DeadlockDetector::new([a, b]);
-        let acq = |t: u32, l| Event::write(ThreadId(t), l, Value::Int(1));
-        let rel = |t: u32, l| Event::write(ThreadId(t), l, Value::Int(0));
-        for e in [
-            acq(0, a),
-            acq(0, b),
-            rel(0, b),
-            rel(0, a),
-            acq(1, b),
-            acq(1, a),
-            rel(1, a),
-            rel(1, b),
-        ] {
-            det.process(&e);
-        }
-        let cycles = det.cycles();
-        let text = render_deadlocks(&cycles, &syms);
-        assert!(text.contains("fork0 -> fork1"), "{text}");
-        assert!(text.contains("T0, T1"), "{text}");
-        assert_eq!(
-            render_deadlocks(&[], &syms),
-            "no deadlock cycles predicted\n"
-        );
-        let _ = VarId(0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Per-tenant flight recorder: a fixed-size ring of recent frame
 //! summaries and state transitions.
 //!
-//! Always on, bounded, and shared between a session's reader and worker
-//! threads. While a tenant stays `Exact` the ring just rotates; the
-//! moment a verdict leaves `Exact` the ring is dumped into the ops log
-//! and the final report, so the *evidence* for the degradation — what
-//! arrived, what was shed, where the gaps were — ships with the verdict
+//! Always on and bounded. While a tenant stays `Exact` the ring just
+//! rotates; the moment a verdict leaves `Exact` the ring is dumped into
+//! the ops log and the final report, so the *evidence* for the
+//! degradation — what arrived, where the gaps were — ships with the verdict
 //! without re-running anything. (This mirrors the paper's stance that
 //! the observer must extract everything it needs online; cf. Theorem-3
 //! reassembly keeping enough ordering evidence to stay sound.)
@@ -34,11 +33,6 @@ pub enum FlightKind {
         /// Frames decoded.
         frames: u64,
         /// Bytes ingested.
-        bytes: u64,
-    },
-    /// A chunk shed by the backpressure policy.
-    Shed {
-        /// Bytes dropped.
         bytes: u64,
     },
     /// A sequence gap the reassembler skipped (Theorem-3 accounting).
@@ -79,9 +73,6 @@ impl FlightEntry {
                     out,
                     ",\"kind\":\"frames\",\"frames\":{frames},\"bytes\":{bytes}"
                 );
-            }
-            FlightKind::Shed { bytes } => {
-                let _ = write!(out, ",\"kind\":\"shed\",\"bytes\":{bytes}");
             }
             FlightKind::Gap { thread, from, to } => {
                 let _ = write!(
@@ -196,11 +187,6 @@ impl FlightRecorder {
         self.push(FlightKind::Frames { frames, bytes });
     }
 
-    /// Records a shed chunk.
-    pub fn shed(&self, bytes: u64) {
-        self.push(FlightKind::Shed { bytes });
-    }
-
     /// Records a skipped sequence gap.
     pub fn gap(&self, thread: u64, from: u32, to: u32) {
         self.push(FlightKind::Gap { thread, from, to });
@@ -241,7 +227,6 @@ mod tests {
         let rec = FlightRecorder::new(8);
         rec.transition("handshake_ok");
         rec.frames(5, 4096);
-        rec.shed(8192);
         rec.gap(2, 10, 12);
         let text = rec.dump().to_json();
         let parsed = jmpax_telemetry::json::parse(&text).expect("dump must parse");
@@ -261,7 +246,7 @@ mod tests {
         );
         assert_eq!(
             entries
-                .index(3)
+                .index(2)
                 .and_then(|e| e.get("from"))
                 .and_then(jmpax_telemetry::json::Value::as_u64),
             Some(10)

@@ -3,8 +3,8 @@
 //! The paper decouples the instrumented program from its observer with a
 //! socket (Fig. 4); this module is what stands on the observer end of that
 //! socket when there are *many* programs: one long-running process
-//! accepting concurrent framed event streams over TCP, routing each
-//! session to its own [`crate::Pipeline`] behind a bounded queue, and
+//! accepting concurrent framed event streams over TCP, serving each
+//! session on its own thread with its own [`crate::Pipeline`], and
 //! emitting a per-tenant verdict as each session ends.
 //!
 //! ## Fault isolation (the design headline)
@@ -17,19 +17,18 @@
 //!   session's one causal-delivery stage, with
 //!   [`ServeConfig::stall_budget`] — skips unfillable gaps; the tenant's
 //!   verdict degrades to [`jmpax_lattice::Exactness::Degraded`].
-//! * **Slow tenants** — every session's chunks go through a bounded
-//!   queue. Under [`ShedPolicy::Block`] a full queue exerts real TCP
-//!   backpressure (the reader stops reading); under
-//!   [`ShedPolicy::DropNewest`] the chunk is shed, counted, and the
-//!   verdict degrades.
+//! * **Slow tenants** — a session reads its next chunk only once the
+//!   last one is analysed, so a tenant that outpaces its analysis fills
+//!   its own socket buffer and feels real TCP backpressure; other
+//!   sessions run on their own threads.
 //! * **Idle tenants** — a session that stays silent for
 //!   [`ServeConfig::idle_timeout`] is evicted; whatever arrived is still
 //!   analyzed and reported (degraded).
 //! * **Hostile handshakes** — bounded lengths everywhere
 //!   ([`jmpax_instrument::tcp`]), a handshake deadline, and a concurrent
 //!   session cap with explicit rejection.
-//! * **Worker crashes** — a panicking analysis thread is contained; the
-//!   tenant gets an `Error` verdict and the daemon keeps serving.
+//! * **Analysis panics** — a panicking analysis is contained; the tenant
+//!   gets an `Error` verdict and the daemon keeps serving.
 //!
 //! Every failure mode increments a `serve.*` counter in the configured
 //! telemetry [`Registry`], so `/metrics` tells the whole story live.
@@ -54,19 +53,6 @@ pub use ops::{
 pub use server::{Server, ServerHandle};
 pub use status::{ServeObservability, TenantStatus, TenantTable, DEFAULT_COMPLETED_CAPACITY};
 
-/// What to do when a tenant's bounded queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Drop the newly-arrived chunk, count it (`serve.chunks_shed`), and
-    /// degrade the tenant's verdict. The socket keeps draining, so one
-    /// slow *analysis* never stalls the network path.
-    DropNewest,
-    /// Block the session's reader until the worker catches up — genuine
-    /// TCP backpressure pushed to the client. Other tenants are
-    /// unaffected (each session has its own reader thread).
-    Block,
-}
-
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -88,9 +74,6 @@ pub struct ServeConfig {
     /// Most sessions served concurrently; further connects are rejected
     /// with an error verdict (`serve.sessions_rejected`).
     pub max_sessions: usize,
-    /// Bounded queue depth (chunks) between a session's reader and its
-    /// analysis worker.
-    pub queue_depth: usize,
     /// Per-read socket timeout; also the granularity at which idleness
     /// and shutdown are noticed.
     pub read_timeout: Duration,
@@ -99,8 +82,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Deadline for the whole handshake.
     pub handshake_timeout: Duration,
-    /// Full-queue policy.
-    pub shed: ShedPolicy,
     /// Telemetry sink for every `serve.*` metric. A disabled registry is
     /// free.
     pub telemetry: Registry,
@@ -121,11 +102,9 @@ impl ServeConfig {
             analyses: Vec::new(),
             stall_budget: jmpax_lattice::DEFAULT_STALL_BUDGET,
             max_sessions: 256,
-            queue_depth: 64,
             read_timeout: Duration::from_millis(50),
             idle_timeout: Duration::from_secs(30),
             handshake_timeout: Duration::from_secs(5),
-            shed: ShedPolicy::Block,
             telemetry: Registry::disabled(),
             ops_log: OpsLog::disabled(),
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
@@ -188,10 +167,9 @@ pub struct TenantOutcome {
     pub frames_ok: u64,
     /// Messages analyzed after reassembly.
     pub messages: u64,
-    /// The tenant was evicted for idleness.
+    /// The tenant was evicted (idle, or the daemon shut down) before it
+    /// ended its stream.
     pub evicted: bool,
-    /// Chunks shed by [`ShedPolicy::DropNewest`].
-    pub shed_chunks: u64,
     /// Sequence gaps the reassembler skipped (Theorem-3 accounting).
     pub gaps_skipped: u64,
     /// Per-analysis verdicts, in the session's selection order. Empty for
@@ -228,9 +206,6 @@ impl TenantOutcome {
         ));
         if self.evicted {
             out.push_str(",\"evicted\":true");
-        }
-        if self.shed_chunks > 0 {
-            out.push_str(&format!(",\"shed_chunks\":{}", self.shed_chunks));
         }
         if self.gaps_skipped > 0 {
             out.push_str(&format!(",\"gaps_skipped\":{}", self.gaps_skipped));

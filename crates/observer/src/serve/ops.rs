@@ -1,11 +1,11 @@
 //! Structured JSON-lines operations log for the daemon.
 //!
-//! One line per state transition — accept, handshake, shed, evict,
-//! degrade, panic, verdict, flight-recorder dump — written through a
-//! pluggable [`LogSink`] so the daemon, tests, and embedders each choose
-//! where the stream goes. The log is leveled and rate-limited: a tenant
-//! shedding thousands of chunks per second produces a bounded number of
-//! `shed` lines plus a suppression count, never an unbounded log.
+//! One line per state transition — accept, handshake, evict, degrade,
+//! panic, verdict, flight-recorder dump — written through a pluggable
+//! [`LogSink`] so the daemon, tests, and embedders each choose where the
+//! stream goes. The log is leveled and rate-limited: a burst of thousands
+//! of events per second produces a bounded number of lines plus a
+//! suppression count, never an unbounded log.
 //!
 //! Like the telemetry [`jmpax_telemetry::Registry`], a disabled
 //! [`OpsLog`] is a one-branch no-op, so the daemon threads it through
@@ -99,13 +99,13 @@ impl LogSink for FileLogSink {
 /// Severity of an ops-log event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
-    /// High-volume detail (per-chunk shed lines).
+    /// High-volume detail.
     Debug,
     /// Normal lifecycle transitions.
     Info,
-    /// Degradations: eviction, shedding summaries, non-Exact verdicts.
+    /// Degradations: eviction, non-Exact verdicts.
     Warn,
-    /// Faults: handshake failures, worker panics. Never rate-limited.
+    /// Faults: handshake failures, analysis panics. Never rate-limited.
     Error,
 }
 
@@ -393,7 +393,7 @@ mod tests {
             LogLevel::Warn,
             1000.0,
         );
-        log.event(LogLevel::Debug, "shed", None, None, &[]);
+        log.event(LogLevel::Debug, "frames", None, None, &[]);
         log.event(LogLevel::Info, "accept", None, None, &[]);
         log.event(LogLevel::Warn, "evict", None, None, &[]);
         log.event(LogLevel::Error, "panic", None, None, &[]);
@@ -408,7 +408,7 @@ mod tests {
         // the test's lifetime.
         let log = OpsLog::new(Arc::clone(&sink) as Arc<dyn LogSink>, LogLevel::Info, 5.0);
         for _ in 0..100 {
-            log.event(LogLevel::Info, "shed", Some("t1"), Some(1), &[]);
+            log.event(LogLevel::Info, "accept", Some("t1"), Some(1), &[]);
         }
         // Refill over a few microseconds is ~0 tokens at 5/s, but allow
         // a little slack.

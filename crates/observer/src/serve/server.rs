@@ -2,10 +2,10 @@
 //!
 //! One non-blocking listener thread admits connections, enforces the
 //! concurrent-session cap, and hands each admitted socket to its own
-//! session (reader + worker threads, see [`super::tenant`]). Outcomes
-//! flow back over a channel; [`Server::run`] collects them until a target
-//! count is reached or [`ServerHandle::stop`] is called, then joins every
-//! session before returning the [`ServeSummary`] — a clean shutdown by
+//! session thread (see [`super::tenant`]). Outcomes flow back over a
+//! channel; [`Server::run`] collects them until a target count is
+//! reached or [`ServerHandle::stop`] is called, then joins every session
+//! before returning the [`ServeSummary`] — a clean shutdown by
 //! construction.
 //!
 //! [`Server::observability`] hands out a cloneable view — live tenant
@@ -190,9 +190,9 @@ impl Server {
             sessions.retain(|h| !h.is_finished());
         }
 
-        // Shutdown: stop admitting, let in-flight sessions finish (their
-        // readers notice `stopping` within one read timeout), then drain
-        // the last outcomes.
+        // Shutdown: stop admitting, let in-flight sessions finish (each
+        // notices `stopping` within one read timeout of its last chunk),
+        // then drain the last outcomes.
         self.stopping.store(true, Ordering::Relaxed);
         for handle in sessions {
             let _ = handle.join();

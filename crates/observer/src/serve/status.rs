@@ -31,15 +31,13 @@ pub struct TenantStatus {
     pub state: String,
     /// Final verdict label once completed.
     pub verdict: Option<String>,
-    /// Frames decoded intact (final; 0 while running — decoding happens
-    /// in the worker and is published at completion).
+    /// Frames decoded intact (final; 0 while running — the decoder's
+    /// totals are published at completion).
     pub frames_ok: u64,
     /// Messages analyzed after reassembly (final).
     pub messages: u64,
     /// Raw bytes ingested so far (live).
     pub bytes: u64,
-    /// Chunks shed so far (live).
-    pub shed_chunks: u64,
     /// Sequence gaps skipped (final).
     pub gaps_skipped: u64,
     /// Violations found (final).
@@ -65,7 +63,6 @@ impl TenantStatus {
             frames_ok: 0,
             messages: 0,
             bytes: 0,
-            shed_chunks: 0,
             gaps_skipped: 0,
             violations: 0,
             evicted: false,
@@ -94,13 +91,12 @@ impl TenantStatus {
         let _ = write!(
             out,
             ",\"frames_ok\":{},\"messages\":{},\"bytes\":{},\"bytes_per_sec\":{},\
-             \"shed_chunks\":{},\"gaps_skipped\":{},\"violations\":{},\"evicted\":{},\
+             \"gaps_skipped\":{},\"violations\":{},\"evicted\":{},\
              \"age_ms\":{},\"last_transition\":",
             self.frames_ok,
             self.messages,
             self.bytes,
             bytes_per_sec,
-            self.shed_chunks,
             self.gaps_skipped,
             self.violations,
             self.evicted,
@@ -170,7 +166,7 @@ impl TenantTable {
         }
     }
 
-    /// Applies live counter updates (bytes, shed) to a session.
+    /// Applies live counter updates (bytes ingested) to a session.
     pub fn update(&self, session: u64, f: impl FnOnce(&mut TenantStatus)) {
         if let Some(status) = self.lock().active.get_mut(&session) {
             f(status);
@@ -189,7 +185,6 @@ impl TenantTable {
         status.verdict = Some(outcome.verdict.label().to_string());
         status.frames_ok = outcome.frames_ok;
         status.messages = outcome.messages;
-        status.shed_chunks = outcome.shed_chunks;
         status.gaps_skipped = outcome.gaps_skipped;
         status.violations = outcome.violations;
         status.evicted = outcome.evicted;
@@ -302,7 +297,6 @@ mod tests {
             frames_ok: 10,
             messages: 9,
             evicted: false,
-            shed_chunks: 0,
             gaps_skipped: 0,
             analyses: Vec::new(),
             flight: Vec::new(),

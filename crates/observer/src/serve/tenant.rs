@@ -1,23 +1,21 @@
-//! One tenant session: a reader thread that owns the socket's read side
-//! and a worker thread that owns the analysis, joined by a bounded queue.
+//! One tenant session, served start to finish by one thread.
 //!
-//! The split is the isolation boundary. The reader only does I/O — it can
-//! always notice timeouts, shutdown, and eviction no matter how expensive
-//! this tenant's lattice turns out to be. The worker does the analysis
-//! and, once it is complete, writes the verdict line: it touches the
-//! socket only after end of stream, when the reader has stopped reading,
-//! and only for that one best-effort write — the same exposure the reader
-//! had when it wrote the verdict. A wedged client therefore cannot stall
-//! the analysis, and a panicking analysis is still contained by the
-//! thread boundary: the reader joins the worker and, when it died, writes
-//! an `Error` verdict itself and the daemon keeps serving.
+//! The thread runs the handshake under its own deadline, then reads the
+//! socket and analyses each chunk as it arrives, as the paper's observer
+//! does: the resilient decoder turns the chunk into messages and the
+//! analysis suite, whose Theorem-3 reassembler is the session's one
+//! buffer, pushes each message the moment it is causally ready. At end of
+//! stream only the tail (messages still waiting on a gap) is left to
+//! analyse before the verdict line is written back on the same socket.
 //!
-//! The worker analyses *online*, as the paper's observer does: it builds
-//! the analysis suite at handshake, and after every chunk it pushes each
-//! message the reassembler has made causally ready. At end of stream only
-//! the tail — messages still waiting on a gap — is left to analyse before
-//! the verdict. Writing the verdict from the worker takes one thread
-//! hand-off (the reader waking on the worker's exit) off that tail.
+//! Backpressure is the socket's own: while a chunk is being analysed
+//! nothing reads, the kernel's receive buffer fills and the client's
+//! writes block. Idleness and shutdown are noticed between reads, at
+//! read-timeout granularity.
+//!
+//! Decoding, analysis and publishing run under `catch_unwind`: a panic
+//! becomes an `Error` verdict for this tenant and the daemon keeps
+//! serving.
 //!
 //! Every stage is observable per tenant: the pipeline counters carry a
 //! `tenant` label, each transition goes to the ops log and the session's
@@ -25,24 +23,23 @@
 //! evidence.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use jmpax_core::{AnalysisKind, SymbolTable};
 use jmpax_instrument::tcp::SessionHello;
 use jmpax_instrument::ResilientFrameDecoder;
-use jmpax_lattice::Exactness;
-use jmpax_spec::{parse, Monitor, ProgramState};
+use jmpax_lattice::{AnalysisSuite, Exactness};
+use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::{Counter, Gauge, Stage};
 
 use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
 use super::status::TenantTable;
-use super::{AnalysisOutcome, ExactnessVerdict, ServeConfig, ShedPolicy, TenantOutcome};
+use super::{AnalysisOutcome, ExactnessVerdict, ServeConfig, TenantOutcome};
 use crate::pipeline::{Pipeline, PipelineConfig};
 
 /// `serve.verdict_state{tenant=…}` gauge values.
@@ -51,23 +48,8 @@ const STATE_EXACT: u64 = 1;
 const STATE_DEGRADED: u64 = 2;
 const STATE_ERROR: u64 = 3;
 
-/// What flows through a session's bounded queue.
-enum WorkItem<'t> {
-    /// Raw bytes read from the socket.
-    Chunk(Vec<u8>),
-    /// End of input. Eviction and shed chunks are the reader's knowledge;
-    /// they ride along so the worker can fold them into the verdict, with
-    /// the running `serve.eof_to_verdict_ns` stage, which ends when the
-    /// verdict line is written.
-    Eof {
-        evicted: bool,
-        shed_chunks: u64,
-        tail: Stage<'t>,
-    },
-}
-
 /// What the analysis hands to the verdict.
-struct WorkerResult {
+struct Analysed {
     exactness: Exactness,
     satisfied: bool,
     violations: usize,
@@ -77,28 +59,162 @@ struct WorkerResult {
     analyses: Vec<AnalysisOutcome>,
 }
 
-/// Everything publishing a session's verdict touches. The worker
-/// publishes; the reader does only when the worker died.
-struct Verdicts<'a> {
+/// Everything an admitted session touches after its handshake.
+struct Tenant<'a> {
     config: &'a ServeConfig,
     tenants: &'a TenantTable,
-    flight: &'a FlightRecorder,
+    flight: FlightRecorder,
     stream: &'a TcpStream,
     tenant: &'a str,
     session: u64,
-    state_gauge: &'a Gauge,
-    depth_gauge: &'a Gauge,
+    /// `serve.verdict_state{tenant=…}`.
+    state_gauge: Gauge,
+    /// `serve.frames_decoded{tenant=…}`.
+    frames_decoded: Counter,
+    /// `serve.messages_analyzed{tenant=…}`.
+    messages_analyzed: Counter,
+    /// `serve.gaps_skipped{tenant=…}`.
+    gaps_skipped: Counter,
 }
 
-impl Verdicts<'_> {
-    /// The outcome of a completed analysis, degraded by what the reader
-    /// shed or cut short.
-    fn analysed(&self, result: WorkerResult, evicted: bool, shed_chunks: u64) -> TenantOutcome {
+impl Tenant<'_> {
+    /// Reads the socket until its input is over, handing each chunk to
+    /// `on_chunk` as it arrives. Returns whether the tenant was evicted
+    /// (idle, or the daemon is shutting down) rather than ending its
+    /// stream itself.
+    fn read_to_end(&self, stopping: &AtomicBool, mut on_chunk: impl FnMut(&[u8])) -> bool {
+        let config = self.config;
+        let tel = &config.telemetry;
+        let bytes_counter = tel.counter("serve.bytes_ingested");
+        let mut reader = self.stream;
+        let _ = reader.set_read_timeout(Some(config.read_timeout));
+        let mut bytes = 0u64;
+        let mut idle = Duration::ZERO;
+        let mut chunk = [0u8; 8192];
+        loop {
+            match reader.read(&mut chunk) {
+                Ok(0) => {
+                    self.flight.transition("eof");
+                    return false; // clean end of stream
+                }
+                Ok(n) => {
+                    idle = Duration::ZERO;
+                    bytes_counter.add(n as u64);
+                    bytes += n as u64;
+                    self.tenants.update(self.session, |s| s.bytes = bytes);
+                    on_chunk(&chunk[..n]);
+                }
+                Err(err)
+                    if err.kind() == std::io::ErrorKind::WouldBlock
+                        || err.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    tel.counter("serve.read_timeouts").inc();
+                    idle += config.read_timeout;
+                    if idle >= config.idle_timeout {
+                        self.evict("idle");
+                        return true;
+                    }
+                    if stopping.load(Ordering::Relaxed) {
+                        // Daemon shutdown: analyse what arrived, marked as
+                        // an eviction so the verdict cannot claim
+                        // exactness.
+                        self.evict("shutdown");
+                        return true;
+                    }
+                }
+                Err(_) => {
+                    self.flight.transition("connection_reset");
+                    return false; // connection reset etc.: analyse what arrived
+                }
+            }
+        }
+    }
+
+    /// Records an eviction for `reason` (`idle` or `shutdown`).
+    fn evict(&self, reason: &str) {
+        self.config.telemetry.counter("serve.tenants_evicted").inc();
+        let state = format!("evicted_{reason}");
+        self.flight.transition(&state);
+        self.tenants.transition(self.session, &state);
+        self.config.ops_log.event(
+            LogLevel::Warn,
+            "evict",
+            Some(self.tenant),
+            Some(self.session),
+            &[("reason", LogValue::from(reason))],
+        );
+    }
+
+    /// Decodes one chunk and pushes its messages into the suite, whose
+    /// reassembler analyses each one as soon as it is causally ready.
+    fn push(&self, decoder: &mut ResilientFrameDecoder, suite: &mut AnalysisSuite, chunk: &[u8]) {
+        let messages = decoder.push(chunk);
+        let frames = messages.len() as u64;
+        self.config
+            .telemetry
+            .counter("serve.frames_ingested")
+            .add(frames);
+        self.frames_decoded.add(frames);
+        self.flight.frames(frames, chunk.len() as u64);
+        self.messages_analyzed.add(suite.push_all(messages) as u64);
+    }
+
+    /// Analyses the tail left at end of input and folds every loss (the
+    /// decoder's and the reassembler's) into one [`Exactness`].
+    fn finish(
+        &self,
+        pipeline: &Pipeline,
+        mut suite: AnalysisSuite,
+        decoder: ResilientFrameDecoder,
+        kinds: &[AnalysisKind],
+    ) -> Analysed {
+        let tel = &self.config.telemetry;
+        let decoded = decoder.finish();
+        tel.counter("serve.frames_corrupt")
+            .add(decoded.frames_corrupt);
+        tel.counter("serve.frames_resynced")
+            .add(decoded.frames_resynced);
+        self.messages_analyzed.add(suite.end_stream().len() as u64);
+        // The suite folds the decoder's losses into every analysis's report.
+        let report = pipeline.finish_suite(suite, Exactness::degraded(0, decoded.frames_lost()));
+        let reassembly = &report.reassembly;
+        reassembly.record(tel);
+        for gap in &reassembly.gaps {
+            self.flight.gap(u64::from(gap.thread.0), gap.from, gap.to);
+        }
+        self.gaps_skipped.add(reassembly.skipped_gaps());
+        // Plain single-LTL sessions keep their historical one-verdict
+        // shape; anything else reports per analysis as well.
+        let analyses = if kinds == [AnalysisKind::Ltl] {
+            Vec::new()
+        } else {
+            report
+                .reports
+                .iter()
+                .map(|r| AnalysisOutcome {
+                    kind: r.kind(),
+                    satisfied: r.satisfied(),
+                    findings: r.findings(),
+                    exactness: r.exactness(),
+                })
+                .collect()
+        };
+        Analysed {
+            exactness: report.exactness(),
+            satisfied: report.satisfied(),
+            violations: report.findings() as usize,
+            frames_ok: decoded.frames_ok,
+            messages: reassembly.delivered,
+            gaps_skipped: reassembly.skipped_gaps(),
+            analyses,
+        }
+    }
+
+    /// The outcome of a completed analysis, degraded when the input was
+    /// cut short.
+    fn analysed(&self, result: Analysed, evicted: bool) -> TenantOutcome {
         let tel = &self.config.telemetry;
         let mut exactness = result.exactness;
-        if shed_chunks > 0 {
-            exactness = exactness.combine(Exactness::degraded(0, shed_chunks));
-        }
         if evicted {
             exactness = exactness.combine(Exactness::degraded(0, 1));
         }
@@ -127,7 +243,6 @@ impl Verdicts<'_> {
             frames_ok: result.frames_ok,
             messages: result.messages,
             evicted,
-            shed_chunks,
             gaps_skipped: result.gaps_skipped,
             analyses: result.analyses,
             flight: Vec::new(),
@@ -135,8 +250,8 @@ impl Verdicts<'_> {
         }
     }
 
-    /// The outcome of a session whose worker died.
-    fn died(&self, evicted: bool, shed_chunks: u64) -> TenantOutcome {
+    /// The outcome of a session whose analysis panicked.
+    fn died(&self, evicted: bool) -> TenantOutcome {
         let tel = &self.config.telemetry;
         tel.counter("serve.worker_panics").inc();
         tel.counter("serve.verdicts_error").inc();
@@ -157,7 +272,6 @@ impl Verdicts<'_> {
             frames_ok: 0,
             messages: 0,
             evicted,
-            shed_chunks,
             gaps_skipped: 0,
             analyses: Vec::new(),
             flight: Vec::new(),
@@ -205,7 +319,6 @@ impl Verdicts<'_> {
             ],
         );
         self.tenants.complete(&outcome);
-        self.depth_gauge.set(0);
         let mut stream = self.stream;
         let _ = writeln!(stream, "{}", outcome.to_json());
         let _ = stream.flush();
@@ -213,15 +326,15 @@ impl Verdicts<'_> {
     }
 }
 
-/// Serves one accepted connection end-to-end and returns the outcome that
-/// was (best-effort) written back to the client. `None` means the
+/// Serves one accepted connection end-to-end on the calling thread and
+/// returns the outcome that was (best-effort) written back to the client. `None` means the
 /// connection never completed a handshake — it was rejected, not served.
 pub(super) fn run_session(
     mut stream: TcpStream,
     session: u64,
-    config: &Arc<ServeConfig>,
-    spec_var_names: &Arc<Vec<String>>,
-    stopping: &Arc<AtomicBool>,
+    config: &ServeConfig,
+    spec_var_names: &[String],
+    stopping: &AtomicBool,
     tenants: &TenantTable,
 ) -> Option<TenantOutcome> {
     let tel = &config.telemetry;
@@ -357,17 +470,22 @@ pub(super) fn run_session(
     // `/metrics`.
     let tenant = hello.tenant.clone();
     let labels: [(&str, &str); 1] = [("tenant", tenant.as_str())];
-    let depth_gauge = tel.gauge_with("serve.queue_depth", &labels);
-    let frames_labeled = tel.counter_with("serve.frames_decoded", &labels);
-    let shed_labeled = tel.counter_with("serve.chunks_shed", &labels);
-    let gaps_labeled = tel.counter_with("serve.gaps_skipped", &labels);
-    let analyzed_labeled = tel.counter_with("serve.messages_analyzed", &labels);
+    let this = Tenant {
+        config,
+        tenants,
+        flight: FlightRecorder::new(config.flight_capacity),
+        stream: &stream,
+        tenant: &tenant,
+        session,
+        state_gauge: tel.gauge_with("serve.verdict_state", &labels),
+        frames_decoded: tel.counter_with("serve.frames_decoded", &labels),
+        messages_analyzed: tel.counter_with("serve.messages_analyzed", &labels),
+        gaps_skipped: tel.counter_with("serve.gaps_skipped", &labels),
+    };
     let eof_to_verdict = tel.histogram_with("serve.eof_to_verdict_ns", &labels);
-    let state_gauge = tel.gauge_with("serve.verdict_state", &labels);
-    state_gauge.set(STATE_RUNNING);
+    this.state_gauge.set(STATE_RUNNING);
     tenants.insert_active(&tenant, session);
-    let flight = FlightRecorder::new(config.flight_capacity);
-    flight.transition("handshake_ok");
+    this.flight.transition("handshake_ok");
     tenants.transition(session, "handshake_ok");
     ops.event(
         LogLevel::Info,
@@ -380,255 +498,30 @@ pub(super) fn run_session(
         ],
     );
 
-    let depth = AtomicU64::new(0);
-    let verdicts = Verdicts {
-        config,
-        tenants,
-        flight: &flight,
-        stream: &stream,
-        tenant: &tenant,
-        session,
-        state_gauge: &state_gauge,
-        depth_gauge: &depth_gauge,
-    };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<WorkItem<'_>>(config.queue_depth.max(1));
-    let threads = hello.threads as usize;
-
-    std::thread::scope(|s| {
-        // --- Worker thread: owns the analysis and writes the verdict. ---
-        // The receiver moves in, so a dying worker disconnects the queue
-        // and the reader's next send fails instead of blocking.
-        let worker = s.spawn(|| {
-            run_worker(
-                config,
-                analysis,
+    // --- Read, decode and analyse, chunk by chunk. ----------------------
+    let mut evicted = false;
+    // `serve.eof_to_verdict_ns`: from the end of input (EOF, eviction or
+    // reset) until the verdict line is written.
+    let mut tail = None;
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
+        let mut suite = pipeline
+            .suite(
                 &kinds,
-                monitor,
-                &initial,
-                threads,
-                rx,
-                &depth,
-                &frames_labeled,
-                &gaps_labeled,
-                &analyzed_labeled,
-                &verdicts,
+                monitor.map(|m| (m, &initial)),
+                hello.threads as usize,
             )
-        });
-
-        // --- Reader loop: socket → bounded queue. -----------------------
-        let mut reader = &stream;
-        let _ = reader.set_read_timeout(Some(config.read_timeout));
-        let mut evicted = false;
-        let mut shed_chunks = 0u64;
-        let mut bytes_ingested = 0u64;
-        let mut idle = Duration::ZERO;
-        let mut chunk = [0u8; 8192];
-        loop {
-            use std::io::Read as _;
-            match reader.read(&mut chunk) {
-                Ok(0) => {
-                    flight.transition("eof");
-                    break; // clean end of stream
-                }
-                Ok(n) => {
-                    idle = Duration::ZERO;
-                    tel.counter("serve.bytes_ingested").add(n as u64);
-                    bytes_ingested += n as u64;
-                    let item = WorkItem::Chunk(chunk[..n].to_vec());
-                    // The counter is raised *before* the send: the worker
-                    // decrements after `recv`, and crediting afterwards
-                    // would race it below zero. Paths where the item never
-                    // enters the queue take the credit back.
-                    let claimed = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                    match config.shed {
-                        ShedPolicy::Block => {
-                            if tx.send(item).is_err() {
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                                break; // the worker died
-                            }
-                            depth_gauge.set(claimed);
-                        }
-                        ShedPolicy::DropNewest => match tx.try_send(item) {
-                            Ok(()) => {
-                                depth_gauge.set(claimed);
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                                shed_chunks += 1;
-                                tel.counter("serve.chunks_shed").inc();
-                                shed_labeled.inc();
-                                tel.counter("serve.bytes_shed").add(n as u64);
-                                flight.shed(n as u64);
-                                ops.event(
-                                    LogLevel::Debug,
-                                    "shed",
-                                    Some(&tenant),
-                                    Some(session),
-                                    &[("bytes", LogValue::U64(n as u64))],
-                                );
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                                break; // the worker died
-                            }
-                        },
-                    }
-                    tenants.update(session, |s| {
-                        s.bytes = bytes_ingested;
-                        s.shed_chunks = shed_chunks;
-                    });
-                }
-                Err(err)
-                    if err.kind() == std::io::ErrorKind::WouldBlock
-                        || err.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    tel.counter("serve.read_timeouts").inc();
-                    idle += config.read_timeout;
-                    if idle >= config.idle_timeout {
-                        tel.counter("serve.tenants_evicted").inc();
-                        evicted = true;
-                        flight.transition("evicted_idle");
-                        tenants.transition(session, "evicted_idle");
-                        ops.event(
-                            LogLevel::Warn,
-                            "evict",
-                            Some(&tenant),
-                            Some(session),
-                            &[("reason", LogValue::from("idle"))],
-                        );
-                        break;
-                    }
-                    if stopping.load(Ordering::Relaxed) {
-                        // Daemon shutdown: analyze what arrived, marked as
-                        // an eviction so the verdict cannot claim
-                        // exactness.
-                        tel.counter("serve.tenants_evicted").inc();
-                        evicted = true;
-                        flight.transition("evicted_shutdown");
-                        tenants.transition(session, "evicted_shutdown");
-                        ops.event(
-                            LogLevel::Warn,
-                            "evict",
-                            Some(&tenant),
-                            Some(session),
-                            &[("reason", LogValue::from("shutdown"))],
-                        );
-                        break;
-                    }
-                }
-                Err(_) => {
-                    flight.transition("connection_reset");
-                    break; // connection reset etc.: analyze what arrived
-                }
-            }
-        }
-        // Input is over (EOF, eviction or reset): time the tail to the
-        // verdict. The stage travels with `Eof`; the worker ends it once
-        // the verdict line is written. A blocking send is fine: Eof is
-        // always worth waiting for, and a dead worker fails it at once.
-        let eof = WorkItem::Eof {
-            evicted,
-            shed_chunks,
-            tail: Stage::timed(&eof_to_verdict),
-        };
-        let unsent = tx.send(eof).err();
-        drop(tx);
-        match worker.join() {
-            Ok(Some(outcome)) => Some(outcome),
-            _ => {
-                let outcome = verdicts.publish(verdicts.died(evicted, shed_chunks));
-                drop(unsent); // ends the tail stage if the worker never took it
-                Some(outcome)
-            }
-        }
-    })
-}
-
-/// The analysis half: decode resiliently, push every decoded chunk into the
-/// analysis suite — whose reassembler delivers each message once it is
-/// causally ready — fold every loss into one [`Exactness`] at end of
-/// stream, and publish the verdict. Returns `None` only when the queue
-/// closed without an end-of-stream marker.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    config: &ServeConfig,
-    analysis: jmpax_lattice::AnalysisConfig,
-    kinds: &[AnalysisKind],
-    monitor: Option<Monitor>,
-    initial: &ProgramState,
-    threads: usize,
-    rx: Receiver<WorkItem<'_>>,
-    depth: &AtomicU64,
-    frames_labeled: &Counter,
-    gaps_labeled: &Counter,
-    analyzed_labeled: &Counter,
-    verdicts: &Verdicts<'_>,
-) -> Option<TenantOutcome> {
-    let tel = &config.telemetry;
-    let flight = verdicts.flight;
-    let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
-    let mut suite = pipeline
-        .suite(kinds, monitor.map(|m| (m, initial)), threads)
-        .with_stall_budget(config.stall_budget);
-    let mut decoder = ResilientFrameDecoder::new();
-    let (evicted, shed_chunks, tail) = loop {
-        match rx.recv().ok()? {
-            WorkItem::Chunk(bytes) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let messages = decoder.push(&bytes);
-                tel.counter("serve.frames_ingested")
-                    .add(messages.len() as u64);
-                frames_labeled.add(messages.len() as u64);
-                flight.frames(messages.len() as u64, bytes.len() as u64);
-                analyzed_labeled.add(suite.push_all(messages) as u64);
-            }
-            WorkItem::Eof {
-                evicted,
-                shed_chunks,
-                tail,
-            } => break (evicted, shed_chunks, tail),
-        }
-    };
-    let decoded = decoder.finish();
-    tel.counter("serve.frames_corrupt")
-        .add(decoded.frames_corrupt);
-    tel.counter("serve.frames_resynced")
-        .add(decoded.frames_resynced);
-    analyzed_labeled.add(suite.end_stream().len() as u64);
-    // The suite folds the decoder's losses into every analysis's report.
-    let report = pipeline.finish_suite(suite, Exactness::degraded(0, decoded.frames_lost()));
-    let reassembly = &report.reassembly;
-    reassembly.record(tel);
-    for gap in &reassembly.gaps {
-        flight.gap(u64::from(gap.thread.0), gap.from, gap.to);
-    }
-    gaps_labeled.add(reassembly.skipped_gaps());
-    // Plain single-LTL sessions keep their historical one-verdict shape;
-    // anything else reports per analysis as well.
-    let analyses = if kinds == [AnalysisKind::Ltl] {
-        Vec::new()
-    } else {
-        report
-            .reports
-            .iter()
-            .map(|r| AnalysisOutcome {
-                kind: r.kind(),
-                satisfied: r.satisfied(),
-                findings: r.findings(),
-                exactness: r.exactness(),
-            })
-            .collect()
-    };
-    let result = WorkerResult {
-        exactness: report.exactness(),
-        satisfied: report.satisfied(),
-        violations: report.findings() as usize,
-        frames_ok: decoded.frames_ok,
-        messages: reassembly.delivered,
-        gaps_skipped: reassembly.skipped_gaps(),
-        analyses,
-    };
-    let outcome = verdicts.publish(verdicts.analysed(result, evicted, shed_chunks));
+            .with_stall_budget(config.stall_budget);
+        let mut decoder = ResilientFrameDecoder::new();
+        evicted = this.read_to_end(stopping, |chunk| this.push(&mut decoder, &mut suite, chunk));
+        tail = Some(Stage::timed(&eof_to_verdict));
+        let result = this.finish(&pipeline, suite, decoder, &kinds);
+        this.publish(this.analysed(result, evicted))
+    }));
+    let outcome = served.unwrap_or_else(|_| {
+        tail.get_or_insert_with(|| Stage::timed(&eof_to_verdict));
+        this.publish(this.died(evicted))
+    });
     drop(tail);
     Some(outcome)
 }

@@ -4,19 +4,21 @@
 //! This is the acceptance test for the multi-tenant observer daemon:
 //! every tenant must end with an `Exact` or `Degraded` verdict (never a
 //! process-level failure), the stalled tenant must be idle-evicted
-//! without blocking anyone (bounded queue depths are asserted via the
-//! per-tenant gauges), and `ServerHandle::stop` must return with every
-//! session accounted for.
+//! without blocking anyone, and `ServerHandle::stop` must return with
+//! every session accounted for.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use jmpax_core::{Execution, Relevance, SymbolTable, ThreadId, Value};
 use jmpax_instrument::tcp::{send_raw_session, SessionHello};
 use jmpax_instrument::{ChaosConfig, ChaosSink, EventSink as _, ResilientFrameDecoder};
 use jmpax_lattice::{Exactness, Reassembler, DEFAULT_STALL_BUDGET};
-use jmpax_observer::serve::{ExactnessVerdict, ServeConfig, Server, ShedPolicy, TenantOutcome};
+use jmpax_observer::serve::{
+    ExactnessVerdict, ServeConfig, ServeSummary, Server, ServerHandle, TenantOutcome,
+};
 use jmpax_observer::{transport_exactness, Pipeline, PipelineConfig};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::{MetricValue, Registry};
@@ -87,11 +89,7 @@ fn chaotic_session_bytes(session: u64) -> Vec<u8> {
 /// then run the suite over the whole stream — with the daemon's exactness
 /// folding. Returns `(verdict, satisfied, violations, frames_ok, messages,
 /// gaps_skipped)`.
-fn batch_reference(
-    bytes: &[u8],
-    shed_chunks: u64,
-    evicted: bool,
-) -> (ExactnessVerdict, bool, usize, u64, u64, u64) {
+fn batch_reference(bytes: &[u8], evicted: bool) -> (ExactnessVerdict, bool, usize, u64, u64, u64) {
     let mut symbols = SymbolTable::new();
     let mut initial = ProgramState::new();
     for (name, value) in &hello_for("reference").vars {
@@ -115,9 +113,6 @@ fn batch_reference(
         messages,
     );
     let mut exactness = suite.exactness();
-    if shed_chunks > 0 {
-        exactness = exactness.combine(Exactness::degraded(0, shed_chunks));
-    }
     if evicted {
         exactness = exactness.combine(Exactness::degraded(0, 1));
     }
@@ -146,16 +141,13 @@ fn served(outcome: &TenantOutcome) -> (ExactnessVerdict, bool, usize, u64, u64, 
 #[test]
 fn hundred_concurrent_lossy_sessions_one_daemon() {
     const SESSIONS: u64 = 100;
-    const QUEUE_DEPTH: usize = 8;
 
     let registry = Registry::enabled();
     let mut config = ServeConfig::new(SPEC);
     config.telemetry = registry.clone();
-    config.queue_depth = QUEUE_DEPTH;
     config.read_timeout = Duration::from_millis(10);
     config.idle_timeout = Duration::from_millis(300);
     config.handshake_timeout = Duration::from_secs(5);
-    config.shed = ShedPolicy::Block;
     config.max_sessions = 512;
     let server = Server::bind(0, config).expect("bind");
     let addr = server.local_addr().unwrap();
@@ -239,35 +231,22 @@ fn hundred_concurrent_lossy_sessions_one_daemon() {
         let bytes = chaotic_session_bytes(i.parse().unwrap());
         assert_eq!(
             served(outcome),
-            batch_reference(&bytes, outcome.shed_chunks, outcome.evicted),
+            batch_reference(&bytes, outcome.evicted),
             "tenant {}",
             outcome.tenant
         );
     }
 
-    // Bounded-queue isolation, asserted via the labeled per-tenant depth
-    // gauges: the reader counts its in-flight chunk before the (possibly
-    // blocking) send, and the worker may have popped-but-not-yet-
-    // discounted another, hence +2 over the channel bound.
-    let snapshot = registry.snapshot();
-    for tenant in ["tenant-0", "tenant-57", "tenant-99", "stalled"] {
-        let (_, peak) = snapshot
-            .gauge_with("serve.queue_depth", &[("tenant", tenant)])
-            .unwrap_or_else(|| panic!("no serve.queue_depth{{tenant=\"{tenant}\"}} series"));
-        assert!(
-            peak <= QUEUE_DEPTH as u64 + 2,
-            "tenant {tenant} queue depth peak {peak} exceeds bound"
-        );
-    }
     // Every session registered its labeled series — one per tenant.
-    let depth_series = snapshot
-        .family("serve.queue_depth")
+    let snapshot = registry.snapshot();
+    let state_series = snapshot
+        .family("serve.verdict_state")
         .filter(|e| !e.labels.is_empty())
         .count();
     assert_eq!(
-        depth_series as u64,
+        state_series as u64,
         SESSIONS + 1,
-        "one labeled gauge per tenant"
+        "one labeled verdict-state gauge per tenant"
     );
     // Per-tenant verdict state matches the outcome (1 = Exact, 2 = Degraded).
     for outcome in &summary.outcomes {
@@ -598,60 +577,6 @@ fn mangled_handshakes_each_get_exactly_one_verdict() {
 }
 
 #[test]
-fn drop_newest_sheds_and_degrades_instead_of_blocking() {
-    // Queue depth 1 + DropNewest + a worker that cannot keep up with a
-    // burst: some chunks must be shed and the verdict must degrade while
-    // the socket keeps draining.
-    let registry = Registry::enabled();
-    let mut config = ServeConfig::new(SPEC);
-    config.telemetry = registry.clone();
-    config.queue_depth = 1;
-    config.read_timeout = Duration::from_millis(10);
-    config.idle_timeout = Duration::from_secs(5);
-    config.shed = ShedPolicy::DropNewest;
-    let server = Server::bind(0, config).expect("bind");
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn();
-
-    // One big clean stream, written in many small bursts so the reader
-    // overruns the depth-1 queue. (Chunks are shed at the transport
-    // level; whatever survives is still analyzed.)
-    let mut symbols = SymbolTable::new();
-    let ex = workload(&mut symbols);
-    let vars: Vec<_> = ["x", "y", "z"]
-        .iter()
-        .map(|n| symbols.lookup(n).unwrap())
-        .collect();
-    let messages = ex.instrument(Relevance::writes_of(vars));
-    let mut stream_bytes = bytes::BytesMut::new();
-    for _ in 0..200 {
-        for m in &messages {
-            jmpax_instrument::encode_frame_v2(m, &mut stream_bytes);
-        }
-    }
-    let verdict = send_raw_session(addr, &hello_for("bursty"), &stream_bytes).expect("verdict");
-    // Under load the verdict may or may not shed on a fast machine; the
-    // invariant is that the session *completes* and, if anything was
-    // shed, the verdict says Degraded.
-    let shed = registry
-        .snapshot()
-        .counter("serve.chunks_shed")
-        .unwrap_or(0);
-    if shed > 0 {
-        assert!(verdict.contains("\"verdict\":\"Degraded\""), "{verdict}");
-        assert!(verdict.contains("\"shed_chunks\""), "{verdict}");
-    } else {
-        assert!(
-            verdict.contains("\"verdict\":\"Exact\"")
-                || verdict.contains("\"verdict\":\"Degraded\""),
-            "{verdict}"
-        );
-    }
-    let summary = handle.stop();
-    assert_eq!(summary.outcomes.len(), 1);
-}
-
-#[test]
 fn tenant_frontier_cap_is_clamped_by_server_ceiling() {
     let registry = Registry::enabled();
     let mut config = ServeConfig::new(SPEC);
@@ -875,4 +800,96 @@ fn handshake_selects_analyses_and_rejects_unknown_codes() {
         "rejected hello never became a session"
     );
     assert_eq!(summary.rejected, 1);
+}
+
+/// Calls [`ServerHandle::stop`] on another thread and waits at most
+/// `bound` for it, so a shutdown that hangs fails the test instead of
+/// wedging it.
+fn stop_within(handle: ServerHandle, bound: Duration) -> ServeSummary {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.stop());
+    });
+    rx.recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("stop() did not return within {bound:?}"))
+}
+
+#[test]
+fn stop_evicts_a_tenant_caught_mid_stream() {
+    let registry = Registry::enabled();
+    let mut config = ServeConfig::new(SPEC);
+    config.telemetry = registry.clone();
+    config.read_timeout = Duration::from_millis(10);
+    config.idle_timeout = Duration::from_secs(60);
+    let server = Server::bind(0, config).expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn();
+
+    // Half of a clean stream, with the socket left open.
+    let mut symbols = SymbolTable::new();
+    let ex = workload(&mut symbols);
+    let vars: Vec<_> = ["x", "y", "z"]
+        .iter()
+        .map(|n| symbols.lookup(n).unwrap())
+        .collect();
+    let messages = ex.instrument(Relevance::writes_of(vars));
+    let half = messages.len() / 2;
+    let mut body = bytes::BytesMut::new();
+    for m in &messages[..half] {
+        jmpax_instrument::encode_frame_v2(m, &mut body);
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&hello_for("midstream").encode()).unwrap();
+    stream.write_all(&body).unwrap();
+    stream.flush().unwrap();
+
+    // Stop only once the daemon has decoded every frame sent, so the
+    // shutdown lands mid-stream rather than mid-handshake.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let decoded = || {
+        registry
+            .snapshot()
+            .counter_with("serve.frames_decoded", &[("tenant", "midstream")])
+            .unwrap_or(0)
+    };
+    while decoded() < half as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of {half} frames decoded",
+            decoded()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let summary = stop_within(handle, Duration::from_secs(10));
+    let mut lines = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        match line {
+            Ok(line) => lines.push(line),
+            Err(_) => break,
+        }
+    }
+    assert_eq!(lines.len(), 1, "exactly one verdict line: {lines:?}");
+    assert!(lines[0].contains("\"verdict\":\"Degraded\""), "{lines:?}");
+    assert!(lines[0].contains("\"evicted\":true"), "{lines:?}");
+
+    assert_eq!(summary.outcomes.len(), 1);
+    let outcome = &summary.outcomes[0];
+    assert_eq!(outcome.tenant, "midstream");
+    assert!(outcome.evicted);
+    assert!(matches!(outcome.verdict, ExactnessVerdict::Degraded(_)));
+    assert_eq!(outcome.messages, half as u64, "what arrived is analysed");
+    assert_eq!(
+        registry.snapshot().counter("serve.tenants_evicted"),
+        Some(1)
+    );
+}
+
+#[test]
+fn stop_returns_with_no_client_connected() {
+    let server = Server::bind(0, ServeConfig::new(SPEC)).expect("bind");
+    let handle = server.spawn();
+    let summary = stop_within(handle, Duration::from_secs(5));
+    assert!(summary.outcomes.is_empty());
+    assert_eq!(summary.rejected, 0);
 }

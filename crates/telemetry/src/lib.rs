@@ -578,8 +578,8 @@ fn composed_key(name: &str, labels: &[(String, String)]) -> String {
 }
 
 /// Public form of the series key used in text/JSON snapshots:
-/// `series_key("serve.queue_depth", &[("tenant", "t1")])` is
-/// `serve.queue_depth{tenant="t1"}`. Labels are sorted and keys
+/// `series_key("serve.verdict_state", &[("tenant", "t1")])` is
+/// `serve.verdict_state{tenant="t1"}`. Labels are sorted and keys
 /// sanitized exactly as registration does it.
 #[must_use]
 pub fn series_key(name: &str, labels: &[(&str, &str)]) -> String {
@@ -1759,22 +1759,22 @@ mod tests {
     #[test]
     fn labeled_counters_render_in_all_formats() {
         let reg = Registry::enabled();
-        reg.counter("serve.chunks_shed").add(7); // flat aggregate
-        reg.counter_with("serve.chunks_shed", &[("tenant", "t1")])
+        reg.counter("serve.gaps_skipped").add(7); // flat aggregate
+        reg.counter_with("serve.gaps_skipped", &[("tenant", "t1")])
             .add(3);
-        reg.counter_with("serve.chunks_shed", &[("tenant", "t2")])
+        reg.counter_with("serve.gaps_skipped", &[("tenant", "t2")])
             .add(4);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("serve.chunks_shed"), Some(7));
+        assert_eq!(snap.counter("serve.gaps_skipped"), Some(7));
         assert_eq!(
-            snap.counter_with("serve.chunks_shed", &[("tenant", "t1")]),
+            snap.counter_with("serve.gaps_skipped", &[("tenant", "t1")]),
             Some(3)
         );
-        assert_eq!(snap.family("serve.chunks_shed").count(), 3);
+        assert_eq!(snap.family("serve.gaps_skipped").count(), 3);
 
         let text = snap.to_text();
         assert!(
-            text.contains("serve.chunks_shed{tenant=\"t1\"}"),
+            text.contains("serve.gaps_skipped{tenant=\"t1\"}"),
             "text: {text}"
         );
         let json_text = snap.to_json();
@@ -1782,19 +1782,19 @@ mod tests {
         assert_eq!(
             parsed
                 .get("metrics")
-                .and_then(|m| m.get("serve.chunks_shed{tenant=\"t2\"}"))
+                .and_then(|m| m.get("serve.gaps_skipped{tenant=\"t2\"}"))
                 .and_then(|m| m.get("value"))
                 .and_then(json::Value::as_u64),
             Some(4)
         );
         let prom = snap.to_prometheus();
         assert!(
-            prom.contains("jmpax_serve_chunks_shed{tenant=\"t1\"} 3\n"),
+            prom.contains("jmpax_serve_gaps_skipped{tenant=\"t1\"} 3\n"),
             "prom: {prom}"
         );
-        assert!(prom.contains("jmpax_serve_chunks_shed 7\n"));
+        assert!(prom.contains("jmpax_serve_gaps_skipped 7\n"));
         // One family header regardless of how many label sets exist.
-        assert_eq!(prom.matches("# TYPE jmpax_serve_chunks_shed ").count(), 1);
+        assert_eq!(prom.matches("# TYPE jmpax_serve_gaps_skipped ").count(), 1);
         assert_eq!(lint_prometheus(&prom), Vec::<String>::new());
     }
 
@@ -1831,14 +1831,14 @@ mod tests {
         const CAP: usize = 8;
         let reg = Registry::with_label_capacity(CAP);
         for i in 0..CAP * 2 {
-            reg.counter_with("serve.chunks_shed", &[("tenant", &format!("t{i}"))])
+            reg.counter_with("serve.gaps_skipped", &[("tenant", &format!("t{i}"))])
                 .add(i as u64);
         }
         assert_eq!(reg.labels_dropped(), CAP as u64);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(LABELS_DROPPED), Some(CAP as u64));
         let labeled: Vec<_> = snap
-            .family("serve.chunks_shed")
+            .family("serve.gaps_skipped")
             .filter(|e| !e.labels.is_empty())
             .collect();
         assert_eq!(labeled.len(), CAP, "resident labeled series == cap");
@@ -1850,7 +1850,7 @@ mod tests {
         // Memory stability: hammering many more tenants never grows past
         // the cap.
         for i in 0..1000 {
-            reg.gauge_with("serve.queue_depth", &[("tenant", &format!("x{i}"))])
+            reg.gauge_with("serve.verdict_state", &[("tenant", &format!("x{i}"))])
                 .set(1);
         }
         let snap = reg.snapshot();
@@ -1858,7 +1858,7 @@ mod tests {
         assert!(resident <= CAP, "resident {resident} > cap {CAP}");
         // Re-registering an evicted tenant starts a fresh cell.
         assert_eq!(
-            reg.counter_with("serve.chunks_shed", &[("tenant", "t0")])
+            reg.counter_with("serve.gaps_skipped", &[("tenant", "t0")])
                 .get(),
             0
         );
@@ -1924,7 +1924,8 @@ mod tests {
         for t in ["t1", "t2", "t3"] {
             reg.counter_with("serve.frames_decoded", &[("tenant", t)])
                 .add(5);
-            reg.gauge_with("serve.queue_depth", &[("tenant", t)]).set(2);
+            reg.gauge_with("serve.verdict_state", &[("tenant", t)])
+                .set(2);
             reg.histogram_with("serve.chunk_ns", &[("tenant", t)])
                 .record(900);
         }
