@@ -5,7 +5,7 @@
 //! treats every access as a write (step 3 for reads too), which
 //! over-serializes the computation: the lattice loses runs and with them
 //! predictive power. [`symmetric_instrument`] implements the ablated
-//! algorithm so benchmarks can quantify the loss.
+//! algorithm so `harness ablation` can quantify the loss.
 //!
 //! **D2 — relevance filtering** is measured directly with
 //! [`jmpax_core::MvcInstrumentor::messages_emitted`] under different

@@ -5,6 +5,8 @@
 //! cargo run -p jmpax-bench --bin harness --release            # everything
 //! cargo run -p jmpax-bench --bin harness --release -- fig5    # one experiment
 //! ```
+//!
+//! An unknown experiment name prints the valid names to stderr and exits 2.
 
 use std::time::Instant;
 
@@ -21,50 +23,41 @@ use jmpax_observer::liveness::{find_lassos, predict_liveness_violations, Ltl};
 use jmpax_spec::ast::{Atom, CmpOp, Expr};
 use jmpax_workloads::{bank, landing, peterson, xyz};
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 14] = [
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("detection", detection),
+    ("lattice-scaling", lattice_scaling),
+    ("ablation", ablation),
+    ("liveness", liveness),
+    ("overhead", overhead),
+    ("races", races),
+    ("deadlock", deadlock),
+    ("exhaustive", exhaustive),
+    ("reduction", reduction),
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    let all = which == "all";
-    if all || which == "fig2" {
-        fig2();
+    let chosen: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .map(|&(_, run)| run)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "harness: unknown experiment `{which}`; expected all or one of: {}",
+            names.join(" ")
+        );
+        std::process::exit(2);
     }
-    if all || which == "fig3" {
-        fig3();
-    }
-    if all || which == "fig4" {
-        fig4();
-    }
-    if all || which == "fig5" {
-        fig5();
-    }
-    if all || which == "fig6" {
-        fig6();
-    }
-    if all || which == "detection" {
-        detection();
-    }
-    if all || which == "lattice-scaling" {
-        lattice_scaling();
-    }
-    if all || which == "ablation" {
-        ablation();
-    }
-    if all || which == "liveness" {
-        liveness();
-    }
-    if all || which == "overhead" {
-        overhead();
-    }
-    if all || which == "races" {
-        races();
-    }
-    if all || which == "deadlock" {
-        deadlock();
-    }
-    if all || which == "exhaustive" {
-        exhaustive();
-    }
-    if all || which == "reduction" {
-        reduction();
+    for run in chosen {
+        run();
     }
 }
 

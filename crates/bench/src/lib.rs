@@ -1,9 +1,9 @@
 //! # jmpax-bench
 //!
-//! Shared experiment machinery for the Criterion benchmarks and the
-//! `harness` binary that regenerates every figure of the paper (see the
-//! per-experiment index in `DESIGN.md` and the results in
-//! `EXPERIMENTS.md`).
+//! Experiment machinery for the `harness` binary that regenerates every
+//! figure and quantified claim of the paper (see the per-experiment index
+//! in `DESIGN.md` and the results in `EXPERIMENTS.md`). Speed is measured
+//! elsewhere: by the one end-to-end benchmark, `jmpax-benchmark`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,9 +12,7 @@ pub mod ablation;
 pub mod experiments;
 pub mod generators;
 
-pub use ablation::{
-    compare_symmetric, symmetric_instrument, SymmetricInstrumentor, SymmetricStats,
-};
+pub use ablation::{compare_symmetric, SymmetricStats};
 pub use experiments::{
     detection_sweep, fig3_equivalence, fig5_experiment, fig6_experiment, DetectionRates,
     LatticeExperiment,

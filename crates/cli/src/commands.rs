@@ -577,29 +577,44 @@ fn check_suite(
     (code, out)
 }
 
+type MakeWorkload = fn() -> workloads::Workload;
+
+/// Every built-in workload `demo`, `chaos`, `load`, `trace` and `gen`
+/// accept: the one list `workload_by_name` resolves against and the
+/// usage errors name.
+const WORKLOADS: [(&str, MakeWorkload); 11] = [
+    ("landing", workloads::landing::workload),
+    ("xyz", workloads::xyz::workload),
+    ("bank", || workloads::bank::workload(false)),
+    ("bank-locked", || workloads::bank::workload(true)),
+    ("dining", || workloads::dining::workload(3, false)),
+    ("handoff", || workloads::handoff::workload(2, true)),
+    ("peterson", workloads::peterson::workload),
+    ("racy", || workloads::racy::workload(false)),
+    ("racy-locked", || workloads::racy::workload(true)),
+    ("nonatomic", || workloads::nonatomic::workload(false)),
+    ("nonatomic-locked", || workloads::nonatomic::workload(true)),
+];
+
 fn workload_by_name(name: &str) -> Option<workloads::Workload> {
-    match name {
-        "landing" => Some(workloads::landing::workload()),
-        "xyz" => Some(workloads::xyz::workload()),
-        "bank" => Some(workloads::bank::workload(false)),
-        "bank-locked" => Some(workloads::bank::workload(true)),
-        "dining" => Some(workloads::dining::workload(3, false)),
-        "handoff" => Some(workloads::handoff::workload(2, true)),
-        "peterson" => Some(workloads::peterson::workload()),
-        "racy" => Some(workloads::racy::workload(false)),
-        "racy-locked" => Some(workloads::racy::workload(true)),
-        "nonatomic" => Some(workloads::nonatomic::workload(false)),
-        "nonatomic-locked" => Some(workloads::nonatomic::workload(true)),
-        _ => None,
-    }
+    WORKLOADS
+        .iter()
+        .find(|&&(known, _)| known == name)
+        .map(|&(_, make)| make())
+}
+
+/// The usage error for a command that was given no workload name.
+fn missing_workload(command: &str) -> String {
+    let names: Vec<&str> = WORKLOADS.iter().map(|&(name, _)| name).collect();
+    format!(
+        "{command}: expected a workload name ({})\n",
+        names.join("|")
+    )
 }
 
 fn demo(args: &Args, registry: &Registry) -> (i32, String) {
     let Some(name) = args.positional.get(1) else {
-        return (
-            2,
-            "demo: expected a workload name (landing|xyz|bank|dining)\n".to_owned(),
-        );
+        return (2, missing_workload("demo"));
     };
     let Some(w) = workload_by_name(name) else {
         return (2, format!("demo: unknown workload `{name}`\n"));
@@ -687,10 +702,7 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     use jmpax_instrument::ChaosSink;
 
     let Some(name) = args.positional.get(1) else {
-        return (
-            2,
-            "chaos: expected a workload name (landing|xyz|bank|dining)\n".to_owned(),
-        );
+        return (2, missing_workload("chaos"));
     };
     let Some(w) = workload_by_name(name) else {
         return (2, format!("chaos: unknown workload `{name}`\n"));
@@ -919,10 +931,7 @@ fn load(args: &Args) -> (i32, String) {
     use jmpax_instrument::ChaosSink;
 
     let Some(name) = args.positional.get(1) else {
-        return (
-            2,
-            "load: expected a workload name (landing|xyz|bank|dining)\n".to_owned(),
-        );
+        return (2, missing_workload("load"));
     };
     let Some(w) = workload_by_name(name) else {
         return (2, format!("load: unknown workload `{name}`\n"));
@@ -1172,11 +1181,7 @@ fn format_ms(ms: u64) -> String {
 
 fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetrics>) {
     let Some(name) = args.positional.get(1) else {
-        return (
-            2,
-            "trace: expected a workload name (landing|xyz|bank|dining)\n".to_owned(),
-            None,
-        );
+        return (2, missing_workload("trace"), None);
     };
     let Some(w) = workload_by_name(name) else {
         return (2, format!("trace: unknown workload `{name}`\n"), None);
@@ -1301,10 +1306,7 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
 
 fn gen(args: &Args) -> (i32, String) {
     let Some(name) = args.positional.get(1) else {
-        return (
-            2,
-            "gen: expected a workload name (landing|xyz|bank|dining)\n".to_owned(),
-        );
+        return (2, missing_workload("gen"));
     };
     let Some(w) = workload_by_name(name) else {
         return (2, format!("gen: unknown workload `{name}`\n"));
@@ -1855,6 +1857,26 @@ T1 write b 0
         );
         assert_eq!(code, 2, "{out}");
         assert!(out.contains("parse error"), "{out}");
+    }
+
+    #[test]
+    fn every_listed_workload_resolves() {
+        let names = missing_workload("gen");
+        for &(name, _) in &WORKLOADS {
+            assert!(names.contains(name), "{name} missing from: {names}");
+            assert!(workload_by_name(name).is_some(), "{name}");
+        }
+        assert_eq!(
+            names,
+            "gen: expected a workload name (landing|xyz|bank|bank-locked|dining|handoff\
+             |peterson|racy|racy-locked|nonatomic|nonatomic-locked)\n"
+        );
+        assert!(workload_by_name("nope").is_none());
+        for command in ["demo", "chaos", "trace", "gen", "load"] {
+            let (code, out) = run_cli(&[command], None);
+            assert_eq!(code, 2, "{out}");
+            assert_eq!(out, missing_workload(command));
+        }
     }
 
     #[test]
