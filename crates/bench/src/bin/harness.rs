@@ -241,7 +241,12 @@ fn exhaustive() {
         let out = run_random(&w.program, 0, 500);
         let mut syms = w.symbols.clone();
         let report = Pipeline::new(PipelineConfig::new())
-            .check_execution(&out.execution, &w.spec, &mut syms)
+            .check_execution(
+                &out.execution,
+                &[AnalysisKind::Ltl],
+                Some(&w.spec),
+                &mut syms,
+            )
             .unwrap();
         println!(
             "{name:<12} {:>12} {:>14} {:>16} {:>18}",
@@ -360,9 +365,10 @@ fn fig4() {
         w.monitor(),
         &ProgramState::from_map(out.execution.initial.clone()),
         Exactness::Exact,
+        u64::MAX,
         received,
     );
-    let a = report.verdict.analysis();
+    let a = report.ltl().unwrap();
     println!(
         "verdict: {} (states {}, runs {}, violating {})",
         if report.predicted() {

@@ -1,6 +1,6 @@
 //! The experiment implementations behind the harness and EXPERIMENTS.md.
 
-use jmpax_core::{Event, Relevance};
+use jmpax_core::{AnalysisKind, Event, Relevance};
 use jmpax_distsim::DistSim;
 use jmpax_observer::{Pipeline, PipelineConfig};
 use jmpax_sched::{run_fixed, run_random};
@@ -28,9 +28,14 @@ pub fn fig5_experiment() -> LatticeExperiment {
     assert!(out.finished);
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
-    let a = report.verdict.analysis();
+    let a = report.ltl().unwrap();
     LatticeExperiment {
         states: a.states_explored as usize,
         total_runs: a.total_runs,
@@ -47,9 +52,14 @@ pub fn fig6_experiment() -> LatticeExperiment {
     assert!(out.finished);
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
-    let a = report.verdict.analysis();
+    let a = report.ltl().unwrap();
     LatticeExperiment {
         states: a.states_explored as usize,
         total_runs: a.total_runs,
@@ -115,7 +125,12 @@ pub fn detection_sweep(workload: &Workload, seeds: u64, max_steps: usize) -> Det
         rates.finished += 1;
         let mut syms = workload.symbols.clone();
         let report = Pipeline::new(PipelineConfig::new())
-            .check_execution(&out.execution, &workload.spec, &mut syms)
+            .check_execution(
+                &out.execution,
+                &[AnalysisKind::Ltl],
+                Some(&workload.spec),
+                &mut syms,
+            )
             .unwrap();
         rates.observed += usize::from(report.observed());
         rates.predicted += usize::from(report.predicted());

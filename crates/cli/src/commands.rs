@@ -2,12 +2,10 @@
 
 use std::fmt::Write as _;
 
-use jmpax_core::{Message, Relevance, SymbolTable};
+use jmpax_core::{AnalysisKind, Message, Relevance, SymbolTable};
 use jmpax_instrument::EventSink as _;
-use jmpax_lattice::{
-    to_dot, AnalysisConfig, AnalysisReport, DotOptions, Lattice, LatticeInput, Violation,
-};
-use jmpax_observer::{render_analysis, Pipeline, PipelineConfig};
+use jmpax_lattice::{to_dot, AnalysisConfig, DotOptions, Lattice, LatticeInput, Violation};
+use jmpax_observer::{render_analysis, Pipeline, PipelineConfig, PipelineError};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::Registry;
 use jmpax_workloads as workloads;
@@ -46,21 +44,18 @@ USAGE:
         search) — pruned cuts are counted and the verdict is reported
         as Degraded instead of exhausting memory.
 
-    jmpax races --trace <FILE> [--locks <name,name,...>]
-        Alias of `jmpax check --analysis race`: predictive data-race
-        detection, checking accesses against the happens-before built from
-        program order and the given lock variables only.
-
     jmpax deadlocks --trace <FILE> --locks <name,name,...>
         Predictive deadlock detection: build the lock-order graph from the
         trace (lock vars written 1 on acquire, 0 on release) and report
         cross-thread cycles.
 
-    jmpax demo <landing|xyz|bank|bank-locked|dining|handoff|peterson>
+    jmpax demo <landing|xyz|bank|bank-locked|dining|handoff|peterson
+                |racy|racy-locked|nonatomic|nonatomic-locked>
                 [--telemetry <text|json>]
         Run a built-in demonstration and print its analysis.
 
-    jmpax chaos <landing|xyz|bank|bank-locked|dining|handoff|peterson>
+    jmpax chaos <landing|xyz|bank|bank-locked|dining|handoff|peterson
+                 |racy|racy-locked|nonatomic|nonatomic-locked>
                 [--seed <N>] [--drop <RATE>] [--dup <RATE>]
                 [--corrupt <RATE>] [--reorder-window <N>]
                 [--stall-budget <N>] [--telemetry <text|json>]
@@ -115,7 +110,8 @@ USAGE:
         (default 1000). --once prints a single snapshot and exits;
         --once --json prints the raw /tenants document for scripting.
 
-    jmpax load <landing|xyz|bank|bank-locked|dining|handoff|peterson>
+    jmpax load <landing|xyz|bank|bank-locked|dining|handoff|peterson
+                |racy|racy-locked|nonatomic|nonatomic-locked>
                 --connect <HOST:PORT> [--sessions <N>] [--seed <N>]
                 [--drop <RATE>] [--dup <RATE>] [--corrupt <RATE>]
                 [--reorder-window <N>] [--frontier-cap <N>]
@@ -137,7 +133,8 @@ USAGE:
         metrics are collected (the disabled path reads no clocks and
         touches no atomics).
 
-    jmpax trace <landing|xyz|bank|bank-locked|dining|handoff|peterson>
+    jmpax trace <landing|xyz|bank|bank-locked|dining|handoff|peterson
+                 |racy|racy-locked|nonatomic|nonatomic-locked>
                 --out <DIR> [--seed <N>] [--serve-metrics <PORT>]
                 [--telemetry <text|json>]
         Run a workload with full causal tracing and write to <DIR>:
@@ -282,12 +279,6 @@ fn run_inner(
 ) -> (i32, String, Option<ServeMetrics>) {
     let (code, output) = match args.command() {
         Some("check") => check(args, trace_source, registry),
-        Some("races") => check_suite(
-            args,
-            &[jmpax_core::AnalysisKind::Race],
-            trace_source,
-            registry,
-        ),
         Some("deadlocks") => deadlocks(args, trace_source),
         Some("demo") => demo(args, registry),
         Some("chaos") => chaos(args, registry),
@@ -374,12 +365,15 @@ fn deadlocks(args: &Args, trace_source: Option<&str>) -> (i32, String) {
     (1, out)
 }
 
+/// `jmpax check`: one path for every `--analysis` selection. The trace
+/// goes through [`Pipeline::check_execution`] and `--dot` draws the
+/// lattice of the very stream it analysed; the report then differs only
+/// in rendering: ltl alone as the lattice summary with counterexamples,
+/// any other selection as per-analysis sections, `--json` as the
+/// machine-readable report.
 fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, String) {
-    // `--analysis ltl,race,atomicity` selects the suite; a bare `ltl` (or
-    // no flag) is the ptLTL report with counterexamples, unless `--json`
-    // asks for the suite's machine-readable report.
     let kinds = match args.get("analysis") {
-        Some(list) => match jmpax_core::AnalysisKind::parse_list(list) {
+        Some(list) => match AnalysisKind::parse_list(list) {
             Ok(kinds) => kinds,
             Err(name) => {
                 return (
@@ -388,20 +382,8 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
                 )
             }
         },
+        // No selection is ltl alone.
         None => Vec::new(),
-    };
-    if args.has("json") || !(kinds.is_empty() || kinds == [jmpax_core::AnalysisKind::Ltl]) {
-        let kinds = if kinds.is_empty() {
-            vec![jmpax_core::AnalysisKind::Ltl]
-        } else {
-            kinds
-        };
-        return check_suite(args, &kinds, trace_source, registry);
-    }
-
-    let mut out = String::new();
-    let Some(spec) = args.get("spec") else {
-        return (2, "check: missing --spec <FORMULA>\n".to_owned());
     };
     let Some(trace) = trace_source else {
         return (2, "check: missing --trace <FILE>\n".to_owned());
@@ -412,37 +394,62 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
         Ok(e) => e,
         Err(e) => return (2, format!("check: {e}\n")),
     };
-
-    let config = match analysis_config(args) {
+    // Only the text report of ltl alone shows counterexamples.
+    let counterexamples = !args.has("json") && matches!(kinds.as_slice(), [] | [AnalysisKind::Ltl]);
+    let config = match analysis_config(args, counterexamples) {
         Ok(config) => config,
         Err(e) => return (2, e),
     };
-    let report = match Pipeline::new(PipelineConfig::new().telemetry(registry).analysis(config))
-        .check_execution(&execution, spec, &mut symbols)
-    {
+    let sync = match lock_vars(args, &symbols) {
+        Ok(s) => s,
+        Err(e) => return (2, format!("check: {e}\n")),
+    };
+    let pipeline = Pipeline::new(
+        PipelineConfig::new()
+            .telemetry(registry)
+            .analysis(config)
+            .sync_vars(sync),
+    );
+    let spec = args.get("spec");
+    let report = match pipeline.check_execution(&execution, &kinds, spec, &mut symbols) {
         Ok(report) => report,
+        Err(PipelineError::MissingSpec) => {
+            return (
+                2,
+                "check: missing --spec <FORMULA> (the ltl analysis needs one)\n".to_owned(),
+            )
+        }
         Err(e) => return (2, format!("check: {e}\n")),
     };
     account_frames(&report.messages, registry);
-    let analysis = report.verdict.analysis();
-    out.push_str(&render_analysis(analysis, &symbols));
-    if let Some(idx) = report.observed_violation {
-        let _ = writeln!(out, "the OBSERVED run violates at state #{idx}");
-    } else if report.predicted() {
-        let _ = writeln!(
-            out,
-            "the observed run was successful — the violation is PREDICTED"
-        );
-    }
 
-    if let Some(path) = args.get("dot") {
-        let messages = execution.instrument(report.relevance.clone());
-        let initial = ProgramState::from_map(execution.initial.clone());
-        let note = write_lattice_dot(path, messages, initial, &analysis.violations, &symbols);
-        out.push_str(&note);
+    // The LTL violations, when LTL ran, are the lattice's highlights.
+    let dot_note = args.get("dot").map(|path| {
+        let violations = report.ltl().map(|ltl| ltl.violations.as_slice());
+        write_lattice_dot(
+            path,
+            report.messages.clone(),
+            ProgramState::from_map(execution.initial.clone()),
+            violations.unwrap_or_default(),
+            &symbols,
+        )
+    });
+    let code = i32::from(report.predicted());
+    if args.has("json") {
+        // Stdout stays one JSON object; the DOT note goes to stderr.
+        if let Some(note) = dot_note {
+            eprint!("{note}");
+        }
+        let json = report::check_report_json(&report.suite, &symbols);
+        return (code, format!("{json}\n"));
     }
-
-    (i32::from(report.predicted()), out)
+    let mut out = if counterexamples {
+        report::ltl_text(&report, &symbols)
+    } else {
+        report::check_suite_text(&report.suite, &symbols)
+    };
+    out.push_str(&dot_note.unwrap_or_default());
+    (code, out)
 }
 
 /// Writes the computation lattice of `messages` from `initial` to `path`
@@ -468,113 +475,22 @@ fn write_lattice_dot(
     }
 }
 
-/// The analysis knobs `check` shares across its paths: `--frontier-cap`
-/// and `--history`. A malformed number is a usage error.
-fn analysis_config(args: &Args) -> Result<AnalysisConfig, String> {
+/// The analysis knobs of `check`: `--frontier-cap` and `--history`. A
+/// malformed number is a usage error. Without `--history`, a report that
+/// shows `counterexamples` keeps every lattice level (the pipeline's
+/// default); any other keeps only the paper's two, since retired levels
+/// serve nothing but counterexamples.
+fn analysis_config(args: &Args, counterexamples: bool) -> Result<AnalysisConfig, String> {
+    let history = parsed(args, "check", "history", "a level count")?;
     Ok(AnalysisConfig {
         frontier_cap: parsed(args, "check", "frontier-cap", "a state count")?.unwrap_or(0),
-        history: parsed(args, "check", "history", "a level count")?,
+        history: if counterexamples {
+            history
+        } else {
+            history.or(Some(0))
+        },
         ..AnalysisConfig::default()
     })
-}
-
-/// The `--analysis` suite path of `jmpax check`: one causal delivery pass
-/// over the trace's instrumentation stream, fanned out to every selected
-/// analysis, with per-analysis verdict sections (text or `--json`).
-fn check_suite(
-    args: &Args,
-    kinds: &[jmpax_core::AnalysisKind],
-    trace_source: Option<&str>,
-    registry: &Registry,
-) -> (i32, String) {
-    use jmpax_core::AnalysisKind;
-
-    let Some(trace) = trace_source else {
-        return (2, "check: missing --trace <FILE>\n".to_owned());
-    };
-    let mut symbols = SymbolTable::new();
-    let execution = match trace_text::parse_trace(trace, &mut symbols) {
-        Ok(e) => e,
-        Err(e) => return (2, format!("check: {e}\n")),
-    };
-    let sync = match lock_vars(args, &symbols) {
-        Ok(s) => s,
-        Err(e) => return (2, format!("check: {e}\n")),
-    };
-    // Race and atomicity need every access; LTL alone needs only the writes
-    // of the formula's variables, as on the plain `check` path.
-    let mut relevance = Relevance::Everything;
-    let ltl = if kinds.contains(&AnalysisKind::Ltl) {
-        let Some(spec) = args.get("spec") else {
-            return (
-                2,
-                "check: missing --spec <FORMULA> (the ltl analysis needs one)\n".to_owned(),
-            );
-        };
-        let formula = match parse(spec, &mut symbols) {
-            Ok(f) => f,
-            Err(e) => return (2, format!("check: {e}\n")),
-        };
-        if kinds == [AnalysisKind::Ltl] {
-            relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
-        }
-        match formula.monitor() {
-            Ok(m) => Some(m.with_telemetry(registry)),
-            Err(e) => return (2, format!("check: {e}\n")),
-        }
-    } else {
-        None
-    };
-
-    let messages = execution.instrument_with_telemetry(relevance, registry);
-    account_frames(&messages, registry);
-    let initial = ProgramState::from_map(execution.initial.clone());
-    // `--dot` draws the lattice of the very stream the suite analyses.
-    let dot = args.get("dot").map(|path| (path, messages.clone()));
-
-    let config = match analysis_config(args) {
-        Ok(config) => config,
-        Err(e) => return (2, e),
-    };
-    let pipeline = Pipeline::new(
-        PipelineConfig::new()
-            .telemetry(registry)
-            .analysis(config)
-            .analyses(kinds)
-            .sync_vars(sync.iter().copied()),
-    );
-    let suite = pipeline.check_stream_suite(
-        kinds,
-        ltl.map(|m| (m, &initial)),
-        execution.thread_count(),
-        jmpax_lattice::Exactness::Exact,
-        messages,
-    );
-
-    // The LTL violations, when LTL ran, are the lattice's highlights.
-    let dot_note = dot.map(|(path, messages)| {
-        let violations = suite
-            .reports
-            .iter()
-            .find_map(|r| match r {
-                AnalysisReport::Ltl(ltl) => Some(ltl.violations.as_slice()),
-                _ => None,
-            })
-            .unwrap_or_default();
-        write_lattice_dot(path, messages, initial, violations, &symbols)
-    });
-    let code = i32::from(!suite.satisfied());
-    if args.has("json") {
-        // Stdout stays one JSON object; the DOT note goes to stderr.
-        if let Some(note) = dot_note {
-            eprint!("{note}");
-        }
-        let json = report::check_report_json(&suite, &symbols);
-        return (code, format!("{json}\n"));
-    }
-    let mut out = report::check_suite_text(&suite, &symbols);
-    out.push_str(&dot_note.unwrap_or_default());
-    (code, out)
 }
 
 type MakeWorkload = fn() -> workloads::Workload;
@@ -643,12 +559,14 @@ fn demo(args: &Args, registry: &Registry) -> (i32, String) {
     let mut symbols = w.symbols.clone();
     match Pipeline::new(PipelineConfig::new().telemetry(registry)).check_execution(
         &run.execution,
-        &w.spec,
+        &[AnalysisKind::Ltl],
+        Some(&w.spec),
         &mut symbols,
     ) {
         Ok(report) => {
             account_frames(&report.messages, registry);
-            out.push_str(&render_analysis(report.verdict.analysis(), &symbols));
+            let ltl = report.ltl().expect("an ltl check");
+            out.push_str(&render_analysis(ltl, &symbols));
             (i32::from(report.predicted()), out)
         }
         Err(e) => (2, format!("demo: {e}\n")),
@@ -762,29 +680,21 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
         .add(decoded.frames_resynced);
 
     let initial = ProgramState::from_map(run.execution.initial.clone());
-    let report = Pipeline::new(PipelineConfig::new().telemetry(registry)).check_received(
+    let report = Pipeline::new(PipelineConfig::new().telemetry(registry)).check_messages(
         monitor,
         &initial,
         jmpax_lattice::Exactness::degraded(0, decoded.frames_lost()),
         stall_budget,
         received,
     );
-    report.reassembly.record(registry);
+    report.suite.reassembly.record(registry);
     out.push_str(&crate::report::chaos_summary(
         &stats,
         &decoded,
-        &report.reassembly,
-        report.verdict.exactness(),
+        &report.suite.reassembly,
+        report.suite.exactness(),
     ));
-    out.push_str(&render_analysis(report.verdict.analysis(), &symbols));
-    if let Some(idx) = report.observed_violation {
-        let _ = writeln!(out, "the OBSERVED run violates at state #{idx}");
-    } else if report.predicted() {
-        let _ = writeln!(
-            out,
-            "the observed run was successful — the violation is PREDICTED"
-        );
-    }
+    out.push_str(&crate::report::ltl_text(&report, &symbols));
     (0, out)
 }
 
@@ -817,7 +727,7 @@ fn serve(args: &Args, registry: &Registry) -> (i32, String) {
     let mut config = ServeConfig::new(spec);
     config.telemetry = registry.clone();
     if let Some(list) = args.get("analysis") {
-        match jmpax_core::AnalysisKind::parse_list(list) {
+        match AnalysisKind::parse_list(list) {
             Ok(kinds) => config.analyses = kinds,
             Err(bad) => {
                 return (
@@ -954,7 +864,7 @@ fn load(args: &Args) -> (i32, String) {
     let prefix = args.get("tenant").filter(|s| !s.is_empty()).unwrap_or(name);
     // `--analysis` rides in the handshake; empty means the daemon default.
     let analyses: Vec<u8> = match args.get("analysis") {
-        Some(list) => match jmpax_core::AnalysisKind::parse_list(list) {
+        Some(list) => match AnalysisKind::parse_list(list) {
             Ok(kinds) => kinds.iter().map(|k| k.code()).collect(),
             Err(bad) => {
                 return (
@@ -1226,7 +1136,8 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
     let mut symbols = w.symbols.clone();
     let report = match Pipeline::new(PipelineConfig::new().telemetry(&traced)).check_execution(
         &run.execution,
-        &w.spec,
+        &[AnalysisKind::Ltl],
+        Some(&w.spec),
         &mut symbols,
     ) {
         Ok(report) => report,
@@ -1713,6 +1624,16 @@ T1 write x 1
         assert_eq!(code, 2, "{out}");
         assert!(out.contains("unknown analysis `taint`"), "{out}");
 
+        // An empty list selects ltl alone, as no flag does.
+        let argv = ["check", "--spec", "x >= 0"];
+        let plain = run_cli(&argv, Some("init x = 0\nT0 write x 1\n"));
+        let empty = run_cli(
+            &[&argv[..], &["--analysis", ""]].concat(),
+            Some("init x = 0\nT0 write x 1\n"),
+        );
+        assert_eq!(empty, plain);
+        assert_eq!(plain.0, 0, "{}", plain.1);
+
         // ltl in the selection needs a spec; race alone does not.
         let (code, out) = run_cli(
             &["check", "--analysis", "ltl,race"],
@@ -1744,39 +1665,33 @@ T1 write m 0
 
     #[test]
     fn races_detected_and_clean_with_locks() {
-        let (code, out) = run_cli(&["races"], Some(RACY_TRACE));
+        let race = ["check", "--analysis", "race"];
+        let (code, out) = run_cli(&race, Some(RACY_TRACE));
         assert_eq!(code, 1, "{out}");
         assert!(
             out.contains("race on x: T0 write #1 vs T1 read #2"),
             "{out}"
         );
 
-        let (code, out) = run_cli(&["races", "--locks", "m"], Some(LOCKED_TRACE));
+        let (code, out) = run_cli(&[&race[..], &["--locks", "m"]].concat(), Some(LOCKED_TRACE));
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("race: 0 races found"), "{out}");
 
-        // `races` is exactly `check --analysis race`.
-        for (trace, locks) in [
-            (RACY_TRACE, None),
-            (LOCKED_TRACE, Some("m")),
-            (RACY_TRACE, Some("nosuch")),
-        ] {
-            let lock_args: Vec<&str> = locks.map(|l| vec!["--locks", l]).unwrap_or_default();
-            let alias = run_cli(&[&["races"][..], &lock_args].concat(), Some(trace));
-            let check = run_cli(
-                &[&["check", "--analysis", "race"][..], &lock_args].concat(),
-                Some(trace),
-            );
-            assert_eq!(alias, check, "{locks:?}");
-        }
-
         // Without declaring the lock, the same trace races.
-        let (code, _) = run_cli(&["races"], Some(LOCKED_TRACE));
+        let (code, _) = run_cli(&race, Some(LOCKED_TRACE));
         assert_eq!(code, 1);
 
-        let (code, out) = run_cli(&["races", "--locks", "nosuch"], Some(RACY_TRACE));
+        let (code, out) = run_cli(
+            &[&race[..], &["--locks", "nosuch"]].concat(),
+            Some(RACY_TRACE),
+        );
         assert_eq!(code, 2);
         assert!(out.contains("not in the trace"), "{out}");
+
+        // Race detection is `check --analysis race`; `races` is no command.
+        let (code, out) = run_cli(&["races"], Some(RACY_TRACE));
+        assert_eq!(code, 2);
+        assert!(out.starts_with("unknown command `races`"), "{out}");
     }
 
     const DEADLOCK_TRACE: &str = "\
@@ -1876,6 +1791,34 @@ T1 write b 0
             let (code, out) = run_cli(&[command], None);
             assert_eq!(code, 2, "{out}");
             assert_eq!(out, missing_workload(command));
+        }
+    }
+
+    #[test]
+    fn only_a_report_with_counterexamples_keeps_every_level() {
+        let config = |argv: &[&str], counterexamples| {
+            let args = Args::parse(argv.iter().map(ToString::to_string));
+            analysis_config(&args, counterexamples).unwrap().history
+        };
+        assert_eq!(config(&["check"], true), None);
+        assert_eq!(config(&["check"], false), Some(0));
+        for counterexamples in [true, false] {
+            assert_eq!(
+                config(&["check", "--history", "3"], counterexamples),
+                Some(3)
+            );
+        }
+    }
+
+    #[test]
+    fn usage_names_every_workload() {
+        let names: Vec<&str> = WORKLOADS.iter().map(|&(name, _)| name).collect();
+        for command in ["demo", "chaos", "load", "trace", "gen"] {
+            let head = format!("    jmpax {command} <");
+            let start = USAGE.find(&head).expect("a usage line") + head.len();
+            let list = &USAGE[start..start + USAGE[start..].find('>').unwrap()];
+            let listed: Vec<&str> = list.split('|').map(str::trim).collect();
+            assert_eq!(listed, names, "{command}");
         }
     }
 

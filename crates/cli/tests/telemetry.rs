@@ -73,6 +73,33 @@ fn cli_json_report_round_trips_and_spans_all_layers() {
     }
 }
 
+/// Every analysis selection runs through the pipeline's stages, so a
+/// race-only check times its instrumentation and analysis too; only the
+/// JPaX observed-run check is left out without ltl.
+#[test]
+fn stage_timings_cover_every_selection() {
+    let gen = run_cli(&["gen", "racy"], None);
+    assert_eq!(gen.code, 0);
+    let out = run_cli(
+        &["check", "--analysis", "race", "--telemetry", "json"],
+        Some(&gen.output),
+    );
+    assert_eq!(out.code, 1, "{}", out.output);
+    let report = out.telemetry.expect("--telemetry json must yield a report");
+    let value = json::parse(&report).expect("telemetry report must be valid JSON");
+    let count = |name: &str| {
+        value
+            .get("metrics")
+            .and_then(|m| m.get(name))
+            .and_then(|h| h.get("count"))
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("missing histogram `{name}`: {report}"))
+    };
+    assert!(count("observer.stage.instrument_ns") >= 1, "{report}");
+    assert!(count("observer.stage.analysis_ns") >= 1, "{report}");
+    assert_eq!(count("observer.stage.jpax_ns"), 0, "{report}");
+}
+
 /// Text mode renders one aligned line per metric; no flag means no report.
 #[test]
 fn cli_text_mode_and_disabled_default() {

@@ -22,9 +22,10 @@ pub struct AnalysisConfig {
     /// Retired streaming levels kept for counterexamples. `Some(0)` is the
     /// paper's pure two-level mode and `Some(usize::MAX)` keeps every
     /// level, so counterexamples reach the initial state. `None` (the
-    /// default) leaves the choice to the entry point: the analysis suite
-    /// and `jmpax serve` keep two levels, while `Pipeline::check_messages`
-    /// keeps every level.
+    /// default) keeps two levels on a streamed suite (`Pipeline::suite`,
+    /// `Pipeline::check_stream_suite`, `jmpax serve`) and every level on
+    /// a batch check (`Pipeline::check_execution`,
+    /// `Pipeline::check_messages`).
     pub history: Option<usize>,
     /// Memoize monitor steps per `(memory, atom valuation)` within a level
     /// (default `true`). Purely a performance knob: verdicts,

@@ -8,26 +8,35 @@
 //! predicting violations that the observed execution itself did not
 //! exhibit.
 //!
-//! * [`observer`] — the observer's verdict over one computation.
-//! * [`pipeline`] — one-call end-to-end analyses for recorded executions
-//!   and for messages received over a transport, plus the one rule that
-//!   turns transport losses into an exactness verdict. ptLTL, race and
-//!   atomicity checking all run on the streaming analysis suite.
+//! * [`pipeline`] — one-call end-to-end analyses: any selection of ptLTL,
+//!   race and atomicity checking over a recorded execution
+//!   ([`Pipeline::check_execution`]), ptLTL over messages received over a
+//!   transport ([`Pipeline::check_messages`]), and the streaming analysis
+//!   suite every one of them runs on, plus the one rule that turns
+//!   transport losses into an exactness verdict. A [`PipelineReport`]
+//!   holds every analysis's verdict and the observed run's.
+//! * [`deadlock`] — predictive deadlock detection from cycles in the
+//!   lock-order graph.
 //! * [`jpax`] — the single-trace baseline (what JPaX / Java-MaC can see):
 //!   monitors only the observed run.
 //! * [`liveness`] — the Section 4 sketch: detect `u vω` lassos in the
 //!   lattice (a state repeats along a run) and check future-time LTL
 //!   properties on the induced infinite runs.
 //! * [`report`] — human-readable rendering of verdicts and counterexamples.
+//! * [`serve`] — the online deployment: a multi-tenant daemon that
+//!   analyses framed event streams over TCP as they arrive.
+//! * [`verdict`] — the one Exact/Degraded/Error trust verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deadlock;
 pub mod jpax;
-pub mod live;
+#[cfg(test)]
+mod live;
 pub mod liveness;
-pub mod observer;
+#[cfg(test)]
+mod observer;
 pub mod pipeline;
 #[cfg(test)]
 mod races;
@@ -37,9 +46,7 @@ pub mod verdict;
 
 pub use deadlock::{predict_deadlocks, DeadlockCycle, DeadlockDetector, LockEdge};
 pub use jpax::observed_violation;
-pub use live::LiveObserver;
 pub use liveness::{check_lasso, find_lassos, Lasso, Ltl};
-pub use observer::Verdict;
 pub use pipeline::{transport_exactness, Pipeline, PipelineConfig, PipelineError, PipelineReport};
 pub use report::{render_analysis, render_counterexample, render_state, render_violation};
 pub use serve::{

@@ -1,66 +1,31 @@
-//! A live observer running concurrently with the instrumented program —
-//! the full *online* deployment of Fig. 4: the program emits messages into
-//! a channel while a dedicated observer thread consumes them, advancing the
-//! two-level streaming analysis as the computation unfolds.
-
-use crossbeam::channel::Receiver;
-
-use jmpax_core::{AnalysisKind, Message};
-use jmpax_lattice::{Exactness, StreamReport, SuiteBuilder};
-use jmpax_spec::{Monitor, ProgramState};
-
-/// Handle to a running observer thread.
-///
-/// Create with [`LiveObserver::spawn`], then let the instrumented program
-/// run; when its side of the channel closes (all
-/// [`ChannelSink`](jmpax_instrument::ChannelSink) senders dropped), [`LiveObserver::join`]
-/// returns the final [`StreamReport`].
-#[derive(Debug)]
-pub struct LiveObserver {
-    handle: std::thread::JoinHandle<StreamReport>,
-}
-
-impl LiveObserver {
-    /// Spawns the observer thread consuming `receiver`.
-    ///
-    /// `threads` is the number of program threads (frontier dimensions).
-    #[must_use]
-    pub fn spawn(
-        monitor: Monitor,
-        initial: ProgramState,
-        threads: usize,
-        receiver: Receiver<Message>,
-    ) -> Self {
-        let handle = std::thread::spawn(move || {
-            let mut suite =
-                SuiteBuilder::new(&[AnalysisKind::Ltl], threads).build(Some((monitor, &initial)));
-            // Blocks until the senders disconnect; messages may arrive in
-            // any order — the suite's reassembler delivers them causally.
-            for message in receiver {
-                suite.push(message);
-            }
-            suite.finish(Exactness::Exact).into_ltl()
-        });
-        Self { handle }
-    }
-
-    /// Waits for the stream to end and returns the report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a panic of the observer thread.
-    pub fn join(self) -> std::thread::Result<StreamReport> {
-        self.handle.join()
-    }
-}
+//! The online deployment of Fig. 4 in miniature: an instrumented program
+//! streams its messages into a channel while it runs, and the observer
+//! checks the drained stream ([`Pipeline::check_messages`](crate::Pipeline::check_messages)).
+//! `jmpax serve` is the deployment over TCP.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crossbeam::channel::unbounded;
-    use jmpax_core::{Relevance, SymbolTable, VarId};
+    use crossbeam::channel::{unbounded, Receiver};
+    use jmpax_core::{Message, Relevance, SymbolTable, VarId};
     use jmpax_instrument::{ChannelSink, Session};
-    use jmpax_spec::parse;
+    use jmpax_lattice::{Exactness, StreamReport};
+    use jmpax_spec::{parse, Monitor, ProgramState};
+
+    use crate::pipeline::{Pipeline, PipelineConfig};
+
+    /// The ptLTL report of the stream `receiver` carried, once every
+    /// sender is gone.
+    fn observe(monitor: Monitor, receiver: &Receiver<Message>) -> StreamReport {
+        let messages: Vec<Message> = receiver.try_iter().collect();
+        let report = Pipeline::new(PipelineConfig::new()).check_messages(
+            monitor,
+            &ProgramState::new(),
+            Exactness::Exact,
+            u64::MAX,
+            messages,
+        );
+        report.ltl().expect("an ltl check").clone()
+    }
 
     #[test]
     fn live_pipeline_predicts_while_program_runs() {
@@ -80,7 +45,6 @@ mod tests {
             .unwrap()
             .monitor()
             .unwrap();
-        let observer = LiveObserver::spawn(monitor, ProgramState::new(), 2, rx);
 
         let b = balance.clone();
         let t1 = session.spawn(move |ctx| b.write(ctx, 150));
@@ -92,7 +56,7 @@ mod tests {
         // with it the remaining ChannelSink sender).
         drop((session, balance, notified));
 
-        let report = observer.join().unwrap();
+        let report = observe(monitor, &rx);
         assert!(report.completed);
         assert!(!report.satisfied(), "the race must be predicted live");
         assert_eq!(report.states_explored, 4);
@@ -107,7 +71,6 @@ mod tests {
         let mut syms = SymbolTable::new();
         syms.intern("x");
         let monitor = parse("x >= 0", &mut syms).unwrap().monitor().unwrap();
-        let observer = LiveObserver::spawn(monitor, ProgramState::new(), 4, rx);
 
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -123,7 +86,7 @@ mod tests {
         }
         drop((session, x));
 
-        let report = observer.join().unwrap();
+        let report = observe(monitor, &rx);
         assert!(report.completed);
         assert!(report.satisfied());
         // Writes of one variable are totally ordered: a chain of 401 cuts.

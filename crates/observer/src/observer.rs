@@ -1,78 +1,12 @@
-//! The observer's conclusion about one multithreaded computation.
-
-use jmpax_lattice::{Exactness, StreamReport};
-
-/// The observer's conclusion about one multithreaded computation, as
-/// produced by [`crate::Pipeline::check_messages`].
-#[derive(Clone, Debug)]
-pub enum Verdict {
-    /// Every consistent run satisfies the property.
-    Satisfied(StreamReport),
-    /// Some runs violate the property. When `observed_ok` is true the
-    /// violation is a *prediction*: the observed run itself was successful
-    /// (this is the paper's headline capability).
-    Violated {
-        /// The full analysis (counts, violations, counterexamples).
-        analysis: StreamReport,
-        /// Whether the observed run itself satisfied the property.
-        observed_ok: bool,
-    },
-}
-
-impl Verdict {
-    /// Classifies `analysis`; `observed_ok` says whether the observed run
-    /// satisfied the property.
-    #[must_use]
-    pub fn new(analysis: StreamReport, observed_ok: bool) -> Self {
-        if analysis.satisfied() {
-            Verdict::Satisfied(analysis)
-        } else {
-            Verdict::Violated {
-                analysis,
-                observed_ok,
-            }
-        }
-    }
-
-    /// The underlying analysis.
-    #[must_use]
-    pub fn analysis(&self) -> &StreamReport {
-        match self {
-            Verdict::Satisfied(a) | Verdict::Violated { analysis: a, .. } => a,
-        }
-    }
-
-    /// True when no run violates.
-    #[must_use]
-    pub fn is_satisfied(&self) -> bool {
-        matches!(self, Verdict::Satisfied(_))
-    }
-
-    /// True when the violation was predicted from a successful run.
-    #[must_use]
-    pub fn is_prediction(&self) -> bool {
-        matches!(
-            self,
-            Verdict::Violated {
-                observed_ok: true,
-                ..
-            }
-        )
-    }
-
-    /// How much this verdict can be trusted: [`Exactness::Exact`] when every
-    /// message arrived and every run was explored, degraded otherwise.
-    #[must_use]
-    pub fn exactness(&self) -> Exactness {
-        self.analysis().exactness
-    }
-}
+//! The observer's conclusion about one computation, read off a
+//! [`PipelineReport`](crate::PipelineReport): satisfied, predicted from a
+//! successful observed run, or observed.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
+    use crate::pipeline::{Pipeline, PipelineConfig, PipelineReport};
     use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
+    use jmpax_lattice::Exactness;
     use jmpax_spec::{parse, Monitor, ProgramState};
 
     const T1: ThreadId = ThreadId(0);
@@ -104,30 +38,34 @@ mod tests {
         (msgs, monitor, init)
     }
 
-    fn conclude(monitor: Monitor, init: &ProgramState, msgs: Vec<Message>) -> Verdict {
-        Pipeline::new(PipelineConfig::new())
-            .check_messages(monitor, init, Exactness::Exact, msgs)
-            .verdict
+    fn conclude(monitor: Monitor, init: &ProgramState, msgs: Vec<Message>) -> PipelineReport {
+        Pipeline::new(PipelineConfig::new()).check_messages(
+            monitor,
+            init,
+            Exactness::Exact,
+            u64::MAX,
+            msgs,
+        )
     }
 
     #[test]
     fn predicts_from_successful_observed_run() {
         let (msgs, monitor, init) = fig6();
-        let verdict = conclude(monitor, &init, msgs);
-        assert!(!verdict.is_satisfied());
-        assert!(verdict.is_prediction(), "observed run was successful");
-        assert!(verdict.exactness().is_exact());
-        assert_eq!(verdict.analysis().violating_runs, 1);
-        assert_eq!(verdict.analysis().total_runs, 3);
+        let report = conclude(monitor, &init, msgs);
+        assert!(report.predicted());
+        assert!(!report.observed(), "observed run was successful");
+        assert!(report.suite.exactness().is_exact());
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
+        assert_eq!(report.ltl().unwrap().total_runs, 3);
     }
 
     #[test]
     fn out_of_order_delivery_same_verdict() {
         let (mut msgs, monitor, init) = fig6();
         msgs.reverse();
-        let verdict = conclude(monitor, &init, msgs);
-        assert_eq!(verdict.analysis().violating_runs, 1);
-        assert!(verdict.exactness().is_exact());
+        let report = conclude(monitor, &init, msgs);
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
+        assert!(report.suite.exactness().is_exact());
     }
 
     #[test]
@@ -138,20 +76,14 @@ mod tests {
         // both missing predecessors as gaps and releases the survivor with
         // its clock remapped past them: a one-message computation (one
         // satisfying run over two states), degraded by the two gaps.
-        let report = Pipeline::new(PipelineConfig::new()).check_messages(
-            monitor,
-            &init,
-            Exactness::Exact,
-            vec![msgs[3].clone()],
-        );
-        assert_eq!(report.reassembly.skipped_gaps(), 2);
+        let report = conclude(monitor, &init, vec![msgs[3].clone()]);
+        assert_eq!(report.suite.reassembly.skipped_gaps(), 2);
         assert_eq!(report.messages.len(), 1);
         assert_eq!(report.messages[0].clock.as_slice(), &[0, 1]);
-        let verdict = report.verdict;
-        assert!(verdict.is_satisfied());
-        assert_eq!(verdict.analysis().total_runs, 1);
-        assert_eq!(verdict.analysis().states_explored, 2);
-        assert_eq!(verdict.exactness(), Exactness::degraded(0, 2));
+        assert!(!report.predicted());
+        assert_eq!(report.ltl().unwrap().total_runs, 1);
+        assert_eq!(report.ltl().unwrap().states_explored, 2);
+        assert_eq!(report.suite.exactness(), Exactness::degraded(0, 2));
     }
 
     #[test]
@@ -161,9 +93,9 @@ mod tests {
         let x = syms.lookup("x").unwrap();
         let mut a = MvcInstrumentor::new(1, Relevance::writes_of([x]));
         let m = a.process(&Event::write(T1, x, 5)).unwrap();
-        let verdict = conclude(monitor, &ProgramState::new(), vec![m]);
-        assert!(verdict.is_satisfied());
-        assert!(!verdict.is_prediction());
+        let report = conclude(monitor, &ProgramState::new(), vec![m]);
+        assert!(!report.predicted());
+        assert!(!report.observed());
     }
 
     #[test]
@@ -174,8 +106,9 @@ mod tests {
         let x = syms.lookup("x").unwrap();
         let mut a = MvcInstrumentor::new(1, Relevance::writes_of([x]));
         let m = a.process(&Event::write(T1, x, 5)).unwrap();
-        let verdict = conclude(monitor, &ProgramState::new(), vec![m]);
-        assert!(!verdict.is_satisfied());
-        assert!(!verdict.is_prediction());
+        let report = conclude(monitor, &ProgramState::new(), vec![m]);
+        assert!(report.predicted());
+        // Not a prediction: the observed run itself violated.
+        assert!(report.observed());
     }
 }

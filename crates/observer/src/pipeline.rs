@@ -2,22 +2,24 @@
 //!
 //! The instrumentation module "parses the user specification, extracts the
 //! set of shared variables it refers to, i.e., the relevant variables, and
-//! then instruments the multithreaded program" — [`Pipeline`] does exactly
-//! this for a recorded execution: parse the property, derive the relevance
-//! policy from its variables, run Algorithm A, ship the messages to the
-//! observer, and return both the predictive verdict and the JPaX-style
-//! observed-run verdict. [`Pipeline::check_messages`] is the observer half
-//! alone, for messages received over a transport, in any order. Every
-//! analysis runs in one [`AnalysisSuite`], whose reassembler is the one
-//! causal-delivery stage and whose [`ReassemblyReport::exactness_after`]
-//! is the one loss rule; [`transport_exactness`] applies that rule to a
-//! decoder's and a reassembler's accounting. Every ptLTL verdict comes from
-//! one engine, the streaming analyzer behind [`Pipeline::suite`].
+//! then instruments the multithreaded program" — [`Pipeline::check_execution`]
+//! does exactly this for a recorded execution under any selection of
+//! analyses: parse the property, derive the relevance policy, run
+//! Algorithm A, ship the messages to the observer, and return every
+//! analysis's verdict together with the JPaX-style observed-run verdict.
+//! [`Pipeline::check_messages`] is the observer half alone, for messages
+//! received over a transport, in any order. Every analysis runs in one
+//! [`AnalysisSuite`], whose reassembler is the one causal-delivery stage
+//! and whose [`ReassemblyReport::exactness_after`] is the one loss rule;
+//! [`transport_exactness`] applies that rule to a decoder's and a
+//! reassembler's accounting. Every ptLTL verdict comes from one engine,
+//! the streaming analyzer behind [`Pipeline::suite`].
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
-//! config carries the optional telemetry [`Registry`] (traced or not) and
-//! the [`AnalysisConfig`] knobs (frontier cap, counterexample budget and
-//! history, step cache).
+//! config carries the optional telemetry [`Registry`] (traced or not), the
+//! [`AnalysisConfig`] knobs (frontier cap, counterexample budget and
+//! history, step cache) and the lock variables of the race and atomicity
+//! analyses.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -25,17 +27,18 @@ use std::fmt;
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
 use jmpax_instrument::ResilientDecode;
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisSuite, Exactness, ReassemblyReport, SuiteBuilder, SuiteReport,
+    AnalysisConfig, AnalysisReport, AnalysisSuite, Exactness, ReassemblyReport, StreamReport,
+    SuiteBuilder, SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::trace::TraceKind;
 use jmpax_telemetry::{Histogram, Registry, Stage};
 
-use crate::observer::Verdict;
-
 /// Pipeline failures.
 #[derive(Debug)]
 pub enum PipelineError {
+    /// The ltl analysis was selected without a specification.
+    MissingSpec,
     /// The specification did not parse.
     Spec(ParseError),
     /// The monitor could not be synthesized (too many temporal operators).
@@ -45,6 +48,7 @@ pub enum PipelineError {
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PipelineError::MissingSpec => write!(f, "the ltl analysis needs a specification"),
             PipelineError::Spec(e) => write!(f, "specification error: {e}"),
             PipelineError::Monitor(e) => write!(f, "monitor synthesis error: {e}"),
         }
@@ -67,42 +71,52 @@ impl From<jmpax_spec::monitor::MonitorError> for PipelineError {
 /// The end-to-end result.
 #[derive(Clone, Debug)]
 pub struct PipelineReport {
-    /// The predictive verdict over all consistent runs.
-    pub verdict: Verdict,
+    /// Every selected analysis's report, in selection order, and what the
+    /// observer's reassembler did to the stream (reordering, duplicates,
+    /// committed gaps).
+    pub suite: SuiteReport,
     /// Index of the first violating state on the *observed* run (what a
-    /// JPaX-style single-trace monitor reports), if any.
+    /// JPaX-style single-trace monitor reports), if ltl ran and the run
+    /// violated.
     pub observed_violation: Option<usize>,
     /// The analysed messages, in the order the observer delivered them.
     pub messages: Vec<Message>,
-    /// What the observer's reassembler did to the stream (reordering,
-    /// duplicates, committed gaps).
-    pub reassembly: ReassemblyReport,
-    /// The relevance policy derived from the specification.
+    /// The relevance policy the execution was instrumented under.
     pub relevance: Relevance,
 }
 
 impl PipelineReport {
-    /// Shorthand: predictive analysis found violating runs.
+    /// Predictive analysis found something: a violating run, a race or an
+    /// atomicity violation. With ltl alone, a violation the observed run
+    /// did not exhibit is a *prediction* (`predicted() && !observed()`),
+    /// the paper's headline capability.
     #[must_use]
     pub fn predicted(&self) -> bool {
-        !self.verdict.is_satisfied()
+        !self.suite.satisfied()
     }
 
-    /// Shorthand: the observed run itself violated.
+    /// The observed run itself violated the property.
     #[must_use]
     pub fn observed(&self) -> bool {
         self.observed_violation.is_some()
     }
+
+    /// The ptLTL report (counts, violations, counterexamples), if ltl ran.
+    #[must_use]
+    pub fn ltl(&self) -> Option<&StreamReport> {
+        self.suite.reports.iter().find_map(|r| match r {
+            AnalysisReport::Ltl(report) => Some(report),
+            _ => None,
+        })
+    }
 }
 
 /// Configuration for [`Pipeline`]: observability sinks plus every analysis
-/// knob, in one place. The default is the plain, untelemetered pipeline
-/// the original `check_execution` ran.
+/// knob, in one place. The default is the plain, untelemetered pipeline.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineConfig {
     telemetry: Registry,
     analysis: AnalysisConfig,
-    analyses: Vec<AnalysisKind>,
     sync_vars: BTreeSet<VarId>,
 }
 
@@ -138,15 +152,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Selects which analyses [`Pipeline::check_stream_suite`] runs over
-    /// the one shared delivery pass, in order. Empty (the default) means
-    /// `[ltl]` — the paper's predictive lattice checker only.
-    #[must_use]
-    pub fn analyses(mut self, kinds: &[AnalysisKind]) -> Self {
-        self.analyses = kinds.to_vec();
-        self
-    }
-
     /// Declares the synchronization (lock) variables whose writes carry
     /// happens-before for the race and atomicity analyses (the
     /// Section 3.1 lock pseudo-variables, or any variable used as a
@@ -155,12 +160,6 @@ impl PipelineConfig {
     pub fn sync_vars(mut self, vars: impl IntoIterator<Item = VarId>) -> Self {
         self.sync_vars = vars.into_iter().collect();
         self
-    }
-
-    /// The configured analysis selection (empty = default `[ltl]`).
-    #[must_use]
-    pub fn configured_analyses(&self) -> &[AnalysisKind] {
-        &self.analyses
     }
 }
 
@@ -195,75 +194,115 @@ impl Pipeline {
         }
     }
 
-    /// Runs the full pipeline over a recorded multithreaded execution.
+    /// Runs the full pipeline over a recorded multithreaded execution:
+    /// the analyses `kinds`, in order, over one causal delivery pass.
+    /// An empty `kinds` is ltl alone, as for [`SuiteBuilder::new`].
     ///
-    /// `spec_src` is parsed against `symbols` (which must already map the
-    /// execution's variable names, e.g. the table used to build the
-    /// program).
+    /// `spec_src` is the ptLTL property, required iff `kinds` includes
+    /// [`AnalysisKind::Ltl`] (and ignored otherwise); it is parsed against
+    /// `symbols`, which must already map the execution's variable names
+    /// (e.g. the table used to build the program). Relevance is chosen
+    /// here, once: ltl alone instruments the writes of the formula's
+    /// variables (the paper's policy); race and atomicity need every
+    /// access, so any other selection instruments everything. Every
+    /// lattice level is kept, so counterexamples reach the initial state,
+    /// unless the configured [`AnalysisConfig::history`] says otherwise.
+    /// When ltl ran, the run as observed is also checked, JPaX-style.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Spec`] / [`PipelineError::Monitor`] for an invalid
-    /// specification.
+    /// [`PipelineError::MissingSpec`] when ltl is selected without a
+    /// specification; [`PipelineError::Spec`] / [`PipelineError::Monitor`]
+    /// for an invalid one.
     pub fn check_execution(
         &self,
         execution: &Execution,
-        spec_src: &str,
+        kinds: &[AnalysisKind],
+        spec_src: Option<&str>,
         symbols: &mut SymbolTable,
     ) -> Result<PipelineReport, PipelineError> {
         let registry = &self.config.telemetry;
         let mut ring = registry.tracer().ring("observer");
 
-        let spec = Stage::lane(&ring);
-        let formula = parse(spec_src, symbols)?;
-        let monitor = formula.monitor()?.with_telemetry(registry);
-        spec.end(&mut ring, TraceKind::Stage { name: "spec" });
+        let kinds = if kinds.is_empty() {
+            &[AnalysisKind::Ltl][..]
+        } else {
+            kinds
+        };
+        let mut relevance = Relevance::Everything;
+        let monitor = if kinds.contains(&AnalysisKind::Ltl) {
+            let spec = Stage::lane(&ring);
+            let formula = parse(spec_src.ok_or(PipelineError::MissingSpec)?, symbols)?;
+            let monitor = formula.monitor()?.with_telemetry(registry);
+            spec.end(&mut ring, TraceKind::Stage { name: "spec" });
+            if kinds == [AnalysisKind::Ltl] {
+                relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
+            }
+            Some(monitor)
+        } else {
+            None
+        };
 
-        let relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
         let instrument = Stage::start(&self.instrument_ns, &ring);
         let messages = execution.instrument_with_telemetry(relevance.clone(), registry);
         instrument.end(&mut ring, TraceKind::Stage { name: "instrument" });
 
         let initial = ProgramState::from_map(execution.initial.clone());
-        let report = self.check_messages(monitor, &initial, Exactness::Exact, messages);
+        let report = self.observe(
+            kinds,
+            monitor,
+            &initial,
+            Exactness::Exact,
+            u64::MAX,
+            messages,
+        );
         Ok(PipelineReport {
             relevance,
             ..report
         })
     }
 
-    /// The observer half of [`Pipeline::check_execution`], for messages
-    /// that already exist — e.g. decoded from a transport, in any order,
-    /// duplicates included: the LTL-only [`Pipeline::suite`], the
-    /// JPaX-style check of the run in the suite's delivery order, and the
-    /// verdict counters. The suite's reassembler waits for the end of the
-    /// stream before committing a gap, so nothing that arrived is lost.
-    /// `transport` is what the transport lost ([`Exactness::Exact`] when
-    /// nothing was), folded into the verdict's exactness by the one loss
-    /// rule together with every gap the reassembler commits. Unless the
-    /// configured [`AnalysisConfig::history`] says otherwise, every lattice
-    /// level is retained so counterexamples reach the initial state. The
-    /// report's relevance is [`Relevance::AllWrites`]: the observer
-    /// analyzes whatever arrived.
+    /// The observer half of [`Pipeline::check_execution`] with ltl alone,
+    /// for messages that already exist — e.g. decoded from a transport, in
+    /// any order, duplicates included: the LTL-only suite, the JPaX-style
+    /// check of the run in the suite's delivery order, and the verdict
+    /// counters. The suite's reassembler commits a gap as lost once
+    /// `stall_budget` arrivals fail to fill it; a lossless transport passes
+    /// `u64::MAX`, so only the end of the stream commits a gap and nothing
+    /// that arrived is lost. `transport` is what the transport lost
+    /// ([`Exactness::Exact`] when nothing was, else e.g. the decoder's
+    /// [`jmpax_instrument::ResilientDecode::frames_lost`]), folded into the
+    /// verdict's exactness by the one loss rule together with every gap
+    /// the reassembler commits. Every lattice level is kept unless the
+    /// configured [`AnalysisConfig::history`] says otherwise. The report's
+    /// relevance is [`Relevance::AllWrites`]: the observer analyzes
+    /// whatever arrived.
     #[must_use]
     pub fn check_messages(
         &self,
         monitor: Monitor,
         initial: &ProgramState,
         transport: Exactness,
+        stall_budget: u64,
         messages: Vec<Message>,
     ) -> PipelineReport {
-        self.check_received(monitor, initial, transport, u64::MAX, messages)
+        self.observe(
+            &[AnalysisKind::Ltl],
+            Some(monitor),
+            initial,
+            transport,
+            stall_budget,
+            messages,
+        )
     }
 
-    /// [`Pipeline::check_messages`] over a lossy transport (`jmpax
-    /// chaos`): the suite's reassembler commits a gap as lost once
-    /// `stall_budget` arrivals fail to fill it, and `transport` counts the
-    /// decoder's lost frames ([`jmpax_instrument::ResilientDecode::frames_lost`]).
-    #[must_use]
-    pub fn check_received(
+    /// The observer half shared by [`Pipeline::check_execution`] and
+    /// [`Pipeline::check_messages`]: one suite keeping every level unless
+    /// a history is configured, then the JPaX check when ltl ran.
+    fn observe(
         &self,
-        monitor: Monitor,
+        kinds: &[AnalysisKind],
+        monitor: Option<Monitor>,
         initial: &ProgramState,
         transport: Exactness,
         stall_budget: u64,
@@ -284,8 +323,8 @@ impl Pipeline {
         };
         let mut suite = self
             .build_suite(
-                &[AnalysisKind::Ltl],
-                Some((monitor.clone(), initial)),
+                kinds,
+                monitor.clone().map(|m| (m, initial)),
                 threads,
                 &config,
             )
@@ -295,22 +334,22 @@ impl Pipeline {
             delivered.extend(suite.push(m));
         }
         delivered.extend(suite.end_stream());
-        let mut report = self.finish_suite(suite, transport);
+        let suite = self.finish_suite(suite, transport);
         analysis.end(&mut ring, TraceKind::Stage { name: "analysis" });
 
-        let jpax = Stage::start(&self.jpax_ns, &ring);
-        let observed_violation = crate::jpax::observed_violation(&monitor, initial, &delivered);
-        jpax.end(&mut ring, TraceKind::Stage { name: "jpax" });
-
+        let observed_violation = monitor.and_then(|monitor| {
+            let jpax = Stage::start(&self.jpax_ns, &ring);
+            let observed = crate::jpax::observed_violation(&monitor, initial, &delivered);
+            jpax.end(&mut ring, TraceKind::Stage { name: "jpax" });
+            observed
+        });
         if observed_violation.is_some() {
             registry.counter("observer.verdict.observed").inc();
         }
-        let reassembly = std::mem::take(&mut report.reassembly);
         PipelineReport {
-            verdict: Verdict::new(report.into_ltl(), observed_violation.is_none()),
+            suite,
             observed_violation,
             messages: delivered,
-            reassembly,
             relevance: Relevance::AllWrites,
         }
     }
@@ -322,14 +361,13 @@ impl Pipeline {
     /// configured [`AnalysisConfig`] and telemetry registry apply; an unset
     /// history keeps the paper's two levels.
     ///
-    /// `kinds` selects and orders the analyses; empty falls back to the
-    /// config's [`PipelineConfig::analyses`] selection (itself defaulting
-    /// to `[ltl]`). `ltl` supplies the monitor and initial state, required
-    /// iff the selection includes [`AnalysisKind::Ltl`]. Messages may
-    /// arrive in any order; the suite's reassembler delivers them causally
-    /// and commits what never arrived as gaps at the end of the stream.
-    /// `transport` carries upstream losses to fold into every report's
-    /// exactness ([`AnalysisSuite::finish`]).
+    /// `kinds` selects and orders the analyses. `ltl` supplies the monitor
+    /// and initial state, required iff the selection includes
+    /// [`AnalysisKind::Ltl`]. Messages may arrive in any order; the
+    /// suite's reassembler delivers them causally and commits what never
+    /// arrived as gaps at the end of the stream. `transport` carries
+    /// upstream losses to fold into every report's exactness
+    /// ([`AnalysisSuite::finish`]).
     ///
     /// # Panics
     ///
@@ -373,11 +411,6 @@ impl Pipeline {
         threads: usize,
         config: &AnalysisConfig,
     ) -> AnalysisSuite {
-        let kinds = if kinds.is_empty() {
-            &self.config.analyses
-        } else {
-            kinds
-        };
         SuiteBuilder::new(kinds, threads.max(1))
             .sync_vars(self.config.sync_vars.iter().copied())
             .config(config)
@@ -423,6 +456,9 @@ mod tests {
     const T1: ThreadId = ThreadId(0);
     const T2: ThreadId = ThreadId(1);
 
+    /// Example 2's property.
+    const SPEC: &str = "(x > 0) -> [y = 0, y > z)";
+
     /// Example 2 of the paper as a recorded execution.
     fn example2(symbols: &mut SymbolTable) -> Execution {
         let x = symbols.intern("x");
@@ -449,16 +485,15 @@ mod tests {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
         let report = Pipeline::new(PipelineConfig::new())
-            .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
+            .check_execution(&ex, &[AnalysisKind::Ltl], Some(SPEC), &mut syms)
             .unwrap();
         assert!(report.predicted());
         assert!(!report.observed(), "observed run is successful");
-        assert!(report.verdict.is_prediction());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(report.ltl().unwrap().total_runs, 3);
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
         assert_eq!(report.messages.len(), 4);
         // The counterexample is the whole violating run.
-        let ce = report.verdict.analysis().violations[0]
+        let ce = report.ltl().unwrap().violations[0]
             .counterexample
             .as_ref()
             .unwrap();
@@ -469,16 +504,51 @@ mod tests {
     }
 
     #[test]
+    fn any_selection_runs_through_check_execution() {
+        // ltl next to race instruments every access: the same verdict over
+        // the 8 reads and writes, plus the race findings, in one pass.
+        let mut syms = SymbolTable::new();
+        let ex = example2(&mut syms);
+        let kinds = [AnalysisKind::Ltl, AnalysisKind::Race];
+        let report = Pipeline::new(PipelineConfig::new())
+            .check_execution(&ex, &kinds, Some(SPEC), &mut syms)
+            .unwrap();
+        assert_eq!(report.relevance, Relevance::Everything);
+        assert_eq!(report.messages.len(), 8);
+        assert!(report.predicted());
+        assert!(!report.observed(), "observed run is successful");
+        assert!(!report.ltl().unwrap().satisfied());
+        assert!(report.suite.get(AnalysisKind::Race).unwrap().findings() > 0);
+
+        // race alone needs no spec, checks no observed run and has no
+        // ltl report.
+        let report = Pipeline::new(PipelineConfig::new())
+            .check_execution(&ex, &[AnalysisKind::Race], None, &mut syms)
+            .unwrap();
+        assert!(report.predicted());
+        assert!(!report.observed());
+        assert!(report.ltl().is_none());
+
+        // An empty selection is ltl alone.
+        let report = Pipeline::new(PipelineConfig::new())
+            .check_execution(&ex, &[], Some(SPEC), &mut syms)
+            .unwrap();
+        assert!(matches!(report.relevance, Relevance::WritesOf(ref s) if s.len() == 3));
+        assert_eq!(report.suite.reports.len(), 1);
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
+    }
+
+    #[test]
     fn observability_pipeline_records_all_lanes() {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
         let registry = Registry::enabled().traced();
         let report = Pipeline::new(PipelineConfig::new().telemetry(&registry))
-            .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
+            .check_execution(&ex, &[AnalysisKind::Ltl], Some(SPEC), &mut syms)
             .unwrap();
         assert!(report.predicted());
-        assert!(report.verdict.analysis().completed);
-        assert_eq!(report.verdict.analysis().violations.len(), 1);
+        assert!(report.ltl().unwrap().completed);
+        assert_eq!(report.ltl().unwrap().violations.len(), 1);
         // The one traced pass publishes each lattice counter once.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("lattice.states_explored"), Some(7));
@@ -533,8 +603,22 @@ mod tests {
         let mut syms = SymbolTable::new();
         let ex = Execution::new();
         assert!(matches!(
-            Pipeline::new(PipelineConfig::new()).check_execution(&ex, "x >", &mut syms),
+            Pipeline::new(PipelineConfig::new()).check_execution(
+                &ex,
+                &[AnalysisKind::Ltl],
+                Some("x >"),
+                &mut syms
+            ),
             Err(PipelineError::Spec(_))
+        ));
+        assert!(matches!(
+            Pipeline::new(PipelineConfig::new()).check_execution(
+                &ex,
+                &[AnalysisKind::Race, AnalysisKind::Ltl],
+                None,
+                &mut syms
+            ),
+            Err(PipelineError::MissingSpec)
         ));
     }
 
@@ -543,10 +627,7 @@ mod tests {
     fn example2_messages() -> (Vec<Message>, Monitor, ProgramState) {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
-            .unwrap();
+        let monitor = parse(SPEC, &mut syms).unwrap().monitor().unwrap();
         let vars: Vec<_> = ["x", "y", "z"]
             .iter()
             .map(|n| syms.lookup(n).unwrap())
@@ -564,14 +645,14 @@ mod tests {
 
     /// What `jmpax chaos` does with received bytes: decode, then check
     /// the decoded messages with `stall_budget` and the decoder's losses.
-    fn check_received(
+    fn check_bytes(
         bytes: &[u8],
         monitor: Monitor,
         initial: &ProgramState,
         stall_budget: u64,
     ) -> (PipelineReport, ResilientDecode) {
         let (messages, decoded) = decode(bytes);
-        let report = Pipeline::new(PipelineConfig::new()).check_received(
+        let report = Pipeline::new(PipelineConfig::new()).check_messages(
             monitor,
             initial,
             Exactness::degraded(0, decoded.frames_lost()),
@@ -605,10 +686,11 @@ mod tests {
             monitor,
             &initial,
             Exactness::Exact,
+            u64::MAX,
             decoded_msgs,
         );
         assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
         assert_eq!(report.messages, messages);
     }
 
@@ -621,18 +703,19 @@ mod tests {
             monitor.clone(),
             &initial,
             Exactness::Exact,
+            u64::MAX,
             messages.clone(),
         );
-        let (report, decoded) = check_received(&encode(&messages), monitor, &initial, 8);
+        let (report, decoded) = check_bytes(&encode(&messages), monitor, &initial, 8);
         assert!(decoded.is_clean());
-        assert!(transport_exactness(&decoded, &report.reassembly).is_exact());
-        assert!(report.verdict.exactness().is_exact());
+        assert!(transport_exactness(&decoded, &report.suite.reassembly).is_exact());
+        assert!(report.suite.exactness().is_exact());
         assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(report.ltl().unwrap().total_runs, 3);
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
         assert_eq!(
-            report.verdict.analysis().states_explored,
-            plain.verdict.analysis().states_explored
+            report.ltl().unwrap().states_explored,
+            plain.ltl().unwrap().states_explored
         );
         assert_eq!(report.observed_violation, plain.observed_violation);
         assert_eq!(report.messages, messages);
@@ -650,11 +733,11 @@ mod tests {
         // Flip a payload bit in the second frame: its CRC fails, the frame
         // is dropped, and the reassembler must skip the resulting gap.
         buf[offsets[1] + 12] ^= 0x01;
-        let (report, decoded) = check_received(&buf, monitor, &initial, 2);
+        let (report, decoded) = check_bytes(&buf, monitor, &initial, 2);
         assert_eq!(decoded.frames_corrupt, 1);
         assert_eq!(decoded.frames_ok as usize, messages.len() - 1);
-        assert_eq!(report.reassembly.skipped_gaps(), 1);
-        assert!(!report.verdict.exactness().is_exact());
+        assert_eq!(report.suite.reassembly.skipped_gaps(), 1);
+        assert!(!report.suite.exactness().is_exact());
         assert_eq!(report.messages.len(), messages.len() - 1);
     }
 
@@ -666,14 +749,14 @@ mod tests {
         let mut buf = encode(&messages);
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
-        let (report, decoded) = check_received(&buf, monitor, &initial, 8);
+        let (report, decoded) = check_bytes(&buf, monitor, &initial, 8);
         assert_eq!(decoded.frames_corrupt, 1);
-        assert_eq!(report.reassembly.messages_lost(), 0);
+        assert_eq!(report.suite.reassembly.messages_lost(), 0);
         assert_eq!(
-            transport_exactness(&decoded, &report.reassembly),
+            transport_exactness(&decoded, &report.suite.reassembly),
             Exactness::degraded(0, 1)
         );
-        assert_eq!(report.verdict.exactness(), Exactness::degraded(0, 1));
+        assert_eq!(report.suite.exactness(), Exactness::degraded(0, 1));
     }
 
     #[test]
@@ -689,9 +772,9 @@ mod tests {
         frame.extend_from_slice(&payload);
         let mut syms = SymbolTable::new();
         let monitor = parse("true", &mut syms).unwrap().monitor().unwrap();
-        let (report, decoded) = check_received(&frame, monitor, &ProgramState::new(), 8);
+        let (report, decoded) = check_bytes(&frame, monitor, &ProgramState::new(), 8);
         assert_eq!((decoded.frames_ok, decoded.frames_corrupt), (0, 1));
         assert!(report.messages.is_empty());
-        assert!(!report.verdict.exactness().is_exact());
+        assert!(!report.suite.exactness().is_exact());
     }
 }

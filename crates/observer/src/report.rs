@@ -124,7 +124,7 @@ pub fn render_analysis(a: &StreamReport, symbols: &SymbolTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmpax_core::{Execution, ThreadId};
+    use jmpax_core::{AnalysisKind, Execution, ThreadId};
 
     #[test]
     fn renders_example2_analysis_with_names() {
@@ -148,9 +148,14 @@ mod tests {
         ex.write(t2, x, 1);
 
         let report = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
-            .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
+            .check_execution(
+                &ex,
+                &[AnalysisKind::Ltl],
+                Some("(x > 0) -> [y = 0, y > z)"),
+                &mut syms,
+            )
             .unwrap();
-        let text = render_analysis(report.verdict.analysis(), &syms);
+        let text = render_analysis(report.ltl().unwrap(), &syms);
         assert!(text.contains("7 states"), "{text}");
         assert!(text.contains("3 total, 1 violating"), "{text}");
         assert!(text.contains("violation at cut S2,2"), "{text}");
@@ -171,9 +176,9 @@ mod tests {
             crate::pipeline::PipelineConfig::new()
                 .analysis(jmpax_lattice::AnalysisConfig::default().with_history(0)),
         )
-        .check_execution(&ex, "x < 3", &mut syms)
+        .check_execution(&ex, &[AnalysisKind::Ltl], Some("x < 3"), &mut syms)
         .unwrap();
-        let text = render_analysis(report.verdict.analysis(), &syms);
+        let text = render_analysis(report.ltl().unwrap(), &syms);
         assert!(
             text.contains("counterexample trail (last 2 steps)"),
             "{text}"
@@ -194,9 +199,9 @@ mod tests {
         let mut ex = Execution::new().with_initial(x, 0);
         ex.write(ThreadId(0), x, 1);
         let report = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
-            .check_execution(&ex, "x >= 0", &mut syms)
+            .check_execution(&ex, &[AnalysisKind::Ltl], Some("x >= 0"), &mut syms)
             .unwrap();
-        let text = render_analysis(report.verdict.analysis(), &syms);
+        let text = render_analysis(report.ltl().unwrap(), &syms);
         assert!(text.contains("satisfied on every run"), "{text}");
     }
 }

@@ -1,11 +1,8 @@
 //! The one Exact/Degraded/Error trust verdict shared across the observer.
 //!
-//! Before this module, the repo had two parallel enums for the same
-//! question — "how much can this result be trusted?": the serve daemon's
-//! tenant verdict and ad-hoc [`jmpax_lattice::Exactness`] plumbing on
-//! [`crate::Verdict`]. [`ExactnessVerdict`] is the single answer: every
-//! layer that must report trust (per-tenant outcomes, per-analysis report
-//! sections, CLI JSON) speaks this type.
+//! [`ExactnessVerdict`] answers "how much can this result be trusted?"
+//! for every layer that must report trust: per-tenant outcomes,
+//! per-analysis report sections and CLI JSON.
 
 use jmpax_lattice::Exactness;
 
@@ -14,11 +11,13 @@ use jmpax_lattice::Exactness;
 pub enum ExactnessVerdict {
     /// Every consistent run was checked; nothing was lost anywhere.
     Exact,
-    /// The property was checked over what survived: transport damage,
-    /// shed chunks, eviction, or frontier pruning cost information.
+    /// The property was checked over what survived: transport damage
+    /// (lost, corrupt or truncated frames and the gaps they leave), a
+    /// session evicted while idle or at shutdown, or frontier pruning
+    /// cost information.
     Degraded(Exactness),
     /// No analyzable result was produced at all (handshake violation,
-    /// unsupported analysis request, worker crash).
+    /// unsupported analysis request, a panic in the session's analysis).
     Error(String),
 }
 

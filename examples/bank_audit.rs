@@ -9,6 +9,7 @@
 use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_random;
 use jmpax::workloads::bank;
+use jmpax::AnalysisKind;
 
 fn main() {
     const SEEDS: u64 = 100;
@@ -25,7 +26,12 @@ fn main() {
             finished += 1;
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
-                .check_execution(&out.execution, &w.spec, &mut syms)
+                .check_execution(
+                    &out.execution,
+                    &[AnalysisKind::Ltl],
+                    Some(&w.spec),
+                    &mut syms,
+                )
                 .unwrap();
             observed += usize::from(report.observed());
             predicted += usize::from(report.predicted());

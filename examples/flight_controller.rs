@@ -15,7 +15,7 @@
 use jmpax::observer::{render_analysis, Pipeline, PipelineConfig};
 use jmpax::sched::{find_schedule_for_writes, run_fixed, TargetWrite};
 use jmpax::workloads::landing;
-use jmpax::{ThreadId, Value};
+use jmpax::{AnalysisKind, ThreadId, Value};
 
 fn main() {
     let w = landing::workload();
@@ -30,7 +30,12 @@ fn main() {
     // 2. The observer analyzes the computation extracted by Algorithm A.
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
     println!(
         "single-trace (JPaX-style) verdict: {}",
@@ -42,7 +47,7 @@ fn main() {
     );
     println!();
     println!("predictive (JMPaX) analysis of the same execution:");
-    println!("{}", render_analysis(report.verdict.analysis(), &syms));
+    println!("{}", render_analysis(report.ltl().unwrap(), &syms));
 
     // 3. Validate the prediction: search for a real schedule realizing the
     //    "radio drops between approval and landing" run.

@@ -11,7 +11,7 @@ use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_fixed;
 use jmpax::spec::ProgramState;
 use jmpax::workloads::{landing, xyz};
-use jmpax::Relevance;
+use jmpax::{AnalysisKind, Relevance};
 
 fn export(
     name: &str,
@@ -24,11 +24,16 @@ fn export(
     // Analyze to find the violating cuts to highlight.
     let mut syms = workload.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &workload.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&workload.spec),
+            &mut syms,
+        )
         .unwrap();
     let highlights = report
-        .verdict
-        .analysis()
+        .ltl()
+        .unwrap()
         .violations
         .iter()
         .map(|v| v.cut.clone())
@@ -47,7 +52,7 @@ fn export(
         "{path}: {} states, {} runs, {} violating — render with `dot -Tsvg {path}`",
         lattice.node_count(),
         lattice.count_runs(),
-        report.verdict.analysis().violating_runs,
+        report.ltl().unwrap().violating_runs,
     );
     Ok(())
 }

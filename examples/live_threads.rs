@@ -94,6 +94,7 @@ fn main() {
         monitor,
         &ProgramState::new(),
         Exactness::Exact,
+        u64::MAX,
         received,
     );
 
@@ -101,7 +102,7 @@ fn main() {
         "messages delivered out of order: {} relevant writes",
         report.messages.len()
     );
-    let a = report.verdict.analysis();
+    let a = report.ltl().unwrap();
     println!(
         "lattice: {} states, {} runs, {} violating",
         a.states_explored, a.total_runs, a.violating_runs

@@ -44,18 +44,19 @@ fn main() {
         monitor,
         &ProgramState::new(),
         Exactness::Exact,
+        u64::MAX,
         session.drain_messages(),
     );
-    let verdict = report.verdict;
+    let predicted = report.predicted() && !report.observed();
 
     println!("observed execution: deposit first, receipt second — successful");
     println!();
-    println!("{}", render_analysis(verdict.analysis(), &syms));
-    if verdict.is_prediction() {
+    println!("{}", render_analysis(report.ltl().unwrap(), &syms));
+    if predicted {
         println!(
             "JMPaX verdict: VIOLATION PREDICTED — under another scheduling the \
              receipt can precede the deposit."
         );
     }
-    assert!(verdict.is_prediction());
+    assert!(predicted);
 }

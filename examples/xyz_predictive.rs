@@ -10,7 +10,7 @@ use jmpax::observer::{render_counterexample, Pipeline, PipelineConfig};
 use jmpax::sched::run_fixed;
 use jmpax::spec::ProgramState;
 use jmpax::workloads::xyz;
-use jmpax::Relevance;
+use jmpax::{AnalysisKind, Relevance};
 
 fn main() {
     let w = xyz::workload();
@@ -65,9 +65,14 @@ fn main() {
     // The predictive verdict with the violating run.
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
-    let analysis = report.verdict.analysis();
+    let analysis = report.ltl().unwrap();
     println!(
         "observed run successful: {} — violating runs in the lattice: {}",
         !report.observed(),

@@ -41,13 +41,13 @@ pub use jmpax_telemetry::trace;
 pub use jmpax_workloads as workloads;
 
 pub use jmpax_core::{
-    Event, EventKind, Execution, HappensBefore, Message, MvcInstrumentor, Relevance, SymbolTable,
-    ThreadId, Value, VarId, VectorClock,
+    AnalysisKind, Event, EventKind, Execution, HappensBefore, Message, MvcInstrumentor, Relevance,
+    SymbolTable, ThreadId, Value, VarId, VectorClock,
 };
 pub use jmpax_lattice::{
     analyze, to_dot, Analysis, Cut, DotOptions, Lattice, LatticeInput, StreamingAnalyzer,
 };
-pub use jmpax_observer::{predict_deadlocks, LiveObserver, Pipeline, PipelineConfig, Verdict};
+pub use jmpax_observer::{predict_deadlocks, Pipeline, PipelineConfig, PipelineReport};
 pub use jmpax_spec::{parse, Formula, Monitor, MonitorState, ProgramState};
 pub use jmpax_telemetry::trace::{causal_edges, TraceData, TraceKind, TraceRing, Tracer};
 pub use jmpax_telemetry::{Registry, Snapshot};

@@ -14,6 +14,7 @@
 use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_random;
 use jmpax::workloads::{bank, landing, xyz, Workload};
+use jmpax::AnalysisKind;
 
 struct Rates {
     observed: usize,
@@ -35,7 +36,12 @@ fn sweep(w: &Workload, seeds: u64, max_steps: usize) -> Rates {
         rates.runs += 1;
         let mut syms = w.symbols.clone();
         let report = Pipeline::new(PipelineConfig::new())
-            .check_execution(&out.execution, &w.spec, &mut syms)
+            .check_execution(
+                &out.execution,
+                &[AnalysisKind::Ltl],
+                Some(&w.spec),
+                &mut syms,
+            )
             .unwrap();
         if report.observed() {
             rates.observed += 1;

@@ -14,7 +14,7 @@
 use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_fixed;
 use jmpax::workloads::{landing, xyz};
-use jmpax::{Relevance, ThreadId};
+use jmpax::{AnalysisKind, Relevance, ThreadId};
 
 #[test]
 fn example1_fig5_six_states_three_runs_two_violations() {
@@ -24,17 +24,22 @@ fn example1_fig5_six_states_three_runs_two_violations() {
 
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
 
     // The observed execution is successful...
     assert!(!report.observed(), "observed run must satisfy the property");
     // ...but the analysis predicts the two violations of Fig. 5.
-    let analysis = report.verdict.analysis();
+    let analysis = report.ltl().unwrap();
     assert_eq!(analysis.states_explored, 6, "Fig. 5 has 6 states");
     assert_eq!(analysis.total_runs, 3, "Fig. 5 has 3 runs");
     assert_eq!(analysis.violating_runs, 2, "2 runs violate (Example 1)");
-    assert!(report.verdict.is_prediction());
+    assert!(report.predicted() && !report.observed());
 
     // Exactly 3 relevant messages: approved=1, landing=1, radio=0.
     assert_eq!(report.messages.len(), 3);
@@ -46,9 +51,14 @@ fn example1_counterexamples_cover_both_bad_scenarios() {
     let out = run_fixed(&w.program, landing::observed_success_schedule(), 300);
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
-    let analysis = report.verdict.analysis();
+    let analysis = report.ltl().unwrap();
 
     // The paper's two bad scenarios ("radio drops before approval" and
     // "radio drops between approval and landing") merge at the state
@@ -78,18 +88,23 @@ fn example2_fig6_seven_states_three_runs_one_violation() {
 
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
 
     assert!(!report.observed(), "the paper's observed run is successful");
-    let analysis = report.verdict.analysis();
+    let analysis = report.ltl().unwrap();
     assert_eq!(
         analysis.states_explored, 7,
         "Fig. 6 has 7 states S0,0..S2,2"
     );
     assert_eq!(analysis.total_runs, 3);
     assert_eq!(analysis.violating_runs, 1);
-    assert!(report.verdict.is_prediction());
+    assert!(report.predicted() && !report.observed());
 }
 
 #[test]

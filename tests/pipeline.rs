@@ -18,6 +18,7 @@ fn observe_wire(bytes: &[u8], monitor: Monitor, initial: ProgramState) -> Pipeli
         monitor,
         &initial,
         Exactness::Exact,
+        u64::MAX,
         messages,
     )
 }
@@ -90,7 +91,7 @@ fn real_threads_example2_predicts_violation_over_the_wire() {
     assert_eq!(report.messages.len(), 4, "x=0, z=1, y=1, x=1");
     assert!(!report.observed(), "the forced interleaving is successful");
     assert!(report.predicted(), "the violation must be predicted");
-    let a = report.verdict.analysis();
+    let a = report.ltl().unwrap();
     assert_eq!(
         a.states_explored, 7,
         "real threads reproduce the Fig. 6 lattice"
@@ -137,12 +138,12 @@ fn real_threads_raced_prediction_dominates_observation() {
         // contains the bad order, so prediction fires on every round,
         // regardless of the actual interleaving.
         assert!(report.predicted(), "round {round}: prediction must fire");
-        assert_eq!(report.verdict.analysis().total_runs, 2);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(report.ltl().unwrap().total_runs, 2);
+        assert_eq!(report.ltl().unwrap().violating_runs, 1);
         if report.observed() {
-            // When the OS happened to produce the bad order, the verdict
-            // must be classified as observed, not predicted-only.
-            assert!(!report.verdict.is_prediction());
+            // When the OS happened to produce the bad order, the observed
+            // run violates at its first state: the flag was set first.
+            assert_eq!(report.observed_violation, Some(1));
         }
     }
 }

@@ -49,7 +49,12 @@ fn bank_prediction_matches_exhaustive_ground_truth() {
             assert!(out.finished);
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
-                .check_execution(&out.execution, &w.spec, &mut syms)
+                .check_execution(
+                    &out.execution,
+                    &[AnalysisKind::Ltl],
+                    Some(&w.spec),
+                    &mut syms,
+                )
                 .unwrap();
             assert_eq!(
                 report.predicted(),
@@ -87,7 +92,12 @@ fn xyz_exhaustive_has_violations_and_prediction_agrees() {
     let out = jmpax::sched::run_fixed(&w.program, xyz::observed_success_schedule(), 100);
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
-        .check_execution(&out.execution, &w.spec, &mut syms)
+        .check_execution(
+            &out.execution,
+            &[AnalysisKind::Ltl],
+            Some(&w.spec),
+            &mut syms,
+        )
         .unwrap();
     assert!(report.predicted());
 }

@@ -18,9 +18,10 @@ fn observe(monitor: &Monitor, initial: &ProgramState, messages: Vec<Message>) ->
         monitor.clone(),
         initial,
         Exactness::Exact,
+        u64::MAX,
         messages,
     );
-    report.verdict.analysis().clone()
+    report.ltl().unwrap().clone()
 }
 
 #[test]
@@ -125,10 +126,11 @@ fn reversed_long_stream_is_exact() {
         monitor,
         &initial,
         Exactness::Exact,
+        u64::MAX,
         reversed,
     );
-    assert_eq!(report.reassembly.delivered, 400);
-    let a = report.verdict.analysis();
+    assert_eq!(report.suite.reassembly.delivered, 400);
+    let a = report.ltl().unwrap();
     assert!(a.exactness.is_exact(), "{}", a.exactness);
     assert!(a.violating_runs > 0, "concurrent rounds predict x < y");
     assert_eq!(
