@@ -1391,6 +1391,30 @@ T1 write x 1
     }
 
     #[test]
+    fn check_rejects_a_bad_spec_without_ltl() {
+        let (code, trace) = run_cli(&["gen", "racy"], None);
+        assert_eq!(code, 0);
+        for selection in ["race", "atomicity", "race,atomicity"] {
+            for json in [false, true] {
+                let mut argv = vec!["check", "--analysis", selection, "--spec", "x >"];
+                if json {
+                    argv.push("--json");
+                }
+                let (code, out) = run_cli(&argv, Some(&trace));
+                assert_eq!(code, 2, "{argv:?}: {out}");
+                assert!(out.contains("specification error"), "{argv:?}: {out}");
+            }
+        }
+        // A valid spec changes nothing for a selection without ltl.
+        let (code, out) = run_cli(
+            &["check", "--analysis", "race", "--spec", "counter >= 0"],
+            Some(&trace),
+        );
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("race on counter"), "{out}");
+    }
+
+    #[test]
     fn demo_xyz_matches_paper() {
         let (code, out) = run_cli(&["demo", "xyz"], None);
         assert_eq!(code, 1, "{out}");

@@ -199,21 +199,24 @@ impl Pipeline {
     /// An empty `kinds` is ltl alone, as for [`SuiteBuilder::new`].
     ///
     /// `spec_src` is the ptLTL property, required iff `kinds` includes
-    /// [`AnalysisKind::Ltl`] (and ignored otherwise); it is parsed against
-    /// `symbols`, which must already map the execution's variable names
-    /// (e.g. the table used to build the program). Relevance is chosen
-    /// here, once: ltl alone instruments the writes of the formula's
-    /// variables (the paper's policy); race and atomicity need every
-    /// access, so any other selection instruments everything. Every
-    /// lattice level is kept, so counterexamples reach the initial state,
-    /// unless the configured [`AnalysisConfig::history`] says otherwise.
+    /// [`AnalysisKind::Ltl`]. A given spec is parsed on every selection,
+    /// so a malformed one is an error even without ltl; its monitor is
+    /// built only when ltl runs. It is parsed against `symbols`, which
+    /// must already map the execution's variable names (e.g. the table
+    /// used to build the program). Relevance is chosen here, once: ltl
+    /// alone instruments the writes of the formula's variables (the
+    /// paper's policy); race and atomicity need every access, so any
+    /// other selection instruments everything. Every lattice level is
+    /// kept, so counterexamples reach the initial state, unless the
+    /// configured [`AnalysisConfig::history`] says otherwise.
     /// When ltl ran, the run as observed is also checked, JPaX-style.
     ///
     /// # Errors
     ///
     /// [`PipelineError::MissingSpec`] when ltl is selected without a
-    /// specification; [`PipelineError::Spec`] / [`PipelineError::Monitor`]
-    /// for an invalid one.
+    /// specification; [`PipelineError::Spec`] for a given spec that does
+    /// not parse, on any selection; [`PipelineError::Monitor`] when ltl
+    /// runs and monitor synthesis fails.
     pub fn check_execution(
         &self,
         execution: &Execution,
@@ -230,11 +233,13 @@ impl Pipeline {
             kinds
         };
         let mut relevance = Relevance::Everything;
+        let spec = Stage::lane(&ring);
+        // A given spec is parsed on every selection, so a malformed one is
+        // reported even when ltl does not run.
+        let formula = spec_src.map(|src| parse(src, symbols)).transpose()?;
         let monitor = if kinds.contains(&AnalysisKind::Ltl) {
-            let spec = Stage::lane(&ring);
-            let formula = parse(spec_src.ok_or(PipelineError::MissingSpec)?, symbols)?;
+            let formula = formula.ok_or(PipelineError::MissingSpec)?;
             let monitor = formula.monitor()?.with_telemetry(registry);
-            spec.end(&mut ring, TraceKind::Stage { name: "spec" });
             if kinds == [AnalysisKind::Ltl] {
                 relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
             }
@@ -242,6 +247,9 @@ impl Pipeline {
         } else {
             None
         };
+        if spec_src.is_some() {
+            spec.end(&mut ring, TraceKind::Stage { name: "spec" });
+        }
 
         let instrument = Stage::start(&self.instrument_ns, &ring);
         let messages = execution.instrument_with_telemetry(relevance.clone(), registry);

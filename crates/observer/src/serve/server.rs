@@ -1,18 +1,20 @@
 //! The daemon's accept loop and lifecycle.
 //!
-//! One non-blocking listener thread admits connections, enforces the
-//! concurrent-session cap, and hands each admitted socket to its own
-//! session thread (see [`super::tenant`]). Outcomes flow back over a
-//! channel; [`Server::run`] collects them until a target count is
-//! reached or [`ServerHandle::stop`] is called, then joins every session
-//! before returning the [`ServeSummary`] — a clean shutdown by
-//! construction.
+//! One listener thread blocks in `accept`, enforces the concurrent-session
+//! cap, and hands each admitted socket to its own session thread (see
+//! [`super::tenant`]). Outcomes flow back over a channel; [`Server::run`]
+//! collects them after every `accept` until a target count is reached or
+//! [`ServerHandle::stop`] is called, then joins every session before
+//! returning the [`ServeSummary`] — a clean shutdown by construction. No
+//! timer drives the loop: `stop()`, and the session whose outcome meets the
+//! target, wake it with one connection to its own address, which the loop
+//! drops unseen.
 //!
 //! [`Server::observability`] hands out a cloneable view — live tenant
 //! table, active-session count, accepting flag — that a metrics endpoint
 //! can serve from without ever touching the accept loop.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -28,6 +30,7 @@ use super::{ServeConfig, ServeSummary, TenantOutcome};
 /// A bound, not-yet-running daemon.
 pub struct Server {
     listener: TcpListener,
+    addr: SocketAddr,
     config: Arc<ServeConfig>,
     /// Names of the variables the spec refers to — every tenant handshake
     /// must declare them.
@@ -62,9 +65,10 @@ impl Server {
             .collect();
 
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         Ok(Self {
             listener,
+            addr,
             config: Arc::new(config),
             spec_var_names: Arc::new(spec_var_names),
             stopping: Arc::new(AtomicBool::new(false)),
@@ -77,9 +81,9 @@ impl Server {
     /// The bound address.
     ///
     /// # Errors
-    /// When the socket's address cannot be read.
+    /// None once bound: [`Server::bind`] reads the address.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.addr)
     }
 
     /// A cloneable view of the daemon's live state for status endpoints
@@ -101,6 +105,7 @@ impl Server {
     pub fn run(self, target: Option<usize>) -> ServeSummary {
         let tel = &self.config.telemetry;
         let ops = &self.config.ops_log;
+        let addr = self.addr;
         let active = Arc::clone(&self.active);
         let active_gauge = tel.gauge("serve.sessions_active");
         let rejected = Arc::new(AtomicU64::new(0));
@@ -109,12 +114,28 @@ impl Server {
         let mut summary = ServeSummary::default();
         let mut next_session = 0u64;
 
-        let done = |summary: &ServeSummary| target.is_some_and(|t| summary.outcomes.len() >= t);
-        loop {
-            if self.stopping.load(Ordering::Relaxed) || done(&summary) {
+        // Collects every outcome sent so far and says whether the loop is
+        // finished. Checked again after each `accept`, so a wake connection
+        // from `stop()` or from the session that met the target is dropped
+        // before it gets a session id, an ops event or a counter.
+        let finished = |summary: &mut ServeSummary| {
+            while let Ok(outcome) = outcome_rx.try_recv() {
+                tel.counter("serve.sessions_completed").inc();
+                summary.outcomes.push(outcome);
+            }
+            self.stopping.load(Ordering::Relaxed)
+                || target.is_some_and(|t| summary.outcomes.len() >= t)
+        };
+        let sent = Arc::new(AtomicUsize::new(0));
+        while !finished(&mut summary) {
+            let accepted = self.listener.accept();
+            // Reap finished session threads so a long-running daemon does
+            // not accumulate handles.
+            sessions.retain(|h| !h.is_finished());
+            if finished(&mut summary) {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((mut stream, peer)) => {
                     let session = next_session;
                     next_session += 1;
@@ -128,10 +149,6 @@ impl Server {
                             Some(session),
                             &[("reason", LogValue::from("at capacity"))],
                         );
-                        // The socket came from a non-blocking accept;
-                        // restore blocking so the rejection line is
-                        // actually written.
-                        let _ = stream.set_nonblocking(false);
                         reject(&mut stream, session, "server at capacity");
                         continue;
                     }
@@ -144,11 +161,11 @@ impl Server {
                         Some(session),
                         &[("peer", LogValue::Str(peer.to_string()))],
                     );
-                    let _ = stream.set_nonblocking(false);
                     let config = Arc::clone(&self.config);
                     let spec_var_names = Arc::clone(&self.spec_var_names);
                     let stopping = Arc::clone(&self.stopping);
                     let outcome_tx = outcome_tx.clone();
+                    let sent = Arc::clone(&sent);
                     let active = Arc::clone(&active);
                     let active_gauge = active_gauge.clone();
                     let rejected = Arc::clone(&rejected);
@@ -166,6 +183,13 @@ impl Server {
                         match outcome {
                             Some(outcome) => {
                                 let _ = outcome_tx.send(outcome);
+                                // The n-th outcome ends a targeted run: wake the
+                                // loop, which may be blocked in `accept`. AcqRel:
+                                // every earlier sender's increment, and so its
+                                // send, happens before the waker's connect.
+                                if target == Some(sent.fetch_add(1, Ordering::AcqRel) + 1) {
+                                    wake(addr);
+                                }
                             }
                             None => {
                                 rejected.fetch_add(1, Ordering::Relaxed);
@@ -176,18 +200,9 @@ impl Server {
                         active_gauge.set(active.load(Ordering::Relaxed) as u64);
                     }));
                 }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                // A real accept error (e.g. EMFILE): back off briefly.
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
-            while let Ok(outcome) = outcome_rx.try_recv() {
-                tel.counter("serve.sessions_completed").inc();
-                summary.outcomes.push(outcome);
-            }
-            // Reap finished session threads so a long-running daemon does
-            // not accumulate handles.
-            sessions.retain(|h| !h.is_finished());
         }
 
         // Shutdown: stop admitting, let in-flight sessions finish (each
@@ -197,11 +212,7 @@ impl Server {
         for handle in sessions {
             let _ = handle.join();
         }
-        drop(outcome_tx);
-        while let Ok(outcome) = outcome_rx.try_recv() {
-            tel.counter("serve.sessions_completed").inc();
-            summary.outcomes.push(outcome);
-        }
+        finished(&mut summary);
         summary.rejected = rejected.load(Ordering::Relaxed);
         if ops.suppressed() > 0 {
             tel.counter("serve.ops_log_suppressed")
@@ -226,7 +237,7 @@ impl Server {
     /// [`Server::run`] directly.
     #[must_use]
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.local_addr().expect("a bound listener has an address");
+        let addr = self.addr;
         let stopping = Arc::clone(&self.stopping);
         let observability = self.observability();
         let thread = std::thread::spawn(move || self.run(None));
@@ -265,6 +276,16 @@ impl ServerHandle {
     #[must_use]
     pub fn stop(self) -> ServeSummary {
         self.stopping.store(true, Ordering::Relaxed);
+        wake(self.addr);
         self.thread.join().expect("serve loop must not panic")
     }
+}
+
+/// Wakes an accept loop that may be blocked on `addr`: the loop re-checks
+/// `stopping` and its target once `accept` returns and drops this
+/// connection unseen. A refused or timed-out connect is harmless — the
+/// listener is gone, or its queue is full and the loop's next `accept`
+/// returns at once and checks the same flag.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
 }

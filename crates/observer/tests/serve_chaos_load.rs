@@ -893,3 +893,88 @@ fn stop_returns_with_no_client_connected() {
     assert!(summary.outcomes.is_empty());
     assert_eq!(summary.rejected, 0);
 }
+
+/// The paper's Example 2 (`x = -1, y = 0, z = 0`; T1 runs `x++; y = x + 1`,
+/// T2 runs `z = x + 1; x++`) as the four frames its relevant writes send.
+fn example2_session_bytes() -> Vec<u8> {
+    let mut symbols = SymbolTable::new();
+    let x = symbols.intern("x");
+    let y = symbols.intern("y");
+    let z = symbols.intern("z");
+    let mut ex = Execution::new()
+        .with_initial(x, -1)
+        .with_initial(y, 0)
+        .with_initial(z, 0);
+    ex.read(T1, x);
+    ex.write(T1, x, 0);
+    ex.read(T2, x);
+    ex.write(T2, z, 1);
+    ex.read(T1, x);
+    ex.write(T1, y, 1);
+    ex.read(T2, x);
+    ex.write(T2, x, 1);
+    let messages = ex.instrument(Relevance::writes_of(vec![x, y, z]));
+    assert_eq!(messages.len(), 4);
+    let mut body = bytes::BytesMut::new();
+    for m in &messages {
+        jmpax_instrument::encode_frame_v2(m, &mut body);
+    }
+    body.to_vec()
+}
+
+/// `run(Some(1))` returns once its one outcome is in, with no further
+/// client to wake a loop blocked in `accept`: the session that met the
+/// target wakes it. The timeout guards against a hang; it is not a timing
+/// gate.
+#[test]
+fn target_outcome_wakes_the_accept_loop() {
+    let server = Server::bind(0, ServeConfig::new(SPEC)).expect("bind");
+    let addr = server.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run(Some(1)));
+    });
+
+    let line = send_raw_session(addr, &hello_for("example2"), &example2_session_bytes())
+        .expect("verdict line");
+    assert!(line.contains("\"verdict\":\"Exact\""), "{line}");
+    assert!(line.contains("\"messages\":4"), "{line}");
+
+    let summary = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run(Some(1)) did not return after its one outcome");
+    assert_eq!(summary.outcomes.len(), 1);
+    assert_eq!(summary.outcomes[0].tenant, "example2");
+    assert_eq!(summary.rejected, 0);
+}
+
+/// The connection `stop()` opens to wake the accept loop is dropped
+/// unseen: no session, no rejection, no counter, no ops event but the
+/// shutdown.
+#[test]
+fn stop_wake_is_invisible() {
+    use std::sync::Arc;
+
+    use jmpax_observer::serve::{LogSink, MemoryLogSink, OpsLog};
+
+    let ops_sink = Arc::new(MemoryLogSink::new());
+    let registry = Registry::enabled();
+    let mut config = ServeConfig::new(SPEC);
+    config.telemetry = registry.clone();
+    config.ops_log = OpsLog::to_sink(Arc::clone(&ops_sink) as Arc<dyn LogSink>);
+    let server = Server::bind(0, config).expect("bind");
+    let handle = server.spawn();
+    // Give the loop time to block in `accept`, so the wake is accepted
+    // rather than left in the backlog. Either way it must stay invisible.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let summary = stop_within(handle, Duration::from_secs(5));
+    assert!(summary.outcomes.is_empty());
+    assert_eq!(summary.rejected, 0);
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("serve.sessions_rejected").unwrap_or(0), 0);
+    assert_eq!(snapshot.counter("serve.handshake_errors").unwrap_or(0), 0);
+    let lines = ops_sink.lines();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].contains("\"event\":\"shutdown\""), "{lines:?}");
+}
