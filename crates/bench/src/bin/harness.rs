@@ -24,7 +24,7 @@ use jmpax_spec::ast::{Atom, CmpOp, Expr};
 use jmpax_workloads::{bank, landing, peterson, xyz};
 
 /// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: [(&str, fn()); 14] = [
+const EXPERIMENTS: [(&str, fn()); 13] = [
     ("fig2", fig2),
     ("fig3", fig3),
     ("fig4", fig4),
@@ -38,7 +38,6 @@ const EXPERIMENTS: [(&str, fn()); 14] = [
     ("races", races),
     ("deadlock", deadlock),
     ("exhaustive", exhaustive),
-    ("reduction", reduction),
 ];
 
 fn main() {
@@ -61,43 +60,9 @@ fn main() {
     }
 }
 
-/// Q9: partial-order reduction vs full enumeration cost.
-fn reduction() {
-    use jmpax_sched::{explore_all, explore_reduced, ExploreLimits};
-    use jmpax_workloads::synthetic::{workload as synthetic, SyntheticConfig};
-
-    header("Q9 — reduced exploration (owner moves + state dedup) vs full enumeration");
-    println!(
-        "{:>6} {:>8} {:>12} {:>16} {:>10}",
-        "thr", "stmts", "full-runs", "reduced-states", "speedup"
-    );
-    for (threads, stmts) in [(2usize, 4usize), (2, 6), (3, 3)] {
-        let w = synthetic(SyntheticConfig {
-            threads,
-            vars: 3,
-            stmts_per_thread: stmts,
-            lock_prob: 0.2,
-            locks: 2,
-            seed: 5,
-        });
-        let limits = ExploreLimits {
-            max_steps: 256,
-            max_runs: 400_000, // cap the oracle; the reduced search never gets close
-        };
-        let full = explore_all(&w.program, limits).len();
-        let reduced = explore_reduced(&w.program, limits);
-        println!(
-            "{threads:>6} {stmts:>8} {full:>12} {:>16} {:>9.1}x",
-            reduced.states_expanded,
-            full as f64 / reduced.states_expanded.max(1) as f64
-        );
-    }
-}
-
 /// Q6: predictive data-race detection vs naive trace-overlap detection.
 fn races() {
-    use jmpax_core::AnalysisKind;
-    use jmpax_lattice::Exactness;
+    use jmpax_core::{AnalysisKind, SymbolTable};
     use jmpax_observer::{Pipeline, PipelineConfig};
     use jmpax_sched::run_random;
 
@@ -135,14 +100,15 @@ fn races() {
     let pipeline = Pipeline::new(PipelineConfig::new());
     for seed in 0..seeds {
         let out = run_random(&program, seed, 100);
-        let suite = pipeline.check_stream_suite(
-            &[AnalysisKind::Race],
-            None,
-            out.execution.thread_count(),
-            Exactness::Exact,
-            out.execution.instrument(Relevance::Everything),
-        );
-        if !suite.satisfied() {
+        let report = pipeline
+            .check_execution(
+                &out.execution,
+                &[AnalysisKind::Race],
+                None,
+                &mut SymbolTable::new(),
+            )
+            .expect("race needs no spec");
+        if report.predicted() {
             predicted += 1;
         }
         // Naive detector: conflicting accesses by different threads that
@@ -329,8 +295,8 @@ fn fig3() {
 
 /// F4: the full architecture over the framed byte stream with shuffling.
 fn fig4() {
-    use jmpax_instrument::{EventSink, FrameSink, ResilientFrameDecoder};
-    use jmpax_lattice::Exactness;
+    use jmpax_core::AnalysisKind;
+    use jmpax_instrument::{EventSink, FrameSink};
     use jmpax_observer::{Pipeline, PipelineConfig};
     use jmpax_spec::ProgramState;
     use rand::seq::SliceRandom;
@@ -358,20 +324,19 @@ fn fig4() {
         msgs.len(),
         bytes.len()
     );
-    let mut decoder = ResilientFrameDecoder::new();
-    let received = decoder.push(&bytes);
-    assert!(decoder.finish().is_clean());
-    let report = Pipeline::new(PipelineConfig::new()).check_messages(
-        w.monitor(),
-        &ProgramState::from_map(out.execution.initial.clone()),
-        Exactness::Exact,
-        u64::MAX,
-        received,
+    let initial = ProgramState::from_map(out.execution.initial.clone());
+    let mut session = Pipeline::new(PipelineConfig::new()).session(
+        &[AnalysisKind::Ltl],
+        Some((w.monitor(), &initial)),
+        out.execution.thread_count(),
     );
-    let a = report.ltl().unwrap();
+    session.push_bytes(&bytes);
+    let (report, decoded) = session.finish();
+    assert!(decoded.is_clean());
+    let a = report.reports[0].as_ltl().unwrap();
     println!(
         "verdict: {} (states {}, runs {}, violating {})",
-        if report.predicted() {
+        if !report.satisfied() {
             "violation PREDICTED"
         } else {
             "satisfied"

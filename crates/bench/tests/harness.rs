@@ -16,7 +16,7 @@ fn unknown_experiment_exits_2_and_lists_the_valid_names() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(out.stdout.is_empty(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for name in ["fig2", "fig5", "lattice-scaling", "reduction"] {
+    for name in ["fig2", "fig5", "lattice-scaling", "exhaustive"] {
         assert!(stderr.contains(name), "{name} missing from: {stderr}");
     }
 }

@@ -444,7 +444,7 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
         return (code, format!("{json}\n"));
     }
     let mut out = if counterexamples {
-        report::ltl_text(&report, &symbols)
+        report::ltl_text(&report.suite, report.observed_violation, &symbols)
     } else {
         report::check_suite_text(&report.suite, &symbols)
     };
@@ -664,37 +664,31 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     let bytes = sink.take_bytes();
     let stats = sink.stats();
 
-    // The receiving side: decode, then let the observer's reassembler
-    // deliver causally and fold the decoder's losses in.
-    let decode_ns = registry.histogram("observer.stage.decode_ns");
-    let decode = jmpax_telemetry::Stage::timed(&decode_ns);
-    let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
-    let received = decoder.push(&bytes);
-    let decoded = decoder.finish();
-    drop(decode);
-    registry
-        .counter("resilience.frames_corrupt")
-        .add(decoded.frames_corrupt);
-    registry
-        .counter("resilience.frames_resynced")
-        .add(decoded.frames_resynced);
-
+    // The receiving side: one observer session over the received bytes,
+    // keeping every level (the report renders counterexamples), then the
+    // JPaX check of the run it delivered.
+    let history = AnalysisConfig::default().with_history(usize::MAX);
+    let pipeline = Pipeline::new(PipelineConfig::new().telemetry(registry).analysis(history));
+    let threads = messages.iter().map(|m| m.thread().index() + 1).max();
     let initial = ProgramState::from_map(run.execution.initial.clone());
-    let report = Pipeline::new(PipelineConfig::new().telemetry(registry)).check_messages(
-        monitor,
-        &initial,
-        jmpax_lattice::Exactness::degraded(0, decoded.frames_lost()),
-        stall_budget,
-        received,
-    );
-    report.suite.reassembly.record(registry);
-    out.push_str(&crate::report::chaos_summary(
+    let analysis_ns = registry.histogram("observer.stage.analysis_ns");
+    let analysis = jmpax_telemetry::Stage::timed(&analysis_ns);
+    let ltl = Some((monitor.clone(), &initial));
+    let mut session = pipeline
+        .session(&[AnalysisKind::Ltl], ltl, threads.unwrap_or(1))
+        .with_stall_budget(stall_budget);
+    let (_, mut delivered) = session.push_bytes(&bytes);
+    delivered.extend(session.end_input());
+    let (suite, decoded) = session.finish();
+    drop(analysis);
+    let observed = pipeline.check_observed_run(&monitor, &initial, &delivered);
+    out.push_str(&report::chaos_summary(
         &stats,
         &decoded,
-        &report.suite.reassembly,
-        report.suite.exactness(),
+        &suite.reassembly,
+        suite.exactness(),
     ));
-    out.push_str(&crate::report::ltl_text(&report, &symbols));
+    out.push_str(&report::ltl_text(&suite, observed, &symbols));
     (0, out)
 }
 

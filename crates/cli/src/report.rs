@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use jmpax_core::SymbolTable;
 use jmpax_instrument::{ChaosStats, ResilientDecode};
 use jmpax_lattice::{AnalysisReport, Exactness, ReassemblyReport, SuiteReport};
-use jmpax_observer::{render_analysis, render_state, PipelineReport, ServeSummary};
+use jmpax_observer::{render_analysis, render_state, ServeSummary};
 use jmpax_telemetry::json::write_string;
 use jmpax_telemetry::profile::LevelProfile;
 use jmpax_telemetry::trace::TraceData;
@@ -123,16 +123,19 @@ fn access_label(is_write: bool) -> &'static str {
 
 /// The ptLTL report of `jmpax check` with ltl alone and of `jmpax chaos`:
 /// the lattice summary with counterexamples, then what the observed run
-/// shows — its own violation, or that the violation is a prediction.
+/// shows — its own violation (`observed`, the index of its first
+/// violating state), or that the violation is a prediction.
 #[must_use]
-pub fn ltl_text(report: &PipelineReport, symbols: &SymbolTable) -> String {
-    let mut out = report
-        .ltl()
+pub fn ltl_text(suite: &SuiteReport, observed: Option<usize>, symbols: &SymbolTable) -> String {
+    let mut out = suite
+        .reports
+        .iter()
+        .find_map(AnalysisReport::as_ltl)
         .map(|ltl| render_analysis(ltl, symbols))
         .unwrap_or_default();
-    if let Some(idx) = report.observed_violation {
+    if let Some(idx) = observed {
         let _ = writeln!(out, "the OBSERVED run violates at state #{idx}");
-    } else if report.predicted() {
+    } else if !suite.satisfied() {
         let _ = writeln!(
             out,
             "the observed run was successful — the violation is PREDICTED"

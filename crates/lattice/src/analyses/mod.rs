@@ -326,34 +326,27 @@ impl AnalysisSuite {
         self.analyses.iter().map(|a| a.kind()).collect()
     }
 
-    /// Offers one message (any arrival order); every message that becomes
-    /// causally ready is dispatched to every analysis and returned, in
-    /// delivery order.
-    pub fn push(&mut self, message: Message) -> Vec<Message> {
-        // Released on arrival means nothing else was held: no drain.
-        if let Some(m) = self.reassembler.offer(message) {
-            self.dispatch(&m);
-            return vec![m];
-        }
-        let released = self.reassembler.drain_ready();
-        released.iter().for_each(|m| self.dispatch(m));
-        released
-    }
-
-    /// Offers many messages in arrival order, dispatching every message
-    /// that becomes causally ready; returns how many were released.
-    pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) -> usize {
-        let mut released = 0;
+    /// Offers messages in arrival order (any order, duplicates included);
+    /// every message that becomes causally ready is dispatched to every
+    /// analysis and returned, moved, in delivery order.
+    pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) -> Vec<Message> {
+        let messages = messages.into_iter();
+        let mut released = Vec::with_capacity(messages.size_hint().0);
         for m in messages {
             // An in-order message is dispatched as it arrives.
             if let Some(m) = self.reassembler.offer(m) {
                 self.dispatch(&m);
-                released += 1;
+                released.push(m);
             }
         }
+        // Messages held behind a gap are released once it fills.
         let rest = self.reassembler.drain_ready();
         rest.iter().for_each(|m| self.dispatch(m));
-        released + rest.len()
+        if released.is_empty() {
+            return rest;
+        }
+        released.extend(rest);
+        released
     }
 
     fn dispatch(&mut self, message: &Message) {
@@ -602,10 +595,10 @@ mod tests {
         let kinds = [AnalysisKind::Race];
         let mut suite = SuiteBuilder::new(&kinds, 2).build(None);
         // Seq 2 from T0 without seq 1: held until the stream ends.
-        let held = suite.push(Message {
+        let held = suite.push_all([Message {
             event: Event::write(T0, X, 1),
             clock: VectorClock::from_components(vec![2, 0]),
-        });
+        }]);
         assert!(held.is_empty());
         let report = suite.finish(Exactness::Exact);
         // The missing seq 1 is committed as a gap, and the survivor is
@@ -633,7 +626,7 @@ mod tests {
             .collect();
         let mut suite = SuiteBuilder::new(&[AnalysisKind::Race], 2).build(None);
         suite.push_all(msgs.iter().cloned());
-        suite.push(msgs[2].clone());
+        suite.push_all([msgs[2].clone()]);
         let report = suite.finish(Exactness::Exact);
         assert_eq!(report.reassembly.duplicates, 1);
         assert_eq!(report.reassembly.delivered, 6);

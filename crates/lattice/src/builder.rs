@@ -490,7 +490,7 @@ impl LevelExpansion {
 /// let mut suite = SuiteBuilder::new(&[AnalysisKind::Ltl], 1).build(Some((monitor, &initial)));
 /// for value in [1i64, 2, -1] {
 ///     let msg = instr.process(&Event::write(ThreadId(0), VarId(0), value)).unwrap();
-///     suite.push(msg);
+///     suite.push_all([msg]);
 /// }
 /// let report = suite.finish(Exactness::Exact).into_ltl();
 /// assert_eq!(report.violations.len(), 1); // the write of -1

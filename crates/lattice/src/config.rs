@@ -22,10 +22,10 @@ pub struct AnalysisConfig {
     /// Retired streaming levels kept for counterexamples. `Some(0)` is the
     /// paper's pure two-level mode and `Some(usize::MAX)` keeps every
     /// level, so counterexamples reach the initial state. `None` (the
-    /// default) keeps two levels on a streamed suite (`Pipeline::suite`,
-    /// `Pipeline::check_stream_suite`, `jmpax serve`) and every level on
-    /// a batch check (`Pipeline::check_execution`,
-    /// `Pipeline::check_messages`).
+    /// default) keeps two levels on an observer session
+    /// (`Pipeline::session`, every `jmpax serve` tenant) and every level
+    /// on a batch check of a recorded execution
+    /// (`Pipeline::check_execution`).
     pub history: Option<usize>,
     /// Memoize monitor steps per `(memory, atom valuation)` within a level
     /// (default `true`). Purely a performance knob: verdicts,

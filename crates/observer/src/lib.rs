@@ -8,13 +8,14 @@
 //! predicting violations that the observed execution itself did not
 //! exhibit.
 //!
-//! * [`pipeline`] — one-call end-to-end analyses: any selection of ptLTL,
-//!   race and atomicity checking over a recorded execution
-//!   ([`Pipeline::check_execution`]), ptLTL over messages received over a
-//!   transport ([`Pipeline::check_messages`]), and the streaming analysis
-//!   suite every one of them runs on, plus the one rule that turns
-//!   transport losses into an exactness verdict. A [`PipelineReport`]
-//!   holds every analysis's verdict and the observed run's.
+//! * [`pipeline`] — the observer and one-call end-to-end analyses: one
+//!   [`ObserverSession`] takes bytes off a transport or messages, in any
+//!   order, runs any selection of ptLTL, race and atomicity checking over
+//!   one causal delivery pass and applies the one transport-loss rule;
+//!   [`Pipeline::check_execution`] instruments a recorded execution and
+//!   runs it through a session, plus the JPaX check of the delivered run.
+//!   A [`PipelineReport`] holds every analysis's verdict and the observed
+//!   run's.
 //! * [`deadlock`] — predictive deadlock detection from cycles in the
 //!   lock-order graph.
 //! * [`jpax`] — the single-trace baseline (what JPaX / Java-MaC can see):
@@ -47,7 +48,7 @@ pub mod verdict;
 pub use deadlock::{predict_deadlocks, DeadlockCycle, DeadlockDetector, LockEdge};
 pub use jpax::observed_violation;
 pub use liveness::{check_lasso, find_lassos, Lasso, Ltl};
-pub use pipeline::{transport_exactness, Pipeline, PipelineConfig, PipelineError, PipelineReport};
+pub use pipeline::{ObserverSession, Pipeline, PipelineConfig, PipelineError, PipelineReport};
 pub use report::{render_analysis, render_counterexample, render_state, render_violation};
 pub use serve::{
     AnalysisOutcome, FileLogSink, FlightDump, FlightEntry, FlightKind, FlightRecorder, LogLevel,

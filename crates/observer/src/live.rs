@@ -1,14 +1,14 @@
 //! The online deployment of Fig. 4 in miniature: an instrumented program
-//! streams its messages into a channel while it runs, and the observer
-//! checks the drained stream ([`Pipeline::check_messages`](crate::Pipeline::check_messages)).
+//! streams its messages into a channel while it runs, and one
+//! [`ObserverSession`](crate::ObserverSession) checks the drained stream.
 //! `jmpax serve` is the deployment over TCP.
 
 #[cfg(test)]
 mod tests {
     use crossbeam::channel::{unbounded, Receiver};
-    use jmpax_core::{Message, Relevance, SymbolTable, VarId};
+    use jmpax_core::{AnalysisKind, Message, Relevance, SymbolTable, VarId};
     use jmpax_instrument::{ChannelSink, Session};
-    use jmpax_lattice::{Exactness, StreamReport};
+    use jmpax_lattice::StreamReport;
     use jmpax_spec::{parse, Monitor, ProgramState};
 
     use crate::pipeline::{Pipeline, PipelineConfig};
@@ -17,14 +17,17 @@ mod tests {
     /// sender is gone.
     fn observe(monitor: Monitor, receiver: &Receiver<Message>) -> StreamReport {
         let messages: Vec<Message> = receiver.try_iter().collect();
-        let report = Pipeline::new(PipelineConfig::new()).check_messages(
-            monitor,
-            &ProgramState::new(),
-            Exactness::Exact,
-            u64::MAX,
-            messages,
+        let threads = messages.iter().map(|m| m.thread().index() + 1).max();
+        let initial = ProgramState::new();
+        let mut session = Pipeline::new(PipelineConfig::new()).session(
+            &[AnalysisKind::Ltl],
+            Some((monitor, &initial)),
+            threads.unwrap_or(1),
         );
-        report.ltl().expect("an ltl check").clone()
+        for m in messages {
+            session.push(m);
+        }
+        session.finish().0.into_ltl()
     }
 
     #[test]

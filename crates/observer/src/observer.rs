@@ -1,11 +1,14 @@
-//! The observer's conclusion about one computation, read off a
-//! [`PipelineReport`](crate::PipelineReport): satisfied, predicted from a
-//! successful observed run, or observed.
+//! The observer's conclusion about one computation: an
+//! [`ObserverSession`](crate::ObserverSession) over its messages, in any
+//! order, then the JPaX check of the delivered run — satisfied, predicted
+//! from a successful observed run, or observed.
 
 #[cfg(test)]
 mod tests {
     use crate::pipeline::{Pipeline, PipelineConfig, PipelineReport};
-    use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
+    use jmpax_core::{
+        AnalysisKind, Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId,
+    };
     use jmpax_lattice::Exactness;
     use jmpax_spec::{parse, Monitor, ProgramState};
 
@@ -39,13 +42,22 @@ mod tests {
     }
 
     fn conclude(monitor: Monitor, init: &ProgramState, msgs: Vec<Message>) -> PipelineReport {
-        Pipeline::new(PipelineConfig::new()).check_messages(
-            monitor,
-            init,
-            Exactness::Exact,
-            u64::MAX,
-            msgs,
-        )
+        let pipeline = Pipeline::new(PipelineConfig::new());
+        let threads = msgs.iter().map(|m| m.thread().index() + 1).max();
+        let mut session = pipeline.session(
+            &[AnalysisKind::Ltl],
+            Some((monitor.clone(), init)),
+            threads.unwrap_or(1),
+        );
+        let mut messages: Vec<Message> = msgs.into_iter().flat_map(|m| session.push(m)).collect();
+        messages.extend(session.end_input());
+        let (suite, _) = session.finish();
+        PipelineReport {
+            observed_violation: pipeline.check_observed_run(&monitor, init, &messages),
+            suite,
+            messages,
+            relevance: Relevance::AllWrites,
+        }
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! analyses: parse the property, derive the relevance policy, run
 //! Algorithm A, ship the messages to the observer, and return every
 //! analysis's verdict together with the JPaX-style observed-run verdict.
-//! [`Pipeline::check_messages`] is the observer half alone, for messages
-//! received over a transport, in any order. Every analysis runs in one
-//! [`AnalysisSuite`], whose reassembler is the one causal-delivery stage
-//! and whose [`ReassemblyReport::exactness_after`] is the one loss rule;
-//! [`transport_exactness`] applies that rule to a decoder's and a
-//! reassembler's accounting. Every ptLTL verdict comes from one engine,
-//! the streaming analyzer behind [`Pipeline::suite`].
+//!
+//! The observer is one [`ObserverSession`] ([`Pipeline::session`]): bytes
+//! off a transport or messages in, in any order, one [`SuiteReport`] out.
+//! Every analysis runs in its one [`AnalysisSuite`], whose reassembler is
+//! the one causal-delivery stage, and [`ObserverSession::finish`] applies
+//! the one loss rule to the decoder's lost frames and the reassembler's
+//! gaps. `check_execution`, `jmpax chaos` and every `jmpax serve` tenant
+//! run on it. The JPaX check of the delivered run is one separate step
+//! ([`Pipeline::check_observed_run`]), so a session keeps no messages.
 //!
 //! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
 //! config carries the optional telemetry [`Registry`] (traced or not), the
@@ -25,10 +27,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
-use jmpax_instrument::ResilientDecode;
+use jmpax_instrument::{ResilientDecode, ResilientFrameDecoder};
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisReport, AnalysisSuite, Exactness, ReassemblyReport, StreamReport,
-    SuiteBuilder, SuiteReport,
+    AnalysisConfig, AnalysisReport, AnalysisSuite, Exactness, StreamReport, SuiteBuilder,
+    SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::trace::TraceKind;
@@ -206,10 +208,10 @@ impl Pipeline {
     /// used to build the program). Relevance is chosen here, once: ltl
     /// alone instruments the writes of the formula's variables (the
     /// paper's policy); race and atomicity need every access, so any
-    /// other selection instruments everything. Every lattice level is
-    /// kept, so counterexamples reach the initial state, unless the
-    /// configured [`AnalysisConfig::history`] says otherwise.
-    /// When ltl ran, the run as observed is also checked, JPaX-style.
+    /// other selection instruments everything. The messages go through
+    /// one [`ObserverSession`] (no stall budget), keeping every lattice
+    /// level unless the configured [`AnalysisConfig::history`] says
+    /// otherwise; when ltl ran, [`Pipeline::check_observed_run`] follows.
     ///
     /// # Errors
     ///
@@ -255,71 +257,8 @@ impl Pipeline {
         let messages = execution.instrument_with_telemetry(relevance.clone(), registry);
         instrument.end(&mut ring, TraceKind::Stage { name: "instrument" });
 
-        let initial = ProgramState::from_map(execution.initial.clone());
-        let report = self.observe(
-            kinds,
-            monitor,
-            &initial,
-            Exactness::Exact,
-            u64::MAX,
-            messages,
-        );
-        Ok(PipelineReport {
-            relevance,
-            ..report
-        })
-    }
-
-    /// The observer half of [`Pipeline::check_execution`] with ltl alone,
-    /// for messages that already exist — e.g. decoded from a transport, in
-    /// any order, duplicates included: the LTL-only suite, the JPaX-style
-    /// check of the run in the suite's delivery order, and the verdict
-    /// counters. The suite's reassembler commits a gap as lost once
-    /// `stall_budget` arrivals fail to fill it; a lossless transport passes
-    /// `u64::MAX`, so only the end of the stream commits a gap and nothing
-    /// that arrived is lost. `transport` is what the transport lost
-    /// ([`Exactness::Exact`] when nothing was, else e.g. the decoder's
-    /// [`jmpax_instrument::ResilientDecode::frames_lost`]), folded into the
-    /// verdict's exactness by the one loss rule together with every gap
-    /// the reassembler commits. Every lattice level is kept unless the
-    /// configured [`AnalysisConfig::history`] says otherwise. The report's
-    /// relevance is [`Relevance::AllWrites`]: the observer analyzes
-    /// whatever arrived.
-    #[must_use]
-    pub fn check_messages(
-        &self,
-        monitor: Monitor,
-        initial: &ProgramState,
-        transport: Exactness,
-        stall_budget: u64,
-        messages: Vec<Message>,
-    ) -> PipelineReport {
-        self.observe(
-            &[AnalysisKind::Ltl],
-            Some(monitor),
-            initial,
-            transport,
-            stall_budget,
-            messages,
-        )
-    }
-
-    /// The observer half shared by [`Pipeline::check_execution`] and
-    /// [`Pipeline::check_messages`]: one suite keeping every level unless
-    /// a history is configured, then the JPaX check when ltl ran.
-    fn observe(
-        &self,
-        kinds: &[AnalysisKind],
-        monitor: Option<Monitor>,
-        initial: &ProgramState,
-        transport: Exactness,
-        stall_budget: u64,
-        messages: Vec<Message>,
-    ) -> PipelineReport {
-        let registry = &self.config.telemetry;
-        let mut ring = registry.tracer().ring("observer");
-
         let analysis = Stage::start(&self.analysis_ns, &ring);
+        let initial = ProgramState::from_map(execution.initial.clone());
         let threads = messages
             .iter()
             .map(|m| m.thread().index() + 1)
@@ -329,131 +268,188 @@ impl Pipeline {
             history: Some(self.config.analysis.history.unwrap_or(usize::MAX)),
             ..self.config.analysis
         };
-        let mut suite = self
-            .build_suite(
-                kinds,
-                monitor.clone().map(|m| (m, initial)),
-                threads,
-                &config,
-            )
-            .with_stall_budget(stall_budget);
+        let ltl = monitor.clone().map(|m| (m, &initial));
+        let mut session = self.open_session(kinds, ltl, threads, &config);
         let mut delivered = Vec::with_capacity(messages.len());
         for m in messages {
-            delivered.extend(suite.push(m));
+            delivered.extend(session.push(m));
         }
-        delivered.extend(suite.end_stream());
-        let suite = self.finish_suite(suite, transport);
+        delivered.extend(session.end_input());
+        let (suite, _) = session.finish();
         analysis.end(&mut ring, TraceKind::Stage { name: "analysis" });
 
-        let observed_violation = monitor.and_then(|monitor| {
-            let jpax = Stage::start(&self.jpax_ns, &ring);
-            let observed = crate::jpax::observed_violation(&monitor, initial, &delivered);
-            jpax.end(&mut ring, TraceKind::Stage { name: "jpax" });
-            observed
-        });
-        if observed_violation.is_some() {
-            registry.counter("observer.verdict.observed").inc();
-        }
-        PipelineReport {
+        let observed_violation =
+            monitor.and_then(|m| self.check_observed_run(&m, &initial, &delivered));
+        Ok(PipelineReport {
             suite,
             observed_violation,
             messages: delivered,
-            relevance: Relevance::AllWrites,
-        }
+            relevance,
+        })
     }
 
-    /// Runs an ordered *suite* of analyses — ptLTL, race detection,
-    /// atomicity checking — over one shared causal delivery pass of an
-    /// already-decoded message stream, e.g. a `jmpax serve` tenant session:
-    /// N analyses cost one decode→reassemble→deliver pass, not N. The
-    /// configured [`AnalysisConfig`] and telemetry registry apply; an unset
-    /// history keeps the paper's two levels.
-    ///
-    /// `kinds` selects and orders the analyses. `ltl` supplies the monitor
-    /// and initial state, required iff the selection includes
-    /// [`AnalysisKind::Ltl`]. Messages may arrive in any order; the
-    /// suite's reassembler delivers them causally and commits what never
-    /// arrived as gaps at the end of the stream. `transport` carries
-    /// upstream losses to fold into every report's exactness
-    /// ([`AnalysisSuite::finish`]).
+    /// Opens one [`ObserverSession`] running the analyses `kinds`, in
+    /// order, under the configured [`AnalysisConfig`] (an unset history
+    /// keeps the paper's two levels) and telemetry registry. `ltl` supplies
+    /// the monitor and initial state, required iff the selection includes
+    /// [`AnalysisKind::Ltl`]; `threads` is the program's thread count.
     ///
     /// # Panics
     ///
     /// Panics when the selection includes LTL but `ltl` is `None` —
     /// validate selections (e.g. with [`AnalysisKind::parse_list`])
     /// before calling.
-    pub fn check_stream_suite(
-        &self,
-        kinds: &[AnalysisKind],
-        ltl: Option<(Monitor, &ProgramState)>,
-        threads: usize,
-        transport: jmpax_lattice::Exactness,
-        messages: impl IntoIterator<Item = Message>,
-    ) -> SuiteReport {
-        let mut suite = self.suite(kinds, ltl, threads);
-        suite.push_all(messages);
-        self.finish_suite(suite, transport)
-    }
-
-    /// Builds the analysis suite [`Pipeline::check_stream_suite`] runs,
-    /// without feeding it: callers that receive a stream incrementally (a
-    /// `jmpax serve` session) set the reassembler's stall budget
-    /// ([`AnalysisSuite::with_stall_budget`]), push messages as they
-    /// arrive and close it with [`Pipeline::finish_suite`]. Arguments and
-    /// panics are those of [`Pipeline::check_stream_suite`].
     #[must_use]
-    pub fn suite(
+    pub fn session(
         &self,
         kinds: &[AnalysisKind],
         ltl: Option<(Monitor, &ProgramState)>,
         threads: usize,
-    ) -> AnalysisSuite {
-        self.build_suite(kinds, ltl, threads, &self.config.analysis)
+    ) -> ObserverSession {
+        self.open_session(kinds, ltl, threads, &self.config.analysis)
     }
 
-    /// [`Pipeline::suite`] under an explicit analysis configuration.
-    fn build_suite(
+    /// [`Pipeline::session`] under an explicit analysis configuration.
+    fn open_session(
         &self,
         kinds: &[AnalysisKind],
         ltl: Option<(Monitor, &ProgramState)>,
         threads: usize,
         config: &AnalysisConfig,
-    ) -> AnalysisSuite {
-        SuiteBuilder::new(kinds, threads.max(1))
+    ) -> ObserverSession {
+        let suite = SuiteBuilder::new(kinds, threads.max(1))
             .sync_vars(self.config.sync_vars.iter().copied())
             .config(config)
             .telemetry(&self.config.telemetry)
-            .build(ltl)
+            .build(ltl);
+        ObserverSession {
+            decoder: ResilientFrameDecoder::new(),
+            suite,
+            registry: self.config.telemetry.clone(),
+        }
     }
 
-    /// Closes a suite built by [`Pipeline::suite`], folding `transport`
-    /// losses into every report, and counts the verdict.
+    /// The JPaX step: the index of the first violating state of the run
+    /// in the order the observer delivered `messages`, timed as
+    /// `observer.stage.jpax_ns` and counted in `observer.verdict.observed`.
     #[must_use]
-    pub fn finish_suite(
+    pub fn check_observed_run(
         &self,
-        suite: AnalysisSuite,
-        transport: jmpax_lattice::Exactness,
-    ) -> SuiteReport {
+        monitor: &Monitor,
+        initial: &ProgramState,
+        messages: &[Message],
+    ) -> Option<usize> {
         let registry = &self.config.telemetry;
-        let report = suite.finish(transport);
-        if report.satisfied() {
-            registry.counter("observer.verdict.satisfied").inc();
-        } else {
-            registry.counter("observer.verdict.predicted").inc();
+        let mut ring = registry.tracer().ring("observer");
+        let jpax = Stage::start(&self.jpax_ns, &ring);
+        let observed = crate::jpax::observed_violation(monitor, initial, messages);
+        jpax.end(&mut ring, TraceKind::Stage { name: "jpax" });
+        if observed.is_some() {
+            registry.counter("observer.verdict.observed").inc();
         }
+        observed
+    }
+
+    /// The analyses `kinds` over already-decoded `messages`, with
+    /// `transport` losses folded into every report. Arguments and panics
+    /// are those of [`Pipeline::session`]. Kept only for the benchmark
+    /// crate's replay and reference verdicts; it goes once they run on a
+    /// session.
+    pub fn check_stream_suite(
+        &self,
+        kinds: &[AnalysisKind],
+        ltl: Option<(Monitor, &ProgramState)>,
+        threads: usize,
+        transport: Exactness,
+        messages: impl IntoIterator<Item = Message>,
+    ) -> SuiteReport {
+        let mut suite = self.session(kinds, ltl, threads).suite;
+        // One at a time, so the released messages are dropped as they go
+        // rather than collected for a caller that keeps none.
+        for m in messages {
+            suite.push_all([m]);
+        }
+        let report = suite.finish(transport);
+        count_verdict(&self.config.telemetry, &report);
         report
     }
 }
 
-/// The one transport-loss rule applied to a decoded and reassembled
-/// stream: the reassembler's skipped gaps, plus each lost frame it could
-/// not notice — a corrupted frame at the end of a thread's stream leaves no
-/// later message to reveal the gap — so a damaged stream can never yield
-/// an Exact verdict. [`AnalysisSuite::finish`] applies the same rule
-/// ([`ReassemblyReport::exactness_after`]).
-#[must_use]
-pub fn transport_exactness(decoded: &ResilientDecode, reassembly: &ReassemblyReport) -> Exactness {
-    reassembly.exactness_after(Exactness::degraded(0, decoded.frames_lost()))
+/// Counts a verdict in `observer.verdict.{satisfied,predicted}`.
+fn count_verdict(registry: &Registry, report: &SuiteReport) {
+    let name = if report.satisfied() {
+        "observer.verdict.satisfied"
+    } else {
+        "observer.verdict.predicted"
+    };
+    registry.counter(name).inc();
+}
+
+/// One observer session (Fig. 4): messages in, as transport bytes or as
+/// messages, in any order, duplicates included; one [`SuiteReport`] out.
+/// Each message is analysed the moment it is causally ready (Theorem 3)
+/// and handed back to the caller, moved, in delivery order; the session
+/// keeps none. [`ObserverSession::finish`] applies the one loss rule (each
+/// frame the decoder lost is one skipped gap, folded with the gaps the
+/// reassembler committed), so a damaged stream never yields an Exact
+/// verdict, and records `resilience.frames_corrupt`,
+/// `resilience.frames_resynced`, the reassembly counters and
+/// `observer.verdict.{satisfied,predicted}`.
+#[derive(Debug)]
+pub struct ObserverSession {
+    decoder: ResilientFrameDecoder,
+    suite: AnalysisSuite,
+    registry: Registry,
+}
+
+impl ObserverSession {
+    /// Commits a gap as lost once `stall_budget` arrivals fail to fill it,
+    /// for a lossy transport; without it only the end of input does.
+    #[must_use]
+    pub fn with_stall_budget(mut self, stall_budget: u64) -> Self {
+        self.suite = self.suite.with_stall_budget(stall_budget);
+        self
+    }
+
+    /// Decodes one chunk of the byte stream (any chunking gives the same
+    /// result); returns how many frames it completed and the messages
+    /// delivered.
+    pub fn push_bytes(&mut self, bytes: &[u8]) -> (u64, Vec<Message>) {
+        let decoded = self.decoder.push(bytes);
+        (decoded.len() as u64, self.suite.push_all(decoded))
+    }
+
+    /// Offers one message; returns the messages delivered.
+    pub fn push(&mut self, message: Message) -> Vec<Message> {
+        self.suite.push_all([message])
+    }
+
+    /// Ends the input: commits every open gap and returns the messages
+    /// that waited on one. [`ObserverSession::finish`] ends the input
+    /// itself, without returning that tail, when the caller has not.
+    pub fn end_input(&mut self) -> Vec<Message> {
+        self.suite.end_stream()
+    }
+
+    /// Closes every analysis; returns the reports and the decoder's fault
+    /// accounting (all zero when only [`ObserverSession::push`] was used).
+    #[must_use]
+    pub fn finish(self) -> (SuiteReport, ResilientDecode) {
+        let registry = &self.registry;
+        let decoded = self.decoder.finish();
+        registry
+            .counter("resilience.frames_corrupt")
+            .add(decoded.frames_corrupt);
+        registry
+            .counter("resilience.frames_resynced")
+            .add(decoded.frames_resynced);
+        let report = self
+            .suite
+            .finish(Exactness::degraded(0, decoded.frames_lost()));
+        report.reassembly.record(registry);
+        count_verdict(registry, &report);
+        (report, decoded)
+    }
 }
 
 #[cfg(test)]
@@ -644,30 +640,40 @@ mod tests {
         (messages, monitor, ProgramState::from_map(ex.initial))
     }
 
-    /// Decodes a whole received buffer: one push, then the accounting.
-    fn decode(bytes: &[u8]) -> (Vec<Message>, ResilientDecode) {
-        let mut decoder = jmpax_instrument::ResilientFrameDecoder::new();
-        let messages = decoder.push(bytes);
-        (messages, decoder.finish())
+    /// One Example-2 session with `stall_budget` over what `feed` pushes
+    /// (returning what the pushes delivered), then the JPaX check of the
+    /// delivered run — what `jmpax chaos` does.
+    fn check(
+        monitor: Monitor,
+        initial: &ProgramState,
+        stall_budget: u64,
+        feed: impl FnOnce(&mut ObserverSession) -> Vec<Message>,
+    ) -> (PipelineReport, ResilientDecode) {
+        let pipeline = Pipeline::new(PipelineConfig::new());
+        let mut session = pipeline
+            .session(&[AnalysisKind::Ltl], Some((monitor.clone(), initial)), 2)
+            .with_stall_budget(stall_budget);
+        let mut messages = feed(&mut session);
+        messages.extend(session.end_input());
+        let (suite, decoded) = session.finish();
+        let observed_violation = pipeline.check_observed_run(&monitor, initial, &messages);
+        let report = PipelineReport {
+            suite,
+            observed_violation,
+            messages,
+            relevance: Relevance::AllWrites,
+        };
+        (report, decoded)
     }
 
-    /// What `jmpax chaos` does with received bytes: decode, then check
-    /// the decoded messages with `stall_budget` and the decoder's losses.
+    /// [`check`] over received bytes.
     fn check_bytes(
         bytes: &[u8],
         monitor: Monitor,
         initial: &ProgramState,
         stall_budget: u64,
     ) -> (PipelineReport, ResilientDecode) {
-        let (messages, decoded) = decode(bytes);
-        let report = Pipeline::new(PipelineConfig::new()).check_messages(
-            monitor,
-            initial,
-            Exactness::degraded(0, decoded.frames_lost()),
-            stall_budget,
-            messages,
-        );
-        (report, decoded)
+        check(monitor, initial, stall_budget, |s| s.push_bytes(bytes).1)
     }
 
     fn encode(messages: &[Message]) -> bytes::BytesMut {
@@ -688,15 +694,8 @@ mod tests {
         for m in &messages {
             w.emit(m);
         }
-        let (decoded_msgs, decoded) = decode(&sink.take_bytes());
+        let (report, decoded) = check_bytes(&sink.take_bytes(), monitor, &initial, u64::MAX);
         assert!(decoded.is_clean());
-        let report = Pipeline::new(PipelineConfig::new()).check_messages(
-            monitor,
-            &initial,
-            Exactness::Exact,
-            u64::MAX,
-            decoded_msgs,
-        );
         assert!(report.predicted());
         assert_eq!(report.ltl().unwrap().violating_runs, 1);
         assert_eq!(report.messages, messages);
@@ -707,16 +706,16 @@ mod tests {
         // Decode + reassembly + the transport rule over a clean stream give
         // exactly the verdict of the plain observer over the same messages.
         let (messages, monitor, initial) = example2_messages();
-        let plain = Pipeline::new(PipelineConfig::new()).check_messages(
-            monitor.clone(),
-            &initial,
-            Exactness::Exact,
-            u64::MAX,
-            messages.clone(),
-        );
+        let (plain, _) = check(monitor.clone(), &initial, u64::MAX, |s| {
+            messages.iter().flat_map(|m| s.push(m.clone())).collect()
+        });
         let (report, decoded) = check_bytes(&encode(&messages), monitor, &initial, 8);
         assert!(decoded.is_clean());
-        assert!(transport_exactness(&decoded, &report.suite.reassembly).is_exact());
+        assert!(report
+            .suite
+            .reassembly
+            .exactness_after(Exactness::degraded(0, decoded.frames_lost()))
+            .is_exact());
         assert!(report.suite.exactness().is_exact());
         assert!(report.predicted());
         assert_eq!(report.ltl().unwrap().total_runs, 3);
@@ -727,6 +726,51 @@ mod tests {
         );
         assert_eq!(report.observed_violation, plain.observed_violation);
         assert_eq!(report.messages, messages);
+    }
+
+    #[test]
+    fn any_chunking_of_a_damaged_stream_gives_one_report() {
+        // Example 2's frames reordered, one duplicated, one corrupted, with
+        // garbage between two of them: whole, byte by byte and in 7-byte
+        // pieces, the session decodes, delivers and reports the same.
+        let (messages, monitor, initial) = example2_messages();
+        let mut buf = bytes::BytesMut::new();
+        let mut corrupt_at = 0;
+        for (i, m) in [2, 0, 0, 3, 1].into_iter().enumerate() {
+            if i == 2 {
+                buf.extend_from_slice(&[0xAB; 5]);
+            }
+            if i == 3 {
+                corrupt_at = buf.len() + 12;
+            }
+            jmpax_instrument::encode_frame_v2(&messages[m], &mut buf);
+        }
+        buf[corrupt_at] ^= 0x01;
+
+        let run = |piece: usize| {
+            let mut session = Pipeline::new(PipelineConfig::new())
+                .session(&[AnalysisKind::Ltl], Some((monitor.clone(), &initial)), 2)
+                .with_stall_budget(8);
+            let mut delivered = Vec::new();
+            let mut frames = 0;
+            for chunk in buf.chunks(piece) {
+                let (n, released) = session.push_bytes(chunk);
+                frames += n;
+                delivered.extend(released);
+            }
+            delivered.extend(session.end_input());
+            let (report, decoded) = session.finish();
+            (format!("{report:?}"), decoded, frames, delivered)
+        };
+        let whole = run(buf.len());
+        assert_eq!(whole.1.frames_corrupt, 1);
+        assert_eq!(whole.1.frames_resynced, 1);
+        assert_eq!(whole.2, 4, "four frames decode intact");
+        assert!(whole.0.contains("duplicates: 1"), "{}", whole.0);
+        assert!(!whole.3.is_empty());
+        for piece in [1, 7] {
+            assert_eq!(run(piece), whole, "{piece}-byte pieces");
+        }
     }
 
     #[test]
@@ -761,7 +805,10 @@ mod tests {
         assert_eq!(decoded.frames_corrupt, 1);
         assert_eq!(report.suite.reassembly.messages_lost(), 0);
         assert_eq!(
-            transport_exactness(&decoded, &report.suite.reassembly),
+            report
+                .suite
+                .reassembly
+                .exactness_after(Exactness::degraded(0, decoded.frames_lost())),
             Exactness::degraded(0, 1)
         );
         assert_eq!(report.suite.exactness(), Exactness::degraded(0, 1));

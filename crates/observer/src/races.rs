@@ -1,14 +1,16 @@
 //! Race detection as the observer runs it: the suite's
-//! [`RaceAnalysis`](jmpax_lattice::RaceAnalysis) over a [`Pipeline`]'s
-//! causal delivery of instrumented messages, with writes of the declared
-//! sync variables as lock transfers.
+//! [`RaceAnalysis`](jmpax_lattice::RaceAnalysis) over an
+//! [`ObserverSession`](crate::ObserverSession)'s causal delivery of an
+//! execution's instrumented accesses
+//! ([`Pipeline::check_execution`](crate::Pipeline::check_execution)), with
+//! writes of the declared sync variables as lock transfers.
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
-    use jmpax_core::{AnalysisKind, Event, Execution, Relevance, ThreadId, VarId};
-    use jmpax_lattice::{Exactness, RaceReport};
+    use jmpax_core::{AnalysisKind, Event, Execution, SymbolTable, ThreadId, VarId};
+    use jmpax_lattice::RaceReport;
 
     use crate::pipeline::{Pipeline, PipelineConfig};
 
@@ -19,15 +21,18 @@ mod tests {
 
     /// The race report for `execution`, every access relevant.
     fn races(execution: &Execution, sync: &BTreeSet<VarId>) -> RaceReport {
-        let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
-            .check_stream_suite(
+        let report = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+            .check_execution(
+                execution,
                 &[AnalysisKind::Race],
                 None,
-                execution.thread_count(),
-                Exactness::Exact,
-                execution.instrument(Relevance::Everything),
-            );
-        suite.reports[0].as_race().expect("a race report").clone()
+                &mut SymbolTable::new(),
+            )
+            .expect("race needs no spec");
+        report.suite.reports[0]
+            .as_race()
+            .expect("a race report")
+            .clone()
     }
 
     fn run(events: &[Event], sync: &[VarId]) -> RaceReport {

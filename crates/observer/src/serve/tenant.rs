@@ -1,12 +1,12 @@
 //! One tenant session, served start to finish by one thread.
 //!
 //! The thread runs the handshake under its own deadline, then reads the
-//! socket and analyses each chunk as it arrives, as the paper's observer
-//! does: the resilient decoder turns the chunk into messages and the
-//! analysis suite, whose Theorem-3 reassembler is the session's one
-//! buffer, pushes each message the moment it is causally ready. At end of
-//! stream only the tail (messages still waiting on a gap) is left to
-//! analyse before the verdict line is written back on the same socket.
+//! socket and hands each chunk to one [`ObserverSession`] as it arrives,
+//! as the paper's observer does: the session decodes the chunk and its
+//! Theorem-3 reassembler, the session's one buffer, delivers each message
+//! to the analyses the moment it is causally ready. At end of stream only
+//! the tail (messages still waiting on a gap) is left to analyse before
+//! the verdict line is written back on the same socket.
 //!
 //! Backpressure is the socket's own: while a chunk is being analysed
 //! nothing reads, the kernel's receive buffer fills and the client's
@@ -31,8 +31,7 @@ use std::time::Duration;
 
 use jmpax_core::{AnalysisKind, SymbolTable};
 use jmpax_instrument::tcp::SessionHello;
-use jmpax_instrument::ResilientFrameDecoder;
-use jmpax_lattice::{AnalysisSuite, Exactness};
+use jmpax_lattice::Exactness;
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::{Counter, Gauge, Stage};
 
@@ -40,7 +39,7 @@ use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
 use super::status::TenantTable;
 use super::{AnalysisOutcome, ExactnessVerdict, ServeConfig, TenantOutcome};
-use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::pipeline::{ObserverSession, Pipeline, PipelineConfig};
 
 /// `serve.verdict_state{tenant=…}` gauge values.
 const STATE_RUNNING: u64 = 0;
@@ -145,40 +144,26 @@ impl Tenant<'_> {
         );
     }
 
-    /// Decodes one chunk and pushes its messages into the suite, whose
-    /// reassembler analyses each one as soon as it is causally ready.
-    fn push(&self, decoder: &mut ResilientFrameDecoder, suite: &mut AnalysisSuite, chunk: &[u8]) {
-        let messages = decoder.push(chunk);
-        let frames = messages.len() as u64;
+    /// Hands one chunk to the observer session, which decodes it and
+    /// analyses each message as soon as it is causally ready.
+    fn push(&self, session: &mut ObserverSession, chunk: &[u8]) {
+        let (frames, delivered) = session.push_bytes(chunk);
         self.config
             .telemetry
             .counter("serve.frames_ingested")
             .add(frames);
         self.frames_decoded.add(frames);
         self.flight.frames(frames, chunk.len() as u64);
-        self.messages_analyzed.add(suite.push_all(messages) as u64);
+        self.messages_analyzed.add(delivered.len() as u64);
     }
 
-    /// Analyses the tail left at end of input and folds every loss (the
-    /// decoder's and the reassembler's) into one [`Exactness`].
-    fn finish(
-        &self,
-        pipeline: &Pipeline,
-        mut suite: AnalysisSuite,
-        decoder: ResilientFrameDecoder,
-        kinds: &[AnalysisKind],
-    ) -> Analysed {
-        let tel = &self.config.telemetry;
-        let decoded = decoder.finish();
-        tel.counter("serve.frames_corrupt")
-            .add(decoded.frames_corrupt);
-        tel.counter("serve.frames_resynced")
-            .add(decoded.frames_resynced);
-        self.messages_analyzed.add(suite.end_stream().len() as u64);
-        // The suite folds the decoder's losses into every analysis's report.
-        let report = pipeline.finish_suite(suite, Exactness::degraded(0, decoded.frames_lost()));
+    /// Analyses the tail left at end of input and closes the session,
+    /// whose reports fold every loss (the decoder's and the
+    /// reassembler's) into one [`Exactness`].
+    fn finish(&self, mut session: ObserverSession, kinds: &[AnalysisKind]) -> Analysed {
+        self.messages_analyzed.add(session.end_input().len() as u64);
+        let (report, decoded) = session.finish();
         let reassembly = &report.reassembly;
-        reassembly.record(tel);
         for gap in &reassembly.gaps {
             self.flight.gap(u64::from(gap.thread.0), gap.from, gap.to);
         }
@@ -505,17 +490,16 @@ pub(super) fn run_session(
     let mut tail = None;
     let served = catch_unwind(AssertUnwindSafe(|| {
         let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
-        let mut suite = pipeline
-            .suite(
+        let mut session = pipeline
+            .session(
                 &kinds,
                 monitor.map(|m| (m, &initial)),
                 hello.threads as usize,
             )
             .with_stall_budget(config.stall_budget);
-        let mut decoder = ResilientFrameDecoder::new();
-        evicted = this.read_to_end(stopping, |chunk| this.push(&mut decoder, &mut suite, chunk));
+        evicted = this.read_to_end(stopping, |chunk| this.push(&mut session, chunk));
         tail = Some(Stage::timed(&eof_to_verdict));
-        let result = this.finish(&pipeline, suite, decoder, &kinds);
+        let result = this.finish(session, &kinds);
         this.publish(this.analysed(result, evicted))
     }));
     let outcome = served.unwrap_or_else(|_| {

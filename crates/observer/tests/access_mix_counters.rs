@@ -3,11 +3,11 @@
 //! Four threads read and write eight variables at random (30 % writes),
 //! and every access is relevant, so most lattice edges are reads: the
 //! engine steps over them as stutters (`lattice.non_writes_skipped`) while
-//! the spec `v0 >= 0` names one variable. The stream takes the observer
-//! path `jmpax serve` runs: v2 frames decoded in the daemon's 8 KiB socket
-//! chunks, causal reassembly, the one transport-loss rule, then the LTL
-//! suite. The counts were recorded before the expansion engine's node
-//! layout was flattened and must not move with it.
+//! the spec `v0 >= 0` names one variable. The stream takes the path
+//! `jmpax serve` runs: v2 frames pushed into one observer session in the
+//! daemon's 8 KiB socket chunks, under the daemon's default stall budget.
+//! The counts were recorded before the expansion engine's node layout was
+//! flattened and must not move with it.
 //!
 //! Everything asserted here is a count, never a wall time, so it holds on
 //! any host.
@@ -15,9 +15,9 @@
 use bytes::BytesMut;
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
 use jmpax_core::{AnalysisKind, Message, Relevance, VarId};
-use jmpax_instrument::{encode_frame_v2, ResilientFrameDecoder};
-use jmpax_lattice::{AnalysisReport, Reassembler, DEFAULT_STALL_BUDGET};
-use jmpax_observer::{transport_exactness, Pipeline, PipelineConfig};
+use jmpax_instrument::encode_frame_v2;
+use jmpax_lattice::{AnalysisReport, DEFAULT_STALL_BUDGET};
+use jmpax_observer::{Pipeline, PipelineConfig};
 use jmpax_spec::ProgramState;
 use jmpax_telemetry::Registry;
 
@@ -69,23 +69,14 @@ fn run(frames: &[u8], initial: &ProgramState) -> Counts {
         .expect("spec monitors")
         .with_telemetry(&registry);
 
-    let mut decoder = ResilientFrameDecoder::new();
-    let mut reassembler = Reassembler::with_stall_budget(DEFAULT_STALL_BUDGET);
-    for chunk in frames.chunks(CHUNK) {
-        reassembler.push_all(decoder.push(chunk));
-    }
-    let decoded = decoder.finish();
-    let (messages, reassembly) = reassembler.finish();
-    let transport = transport_exactness(&decoded, &reassembly);
-
     let pipeline = Pipeline::new(PipelineConfig::new().telemetry(&registry));
-    let suite = pipeline.check_stream_suite(
-        &[AnalysisKind::Ltl],
-        Some((monitor, initial)),
-        THREADS,
-        transport,
-        messages,
-    );
+    let mut session = pipeline
+        .session(&[AnalysisKind::Ltl], Some((monitor, initial)), THREADS)
+        .with_stall_budget(DEFAULT_STALL_BUDGET);
+    for chunk in frames.chunks(CHUNK) {
+        session.push_bytes(chunk);
+    }
+    let (suite, _) = session.finish();
     let [AnalysisReport::Ltl(ltl)] = suite.reports.as_slice() else {
         panic!("an LTL-only suite yields one LTL report: {suite:?}");
     };

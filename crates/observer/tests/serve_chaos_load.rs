@@ -15,11 +15,10 @@ use std::time::{Duration, Instant};
 use jmpax_core::{Execution, Relevance, SymbolTable, ThreadId, Value};
 use jmpax_instrument::tcp::{send_raw_session, SessionHello};
 use jmpax_instrument::{ChaosConfig, ChaosSink, EventSink as _, ResilientFrameDecoder};
-use jmpax_lattice::{Exactness, Reassembler, DEFAULT_STALL_BUDGET};
+use jmpax_lattice::{Exactness, Reassembler, SuiteBuilder, DEFAULT_STALL_BUDGET};
 use jmpax_observer::serve::{
     ExactnessVerdict, ServeConfig, ServeSummary, Server, ServerHandle, TenantOutcome,
 };
-use jmpax_observer::{transport_exactness, Pipeline, PipelineConfig};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::{MetricValue, Registry};
 
@@ -87,7 +86,8 @@ fn chaotic_session_bytes(session: u64) -> Vec<u8> {
 /// The verdict fields a batch analysis of `bytes` yields for a session
 /// declared by [`hello_for`]: decode everything, reassemble to the end,
 /// then run the suite over the whole stream — with the daemon's exactness
-/// folding. Returns `(verdict, satisfied, violations, frames_ok, messages,
+/// folding, written against the lattice API so it does not share the
+/// daemon's observer session. Returns `(verdict, satisfied, violations, frames_ok, messages,
 /// gaps_skipped)`.
 fn batch_reference(bytes: &[u8], evicted: bool) -> (ExactnessVerdict, bool, usize, u64, u64, u64) {
     let mut symbols = SymbolTable::new();
@@ -103,15 +103,11 @@ fn batch_reference(bytes: &[u8], evicted: bool) -> (ExactnessVerdict, bool, usiz
     reassembler.push_all(decoder.push(bytes));
     let decoded = decoder.finish();
     let (messages, reassembly) = reassembler.finish();
-    let transport = transport_exactness(&decoded, &reassembly);
+    let transport = reassembly.exactness_after(Exactness::degraded(0, decoded.frames_lost()));
     let count = messages.len() as u64;
-    let suite = Pipeline::new(PipelineConfig::new()).check_stream_suite(
-        &[],
-        Some((monitor, &initial)),
-        2,
-        transport,
-        messages,
-    );
+    let mut suite = SuiteBuilder::new(&[], 2).build(Some((monitor, &initial)));
+    suite.push_all(messages);
+    let suite = suite.finish(transport);
     let mut exactness = suite.exactness();
     if evicted {
         exactness = exactness.combine(Exactness::degraded(0, 1));

@@ -30,7 +30,6 @@
 pub mod compile;
 pub mod interp;
 pub mod program;
-pub mod reduce;
 pub mod replay;
 pub mod schedule;
 pub mod validate;
@@ -39,7 +38,6 @@ pub mod verify;
 pub use compile::{CompiledProgram, CompiledThread};
 pub use interp::{Machine, RunOutcome, StepResult};
 pub use program::{BinOp, Expr, LockId, Program, Stmt, ThreadProgram};
-pub use reduce::{explore_reduced, ReducedExploration};
 pub use replay::{find_schedule_for_writes, TargetWrite};
 pub use schedule::{explore_all, run_fixed, run_random, run_round_robin, ExploreLimits, Scheduler};
 pub use validate::{validate, ProgramIssue};

@@ -11,8 +11,8 @@
 //! cargo run --example live_threads
 //! ```
 
+use jmpax::core::AnalysisKind;
 use jmpax::instrument::{EventSink, FrameSink, ResilientFrameDecoder, Session};
-use jmpax::lattice::Exactness;
 use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::spec::ProgramState;
 use jmpax::{parse, Relevance, SymbolTable, VarId};
@@ -87,33 +87,35 @@ fn main() {
         .unwrap()
         .monitor()
         .unwrap();
-    let mut decoder = ResilientFrameDecoder::new();
-    let received = decoder.push(&shuffled_sink.take_bytes());
-    assert!(decoder.finish().is_clean());
-    let report = Pipeline::new(PipelineConfig::new()).check_messages(
-        monitor,
-        &ProgramState::new(),
-        Exactness::Exact,
-        u64::MAX,
-        received,
+    // One observer session over the shuffled bytes; three threads (producer,
+    // auditor, consumer).
+    let initial = ProgramState::new();
+    let mut observer = Pipeline::new(PipelineConfig::new()).session(
+        &[AnalysisKind::Ltl],
+        Some((monitor, &initial)),
+        3,
     );
+    let (_, mut delivered) = observer.push_bytes(&shuffled_sink.take_bytes());
+    delivered.extend(observer.end_input());
+    let (report, decoded) = observer.finish();
+    assert!(decoded.is_clean());
 
     println!(
         "messages delivered out of order: {} relevant writes",
-        report.messages.len()
+        delivered.len()
     );
-    let a = report.ltl().unwrap();
+    let a = report.reports[0].as_ltl().unwrap();
     println!(
         "lattice: {} states, {} runs, {} violating",
         a.states_explored, a.total_runs, a.violating_runs
     );
     println!(
         "verdict: {}",
-        if report.predicted() {
+        if !report.satisfied() {
             "VIOLATION PREDICTED (auditor can publish progress before the item exists)"
         } else {
             "satisfied"
         }
     );
-    assert!(report.predicted());
+    assert!(!report.satisfied());
 }

@@ -6,8 +6,8 @@
 //! cargo run --example quickstart
 //! ```
 
+use jmpax::core::AnalysisKind;
 use jmpax::instrument::Session;
-use jmpax::lattice::Exactness;
 use jmpax::observer::{render_analysis, Pipeline, PipelineConfig};
 use jmpax::spec::ProgramState;
 use jmpax::{parse, Relevance, VarId};
@@ -40,18 +40,26 @@ fn main() {
         .monitor()
         .unwrap();
 
-    let report = Pipeline::new(PipelineConfig::new()).check_messages(
-        monitor,
-        &ProgramState::new(),
-        Exactness::Exact,
-        u64::MAX,
-        session.drain_messages(),
-    );
-    let predicted = report.predicted() && !report.observed();
+    // The observer: one session over the messages, in any order, then the
+    // JPaX-style check of the run it delivered.
+    let pipeline = Pipeline::new(PipelineConfig::new());
+    let initial = ProgramState::new();
+    let mut observer = pipeline.session(&[AnalysisKind::Ltl], Some((monitor.clone(), &initial)), 2);
+    let mut delivered = Vec::new();
+    for m in session.drain_messages() {
+        delivered.extend(observer.push(m));
+    }
+    delivered.extend(observer.end_input());
+    let (report, _) = observer.finish();
+    let observed = pipeline.check_observed_run(&monitor, &initial, &delivered);
+    let predicted = !report.satisfied() && observed.is_none();
 
     println!("observed execution: deposit first, receipt second — successful");
     println!();
-    println!("{}", render_analysis(report.ltl().unwrap(), &syms));
+    println!(
+        "{}",
+        render_analysis(report.reports[0].as_ltl().unwrap(), &syms)
+    );
     if predicted {
         println!(
             "JMPaX verdict: VIOLATION PREDICTED — under another scheduling the \

@@ -18,11 +18,11 @@
 use std::collections::BTreeSet;
 
 use jmpax::core::AnalysisKind;
-use jmpax::lattice::{Exactness, RaceReport};
+use jmpax::lattice::RaceReport;
 use jmpax::observer::{predict_deadlocks, Pipeline, PipelineConfig};
 use jmpax::sched::{run_fixed, run_round_robin, Expr, LockId, Program, Stmt};
 use jmpax::workloads::dining;
-use jmpax::{Execution, Relevance, ThreadId, VarId};
+use jmpax::{Execution, SymbolTable, ThreadId, VarId};
 
 fn main() {
     race_demo();
@@ -30,18 +30,22 @@ fn main() {
     deadlock_demo();
 }
 
-/// Runs the race analysis over every access of `execution`, with writes of
-/// `sync` as lock acquire/release.
+/// Runs the race analysis over every access of `execution` (the relevance
+/// `check_execution` picks without ltl), with writes of `sync` as lock
+/// acquire/release.
 fn detect_races(execution: &Execution, sync: &BTreeSet<VarId>) -> RaceReport {
-    let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
-        .check_stream_suite(
+    let report = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+        .check_execution(
+            execution,
             &[AnalysisKind::Race],
             None,
-            execution.thread_count(),
-            Exactness::Exact,
-            execution.instrument(Relevance::Everything),
-        );
-    suite.reports[0].as_race().expect("a race report").clone()
+            &mut SymbolTable::new(),
+        )
+        .expect("race needs no spec");
+    report.suite.reports[0]
+        .as_race()
+        .expect("a race report")
+        .clone()
 }
 
 fn race_demo() {

@@ -47,7 +47,9 @@ pub use jmpax_core::{
 pub use jmpax_lattice::{
     analyze, to_dot, Analysis, Cut, DotOptions, Lattice, LatticeInput, StreamingAnalyzer,
 };
-pub use jmpax_observer::{predict_deadlocks, Pipeline, PipelineConfig, PipelineReport};
+pub use jmpax_observer::{
+    predict_deadlocks, ObserverSession, Pipeline, PipelineConfig, PipelineReport,
+};
 pub use jmpax_spec::{parse, Formula, Monitor, MonitorState, ProgramState};
 pub use jmpax_telemetry::trace::{causal_edges, TraceData, TraceKind, TraceRing, Tracer};
 pub use jmpax_telemetry::{Registry, Snapshot};

@@ -2,25 +2,28 @@
 //! program → Algorithm A inside `Shared<T>` accessors → framed byte stream
 //! ("socket") → observer → computation lattice → verdict.
 
-use jmpax::instrument::{FrameSink, ResilientFrameDecoder, Session};
-use jmpax::lattice::Exactness;
+use jmpax::core::AnalysisKind;
+use jmpax::instrument::{FrameSink, Session};
 use jmpax::observer::{Pipeline, PipelineConfig, PipelineReport};
 use jmpax::spec::ProgramState;
 use jmpax::{parse, Monitor, Relevance, SymbolTable};
 
-/// The observer end of the wire: decode the received bytes, which must
-/// arrive intact, and analyze the messages.
+/// The observer end of the wire: one session over the received bytes of a
+/// two-thread program, which must arrive intact, then the JPaX check of
+/// the run it delivered.
 fn observe_wire(bytes: &[u8], monitor: Monitor, initial: ProgramState) -> PipelineReport {
-    let mut decoder = ResilientFrameDecoder::new();
-    let messages = decoder.push(bytes);
-    assert!(decoder.finish().is_clean());
-    Pipeline::new(PipelineConfig::new()).check_messages(
-        monitor,
-        &initial,
-        Exactness::Exact,
-        u64::MAX,
+    let pipeline = Pipeline::new(PipelineConfig::new());
+    let mut session = pipeline.session(&[AnalysisKind::Ltl], Some((monitor.clone(), &initial)), 2);
+    let (_, mut messages) = session.push_bytes(bytes);
+    messages.extend(session.end_input());
+    let (suite, decoded) = session.finish();
+    assert!(decoded.is_clean());
+    PipelineReport {
+        observed_violation: pipeline.check_observed_run(&monitor, &initial, &messages),
+        suite,
         messages,
-    )
+        relevance: Relevance::AllWrites,
+    }
 }
 
 /// Example 2 of the paper run on real `std::thread`s. The paper's observed
@@ -198,7 +201,6 @@ fn real_threads_locked_publication_is_clean() {
 /// `lattice`.
 #[test]
 fn traced_suite_fills_every_analysis_lane() {
-    use jmpax::core::AnalysisKind;
     use jmpax::workloads::nonatomic;
     use jmpax::{Registry, TraceKind};
 
@@ -220,7 +222,7 @@ fn traced_suite_fills_every_analysis_lane() {
             .sync_vars([w.symbols.lookup(nonatomic::LOCK_NAME).unwrap()]),
     );
     let initial = ProgramState::from_map(run.execution.initial.clone());
-    let report = pipeline.check_stream_suite(
+    let mut session = pipeline.session(
         &[
             AnalysisKind::Ltl,
             AnalysisKind::Race,
@@ -228,9 +230,11 @@ fn traced_suite_fills_every_analysis_lane() {
         ],
         Some((w.monitor(), &initial)),
         run.execution.thread_count(),
-        Exactness::Exact,
-        messages,
     );
+    for m in messages {
+        session.push(m);
+    }
+    let (report, _) = session.finish();
 
     let data = registry.tracer().collect();
     let lane = |name: &str| -> Vec<&TraceKind> {

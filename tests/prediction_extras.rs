@@ -4,24 +4,27 @@
 use std::collections::BTreeSet;
 
 use jmpax::core::AnalysisKind;
-use jmpax::lattice::{Exactness, RaceReport};
+use jmpax::lattice::RaceReport;
 use jmpax::observer::{predict_deadlocks, Pipeline, PipelineConfig};
 use jmpax::sched::{run_random, verify_exhaustive, ExploreLimits};
 use jmpax::workloads::{bank, dining, xyz};
-use jmpax::{Execution, Relevance, VarId};
+use jmpax::{Execution, SymbolTable, VarId};
 
 /// The race analysis over every access of `execution`, with writes of
 /// `sync` as lock transfers.
 fn races(execution: &Execution, sync: &BTreeSet<VarId>) -> RaceReport {
-    let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
-        .check_stream_suite(
+    let report = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+        .check_execution(
+            execution,
             &[AnalysisKind::Race],
             None,
-            execution.thread_count(),
-            Exactness::Exact,
-            execution.instrument(Relevance::Everything),
-        );
-    suite.reports[0].as_race().expect("a race report").clone()
+            &mut SymbolTable::new(),
+        )
+        .expect("race needs no spec");
+    report.suite.reports[0]
+        .as_race()
+        .expect("a race report")
+        .clone()
 }
 
 /// Prediction from a single run must agree with exhaustive enumeration on

@@ -3,7 +3,8 @@
 //! Shuffling the message stream must never change the verdict, the lattice
 //! shape, or the violating-run count.
 
-use jmpax::lattice::{Exactness, StreamReport};
+use jmpax::core::AnalysisKind;
+use jmpax::lattice::{Exactness, StreamReport, SuiteReport};
 use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_random;
 use jmpax::spec::ProgramState;
@@ -12,16 +13,23 @@ use jmpax::{parse, Event, Message, Monitor, MvcInstrumentor, Relevance, SymbolTa
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
+/// One observer session over `messages`, delivered in the given order.
+fn observe_suite(monitor: &Monitor, initial: &ProgramState, messages: Vec<Message>) -> SuiteReport {
+    let threads = messages.iter().map(|m| m.thread().index() + 1).max();
+    let mut session = Pipeline::new(PipelineConfig::new()).session(
+        &[AnalysisKind::Ltl],
+        Some((monitor.clone(), initial)),
+        threads.unwrap_or(1),
+    );
+    for m in messages {
+        session.push(m);
+    }
+    session.finish().0
+}
+
 /// The observer's analysis of `messages`, delivered in the given order.
 fn observe(monitor: &Monitor, initial: &ProgramState, messages: Vec<Message>) -> StreamReport {
-    let report = Pipeline::new(PipelineConfig::new()).check_messages(
-        monitor.clone(),
-        initial,
-        Exactness::Exact,
-        u64::MAX,
-        messages,
-    );
-    report.ltl().unwrap().clone()
+    observe_suite(monitor, initial, messages).into_ltl()
 }
 
 #[test]
@@ -115,22 +123,16 @@ fn reversed_long_stream_is_exact() {
     reversed.reverse();
 
     // A bare suite has the same lossless default.
-    let mut suite = jmpax::lattice::SuiteBuilder::new(&[jmpax::core::AnalysisKind::Ltl], 2)
+    let mut suite = jmpax::lattice::SuiteBuilder::new(&[AnalysisKind::Ltl], 2)
         .build(Some((monitor.clone(), &initial)));
     suite.push_all(reversed.iter().cloned());
     let bare = suite.finish(Exactness::Exact).into_ltl();
     assert!(bare.exactness.is_exact(), "{}", bare.exactness);
     assert_eq!(bare.states_explored, in_order.states_explored);
 
-    let report = Pipeline::new(PipelineConfig::new()).check_messages(
-        monitor,
-        &initial,
-        Exactness::Exact,
-        u64::MAX,
-        reversed,
-    );
-    assert_eq!(report.suite.reassembly.delivered, 400);
-    let a = report.ltl().unwrap();
+    let report = observe_suite(&monitor, &initial, reversed);
+    assert_eq!(report.reassembly.delivered, 400);
+    let a = report.reports[0].as_ltl().unwrap();
     assert!(a.exactness.is_exact(), "{}", a.exactness);
     assert!(a.violating_runs > 0, "concurrent rounds predict x < y");
     assert_eq!(
@@ -145,7 +147,6 @@ fn reversed_long_stream_is_exact() {
 
 #[test]
 fn streaming_analyzer_is_order_insensitive_too() {
-    use jmpax::core::AnalysisKind;
     use jmpax::lattice::SuiteBuilder;
 
     let w = xyz::workload();
